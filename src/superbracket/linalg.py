@@ -1,30 +1,23 @@
-"""Dense exact linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p.
 
-Everything is deterministic: row reduction always picks the leftmost nonzero
-pivot column, so echelon forms, kernel bases and anything derived from them
-are reproducible bit for bit.  Matrices are dense and immutable; every
-dimension this library meets is tiny, so correctness and reproducibility
-win over asymptotics.
+``Matrix`` and ``Vector`` are dense and immutable.  Elimination is one
+sparse exact routine for every field: rows become ``{column: value}``
+dicts and are reduced against a basis keyed by pivot column, so the work
+follows the nonzeros of the ~1%-dense systems the solver assembles.  Over Q
+it runs on unbounded ``Fraction`` arithmetic, which is mandatory --
+coefficient growth during elimination is real; over F_p the only extra
+step is reducing each result mod p.
 
-Over F_p the reduction dispatches to a compiled kernel when the optional
-Cython extension was built (set ``SUPERBRACKET_PURE=1`` to force the pure
-fallback); over Q it runs on unbounded ``Fraction`` arithmetic, which is
-mandatory -- coefficient growth during elimination is real.
+Everything is deterministic: reduced row echelon form and its pivot columns
+(leftmost first) are unique, so echelon forms, kernel bases and anything
+derived from them are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldError, Scalar
-
-from . import _rowred_pure
-
-try:  # compiled kernel is optional
-    from . import _rowred_fast
-except ImportError:  # pragma: no cover - depends on build environment
-    _rowred_fast = None
 
 __all__ = [
     "Matrix",
@@ -44,56 +37,61 @@ class DimensionMismatch(ValueError):
     """Shapes of the operands are incompatible; a contract violation."""
 
 
-def _prime_kernel():
-    if _rowred_fast is not None and not os.environ.get("SUPERBRACKET_PURE"):
-        return _rowred_fast
-    return _rowred_pure
-
-
 def using_compiled_kernel() -> bool:
-    """True when mod-p row reduction will run in the compiled extension."""
-    return _prime_kernel() is _rowred_fast
+    """Always False: there is no compiled kernel, elimination is pure Python."""
+    return False
 
 
-def _rref_raw(field: Field, rows: list) -> tuple[list, list]:
-    """Reduced row echelon form of raw rows; returns (rows, pivot columns)."""
-    if not rows or not rows[0]:
-        return [list(r) for r in rows], []
-    if field.kind == "prime" and field.p < 2**31:
-        return _prime_kernel().rref_mod(rows, field.p)
-    if field.kind == "prime":
-        return _rowred_pure.rref_mod(rows, field.p)
-    return _rref_fractions(rows)
+def _rref_raw(field: Field, rows: Sequence[Sequence]) -> tuple[list, list]:
+    """Reduced row echelon form of rows of raw field elements.
 
-
-def _rref_fractions(rows: list) -> tuple[list, list]:
-    m, n = len(rows), len(rows[0])
-    a = [list(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if a[i][c]:
-                pr = i
-                break
-        if pr < 0:
+    Returns ``(rows, pivot columns)``: the nonzero RREF rows in pivot order,
+    then zero rows up to the input row count.  ``basis`` maps each pivot
+    column to its row, which has a 1 at the pivot and 0 in every other pivot
+    column.  Each incoming row is reduced against the basis; a nonzero
+    remainder is scaled to a leading 1 and its pivot column is then cleared
+    from the existing basis rows.  The input is not modified.
+    """
+    p = field.p if field.kind == "prime" else None
+    basis: dict[int, dict] = {}
+    for dense in rows:
+        row = {c: x for c, x in enumerate(dense) if x}
+        for c in [c for c in row if c in basis]:
+            _sub_multiple(row, row[c], basis[c], p)
+        if not row:
             continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
+        pivot = min(row)
+        inv = field.inv(row[pivot])
         if inv != 1:
-            a[r] = [x * inv for x in a[r]]
-        arow = a[r]
-        for i in range(m):
-            f = a[i][c]
-            if f and i != r:
-                a[i] = [x - f * y for x, y in zip(a[i], arow)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
+            row = {c: x * inv % p if p else x * inv for c, x in row.items()}
+        for other in basis.values():
+            f = other.get(pivot)
+            if f:
+                _sub_multiple(other, f, row, p)
+        basis[pivot] = row
+    n = len(rows[0]) if rows else 0
+    zero = field.zero()
+    pivots = sorted(basis)
+    out = []
+    for c in pivots:
+        dense = [zero] * n
+        for j, x in basis[c].items():
+            dense[j] = x
+        out.append(dense)
+    out.extend([zero] * n for _ in range(len(rows) - len(pivots)))
+    return out, pivots
+
+
+def _sub_multiple(row: dict, f, other: dict, p: int | None) -> None:
+    """row -= f * other in place, dropping entries that become zero."""
+    for j, y in other.items():
+        v = row.get(j, 0) - f * y
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def _coerce_row(field: Field, row: Iterable) -> tuple:
@@ -175,11 +173,21 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, rows: Sequence[Iterable]):
+        self._set(field, tuple(_coerce_row(field, row) for row in rows))
+
+    @classmethod
+    def _from_raw(cls, field: Field, rows: Sequence[Iterable]) -> "Matrix":
+        """Matrix of rows that already hold raw field elements; no coercion."""
+        m = cls.__new__(cls)
+        m._set(field, tuple(tuple(row) for row in rows))
+        return m
+
+    def _set(self, field: Field, data: tuple) -> None:
         self.field = field
-        self.data = tuple(_coerce_row(field, row) for row in rows)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        if any(len(r) != self.cols for r in self.data):
+        self.data = data
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+        if any(len(r) != self.cols for r in data):
             raise DimensionMismatch("ragged rows")
 
     # --- constructors ----------------------------------------------------
@@ -346,8 +354,8 @@ class Matrix:
     # --- elimination-based operations -------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows, pivots = _rref_raw(self.field, [list(r) for r in self.data])
-        return Matrix(self.field, rows), tuple(pivots)
+        rows, pivots = _rref_raw(self.field, self.data)
+        return Matrix._from_raw(self.field, rows), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -462,7 +470,7 @@ def echelon_span(field: Field, vectors: Sequence[Vector]) -> list[Vector]:
     vecs = [v for v in vectors if not v.is_zero()]
     if not vecs:
         return []
-    red, pivots = _rref_raw(field, [list(v.entries) for v in vecs])
+    red, pivots = _rref_raw(field, [v.entries for v in vecs])
     return [Vector(field, red[i]) for i in range(len(pivots))]
 
 

@@ -98,6 +98,10 @@ def odd_bracket_space(
                 raise ValueError(
                     "action matrices do not represent the even algebra"
                 )
+    # raw coefficients, so the assembled rows need no coercion
+    even_bracket = [
+        [[field.coerce(c) for c in r] for r in plane] for plane in even_bracket
+    ]
     pairs, unknown = _pair_index(d1)
     n_unknowns = len(pairs) * d0
     rows: list[list] = []
@@ -187,7 +191,7 @@ def odd_bracket_space(
 
     if n_unknowns == 0:
         return OddBracketSpace(field, d0, d1, ())
-    system = Matrix(field, rows) if rows else Matrix.zero(field, 1, n_unknowns)
+    system = Matrix._from_raw(field, rows) if rows else Matrix.zero(field, 1, n_unknowns)
     basis = []
     for flat in kernel_basis(system):
         tensor = [[[field.zero()] * d0 for _ in range(d1)] for _ in range(d1)]

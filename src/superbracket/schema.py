@@ -83,6 +83,7 @@ def _entries(doc, key, field, bound1, bound2, bound3, ordered) -> list:
     if not isinstance(raw, list):
         raise SchemaError(f"{key} must be a list")
     out = []
+    seen = set()
     for item in raw:
         if not (isinstance(item, list) and len(item) == 4):
             raise SchemaError(f"{key} entries must be [i, j, k, coeff]")
@@ -102,8 +103,9 @@ def _entries(doc, key, field, bound1, bound2, bound3, ordered) -> list:
             raise SchemaError(f"{key} coefficient: {exc}") from None
         if not value:
             raise SchemaError(f"{key} entry ({i},{j},{k}) has zero coefficient")
-        if any(e[0] == i and e[1] == j and e[2] == k for e in out):
+        if (i, j, k) in seen:
             raise SchemaError(f"{key} entry ({i},{j},{k}) duplicated")
+        seen.add((i, j, k))
         out.append((i, j, k, value))
     return out
 

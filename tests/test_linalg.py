@@ -1,13 +1,11 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superbracket import _rowred_pure
 from superbracket.fields import GF, QQ
 from superbracket.linalg import (
     DimensionMismatch,
+    _rref_raw,
     Matrix,
     Vector,
     coordinates_in_span,
@@ -17,11 +15,6 @@ from superbracket.linalg import (
     solve_linear,
 )
 from superbracket.constructions import sl2_algebra
-
-try:
-    from superbracket import _rowred_fast
-except ImportError:
-    _rowred_fast = None
 
 F5 = GF(5)
 
@@ -141,35 +134,88 @@ def test_echelon_span_is_canonical():
     assert b1[0].entries[0] == 1  # leading ones
 
 
-@pytest.mark.skipif(_rowred_fast is None, reason="compiled kernel not built")
-def test_pure_override_env_var():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import superbracket; print(superbracket.using_compiled_kernel())"
-    for value, expect in (("", "True"), ("1", "False")):
-        env = dict(os.environ, PYTHONPATH=src)
-        if value:
-            env["SUPERBRACKET_PURE"] = value
-        else:
-            env.pop("SUPERBRACKET_PURE", None)
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.stdout.strip() == expect
+# --- oracle for the sparse eliminator ----------------------------------------
 
 
-@pytest.mark.skipif(_rowred_fast is None, reason="compiled kernel not built")
-def test_compiled_and_pure_kernels_agree():
-    rng = random.Random(12345)
-    for _ in range(200):
-        p = rng.choice([2, 3, 5, 7, 13, 101])
-        rows = rng.randint(1, 10)
-        cols = rng.randint(1, 10)
-        data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-        pure = _rowred_pure.rref_mod([r[:] for r in data], p)
-        fast = _rowred_fast.rref_mod([r[:] for r in data], p)
-        assert pure == fast
+def dense_rref(field, rows):
+    """Textbook dense Gauss-Jordan over any field: leftmost pivot, row swap,
+    scale to 1, clear the column everywhere.  Slow reference for _rref_raw."""
+    a = [list(r) for r in rows]
+    n = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(inv, x) for x in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+ORACLE_FIELDS = [QQ, GF(5), GF(7), GF(10**9 + 7), GF(2**61 - 1)]
+
+
+def field_values(field):
+    if field.kind == "prime":
+        return st.integers(min_value=1, max_value=field.p - 1)
+    return st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
+@st.composite
+def raw_systems(draw, field):
+    """Rows of raw field entries: sparse (about 2% nonzero, up to 40 x 40) or
+    dense (up to 8 x 8) with zero rows and zero columns forced in; row and
+    column counts are drawn independently."""
+    values = field_values(field).map(field.coerce)
+    zero = field.zero()
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 40))
+        n = draw(st.integers(0, 40))
+        rows = [[zero] * n for _ in range(m)]
+        if m and n:
+            cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), values)
+            for i, j, x in draw(st.lists(cells, max_size=max(1, m * n // 50))):
+                rows[i][j] = x
+    else:
+        m = draw(st.integers(0, 8))
+        n = draw(st.integers(0, 8))
+        rows = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(m)]
+        if m and n:
+            for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+                rows[i] = [zero] * n
+            for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+                for row in rows:
+                    row[j] = zero
+    return rows
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+@given(data=st.data())
+def test_sparse_rref_matches_dense_oracle(field, data):
+    rows = data.draw(raw_systems(field))
+    frozen = [tuple(r) for r in rows]
+    assert _rref_raw(field, rows) == dense_rref(field, rows)
+    assert [tuple(r) for r in rows] == frozen  # input left untouched
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_sparse_rref_edge_shapes(field):
+    one, zero = field.one(), field.zero()
+    two = field.from_int(2)
+    cases = [
+        [],  # no rows
+        [[], []],  # no columns
+        [[zero] * 3] * 4,  # zero matrix
+        [[one, two], [two, one], [one, one], [zero, one]],  # tall
+        [[zero, one, two, zero], [zero, two, one, zero]],  # zero columns
+    ]
+    for rows in cases:
+        assert _rref_raw(field, rows) == dense_rref(field, rows)

@@ -112,6 +112,16 @@ def test_duplicate_entries_rejected():
     doc["p_map"].append(doc["p_map"][0])
     with pytest.raises(SchemaError, match="duplicated"):
         parse_algebra(json.dumps(doc))
+    # non-adjacent duplicate, another coefficient: reported at the first
+    # repeat of the same (x, v, w) index
+    doc = doc_of(build_osp12(QQ))
+    action = doc["action"]
+    assert len(action) >= 3
+    x, v, w, _ = action[0]
+    action.append([x, v, w, "5/1"])
+    action.append(list(action[1]))
+    with pytest.raises(SchemaError, match=rf"^action entry \({x},{v},{w}\) duplicated$"):
+        parse_algebra(json.dumps(doc))
 
 
 def test_mode_characteristic_mismatch():

@@ -7,9 +7,10 @@ compose through pipes: a path argument of "-" reads stdin, and every
     superbracket construct irrep --m 2 --field fp:5 | superbracket pspace -
     superbracket construct double --field q | superbracket classify -
 
-Exit codes: 0 success (classification cases A/B/C), 1 validation failure,
-2 classification not applicable, 3 undetermined, 64 usage error, 65 schema
-error.
+Exit codes: 0 success (classification cases A/B/C), 1 validation failure
+(also ``pspace`` on an action that is not a representation), 2 not
+applicable (classification, or ``pspace`` on a char2 document), 3
+undetermined, 64 usage error, 65 schema error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ from .constructions import (
 )
 from .fields import Field, FieldError
 from .linalg import Matrix
-from .moduli import odd_bracket_space_of, sweep_irrep_sums
+from .moduli import (
+    NotARepresentation,
+    UnsupportedMode,
+    odd_bracket_space_of,
+    sweep_irrep_sums,
+)
 from .schema import SchemaError, parse_algebra, serialize_algebra
 from .sl2 import (
     INCONCLUSIVE,
@@ -304,9 +310,20 @@ def construct_assemble(field_text, m, alpha, beta, p_file):
     help="Axiom system for the solver (default: inferred from the document).",
 )
 def cmd_pspace(path, mode):
-    """Dimension and basis of all odd brackets compatible with the module."""
+    """Dimension and basis of all odd brackets compatible with the module.
+
+    Exits 1 when the action is not a representation, 2 on char2 documents.
+    """
     g, _ = _load(path)
-    space = odd_bracket_space_of(g, mode=mode)
+    try:
+        space = odd_bracket_space_of(g, mode=mode)
+    except UnsupportedMode as exc:
+        click.echo(f"not applicable: {exc}", err=True)
+        sys.exit(EXIT_NOT_APPLICABLE)
+    except NotARepresentation as exc:
+        for pair in exc.pairs:
+            click.echo(str(sa.Violation("representation", pair)), err=True)
+        sys.exit(EXIT_VALIDATION)
     field = g.field
     basis_entries = []
     for tensor in space.basis:

@@ -1,12 +1,17 @@
 """Exact linear algebra over Q and F_p.
 
-``Matrix`` and ``Vector`` are dense and immutable.  Elimination is one
-sparse exact routine for every field: rows become ``{column: value}``
-dicts and are reduced against a basis keyed by pivot column, so the work
-follows the nonzeros of the ~1%-dense systems the solver assembles.  Over Q
-it runs on unbounded ``Fraction`` arithmetic, which is mandatory --
-coefficient growth during elimination is real; over F_p the only extra
-step is reducing each result mod p.
+``Matrix`` and ``Vector`` are dense and immutable.  Elimination takes
+sparse rows: one exact routine for every field reduces ``{column: value}``
+dicts against a basis keyed by pivot column, so the work follows the
+nonzeros of the ~1%-dense systems the solver assembles.  Over Q it runs on
+unbounded ``Fraction`` arithmetic, which is mandatory -- coefficient growth
+during elimination is real; over F_p the only extra step is reducing each
+result mod p.  Kernels are read straight off that reduced basis
+(:func:`sparse_kernel_basis`); the dense RREF is built only where a caller
+asks for it (``Matrix.rref``, ``inverse``, ``solve_linear``,
+``echelon_span``).  Results of field operations on raw entries are
+assembled without re-coercion; the public ``Matrix(...)`` and
+``Vector(...)`` constructors still coerce.
 
 Everything is deterministic: reduced row echelon form and its pivot columns
 (leftmost first) are unique, so echelon forms, kernel bases and anything
@@ -24,6 +29,7 @@ __all__ = [
     "Vector",
     "DimensionMismatch",
     "kernel_basis",
+    "sparse_kernel_basis",
     "solve_linear",
     "eigenspace",
     "echelon_span",
@@ -42,20 +48,19 @@ def using_compiled_kernel() -> bool:
     return False
 
 
-def _rref_raw(field: Field, rows: Sequence[Sequence]) -> tuple[list, list]:
-    """Reduced row echelon form of rows of raw field elements.
+def _reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
+    """Reduced basis of the span of sparse rows ``{column: raw value}``.
 
-    Returns ``(rows, pivot columns)``: the nonzero RREF rows in pivot order,
-    then zero rows up to the input row count.  ``basis`` maps each pivot
-    column to its row, which has a 1 at the pivot and 0 in every other pivot
-    column.  Each incoming row is reduced against the basis; a nonzero
-    remainder is scaled to a leading 1 and its pivot column is then cleared
-    from the existing basis rows.  The input is not modified.
+    Returns ``{pivot column: row}``; each row has a 1 at its pivot and no
+    entry in any other pivot column, so the rows sorted by pivot are the
+    nonzero rows of the reduced row echelon form.  Each incoming row is
+    reduced against the basis; a nonzero remainder is scaled to a leading 1
+    and its pivot column is then cleared from the existing basis rows.
+    Input rows must hold no zero entries and are consumed (modified).
     """
     p = field.p if field.kind == "prime" else None
     basis: dict[int, dict] = {}
-    for dense in rows:
-        row = {c: x for c, x in enumerate(dense) if x}
+    for row in rows:
         for c in [c for c in row if c in basis]:
             _sub_multiple(row, row[c], basis[c], p)
         if not row:
@@ -69,6 +74,16 @@ def _rref_raw(field: Field, rows: Sequence[Sequence]) -> tuple[list, list]:
             if f:
                 _sub_multiple(other, f, row, p)
         basis[pivot] = row
+    return basis
+
+
+def _rref_raw(field: Field, rows: Sequence[Sequence]) -> tuple[list, list]:
+    """Reduced row echelon form of dense rows of raw field elements.
+
+    Returns ``(rows, pivot columns)``: the nonzero RREF rows in pivot order,
+    then zero rows up to the input row count.  The input is not modified.
+    """
+    basis = _reduce(field, ({c: x for c, x in enumerate(r) if x} for r in rows))
     n = len(rows[0]) if rows else 0
     zero = field.zero()
     pivots = sorted(basis)
@@ -98,6 +113,11 @@ def _coerce_row(field: Field, row: Iterable) -> tuple:
     return tuple(field.coerce(x) for x in row)
 
 
+def _check_fields(field: Field, vectors: Sequence["Vector"]) -> None:
+    if any(v.field != field for v in vectors):
+        raise FieldError(f"vector of another field used in a matrix over {field}")
+
+
 class Vector:
     """Immutable coordinate vector over one field."""
 
@@ -107,15 +127,23 @@ class Vector:
         self.field = field
         self.entries = _coerce_row(field, entries)
 
+    @classmethod
+    def _from_raw(cls, field: Field, entries: Iterable) -> "Vector":
+        """Vector of entries that already are raw field elements; no coercion."""
+        v = cls.__new__(cls)
+        v.field = field
+        v.entries = tuple(entries)
+        return v
+
     @staticmethod
     def zero(field: Field, n: int) -> "Vector":
-        return Vector(field, [field.zero()] * n)
+        return Vector._from_raw(field, [field.zero()] * n)
 
     @staticmethod
     def unit(field: Field, n: int, i: int) -> "Vector":
         e = [field.zero()] * n
         e[i] = field.one()
-        return Vector(field, e)
+        return Vector._from_raw(field, e)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -129,20 +157,20 @@ class Vector:
     def __add__(self, o: "Vector") -> "Vector":
         self._check(o)
         f = self.field
-        return Vector(f, [f.add(a, b) for a, b in zip(self.entries, o.entries)])
+        return Vector._from_raw(f, [f.add(a, b) for a, b in zip(self.entries, o.entries)])
 
     def __sub__(self, o: "Vector") -> "Vector":
         self._check(o)
         f = self.field
-        return Vector(f, [f.sub(a, b) for a, b in zip(self.entries, o.entries)])
+        return Vector._from_raw(f, [f.sub(a, b) for a, b in zip(self.entries, o.entries)])
 
     def __neg__(self) -> "Vector":
-        return Vector(self.field, [self.field.neg(a) for a in self.entries])
+        return Vector._from_raw(self.field, [self.field.neg(a) for a in self.entries])
 
     def scaled(self, c) -> "Vector":
         c = self.field.coerce(c)
         f = self.field
-        return Vector(f, [f.mul(c, a) for a in self.entries])
+        return Vector._from_raw(f, [f.mul(c, a) for a in self.entries])
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -195,30 +223,38 @@ class Matrix:
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
-        return Matrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return Matrix._from_raw(
+            field, [[one if i == j else zero for j in range(n)] for i in range(n)]
+        )
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
         z = field.zero()
-        return Matrix(field, [[z] * cols for _ in range(rows)])
+        return Matrix._from_raw(field, [[z] * cols for _ in range(rows)])
 
     @staticmethod
     def from_columns(field: Field, columns: Sequence[Vector]) -> "Matrix":
+        _check_fields(field, columns)
         if not columns:
-            return Matrix(field, [])
+            return Matrix._from_raw(field, [])
         n = len(columns[0])
-        return Matrix(field, [[col.entries[i] for col in columns] for i in range(n)])
+        return Matrix._from_raw(
+            field, [[col.entries[i] for col in columns] for i in range(n)]
+        )
 
     @staticmethod
     def from_rows(field: Field, vectors: Sequence[Vector]) -> "Matrix":
-        return Matrix(field, [v.entries for v in vectors])
+        _check_fields(field, vectors)
+        return Matrix._from_raw(field, [v.entries for v in vectors])
 
     @staticmethod
     def diagonal(field: Field, entries: Iterable) -> "Matrix":
         ent = [field.coerce(x) for x in entries]
         z = field.zero()
         n = len(ent)
-        return Matrix(field, [[ent[i] if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._from_raw(
+            field, [[ent[i] if i == j else z for j in range(n)] for i in range(n)]
+        )
 
     @staticmethod
     def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
@@ -226,10 +262,12 @@ class Matrix:
         cols = blocks[0].cols
         rows: list = []
         for b in blocks:
+            if b.field != field:
+                raise FieldError("mixed-field vstack")
             if b.cols != cols:
                 raise DimensionMismatch("vstack column mismatch")
             rows.extend(b.data)
-        return Matrix(field, rows)
+        return Matrix._from_raw(field, rows)
 
     # --- accessors -------------------------------------------------------
 
@@ -237,10 +275,10 @@ class Matrix:
         return Scalar(self.field, self.data[i][j])
 
     def row(self, i: int) -> Vector:
-        return Vector(self.field, self.data[i])
+        return Vector._from_raw(self.field, self.data[i])
 
     def column(self, j: int) -> Vector:
-        return Vector(self.field, [r[j] for r in self.data])
+        return Vector._from_raw(self.field, [r[j] for r in self.data])
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
@@ -271,7 +309,7 @@ class Matrix:
     def __add__(self, o: "Matrix") -> "Matrix":
         self._check_same(o)
         f = self.field
-        return Matrix(
+        return Matrix._from_raw(
             f,
             [
                 [f.add(a, b) for a, b in zip(ra, rb)]
@@ -282,7 +320,7 @@ class Matrix:
     def __sub__(self, o: "Matrix") -> "Matrix":
         self._check_same(o)
         f = self.field
-        return Matrix(
+        return Matrix._from_raw(
             f,
             [
                 [f.sub(a, b) for a, b in zip(ra, rb)]
@@ -292,25 +330,21 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.neg(a) for a in row] for row in self.data])
+        return Matrix._from_raw(f, [[f.neg(a) for a in row] for row in self.data])
 
     def scaled(self, c) -> "Matrix":
         c = self.field.coerce(c)
         f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in row] for row in self.data])
+        return Matrix._from_raw(f, [[f.mul(c, a) for a in row] for row in self.data])
 
     def __matmul__(self, o):
         f = self.field
         if isinstance(o, Vector):
             if len(o) != self.cols:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} @ len {len(o)}")
-            return Vector(
-                f,
-                [
-                    _dot(f, row, o.entries)
-                    for row in self.data
-                ],
-            )
+            if o.field != f:
+                raise FieldError("mixed-field matrix-vector product")
+            return Vector._from_raw(f, [_dot(f, row, o.entries) for row in self.data])
         if not isinstance(o, Matrix) or o.field != f:
             raise FieldError("mixed-field matrix product")
         if self.cols != o.rows:
@@ -318,9 +352,8 @@ class Matrix:
                 f"{self.rows}x{self.cols} @ {o.rows}x{o.cols}"
             )
         ot = list(zip(*o.data)) if o.data else []
-        return Matrix(
-            f,
-            [[_dot(f, row, col) for col in ot] for row in self.data],
+        return Matrix._from_raw(
+            f, [[_dot(f, row, col) for col in ot] for row in self.data]
         )
 
     def power(self, k: int) -> "Matrix":
@@ -336,7 +369,7 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data)) if self.data else [])
+        return Matrix._from_raw(self.field, list(zip(*self.data)) if self.data else [])
 
     def trace(self) -> Scalar:
         f = self.field
@@ -400,7 +433,7 @@ class Matrix:
         red, pivots = _rref_raw(f, aug)
         if list(pivots[:n]) != list(range(n)):
             return None
-        return Matrix(f, [row[n:] for row in red[:n]])
+        return Matrix._from_raw(f, [row[n:] for row in red[:n]])
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -417,24 +450,39 @@ def _dot(field: Field, xs, ys):
     return acc
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Deterministic basis of the right kernel {v : Mv = 0}.
+def sparse_kernel_basis(field: Field, rows: Iterable[dict], n_cols: int) -> list[Vector]:
+    """Deterministic basis of {v : Mv = 0} for M given by sparse rows.
 
-    Pivot columns are chosen left to right; each free column, in index
-    order, contributes one basis vector with a 1 in that coordinate.
+    Each row is a ``{column: raw value}`` dict over ``range(n_cols)``; zero
+    entries are ignored and the rows are left untouched.  Pivot columns are
+    chosen left to right; each free column, in index order, contributes one
+    basis vector with a 1 in that coordinate and minus the free column's
+    entry of each reduced basis row at that row's pivot.
     """
-    red, pivots = m.rref()
-    f = m.field
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.data[r][fc])
-        basis.append(Vector(f, v))
-    return basis
+    def checked(row: dict) -> dict:
+        row = {c: x for c, x in row.items() if x}
+        if row and (min(row) < 0 or max(row) >= n_cols):
+            raise DimensionMismatch(f"row entry outside {n_cols} columns")
+        return row
+
+    basis = _reduce(field, map(checked, rows))
+    zero, one = field.zero(), field.one()
+    kernel: dict[int, list] = {}
+    for c in range(n_cols):
+        if c not in basis:
+            kernel[c] = [zero] * n_cols
+            kernel[c][c] = one
+    for pc, row in basis.items():
+        for fc, x in row.items():
+            if fc != pc:
+                kernel[fc][pc] = field.neg(x)
+    return [Vector._from_raw(field, v) for v in kernel.values()]
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Deterministic basis of the right kernel {v : Mv = 0}; see
+    :func:`sparse_kernel_basis`."""
+    return sparse_kernel_basis(m.field, [dict(enumerate(r)) for r in m.data], m.cols)
 
 
 def solve_linear(m: Matrix, b: Vector) -> Vector | None:
@@ -453,7 +501,7 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     x = [f.zero()] * m.cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][m.cols]
-    return Vector(f, x)
+    return Vector._from_raw(f, x)
 
 
 def eigenspace(m: Matrix, lam) -> list[Vector]:
@@ -471,7 +519,7 @@ def echelon_span(field: Field, vectors: Sequence[Vector]) -> list[Vector]:
     if not vecs:
         return []
     red, pivots = _rref_raw(field, [v.entries for v in vecs])
-    return [Vector(field, red[i]) for i in range(len(pivots))]
+    return [Vector._from_raw(field, red[i]) for i in range(len(pivots))]
 
 
 def coordinates_in_span(basis: Sequence[Vector], v: Vector) -> Vector | None:

@@ -12,9 +12,12 @@ numerics, just exact row reduction.
 
 Equations are deduplicated by symmetric index pattern: the first relation
 is fully symmetric in (u, v, w), so only multisets u <= v <= w are
-enumerated; the second needs one equation per (x, u <= v).  A naive
-all-triples assembly is kept in the test suite as an oracle for this
-deduplication.
+enumerated; the second needs one equation per (x, u <= v).  Each equation
+is emitted as a sparse row ``{unknown: coefficient}`` from the nonzeros of
+the action and the even bracket, reduced mod p once, and the rows go
+straight to :func:`~superbracket.linalg.sparse_kernel_basis`.  A naive
+all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in the
+test suite as an oracle for this deduplication.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .fields import Field
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, sparse_kernel_basis
 from .sl2 import IrrepSpec, RepMatrices, build_irrep
-from .superalgebra import SuperAlgebra
+from .superalgebra import SuperAlgebra, representation_failures
 
 __all__ = [
     "OddBracketSpace",
+    "NotARepresentation",
+    "UnsupportedMode",
     "odd_bracket_space",
     "odd_bracket_space_of",
     "solution_to_algebra",
@@ -55,15 +60,30 @@ class OddBracketSpace:
         return len(self.basis)
 
 
-def _pair_index(d1: int):
-    pairs = [(u, v) for u in range(d1) for v in range(u, d1)]
-    lookup = {p: i for i, p in enumerate(pairs)}
+class UnsupportedMode(ValueError):
+    """The solver has no linear system for this axiom mode (char2)."""
 
-    def idx(u, v, x, d0):
-        key = (u, v) if u <= v else (v, u)
-        return lookup[key] * d0 + x
 
-    return pairs, idx
+class NotARepresentation(ValueError):
+    """The action matrices do not represent the even algebra.
+
+    ``pairs`` lists every i < j with [rho(e_i), rho(e_j)] != rho([e_i, e_j]).
+    """
+
+    def __init__(self, pairs):
+        super().__init__("action matrices do not represent the even algebra")
+        self.pairs = tuple(pairs)
+
+
+def _emit(rows: list, eqs: Sequence[dict], p: int | None) -> None:
+    """Append each equation, reduced mod p once, without its zero entries."""
+    for eq in eqs:
+        if p:
+            eq = {k: c % p for k, c in eq.items() if c % p}
+        else:
+            eq = {k: c for k, c in eq.items() if c}
+        if eq:
+            rows.append(eq)
 
 
 def odd_bracket_space(
@@ -78,9 +98,11 @@ def odd_bracket_space(
     ``action_mats`` the matrices of its basis acting on the module (columns
     are images).  mode "char3" also imposes the cubic identity, whose only
     content beyond the trilinear relation sits on the diagonal monomials.
+    Raises :class:`UnsupportedMode` for any other mode and
+    :class:`NotARepresentation` when the action is not a representation.
     """
     if mode not in ("standard", "char3"):
-        raise ValueError(f"unsupported mode for the bracket solver: {mode!r}")
+        raise UnsupportedMode(f"unsupported mode for the bracket solver: {mode!r}")
     d0 = len(even_bracket)
     d1 = action_mats[0].rows if action_mats else 0
     if len(action_mats) != d0:
@@ -88,129 +110,103 @@ def odd_bracket_space(
     for m in action_mats:
         if m.rows != d1 or m.cols != d1:
             raise ValueError("action matrices must be square of equal size")
-    for x in range(d0):
-        for y in range(x + 1, d0):
-            expected = Matrix.zero(field, d1, d1)
-            for k in range(d0):
-                if even_bracket[x][y][k]:
-                    expected = expected + action_mats[k].scaled(even_bracket[x][y][k])
-            if action_mats[x].commutator(action_mats[y]) != expected:
-                raise ValueError(
-                    "action matrices do not represent the even algebra"
-                )
-    # raw coefficients, so the assembled rows need no coercion
-    even_bracket = [
-        [[field.coerce(c) for c in r] for r in plane] for plane in even_bracket
+    failures = representation_failures(field, even_bracket, action_mats)
+    if failures:
+        raise NotARepresentation(failures)
+    p = field.p if field.kind == "prime" else None
+    pairs = [(u, v) for u in range(d1) for v in range(u, d1)]
+    # base[u][v] + x is the unknown for the coefficient of e_x in {f_u, f_v}
+    base = [[0] * d1 for _ in range(d1)]
+    for i, (u, v) in enumerate(pairs):
+        base[u][v] = base[v][u] = i * d0
+    # act[x][w]: the nonzeros (t, coefficient of f_t) of e_x(f_w)
+    act = [
+        [[(t, row[w]) for t, row in enumerate(m.data) if row[w]] for w in range(d1)]
+        for m in action_mats
     ]
-    pairs, unknown = _pair_index(d1)
-    n_unknowns = len(pairs) * d0
-    rows: list[list] = []
-
-    def act(x, w, t):
-        # coefficient of f_t in e_x(f_w)
-        return action_mats[x].data[t][w]
+    # even[x]: the nonzeros (z, y, coefficient of e_y in [e_x, e_z])
+    even = [
+        [
+            (z, y, field.coerce(c))
+            for z in range(d0)
+            for y, c in enumerate(even_bracket[x][z])
+            if c
+        ]
+        for x in range(d0)
+    ]
+    rows: list[dict] = []
 
     # relation 1 on multisets u <= v <= w, one equation per odd output t:
     # sum_x P[uv][x] act(x,w,t) + P[vw][x] act(x,u,t) + P[wu][x] act(x,v,t)
     for u in range(d1):
         for v in range(u, d1):
             for w in range(v, d1):
-                for t in range(d1):
-                    row = [field.zero()] * n_unknowns
-                    hit = False
-                    for (a, b, c) in ((u, v, w), (v, w, u), (w, u, v)):
-                        for x in range(d0):
-                            coeff = act(x, c, t)
-                            if coeff:
-                                k = unknown(a, b, x, d0)
-                                row[k] = field.add(row[k], coeff)
-                                hit = True
-                    if hit:
-                        rows.append(row)
+                eqs = [{} for _ in range(d1)]
+                for (a, b, c) in ((u, v, w), (v, w, u), (w, u, v)):
+                    for x in range(d0):
+                        k = base[a][b] + x
+                        for t, coeff in act[x][c]:
+                            eqs[t][k] = eqs[t].get(k, 0) + coeff
+                _emit(rows, eqs, p)
 
     # relation 2 per (x, u <= v), one equation per even output y:
     # sum_z P[uv][z] c[x][z][y] - sum_w act(x,u,w) P[wv][y] - act(x,v,w) P[uw][y]
     for x in range(d0):
         for u in range(d1):
             for v in range(u, d1):
-                for y in range(d0):
-                    row = [field.zero()] * n_unknowns
-                    hit = False
-                    for z in range(d0):
-                        coeff = even_bracket[x][z][y]
-                        if coeff:
-                            k = unknown(u, v, z, d0)
-                            row[k] = field.add(row[k], coeff)
-                            hit = True
-                    for w in range(d1):
-                        cu = act(x, u, w)
-                        if cu:
-                            k = unknown(w, v, y, d0)
-                            row[k] = field.sub(row[k], cu)
-                            hit = True
-                        cv = act(x, v, w)
-                        if cv:
-                            k = unknown(u, w, y, d0)
-                            row[k] = field.sub(row[k], cv)
-                            hit = True
-                    if hit:
-                        rows.append(row)
+                eqs = [{} for _ in range(d0)]
+                for z, y, coeff in even[x]:
+                    k = base[u][v] + z
+                    eqs[y][k] = eqs[y].get(k, 0) + coeff
+                for w, cu in act[x][u]:
+                    for y in range(d0):
+                        k = base[w][v] + y
+                        eqs[y][k] = eqs[y].get(k, 0) - cu
+                for w, cv in act[x][v]:
+                    for y in range(d0):
+                        k = base[u][w] + y
+                        eqs[y][k] = eqs[y].get(k, 0) - cv
+                _emit(rows, eqs, p)
 
     if mode == "char3":
         # cubic axiom {x,{x,x}} = 0 per monomial t_a t_b t_c; beyond the
         # trilinear relation only the diagonal patterns add constraints,
         # but all are emitted for uniform reporting
-        two = field.from_int(2)
+        one, two = field.one(), field.from_int(2)
         for a in range(d1):
             for b in range(a, d1):
                 for c in range(b, d1):
-                    for t in range(d1):
-                        row = [field.zero()] * n_unknowns
-                        hit = False
-                        if a == b == c:
-                            terms = (((a, a, a), field.one()),)
-                        elif a == b:
-                            terms = (((a, a, c), field.one()), ((a, c, a), two))
-                        elif b == c:
-                            terms = (((a, b, b), two), ((b, b, a), field.one()))
-                        else:
-                            terms = (
-                                ((a, b, c), two),
-                                ((a, c, b), two),
-                                ((b, c, a), two),
-                            )
-                        for (i, j, w), mult in terms:
-                            for x in range(d0):
-                                coeff = field.mul(mult, act(x, w, t))
-                                if coeff:
-                                    k = unknown(i, j, x, d0)
-                                    row[k] = field.add(row[k], coeff)
-                                    hit = True
-                        if hit:
-                            rows.append(row)
+                    if a == b == c:
+                        terms = (((a, a, a), one),)
+                    elif a == b:
+                        terms = (((a, a, c), one), ((a, c, a), two))
+                    elif b == c:
+                        terms = (((a, b, b), two), ((b, b, a), one))
+                    else:
+                        terms = (((a, b, c), two), ((a, c, b), two), ((b, c, a), two))
+                    eqs = [{} for _ in range(d1)]
+                    for (i, j, w), mult in terms:
+                        for x in range(d0):
+                            k = base[i][j] + x
+                            for t, coeff in act[x][w]:
+                                eqs[t][k] = eqs[t].get(k, 0) + mult * coeff
+                    _emit(rows, eqs, p)
 
-    if n_unknowns == 0:
-        return OddBracketSpace(field, d0, d1, ())
-    system = Matrix._from_raw(field, rows) if rows else Matrix.zero(field, 1, n_unknowns)
     basis = []
-    for flat in kernel_basis(system):
-        tensor = [[[field.zero()] * d0 for _ in range(d1)] for _ in range(d1)]
+    for flat in sparse_kernel_basis(field, rows, len(pairs) * d0):
+        tensor = [[None] * d1 for _ in range(d1)]
         for pi, (u, v) in enumerate(pairs):
-            for x in range(d0):
-                val = flat.entries[pi * d0 + x]
-                tensor[u][v][x] = val
-                tensor[v][u][x] = val
-        basis.append(tuple(tuple(tuple(r) for r in plane) for plane in tensor))
+            tensor[u][v] = tensor[v][u] = flat.entries[pi * d0 : (pi + 1) * d0]
+        basis.append(tuple(tuple(plane) for plane in tensor))
     return OddBracketSpace(field, d0, d1, tuple(basis))
 
 
 def odd_bracket_space_of(g: SuperAlgebra, mode: str | None = None) -> OddBracketSpace:
     """Solution space for g's own even part and action (its odd bracket is
-    ignored -- this asks what brackets *could* live on the module)."""
+    ignored -- this asks what brackets *could* live on the module).  The
+    mode defaults to g's own, so a char2 document is refused."""
     mats = [g.action_matrix(i) for i in range(g.dim_even)]
-    return odd_bracket_space(
-        g.field, g.bracket, mats, mode=mode or ("char3" if g.mode == "char3" else "standard")
-    )
+    return odd_bracket_space(g.field, g.bracket, mats, mode=mode or g.mode)
 
 
 def solution_to_algebra(

@@ -44,6 +44,7 @@ __all__ = [
     "Violation",
     "MODES",
     "validate",
+    "representation_failures",
     "supercentre",
     "p_span",
     "is_ideal",
@@ -504,7 +505,7 @@ class SuperAlgebra:
 def validate(g: SuperAlgebra) -> ValidationReport:
     """Check every axiom of g's mode; lists all violations, not just the first."""
     f = g.field
-    d0, d1 = g.dim_even, g.dim_odd
+    d0 = g.dim_even
     bad: list[Violation] = []
 
     def vec_even(raw) -> Vector:
@@ -525,14 +526,10 @@ def validate(g: SuperAlgebra) -> ValidationReport:
 
     # the action is a representation of the even part
     mats = [g.action_matrix(i) for i in range(d0)]
-    for i in range(d0):
-        for j in range(i + 1, d0):
-            expected = Matrix.zero(f, d1, d1)
-            for k in range(d0):
-                if g.bracket[i][j][k]:
-                    expected = expected + mats[k].scaled(g.bracket[i][j][k])
-            if mats[i].commutator(mats[j]) != expected:
-                bad.append(Violation("representation", (i, j)))
+    bad.extend(
+        Violation("representation", pair)
+        for pair in representation_failures(f, g.bracket, mats)
+    )
 
     if g.mode in ("standard", "char3"):
         _check_relation_1(g, bad)
@@ -543,6 +540,28 @@ def validate(g: SuperAlgebra) -> ValidationReport:
         _check_char2_axiom(g, bad)
 
     return ValidationReport(tuple(bad))
+
+
+def representation_failures(
+    field: Field, bracket, mats: Sequence[Matrix]
+) -> list[tuple[int, int]]:
+    """Pairs i < j with [rho(e_i), rho(e_j)] != rho([e_i, e_j]).
+
+    ``bracket`` is the d0 x d0 x d0 even tensor and ``mats`` the matrices of
+    its basis acting on the module; an empty list means a representation.
+    """
+    d0 = len(bracket)
+    d1 = mats[0].rows if mats else 0
+    bad = []
+    for i in range(d0):
+        for j in range(i + 1, d0):
+            expected = Matrix.zero(field, d1, d1)
+            for k in range(d0):
+                if bracket[i][j][k]:
+                    expected = expected + mats[k].scaled(bracket[i][j][k])
+            if mats[i].commutator(mats[j]) != expected:
+                bad.append((i, j))
+    return bad
 
 
 def _odd_action_of_even_vec(g: SuperAlgebra, coeffs, v: int) -> list:

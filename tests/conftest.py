@@ -52,3 +52,46 @@ def random_graded_change(g, rng):
         random_invertible(g.field, g.dim_even, rng),
         random_invertible(g.field, g.dim_odd, rng),
     )
+
+
+# --- dense oracle for the sparse eliminator and kernel --------------------------
+
+
+def dense_rref(field, rows):
+    """Textbook dense Gauss-Jordan over any field: leftmost pivot, row swap,
+    scale to 1, clear the column everywhere.  Slow reference for _rref_raw."""
+    a = [list(r) for r in rows]
+    n = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(inv, x) for x in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def dense_kernel(field, rows, n_cols):
+    """Kernel basis read off dense_rref: one vector per free column, in
+    index order, with a 1 there and minus that column of each RREF row at
+    the row's pivot.  Slow reference for sparse_kernel_basis."""
+    red, pivots = dense_rref(field, rows) if rows else ([], [])
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        v = [field.zero()] * n_cols
+        v[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(red[r][fc])
+        basis.append(v)
+    return basis

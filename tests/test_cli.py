@@ -63,6 +63,33 @@ def test_standard_module_pspace_dim_one():
     assert len(doc["basis"]) == 1
 
 
+def test_pspace_on_a_non_representation_exits_1():
+    doc = json.loads(run_cli("construct", "osp12", "--field", "q").stdout)
+    assert doc["action"][0][3] == "1/1"
+    doc["action"][0][3] = "2/1"
+    text = json.dumps(doc)
+    checked = run_cli("validate", "-", stdin=text)
+    assert checked.returncode == 1
+    assert "representation violated at (0, 2)" in checked.stdout.splitlines()
+    res = run_cli("pspace", "-", stdin=text)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert lines == [
+        line for line in checked.stdout.splitlines() if line.startswith("representation")
+    ]
+
+
+def test_pspace_on_char2_is_not_applicable():
+    built = run_cli("construct", "char2")
+    res = run_cli("pspace", "-", stdin=built.stdout)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert "char2" in res.stderr
+
+
 def test_classify_cases_and_exit_codes():
     double = run_cli("construct", "double", "--field", "q")
     res = run_cli("classify", "-", stdin=double.stdout)

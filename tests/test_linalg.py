@@ -1,8 +1,12 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superbracket.fields import GF, QQ
+from conftest import dense_kernel, dense_rref
+from superbracket.fields import GF, QQ, FieldError
 from superbracket.linalg import (
     DimensionMismatch,
     _rref_raw,
@@ -13,6 +17,7 @@ from superbracket.linalg import (
     eigenspace,
     kernel_basis,
     solve_linear,
+    sparse_kernel_basis,
 )
 from superbracket.constructions import sl2_algebra
 
@@ -134,30 +139,7 @@ def test_echelon_span_is_canonical():
     assert b1[0].entries[0] == 1  # leading ones
 
 
-# --- oracle for the sparse eliminator ----------------------------------------
-
-
-def dense_rref(field, rows):
-    """Textbook dense Gauss-Jordan over any field: leftmost pivot, row swap,
-    scale to 1, clear the column everywhere.  Slow reference for _rref_raw."""
-    a = [list(r) for r in rows]
-    n = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(inv, x) for x in a[r]]
-        for i in range(len(a)):
-            f = a[i][c]
-            if f and i != r:
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+# --- oracle for the sparse eliminator and kernel ------------------------------
 
 
 ORACLE_FIELDS = [QQ, GF(5), GF(7), GF(10**9 + 7), GF(2**61 - 1)]
@@ -219,3 +201,111 @@ def test_sparse_rref_edge_shapes(field):
     ]
     for rows in cases:
         assert _rref_raw(field, rows) == dense_rref(field, rows)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+@given(data=st.data())
+def test_sparse_kernel_matches_dense_oracle(field, data):
+    rows = data.draw(raw_systems(field))
+    n = len(rows[0]) if rows else data.draw(st.integers(0, 6))
+    cells = [(i, j) for i in range(len(rows)) for j in range(n)]
+    sparse = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    for i, j in data.draw(st.lists(st.sampled_from(cells), max_size=3)) if cells else []:
+        sparse[i].setdefault(j, rows[i][j])  # explicit zero entries are ignored
+    frozen = [dict(r) for r in sparse]
+    basis = sparse_kernel_basis(field, sparse, n)
+    assert basis == [Vector(field, v) for v in dense_kernel(field, rows, n)]
+    assert sparse == frozen  # input left untouched
+    for v, r in itertools.product(basis, sparse):
+        acc = field.zero()
+        for j, x in r.items():
+            acc = field.add(acc, field.mul(x, v.entries[j]))
+        assert not acc
+    if rows:
+        assert basis == kernel_basis(Matrix(field, rows))
+
+
+def test_sparse_kernel_rejects_columns_out_of_range():
+    with pytest.raises(DimensionMismatch):
+        sparse_kernel_basis(QQ, [{3: Fraction(1)}], 3)
+    with pytest.raises(DimensionMismatch):
+        sparse_kernel_basis(F5, [{-1: 1}], 3)
+    assert sparse_kernel_basis(F5, [], 2) == [Vector.unit(F5, 2, 0), Vector.unit(F5, 2, 1)]
+
+
+# --- the raw-entry contract behind Matrix._from_raw / Vector._from_raw -----------
+
+
+def assert_raw(field, *objs):
+    """Each entry is the field's raw type (Fraction over Q, an int residue
+    in [0, p) over F_p) and coercing the entries again changes nothing.
+    The type check matters: Fraction(1) == 1, so equality alone would let a
+    stray int through over Q or a Fraction through over F_p."""
+    for obj in objs:
+        if isinstance(obj, Vector):
+            assert Vector(field, obj.entries) == obj
+            entries = obj.entries
+        else:
+            assert Matrix(field, obj.data) == obj
+            entries = [x for row in obj.data for x in row]
+        for x in entries:
+            if field.kind == "rationals":
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < field.p
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(10**9 + 7), GF(2**61 - 1)], ids=str)
+@given(data=st.data())
+def test_results_hold_raw_entries(field, data):
+    n = data.draw(st.integers(1, 4))
+    cells = st.one_of(st.just(field.zero()), field_values(field).map(field.coerce))
+    square = st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n)
+    a = Matrix(field, data.draw(square))
+    b = Matrix(field, data.draw(square))
+    v, w = a.column(0), b.row(n - 1)
+    k = data.draw(st.integers(-7, 7))
+    assert_raw(
+        field,
+        Matrix.identity(field, n),
+        Matrix.zero(field, n, n + 1),
+        Matrix.from_columns(field, [v, w]),
+        Matrix.from_rows(field, [v, w]),
+        Matrix.diagonal(field, list(range(-1, n - 1))),
+        Matrix.vstack([a, b]),
+        a + b,
+        a - b,
+        -a,
+        a.scaled(k),
+        a @ b,
+        a.transpose(),
+        a.rref()[0],
+        a @ v,
+        v + w,
+        v - w,
+        -v,
+        v.scaled(k),
+        Vector.zero(field, n),
+        Vector.unit(field, n, 0),
+        *kernel_basis(a),
+        *sparse_kernel_basis(field, [dict(enumerate(r)) for r in a.data], n),
+        *echelon_span(field, [v, w]),
+    )
+    inv = a.inverse()
+    if inv is not None:
+        assert_raw(field, inv)
+    x = solve_linear(a, b.column(0))
+    if x is not None:
+        assert_raw(field, x)
+
+
+def test_constructors_reject_mixed_fields():
+    q = Vector(QQ, [1, 2])
+    with pytest.raises(FieldError):
+        Matrix.from_columns(F5, [q])
+    with pytest.raises(FieldError):
+        Matrix.from_rows(F5, [q])
+    with pytest.raises(FieldError):
+        Matrix.vstack([Matrix.identity(QQ, 2), Matrix.identity(F5, 2)])
+    with pytest.raises(FieldError):
+        Matrix.identity(F5, 2) @ q

@@ -1,19 +1,24 @@
+from fractions import Fraction
+
 import pytest
 
-from conftest import random_invertible
+from conftest import dense_kernel, random_invertible
 
+from superbracket import moduli
 from superbracket.classify import classify
-from superbracket.constructions import sl2_algebra
+from superbracket.constructions import build_char2_example, build_osp12, sl2_algebra
 from superbracket.fields import GF, QQ
-from superbracket.linalg import Matrix, Vector, kernel_basis
+from superbracket.linalg import Matrix, Vector
 from superbracket.moduli import (
+    NotARepresentation,
+    UnsupportedMode,
     odd_bracket_space,
     odd_bracket_space_of,
     solution_to_algebra,
     sweep_irrep_sums,
 )
 from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
-from superbracket.superalgebra import validate
+from superbracket.superalgebra import SuperAlgebra, representation_failures, validate
 
 F5 = GF(5)
 F7 = GF(7)
@@ -88,8 +93,11 @@ def test_dim4_plus_trivial_vanishes():
     assert space_for(F5, (4, 1))[2].dimension == 0
 
 
-def naive_space(field, even_bracket, mats):
-    """Independent all-ordered-triples assembly of the same linear system."""
+def naive_space(field, even_bracket, mats, mode="standard"):
+    """Independent all-ordered-triples assembly of the same linear system,
+    as dense rows, solved by the dense Gauss-Jordan oracle.  mode "char3"
+    adds the diagonal rows {f_a,f_a}(f_a) = 0: in characteristic 3 they
+    are what the cubic identity imposes beyond the trilinear relation."""
     d0 = len(even_bracket)
     d1 = mats[0].rows if mats else 0
     pairs = [(u, v) for u in range(d1) for v in range(u, d1)]
@@ -133,22 +141,125 @@ def naive_space(field, even_bracket, mats):
                             k = unknown(u, w, y)
                             row[k] = field.sub(row[k], cv)
                     rows.append(row)
-    return kernel_basis(Matrix(field, rows))
+    if mode == "char3":
+        for a in range(d1):
+            for t in range(d1):
+                row = [field.zero()] * n
+                for x in range(d0):
+                    row[unknown(a, a, x)] = mats[x].data[t][a]
+                rows.append(row)
+    return [Vector(field, v) for v in dense_kernel(field, rows, n)]
+
+
+def flatten(space):
+    """Solution tensors as vectors in the solver's unknown order."""
+    d1 = space.dim_odd
+    flat = []
+    for tensor in space.basis:
+        entries = []
+        for u in range(d1):
+            for v in range(u, d1):
+                entries.extend(tensor[u][v])
+        flat.append(Vector(space.field, entries))
+    return flat
 
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (1, 1), (3, 1), (3, 1, 1)])
 def test_deduplicated_system_matches_naive_assembly(dims):
     even, rep, space = space_for(F5, dims)
     naive = naive_space(F5, even.bracket, list(rep.matrices()))
-    flat = []
-    d1 = rep.dim
-    for tensor in space.basis:
-        entries = []
-        for u in range(d1):
-            for v in range(u, d1):
-                entries.extend(tensor[u][v])
-        flat.append(Vector(F5, entries))
-    assert flat == naive
+    assert flatten(space) == naive
+
+
+@pytest.mark.parametrize("field", [QQ, F7, GF(10**9 + 7)], ids=str)
+@pytest.mark.parametrize("dims", [(2,), (3, 1), (2, 1, 1), (2, 2), (4, 1)])
+def test_sparse_assembly_matches_naive_oracle(field, dims, rng):
+    # standard bases, then the module conjugated so the action is dense
+    even = sl2_algebra(field)
+    rep = RepMatrices.direct_sum(
+        [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
+    )
+    for module in (rep, rep.conjugated(random_invertible(field, rep.dim, rng))):
+        mats = list(module.matrices())
+        space = odd_bracket_space(field, even.bracket, mats)
+        assert flatten(space) == naive_space(field, even.bracket, mats)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_assembled_rows_hold_nonzero_raw_entries(field, rng, monkeypatch):
+    # the solver hands its equations to the kernel uncoerced: every entry
+    # must already be a nonzero raw field element in range
+    seen = []
+    real = moduli.sparse_kernel_basis
+
+    def spy(f, rows, n_cols):
+        seen.append((rows, n_cols))
+        return real(f, rows, n_cols)
+
+    monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
+    even = sl2_algebra(field)
+    rep = RepMatrices.direct_sum(
+        [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in (3, 2, 1)]
+    )
+    for module in (rep, rep.conjugated(random_invertible(field, rep.dim, rng))):
+        odd_bracket_space(field, even.bracket, list(module.matrices()))
+    assert len(seen) == 2
+    for row, n_cols in ((row, n) for rows, n in seen for row in rows):
+        assert row
+        for k, x in row.items():
+            assert 0 <= k < n_cols and x
+            if field.kind == "rationals":
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 < x < field.p
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (3, 1), (2, 2)])
+def test_char3_assembly_matches_naive_oracle(dims, rng):
+    f3 = GF(3)
+    even = sl2_algebra(f3)
+    rep = RepMatrices.direct_sum(
+        [build_irrep(IrrepSpec.standard_params(f3, d - 1), f3) for d in dims]
+    )
+    for module in (rep, rep.conjugated(random_invertible(f3, rep.dim, rng))):
+        mats = list(module.matrices())
+        space = odd_bracket_space(f3, even.bracket, mats, mode="char3")
+        assert flatten(space) == naive_space(f3, even.bracket, mats, mode="char3")
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        [[[0, 0], [2, 0]]],  # one even line acting nilpotently on 2 odd
+        [[[0, 0, 0], [0, 1, 1], [0, 2, 2]]],
+        [[[1, 1], [2, 2]], [[0, 0], [0, 0]]],  # two commuting even lines
+    ],
+)
+def test_char3_cubic_rows_bite_on_an_abelian_even_part(mats, rng):
+    # over sl(2) no module separates the modes; with an abelian even part
+    # the diagonal rows cut the space, so the oracle sees them
+    f3 = GF(3)
+    d0 = len(mats)
+    zero = [[[0] * d0 for _ in range(d0)] for _ in range(d0)]
+    mats = [Matrix(f3, m) for m in mats]
+    t = random_invertible(f3, mats[0].rows, rng)
+    t_inv = t.inverse()
+    for module in (mats, [t_inv @ m @ t for m in mats]):
+        standard = odd_bracket_space(f3, zero, module)
+        space = odd_bracket_space(f3, zero, module, mode="char3")
+        assert space.dimension < standard.dimension
+        assert flatten(space) == naive_space(f3, zero, module, mode="char3")
+        assert flatten(standard) == naive_space(f3, zero, module)
+
+
+def test_char3_example_matches_naive_oracle():
+    from superbracket.constructions import build_char3_example
+
+    g = build_char3_example()
+    mats = [g.action_matrix(i) for i in range(g.dim_even)]
+    space = odd_bracket_space_of(g)
+    assert space.dimension
+    assert flatten(space) == naive_space(g.field, g.bracket, mats, mode="char3")
 
 
 def test_solutions_assemble_to_valid_algebras():
@@ -219,6 +330,31 @@ def test_solver_rejects_non_representations():
     bogus = [Matrix.identity(QQ, 2)] * 3
     with pytest.raises(ValueError, match="represent"):
         odd_bracket_space(QQ, even.bracket, bogus)
+
+
+def test_solver_names_the_failing_pairs_like_validate():
+    g = build_osp12(QQ)
+    action = [[list(r) for r in plane] for plane in g.action]
+    action[0][1][0] *= 2  # e_0(f_1) = 2 f_0: no longer a representation
+    bad = SuperAlgebra.from_tensors(QQ, g.bracket, action, g.odd_bracket)
+    expected = [v.indices for v in validate(bad).violations if v.identity == "representation"]
+    assert expected
+    assert representation_failures(
+        QQ, bad.bracket, [bad.action_matrix(i) for i in range(3)]
+    ) == expected
+    with pytest.raises(NotARepresentation) as info:
+        odd_bracket_space_of(bad)
+    assert list(info.value.pairs) == expected
+    assert representation_failures(QQ, g.bracket, [g.action_matrix(i) for i in range(3)]) == []
+
+
+def test_char2_documents_are_refused():
+    g = build_char2_example()
+    with pytest.raises(UnsupportedMode, match="char2"):
+        odd_bracket_space_of(g)
+    mats = [g.action_matrix(i) for i in range(g.dim_even)]
+    with pytest.raises(UnsupportedMode):
+        odd_bracket_space(g.field, g.bracket, mats, mode="char2")
 
 
 def test_sweep_budget_guards():

@@ -10,25 +10,32 @@ superalgebra structures on g0 + V with fixed even bracket and action is
 exactly the kernel of one assembled linear system -- no search and no
 numerics, just exact row reduction.
 
-Equations are deduplicated by symmetric index pattern: the first relation
-is fully symmetric in (u, v, w), so only multisets u <= v <= w are
-enumerated; the second needs one equation per (x, u <= v).  Each equation
-is emitted as a sparse row ``{unknown: coefficient}`` from the nonzeros of
-the action and the even bracket, reduced mod p once, and the rows go
-straight to :func:`~superbracket.linalg.sparse_kernel_basis`.  A naive
-all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in the
-test suite as an oracle for this deduplication.
+The equations are :func:`~superbracket.superalgebra.compatibility_equations`,
+the one definition of the relations, which
+:func:`~superbracket.superalgebra.validate` evaluates at a given odd bracket:
+deduplicated by symmetric index pattern and emitted as sparse rows
+``{unknown: coefficient}`` from the nonzeros of the action and the even
+bracket.  Each row is reduced mod p once and the rows go straight to
+:func:`~superbracket.linalg.sparse_kernel_basis`.  A naive all-triples dense
+assembly, solved by a dense Gauss-Jordan, is kept in the test suite as an
+oracle for this deduplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fields import Field
 from .linalg import Matrix, sparse_kernel_basis
 from .sl2 import IrrepSpec, RepMatrices, build_irrep
-from .superalgebra import SuperAlgebra, representation_failures
+from .superalgebra import (
+    SuperAlgebra,
+    action_nonzeros,
+    compatibility_equations,
+    odd_unknowns,
+    representation_failures,
+)
 
 __all__ = [
     "OddBracketSpace",
@@ -75,7 +82,7 @@ class NotARepresentation(ValueError):
         self.pairs = tuple(pairs)
 
 
-def _emit(rows: list, eqs: Sequence[dict], p: int | None) -> None:
+def _emit(rows: list, eqs: Iterable[dict], p: int | None) -> None:
     """Append each equation, reduced mod p once, without its zero entries."""
     for eq in eqs:
         if p:
@@ -110,93 +117,19 @@ def odd_bracket_space(
     for m in action_mats:
         if m.rows != d1 or m.cols != d1:
             raise ValueError("action matrices must be square of equal size")
-    failures = representation_failures(field, even_bracket, action_mats)
+    act = action_nonzeros([m.transpose().data for m in action_mats])
+    failures = representation_failures(field, even_bracket, act)
     if failures:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
-    pairs = [(u, v) for u in range(d1) for v in range(u, d1)]
-    # base[u][v] + x is the unknown for the coefficient of e_x in {f_u, f_v}
-    base = [[0] * d1 for _ in range(d1)]
-    for i, (u, v) in enumerate(pairs):
-        base[u][v] = base[v][u] = i * d0
-    # act[x][w]: the nonzeros (t, coefficient of f_t) of e_x(f_w)
-    act = [
-        [[(t, row[w]) for t, row in enumerate(m.data) if row[w]] for w in range(d1)]
-        for m in action_mats
-    ]
-    # even[x]: the nonzeros (z, y, coefficient of e_y in [e_x, e_z])
-    even = [
-        [
-            (z, y, field.coerce(c))
-            for z in range(d0)
-            for y, c in enumerate(even_bracket[x][z])
-            if c
-        ]
-        for x in range(d0)
-    ]
     rows: list[dict] = []
-
-    # relation 1 on multisets u <= v <= w, one equation per odd output t:
-    # sum_x P[uv][x] act(x,w,t) + P[vw][x] act(x,u,t) + P[wu][x] act(x,v,t)
-    for u in range(d1):
-        for v in range(u, d1):
-            for w in range(v, d1):
-                eqs = [{} for _ in range(d1)]
-                for (a, b, c) in ((u, v, w), (v, w, u), (w, u, v)):
-                    for x in range(d0):
-                        k = base[a][b] + x
-                        for t, coeff in act[x][c]:
-                            eqs[t][k] = eqs[t].get(k, 0) + coeff
-                _emit(rows, eqs, p)
-
-    # relation 2 per (x, u <= v), one equation per even output y:
-    # sum_z P[uv][z] c[x][z][y] - sum_w act(x,u,w) P[wv][y] - act(x,v,w) P[uw][y]
-    for x in range(d0):
-        for u in range(d1):
-            for v in range(u, d1):
-                eqs = [{} for _ in range(d0)]
-                for z, y, coeff in even[x]:
-                    k = base[u][v] + z
-                    eqs[y][k] = eqs[y].get(k, 0) + coeff
-                for w, cu in act[x][u]:
-                    for y in range(d0):
-                        k = base[w][v] + y
-                        eqs[y][k] = eqs[y].get(k, 0) - cu
-                for w, cv in act[x][v]:
-                    for y in range(d0):
-                        k = base[u][w] + y
-                        eqs[y][k] = eqs[y].get(k, 0) - cv
-                _emit(rows, eqs, p)
-
-    if mode == "char3":
-        # cubic axiom {x,{x,x}} = 0 per monomial t_a t_b t_c; beyond the
-        # trilinear relation only the diagonal patterns add constraints,
-        # but all are emitted for uniform reporting
-        one, two = field.one(), field.from_int(2)
-        for a in range(d1):
-            for b in range(a, d1):
-                for c in range(b, d1):
-                    if a == b == c:
-                        terms = (((a, a, a), one),)
-                    elif a == b:
-                        terms = (((a, a, c), one), ((a, c, a), two))
-                    elif b == c:
-                        terms = (((a, b, b), two), ((b, b, a), one))
-                    else:
-                        terms = (((a, b, c), two), ((a, c, b), two), ((b, c, a), two))
-                    eqs = [{} for _ in range(d1)]
-                    for (i, j, w), mult in terms:
-                        for x in range(d0):
-                            k = base[i][j] + x
-                            for t, coeff in act[x][w]:
-                                eqs[t][k] = eqs[t].get(k, 0) + mult * coeff
-                    _emit(rows, eqs, p)
-
+    for _, _, eqs in compatibility_equations(field, even_bracket, act, mode):
+        _emit(rows, eqs.values(), p)
+    base = odd_unknowns(d0, d1)
     basis = []
-    for flat in sparse_kernel_basis(field, rows, len(pairs) * d0):
-        tensor = [[None] * d1 for _ in range(d1)]
-        for pi, (u, v) in enumerate(pairs):
-            tensor[u][v] = tensor[v][u] = flat.entries[pi * d0 : (pi + 1) * d0]
+    for flat in sparse_kernel_basis(field, rows, d0 * d1 * (d1 + 1) // 2):
+        e = flat.entries
+        tensor = [[e[base[u][v] : base[u][v] + d0] for v in range(d1)] for u in range(d1)]
         basis.append(tuple(tuple(plane) for plane in tensor))
     return OddBracketSpace(field, d0, d1, tuple(basis))
 

@@ -20,6 +20,12 @@ is strictly stronger than the symmetric trilinear relation.  ``char2``
 replaces the odd bracket by a squaring map v -> v^2 (the odd bracket is its
 polarization) and validates {x^2, y} = {x, {x, y}} for all y, again per
 monomial in the coordinates of x.
+
+The two relations and the cubic identity are linear in the odd bracket and
+are defined once, as the sparse equations of :func:`compatibility_equations`:
+:func:`validate` evaluates them at g's own odd bracket, and the solver in
+:mod:`superbracket.moduli` eliminates them.  Both also share
+:func:`representation_failures`.
 """
 
 from __future__ import annotations
@@ -44,7 +50,10 @@ __all__ = [
     "Violation",
     "MODES",
     "validate",
+    "action_nonzeros",
+    "odd_unknowns",
     "representation_failures",
+    "compatibility_equations",
     "supercentre",
     "p_span",
     "is_ideal",
@@ -393,7 +402,7 @@ class SuperAlgebra:
             self.bracket,
             [[] for _ in range(self.dim_even)],
             [],
-            mode=self.mode if self.mode != "char2" else "char2",
+            mode=self.mode,
             squaring=[] if self.mode == "char2" else None,
         )
 
@@ -503,9 +512,11 @@ class SuperAlgebra:
 
 
 def validate(g: SuperAlgebra) -> ValidationReport:
-    """Check every axiom of g's mode; lists all violations, not just the first."""
+    """Check every axiom of g's mode; lists all violations, not just the first.
+    The relations are the equations the bracket solver eliminates, evaluated
+    at g's own odd bracket."""
     f = g.field
-    d0 = g.dim_even
+    d0, d1 = g.dim_even, g.dim_odd
     bad: list[Violation] = []
 
     def vec_even(raw) -> Vector:
@@ -524,44 +535,183 @@ def validate(g: SuperAlgebra) -> ValidationReport:
                 if not s.is_zero():
                     bad.append(Violation("even_jacobi", (i, j, k), repr(s)))
 
-    # the action is a representation of the even part
-    mats = [g.action_matrix(i) for i in range(d0)]
+    act = action_nonzeros(g.action)
     bad.extend(
         Violation("representation", pair)
-        for pair in representation_failures(f, g.bracket, mats)
+        for pair in representation_failures(f, g.bracket, act)
     )
 
     if g.mode in ("standard", "char3"):
-        _check_relation_1(g, bad)
-        _check_relation_2(g, bad)
-    if g.mode == "char3":
-        _check_char3_cubic(g, bad)
+        # g's odd bracket as the values of the nonzero unknowns
+        base = odd_unknowns(d0, d1)
+        known = {
+            base[u][v] + x: c
+            for u in range(d1)
+            for v in range(u, d1)
+            for x, c in enumerate(g.odd_bracket[u][v])
+            if c
+        }
+        p = f.p if f.kind == "prime" else None
+        for identity, indices, eqs in compatibility_equations(f, g.bracket, act, g.mode):
+            for eq in eqs.values():
+                r = None
+                for k, c in eq.items():
+                    b = known.get(k)
+                    if b is not None:
+                        r = c * b if r is None else r + c * b
+                if r is not None and (r % p if p else r):
+                    bad.append(Violation(identity, indices))
+                    break
     if g.mode == "char2":
         _check_char2_axiom(g, bad)
 
     return ValidationReport(tuple(bad))
 
 
-def representation_failures(
-    field: Field, bracket, mats: Sequence[Matrix]
-) -> list[tuple[int, int]]:
+def action_nonzeros(action) -> list:
+    """act[x][w]: the nonzeros (t, coefficient of f_t) of e_x(f_w), from a
+    tensor ``action[x][w][t]`` laid out like :attr:`SuperAlgebra.action`."""
+    return [[[(t, c) for t, c in enumerate(col) if c] for col in plane] for plane in action]
+
+
+def odd_unknowns(d0: int, d1: int) -> list:
+    """base[u][v] + x is the flat index of the coefficient of e_x in
+    {f_u, f_v}: pairs u <= v in lexicographic order, d0 unknowns each."""
+    base = [[0] * d1 for _ in range(d1)]
+    k = 0
+    for u in range(d1):
+        for v in range(u, d1):
+            base[u][v] = base[v][u] = k
+            k += d0
+    return base
+
+
+def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]:
     """Pairs i < j with [rho(e_i), rho(e_j)] != rho([e_i, e_j]).
 
-    ``bracket`` is the d0 x d0 x d0 even tensor and ``mats`` the matrices of
-    its basis acting on the module; an empty list means a representation.
+    ``bracket`` is the d0 x d0 x d0 even tensor and ``act`` the action's
+    nonzeros from :func:`action_nonzeros`; an empty list means a
+    representation.  Each image of f_w is summed over nonzeros only.
     """
     d0 = len(bracket)
-    d1 = mats[0].rows if mats else 0
+    d1 = len(act[0]) if act else 0
+    p = field.p if field.kind == "prime" else None
     bad = []
     for i in range(d0):
         for j in range(i + 1, d0):
-            expected = Matrix.zero(field, d1, d1)
-            for k in range(d0):
-                if bracket[i][j][k]:
-                    expected = expected + mats[k].scaled(bracket[i][j][k])
-            if mats[i].commutator(mats[j]) != expected:
-                bad.append((i, j))
+            minus_c = [(act[k], -field.coerce(c)) for k, c in enumerate(bracket[i][j]) if c]
+            for w in range(d1):
+                # rho_i rho_j (f_w) - rho_j rho_i (f_w) - sum_k c_ijk rho_k (f_w),
+                # as (nonzeros of an image, its coefficient) terms
+                terms = (
+                    [(act[i][t], a) for t, a in act[j][w]]
+                    + [(act[j][t], -a) for t, a in act[i][w]]
+                    + [(rho_k[w], c) for rho_k, c in minus_c]
+                )
+                col: dict = {}
+                for pairs, a in terms:
+                    for s, b in pairs:
+                        x = a * b
+                        col[s] = col[s] + x if s in col else x
+                if any(x % p if p else x for x in col.values()):
+                    bad.append((i, j))
+                    break
     return bad
+
+
+def _collect(blocks) -> dict:
+    """{output: {unknown: coeff}} summed from blocks (unknown, [(output,
+    coeff), ...]).  Dicts are made on first use and a sum starts from its
+    first term, since 0 + Fraction costs a full Fraction addition."""
+    eqs: dict = {}
+    for k, col in blocks:
+        for t, c in col:
+            eq = eqs.get(t)
+            if eq is None:
+                eqs[t] = {k: c}
+            elif k in eq:
+                eq[k] += c
+            else:
+                eq[k] = c
+    return eqs
+
+
+def compatibility_equations(field: Field, bracket, act, mode: str = "standard"):
+    """The compatibility relations as sparse linear equations in the odd
+    bracket: the one definition that :func:`validate` evaluates and
+    :func:`superbracket.moduli.odd_bracket_space` eliminates.
+
+    ``bracket`` is the even tensor, ``act`` the action's nonzeros from
+    :func:`action_nonzeros`, and the unknowns are indexed by
+    :func:`odd_unknowns`.  Yields ``(identity, indices, {output: {unknown:
+    coeff}})`` with raw coefficients, not reduced mod p, for every instance
+    that has a term, in this order:
+
+    * ``relation_1`` at u <= v <= w (the relation is fully symmetric), one
+      equation per odd output t of {f_u,f_v}(f_w) + {f_v,f_w}(f_u) +
+      {f_w,f_u}(f_v) = 0;
+    * ``relation_2`` at (x, u <= v), one equation per even output y of
+      [e_x, {f_u,f_v}] - {e_x(f_u), f_v} - {f_u, e_x(f_v)} = 0;
+    * mode "char3" only, ``char3_cubic`` at a <= b <= c: the coefficient of
+      t_a t_b t_c in {x,{x,x}} (x = sum t f), the sum of {f_i,f_j}(f_k) over
+      the arrangements of {a,b,c}.  Only the diagonal a = b = c adds to the
+      trilinear relation in characteristic 3, but every monomial is emitted
+      so that a violation names its own pattern.
+    """
+    d0 = len(bracket)
+    d1 = len(act[0]) if act else 0
+    base = odd_unknowns(d0, d1)
+    # cols[w]: (x, nonzeros of e_x(f_w)) for every x not killing f_w
+    cols = [[(x, act[x][w]) for x in range(d0) if act[x][w]] for w in range(d1)]
+    # ecols[x]: (z, nonzeros (y, coefficient of e_y) of [e_x, e_z])
+    ecols = [
+        [(z, [(y, field.coerce(c)) for y, c in enumerate(row) if c]) for z, row in enumerate(plane)]
+        for plane in bracket
+    ]
+    # units[x][s]: (w, [((y, -coefficient of f_w in e_x(f_s)),) for each y])
+    units = [[[(w, [((y, -a),) for y in range(d0)]) for w, a in col] for col in pl] for pl in act]
+    for u in range(d1):
+        for v in range(u, d1):
+            for w in range(v, d1):
+                rotations = ((u, v, w), (v, w, u), (w, u, v))
+                eqs = _collect(
+                    [(base[a][b] + x, col) for a, b, c in rotations for x, col in cols[c]]
+                )
+                if eqs:
+                    yield "relation_1", (u, v, w), eqs
+    for x in range(d0):
+        for u in range(d1):
+            for v in range(u, d1):
+                eqs = _collect(
+                    [(base[u][v] + z, col) for z, col in ecols[x]]
+                    + [
+                        (base[w][c] + y, col)
+                        for s, c in ((u, v), (v, u))
+                        for w, ys in units[x][s]
+                        for y, col in enumerate(ys)
+                    ]
+                )
+                if eqs:
+                    yield "relation_2", (x, u, v), eqs
+    if mode != "char3":
+        return
+    two = field.from_int(2)
+    twice = [[(x, [(t, two * c) for t, c in col]) for x, col in cw] for cw in cols]
+    for a in range(d1):
+        for b in range(a, d1):
+            for c in range(b, d1):
+                # (i, j, cols of f_k) for each {f_i,f_j}(f_k), with its multiplicity
+                if a == b == c:
+                    terms = ((a, a, cols[a]),)
+                elif a == b:
+                    terms = ((a, a, cols[c]), (a, c, twice[a]))
+                elif b == c:
+                    terms = ((a, b, twice[b]), (b, b, cols[a]))
+                else:
+                    terms = ((a, b, twice[c]), (a, c, twice[b]), (b, c, twice[a]))
+                eqs = _collect([(base[i][j] + x, col) for i, j, cw in terms for x, col in cw])
+                if eqs:
+                    yield "char3_cubic", (a, b, c), eqs
 
 
 def _odd_action_of_even_vec(g: SuperAlgebra, coeffs, v: int) -> list:
@@ -576,90 +726,6 @@ def _odd_action_of_even_vec(g: SuperAlgebra, coeffs, v: int) -> list:
             if row[w]:
                 out[w] = f.add(out[w], f.mul(cx, row[w]))
     return out
-
-
-def _relation1_sum(g: SuperAlgebra, u: int, v: int, w: int) -> list:
-    """Raw odd vector {f_u,f_v}(f_w) + {f_v,f_w}(f_u) + {f_w,f_u}(f_v)."""
-    f = g.field
-    t1 = _odd_action_of_even_vec(g, g.odd_bracket[u][v], w)
-    t2 = _odd_action_of_even_vec(g, g.odd_bracket[v][w], u)
-    t3 = _odd_action_of_even_vec(g, g.odd_bracket[w][u], v)
-    return [f.add(a, f.add(b, c)) for a, b, c in zip(t1, t2, t3)]
-
-
-def _check_relation_1(g: SuperAlgebra, bad: list):
-    # fully symmetric in (u, v, w), so u <= v <= w covers everything
-    for u in range(g.dim_odd):
-        for v in range(u, g.dim_odd):
-            for w in range(v, g.dim_odd):
-                s = _relation1_sum(g, u, v, w)
-                if any(s):
-                    bad.append(Violation("relation_1", (u, v, w)))
-
-
-def _check_relation_2(g: SuperAlgebra, bad: list):
-    f = g.field
-    d0, d1 = g.dim_even, g.dim_odd
-    for x in range(d0):
-        for u in range(d1):
-            for v in range(u, d1):
-                lhs = [f.zero()] * d0
-                for z in range(d0):
-                    pz = g.odd_bracket[u][v][z]
-                    if pz:
-                        row = g.bracket[x][z]
-                        for k in range(d0):
-                            if row[k]:
-                                lhs[k] = f.add(lhs[k], f.mul(pz, row[k]))
-                rhs = [f.zero()] * d0
-                for w in range(d1):
-                    axu = g.action[x][u][w]
-                    if axu:
-                        row = g.odd_bracket[w][v]
-                        for k in range(d0):
-                            if row[k]:
-                                rhs[k] = f.add(rhs[k], f.mul(axu, row[k]))
-                    axv = g.action[x][v][w]
-                    if axv:
-                        row = g.odd_bracket[u][w]
-                        for k in range(d0):
-                            if row[k]:
-                                rhs[k] = f.add(rhs[k], f.mul(axv, row[k]))
-                if any(f.sub(a, b) for a, b in zip(lhs, rhs)):
-                    bad.append(Violation("relation_2", (x, u, v)))
-
-
-def _check_char3_cubic(g: SuperAlgebra, bad: list):
-    """{x,{x,x}} = 0 for all odd x, as a cubic polynomial map.
-
-    The coefficient of the monomial t_a t_b t_c of {x,{x,x}} (x = sum t f)
-    is the symmetrized sum of {f_i,f_j}(f_k) over arrangements of the
-    multiset {a,b,c}.  For distinct or doubled indices this reduces to the
-    trilinear relation, but the diagonal a=b=c gives {f_a,f_a}(f_a) = 0,
-    which the trilinear relation cannot see in characteristic 3.
-    """
-    f = g.field
-    d1 = g.dim_odd
-    two = f.from_int(2)
-    for a in range(d1):
-        for b in range(a, d1):
-            for c in range(b, d1):
-                if a == b == c:
-                    coeff = _odd_action_of_even_vec(g, g.odd_bracket[a][a], a)
-                elif a == b:
-                    # t_a^2 t_c: {aa}(c) + 2 {ac}(a)
-                    t1 = _odd_action_of_even_vec(g, g.odd_bracket[a][a], c)
-                    t2 = _odd_action_of_even_vec(g, g.odd_bracket[a][c], a)
-                    coeff = [f.add(x, f.mul(two, y)) for x, y in zip(t1, t2)]
-                elif b == c:
-                    # t_a t_b^2: 2 {ab}(b) + {bb}(a)
-                    t1 = _odd_action_of_even_vec(g, g.odd_bracket[a][b], b)
-                    t2 = _odd_action_of_even_vec(g, g.odd_bracket[b][b], a)
-                    coeff = [f.add(f.mul(two, x), y) for x, y in zip(t1, t2)]
-                else:
-                    coeff = [f.mul(two, x) for x in _relation1_sum(g, a, b, c)]
-                if any(coeff):
-                    bad.append(Violation("char3_cubic", (a, b, c)))
 
 
 def _check_char2_axiom(g: SuperAlgebra, bad: list):

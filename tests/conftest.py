@@ -95,3 +95,24 @@ def dense_kernel(field, rows, n_cols):
             v[pc] = field.neg(red[r][fc])
         basis.append(v)
     return basis
+
+
+# --- dense oracle for the sparse representation check ---------------------------
+
+
+def dense_representation_failures(field, bracket, mats):
+    """Pairs i < j with [rho_i, rho_j] != sum_k c_ijk rho_k, from dense
+    commutators of the action matrices.  Slow reference for
+    superalgebra.representation_failures."""
+    d0 = len(bracket)
+    d1 = mats[0].rows if mats else 0
+    bad = []
+    for i in range(d0):
+        for j in range(i + 1, d0):
+            expected = Matrix.zero(field, d1, d1)
+            for k in range(d0):
+                if bracket[i][j][k]:
+                    expected = expected + mats[k].scaled(bracket[i][j][k])
+            if mats[i].commutator(mats[j]) != expected:
+                bad.append((i, j))
+    return bad

@@ -1,0 +1,226 @@
+"""The shared compatibility relations: the sparse representation check and
+validate's evaluation of the solver's equations, against slow oracles."""
+
+import random
+
+import pytest
+from conftest import dense_representation_failures, random_invertible
+from hypothesis import given
+from hypothesis import strategies as st
+
+from superbracket.constructions import (
+    add_centre,
+    build_char3_example,
+    build_double,
+    build_osp12,
+    sl2_algebra,
+)
+from superbracket.fields import GF, QQ
+from superbracket.linalg import Matrix, Vector, span_contains
+from superbracket.moduli import odd_bracket_space_of
+from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
+from superbracket.superalgebra import (
+    SuperAlgebra,
+    action_nonzeros,
+    representation_failures,
+    validate,
+)
+
+BIG = GF(10**9 + 7)
+
+
+def module_algebra(field, mats, tensor=None):
+    """sl(2) acting on a module by ``mats``, with odd bracket ``tensor``."""
+    d1 = mats[0].rows
+    action = [m.transpose().data for m in mats]
+    if tensor is None:
+        tensor = [[[0] * 3 for _ in range(d1)] for _ in range(d1)]
+    return SuperAlgebra.from_tensors(field, sl2_algebra(field).bracket, action, tensor)
+
+
+def irrep_sum(field, dims):
+    return RepMatrices.direct_sum(
+        [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
+    )
+
+
+# --- representation check --------------------------------------------------
+
+
+def random_scalar(field, rng):
+    if field.kind == "prime":
+        return rng.randrange(field.p)
+    return field.coerce(rng.randint(-3, 3)) / rng.randint(1, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), BIG], ids=str)
+def test_sparse_representation_check_matches_dense_oracle(field, rng):
+    even = sl2_algebra(field).bracket
+    seen = set()
+    for dims in [(1,), (2,), (3,), (2, 1), (3, 2), (4, 1, 1)]:
+        rep = irrep_sum(field, dims)
+        n = rep.dim
+        for module in (rep, rep.conjugated(random_invertible(field, n, rng))):
+            mats = list(module.matrices())
+            cases = [(even, mats)]
+            # one-coefficient perturbations, a random sparse action, and a
+            # random bracket (not a Lie bracket) against the true module
+            for _ in range(3):
+                x, r, c = rng.randrange(3), rng.randrange(n), rng.randrange(n)
+                data = [list(row) for row in mats[x].data]
+                data[r][c] = field.add(data[r][c], field.one())
+                cases.append((even, mats[:x] + [Matrix(field, data)] + mats[x + 1 :]))
+            sparse = [
+                Matrix(
+                    field,
+                    [
+                        [random_scalar(field, rng) if rng.random() < 0.3 else 0 for _ in range(n)]
+                        for _ in range(n)
+                    ],
+                )
+                for _ in range(3)
+            ]
+            cases.append((even, sparse))
+            bogus = [
+                [[random_scalar(field, rng) for _ in range(3)] for _ in range(3)] for _ in range(3)
+            ]
+            cases.append((bogus, mats))
+            for bracket, ms in cases:
+                expected = dense_representation_failures(field, bracket, ms)
+                act = action_nonzeros([m.transpose().data for m in ms])
+                assert representation_failures(field, bracket, act) == expected
+                seen.add(bool(expected))
+    assert seen == {True, False}
+
+
+# --- validate against an all-ordered-triples oracle --------------------------
+
+
+def naive_violations(g):
+    """(identity, indices) of every violation, from act_vec, odd_bracket_vec
+    and even_bracket_vec on unit vectors over all ordered index triples,
+    each tag named by its sorted indices, in validate's order."""
+    f, d0, d1 = g.field, g.dim_even, g.dim_odd
+    e = [Vector.unit(f, d0, i) for i in range(d0)]
+    o = [Vector.unit(f, d1, i) for i in range(d1)]
+    br, act, ob = g.even_bracket_vec, g.act_vec, g.odd_bracket_vec
+    out = []
+    jacobi = {
+        tuple(sorted((i, j, k)))
+        for i in range(d0)
+        for j in range(d0)
+        for k in range(d0)
+        if not (
+            br(e[i], br(e[j], e[k])) + br(e[j], br(e[k], e[i])) + br(e[k], br(e[i], e[j]))
+        ).is_zero()
+    }
+    out += [("even_jacobi", t) for t in sorted(jacobi)]
+    mats = [g.action_matrix(x) for x in range(d0)]
+    out += [("representation", t) for t in dense_representation_failures(f, g.bracket, mats)]
+    if g.mode == "char2":
+        raise ValueError("no char2 oracle")
+    rel1 = {
+        tuple(sorted((u, v, w)))
+        for u in range(d1)
+        for v in range(d1)
+        for w in range(d1)
+        if not (
+            act(ob(o[u], o[v]), o[w]) + act(ob(o[v], o[w]), o[u]) + act(ob(o[w], o[u]), o[v])
+        ).is_zero()
+    }
+    out += [("relation_1", t) for t in sorted(rel1)]
+    rel2 = {
+        (x, min(u, v), max(u, v))
+        for x in range(d0)
+        for u in range(d1)
+        for v in range(d1)
+        if br(e[x], ob(o[u], o[v])) != ob(act(e[x], o[u]), o[v]) + ob(o[u], act(e[x], o[v]))
+    }
+    out += [("relation_2", t) for t in sorted(rel2)]
+    if g.mode == "char3":
+        # coefficient of t_a t_b t_c in {x,{x,x}}: every arrangement of {a,b,c}
+        cubic = {}
+        for i in range(d1):
+            for j in range(d1):
+                for k in range(d1):
+                    key = tuple(sorted((i, j, k)))
+                    term = act(ob(o[i], o[j]), o[k])
+                    cubic[key] = cubic[key] + term if key in cubic else term
+        out += [("char3_cubic", t) for t in sorted(cubic) if not cubic[t].is_zero()]
+    return out
+
+
+def perturbations(g, rng, count):
+    """g with one odd-bracket coefficient {f_u,f_v}_x moved by a nonzero c."""
+    f, d0, d1 = g.field, g.dim_even, g.dim_odd
+    for _ in range(count):
+        u = rng.randrange(d1)
+        v = rng.randrange(u, d1)
+        x = rng.randrange(d0)
+        c = random_scalar(f, rng) or f.one()
+        tensor = [[list(r) for r in plane] for plane in g.odd_bracket]
+        tensor[u][v][x] = f.add(tensor[u][v][x], c)
+        yield SuperAlgebra.from_tensors(f, g.bracket, g.action, tensor, mode=g.mode)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), BIG], ids=str)
+@pytest.mark.parametrize("build", ["osp12", "double"])
+@pytest.mark.parametrize("z", [0, 2])
+def test_validate_matches_naive_oracle_on_perturbations(field, build, z, rng):
+    if build == "osp12":
+        g = build_osp12(field)
+    else:
+        g = build_double(sl2_algebra(field), Matrix.identity(field, 3))
+    g = add_centre(g, z)
+    assert validate(g).ok and naive_violations(g) == []
+    failing = 0
+    for h in perturbations(g, rng, 12):
+        got = [(v.identity, v.indices) for v in validate(h).violations]
+        assert got == naive_violations(h)
+        failing += bool(got)
+    assert failing
+
+
+def test_validate_matches_naive_oracle_on_the_char3_example(rng):
+    g = build_char3_example()
+    assert validate(g).ok and naive_violations(g) == []
+    identities = set()
+    for h in perturbations(g, rng, 20):
+        got = [(v.identity, v.indices) for v in validate(h).violations]
+        assert got == naive_violations(h)
+        identities.update(i for i, _ in got)
+    assert "char3_cubic" in identities
+
+
+# --- validate passes exactly on the solver's span ------------------------------
+
+
+@given(
+    field=st.sampled_from([QQ, GF(5), GF(7)]),
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_validate_accepts_exactly_the_solution_span(field, dims, seed):
+    rng = random.Random(seed)
+    rep = irrep_sum(field, dims)
+    d1 = rep.dim
+    g = module_algebra(field, list(rep.matrices()))
+    space = odd_bracket_space_of(g)
+
+    def flat(tensor):
+        return Vector(field, [c for u in range(d1) for v in range(u, d1) for c in tensor[u][v]])
+
+    basis = [flat(t) for t in space.basis]
+    tensor = [[[field.zero()] * 3 for _ in range(d1)] for _ in range(d1)]
+    for t in space.basis:
+        c = random_scalar(field, rng)
+        for u in range(d1):
+            for v in range(d1):
+                old = zip(tensor[u][v], t[u][v])
+                tensor[u][v] = [field.add(a, field.mul(c, b)) for a, b in old]
+    h = module_algebra(field, list(rep.matrices()), tensor)
+    assert validate(h).ok
+    for bad in perturbations(h, rng, 3):
+        report = validate(bad)
+        assert report.identities() <= {"relation_1", "relation_2"}
+        assert report.ok == span_contains(basis, flat(bad.odd_bracket))

@@ -1,9 +1,13 @@
 """Exact scalar arithmetic over the rationals and over prime fields F_p.
 
 Every coefficient in the library is either a ``fractions.Fraction`` (over Q)
-or a plain ``int`` residue in ``[0, p)`` (over F_p).  These raw values are
-what the linear algebra operates on; :class:`Scalar` is the typed wrapper
-used at API boundaries and in serialized form.
+or a plain ``int`` residue in ``[0, p)`` (over F_p); :class:`Scalar` is the
+typed wrapper used at API boundaries and in serialized form.  The hot loops
+do not run on ``Fraction``: elimination, ``validate`` and ``check_morphism``
+clear denominators once and work on Python ints, in the same code that runs
+on the residues of F_p, converting back to ``Fraction`` only for their
+results.  Parsed scalars are bounded (:data:`MAX_SCALAR_DIGITS`), and only
+moduli whose primality is proven are accepted (:data:`PRIME_BOUND`).
 """
 
 from __future__ import annotations
@@ -11,20 +15,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Field", "Scalar", "FieldError", "QQ", "GF", "int_image"]
+__all__ = [
+    "Field",
+    "Scalar",
+    "FieldError",
+    "QQ",
+    "GF",
+    "int_image",
+    "PRIME_BOUND",
+    "MAX_SCALAR_DIGITS",
+]
 
 
 class FieldError(ValueError):
     """Invalid field specification or cross-field operation."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to all of _MR_BASES, the first thirteen primes
+# (OEIS A014233): below it the test in _is_prime is a proof of primality, at
+# or above it only a probable-prime test, so Field.prime refuses such moduli.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+# The most digits an integer in a parsed scalar (numerator, denominator or
+# residue) may have.  It keeps parsing linear and bounds the size of each
+# factor that clearing denominators multiplies together.
+MAX_SCALAR_DIGITS = 1000
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24, which covers every modulus
-    # this library will realistically see; larger inputs get a strong
-    # probable-prime check with the same bases.
+    # Miller-Rabin with the first thirteen primes as bases: deterministic for
+    # n < PRIME_BOUND, the only inputs Field.prime passes in.
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -60,6 +82,10 @@ class Field:
 
     @staticmethod
     def prime(p: int) -> "Field":
+        if isinstance(p, int) and p >= PRIME_BOUND:
+            raise FieldError(
+                f"modulus must be below {PRIME_BOUND}, where primality is proven"
+            )
         if not isinstance(p, int) or not _is_prime(p):
             raise FieldError(f"modulus must be prime, got {p!r}")
         return Field("prime", p)
@@ -135,13 +161,20 @@ class Field:
     def parse(self, text: str):
         if not isinstance(text, str):
             raise FieldError(f"scalar must be a string, got {text!r}")
+        parts = text.split("/", 1)
+        for part in parts:
+            digits = len(part.strip().lstrip("+-"))
+            if digits > MAX_SCALAR_DIGITS:
+                raise FieldError(
+                    f"scalar integer of {digits} digits exceeds the bound of "
+                    f"{MAX_SCALAR_DIGITS} digits"
+                )
         try:
             if self.kind == "rationals":
-                if "/" in text:
-                    num, den = text.split("/", 1)
-                    return Fraction(int(num), int(den))
+                if len(parts) == 2:
+                    return Fraction(int(parts[0]), int(parts[1]))
                 return Fraction(int(text))
-            if "/" in text:
+            if len(parts) == 2:
                 raise FieldError(f"fraction syntax invalid over F_{self.p}")
             return int(text) % self.p  # type: ignore[operator]
         except (ValueError, ZeroDivisionError) as exc:

@@ -3,14 +3,15 @@
 ``Matrix`` and ``Vector`` are dense and immutable.  Elimination takes
 sparse rows: one exact routine for every field reduces ``{column: value}``
 dicts against a basis keyed by pivot column, so the work follows the
-nonzeros of the ~1%-dense systems the solver assembles.  Over Q it runs on
-unbounded ``Fraction`` arithmetic, which is mandatory -- coefficient growth
-during elimination is real; over F_p the only extra step is reducing each
-result mod p.  Kernels are read straight off that reduced basis
-(:func:`sparse_kernel_basis`); the dense RREF is built only where a caller
-asks for it (``Matrix.rref``, ``inverse``, ``solve_linear``,
-``echelon_span``).  Results of field operations on raw entries are
-assembled without re-coercion; the public ``Matrix(...)`` and
+nonzeros of the ~1%-dense systems the solver assembles.  It runs on Python
+ints for every field: over F_p on residues, reduced mod p after each step;
+over Q fraction-free, on primitive integer rows (Bareiss, Math. Comp. 22,
+1968, with content removal instead of exact division), converted to
+``Fraction`` only when a row is returned.  Kernels are read straight off
+that reduced basis (:func:`sparse_kernel_basis`); the dense RREF is built
+only where a caller asks for it (``Matrix.rref``, ``inverse``,
+``solve_linear``, ``echelon_span``).  Results of field operations on raw
+entries are assembled without re-coercion; the public ``Matrix(...)`` and
 ``Vector(...)`` constructors still coerce.
 
 Everything is deterministic: reduced row echelon form and its pivot columns
@@ -20,6 +21,8 @@ derived from them are reproducible bit for bit.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldError, Scalar
@@ -54,27 +57,81 @@ def _reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
     Returns ``{pivot column: row}``; each row has a 1 at its pivot and no
     entry in any other pivot column, so the rows sorted by pivot are the
     nonzero rows of the reduced row echelon form.  Each incoming row is
-    reduced against the basis; a nonzero remainder is scaled to a leading 1
-    and its pivot column is then cleared from the existing basis rows.
-    Input rows must hold no zero entries and are consumed (modified).
+    reduced against the basis; a nonzero remainder is normalised and its
+    pivot column is then cleared from the existing basis rows.
+
+    Over F_p a normalised row has a leading 1, found by the modular inverse.
+    Over Q the loop runs fraction-free on Python ints: an incoming row is
+    scaled by the lcm of its denominators, a column is cleared by
+    cross-multiplication, and a normalised row is primitive (the gcd of its
+    entries divided out) with a positive pivot -- the RREF row times the
+    lcm of its denominators, so stored entries stay the size of the RREF's.
+    Each row becomes ``Fraction(x, pivot)`` entries only when it is
+    returned.  Input rows must hold no zero entries; over F_p they are
+    consumed (modified).
     """
     p = field.p if field.kind == "prime" else None
     basis: dict[int, dict] = {}
     for row in rows:
+        if not p:
+            d = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (d // x.denominator) for c, x in row.items()}
         for c in [c for c in row if c in basis]:
-            _sub_multiple(row, row[c], basis[c], p)
+            _cancel(row, c, basis[c], p)
         if not row:
             continue
         pivot = min(row)
-        inv = field.inv(row[pivot])
-        if inv != 1:
-            row = {c: x * inv % p if p else x * inv for c, x in row.items()}
+        row = _normalise(row, pivot, p)
         for other in basis.values():
-            f = other.get(pivot)
-            if f:
-                _sub_multiple(other, f, row, p)
+            if pivot in other:
+                _cancel(other, pivot, row, p)
         basis[pivot] = row
-    return basis
+    if p:
+        return basis
+    return {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in basis.items()}
+
+
+def _cancel(row: dict, c: int, other: dict, p: int | None) -> None:
+    """Clear column c of row in place with the basis row ``other`` (pivot
+    c): row <- a*row - f*other for a = other[c] and f = row[c], both divided
+    by their gcd, dropping entries that become zero.  Over F_p a = 1, so
+    this is row -= f*other; over Q the result is made primitive again,
+    which keeps the sign of every entry."""
+    f, a = row[c], other[c]
+    if a != 1:
+        g = gcd(f, a)
+        f, a = f // g, a // g
+        if a != 1:
+            for j in row:
+                row[j] *= a
+    for j, y in other.items():
+        v = row.get(j, 0) - f * y
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    if not p:
+        g = gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+
+
+def _normalise(row: dict, pivot: int, p: int | None) -> dict:
+    """The canonical multiple of a row: leading 1 over F_p; over Q the
+    primitive integer row with a positive pivot."""
+    lead = row[pivot]
+    if p:
+        if lead == 1:
+            return row
+        inv = pow(lead, -1, p)
+        return {c: x * inv % p for c, x in row.items()}
+    g = gcd(*row.values())
+    if lead < 0:
+        g = -g
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
 def _rref_raw(field: Field, rows: Sequence[Sequence]) -> tuple[list, list]:
@@ -95,18 +152,6 @@ def _rref_raw(field: Field, rows: Sequence[Sequence]) -> tuple[list, list]:
         out.append(dense)
     out.extend([zero] * n for _ in range(len(rows) - len(pivots)))
     return out, pivots
-
-
-def _sub_multiple(row: dict, f, other: dict, p: int | None) -> None:
-    """row -= f * other in place, dropping entries that become zero."""
-    for j, y in other.items():
-        v = row.get(j, 0) - f * y
-        if p:
-            v %= p
-        if v:
-            row[j] = v
-        else:
-            del row[j]
 
 
 def _coerce_row(field: Field, row: Iterable) -> tuple:

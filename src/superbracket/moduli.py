@@ -117,13 +117,14 @@ def odd_bracket_space(
     for m in action_mats:
         if m.rows != d1 or m.cols != d1:
             raise ValueError("action matrices must be square of equal size")
+    bracket = [[[field.coerce(c) for c in row] for row in plane] for plane in even_bracket]
     act = action_nonzeros([m.transpose().data for m in action_mats])
-    failures = representation_failures(field, even_bracket, act)
+    failures = representation_failures(field, bracket, act)
     if failures:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
     rows: list[dict] = []
-    for _, _, eqs in compatibility_equations(field, even_bracket, act, mode):
+    for _, _, eqs in compatibility_equations(bracket, act, mode):
         _emit(rows, eqs.values(), p)
     base = odd_unknowns(d0, d1)
     basis = []

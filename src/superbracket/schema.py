@@ -114,7 +114,9 @@ def parse_algebra(text: str | bytes) -> tuple[SuperAlgebra, dict]:
     """Parse the canonical JSON document; returns (algebra, metadata)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")

@@ -25,12 +25,17 @@ The two relations and the cubic identity are linear in the odd bracket and
 are defined once, as the sparse equations of :func:`compatibility_equations`:
 :func:`validate` evaluates them at g's own odd bracket, and the solver in
 :mod:`superbracket.moduli` eliminates them.  Both also share
-:func:`representation_failures`.
+:func:`representation_failures`.  :func:`validate` and
+:func:`check_morphism` run these checks on integers: over Q each tensor is
+scaled once by the lcm of its denominators (:func:`clear_denominators`),
+and every identity is homogeneous, so an integer residual is zero exactly
+when the rational one is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -50,6 +55,7 @@ __all__ = [
     "Violation",
     "MODES",
     "validate",
+    "clear_denominators",
     "action_nonzeros",
     "odd_unknowns",
     "representation_failures",
@@ -104,6 +110,23 @@ def _zero_tensor(field, a, b, c):
 
 def _freeze3(t):
     return tuple(tuple(tuple(row) for row in plane) for plane in t)
+
+
+def _bilinear(tensor, x, y, n: int) -> list:
+    """The n sums over a, b of x_a y_b tensor[a][b], over the nonzeros of x,
+    y and each row.  Plain + and * on the raw entries, so ints or Fractions
+    alike and nothing reduced mod p: the caller reduces."""
+    out = [0] * n
+    for a, xa in enumerate(x):
+        if xa:
+            plane = tensor[a]
+            for b, yb in enumerate(y):
+                if yb:
+                    c = xa * yb
+                    for k, z in enumerate(plane[b]):
+                        if z:
+                            out[k] += c * z
+    return out
 
 
 class SuperAlgebra:
@@ -283,53 +306,16 @@ class SuperAlgebra:
     # --- basic algebra operations -----------------------------------------
 
     def even_bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        f = self.field
-        out = [f.zero()] * self.dim_even
-        for i, xi in enumerate(x.entries):
-            if not xi:
-                continue
-            for j, yj in enumerate(y.entries):
-                if not yj:
-                    continue
-                coeff = f.mul(xi, yj)
-                row = self.bracket[i][j]
-                for k in range(self.dim_even):
-                    if row[k]:
-                        out[k] = f.add(out[k], f.mul(coeff, row[k]))
-        return Vector(f, out)
+        out = _bilinear(self.bracket, x.entries, y.entries, self.dim_even)
+        return Vector(self.field, out)
 
     def act_vec(self, x: Vector, v: Vector) -> Vector:
-        f = self.field
-        out = [f.zero()] * self.dim_odd
-        for i, xi in enumerate(x.entries):
-            if not xi:
-                continue
-            plane = self.action[i]
-            for u, vu in enumerate(v.entries):
-                if not vu:
-                    continue
-                coeff = f.mul(xi, vu)
-                row = plane[u]
-                for w in range(self.dim_odd):
-                    if row[w]:
-                        out[w] = f.add(out[w], f.mul(coeff, row[w]))
-        return Vector(f, out)
+        out = _bilinear(self.action, x.entries, v.entries, self.dim_odd)
+        return Vector(self.field, out)
 
     def odd_bracket_vec(self, u: Vector, v: Vector) -> Vector:
-        f = self.field
-        out = [f.zero()] * self.dim_even
-        for a, ua in enumerate(u.entries):
-            if not ua:
-                continue
-            for b, vb in enumerate(v.entries):
-                if not vb:
-                    continue
-                coeff = f.mul(ua, vb)
-                row = self.odd_bracket[a][b]
-                for k in range(self.dim_even):
-                    if row[k]:
-                        out[k] = f.add(out[k], f.mul(coeff, row[k]))
-        return Vector(f, out)
+        out = _bilinear(self.odd_bracket, u.entries, v.entries, self.dim_even)
+        return Vector(self.field, out)
 
     def square_vec(self, v: Vector) -> Vector:
         """The squaring map applied to an odd vector (char2 mode only)."""
@@ -388,9 +374,6 @@ class SuperAlgebra:
             if xi:
                 m = m + self.action_matrix(i).scaled(xi)
         return m
-
-    def odd_pair_basis(self, u: int, v: int) -> Vector:
-        return Vector(self.field, self.odd_bracket[u][v])
 
     def even_part(self) -> "SuperAlgebra":
         """The even part as a stand-alone (purely even) algebra."""
@@ -514,7 +497,10 @@ class SuperAlgebra:
 def validate(g: SuperAlgebra) -> ValidationReport:
     """Check every axiom of g's mode; lists all violations, not just the first.
     The relations are the equations the bracket solver eliminates, evaluated
-    at g's own odd bracket."""
+    at g's own odd bracket.  Over Q they run on integers: the bracket and
+    action are scaled by one common denominator D and the odd bracket by
+    its own D_p (see :func:`clear_denominators`), which multiplies relations
+    1 and 2 and the cubic by D*D_p and the representation check by D**2."""
     f = g.field
     d0, d1 = g.dim_even, g.dim_odd
     bad: list[Violation] = []
@@ -535,24 +521,28 @@ def validate(g: SuperAlgebra) -> ValidationReport:
                 if not s.is_zero():
                     bad.append(Violation("even_jacobi", (i, j, k), repr(s)))
 
-    act = action_nonzeros(g.action)
+    # bracket and action share one scale: relation 2 and the representation
+    # check add bracket terms to action terms
+    _, (bracket, action) = clear_denominators(f, (g.bracket, g.action))
+    act = action_nonzeros(action)
     bad.extend(
         Violation("representation", pair)
-        for pair in representation_failures(f, g.bracket, act)
+        for pair in representation_failures(f, bracket, act)
     )
 
     if g.mode in ("standard", "char3"):
         # g's odd bracket as the values of the nonzero unknowns
+        _, odd = clear_denominators(f, g.odd_bracket)
         base = odd_unknowns(d0, d1)
         known = {
             base[u][v] + x: c
             for u in range(d1)
             for v in range(u, d1)
-            for x, c in enumerate(g.odd_bracket[u][v])
+            for x, c in enumerate(odd[u][v])
             if c
         }
         p = f.p if f.kind == "prime" else None
-        for identity, indices, eqs in compatibility_equations(f, g.bracket, act, g.mode):
+        for identity, indices, eqs in compatibility_equations(bracket, act, g.mode):
             for eq in eqs.values():
                 r = None
                 for k, c in eq.items():
@@ -574,6 +564,44 @@ def action_nonzeros(action) -> list:
     return [[[(t, c) for t, c in enumerate(col) if c] for col in plane] for plane in action]
 
 
+# Past this size a common denominator costs more than it saves: products of
+# the scaled entries grow with D, while a Fraction sum only carries the
+# denominators of its own terms.  On 3|8 to 3|12 documents whose entries
+# each have their own prime denominator, the two break even near 2000 bits.
+_MAX_SCALE_BITS = 2048
+
+
+def clear_denominators(field: Field, tensor) -> tuple[int, object]:
+    """``(D, D * tensor)`` for the least D > 0 that makes every entry an
+    integer.  ``tensor`` is nested lists or tuples of raw field elements;
+    over Q the result nests lists of ints the same way, over F_p (already
+    integers) it is ``(1, tensor)``.  Tensors that must share one scale are
+    passed together as a tuple.  When D would exceed ``_MAX_SCALE_BITS``
+    bits the result is ``(1, tensor)`` too: every caller is exact on
+    Fractions as well, only slower on small denominators."""
+    if field.kind == "prime":
+        return 1, tensor
+    d = lcm(*{x.denominator for x in _leaves(tensor)})
+    if d.bit_length() > _MAX_SCALE_BITS:
+        return 1, tensor
+    return d, _scaled(tensor, d)
+
+
+def _leaves(tensor):
+    for t in tensor:
+        if isinstance(t, (list, tuple)):
+            yield from _leaves(t)
+        else:
+            yield t
+
+
+def _scaled(tensor, d: int) -> list:
+    return [
+        _scaled(t, d) if isinstance(t, (list, tuple)) else t.numerator * (d // t.denominator)
+        for t in tensor
+    ]
+
+
 def odd_unknowns(d0: int, d1: int) -> list:
     """base[u][v] + x is the flat index of the coefficient of e_x in
     {f_u, f_v}: pairs u <= v in lexicographic order, d0 unknowns each."""
@@ -590,8 +618,10 @@ def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]
     """Pairs i < j with [rho(e_i), rho(e_j)] != rho([e_i, e_j]).
 
     ``bracket`` is the d0 x d0 x d0 even tensor and ``act`` the action's
-    nonzeros from :func:`action_nonzeros`; an empty list means a
-    representation.  Each image of f_w is summed over nonzeros only.
+    nonzeros from :func:`action_nonzeros`, both raw field elements or both
+    scaled to integers by one :func:`clear_denominators` (the check is
+    homogeneous); an empty list means a representation.  Each image of f_w
+    is summed over nonzeros only.
     """
     d0 = len(bracket)
     d1 = len(act[0]) if act else 0
@@ -599,7 +629,7 @@ def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]
     bad = []
     for i in range(d0):
         for j in range(i + 1, d0):
-            minus_c = [(act[k], -field.coerce(c)) for k, c in enumerate(bracket[i][j]) if c]
+            minus_c = [(act[k], -c) for k, c in enumerate(bracket[i][j]) if c]
             for w in range(d1):
                 # rho_i rho_j (f_w) - rho_j rho_i (f_w) - sum_k c_ijk rho_k (f_w),
                 # as (nonzeros of an image, its coefficient) terms
@@ -636,16 +666,17 @@ def _collect(blocks) -> dict:
     return eqs
 
 
-def compatibility_equations(field: Field, bracket, act, mode: str = "standard"):
+def compatibility_equations(bracket, act, mode: str = "standard"):
     """The compatibility relations as sparse linear equations in the odd
     bracket: the one definition that :func:`validate` evaluates and
     :func:`superbracket.moduli.odd_bracket_space` eliminates.
 
-    ``bracket`` is the even tensor, ``act`` the action's nonzeros from
-    :func:`action_nonzeros`, and the unknowns are indexed by
-    :func:`odd_unknowns`.  Yields ``(identity, indices, {output: {unknown:
-    coeff}})`` with raw coefficients, not reduced mod p, for every instance
-    that has a term, in this order:
+    ``bracket`` is the even tensor and ``act`` the action's nonzeros from
+    :func:`action_nonzeros`, as for :func:`representation_failures`; every
+    equation is linear in them, so scaling both by D scales it by D.  The
+    unknowns are indexed by :func:`odd_unknowns`.  Yields ``(identity,
+    indices, {output: {unknown: coeff}})`` with coefficients not reduced
+    mod p, for every instance that has a term, in this order:
 
     * ``relation_1`` at u <= v <= w (the relation is fully symmetric), one
       equation per odd output t of {f_u,f_v}(f_w) + {f_v,f_w}(f_u) +
@@ -665,7 +696,7 @@ def compatibility_equations(field: Field, bracket, act, mode: str = "standard"):
     cols = [[(x, act[x][w]) for x in range(d0) if act[x][w]] for w in range(d1)]
     # ecols[x]: (z, nonzeros (y, coefficient of e_y) of [e_x, e_z])
     ecols = [
-        [(z, [(y, field.coerce(c)) for y, c in enumerate(row) if c]) for z, row in enumerate(plane)]
+        [(z, [(y, c) for y, c in enumerate(row) if c]) for z, row in enumerate(plane)]
         for plane in bracket
     ]
     # units[x][s]: (w, [((y, -coefficient of f_w in e_x(f_s)),) for each y])
@@ -695,8 +726,7 @@ def compatibility_equations(field: Field, bracket, act, mode: str = "standard"):
                     yield "relation_2", (x, u, v), eqs
     if mode != "char3":
         return
-    two = field.from_int(2)
-    twice = [[(x, [(t, two * c) for t, c in col]) for x, col in cw] for cw in cols]
+    twice = [[(x, [(t, 2 * c) for t, c in col]) for x, col in cw] for cw in cols]
     for a in range(d1):
         for b in range(a, d1):
             for c in range(b, d1):
@@ -902,22 +932,37 @@ def check_morphism(cert: MorphismCertificate) -> tuple[bool, str | None]:
     if mo.inverse() is None:
         return False, "odd block singular"
     f = s.field
-    ecols = me.columns()
-    ocols = mo.columns()
-    for i in range(s.dim_even):
-        for j in range(i + 1, s.dim_even):
-            img = me @ Vector(f, s.bracket[i][j])
-            if img != t.even_bracket_vec(ecols[i], ecols[j]):
+    p = f.p if f.kind == "prime" else None
+    d0, d1 = s.dim_even, s.dim_odd
+
+    def preserved(m, v, lhs_scale, tgt, x, y, rhs_scale) -> bool:
+        """lhs_scale * (m @ v) == rhs_scale * tgt(x, y), mod p over F_p."""
+        lhs = [lhs_scale * sum(r * c for r, c in zip(row, v) if c) for row in m]
+        rhs = _bilinear(tgt, x, y, len(m))
+        diffs = (l - rhs_scale * r for l, r in zip(lhs, rhs))
+        return not any(d % p if p else d for d in diffs)
+
+    # Each block and tensor is scaled to integers by its own denominator (all
+    # 1 over F_p).  With a Me, dCs Cs and dCt Ct integral, for example,
+    # Me Cs(i,j) = Ct(Me_i, Me_j) iff
+    # a dCt (a Me)(dCs Cs)(i,j) = dCs (dCt Ct)(a Me_i, a Me_j).
+    a, me_z = clear_denominators(f, me.data)
+    b, mo_z = clear_denominators(f, mo.data)
+    ecols, ocols = list(zip(*me_z)), list(zip(*mo_z))
+    (dcs, cs), (dct, ct) = clear_denominators(f, s.bracket), clear_denominators(f, t.bracket)
+    for i in range(d0):
+        for j in range(i + 1, d0):
+            if not preserved(me_z, cs[i][j], a * dct, ct, ecols[i], ecols[j], dcs):
                 return False, f"even bracket not preserved at ({i},{j})"
-    for x in range(s.dim_even):
-        for v in range(s.dim_odd):
-            img = mo @ Vector(f, s.action[x][v])
-            if img != t.act_vec(ecols[x], ocols[v]):
+    (das, as_), (dat, at) = clear_denominators(f, s.action), clear_denominators(f, t.action)
+    for x in range(d0):
+        for v in range(d1):
+            if not preserved(mo_z, as_[x][v], a * dat, at, ecols[x], ocols[v], das):
                 return False, f"action not preserved at ({x},{v})"
-    for u in range(s.dim_odd):
-        for v in range(u, s.dim_odd):
-            img = me @ Vector(f, s.odd_bracket[u][v])
-            if img != t.odd_bracket_vec(ocols[u], ocols[v]):
+    (dps, ps), (dpt, pt) = clear_denominators(f, s.odd_bracket), clear_denominators(f, t.odd_bracket)
+    for u in range(d1):
+        for v in range(u, d1):
+            if not preserved(me_z, ps[u][v], b * b * dpt, pt, ocols[u], ocols[v], a * dps):
                 return False, f"odd bracket not preserved at ({u},{v})"
     if s.mode == "char2":
         # the odd bracket is only the polarization; diagonal squares need
@@ -926,6 +971,6 @@ def check_morphism(cert: MorphismCertificate) -> tuple[bool, str | None]:
             return False, "axiom modes differ"
         for v in range(s.dim_odd):
             img = me @ Vector(f, s.squaring[v][v])
-            if img != t.square_vec(ocols[v]):
+            if img != t.square_vec(mo.column(v)):
                 return False, f"squaring not preserved at ({v})"
     return True, None

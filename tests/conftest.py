@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from superbracket.linalg import Matrix
+from superbracket import superalgebra as sa
+from superbracket.linalg import Matrix, Vector
 
 settings.register_profile(
     "ci",
@@ -116,3 +117,92 @@ def dense_representation_failures(field, bracket, mats):
             if mats[i].commutator(mats[j]) != expected:
                 bad.append((i, j))
     return bad
+
+
+# --- Fraction oracles for the integer paths of validate and check_morphism ---
+
+
+def fraction_validate(g):
+    """validate as it ran before denominators were cleared: every relation
+    evaluated on g's own raw Fraction (or residue) tensors.  Slow reference
+    for superalgebra.validate."""
+    f = g.field
+    d0, d1 = g.dim_even, g.dim_odd
+    bad = []
+    units_e = [Vector.unit(f, d0, i) for i in range(d0)]
+    for i in range(d0):
+        for j in range(i + 1, d0):
+            for k in range(j + 1, d0):
+                s = (
+                    g.even_bracket_vec(units_e[i], Vector(f, g.bracket[j][k]))
+                    + g.even_bracket_vec(units_e[j], Vector(f, g.bracket[k][i]))
+                    + g.even_bracket_vec(units_e[k], Vector(f, g.bracket[i][j]))
+                )
+                if not s.is_zero():
+                    bad.append(sa.Violation("even_jacobi", (i, j, k), repr(s)))
+    act = sa.action_nonzeros(g.action)
+    bad.extend(
+        sa.Violation("representation", pair)
+        for pair in sa.representation_failures(f, g.bracket, act)
+    )
+    if g.mode in ("standard", "char3"):
+        base = sa.odd_unknowns(d0, d1)
+        known = {
+            base[u][v] + x: c
+            for u in range(d1)
+            for v in range(u, d1)
+            for x, c in enumerate(g.odd_bracket[u][v])
+            if c
+        }
+        p = f.p if f.kind == "prime" else None
+        for identity, indices, eqs in sa.compatibility_equations(g.bracket, act, g.mode):
+            for eq in eqs.values():
+                r = sum(c * known[k] for k, c in eq.items() if k in known)
+                if r % p if p else r:
+                    bad.append(sa.Violation(identity, indices))
+                    break
+    if g.mode == "char2":
+        sa._check_char2_axiom(g, bad)
+    return sa.ValidationReport(tuple(bad))
+
+
+def fraction_check_morphism(cert):
+    """check_morphism as it ran before denominators were cleared: Matrix and
+    Vector products of the raw blocks and tensors.  Slow reference for
+    superalgebra.check_morphism."""
+    s, t = cert.source, cert.target
+    if s.field != t.field:
+        return False, "source and target fields differ"
+    if s.dim_even != t.dim_even or s.dim_odd != t.dim_odd:
+        return False, "graded dimensions differ"
+    me, mo = cert.m_even, cert.m_odd
+    if me.rows != s.dim_even or me.cols != s.dim_even:
+        return False, "even block has wrong shape"
+    if mo.rows != s.dim_odd or mo.cols != s.dim_odd:
+        return False, "odd block has wrong shape"
+    if me.inverse() is None:
+        return False, "even block singular"
+    if mo.inverse() is None:
+        return False, "odd block singular"
+    f = s.field
+    ecols = me.columns()
+    ocols = mo.columns()
+    for i in range(s.dim_even):
+        for j in range(i + 1, s.dim_even):
+            if me @ Vector(f, s.bracket[i][j]) != t.even_bracket_vec(ecols[i], ecols[j]):
+                return False, f"even bracket not preserved at ({i},{j})"
+    for x in range(s.dim_even):
+        for v in range(s.dim_odd):
+            if mo @ Vector(f, s.action[x][v]) != t.act_vec(ecols[x], ocols[v]):
+                return False, f"action not preserved at ({x},{v})"
+    for u in range(s.dim_odd):
+        for v in range(u, s.dim_odd):
+            if me @ Vector(f, s.odd_bracket[u][v]) != t.odd_bracket_vec(ocols[u], ocols[v]):
+                return False, f"odd bracket not preserved at ({u},{v})"
+    if s.mode == "char2":
+        if t.mode != "char2":
+            return False, "axiom modes differ"
+        for v in range(s.dim_odd):
+            if me @ Vector(f, s.squaring[v][v]) != t.square_vec(ocols[v]):
+                return False, f"squaring not preserved at ({v})"
+    return True, None

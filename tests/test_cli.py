@@ -132,6 +132,23 @@ def test_schema_error_exit_code():
     assert "unknown top-level keys" in res.stderr
 
 
+def test_oversized_coefficient_is_a_schema_error():
+    doc = json.loads(run_cli("construct", "osp12", "--field", "q").stdout)
+    doc["p_map"][0][3] = "1/" + "7" * 5000
+    res = run_cli("validate", "-", stdin=json.dumps(doc))
+    assert res.returncode == 65
+    assert res.stdout == ""
+    assert "exceeds the bound of 1000 digits" in res.stderr
+    assert "Traceback" not in res.stderr and "4300" not in res.stderr
+
+
+def test_deeply_nested_json_is_a_schema_error():
+    res = run_cli("validate", "-", stdin="[" * 100_000 + "]" * 100_000)
+    assert res.returncode == 65
+    assert res.stdout == ""
+    assert res.stderr.strip() == "schema error: not valid JSON: nested too deeply"
+
+
 def test_usage_error_exit_code():
     res = run_cli("classify", "-", "--field", "zp:5", stdin="{}")
     assert res.returncode == 64

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superbracket.fields import GF, QQ, Field, FieldError, Scalar, int_image
+from superbracket.fields import (
+    GF,
+    MAX_SCALAR_DIGITS,
+    PRIME_BOUND,
+    QQ,
+    Field,
+    FieldError,
+    Scalar,
+    _is_prime,
+    int_image,
+)
 
 F5 = GF(5)
 F7 = GF(7)
@@ -23,6 +33,31 @@ def test_prime_validation():
     with pytest.raises(FieldError):
         GF(1)
     GF(2), GF(3), GF(97), GF(2**31 + 11)
+    # the bound is the least strong pseudoprime to every Miller-Rabin base
+    # used: a composite that the test alone would pass as prime
+    assert PRIME_BOUND == 1287836182261 * 2575672364521
+    assert _is_prime(PRIME_BOUND)
+    # the least strong pseudoprime to the first twelve primes (no base 41)
+    # lies below the bound, so it must be refused as composite
+    psi_12 = 399165290221 * 798330580441
+    assert psi_12 == 318_665_857_834_031_151_167_461 < PRIME_BOUND
+    with pytest.raises(FieldError, match="must be prime"):
+        GF(psi_12)
+    below = next(n for n in range(PRIME_BOUND - 2, 0, -2) if _is_prime(n))
+    assert GF(below).p == below
+    for n in (PRIME_BOUND, PRIME_BOUND + 2, 2**127 - 1):
+        with pytest.raises(FieldError, match="below"):
+            GF(n)
+
+
+def test_scalar_digit_bound():
+    top = "9" * MAX_SCALAR_DIGITS
+    assert QQ.parse(f"-{top}/{top}") == -1
+    assert F5.parse(top) == int(top) % 5
+    for text in ("1" * (MAX_SCALAR_DIGITS + 1), f"1/{'7' * 5000}", f"-{'3' * 5000}"):
+        for field in (QQ, F5):
+            with pytest.raises(FieldError, match=f"bound of {MAX_SCALAR_DIGITS} digits"):
+                field.parse(text)
 
 
 def test_scalar_arithmetic():

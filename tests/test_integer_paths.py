@@ -1,0 +1,213 @@
+"""validate and check_morphism clear denominators once and run on integers;
+here they are compared with the Fraction oracles they replaced."""
+
+import random
+import time
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from conftest import fraction_check_morphism, fraction_validate, random_invertible
+
+from superbracket.constructions import add_centre, build_double, build_osp12, sl2_algebra
+from superbracket.fields import GF, QQ
+from superbracket.linalg import Matrix
+from superbracket.superalgebra import (
+    MorphismCertificate,
+    SuperAlgebra,
+    check_morphism,
+    clear_denominators,
+    validate,
+)
+
+FIELDS = [QQ, GF(7), GF(10**9 + 7)]
+
+
+def odd_scaled(g, c):
+    """g with its odd bracket times c: still a superalgebra, since every
+    relation is linear in the odd bracket, but with other denominators."""
+    f = g.field
+    c = f.coerce(c)
+    odd = [[[f.mul(c, x) for x in row] for row in plane] for plane in g.odd_bracket]
+    return SuperAlgebra.from_tensors(f, g.bracket, g.action, odd, mode=g.mode)
+
+
+def bases(field):
+    return build_osp12(field), build_double(sl2_algebra(field), Matrix.identity(field, 3))
+
+
+def random_basis(g, rng):
+    """g in a random graded basis: the new basis vectors are the columns of
+    the returned blocks, so (h, g, me, mo) is a certificate."""
+    me = random_invertible(g.field, g.dim_even, rng)
+    mo = random_invertible(g.field, g.dim_odd, rng, span=6)
+    return g.conjugated(me, mo), me, mo
+
+
+def documents(field, rng):
+    """Valid documents in random graded bases, their odd brackets scaled by
+    1/11 on half of them so the odd bracket has a denominator of its own."""
+    for z in (0, 1, 2):
+        for base in bases(field):
+            g = add_centre(base, z)
+            h, _, _ = random_basis(g, rng)
+            yield h
+            yield odd_scaled(h, Fraction(1, 11))
+
+
+def perturbed(g, rng):
+    """g with one entry of one tensor moved by c / 13 for a random c != 0."""
+    f, d0, d1 = g.field, g.dim_even, g.dim_odd
+    c = f.coerce(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 13))
+    bracket = [[list(r) for r in plane] for plane in g.bracket]
+    action = [[list(r) for r in plane] for plane in g.action]
+    odd = [[list(r) for r in plane] for plane in g.odd_bracket]
+    which = rng.randrange(3)
+    if which == 0:
+        i = rng.randrange(d0 - 1)
+        j, k = rng.randrange(i + 1, d0), rng.randrange(d0)
+        bracket[i][j][k] = f.add(bracket[i][j][k], c)
+    elif which == 1:
+        x, v, w = rng.randrange(d0), rng.randrange(d1), rng.randrange(d1)
+        action[x][v][w] = f.add(action[x][v][w], c)
+    else:
+        u = rng.randrange(d1)
+        v, x = rng.randrange(u, d1), rng.randrange(d0)
+        odd[u][v][x] = f.add(odd[u][v][x], c)
+    return SuperAlgebra.from_tensors(f, bracket, action, odd, mode=g.mode)
+
+
+def test_clear_denominators():
+    t = ((Fraction(1, 2), Fraction(0)), [Fraction(-2, 3), Fraction(5)])
+    assert clear_denominators(QQ, t) == (6, [[3, 0], [-4, 30]])
+    assert all(type(x) is int for row in clear_denominators(QQ, t)[1] for x in row)
+    assert clear_denominators(QQ, []) == (1, [])
+    f7 = ((3, 0), (6, 1))
+    assert clear_denominators(GF(7), f7) == (1, f7)
+
+
+def test_documents_have_three_different_denominators(rng):
+    # the precondition of the scale tests below: bracket, action and odd
+    # bracket do not share one denominator, so a scale applied to the wrong
+    # tensor changes a verdict
+    distinct = 0
+    for h in documents(QQ, rng):
+        scales = [clear_denominators(QQ, t)[0] for t in (h.bracket, h.action, h.odd_bracket)]
+        distinct += len(set(scales)) == 3
+    assert distinct >= 6
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_validate_matches_fraction_oracle(field, rng):
+    for h in documents(field, rng):
+        assert validate(h).ok and fraction_validate(h).ok
+        for _ in range(8):
+            bad = perturbed(h, rng)
+            got = validate(bad)
+            assert got.violations == fraction_validate(bad).violations
+            assert not got.ok
+
+
+def test_validate_keeps_the_rational_even_jacobi_detail():
+    f = QQ
+    g = sl2_algebra(f)
+    bracket = [[list(r) for r in plane] for plane in g.bracket]
+    bracket[0][1][0] = f.add(bracket[0][1][0], Fraction(1, 3))
+    bracket[1][0][0] = f.neg(bracket[0][1][0])
+    h = SuperAlgebra.from_tensors(f, bracket, g.action, g.odd_bracket)
+    got = validate(h).violations
+    assert got == fraction_validate(h).violations
+    assert got[0].identity == "even_jacobi" and "/3" in got[0].detail
+
+
+def certificates(field, rng):
+    """(source, target, m_even, m_odd) isomorphisms between random bases of
+    one algebra, with both sides non-integral over Q."""
+    for z in (0, 1, 2):
+        for base in bases(field):
+            g = add_centre(base, z)
+            h1, me1, mo1 = random_basis(g, rng)
+            yield h1, g, me1, mo1
+            yield g, h1, me1.inverse(), mo1.inverse()
+            h2, me2, mo2 = random_basis(g, rng)
+            yield h1, h2, me2.inverse() @ me1, mo2.inverse() @ mo1
+
+
+def moved(m, rng):
+    f = m.field
+    data = [list(r) for r in m.data]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    data[i][j] = f.add(data[i][j], f.coerce(Fraction(1, 5)))
+    return Matrix(f, data)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_check_morphism_matches_fraction_oracle(field, rng):
+    messages = set()
+    for s, t, me, mo in certificates(field, rng):
+        cert = MorphismCertificate(s, t, me, mo)
+        assert check_morphism(cert) == fraction_check_morphism(cert) == (True, None)
+        variants = [
+            MorphismCertificate(s, t, moved(me, rng), mo),
+            MorphismCertificate(s, t, me, moved(mo, rng)),
+            MorphismCertificate(perturbed(s, rng), t, me, mo),
+            MorphismCertificate(s, perturbed(t, rng), me, mo),
+            # scaling the odd block by c preserves the action, not the odd bracket
+            MorphismCertificate(s, t, me, mo.scaled(3)),
+        ]
+        for bad in variants:
+            got = check_morphism(bad)
+            assert got == fraction_check_morphism(bad)
+            messages.add(got[1].split(" not preserved")[0] if got[1] else None)
+    assert {"even bracket", "action", "odd bracket"} <= messages
+
+
+def coprime_document(d1, odd_only=False):
+    """sl(2) + a 3|d1 document whose action and odd bracket entries each
+    have their own prime denominator (odd bracket only if odd_only): the
+    common denominator has thousands of digits.  Not a superalgebra."""
+    primes, k = [], 2
+    while len(primes) < 25 + 6 * d1 * d1:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 1
+    it = iter(primes[25:])
+    rng = random.Random(d1)
+
+    def entry():
+        return Fraction(rng.choice([-2, -1, 1, 2]), next(it))
+
+    if odd_only:
+        action = [[[rng.choice([0, 1]) for _ in range(d1)] for _ in range(d1)] for _ in range(3)]
+    else:
+        action = [[[entry() for _ in range(d1)] for _ in range(d1)] for _ in range(3)]
+    odd = [[None] * d1 for _ in range(d1)]
+    for u in range(d1):
+        for v in range(u, d1):
+            odd[u][v] = odd[v][u] = [entry() for _ in range(3)]
+    return SuperAlgebra.from_tensors(QQ, sl2_algebra(QQ).bracket, action, odd)
+
+
+def timed(fn, g):
+    start = time.perf_counter()
+    out = fn(g)
+    return out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("odd_only", [False, True], ids=["all", "odd_only"])
+def test_many_coprime_denominators_stay_within_the_oracles_time(odd_only):
+    g = coprime_document(24, odd_only)
+    dens = {x.denominator for plane in g.odd_bracket for row in plane for x in row}
+    assert lcm(*dens).bit_length() > 10_000
+    runs = [timed(fraction_validate, g) for _ in range(3)]
+    expected, oracle_s = runs[0][0], min(t for _, t in runs)
+    # a common denominator of this size would make validate ~30x slower; a
+    # generous bound, and up to three tries, keep a scheduling stall from
+    # failing the test
+    budget = 10 * oracle_s + 1.0
+    for _ in range(3):
+        got, elapsed = timed(validate, g)
+        assert got.violations == expected.violations and not got.ok
+        if elapsed < budget:
+            break
+    assert elapsed < budget, (elapsed, oracle_s)

@@ -3,7 +3,12 @@
 ``Matrix`` and ``Vector`` are dense and immutable.  Elimination takes
 sparse rows: one exact routine for every field reduces ``{column: value}``
 dicts against a basis keyed by pivot column, so the work follows the
-nonzeros of the ~1%-dense systems the solver assembles.  It runs on Python
+nonzeros of the ~1%-dense systems the solver assembles.  It first peels
+the forced columns, as structured Gaussian elimination does (LaMacchia and
+Odlyzko, CRYPTO 1990): a row with a single entry forces its column, which
+is deleted from every other row, and rows that shrink to one entry are
+peeled in turn.  Most rows of the solver's systems are settled this way;
+only the rows left reach the pivot loop.  That loop runs on Python
 ints for every field: over F_p on residues, reduced mod p after each step;
 over Q fraction-free, on primitive integer rows (Bareiss, Math. Comp. 22,
 1968, with content removal instead of exact division), converted to
@@ -56,9 +61,14 @@ def _reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
 
     Returns ``{pivot column: row}``; each row has a 1 at its pivot and no
     entry in any other pivot column, so the rows sorted by pivot are the
-    nonzero rows of the reduced row echelon form.  Each incoming row is
-    reduced against the basis; a nonzero remainder is normalised and its
-    pivot column is then cleared from the existing basis rows.
+    nonzero rows of the reduced row echelon form.
+
+    The forced columns are peeled first (:func:`_peel`): each is a pivot
+    whose RREF row is ``{c: 1}``, and the rows left hold none of them.
+    Those rows then go through the pivot loop: each is reduced against the
+    basis; a nonzero remainder is normalised and its pivot column is then
+    cleared from the existing basis rows.  Since no forced column is ever
+    touched there, the two parts together are the one reduced basis.
 
     Over F_p a normalised row has a leading 1, found by the modular inverse.
     Over Q the loop runs fraction-free on Python ints: an incoming row is
@@ -67,10 +77,11 @@ def _reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
     entries divided out) with a positive pivot -- the RREF row times the
     lcm of its denominators, so stored entries stay the size of the RREF's.
     Each row becomes ``Fraction(x, pivot)`` entries only when it is
-    returned.  Input rows must hold no zero entries; over F_p they are
-    consumed (modified).
+    returned.  Input rows must hold no zero entries; over both fields they
+    are consumed (modified).
     """
     p = field.p if field.kind == "prime" else None
+    forced, rows = _peel(rows)
     basis: dict[int, dict] = {}
     for row in rows:
         if not p:
@@ -86,9 +97,49 @@ def _reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
             if pivot in other:
                 _cancel(other, pivot, row, p)
         basis[pivot] = row
-    if p:
-        return basis
-    return {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in basis.items()}
+    if not p:
+        basis = {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in basis.items()}
+    one = field.one()
+    for c in forced:
+        basis[c] = {c: one}
+    return basis
+
+
+def _peel(rows: Iterable[dict]) -> tuple[set[int], list[dict]]:
+    """Singleton peeling, the first step of structured Gaussian elimination
+    (LaMacchia and Odlyzko, CRYPTO 1990).
+
+    A row ``{c: x}`` spans the unit vector e_c, so column c is forced: it is
+    deleted from every other row.  A row that becomes a singleton forces its
+    column in turn, and a row that becomes empty is dropped, until no
+    singleton is left.  Returns ``(forced columns, rows left)``; each row
+    left has two or more entries and none in a forced column.  Rows of two
+    or more entries are modified in place.
+    """
+    forced: set[int] = set()
+    where: dict[int, list[dict]] = {}
+    multi = []
+    for row in rows:
+        if len(row) == 1:
+            forced.update(row)
+        elif row:
+            multi.append(row)
+            for c in row:
+                if c in where:
+                    where[c].append(row)
+                else:
+                    where[c] = [row]
+    todo = list(forced)
+    while todo:
+        c = todo.pop()
+        for row in where.pop(c, ()):
+            del row[c]
+            if len(row) == 1:
+                (d,) = row
+                if d not in forced:
+                    forced.add(d)
+                    todo.append(d)
+    return forced, [row for row in multi if row]
 
 
 def _cancel(row: dict, c: int, other: dict, p: int | None) -> None:

@@ -16,7 +16,12 @@ the one definition of the relations, which
 deduplicated by symmetric index pattern and emitted as sparse rows
 ``{unknown: coefficient}`` from the nonzeros of the action and the even
 bracket.  Each row is reduced mod p once and the rows go straight to
-:func:`~superbracket.linalg.sparse_kernel_basis`.  A naive all-triples dense
+:func:`~superbracket.linalg.sparse_kernel_basis`.  Most of those rows have
+a single entry: they force an unknown to vanish.  The eliminator peels
+them before it pivots, as structured Gaussian elimination does (LaMacchia
+and Odlyzko, CRYPTO 1990), deleting each forced unknown from the other
+rows and peeling the rows that shrink to one entry in turn, so only a
+small remainder is pivoted.  A naive all-triples dense
 assembly, solved by a dense Gauss-Jordan, is kept in the test suite as an
 oracle for this deduplication.
 """
@@ -179,15 +184,14 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     from .constructions import sl2_algebra
 
     even = sl2_algebra(field)
+    irreps = {
+        d: build_irrep(IrrepSpec.standard_params(field, d - 1), field)
+        for d in range(1, min(field.p, max_odd_dim) + 1)
+    }
     rows = []
     for total in range(1, max_odd_dim + 1):
         for comp in _partitions_desc(total, field.p):
-            rep = RepMatrices.direct_sum(
-                [
-                    build_irrep(IrrepSpec.standard_params(field, d - 1), field)
-                    for d in comp
-                ]
-            )
+            rep = RepMatrices.direct_sum([irreps[d] for d in comp])
             space = odd_bracket_space(field, even.bracket, list(rep.matrices()))
             rows.append(SweepRow(field.p, comp, space.dimension))
     return rows

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, FieldError, Scalar
 from .linalg import (
     Matrix,
     Vector,
@@ -252,6 +252,8 @@ class RepMatrices:
     @staticmethod
     def direct_sum(parts: Sequence["RepMatrices"]) -> "RepMatrices":
         field = parts[0].field
+        if any(part.field != field for part in parts):
+            raise FieldError("direct sum of modules over different fields")
         n = sum(p.dim for p in parts)
         blocks = []
         for which in range(3):
@@ -263,7 +265,7 @@ class RepMatrices:
                     for j in range(part.dim):
                         m[off + i][off + j] = src.data[i][j]
                 off += part.dim
-            blocks.append(Matrix(field, m))
+            blocks.append(Matrix._from_raw(field, m))
         return RepMatrices(*blocks)
 
     def conjugated(self, t: Matrix) -> "RepMatrices":

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from conftest import dense_kernel, dense_rref
 from superbracket.fields import GF, QQ, FieldError
 from superbracket.linalg import (
     DimensionMismatch,
+    _peel,
     _reduce,
     _rref_raw,
     Matrix,
@@ -266,6 +268,60 @@ def test_fraction_free_elimination_matches_dense_oracle(rows):
     kernel = sparse_kernel_basis(QQ, [dict(enumerate(r)) for r in rows], n)
     assert [list(v.entries) for v in kernel] == dense_kernel(QQ, rows, n)
     assert all(type(x) is Fraction for v in kernel for x in v.entries)
+
+
+@st.composite
+def peelable_systems(draw, field):
+    """Sparse rows over n columns, shuffled, built to exercise singleton
+    peeling: chains ``{c_k, c_k+1}, ..., {c_last}`` that end in a singleton
+    and so are settled one column at a time, exact duplicate rows, rows
+    whose whole support lies in chain columns (they become empty), and a
+    dense remainder on the columns no chain reaches (with stray entries in
+    chain columns, deleted by the peel).  Returns ``(rows, n, chain
+    columns)``.
+    """
+    values = field_values(field).map(field.coerce)
+    n = draw(st.integers(1, 16))
+    cols = draw(st.permutations(range(n)))
+    cut = draw(st.integers(0, n))
+    chained, rest = cols[:cut], cols[cut:]
+    rows = []
+    start = 0
+    while start < len(chained):
+        chain = chained[start : start + draw(st.integers(1, 5))]
+        start += len(chain)
+        rows.extend({a: draw(values), b: draw(values)} for a, b in zip(chain, chain[1:]))
+        rows.append({chain[-1]: draw(values)})
+    for _ in range(draw(st.integers(0, 3)) if len(chained) > 1 else 0):
+        support = draw(st.sets(st.sampled_from(chained), min_size=2, max_size=4))
+        rows.append({c: draw(values) for c in support})
+    for _ in range(draw(st.integers(0, 4)) if rest else 0):
+        row = {c: draw(values) for c in rest if draw(st.booleans())}
+        row.update((c, draw(values)) for c in chained if draw(st.integers(0, 3)) == 0)
+        if row:
+            rows.append(row)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        rows.append(dict(draw(st.sampled_from(rows))))
+    return draw(st.permutations(rows)), n, set(chained)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(10**9 + 7)], ids=str)
+@given(data=st.data())
+def test_peeling_matches_dense_oracle(field, data):
+    # the forced columns are settled before the pivot loop; the RREF and the
+    # kernel must still be the dense oracle's, and the caller's rows intact
+    sparse, n, chained = data.draw(peelable_systems(field))
+    dense = [[r.get(j, field.zero()) for j in range(n)] for r in sparse]
+    frozen = copy.deepcopy(sparse)
+    red, pivots = _rref_raw(field, dense)
+    assert (red, pivots) == dense_rref(field, dense)
+    assert chained <= set(pivots)
+    basis = sparse_kernel_basis(field, sparse, n)
+    assert basis == [Vector(field, v) for v in dense_kernel(field, dense, n)]
+    assert sparse == frozen  # the eliminator works on copies
+    forced, left = _peel(copy.deepcopy(sparse))
+    assert chained <= forced
+    assert all(len(r) > 1 and not forced & r.keys() for r in left)
 
 
 def test_sparse_kernel_rejects_columns_out_of_range():

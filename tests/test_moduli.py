@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -374,3 +375,16 @@ def test_sweep_rows_are_sorted_and_complete():
     by_comp = {r.composition: r.dimension for r in rows}
     assert by_comp[(2,)] == 1
     assert by_comp[(3,)] == 0
+
+
+def test_full_benchmark_sweep_is_pinned():
+    # the sweep the benchmark runs: F_5 and F_7 up to odd dimension 8, 124
+    # rows, pinned by the sha256 of its (p, composition, dimension) rows
+    rows = [
+        (r.p, r.composition, r.dimension)
+        for field in (F5, F7)
+        for r in sweep_irrep_sums(field, 8)
+    ]
+    assert len(rows) == 124
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "789266f35e380a8afd9f2caa6e7f17ca2ae4f8e7a60ae5469543136055c15c80"

@@ -1,7 +1,7 @@
 import pytest
 
 from superbracket.constructions import sl2_algebra
-from superbracket.fields import GF, QQ
+from superbracket.fields import GF, QQ, FieldError
 from superbracket.linalg import Matrix, Vector
 from superbracket.sl2 import (
     CHAR_ZERO,
@@ -206,6 +206,24 @@ def test_decompose_adjoint_plus_trivial():
     summands = decompose(rep)
     assert [spec.m for _, spec in summands] == [2, 0]
     assert [len(chain) for chain, _ in summands] == [3, 1]
+
+
+def test_direct_sum_holds_raw_entries_of_one_field():
+    for field in (QQ, F7):
+        parts = [build_irrep(IrrepSpec.standard_params(field, m), field) for m in (2, 0, 1)]
+        rep = RepMatrices.direct_sum(parts)
+        raw = type(field.zero())
+        for m in rep.matrices():
+            assert Matrix(field, m.data) == m
+            assert all(type(x) is raw for row in m.data for x in row)
+        assert rep.dim == 6 and rep.satisfies_triple_relations()
+    with pytest.raises(FieldError):
+        RepMatrices.direct_sum(
+            [
+                build_irrep(IrrepSpec.standard_params(QQ, 1), QQ),
+                build_irrep(IrrepSpec.standard_params(F7, 1), F7),
+            ]
+        )
 
 
 def test_decompose_trivial_rep():

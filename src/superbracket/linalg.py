@@ -56,8 +56,10 @@ def using_compiled_kernel() -> bool:
     return False
 
 
-def _reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
-    """Reduced basis of the span of sparse rows ``{column: raw value}``.
+def _reduce(field: Field, rows: Iterable[Iterable], n_cols: int) -> dict[int, dict]:
+    """Reduced basis of the span of sparse rows, each given as ``(column,
+    raw value)`` pairs over ``range(n_cols)`` (``dict.items()`` or
+    ``enumerate`` of a dense row); zero values are ignored.
 
     Returns ``{pivot column: row}``; each row has a 1 at its pivot and no
     entry in any other pivot column, so the rows sorted by pivot are the
@@ -77,11 +79,11 @@ def _reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
     entries divided out) with a positive pivot -- the RREF row times the
     lcm of its denominators, so stored entries stay the size of the RREF's.
     Each row becomes ``Fraction(x, pivot)`` entries only when it is
-    returned.  Input rows must hold no zero entries; over both fields they
-    are consumed (modified).
+    returned.  The input rows are left untouched: :func:`_peel` copies each
+    one once, and that copy is what the loop consumes.
     """
     p = field.p if field.kind == "prime" else None
-    forced, rows = _peel(rows)
+    forced, rows = _peel(rows, n_cols)
     basis: dict[int, dict] = {}
     for row in rows:
         if not p:
@@ -105,30 +107,37 @@ def _reduce(field: Field, rows: Iterable[dict]) -> dict[int, dict]:
     return basis
 
 
-def _peel(rows: Iterable[dict]) -> tuple[set[int], list[dict]]:
+def _peel(rows: Iterable[Iterable], n_cols: int) -> tuple[set[int], list[dict]]:
     """Singleton peeling, the first step of structured Gaussian elimination
     (LaMacchia and Odlyzko, CRYPTO 1990).
 
+    Each row is given as ``(column, raw value)`` pairs over
+    ``range(n_cols)``; it is copied once into a dict without its zero
+    entries, and the same loop that indexes it by column range-checks it
+    (:class:`DimensionMismatch`), so the caller's rows are left untouched.
     A row ``{c: x}`` spans the unit vector e_c, so column c is forced: it is
     deleted from every other row.  A row that becomes a singleton forces its
     column in turn, and a row that becomes empty is dropped, until no
     singleton is left.  Returns ``(forced columns, rows left)``; each row
-    left has two or more entries and none in a forced column.  Rows of two
-    or more entries are modified in place.
+    left has two or more entries and none in a forced column.
     """
     forced: set[int] = set()
     where: dict[int, list[dict]] = {}
     multi = []
-    for row in rows:
-        if len(row) == 1:
-            forced.update(row)
-        elif row:
+    for pairs in rows:
+        row = {c: x for c, x in pairs if x}
+        single = len(row) == 1
+        if len(row) > 1:
             multi.append(row)
-            for c in row:
-                if c in where:
-                    where[c].append(row)
-                else:
-                    where[c] = [row]
+        for c in row:
+            if not 0 <= c < n_cols:
+                raise DimensionMismatch(f"row entry outside {n_cols} columns")
+            if single:
+                forced.add(c)
+            elif c in where:
+                where[c].append(row)
+            else:
+                where[c] = [row]
     todo = list(forced)
     while todo:
         c = todo.pop()
@@ -191,8 +200,8 @@ def _rref_raw(field: Field, rows: Sequence[Sequence]) -> tuple[list, list]:
     Returns ``(rows, pivot columns)``: the nonzero RREF rows in pivot order,
     then zero rows up to the input row count.  The input is not modified.
     """
-    basis = _reduce(field, ({c: x for c, x in enumerate(r) if x} for r in rows))
     n = len(rows[0]) if rows else 0
+    basis = _reduce(field, map(enumerate, rows), n)
     zero = field.zero()
     pivots = sorted(basis)
     out = []
@@ -550,18 +559,13 @@ def sparse_kernel_basis(field: Field, rows: Iterable[dict], n_cols: int) -> list
     """Deterministic basis of {v : Mv = 0} for M given by sparse rows.
 
     Each row is a ``{column: raw value}`` dict over ``range(n_cols)``; zero
-    entries are ignored and the rows are left untouched.  Pivot columns are
-    chosen left to right; each free column, in index order, contributes one
-    basis vector with a 1 in that coordinate and minus the free column's
-    entry of each reduced basis row at that row's pivot.
+    entries are ignored, an entry outside that range raises
+    :class:`DimensionMismatch`, and the rows are left untouched.  Pivot
+    columns are chosen left to right; each free column, in index order,
+    contributes one basis vector with a 1 in that coordinate and minus the
+    free column's entry of each reduced basis row at that row's pivot.
     """
-    def checked(row: dict) -> dict:
-        row = {c: x for c, x in row.items() if x}
-        if row and (min(row) < 0 or max(row) >= n_cols):
-            raise DimensionMismatch(f"row entry outside {n_cols} columns")
-        return row
-
-    basis = _reduce(field, map(checked, rows))
+    basis = _reduce(field, (row.items() for row in rows), n_cols)
     zero, one = field.zero(), field.one()
     kernel: dict[int, list] = {}
     for c in range(n_cols):

@@ -13,15 +13,17 @@ numerics, just exact row reduction.
 The equations are :func:`~superbracket.superalgebra.compatibility_equations`,
 the one definition of the relations, which
 :func:`~superbracket.superalgebra.validate` evaluates at a given odd bracket:
-deduplicated by symmetric index pattern and emitted as sparse rows
-``{unknown: coefficient}`` from the nonzeros of the action and the even
-bracket.  Each row is reduced mod p once and the rows go straight to
-:func:`~superbracket.linalg.sparse_kernel_basis`.  Most of those rows have
-a single entry: they force an unknown to vanish.  The eliminator peels
-them before it pivots, as structured Gaussian elimination does (LaMacchia
-and Odlyzko, CRYPTO 1990), deleting each forced unknown from the other
-rows and peeling the rows that shrink to one entry in turn, so only a
-small remainder is pivoted.  A naive all-triples dense
+deduplicated by symmetric index pattern and yielded, per instance, as raw
+blocks (unknown, [(output, coefficient), ...]) from the nonzeros of the
+action and the even bracket.  The solver is the one place that collects
+them into sparse rows ``{unknown: coefficient}`` (:func:`_rows`, one row
+per output); each row is reduced mod p once, without its zero entries, and
+the rows go straight to :func:`~superbracket.linalg.sparse_kernel_basis`.
+Most of those rows have a single entry: they force an unknown to vanish.
+The eliminator peels them before it pivots, as structured Gaussian
+elimination does (LaMacchia and Odlyzko, CRYPTO 1990), deleting each forced
+unknown from the other rows and peeling the rows that shrink to one entry
+in turn, so only a small remainder is pivoted.  A naive all-triples dense
 assembly, solved by a dense Gauss-Jordan, is kept in the test suite as an
 oracle for this deduplication.
 """
@@ -29,7 +31,7 @@ oracle for this deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .fields import Field
 from .linalg import Matrix, sparse_kernel_basis
@@ -87,15 +89,33 @@ class NotARepresentation(ValueError):
         self.pairs = tuple(pairs)
 
 
-def _emit(rows: list, eqs: Iterable[dict], p: int | None) -> None:
-    """Append each equation, reduced mod p once, without its zero entries."""
-    for eq in eqs:
+def _collect(blocks) -> dict:
+    """{output: {unknown: coeff}} summed from blocks (unknown, [(output,
+    coeff), ...]).  Dicts are made on first use and a sum starts from its
+    first term, since 0 + Fraction costs a full Fraction addition."""
+    eqs: dict = {}
+    for k, col in blocks:
+        for t, c in col:
+            eq = eqs.get(t)
+            if eq is None:
+                eqs[t] = {k: c}
+            elif k in eq:
+                eq[k] += c
+            else:
+                eq[k] = c
+    return eqs
+
+
+def _rows(blocks, p: int | None) -> Iterator[dict]:
+    """One instance's rows: its blocks collected into one equation per
+    output, each reduced mod p once and without its zero entries."""
+    for eq in _collect(blocks).values():
         if p:
             eq = {k: c % p for k, c in eq.items() if c % p}
         else:
             eq = {k: c for k, c in eq.items() if c}
         if eq:
-            rows.append(eq)
+            yield eq
 
 
 def odd_bracket_space(
@@ -128,9 +148,8 @@ def odd_bracket_space(
     if failures:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
-    rows: list[dict] = []
-    for _, _, eqs in compatibility_equations(bracket, act, mode):
-        _emit(rows, eqs.values(), p)
+    instances = compatibility_equations(bracket, act, mode)
+    rows = [row for _, _, blocks in instances for row in _rows(blocks, p)]
     base = odd_unknowns(d0, d1)
     basis = []
     for flat in sparse_kernel_basis(field, rows, d0 * d1 * (d1 + 1) // 2):

@@ -22,9 +22,12 @@ polarization) and validates {x^2, y} = {x, {x, y}} for all y, again per
 monomial in the coordinates of x.
 
 The two relations and the cubic identity are linear in the odd bracket and
-are defined once, as the sparse equations of :func:`compatibility_equations`:
-:func:`validate` evaluates them at g's own odd bracket, and the solver in
-:mod:`superbracket.moduli` eliminates them.  Both also share
+are defined once, as the sparse equations of :func:`compatibility_equations`,
+yielded per instance as raw blocks (unknown, [(output, coefficient), ...]).
+:func:`validate` evaluates them at g's own odd bracket in one pass, adding
+each block into one residual per instance with no per-output equation
+dicts; the solver in :mod:`superbracket.moduli` collects the same blocks
+into rows and eliminates them.  Both also share
 :func:`representation_failures`.  :func:`validate` and
 :func:`check_morphism` run these checks on integers: over Q each tensor is
 scaled once by the lcm of its denominators (:func:`clear_denominators`),
@@ -497,10 +500,12 @@ class SuperAlgebra:
 def validate(g: SuperAlgebra) -> ValidationReport:
     """Check every axiom of g's mode; lists all violations, not just the first.
     The relations are the equations the bracket solver eliminates, evaluated
-    at g's own odd bracket.  Over Q they run on integers: the bracket and
-    action are scaled by one common denominator D and the odd bracket by
-    its own D_p (see :func:`clear_denominators`), which multiplies relations
-    1 and 2 and the cubic by D*D_p and the representation check by D**2."""
+    at g's own odd bracket: each instance's blocks are added into one
+    residual, and the instance is violated iff some entry is nonzero.  Over
+    Q they run on integers: the bracket and action are scaled by one common
+    denominator D and the odd bracket by its own D_p (see
+    :func:`clear_denominators`), which multiplies relations 1 and 2 and the
+    cubic by D*D_p and the representation check by D**2."""
     f = g.field
     d0, d1 = g.dim_even, g.dim_odd
     bad: list[Violation] = []
@@ -531,27 +536,23 @@ def validate(g: SuperAlgebra) -> ValidationReport:
     )
 
     if g.mode in ("standard", "char3"):
-        # g's odd bracket as the values of the nonzero unknowns
+        # g's odd bracket as a dense list indexed by unknown (odd_unknowns)
         _, odd = clear_denominators(f, g.odd_bracket)
-        base = odd_unknowns(d0, d1)
-        known = {
-            base[u][v] + x: c
-            for u in range(d1)
-            for v in range(u, d1)
-            for x, c in enumerate(odd[u][v])
-            if c
-        }
+        known = [c for u in range(d1) for v in range(u, d1) for c in odd[u][v]]
         p = f.p if f.kind == "prime" else None
-        for identity, indices, eqs in compatibility_equations(bracket, act, g.mode):
-            for eq in eqs.values():
-                r = None
-                for k, c in eq.items():
-                    b = known.get(k)
-                    if b is not None:
-                        r = c * b if r is None else r + c * b
-                if r is not None and (r % p if p else r):
-                    bad.append(Violation(identity, indices))
-                    break
+        for identity, indices, blocks in compatibility_equations(bracket, act, g.mode):
+            # one residual per instance: relation 2 has even outputs, the
+            # others odd ones.  A sum starts from its first term, since
+            # 0 + Fraction costs a full Fraction addition.
+            r = [None] * (d0 if identity == "relation_2" else d1)
+            for k, col in blocks:
+                b = known[k]
+                if b:
+                    for t, c in col:
+                        s = r[t]
+                        r[t] = b * c if s is None else s + b * c
+            if any(s % p if p else s for s in r if s is not None):
+                bad.append(Violation(identity, indices))
     if g.mode == "char2":
         _check_char2_axiom(g, bad)
 
@@ -649,23 +650,6 @@ def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]
     return bad
 
 
-def _collect(blocks) -> dict:
-    """{output: {unknown: coeff}} summed from blocks (unknown, [(output,
-    coeff), ...]).  Dicts are made on first use and a sum starts from its
-    first term, since 0 + Fraction costs a full Fraction addition."""
-    eqs: dict = {}
-    for k, col in blocks:
-        for t, c in col:
-            eq = eqs.get(t)
-            if eq is None:
-                eqs[t] = {k: c}
-            elif k in eq:
-                eq[k] += c
-            else:
-                eq[k] = c
-    return eqs
-
-
 def compatibility_equations(bracket, act, mode: str = "standard"):
     """The compatibility relations as sparse linear equations in the odd
     bracket: the one definition that :func:`validate` evaluates and
@@ -675,8 +659,11 @@ def compatibility_equations(bracket, act, mode: str = "standard"):
     :func:`action_nonzeros`, as for :func:`representation_failures`; every
     equation is linear in them, so scaling both by D scales it by D.  The
     unknowns are indexed by :func:`odd_unknowns`.  Yields ``(identity,
-    indices, {output: {unknown: coeff}})`` with coefficients not reduced
-    mod p, for every instance that has a term, in this order:
+    indices, blocks)`` for every instance that has a term, where ``blocks``
+    is a list ``[(unknown, [(output, coeff), ...]), ...]``: the instance's
+    equation for output t is the sum over the blocks of coeff * unknown
+    for the pairs at t.  An unknown may recur in several blocks and the
+    coefficients are not reduced mod p; the instances come in this order:
 
     * ``relation_1`` at u <= v <= w (the relation is fully symmetric), one
       equation per odd output t of {f_u,f_v}(f_w) + {f_v,f_w}(f_u) +
@@ -694,36 +681,28 @@ def compatibility_equations(bracket, act, mode: str = "standard"):
     base = odd_unknowns(d0, d1)
     # cols[w]: (x, nonzeros of e_x(f_w)) for every x not killing f_w
     cols = [[(x, act[x][w]) for x in range(d0) if act[x][w]] for w in range(d1)]
-    # ecols[x]: (z, nonzeros (y, coefficient of e_y) of [e_x, e_z])
-    ecols = [
-        [(z, [(y, c) for y, c in enumerate(row) if c]) for z, row in enumerate(plane)]
-        for plane in bracket
-    ]
+    # ecols[x]: (z, nonzeros (y, coefficient of e_y) of [e_x, e_z]) for [e_x, e_z] != 0
+    ecols = [[(z, nz) for z, nz in enumerate(plane) if nz] for plane in action_nonzeros(bracket)]
     # units[x][s]: (w, [((y, -coefficient of f_w in e_x(f_s)),) for each y])
     units = [[[(w, [((y, -a),) for y in range(d0)]) for w, a in col] for col in pl] for pl in act]
     for u in range(d1):
         for v in range(u, d1):
             for w in range(v, d1):
                 rotations = ((u, v, w), (v, w, u), (w, u, v))
-                eqs = _collect(
-                    [(base[a][b] + x, col) for a, b, c in rotations for x, col in cols[c]]
-                )
-                if eqs:
-                    yield "relation_1", (u, v, w), eqs
+                blocks = [(base[a][b] + x, col) for a, b, c in rotations for x, col in cols[c]]
+                if blocks:
+                    yield "relation_1", (u, v, w), blocks
     for x in range(d0):
         for u in range(d1):
             for v in range(u, d1):
-                eqs = _collect(
-                    [(base[u][v] + z, col) for z, col in ecols[x]]
-                    + [
-                        (base[w][c] + y, col)
-                        for s, c in ((u, v), (v, u))
-                        for w, ys in units[x][s]
-                        for y, col in enumerate(ys)
-                    ]
-                )
-                if eqs:
-                    yield "relation_2", (x, u, v), eqs
+                blocks = [(base[u][v] + z, col) for z, col in ecols[x]] + [
+                    (base[w][c] + y, col)
+                    for s, c in ((u, v), (v, u))
+                    for w, ys in units[x][s]
+                    for y, col in enumerate(ys)
+                ]
+                if blocks:
+                    yield "relation_2", (x, u, v), blocks
     if mode != "char3":
         return
     twice = [[(x, [(t, 2 * c) for t, c in col]) for x, col in cw] for cw in cols]
@@ -739,9 +718,9 @@ def compatibility_equations(bracket, act, mode: str = "standard"):
                     terms = ((a, b, twice[b]), (b, b, cols[a]))
                 else:
                     terms = ((a, b, twice[c]), (a, c, twice[b]), (b, c, twice[a]))
-                eqs = _collect([(base[i][j] + x, col) for i, j, cw in terms for x, col in cw])
-                if eqs:
-                    yield "char3_cubic", (a, b, c), eqs
+                blocks = [(base[i][j] + x, col) for i, j, cw in terms for x, col in cw]
+                if blocks:
+                    yield "char3_cubic", (a, b, c), blocks
 
 
 def _odd_action_of_even_vec(g: SuperAlgebra, coeffs, v: int) -> list:

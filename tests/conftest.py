@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
+from superbracket import moduli
 from superbracket import superalgebra as sa
 from superbracket.linalg import Matrix, Vector
 
@@ -123,9 +124,11 @@ def dense_representation_failures(field, bracket, mats):
 
 
 def fraction_validate(g):
-    """validate as it ran before denominators were cleared: every relation
-    evaluated on g's own raw Fraction (or residue) tensors.  Slow reference
-    for superalgebra.validate."""
+    """validate as it ran before denominators were cleared and before it
+    evaluated blocks in one pass: every relation evaluated on g's own raw
+    Fraction (or residue) tensors, each instance's blocks first collected
+    into per-output equations by the solver's moduli._collect.  Slow
+    reference for superalgebra.validate."""
     f = g.field
     d0, d1 = g.dim_even, g.dim_odd
     bad = []
@@ -155,8 +158,8 @@ def fraction_validate(g):
             if c
         }
         p = f.p if f.kind == "prime" else None
-        for identity, indices, eqs in sa.compatibility_equations(g.bracket, act, g.mode):
-            for eq in eqs.values():
+        for identity, indices, blocks in sa.compatibility_equations(g.bracket, act, g.mode):
+            for eq in moduli._collect(blocks).values():
                 r = sum(c * known[k] for k, c in eq.items() if k in known)
                 if r % p if p else r:
                     bad.append(sa.Violation(identity, indices))

@@ -108,6 +108,21 @@ def test_validate_matches_fraction_oracle(field, rng):
             assert not got.ok
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("d1", [12, 24])
+def test_validate_matches_collected_equations_on_dense_documents(field, d1, rng):
+    # osp(1|2) + z in a random graded basis: each output of an instance sums
+    # many blocks, which validate adds into one residual and the oracle first
+    # collects into per-output equations
+    g, _, _ = random_basis(add_centre(build_osp12(field), d1 - 2), rng)
+    assert g.dim_odd == d1
+    assert validate(g).ok and fraction_validate(g).ok
+    bad = perturbed(g, rng)
+    got = validate(bad)
+    assert got.violations == fraction_validate(bad).violations
+    assert not got.ok
+
+
 def test_validate_keeps_the_rational_even_jacobi_detail():
     f = QQ
     g = sl2_algebra(f)

@@ -261,7 +261,7 @@ def test_fraction_free_elimination_matches_dense_oracle(rows):
     red, pivots = _rref_raw(QQ, rows)
     assert (red, pivots) == dense_rref(QQ, rows)
     assert all(type(x) is Fraction for row in red for x in row)
-    basis = _reduce(QQ, ({c: x for c, x in enumerate(r) if x} for r in rows))
+    basis = _reduce(QQ, map(enumerate, rows), n)
     assert sorted(basis) == pivots
     for c, row in basis.items():
         assert row[c] == 1 and all(type(x) is Fraction and x for x in row.values())
@@ -319,7 +319,8 @@ def test_peeling_matches_dense_oracle(field, data):
     basis = sparse_kernel_basis(field, sparse, n)
     assert basis == [Vector(field, v) for v in dense_kernel(field, dense, n)]
     assert sparse == frozen  # the eliminator works on copies
-    forced, left = _peel(copy.deepcopy(sparse))
+    forced, left = _peel([r.items() for r in sparse], n)
+    assert sparse == frozen  # the peel copies each row
     assert chained <= forced
     assert all(len(r) > 1 and not forced & r.keys() for r in left)
 
@@ -329,7 +330,11 @@ def test_sparse_kernel_rejects_columns_out_of_range():
         sparse_kernel_basis(QQ, [{3: Fraction(1)}], 3)
     with pytest.raises(DimensionMismatch):
         sparse_kernel_basis(F5, [{-1: 1}], 3)
+    with pytest.raises(DimensionMismatch):
+        sparse_kernel_basis(F5, [{0: 1, 1: 2}, {2: 1, 3: 4}], 3)
     assert sparse_kernel_basis(F5, [], 2) == [Vector.unit(F5, 2, 0), Vector.unit(F5, 2, 1)]
+    # a zero entry is ignored wherever it sits
+    assert sparse_kernel_basis(F5, [{0: 1, 9: 0}], 2) == [Vector.unit(F5, 2, 1)]
 
 
 # --- the raw-entry contract behind Matrix._from_raw / Vector._from_raw -----------

@@ -181,6 +181,26 @@ def test_validate_matches_naive_oracle_on_perturbations(field, build, z, rng):
     assert failing
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("dim", [1, 2], ids=["V0", "V1"])
+def test_validate_matches_naive_oracle_below_the_even_dimension(field, dim, rng):
+    # d1 < d0 = 3: relation 2 has three even outputs, relation 1 only d1
+    # odd ones, so a residual sized for the odd outputs cannot hold relation 2
+    mats = list(irrep_sum(field, [dim]).matrices())
+    g = module_algebra(field, mats)
+    space = odd_bracket_space_of(g)
+    if space.basis:
+        g = module_algebra(field, mats, [[list(r) for r in pl] for pl in space.basis[-1]])
+    assert g.dim_odd < g.dim_even
+    assert validate(g).ok and naive_violations(g) == []
+    identities = set()
+    for h in perturbations(g, rng, 8):
+        got = [(v.identity, v.indices) for v in validate(h).violations]
+        assert got == naive_violations(h)
+        identities.update(i for i, _ in got)
+    assert "relation_2" in identities
+
+
 def test_validate_matches_naive_oracle_on_the_char3_example(rng):
     g = build_char3_example()
     assert validate(g).ok and naive_violations(g) == []

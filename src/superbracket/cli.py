@@ -78,6 +78,14 @@ field_option = click.option(
 )
 
 
+def _echo(message, err: bool = False, nl: bool = True) -> None:
+    """``click.echo`` to the stream current at this call.  click's default
+    stream is cached per stream in a WeakKeyDictionary whose value for a
+    text stream is that stream itself, which would keep every stream ever
+    captured in-process (an ``io.StringIO`` in place of sys.stdout) alive."""
+    click.echo(message, nl=nl, file=click.get_text_stream("stderr" if err else "stdout"))
+
+
 def _read_document(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -92,12 +100,12 @@ def _load(path: str):
     try:
         return parse_algebra(_read_document(path))
     except SchemaError as exc:
-        click.echo(f"schema error: {exc}", err=True)
+        _echo(f"schema error: {exc}", err=True)
         sys.exit(EXIT_SCHEMA)
 
 
 def _emit(g, metadata=None):
-    click.echo(serialize_algebra(g, metadata), nl=False)
+    _echo(serialize_algebra(g, metadata), nl=False)
 
 
 @click.group()
@@ -113,10 +121,10 @@ def cmd_validate(path):
     g, _ = _load(path)
     report = sa.validate(g)
     if report.ok:
-        click.echo("valid")
+        _echo("valid")
         return
     for violation in report.violations:
-        click.echo(str(violation))
+        _echo(str(violation))
     sys.exit(EXIT_VALIDATION)
 
 
@@ -145,7 +153,7 @@ def cmd_classify(path):
         doc["reason"] = result.reason
     if result.restricted_note:
         doc["restricted"] = result.restricted_note
-    click.echo(json.dumps(doc, indent=2))
+    _echo(json.dumps(doc, indent=2))
     if result.case == "not_applicable":
         sys.exit(EXIT_NOT_APPLICABLE)
     if result.case == "undetermined":
@@ -291,12 +299,12 @@ def construct_assemble(field_text, m, alpha, beta, p_file):
                 (u, v, x, field.parse(c)) for u, v, x, c in raw
             ]
         except (ValueError, TypeError, FieldError) as exc:
-            click.echo(f"schema error: bad --p-file: {exc}", err=True)
+            _echo(f"schema error: bad --p-file: {exc}", err=True)
             sys.exit(EXIT_SCHEMA)
     try:
         g = _sl2_module_algebra(field, m, alpha, beta, entries)
     except AssembleError as exc:
-        click.echo(f"assembly produced an invalid structure:\n{exc}", err=True)
+        _echo(f"assembly produced an invalid structure:\n{exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     _emit(g)
 
@@ -318,11 +326,11 @@ def cmd_pspace(path, mode):
     try:
         space = odd_bracket_space_of(g, mode=mode)
     except UnsupportedMode as exc:
-        click.echo(f"not applicable: {exc}", err=True)
+        _echo(f"not applicable: {exc}", err=True)
         sys.exit(EXIT_NOT_APPLICABLE)
     except NotARepresentation as exc:
         for pair in exc.pairs:
-            click.echo(str(sa.Violation("representation", pair)), err=True)
+            _echo(str(sa.Violation("representation", pair)), err=True)
         sys.exit(EXIT_VALIDATION)
     field = g.field
     basis_entries = []
@@ -335,7 +343,7 @@ def cmd_pspace(path, mode):
             if tensor[u][v][x]
         ]
         basis_entries.append(entries)
-    click.echo(json.dumps({"dim": space.dimension, "basis": basis_entries}, indent=2))
+    _echo(json.dumps({"dim": space.dimension, "basis": basis_entries}, indent=2))
 
 
 @cli.command("decompose")
@@ -355,10 +363,10 @@ def cmd_decompose(path, triple_budget):
         kwargs = {"fp_max": max(13, triple_budget), "q_budget": triple_budget}
     triple = find_sl2_triple(g, **kwargs)
     if isinstance(triple, Undetermined):
-        click.echo(json.dumps({"error": triple.reason}), err=True)
+        _echo(json.dumps({"error": triple.reason}), err=True)
         sys.exit(EXIT_UNDETERMINED)
     if triple is None:
-        click.echo(
+        _echo(
             json.dumps({"error": "even part admits no sl(2)-triple (non-split)"}),
             err=True,
         )
@@ -366,7 +374,7 @@ def cmd_decompose(path, triple_budget):
     rep = RepMatrices.from_algebra(g, triple)
     status = jacobson_test(rep)
     if status == INCONCLUSIVE:
-        click.echo(
+        _echo(
             json.dumps({"error": "complete reducibility is not certified"}),
             err=True,
         )
@@ -393,7 +401,7 @@ def cmd_decompose(path, triple_budget):
             for chain, spec in summands
         ],
     }
-    click.echo(json.dumps(doc, indent=2))
+    _echo(json.dumps(doc, indent=2))
 
 
 @cli.command("info")
@@ -424,7 +432,7 @@ def cmd_info(path):
                 pass
     if meta:
         doc["metadata"] = meta
-    click.echo(json.dumps(doc, indent=2))
+    _echo(json.dumps(doc, indent=2))
 
 
 @cli.command("sweep")
@@ -444,7 +452,7 @@ def cmd_sweep(field_text, max_odd_dim, output):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     if output == "json":
-        click.echo(
+        _echo(
             json.dumps(
                 [
                     {"p": r.p, "composition": list(r.composition), "dim": r.dimension}
@@ -454,16 +462,16 @@ def cmd_sweep(field_text, max_odd_dim, output):
             )
         )
         return
-    click.echo("p,composition,dim")
+    _echo("p,composition,dim")
     for r in rows:
-        click.echo(f"{r.p},{'+'.join(map(str, r.composition))},{r.dimension}")
+        _echo(f"{r.p},{'+'.join(map(str, r.composition))},{r.dimension}")
 
 
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        _echo(f"usage error: {exc.format_message()}", err=True)
         sys.exit(EXIT_USAGE)
     except click.ClickException as exc:
         exc.show()

@@ -20,10 +20,21 @@ them into sparse rows ``{unknown: coefficient}`` (:func:`_rows`, one row
 per output); each row is reduced mod p once, without its zero entries, and
 the rows go straight to :func:`~superbracket.linalg.sparse_kernel_basis`.
 Most of those rows have a single entry: they force an unknown to vanish.
-The eliminator peels them before it pivots, as structured Gaussian
-elimination does (LaMacchia and Odlyzko, CRYPTO 1990), deleting each forced
-unknown from the other rows and peeling the rows that shrink to one entry
-in turn, so only a small remainder is pivoted.  A naive all-triples dense
+Most of these singletons are relation-2 instances that force a
+weight-incompatible coefficient to zero, so the solver collects the
+relation-2 instances before the others and keeps the set of *dead*
+unknowns: the columns of the single-entry rows collected so far.  It drops every block of a dead unknown from an instance
+before collecting it, and a row that shrinks to one entry kills its own
+unknown in turn.  The unit row of each dead unknown is itself among the
+rows passed on, so dropping that unknown elsewhere changes no row span:
+the reduced row echelon form and the kernel stay the same, from about a
+quarter of the rows (7,287 instead of 27,273 for the 65 F_7 sweep systems).
+The eliminator then peels the singletons before it pivots, as structured
+Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO 1990), deleting
+each forced unknown from the other rows and peeling the rows that shrink
+to one entry in turn, so only a small remainder is pivoted.  The rows
+reach it in the generator's order, relation 1 first, because fraction-free
+pivoting depends on row order.  A naive all-triples dense
 assembly, solved by a dense Gauss-Jordan, is kept in the test suite as an
 oracle for this deduplication.
 """
@@ -118,6 +129,14 @@ def _rows(blocks, p: int | None) -> Iterator[dict]:
             yield eq
 
 
+def _live_rows(blocks, dead: set, p: int | None) -> list[dict]:
+    """:func:`_rows` of one instance without the blocks of the ``dead``
+    unknowns; each row left with one entry adds its unknown to ``dead``."""
+    rows = list(_rows([b for b in blocks if b[0] not in dead], p))
+    dead.update(k for row in rows if len(row) == 1 for k in row)
+    return rows
+
+
 def odd_bracket_space(
     field: Field,
     even_bracket,
@@ -148,8 +167,19 @@ def odd_bracket_space(
     if failures:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
-    instances = compatibility_equations(bracket, act, mode)
-    rows = [row for _, _, blocks in instances for row in _rows(blocks, p)]
+    dead: set[int] = set()
+    held, rows, cubic = [], [], []
+    for identity, _, blocks in compatibility_equations(bracket, act, mode):
+        if identity == "relation_1":
+            held.append(blocks)  # collected once relation 2 has killed its unknowns
+        elif identity == "relation_2":
+            rows += _live_rows(blocks, dead, p)
+        else:
+            cubic += _live_rows(blocks, dead, p)
+    # The rows keep the generator's order, since fraction-free pivoting
+    # depends on it: relation-2 rows first make sl(2) + (4,3,2,1) in a
+    # random basis over Q about ten times slower.
+    rows = [row for blocks in held for row in _live_rows(blocks, dead, p)] + rows + cubic
     base = odd_unknowns(d0, d1)
     basis = []
     for flat in sparse_kernel_basis(field, rows, d0 * d1 * (d1 + 1) // 2):

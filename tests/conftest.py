@@ -48,6 +48,18 @@ def random_invertible(field, n, rng, span=4):
             return m
 
 
+def random_monomial(field, n, rng):
+    """Random permutation times nonzero scalars: a change of basis that
+    keeps every system as sparse and shuffles its columns."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if field.kind == "prime":
+        scalars = [rng.randrange(1, field.p) for _ in range(n)]
+    else:
+        scalars = [Fraction(rng.choice((1, -1, 2, -2)), rng.randint(1, 3)) for _ in range(n)]
+    return Matrix(field, [[scalars[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+
+
 def random_graded_change(g, rng):
     """Random invertible graded basis change for a superalgebra."""
     return (

@@ -1,9 +1,14 @@
-"""End-to-end CLI tests: real subprocesses, pinned exit codes."""
+"""End-to-end CLI tests: real subprocesses, pinned exit codes, and the
+streams of in-process ``cli.main`` calls."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -242,3 +247,30 @@ def test_classify_preserves_metadata_free_round_trip():
     doc["metadata"] = {"name": "osp12", "source": "builder"}
     redone = run_cli("construct", "add-centre", "-", "--z", "0", stdin=json.dumps(doc))
     assert json.loads(redone.stdout)["metadata"] == doc["metadata"]
+
+
+def test_in_process_calls_release_captured_streams(tmp_path):
+    # click.echo's default stream is cached in a WeakKeyDictionary whose
+    # value for a StringIO is the StringIO itself, so a captured stream
+    # written through that default would never die
+    from superbracket import cli
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    refs = []
+    for argv in (
+        ["sweep", "--field", "fp:5", "--max-odd-dim", "2"],
+        ["validate", str(bad)],
+        ["sweep", "--field", "fp:4"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.main(argv)
+            except SystemExit:
+                pass
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_kernel, random_invertible
+from conftest import dense_kernel, random_invertible, random_monomial
 
 from superbracket import moduli
 from superbracket.classify import classify
@@ -22,6 +22,7 @@ from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
     SuperAlgebra,
     action_nonzeros,
+    compatibility_equations,
     representation_failures,
     validate,
 )
@@ -180,12 +181,18 @@ def test_deduplicated_system_matches_naive_assembly(dims):
 @pytest.mark.parametrize("field", [QQ, F7, GF(10**9 + 7)], ids=str)
 @pytest.mark.parametrize("dims", [(2,), (3, 1), (2, 1, 1), (2, 2), (4, 1)])
 def test_sparse_assembly_matches_naive_oracle(field, dims, rng):
-    # standard bases, then the module conjugated so the action is dense
+    # standard bases, then the module conjugated so the action is dense,
+    # then in a monomial basis, where the solver's dead unknowns grow in a
+    # shuffled column order
     even = sl2_algebra(field)
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
     )
-    for module in (rep, rep.conjugated(random_invertible(field, rep.dim, rng))):
+    for module in (
+        rep,
+        rep.conjugated(random_invertible(field, rep.dim, rng)),
+        rep.conjugated(random_monomial(field, rep.dim, rng)),
+    ):
         mats = list(module.matrices())
         space = odd_bracket_space(field, even.bracket, mats)
         assert flatten(space) == naive_space(field, even.bracket, mats)
@@ -220,6 +227,42 @@ def test_assembled_rows_hold_nonzero_raw_entries(field, rng, monkeypatch):
                 assert type(x) is int and 0 < x < field.p
 
 
+@pytest.mark.parametrize(
+    "field,dims,mode",
+    [(F7, (5, 3, 3, 1), "standard"), (QQ, (4, 3, 2, 1), "standard"), (GF(3), (3, 2, 1), "char3")],
+    ids=str,
+)
+def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng, monkeypatch):
+    # the solver leaves out the blocks of unknowns already forced to zero by
+    # a single-entry row: far fewer rows, the same row span as every
+    # instance collected in full
+    seen = []
+    real = moduli.sparse_kernel_basis
+
+    def spy(f, rows, n_cols):
+        seen.append(rows)
+        return real(f, rows, n_cols)
+
+    monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
+    even = sl2_algebra(field)
+    rep = RepMatrices.direct_sum(
+        [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
+    )
+    mats = list(rep.conjugated(random_monomial(field, rep.dim, rng)).matrices())
+    odd_bracket_space(field, even.bracket, mats, mode=mode)
+    (rows,) = seen
+    act = action_nonzeros([m.transpose().data for m in mats])
+    p = field.p if field.kind == "prime" else None
+    full = [
+        row
+        for _, _, blocks in compatibility_equations(even.bracket, act, mode)
+        for row in moduli._rows(blocks, p)
+    ]
+    n = len(even.bracket) * rep.dim * (rep.dim + 1) // 2
+    assert real(field, rows, n) == real(field, full, n)
+    assert 3 * len(rows) < len(full)
+
+
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (3, 1), (2, 2)])
 def test_char3_assembly_matches_naive_oracle(dims, rng):
     f3 = GF(3)
@@ -227,7 +270,11 @@ def test_char3_assembly_matches_naive_oracle(dims, rng):
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(f3, d - 1), f3) for d in dims]
     )
-    for module in (rep, rep.conjugated(random_invertible(f3, rep.dim, rng))):
+    for module in (
+        rep,
+        rep.conjugated(random_invertible(f3, rep.dim, rng)),
+        rep.conjugated(random_monomial(f3, rep.dim, rng)),
+    ):
         mats = list(module.matrices())
         space = odd_bracket_space(f3, even.bracket, mats, mode="char3")
         assert flatten(space) == naive_space(f3, even.bracket, mats, mode="char3")

@@ -86,6 +86,26 @@ def _echo(message, err: bool = False, nl: bool = True) -> None:
     click.echo(message, nl=nl, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
+def _show_help(ctx, param, value) -> None:
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """--help through :func:`_echo`, not click's cached default stream."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class, group_class = _Command, type  # subgroups are _Group too
+
+
 def _read_document(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -108,7 +128,7 @@ def _emit(g, metadata=None):
     _echo(serialize_algebra(g, metadata), nl=False)
 
 
-@click.group()
+@click.group(cls=_Group)
 def cli():
     """Exact construction, validation and classification of Lie
     superalgebras with three-dimensional simple even part."""

@@ -13,20 +13,21 @@ numerics, just exact row reduction.
 The equations are :func:`~superbracket.superalgebra.compatibility_equations`,
 the one definition of the relations, which
 :func:`~superbracket.superalgebra.validate` evaluates at a given odd bracket:
-deduplicated by symmetric index pattern and yielded, per instance, as raw
-blocks (unknown, [(output, coefficient), ...]) from the nonzeros of the
-action and the even bracket.  The solver is the one place that collects
-them into sparse rows ``{unknown: coefficient}`` (:func:`_rows`, one row
-per output); each row is reduced mod p once, without its zero entries, and
-the rows go straight to :func:`~superbracket.linalg.sparse_kernel_basis`.
-Most of those rows have a single entry: they force an unknown to vanish.
-Most of these singletons are relation-2 instances that force a
-weight-incompatible coefficient to zero, so the solver collects the
-relation-2 instances before the others and keeps the set of *dead*
-unknowns: the columns of the single-entry rows collected so far.  It drops every block of a dead unknown from an instance
-before collecting it, and a row that shrinks to one entry kills its own
-unknown in turn.  The unit row of each dead unknown is itself among the
-rows passed on, so dropping that unknown elsewhere changes no row span:
+deduplicated by symmetric index pattern and yielded, per instance, as terms
+(base, group), where unknown base + i carries the column group[i] of
+(output, coefficient) pairs, built from the nonzeros of the action and the
+even bracket.  The solver is the one place that collects them into sparse
+rows ``{unknown: coefficient}`` (:func:`_rows`, one row per output); each
+row is reduced mod p once, without its zero entries, and the rows go
+straight to :func:`~superbracket.linalg.sparse_kernel_basis`.  Most of
+those rows have a single entry: they force an unknown to vanish.  Most of
+these singletons are relation-2 instances that force a weight-incompatible
+coefficient to zero, so the solver collects the relation-2 instances
+before the others and keeps the set of *dead* unknowns: the columns of the
+single-entry rows collected so far.  Walking an instance's terms, it skips
+every dead unknown (:func:`_collect`), and a row that shrinks to one entry
+kills its own unknown in turn.  The unit row of each dead unknown is itself
+among the rows passed on, so dropping that unknown elsewhere changes no row span:
 the reduced row echelon form and the kernel stay the same, from about a
 quarter of the rows (7,287 instead of 27,273 for the 65 F_7 sweep systems).
 The eliminator then peels the singletons before it pivots, as structured
@@ -86,7 +87,7 @@ class OddBracketSpace:
 
 
 class UnsupportedMode(ValueError):
-    """The solver has no linear system for this axiom mode (char2)."""
+    """The solver has not been extended to this axiom mode (char2)."""
 
 
 class NotARepresentation(ValueError):
@@ -100,27 +101,32 @@ class NotARepresentation(ValueError):
         self.pairs = tuple(pairs)
 
 
-def _collect(blocks) -> dict:
-    """{output: {unknown: coeff}} summed from blocks (unknown, [(output,
-    coeff), ...]).  Dicts are made on first use and a sum starts from its
-    first term, since 0 + Fraction costs a full Fraction addition."""
+def _collect(terms, dead=frozenset()) -> dict:
+    """{output: {unknown: coeff}} summed from one instance's terms (base,
+    group) without the ``dead`` unknowns.  Dicts are made on first use and a
+    sum starts from its first term, since 0 + Fraction costs a full Fraction
+    addition."""
     eqs: dict = {}
-    for k, col in blocks:
-        for t, c in col:
-            eq = eqs.get(t)
-            if eq is None:
-                eqs[t] = {k: c}
-            elif k in eq:
-                eq[k] += c
-            else:
-                eq[k] = c
+    for base, group in terms:
+        for k, col in enumerate(group, base):
+            if k in dead:
+                continue
+            for t, c in col:
+                eq = eqs.get(t)
+                if eq is None:
+                    eqs[t] = {k: c}
+                elif k in eq:
+                    eq[k] += c
+                else:
+                    eq[k] = c
     return eqs
 
 
-def _rows(blocks, p: int | None) -> Iterator[dict]:
-    """One instance's rows: its blocks collected into one equation per
-    output, each reduced mod p once and without its zero entries."""
-    for eq in _collect(blocks).values():
+def _rows(terms, p: int | None, dead=frozenset()) -> Iterator[dict]:
+    """One instance's rows: its terms collected into one equation per output
+    without the ``dead`` unknowns, each reduced mod p once and without its
+    zero entries."""
+    for eq in _collect(terms, dead).values():
         if p:
             eq = {k: c % p for k, c in eq.items() if c % p}
         else:
@@ -129,10 +135,10 @@ def _rows(blocks, p: int | None) -> Iterator[dict]:
             yield eq
 
 
-def _live_rows(blocks, dead: set, p: int | None) -> list[dict]:
-    """:func:`_rows` of one instance without the blocks of the ``dead``
-    unknowns; each row left with one entry adds its unknown to ``dead``."""
-    rows = list(_rows([b for b in blocks if b[0] not in dead], p))
+def _live_rows(terms, dead: set, p: int | None) -> list[dict]:
+    """:func:`_rows` of one instance without the ``dead`` unknowns; each row
+    left with one entry adds its unknown to ``dead``."""
+    rows = list(_rows(terms, p, dead))
     dead.update(k for row in rows if len(row) == 1 for k in row)
     return rows
 
@@ -169,17 +175,17 @@ def odd_bracket_space(
     p = field.p if field.kind == "prime" else None
     dead: set[int] = set()
     held, rows, cubic = [], [], []
-    for identity, _, blocks in compatibility_equations(bracket, act, mode):
+    for identity, _, terms in compatibility_equations(bracket, act, mode):
         if identity == "relation_1":
-            held.append(blocks)  # collected once relation 2 has killed its unknowns
+            held.append(terms)  # collected once relation 2 has killed its unknowns
         elif identity == "relation_2":
-            rows += _live_rows(blocks, dead, p)
+            rows += _live_rows(terms, dead, p)
         else:
-            cubic += _live_rows(blocks, dead, p)
+            cubic += _live_rows(terms, dead, p)
     # The rows keep the generator's order, since fraction-free pivoting
     # depends on it: relation-2 rows first make sl(2) + (4,3,2,1) in a
     # random basis over Q about ten times slower.
-    rows = [row for blocks in held for row in _live_rows(blocks, dead, p)] + rows + cubic
+    rows = [row for terms in held for row in _live_rows(terms, dead, p)] + rows + cubic
     base = odd_unknowns(d0, d1)
     basis = []
     for flat in sparse_kernel_basis(field, rows, d0 * d1 * (d1 + 1) // 2):

@@ -18,16 +18,19 @@ property, and the two compatibility relations of the odd bracket).
 monomial as a cubic polynomial map, since in characteristic 3 that identity
 is strictly stronger than the symmetric trilinear relation.  ``char2``
 replaces the odd bracket by a squaring map v -> v^2 (the odd bracket is its
-polarization) and validates {x^2, y} = {x, {x, y}} for all y, again per
-monomial in the coordinates of x.
+polarization, which the constructor enforces) and validates
+{x^2, y} = {x, {x, y}} for all y, again per monomial in the coordinates of x.
 
-The two relations and the cubic identity are linear in the odd bracket and
-are defined once, as the sparse equations of :func:`compatibility_equations`,
-yielded per instance as raw blocks (unknown, [(output, coefficient), ...]).
-:func:`validate` evaluates them at g's own odd bracket in one pass, adding
-each block into one residual per instance with no per-output equation
-dicts; the solver in :mod:`superbracket.moduli` collects the same blocks
-into rows and eliminates them.  Both also share
+The two relations, the cubic identity and the squaring axiom are linear in
+the odd bracket (the last in the squaring) and are defined once, as the
+sparse equations of :func:`compatibility_equations`, yielded per instance
+as terms (base, group): unknown base + i carries the column group[i] of
+(output, coefficient) pairs, and the groups are shared per-column lists
+built once from the nonzeros of the action and the even bracket.
+:func:`validate` evaluates them at g's own odd bracket, or at its squaring,
+in one pass, adding each term into one residual per instance with no
+per-output equation dicts; the solver in :mod:`superbracket.moduli`
+collects the same terms into rows and eliminates them.  Both also share
 :func:`representation_failures`.  :func:`validate` and
 :func:`check_morphism` run these checks on integers: over Q each tensor is
 scaled once by the lcm of its denominators (:func:`clear_denominators`),
@@ -179,6 +182,17 @@ class SuperAlgebra:
         self.odd_bracket = _freeze3(odd_bracket)
         self.squaring = _freeze3(squaring) if squaring is not None else None
         self._check_shapes()
+        if mode == "char2":
+            # validate reads only the squaring, so the odd bracket must be its
+            # polarization: {f_v, f_w} = S(v,w) for v < w and {f_v, f_v} = 0
+            zero = (field.zero(),) * dim_even
+            p, s = self.odd_bracket, self.squaring
+            if any(
+                not p[v][w] == p[w][v] == (s[v][w] if v < w else zero)
+                for v in range(dim_odd)
+                for w in range(v, dim_odd)
+            ):
+                raise ShapeError("char2 mode needs the odd bracket to polarize the squaring")
 
     def _check_shapes(self):
         d0, d1 = self.dim_even, self.dim_odd
@@ -465,10 +479,8 @@ class SuperAlgebra:
         ]
         sq = None
         if self.mode == "char2":
-            sq = [
-                [list(self.squaring[idx[u]][idx[v]]) for v in range(d1)]
-                for u in range(d1)
-            ]
+            # the squaring is stored for v <= w only, and idx need not be sorted
+            sq = [[list(self.squaring[min(a, b)][max(a, b)]) for b in idx] for a in idx]
         return SuperAlgebra.from_tensors(
             f, self.bracket, a, p, mode=self.mode, squaring=sq
         )
@@ -499,13 +511,14 @@ class SuperAlgebra:
 
 def validate(g: SuperAlgebra) -> ValidationReport:
     """Check every axiom of g's mode; lists all violations, not just the first.
-    The relations are the equations the bracket solver eliminates, evaluated
-    at g's own odd bracket: each instance's blocks are added into one
-    residual, and the instance is violated iff some entry is nonzero.  Over
-    Q they run on integers: the bracket and action are scaled by one common
-    denominator D and the odd bracket by its own D_p (see
-    :func:`clear_denominators`), which multiplies relations 1 and 2 and the
-    cubic by D*D_p and the representation check by D**2."""
+    The relations are the equations of :func:`compatibility_equations`,
+    evaluated at g's own odd bracket, or at its squaring in char2 mode:
+    each instance's terms are added into one residual, and the instance is
+    violated iff some entry is nonzero.  Over Q they run on integers: the
+    bracket and action are scaled by one common denominator D and the odd
+    bracket by its own D_p (see :func:`clear_denominators`), which
+    multiplies relations 1 and 2 and the cubic by D*D_p and the
+    representation check by D**2."""
     f = g.field
     d0, d1 = g.dim_even, g.dim_odd
     bad: list[Violation] = []
@@ -535,26 +548,25 @@ def validate(g: SuperAlgebra) -> ValidationReport:
         for pair in representation_failures(f, bracket, act)
     )
 
-    if g.mode in ("standard", "char3"):
-        # g's odd bracket as a dense list indexed by unknown (odd_unknowns)
-        _, odd = clear_denominators(f, g.odd_bracket)
-        known = [c for u in range(d1) for v in range(u, d1) for c in odd[u][v]]
-        p = f.p if f.kind == "prime" else None
-        for identity, indices, blocks in compatibility_equations(bracket, act, g.mode):
-            # one residual per instance: relation 2 has even outputs, the
-            # others odd ones.  A sum starts from its first term, since
-            # 0 + Fraction costs a full Fraction addition.
-            r = [None] * (d0 if identity == "relation_2" else d1)
-            for k, col in blocks:
-                b = known[k]
+    # the unknowns' values as a dense list indexed by odd_unknowns: g's odd
+    # bracket, or in char2 mode the squaring it polarizes
+    _, odd = clear_denominators(f, g.squaring if g.mode == "char2" else g.odd_bracket)
+    known = [c for u in range(d1) for v in range(u, d1) for c in odd[u][v]]
+    p = f.p if f.kind == "prime" else None
+    for identity, indices, terms in compatibility_equations(bracket, act, g.mode):
+        # one residual per instance, over the even outputs for relation 2 and
+        # the even squaring instances, the odd ones otherwise.  A sum starts
+        # from its first term, since 0 + Fraction costs a full Fraction addition.
+        r = [None] * (d0 if identity == "relation_2" or indices[0] == "even" else d1)
+        for k, group in terms:
+            for i, col in enumerate(group, k):
+                b = known[i]
                 if b:
                     for t, c in col:
                         s = r[t]
                         r[t] = b * c if s is None else s + b * c
-            if any(s % p if p else s for s in r if s is not None):
-                bad.append(Violation(identity, indices))
-    if g.mode == "char2":
-        _check_char2_axiom(g, bad)
+        if any(s % p if p else s for s in r if s is not None):
+            bad.append(Violation(identity, indices))
 
     return ValidationReport(tuple(bad))
 
@@ -651,146 +663,104 @@ def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]
 
 
 def compatibility_equations(bracket, act, mode: str = "standard"):
-    """The compatibility relations as sparse linear equations in the odd
-    bracket: the one definition that :func:`validate` evaluates and
+    """The axiom relations that are linear in the odd bracket (or, in mode
+    "char2", in the squaring) as sparse linear equations: the one definition
+    that :func:`validate` evaluates and
     :func:`superbracket.moduli.odd_bracket_space` eliminates.
 
     ``bracket`` is the even tensor and ``act`` the action's nonzeros from
     :func:`action_nonzeros`, as for :func:`representation_failures`; every
     equation is linear in them, so scaling both by D scales it by D.  The
     unknowns are indexed by :func:`odd_unknowns`.  Yields ``(identity,
-    indices, blocks)`` for every instance that has a term, where ``blocks``
-    is a list ``[(unknown, [(output, coeff), ...]), ...]``: the instance's
-    equation for output t is the sum over the blocks of coeff * unknown
-    for the pairs at t.  An unknown may recur in several blocks and the
-    coefficients are not reduced mod p; the instances come in this order:
+    indices, terms)`` for every instance that has a term, where ``terms``
+    is a list ``[(base, group), ...]``: unknown ``base + i`` carries the
+    column ``group[i]``, a list ``[(output, coeff), ...]`` (possibly empty).
+    The instance's equation for output t is the sum over the terms and i of
+    coeff * unknown for the pairs at t.  Groups are shared between terms
+    and instances, an unknown may recur in several terms, and the
+    coefficients are not reduced mod p.  Modes "standard" and "char3" give,
+    in this order:
 
     * ``relation_1`` at u <= v <= w (the relation is fully symmetric), one
       equation per odd output t of {f_u,f_v}(f_w) + {f_v,f_w}(f_u) +
-      {f_w,f_u}(f_v) = 0;
+      {f_w,f_u}(f_v) = 0, at most three terms;
     * ``relation_2`` at (x, u <= v), one equation per even output y of
-      [e_x, {f_u,f_v}] - {e_x(f_u), f_v} - {f_u, e_x(f_v)} = 0;
+      [e_x, {f_u,f_v}] - {e_x(f_u), f_v} - {f_u, e_x(f_v)} = 0: one term
+      for the bracket and one per nonzero of e_x(f_u) and of e_x(f_v);
     * mode "char3" only, ``char3_cubic`` at a <= b <= c: the coefficient of
       t_a t_b t_c in {x,{x,x}} (x = sum t f), the sum of {f_i,f_j}(f_k) over
       the arrangements of {a,b,c}.  Only the diagonal a = b = c adds to the
       trilinear relation in characteristic 3, but every monomial is emitted
       so that a violation names its own pattern.
+
+    Mode "char2" gives only ``char2_square``, the coefficient of t_v t_w in
+    {x^2, y} = {x, {x, y}} (x = sum t f), in the squaring S: for v <= w,
+    first at ``("even", y, v, w)`` for each even y, one equation per even
+    output, of [S(v,w), e_y] against the sum of {f_a, e_y(f_b)} over the
+    orderings (a, b) of {v, w}; then at ``("odd", y, v, w)`` for each odd
+    y, one equation per odd output, of S(v,w)(f_y) against the sum of
+    {f_b, f_y}(f_a).  The odd bracket is the polarization of S, so
+    {f_a, f_b} is the unknown S(a,b) for a != b and the diagonal {f_a, f_a}
+    vanishes.  Signs do not matter in characteristic 2, so the shared
+    groups serve both sides as they are.
     """
     d0 = len(bracket)
     d1 = len(act[0]) if act else 0
     base = odd_unknowns(d0, d1)
-    # cols[w]: (x, nonzeros of e_x(f_w)) for every x not killing f_w
-    cols = [[(x, act[x][w]) for x in range(d0) if act[x][w]] for w in range(d1)]
-    # ecols[x]: (z, nonzeros (y, coefficient of e_y) of [e_x, e_z]) for [e_x, e_z] != 0
-    ecols = [[(z, nz) for z, nz in enumerate(plane) if nz] for plane in action_nonzeros(bracket)]
+    # cols[w][x]: nonzeros of e_x(f_w)
+    cols = [[act[x][w] for x in range(d0)] for w in range(d1)]
+    # ecols[x][z]: nonzeros (y, coefficient of e_y) of [e_x, e_z]
+    ecols = action_nonzeros(bracket)
+    live, elive = [any(grp) for grp in cols], [any(grp) for grp in ecols]
     # units[x][s]: (w, [((y, -coefficient of f_w in e_x(f_s)),) for each y])
     units = [[[(w, [((y, -a),) for y in range(d0)]) for w, a in col] for col in pl] for pl in act]
+    if mode == "char2":
+        for v in range(d1):
+            for w in range(v, d1):
+                orderings = ((v, w), (w, v)) if v < w else ((v, v),)
+                for y in range(d0):
+                    terms = [(base[v][w], ecols[y])] if elive[y] else []
+                    terms += [(base[a][s], ys) for a, b in orderings for s, ys in units[y][b] if s != a]
+                    if terms:
+                        yield "char2_square", ("even", y, v, w), terms
+                for y in range(d1):
+                    terms = [(base[v][w], cols[y])] if live[y] else []
+                    terms += [(base[b][y], cols[a]) for a, b in orderings if b != y and live[a]]
+                    if terms:
+                        yield "char2_square", ("odd", y, v, w), terms
+        return
     for u in range(d1):
         for v in range(u, d1):
             for w in range(v, d1):
                 rotations = ((u, v, w), (v, w, u), (w, u, v))
-                blocks = [(base[a][b] + x, col) for a, b, c in rotations for x, col in cols[c]]
-                if blocks:
-                    yield "relation_1", (u, v, w), blocks
+                terms = [(base[a][b], cols[c]) for a, b, c in rotations if live[c]]
+                if terms:
+                    yield "relation_1", (u, v, w), terms
     for x in range(d0):
         for u in range(d1):
             for v in range(u, d1):
-                blocks = [(base[u][v] + z, col) for z, col in ecols[x]] + [
-                    (base[w][c] + y, col)
-                    for s, c in ((u, v), (v, u))
-                    for w, ys in units[x][s]
-                    for y, col in enumerate(ys)
-                ]
-                if blocks:
-                    yield "relation_2", (x, u, v), blocks
+                terms = [(base[u][v], ecols[x])] if elive[x] else []
+                terms += [(base[w][c], ys) for s, c in ((u, v), (v, u)) for w, ys in units[x][s]]
+                if terms:
+                    yield "relation_2", (x, u, v), terms
     if mode != "char3":
         return
-    twice = [[(x, [(t, 2 * c) for t, c in col]) for x, col in cw] for cw in cols]
+    twice = [[[(t, 2 * c) for t, c in col] for col in cw] for cw in cols]
     for a in range(d1):
         for b in range(a, d1):
             for c in range(b, d1):
-                # (i, j, cols of f_k) for each {f_i,f_j}(f_k), with its multiplicity
+                # (i, j, k, group of f_k) for each {f_i,f_j}(f_k), with its multiplicity
                 if a == b == c:
-                    terms = ((a, a, cols[a]),)
+                    terms = ((a, a, a, cols[a]),)
                 elif a == b:
-                    terms = ((a, a, cols[c]), (a, c, twice[a]))
+                    terms = ((a, a, c, cols[c]), (a, c, a, twice[a]))
                 elif b == c:
-                    terms = ((a, b, twice[b]), (b, b, cols[a]))
+                    terms = ((a, b, b, twice[b]), (b, b, a, cols[a]))
                 else:
-                    terms = ((a, b, twice[c]), (a, c, twice[b]), (b, c, twice[a]))
-                blocks = [(base[i][j] + x, col) for i, j, cw in terms for x, col in cw]
-                if blocks:
-                    yield "char3_cubic", (a, b, c), blocks
-
-
-def _odd_action_of_even_vec(g: SuperAlgebra, coeffs, v: int) -> list:
-    """Raw coordinates of (sum_x coeffs[x] e_x)(f_v)."""
-    f = g.field
-    out = [f.zero()] * g.dim_odd
-    for x, cx in enumerate(coeffs):
-        if not cx:
-            continue
-        row = g.action[x][v]
-        for w in range(g.dim_odd):
-            if row[w]:
-                out[w] = f.add(out[w], f.mul(cx, row[w]))
-    return out
-
-
-def _check_char2_axiom(g: SuperAlgebra, bad: list):
-    """{x^2, y} = {x, {x, y}} for all odd x and basis y, per monomial in x."""
-    f = g.field
-    d0, d1 = g.dim_even, g.dim_odd
-
-    def sq(v, w):
-        a, b = (v, w) if v <= w else (w, v)
-        return g.squaring[a][b]
-
-    for v in range(d1):
-        for w in range(v, d1):
-            # even y: [x^2, e_y] vs {f_v,{f_w,e_y}} symmetrized
-            for y in range(d0):
-                lhs = [f.zero()] * d0
-                for z in range(d0):
-                    sz = sq(v, w)[z]
-                    if sz:
-                        row = g.bracket[z][y]
-                        for k in range(d0):
-                            if row[k]:
-                                lhs[k] = f.add(lhs[k], f.mul(sz, row[k]))
-                if v == w:
-                    rhs = _pair_with_action(g, v, y, v)
-                else:
-                    r1 = _pair_with_action(g, v, y, w)
-                    r2 = _pair_with_action(g, w, y, v)
-                    rhs = [f.add(a_, b_) for a_, b_ in zip(r1, r2)]
-                if any(f.sub(a_, b_) for a_, b_ in zip(lhs, rhs)):
-                    bad.append(Violation("char2_square", ("even", y, v, w)))
-            # odd y: x^2(f_y) vs {f_v, {f_w, f_y}} symmetrized
-            for y in range(d1):
-                lhs = _odd_action_of_even_vec(g, sq(v, w), y)
-                if v == w:
-                    rhs = _odd_action_of_even_vec(g, g.odd_bracket[v][y], v)
-                else:
-                    r1 = _odd_action_of_even_vec(g, g.odd_bracket[w][y], v)
-                    r2 = _odd_action_of_even_vec(g, g.odd_bracket[v][y], w)
-                    rhs = [f.add(a_, b_) for a_, b_ in zip(r1, r2)]
-                if any(f.sub(a_, b_) for a_, b_ in zip(lhs, rhs)):
-                    bad.append(Violation("char2_square", ("odd", y, v, w)))
-
-
-def _pair_with_action(g: SuperAlgebra, u: int, y: int, v: int) -> list:
-    """Raw even coordinates of {f_u, e_y(f_v)}."""
-    f = g.field
-    out = [f.zero()] * g.dim_even
-    for w in range(g.dim_odd):
-        c = g.action[y][v][w]
-        if c:
-            row = g.odd_bracket[u][w]
-            for k in range(g.dim_even):
-                if row[k]:
-                    out[k] = f.add(out[k], f.mul(c, row[k]))
-    return out
+                    terms = ((a, b, c, twice[c]), (a, c, b, twice[b]), (b, c, a, twice[a]))
+                terms = [(base[i][j], grp) for i, j, k, grp in terms if live[k]]
+                if terms:
+                    yield "char3_cubic", (a, b, c), terms
 
 
 # --- supercentre, spans, simplicity -----------------------------------------

@@ -137,10 +137,11 @@ def dense_representation_failures(field, bracket, mats):
 
 def fraction_validate(g):
     """validate as it ran before denominators were cleared and before it
-    evaluated blocks in one pass: every relation evaluated on g's own raw
-    Fraction (or residue) tensors, each instance's blocks first collected
-    into per-output equations by the solver's moduli._collect.  Slow
-    reference for superalgebra.validate."""
+    evaluated terms in one pass: every relation evaluated on g's own raw
+    Fraction (or residue) tensors, each instance's terms first collected
+    into per-output equations by the solver's moduli._collect, and the
+    char2 axiom by naive_char2_violations.  Slow reference for
+    superalgebra.validate."""
     f = g.field
     d0, d1 = g.dim_even, g.dim_odd
     bad = []
@@ -170,15 +171,46 @@ def fraction_validate(g):
             if c
         }
         p = f.p if f.kind == "prime" else None
-        for identity, indices, blocks in sa.compatibility_equations(g.bracket, act, g.mode):
-            for eq in moduli._collect(blocks).values():
+        for identity, indices, terms in sa.compatibility_equations(g.bracket, act, g.mode):
+            for eq in moduli._collect(terms).values():
                 r = sum(c * known[k] for k, c in eq.items() if k in known)
                 if r % p if p else r:
                     bad.append(sa.Violation(identity, indices))
                     break
     if g.mode == "char2":
-        sa._check_char2_axiom(g, bad)
+        bad += [sa.Violation(identity, t) for identity, t in naive_char2_violations(g)]
     return sa.ValidationReport(tuple(bad))
+
+
+def naive_char2_violations(g):
+    """("char2_square", (sector, y, v, w)) for every monomial t_v t_w (v <= w)
+    at which {x^2, y} - {x, {x, y}} (x = sum t f) has a nonzero coefficient,
+    for the even y and then the odd y, from square_vec, act_vec,
+    odd_bracket_vec and even_bracket_vec on unit vectors: the value at
+    x = f_v, or at x = f_v + f_w minus the values at f_v and f_w.  In
+    characteristic 2, {x, e} = [e, x] = e(x) and every sign is +.  Slow
+    reference for validate in char2 mode."""
+    f, d0, d1 = g.field, g.dim_even, g.dim_odd
+    e = [Vector.unit(f, d0, i) for i in range(d0)]
+    o = [Vector.unit(f, d1, i) for i in range(d1)]
+
+    def defect(x, sector, y):
+        sq = g.square_vec(x)
+        if sector == "even":
+            return g.even_bracket_vec(sq, e[y]) - g.odd_bracket_vec(x, g.act_vec(e[y], x))
+        return g.act_vec(sq, o[y]) - g.act_vec(g.odd_bracket_vec(x, o[y]), x)
+
+    bad = []
+    for v in range(d1):
+        for w in range(v, d1):
+            for sector, n in (("even", d0), ("odd", d1)):
+                for y in range(n):
+                    c = defect(o[v], sector, y)
+                    if v < w:
+                        c = defect(o[v] + o[w], sector, y) - c - defect(o[w], sector, y)
+                    if not c.is_zero():
+                        bad.append(("char2_square", (sector, y, v, w)))
+    return bad
 
 
 def fraction_check_morphism(cert):

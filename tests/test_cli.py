@@ -252,7 +252,7 @@ def test_classify_preserves_metadata_free_round_trip():
 def test_in_process_calls_release_captured_streams(tmp_path):
     # click.echo's default stream is cached in a WeakKeyDictionary whose
     # value for a StringIO is the StringIO itself, so a captured stream
-    # written through that default would never die
+    # written through that default, as click's own --help is, would never die
     from superbracket import cli
 
     bad = tmp_path / "bad.json"
@@ -262,6 +262,8 @@ def test_in_process_calls_release_captured_streams(tmp_path):
         ["sweep", "--field", "fp:5", "--max-odd-dim", "2"],
         ["validate", str(bad)],
         ["sweep", "--field", "fp:4"],
+        ["--help"],
+        ["sweep", "--help"],
     ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

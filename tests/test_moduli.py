@@ -263,6 +263,32 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
     assert 3 * len(rows) < len(full)
 
 
+@pytest.mark.parametrize(
+    "field,dims,mode,digest",
+    [
+        (F7, (5, 3, 3, 1), "standard", "4cfe1e8125c95a834b25c75b031d9fcf04a1f6d8f77d99e5bb13c0b8ebbec26c"),
+        (QQ, (4, 3, 2, 1), "standard", "d152cc9e4efefa692abca267e5b1d45779b8e90873ee45fd75cc10116e837d49"),
+        (GF(3), (3, 2, 1), "char3", "cf0476d57533e56ccef2c7e9922db2b6f2ebe384e5ff0c077b5abf5e121c3186"),
+    ],
+    ids=["F_7-5331", "Q-4321", "F_3-321-char3"],
+)
+def test_solver_rows_are_pinned(field, dims, mode, digest, monkeypatch):
+    # sha256 of repr(rows) handed to the eliminator in the standard basis:
+    # every row, the order of its entries and the order of the rows are
+    # pinned, since fraction-free pivoting depends on row order
+    seen = []
+    real = moduli.sparse_kernel_basis
+
+    def spy(f, rows, n_cols):
+        seen.append(rows)
+        return real(f, rows, n_cols)
+
+    monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
+    space_for(field, dims, mode)
+    (rows,) = seen
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (3, 1), (2, 2)])
 def test_char3_assembly_matches_naive_oracle(dims, rng):
     f3 = GF(3)

@@ -4,12 +4,13 @@ validate's evaluation of the solver's equations, against slow oracles."""
 import random
 
 import pytest
-from conftest import dense_representation_failures, random_invertible
+from conftest import dense_representation_failures, naive_char2_violations, random_invertible
 from hypothesis import given
 from hypothesis import strategies as st
 
 from superbracket.constructions import (
     add_centre,
+    build_char2_example,
     build_char3_example,
     build_double,
     build_osp12,
@@ -118,7 +119,7 @@ def naive_violations(g):
     mats = [g.action_matrix(x) for x in range(d0)]
     out += [("representation", t) for t in dense_representation_failures(f, g.bracket, mats)]
     if g.mode == "char2":
-        raise ValueError("no char2 oracle")
+        return out + naive_char2_violations(g)
     rel1 = {
         tuple(sorted((u, v, w)))
         for u in range(d1)
@@ -210,6 +211,43 @@ def test_validate_matches_naive_oracle_on_the_char3_example(rng):
         assert got == naive_violations(h)
         identities.update(i for i, _ in got)
     assert "char3_cubic" in identities
+
+
+def flipped_char2(g, rng):
+    """g with up to two squaring and one action coefficient flipped over
+    F_2, rebuilt from entries so that the odd bracket stays the squaring's
+    polarization."""
+    d0, d1 = g.dim_even, g.dim_odd
+    sq = {(v, w, k): c for v in range(d1) for w in range(v, d1) for k, c in enumerate(g.squaring[v][w])}
+    act = {(x, v, w): g.action[x][v][w] for x in range(d0) for v in range(d1) for w in range(d1)}
+    for _ in range(rng.randrange(3)):
+        v = rng.randrange(d1)
+        sq[v, rng.randrange(v, d1), rng.randrange(d0)] ^= 1
+    for _ in range(rng.randrange(2)):
+        act[rng.randrange(d0), rng.randrange(d1), rng.randrange(d1)] ^= 1
+    bracket = [(i, j, k, c) for i in range(d0) for j in range(i + 1, d0) for k, c in enumerate(g.bracket[i][j])]
+    return SuperAlgebra.from_entries(
+        g.field,
+        d0,
+        d1,
+        bracket,
+        [key + (c,) for key, c in act.items()],
+        mode="char2",
+        squaring=[key + (c,) for key, c in sq.items()],
+    )
+
+
+def test_validate_matches_naive_oracle_on_random_char2_algebras(rng):
+    f2 = GF(2)
+    outcomes = set()
+    for _ in range(300):
+        g = add_centre(build_char2_example(), rng.randrange(3))
+        g = g.conjugated(random_invertible(f2, 3, rng), random_invertible(f2, g.dim_odd, rng))
+        h = flipped_char2(g, rng)
+        got = [(v.identity, v.indices) for v in validate(h).violations]
+        assert got == naive_violations(h)
+        outcomes.add(tuple(sorted({i for i, _ in got})))
+    assert {(), ("char2_square",), ("char2_square", "representation")} <= outcomes
 
 
 # --- validate passes exactly on the solver's span ------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from superbracket.constructions import (
     add_centre,
+    build_char2_example,
     build_double,
     build_osp12,
     sl2_algebra,
@@ -12,6 +13,7 @@ from superbracket.moduli import odd_bracket_space
 from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
     MorphismCertificate,
+    ShapeError,
     SuperAlgebra,
     check_morphism,
     is_ideal,
@@ -69,6 +71,31 @@ def test_mode_characteristic_guards():
     with pytest.raises(ValueError):
         # char2 requires the squaring tensor at the raw-constructor level
         SuperAlgebra(GF(2), 1, 0, [[[0]]], [[]], [], mode="char2", squaring=None)
+
+
+def test_char2_odd_bracket_must_polarize_the_squaring():
+    # validate reads only the squaring, so the raw constructor refuses an odd
+    # bracket that is not its polarization: off-diagonal entries equal to the
+    # squaring's, diagonal zero
+    g = add_centre(build_char2_example(), 1)
+    F2, d1 = g.field, g.dim_odd
+
+    def raw(odd_bracket):
+        return SuperAlgebra(
+            F2, 3, d1, g.bracket, g.action, odd_bracket, mode="char2", squaring=g.squaring
+        )
+
+    assert raw(g.odd_bracket) == g
+    for u, v in ((0, 2), (2, 0), (1, 1), (0, 3)):
+        tensor = [[list(r) for r in plane] for plane in g.odd_bracket]
+        tensor[u][v][0] ^= 1
+        with pytest.raises(ShapeError, match="polarize"):
+            raw(tensor)
+    # the derived constructors keep it, also on an unsorted coordinate subset
+    e = Matrix.identity(F2, 3)
+    m = Matrix(F2, [[int(i + j == d1 - 1) for j in range(d1)] for i in range(d1)])
+    assert g.restrict_odd(range(d1 - 1, -1, -1)) == g.conjugated(e, m)
+    assert g.conjugated(e, m).square_vec(Vector(F2, [0, 1, 0, 1])) == Vector.unit(F2, 3, 1)
 
 
 def test_entry_bounds():

@@ -213,10 +213,29 @@ def naive_char2_violations(g):
     return bad
 
 
+def fraction_bilinear(field, tensor, x, y):
+    """The Vector of sums over a, b of x_a y_b tensor[a][b], by field.add and
+    field.mul on the raw tensor and the entries of the Vectors x and y,
+    skipping zero factors.  Slow reference for the bilinear maps
+    even_bracket_vec, act_vec and odd_bracket_vec, which run on each
+    algebra's cleared integer form."""
+    n = len(tensor[0][0]) if tensor and tensor[0] else 0
+    out = [field.zero()] * n
+    for a, xa in enumerate(x.entries):
+        for b, yb in enumerate(y.entries):
+            if xa and yb:
+                c = field.mul(xa, yb)
+                for k, z in enumerate(tensor[a][b]):
+                    if z:
+                        out[k] = field.add(out[k], field.mul(c, z))
+    return Vector(field, out)
+
+
 def fraction_check_morphism(cert):
-    """check_morphism as it ran before denominators were cleared: Matrix and
-    Vector products of the raw blocks and tensors.  Slow reference for
-    superalgebra.check_morphism."""
+    """check_morphism as it ran before denominators were cleared and before
+    it contracted the target tensors: Matrix and Vector products of the raw
+    blocks, pair by pair, with each target image from fraction_bilinear.
+    Slow reference for superalgebra.check_morphism."""
     s, t = cert.source, cert.target
     if s.field != t.field:
         return False, "source and target fields differ"
@@ -236,15 +255,17 @@ def fraction_check_morphism(cert):
     ocols = mo.columns()
     for i in range(s.dim_even):
         for j in range(i + 1, s.dim_even):
-            if me @ Vector(f, s.bracket[i][j]) != t.even_bracket_vec(ecols[i], ecols[j]):
+            if me @ Vector(f, s.bracket[i][j]) != fraction_bilinear(f, t.bracket, ecols[i], ecols[j]):
                 return False, f"even bracket not preserved at ({i},{j})"
     for x in range(s.dim_even):
         for v in range(s.dim_odd):
-            if mo @ Vector(f, s.action[x][v]) != t.act_vec(ecols[x], ocols[v]):
+            if mo @ Vector(f, s.action[x][v]) != fraction_bilinear(f, t.action, ecols[x], ocols[v]):
                 return False, f"action not preserved at ({x},{v})"
     for u in range(s.dim_odd):
         for v in range(u, s.dim_odd):
-            if me @ Vector(f, s.odd_bracket[u][v]) != t.odd_bracket_vec(ocols[u], ocols[v]):
+            if me @ Vector(f, s.odd_bracket[u][v]) != fraction_bilinear(
+                f, t.odd_bracket, ocols[u], ocols[v]
+            ):
                 return False, f"odd bracket not preserved at ({u},{v})"
     if s.mode == "char2":
         if t.mode != "char2":

@@ -1,6 +1,9 @@
-import pytest
+import random
 
-from conftest import random_graded_change
+import pytest
+from conftest import fraction_check_morphism, random_graded_change
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superbracket.classify import classify, is_simple_superalgebra
 from superbracket.constructions import (
@@ -125,6 +128,21 @@ def test_case_b_stable_under_basis_changes(field, rng):
         result = classify(g.conjugated(a, b))
         assert result.case == "B"
         assert check_morphism(result.certificate) == (True, None)
+
+
+@given(
+    field=st.sampled_from([QQ, F5, F7, GF(10**9 + 7)]),
+    double=st.booleans(),
+    z=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classification_is_invariant_under_graded_basis_changes(field, double, z, seed):
+    base = build_double(sl2_algebra(field), Matrix.identity(field, 3)) if double else build_osp12(field)
+    g = add_centre(base, z)
+    a, b = random_graded_change(g, random.Random(seed))
+    result = classify(g.conjugated(a, b))
+    assert (result.case, result.centre_dim) == ("B" if double else "C", z)
+    assert fraction_check_morphism(result.certificate) == (True, None)
 
 
 def test_case_a_stable_under_basis_changes(rng):

@@ -7,16 +7,22 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import fraction_check_morphism, fraction_validate, random_invertible
+from conftest import (
+    fraction_bilinear,
+    fraction_check_morphism,
+    fraction_validate,
+    random_invertible,
+)
 
 from superbracket.constructions import add_centre, build_double, build_osp12, sl2_algebra
 from superbracket.fields import GF, QQ
-from superbracket.linalg import Matrix
+from superbracket.linalg import Matrix, Vector
 from superbracket.superalgebra import (
     MorphismCertificate,
     SuperAlgebra,
     check_morphism,
     clear_denominators,
+    killing_form,
     validate,
 )
 
@@ -55,14 +61,16 @@ def documents(field, rng):
             yield odd_scaled(h, Fraction(1, 11))
 
 
-def perturbed(g, rng):
-    """g with one entry of one tensor moved by c / 13 for a random c != 0."""
+def perturbed(g, rng, which=None):
+    """g with one entry of one tensor (0 bracket, 1 action, 2 odd bracket;
+    random if which is None) moved by c / 13 for a random c != 0."""
     f, d0, d1 = g.field, g.dim_even, g.dim_odd
     c = f.coerce(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 13))
     bracket = [[list(r) for r in plane] for plane in g.bracket]
     action = [[list(r) for r in plane] for plane in g.action]
     odd = [[list(r) for r in plane] for plane in g.odd_bracket]
-    which = rng.randrange(3)
+    if which is None:
+        which = rng.randrange(3)
     if which == 0:
         i = rng.randrange(d0 - 1)
         j, k = rng.randrange(i + 1, d0), rng.randrange(d0)
@@ -84,6 +92,26 @@ def test_clear_denominators():
     assert clear_denominators(QQ, []) == (1, [])
     f7 = ((3, 0), (6, 1))
     assert clear_denominators(GF(7), f7) == (1, f7)
+    # nested tuples, and D = 1, where the numerators are taken as they are
+    nested = (((Fraction(1, 4),), (Fraction(3),)), ((Fraction(-5, 6),), (Fraction(0),)))
+    assert clear_denominators(QQ, nested) == (12, [[[3], [36]], [[-10], [0]]])
+    ints = ((Fraction(2), Fraction(-7)), (Fraction(0), Fraction(1)))
+    assert clear_denominators(QQ, ints) == (1, [[2, -7], [0, 1]])
+    # a (bracket, action) pair whose action planes are empty, as even_part()
+    # builds it: one scale, set by the bracket alone
+    bracket = sl2_algebra(QQ).bracket
+    half = tuple(tuple(tuple(x / 2 for x in row) for row in plane) for plane in bracket)
+    d, (b, a) = clear_denominators(QQ, (half, ((), (), ())))
+    assert d == 2 and b == [[list(row) for row in plane] for plane in bracket] and a == [[], [], []]
+    # D = 2**2047 has 2048 bits and is cleared; 2**2048 is one bit past the
+    # cut-off, and the tensor comes back as it is
+    for e in (2047, 2048):
+        big = ((Fraction(1, 2**e), Fraction(3)), (Fraction(-1, 2), Fraction(0)))
+        d, got = clear_denominators(QQ, big)
+        if e == 2047:
+            assert d == 2**e and got == [[1, 3 * d], [-d // 2, 0]]
+        else:
+            assert (d, got) == (1, big)
 
 
 def test_documents_have_three_different_denominators(rng):
@@ -175,6 +203,68 @@ def test_check_morphism_matches_fraction_oracle(field, rng):
             assert got == fraction_check_morphism(bad)
             messages.add(got[1].split(" not preserved")[0] if got[1] else None)
     assert {"even bracket", "action", "odd bracket"} <= messages
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_check_morphism_matches_fraction_oracle_at_large_d1(field, rng):
+    # osp(1|2) + 28 in a random graded basis onto the canonical model, where
+    # the pair-by-pair check made 465 O(d1^2) bilinear sums in the odd
+    # sector alone; then one mutation of each block and of each of the six
+    # tensors, each rejected in the sector it belongs to
+    g = add_centre(build_osp12(field), 28)
+    h, me, mo = random_basis(g, rng)
+    cert = MorphismCertificate(h, g, me, mo)
+    assert check_morphism(cert) == fraction_check_morphism(cert) == (True, None)
+    variants = [
+        (MorphismCertificate(h, g, moved(me, rng), mo), None),
+        (MorphismCertificate(h, g, me, moved(mo, rng)), None),
+    ]
+    sectors = ("even bracket", "action", "odd bracket")
+    for which, sector in enumerate(sectors):
+        variants.append((MorphismCertificate(perturbed(h, rng, which), g, me, mo), sector))
+        variants.append((MorphismCertificate(h, perturbed(g, rng, which), me, mo), sector))
+    for bad, sector in variants:
+        got = check_morphism(bad)
+        assert got == fraction_check_morphism(bad)
+        assert not got[0] and (sector is None or got[1].startswith(f"{sector} not preserved"))
+
+
+def random_sparse_vector(field, n, rng):
+    """n entries, about a third of them zero, the rest random and nonzero."""
+    def entry():
+        if rng.randrange(3) == 0:
+            return 0
+        if field.kind == "prime":
+            return rng.randrange(1, field.p)
+        return Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 9))
+
+    return Vector(field, [entry() for _ in range(n)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_bilinear_maps_match_the_field_ops_oracle(field, rng):
+    # the maps run on each algebra's cleared integer form; the oracle uses
+    # only field.add and field.mul on the raw tensors.  Over Q the coprime
+    # document is past the cut-off of clear_denominators, so its maps and
+    # Killing form run on Fractions
+    docs = [h for h, _ in zip(documents(field, rng), range(4))]
+    if field == QQ:
+        docs.append(coprime_document(12))
+        assert clear_denominators(QQ, docs[-1].odd_bracket)[0] == 1
+    for g in docs:
+        d0, d1 = g.dim_even, g.dim_odd
+        maps = (
+            (g.even_bracket_vec, g.bracket, d0, d0),
+            (g.act_vec, g.action, d0, d1),
+            (g.odd_bracket_vec, g.odd_bracket, d1, d1),
+        )
+        for vec_map, tensor, nx, ny in maps:
+            for _ in range(6):
+                x, y = random_sparse_vector(field, nx, rng), random_sparse_vector(field, ny, rng)
+                assert vec_map(x, y) == fraction_bilinear(field, tensor, x, y)
+        ads = [g.ad(i) for i in range(d0)]
+        expected = [[(ads[i] @ ads[j]).trace().value for j in range(d0)] for i in range(d0)]
+        assert killing_form(g) == Matrix(field, expected)
 
 
 def coprime_document(d1, odd_only=False):

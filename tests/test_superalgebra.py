@@ -1,4 +1,5 @@
 import pytest
+from conftest import random_invertible
 
 from superbracket.constructions import (
     add_centre,
@@ -96,6 +97,34 @@ def test_char2_odd_bracket_must_polarize_the_squaring():
     m = Matrix(F2, [[int(i + j == d1 - 1) for j in range(d1)] for i in range(d1)])
     assert g.restrict_odd(range(d1 - 1, -1, -1)) == g.conjugated(e, m)
     assert g.conjugated(e, m).square_vec(Vector(F2, [0, 1, 0, 1])) == Vector.unit(F2, 3, 1)
+
+
+def test_char2_squaring_below_the_diagonal_is_refused(rng):
+    # S(v,w) is stored at v <= w only; an entry below would validate,
+    # serialize and hash like the example, yet compare unequal to it
+    g = build_char2_example()
+    F2, d1 = g.field, g.dim_odd
+    sq = [[list(r) for r in plane] for plane in g.squaring]
+    sq[2][0][1] = 1
+    with pytest.raises(ShapeError, match="below the diagonal"):
+        SuperAlgebra(F2, 3, d1, g.bracket, g.action, g.odd_bracket, mode="char2", squaring=sq)
+    # every derived constructor stores the upper part only (or the raw
+    # constructor would raise), also when handed a full symmetric squaring or
+    # an unsorted coordinate subset
+    h = add_centre(g, 1)
+    symmetric = [[list(g.squaring[min(v, w)][max(v, w)]) for w in range(d1)] for v in range(d1)]
+    built = [
+        SuperAlgebra.from_entries(
+            F2, 3, d1, bracket=[(0, 2, 1, 1)], action=[(0, 2, 1, 1), (2, 0, 1, 1)],
+            mode="char2", squaring=[(0, 2, 1, 1), (1, 1, 1, 1)],
+        ),
+        SuperAlgebra.from_tensors(F2, g.bracket, g.action, g.odd_bracket, mode="char2", squaring=symmetric),
+        h,
+        h.restrict_odd(range(h.dim_odd - 1, -1, -1)),
+        h.conjugated(random_invertible(F2, 3, rng), random_invertible(F2, h.dim_odd, rng)),
+    ]
+    assert all(validate(a).ok for a in built)
+    assert built[1] == g
 
 
 def test_entry_bounds():

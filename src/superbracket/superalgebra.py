@@ -26,12 +26,24 @@ the odd bracket (the last in the squaring) and are defined once, as the
 sparse equations of :func:`compatibility_equations`, yielded per instance
 as terms (base, group): unknown base + i carries the column group[i] of
 (output, coefficient) pairs, and the groups are shared per-column lists
-built once from the nonzeros of the action and the even bracket.
-:func:`validate` evaluates them at g's own odd bracket, or at its squaring,
-in one pass, adding each term into one residual per instance with no
-per-output equation dicts; the solver in :mod:`superbracket.moduli`
-collects the same terms into rows and eliminates them.  Both also share
-:func:`representation_failures`.
+built once from the nonzeros of the action and the even bracket.  The
+unit terms of relation 2 and of the squaring axiom have a diagonal group,
+-a times the identity on the even outputs, built once per coefficient a
+and marked with it.  The solver in :mod:`superbracket.moduli` collects the
+terms into rows and eliminates them.  :func:`validate` evaluates them at
+g's own odd bracket, or at its squaring, one packed integer per instance
+(Kronecker substitution, as in D. Harvey, J. Symbolic Comput. 2009):
+output t of a column sits in bits k t to k t + k - 1, so a term adds d0
+products of a known value and a packed column, or for a diagonal group
+one product, a times the pair's packed negated odd bracket.  The slot
+width k comes from a bound on the products one output sums: over Q the
+packed residual is zero exactly when every output is; over F_p, with
+every entry a residue in [0, p), every output is a multiple of p exactly
+when p divides the packed residual and each slot of the quotient fits a
+narrower width.  Past the 2048-bit cut-off of :func:`clear_denominators`
+the integer form holds Fractions, and each instance is summed into a
+list of per-output Fractions instead.  The validator and the solver also
+share :func:`representation_failures`.
 
 Each algebra keeps a private integer form, built on first use and left out
 of equality and hashing: over Q the bracket and action scaled by one common
@@ -52,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .fields import Field
@@ -605,12 +618,15 @@ def validate(g: SuperAlgebra) -> ValidationReport:
     """Check every axiom of g's mode; lists all violations, not just the first.
     The relations are the equations of :func:`compatibility_equations`,
     evaluated at g's own odd bracket, or at its squaring in char2 mode:
-    each instance's terms are added into one residual, and the instance is
-    violated iff some entry is nonzero.  Over Q they run on integers: the
-    bracket and action are scaled by one common denominator D and the odd
-    bracket by its own D_p (see :func:`clear_denominators`), which
-    multiplies relations 1 and 2 and the cubic by D*D_p and the
-    representation check by D**2."""
+    each instance's terms are summed into one packed integer residual (see
+    :func:`_packed_violations`), and the instance is violated iff some
+    output of it is nonzero.  Over Q they run on integers: the bracket and
+    action are scaled by one common denominator D and the odd bracket by
+    its own D_p (see :func:`clear_denominators`), which multiplies
+    relations 1 and 2 and the cubic by D*D_p and the representation check
+    by D**2.  Past the cut-off of :func:`clear_denominators` the integer
+    form holds Fractions, which cannot be packed, and each instance is
+    summed output by output instead."""
     f = g.field
     d0, d1 = g.dim_even, g.dim_odd
     bad: list[Violation] = []
@@ -643,11 +659,129 @@ def validate(g: SuperAlgebra) -> ValidationReport:
     # whose entries are integers already)
     odd = g.squaring if g.mode == "char2" else form.odd
     known = [c for u in range(d1) for v in range(u, d1) for c in odd[u][v]]
+    coeffs = [c for plane in bracket for row in plane for c in row]
+    coeffs += [c for plane in act for col in plane for _, c in col]
+    equations = compatibility_equations(bracket, act, g.mode)
     p = f.p if f.kind == "prime" else None
-    for identity, indices, terms in compatibility_equations(bracket, act, g.mode):
-        # one residual per instance, over the even outputs for relation 2 and
-        # the even squaring instances, the odd ones otherwise.  A sum starts
-        # from its first term, since 0 + Fraction costs a full Fraction addition.
+    if all(type(x) is int for x in known + coeffs):
+        violated = _packed_violations(equations, known, coeffs, d0, d1, p)
+    else:  # past the cut-off of clear_denominators: Fractions
+        violated = _listed_violations(equations, known, d0, d1)
+    bad.extend(Violation(identity, indices) for identity, indices in violated)
+    return ValidationReport(tuple(bad))
+
+
+class _Diagonal(list):
+    """The group ``[((y, -a),) for y in range(d0)]`` of a unit term of
+    :func:`compatibility_equations`: -a times the identity on the d0 even
+    outputs.  It reads as the plain list it is, and carries ``coefficient``
+    a so that :func:`validate` adds the term as one product, a times the
+    packed negated odd bracket of the term's pair."""
+
+    __slots__ = ("coefficient",)
+
+    def __init__(self, a, d0: int):
+        super().__init__(((y, -a),) for y in range(d0))
+        self.coefficient = a
+
+
+def _products_per_output(d0: int, d1: int) -> int:
+    """The most products one output of an instance of
+    :func:`compatibility_equations` sums: every column holds at most one
+    pair per output, and an instance has at most three terms of d0
+    columns, or one such term and at most 2 d1 diagonal groups."""
+    return max(3 * d0, d0 + 2 * d1)
+
+
+def _slot_width(bound: int, p: int | None) -> tuple[int, int]:
+    """``(k, j)``: k bits per slot of a packed residual sum(s_t 2^(k t))
+    whose slots s_t are integers with |s_t| <= ``bound``, nonnegative over
+    F_p; over F_p, j bits for a slot of its quotient by p.
+
+    Over Q, |s_t| < 2^k makes the sum zero only when every slot is: its
+    lowest nonzero slot would have to be a multiple of 2^k.  Over F_p no
+    slot carries into the next (s_t < 2^k), and every slot is a multiple
+    of p iff p divides the sum and no slot of the quotient reaches 2^j
+    (:func:`_is_zero`): each s_t / p is at most bound // p < 2^j, and
+    conversely quotient slots q_t < 2^j make the p q_t < p 2^j <= 2^k the
+    slots of the sum."""
+    if p is None:
+        return bound.bit_length(), 0
+    j = (bound // p).bit_length()
+    return ((p << j) - 1).bit_length(), j
+
+
+def _high_bits(k: int, j: int, slots: int) -> int:
+    """The bits j to k - 1 of each of ``slots`` k-bit slots."""
+    return sum(((1 << k) - (1 << j)) << (k * t) for t in range(slots))
+
+
+def _pack(pairs, k: int, p: int | None) -> int:
+    """sum(c 2^(k t)) over the pairs (t, c), each c reduced into [0, p)
+    over F_p."""
+    if p:
+        return sum((c % p) << (k * t) for t, c in pairs)
+    return sum(c << (k * t) for t, c in pairs)
+
+
+def _is_zero(r: int, p: int | None, high: int) -> bool:
+    """Whether every slot of the packed residual r is zero, or over F_p a
+    multiple of p; ``high`` is :func:`_high_bits` of its width."""
+    if p is None:
+        return not r
+    q, m = divmod(r, p)
+    return not m and not q & high
+
+
+def _packed_violations(equations, known, coeffs, d0: int, d1: int, p: int | None):
+    """(identity, indices) of each instance of ``equations`` whose residual
+    at the ``known`` unknowns is nonzero, every instance summed into one
+    packed integer: a term (base, group) adds known[base + i] times the
+    packed column group[i], a diagonal group of -a its coefficient a times
+    the packed negated odd bracket of the term's pair.
+
+    Integers only.  An output of an instance sums at most
+    :func:`_products_per_output` products, each at most max|known| *
+    max|coeff| in absolute value, or (p - 1)^2 over F_p, where every raw
+    entry is a residue in [0, p) and the packed columns are reduced there
+    too: the bound that :func:`_slot_width` turns into the slot width."""
+    products = _products_per_output(d0, d1)
+    if p:
+        bound = (p - 1) ** 2 * products
+    else:
+        bound = max(map(abs, known), default=0) * max(map(abs, coeffs), default=0) * products
+    k, j = _slot_width(bound, p)
+    high = _high_bits(k, j, max(d0, d1)) if p else 0
+    # at b, the first unknown of a pair: its d0 coordinates, and the pair
+    # negated and packed.  A diagonal group's coefficient a is reduced
+    # already, so a times the negated pair is the term.
+    coords, minus = [None] * len(known), [None] * len(known)
+    for b in range(0, len(known), d0 or 1):
+        coords[b] = xs = known[b : b + d0]
+        minus[b] = _pack([(y, -x) for y, x in enumerate(xs)], k, p)
+    packed: dict = {}  # id(group): its packed columns
+    for identity, indices, terms in equations:
+        r = 0
+        for b, group in terms:
+            if type(group) is _Diagonal:
+                r += group.coefficient * minus[b]
+                continue
+            cols = packed.get(id(group))
+            if cols is None:
+                cols = packed[id(group)] = [_pack(col, k, p) for col in group]
+            r += sum(map(mul, coords[b], cols))
+        if not _is_zero(r, p, high):
+            yield identity, indices
+
+
+def _listed_violations(equations, known, d0: int, d1: int):
+    """:func:`_packed_violations` for Fractions, past the cut-off of
+    :func:`clear_denominators`: each instance's terms added into a list of
+    per-output sums."""
+    for identity, indices, terms in equations:
+        # over the even outputs for relation 2 and the even squaring
+        # instances, the odd ones otherwise.  A sum starts from its first
+        # term, since 0 + Fraction costs a full Fraction addition.
         r = [None] * (d0 if identity == "relation_2" or indices[0] == "even" else d1)
         for k, group in terms:
             for i, col in enumerate(group, k):
@@ -656,10 +790,8 @@ def validate(g: SuperAlgebra) -> ValidationReport:
                     for t, c in col:
                         s = r[t]
                         r[t] = b * c if s is None else s + b * c
-        if any(s % p if p else s for s in r if s is not None):
-            bad.append(Violation(identity, indices))
-
-    return ValidationReport(tuple(bad))
+        if any(s for s in r if s is not None):
+            yield identity, indices
 
 
 def action_nonzeros(action) -> list:
@@ -763,19 +895,25 @@ def compatibility_equations(bracket, act, mode: str = "standard"):
     unknowns are indexed by :func:`odd_unknowns`.  Yields ``(identity,
     indices, terms)`` for every instance that has a term, where ``terms``
     is a list ``[(base, group), ...]``: unknown ``base + i`` carries the
-    column ``group[i]``, a list ``[(output, coeff), ...]`` (possibly empty).
-    The instance's equation for output t is the sum over the terms and i of
-    coeff * unknown for the pairs at t.  Groups are shared between terms
-    and instances, an unknown may recur in several terms, and the
-    coefficients are not reduced mod p.  Modes "standard" and "char3" give,
-    in this order:
+    column ``group[i]``, a list ``[(output, coeff), ...]`` (possibly empty)
+    with at most one pair per output.  The instance's equation for output
+    t is the sum over the terms and i of coeff * unknown for the pairs at
+    t.  Groups are shared between terms and instances, an unknown may
+    recur in several terms, and the coefficients are not reduced mod p.
+    The group of each unit term below, -a times the identity on the even
+    outputs, is a :class:`_Diagonal`: a list like the others, built once
+    per distinct coefficient a and carrying a.  An instance has at most
+    three terms, or one term and at most 2 d1 unit terms
+    (:func:`_products_per_output`).  Modes "standard" and "char3" give, in
+    this order:
 
     * ``relation_1`` at u <= v <= w (the relation is fully symmetric), one
       equation per odd output t of {f_u,f_v}(f_w) + {f_v,f_w}(f_u) +
       {f_w,f_u}(f_v) = 0, at most three terms;
     * ``relation_2`` at (x, u <= v), one equation per even output y of
       [e_x, {f_u,f_v}] - {e_x(f_u), f_v} - {f_u, e_x(f_v)} = 0: one term
-      for the bracket and one per nonzero of e_x(f_u) and of e_x(f_v);
+      for the bracket and one unit term per nonzero of e_x(f_u) and of
+      e_x(f_v);
     * mode "char3" only, ``char3_cubic`` at a <= b <= c: the coefficient of
       t_a t_b t_c in {x,{x,x}} (x = sum t f), the sum of {f_i,f_j}(f_k) over
       the arrangements of {a,b,c}.  Only the diagonal a = b = c adds to the
@@ -786,8 +924,9 @@ def compatibility_equations(bracket, act, mode: str = "standard"):
     {x^2, y} = {x, {x, y}} (x = sum t f), in the squaring S: for v <= w,
     first at ``("even", y, v, w)`` for each even y, one equation per even
     output, of [S(v,w), e_y] against the sum of {f_a, e_y(f_b)} over the
-    orderings (a, b) of {v, w}; then at ``("odd", y, v, w)`` for each odd
-    y, one equation per odd output, of S(v,w)(f_y) against the sum of
+    orderings (a, b) of {v, w}, with one unit term per nonzero f_s of
+    e_y(f_b), s != a; then at ``("odd", y, v, w)`` for each odd y, one
+    equation per odd output, of S(v,w)(f_y) against the sum of
     {f_b, f_y}(f_a).  The odd bracket is the polarization of S, so
     {f_a, f_b} is the unknown S(a,b) for a != b and the diagonal {f_a, f_a}
     vanishes.  Signs do not matter in characteristic 2, so the shared
@@ -801,8 +940,10 @@ def compatibility_equations(bracket, act, mode: str = "standard"):
     # ecols[x][z]: nonzeros (y, coefficient of e_y) of [e_x, e_z]
     ecols = action_nonzeros(bracket)
     live, elive = [any(grp) for grp in cols], [any(grp) for grp in ecols]
-    # units[x][s]: (w, [((y, -coefficient of f_w in e_x(f_s)),) for each y])
-    units = [[[(w, [((y, -a),) for y in range(d0)]) for w, a in col] for col in pl] for pl in act]
+    # units[x][s]: (w, the diagonal group of a = coefficient of f_w in
+    # e_x(f_s)), each group built once per distinct a
+    diagonals = {a: _Diagonal(a, d0) for a in {a for pl in act for col in pl for _, a in col}}
+    units = [[[(w, diagonals[a]) for w, a in col] for col in pl] for pl in act]
     if mode == "char2":
         for v in range(d1):
             for w in range(v, d1):

@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -137,30 +138,34 @@ def dense_representation_failures(field, bracket, mats):
 
 def fraction_validate(g):
     """validate as it ran before denominators were cleared and before it
-    evaluated terms in one pass: every relation evaluated on g's own raw
-    Fraction (or residue) tensors, each instance's terms first collected
-    into per-output equations by the solver's moduli._collect, and the
-    char2 axiom by naive_char2_violations.  Slow reference for
-    superalgebra.validate."""
+    packed residuals: every relation evaluated on g's own raw Fraction (or
+    residue) tensors, the even Jacobi identity by fraction_bilinear, the
+    representation check by dense_representation_failures, each
+    instance's terms first collected into per-output equations by the
+    solver's moduli._collect, and the char2 axiom by
+    naive_char2_violations.  It shares no arithmetic with validate's
+    integer form.  Slow reference for superalgebra.validate."""
     f = g.field
     d0, d1 = g.dim_even, g.dim_odd
     bad = []
     units_e = [Vector.unit(f, d0, i) for i in range(d0)]
+    br, _, _ = raw_maps(g)
     for i in range(d0):
         for j in range(i + 1, d0):
             for k in range(j + 1, d0):
                 s = (
-                    g.even_bracket_vec(units_e[i], Vector(f, g.bracket[j][k]))
-                    + g.even_bracket_vec(units_e[j], Vector(f, g.bracket[k][i]))
-                    + g.even_bracket_vec(units_e[k], Vector(f, g.bracket[i][j]))
+                    br(units_e[i], Vector(f, g.bracket[j][k]))
+                    + br(units_e[j], Vector(f, g.bracket[k][i]))
+                    + br(units_e[k], Vector(f, g.bracket[i][j]))
                 )
                 if not s.is_zero():
                     bad.append(sa.Violation("even_jacobi", (i, j, k), repr(s)))
-    act = sa.action_nonzeros(g.action)
+    mats = [g.action_matrix(x) for x in range(d0)]
     bad.extend(
         sa.Violation("representation", pair)
-        for pair in sa.representation_failures(f, g.bracket, act)
+        for pair in dense_representation_failures(f, g.bracket, mats)
     )
+    act = sa.action_nonzeros(g.action)
     if g.mode in ("standard", "char3"):
         base = sa.odd_unknowns(d0, d1)
         known = {
@@ -185,29 +190,37 @@ def fraction_validate(g):
 def naive_char2_violations(g):
     """("char2_square", (sector, y, v, w)) for every monomial t_v t_w (v <= w)
     at which {x^2, y} - {x, {x, y}} (x = sum t f) has a nonzero coefficient,
-    for the even y and then the odd y, from square_vec, act_vec,
-    odd_bracket_vec and even_bracket_vec on unit vectors: the value at
-    x = f_v, or at x = f_v + f_w minus the values at f_v and f_w.  In
-    characteristic 2, {x, e} = [e, x] = e(x) and every sign is +.  Slow
-    reference for validate in char2 mode."""
+    for the even y and then the odd y, from square_vec and fraction_bilinear
+    on the raw tensors and unit vectors: the value at x = f_v, or at
+    x = f_v + f_w minus the values at f_v and f_w.  In characteristic 2,
+    {x, e} = [e, x] = e(x) and every sign is +.  Slow reference for
+    validate in char2 mode."""
     f, d0, d1 = g.field, g.dim_even, g.dim_odd
     e = [Vector.unit(f, d0, i) for i in range(d0)]
     o = [Vector.unit(f, d1, i) for i in range(d1)]
+    br, act, ob = raw_maps(g)
 
     def defect(x, sector, y):
         sq = g.square_vec(x)
         if sector == "even":
-            return g.even_bracket_vec(sq, e[y]) - g.odd_bracket_vec(x, g.act_vec(e[y], x))
-        return g.act_vec(sq, o[y]) - g.act_vec(g.odd_bracket_vec(x, o[y]), x)
+            return br(sq, e[y]) - ob(x, act(e[y], x))
+        return act(sq, o[y]) - act(ob(x, o[y]), x)
 
+    # the values at a single f_v, each needed once per w
+    single = {
+        (v, sector, y): defect(o[v], sector, y)
+        for v in range(d1)
+        for sector, n in (("even", d0), ("odd", d1))
+        for y in range(n)
+    }
     bad = []
     for v in range(d1):
         for w in range(v, d1):
             for sector, n in (("even", d0), ("odd", d1)):
                 for y in range(n):
-                    c = defect(o[v], sector, y)
+                    c = single[v, sector, y]
                     if v < w:
-                        c = defect(o[v] + o[w], sector, y) - c - defect(o[w], sector, y)
+                        c = defect(o[v] + o[w], sector, y) - c - single[w, sector, y]
                     if not c.is_zero():
                         bad.append(("char2_square", (sector, y, v, w)))
     return bad
@@ -222,13 +235,21 @@ def fraction_bilinear(field, tensor, x, y):
     n = len(tensor[0][0]) if tensor and tensor[0] else 0
     out = [field.zero()] * n
     for a, xa in enumerate(x.entries):
+        if not xa:
+            continue
         for b, yb in enumerate(y.entries):
-            if xa and yb:
+            if yb:
                 c = field.mul(xa, yb)
                 for k, z in enumerate(tensor[a][b]):
                     if z:
                         out[k] = field.add(out[k], field.mul(c, z))
     return Vector(field, out)
+
+
+def raw_maps(g):
+    """g's even bracket, action and odd bracket as maps of two Vectors,
+    each fraction_bilinear on g's raw tensor."""
+    return tuple(partial(fraction_bilinear, g.field, t) for t in (g.bracket, g.action, g.odd_bracket))
 
 
 def fraction_check_morphism(cert):

@@ -4,6 +4,7 @@ here they are compared with the Fraction oracles they replaced."""
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -14,15 +15,30 @@ from conftest import (
     random_invertible,
 )
 
-from superbracket.constructions import add_centre, build_double, build_osp12, sl2_algebra
-from superbracket.fields import GF, QQ
+from superbracket import moduli
+from superbracket.constructions import (
+    add_centre,
+    build_char2_example,
+    build_char3_example,
+    build_double,
+    build_osp12,
+    sl2_algebra,
+)
+from superbracket.fields import GF, MAX_SCALAR_DIGITS, PRIME_BOUND, QQ, _is_prime
 from superbracket.linalg import Matrix, Vector
+from superbracket.schema import parse_algebra, serialize_algebra
 from superbracket.superalgebra import (
     MorphismCertificate,
     SuperAlgebra,
+    _high_bits,
+    _is_zero,
+    _slot_width,
+    action_nonzeros,
     check_morphism,
     clear_denominators,
+    compatibility_equations,
     killing_form,
+    odd_unknowns,
     validate,
 )
 
@@ -66,6 +82,8 @@ def perturbed(g, rng, which=None):
     random if which is None) moved by c / 13 for a random c != 0."""
     f, d0, d1 = g.field, g.dim_even, g.dim_odd
     c = f.coerce(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 13))
+    while not c:  # over F_3, 3/13 is zero
+        c = f.coerce(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 13))
     bracket = [[list(r) for r in plane] for plane in g.bracket]
     action = [[list(r) for r in plane] for plane in g.action]
     odd = [[list(r) for r in plane] for plane in g.odd_bracket]
@@ -136,16 +154,35 @@ def test_validate_matches_fraction_oracle(field, rng):
             assert not got.ok
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("d1", [12, 24])
+def flipped_square(g, rng):
+    """g over F_2 with one squaring coefficient S(v,w)_x flipped, and the
+    odd bracket with it, so that it stays the squaring's polarization."""
+    d0, d1 = g.dim_even, g.dim_odd
+    sq = [[list(r) for r in plane] for plane in g.squaring]
+    odd = [[list(r) for r in plane] for plane in g.odd_bracket]
+    v = rng.randrange(d1)
+    w, x = rng.randrange(v, d1), rng.randrange(d0)
+    sq[v][w][x] ^= 1
+    if v < w:
+        odd[v][w][x] ^= 1
+    return SuperAlgebra.from_tensors(g.field, g.bracket, g.action, odd, mode="char2", squaring=sq)
+
+
+@pytest.mark.parametrize(
+    "d1,field", [(d1, f) for d1 in (12, 24) for f in FIELDS] + [(20, GF(3)), (20, GF(2))], ids=str
+)
 def test_validate_matches_collected_equations_on_dense_documents(field, d1, rng):
-    # osp(1|2) + z in a random graded basis: each output of an instance sums
-    # many blocks, which validate adds into one residual and the oracle first
-    # collects into per-output equations
-    g, _, _ = random_basis(add_centre(build_osp12(field), d1 - 2), rng)
+    # osp(1|2) + z in a random graded basis, or over F_3 and F_2 the char-3
+    # and char-2 examples + z: each output of an instance sums many blocks,
+    # which validate packs into one residual and the oracle first collects
+    # into per-output equations (the char-2 axiom: evaluates monomial by
+    # monomial)
+    base = {3: build_char3_example, 2: build_char2_example}.get(field.characteristic)
+    base = base() if base else build_osp12(field)
+    g, _, _ = random_basis(add_centre(base, d1 - base.dim_odd), rng)
     assert g.dim_odd == d1
     assert validate(g).ok and fraction_validate(g).ok
-    bad = perturbed(g, rng)
+    bad = flipped_square(g, rng) if g.mode == "char2" else perturbed(g, rng)
     got = validate(bad)
     assert got.violations == fraction_validate(bad).violations
     assert not got.ok
@@ -161,6 +198,161 @@ def test_validate_keeps_the_rational_even_jacobi_detail():
     got = validate(h).violations
     assert got == fraction_validate(h).violations
     assert got[0].identity == "even_jacobi" and "/3" in got[0].detail
+
+
+# --- packed residuals: the slot width and the largest admitted magnitudes ------
+
+
+def packed(slots, k):
+    return sum(s << (k * t) for t, s in enumerate(slots))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 8, 9, 36, 64, 100])
+def test_slot_width_over_q_holds_the_bound_and_not_one_bit_less(bound):
+    k, _ = _slot_width(bound, None)
+    # signed slots within the bound pack to zero only when all are zero
+    for s in product(range(-bound, bound + 1), repeat=2):
+        assert _is_zero(packed(s, k), None, 0) == (s == (0, 0))
+    # at k - 1 bits the slots (2^(k-1), -1), within the bound, alias to 0
+    assert 1 << (k - 1) <= bound and packed((1 << (k - 1), -1), k - 1) == 0
+
+
+@pytest.mark.parametrize("p,products", [(2, 9), (3, 9), (5, 4), (7, 1), (7, 3), (11, 1)])
+def test_slot_width_over_fp_holds_the_bound_and_not_one_bit_less(p, products):
+    # slots of (p - 1)^2 * products, the bound validate uses: every pair of
+    # slots in [0, bound] is judged right at the rule's width, and some pair
+    # is misjudged one bit narrower
+    bound = (p - 1) ** 2 * products
+    k, j = _slot_width(bound, p)
+    slots = list(product(range(bound + 1), repeat=2))
+
+    def misjudged(width):
+        high = _high_bits(width, j, 2)
+        return [s for s in slots if _is_zero(packed(s, width), p, high) != all(x % p == 0 for x in s)]
+
+    assert misjudged(k) == [] and misjudged(k - 1)
+
+
+def largest_prime_below(n):
+    return next(q for q in range(n - 1, 1, -1) if _is_prime(q))
+
+
+P_MAX = largest_prime_below(PRIME_BOUND)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P_MAX)], ids=["Q", "F_pmax"])
+def test_slot_width_at_the_largest_bounds(field):
+    # residuals whose slots sit at the bound of the largest admitted
+    # entries are judged right at the rule's width, and one bit narrower
+    # a nonzero residual reads as zero
+    p = field.p if field.kind == "prime" else None
+    top = p - 1 if p else 10**MAX_SCALAR_DIGITS - 1
+    bound = top * top * 9
+    k, j = _slot_width(bound, p)
+    high = _high_bits(k, j, 3)
+    if p is None:
+        assert not _is_zero(packed((bound, -bound, bound), k), None, 0)
+        assert _is_zero(packed((1 << (k - 1), -1), k - 1), None, 0)
+        return
+    multiple = bound - bound % p
+    assert not _is_zero(packed((bound, bound, 0), k), p, high)
+    assert _is_zero(packed((multiple, multiple, multiple), k), p, high)
+    assert not _is_zero(packed((multiple, 1, multiple), k), p, high)
+    # (p q - 2^(k-1), 1) at k - 1 bits packs to p q, a multiple of p whose
+    # quotient fits j bits, though neither slot is a multiple of p
+    q = -(-(1 << (k - 1)) // p)
+    hidden = (p * q - (1 << (k - 1)), 1)
+    assert max(hidden) <= bound and all(x % p for x in hidden)
+    assert _is_zero(packed(hidden, k - 1), p, _high_bits(k - 1, j, 2))
+    assert not _is_zero(packed(hidden, k), p, _high_bits(k, j, 2))
+
+
+def admitted(g):
+    """g after a round trip through the document format: the parser admits
+    every entry."""
+    h, _ = parse_algebra(serialize_algebra(g))
+    assert h == g
+    return h
+
+
+def largest_slot(g):
+    """The largest sum over an instance's output of |known| * |coefficient|,
+    over the raw tensors: the most any slot of validate's residual holds."""
+    f, d0, d1 = g.field, g.dim_even, g.dim_odd
+    base = odd_unknowns(d0, d1)
+    known = {base[u][v] + x: c for u in range(d1) for v in range(u, d1) for x, c in enumerate(g.odd_bracket[u][v])}
+    top = 0
+    for _, _, terms in compatibility_equations(g.bracket, action_nonzeros(g.action), g.mode):
+        for eq in moduli._collect(terms).values():
+            top = max(top, sum(abs(c) * abs(known[k]) for k, c in eq.items()))
+    return top
+
+
+def at_most_digits(g, digits, rng):
+    """g with its bracket and action scaled by one integer and its odd
+    bracket by another, each as large as keeps every numerator within
+    ``digits`` digits: a superalgebra again, since every axiom is
+    homogeneous of degree 2 in (bracket, action), or of degree 1 in it and
+    in the odd bracket."""
+    f = g.field
+    cap = 10**digits - 1
+
+    def scaled(tensors):
+        top = max(abs(x.numerator) for t in tensors for plane in t for row in plane for x in row)
+        c = cap // top * rng.choice([1, -1])
+        return [[[[x * c for x in row] for row in plane] for plane in t] for t in tensors]
+
+    (bracket, action), (odd,) = scaled((g.bracket, g.action)), scaled((g.odd_bracket,))
+    return SuperAlgebra.from_tensors(f, bracket, action, odd)
+
+
+def negated_entry(g, rng):
+    """g with one nonzero odd-bracket coefficient {f_u,f_v}_x negated: the
+    same magnitude, a different document."""
+    f = g.field
+    odd = [[list(r) for r in plane] for plane in g.odd_bracket]
+    spots = [(u, v, x) for u in range(g.dim_odd) for v in range(u, g.dim_odd) for x in range(g.dim_even) if odd[u][v][x]]
+    u, v, x = rng.choice(spots)
+    odd[u][v][x] = f.neg(odd[u][v][x])
+    return SuperAlgebra.from_tensors(f, g.bracket, g.action, odd, mode=g.mode)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P_MAX)], ids=["Q", "F_pmax"])
+def test_validate_matches_fraction_oracle_at_the_largest_admitted_magnitudes(field, rng):
+    # over F_p at the largest admitted prime: a random graded basis, whose
+    # entries range up to p - 1, and a 3|3 document with every entry p - 1
+    # (not a superalgebra), where relation 1 at (u, u, u) sums 9 products
+    # of (p - 1)^2, the bound validate's slot width is made for.  Over Q:
+    # numerators of MAX_SCALAR_DIGITS digits and mixed sign, and one such
+    # numerator in every entry of a 3|3 document.
+    g, _, _ = random_basis(add_centre(build_osp12(field), 2), rng)
+    if field == QQ:
+        g = at_most_digits(g, MAX_SCALAR_DIGITS, rng)
+        for t in (g.bracket + g.action, g.odd_bracket):
+            top = max(abs(x.numerator) for plane in t for row in plane for x in row)
+            assert len(str(top)) == MAX_SCALAR_DIGITS
+        # small denominators: validate packs these, past no cut-off
+        assert clear_denominators(QQ, g.odd_bracket)[0].bit_length() <= 64
+        assert clear_denominators(QQ, (g.bracket, g.action))[0].bit_length() <= 64
+        extreme = [10**MAX_SCALAR_DIGITS - 1, -(10**MAX_SCALAR_DIGITS - 1)]
+    else:
+        extreme = [field.p - 1]
+    g = admitted(g)
+    assert validate(g).ok and fraction_validate(g).ok
+    for _ in range(3):
+        bad = admitted(negated_entry(g, rng))
+        got = validate(bad)
+        assert got.violations == fraction_validate(bad).violations and not got.ok
+
+    def full(*shape):
+        return [[[rng.choice(extreme) for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
+
+    g = admitted(SuperAlgebra.from_tensors(field, full(3, 3, 3), full(3, 3, 3), full(3, 3, 3)))
+    if field != QQ:
+        assert largest_slot(g) == (field.p - 1) ** 2 * 9
+    for h in (g, admitted(negated_entry(g, rng))):
+        got = validate(h)
+        assert got.violations == fraction_validate(h).violations and not got.ok
 
 
 def certificates(field, rng):
@@ -291,6 +483,23 @@ def coprime_document(d1, odd_only=False):
         for v in range(u, d1):
             odd[u][v] = odd[v][u] = [entry() for _ in range(3)]
     return SuperAlgebra.from_tensors(QQ, sl2_algebra(QQ).bracket, action, odd)
+
+
+def test_validate_packs_unless_the_integer_form_holds_fractions(monkeypatch, rng):
+    # the per-output list loop runs only past the cut-off of
+    # clear_denominators, where the integer form keeps Fractions
+    import superbracket.superalgebra as sa
+
+    coprime = coprime_document(12, odd_only=True)
+    assert clear_denominators(QQ, coprime.odd_bracket)[0] == 1
+    docs = [coprime] + [next(documents(f, rng)) for f in FIELDS]
+    calls = []
+    for name in ("_packed_violations", "_listed_violations"):
+        real = getattr(sa, name)
+        monkeypatch.setattr(sa, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for g in docs:
+        validate(g)
+    assert calls == ["_listed_violations"] + ["_packed_violations"] * len(FIELDS)
 
 
 def timed(fn, g):

@@ -2,9 +2,15 @@
 validate's evaluation of the solver's equations, against slow oracles."""
 
 import random
+from collections import Counter
 
 import pytest
-from conftest import dense_representation_failures, naive_char2_violations, random_invertible
+from conftest import (
+    dense_representation_failures,
+    naive_char2_violations,
+    random_invertible,
+    raw_maps,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,7 +28,9 @@ from superbracket.moduli import odd_bracket_space_of
 from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
     SuperAlgebra,
+    _products_per_output,
     action_nonzeros,
+    compatibility_equations,
     representation_failures,
     validate,
 )
@@ -98,13 +106,13 @@ def test_sparse_representation_check_matches_dense_oracle(field, rng):
 
 
 def naive_violations(g):
-    """(identity, indices) of every violation, from act_vec, odd_bracket_vec
-    and even_bracket_vec on unit vectors over all ordered index triples,
-    each tag named by its sorted indices, in validate's order."""
+    """(identity, indices) of every violation, from fraction_bilinear on the
+    raw tensors and unit vectors over all ordered index triples, each tag
+    named by its sorted indices, in validate's order."""
     f, d0, d1 = g.field, g.dim_even, g.dim_odd
     e = [Vector.unit(f, d0, i) for i in range(d0)]
     o = [Vector.unit(f, d1, i) for i in range(d1)]
-    br, act, ob = g.even_bracket_vec, g.act_vec, g.odd_bracket_vec
+    br, act, ob = raw_maps(g)
     out = []
     jacobi = {
         tuple(sorted((i, j, k)))
@@ -282,3 +290,50 @@ def test_validate_accepts_exactly_the_solution_span(field, dims, seed):
         report = validate(bad)
         assert report.identities() <= {"relation_1", "relation_2"}
         assert report.ok == span_contains(basis, flat(bad.odd_bracket))
+
+
+# --- the products per output that bound validate's packed slots ---------------
+
+
+def test_instances_sum_at_most_the_bounded_products_per_output(rng):
+    # every column holds at most one pair per output, and no output of an
+    # instance sums more products than validate's slot width allows for.
+    # Where every entry is nonzero, relation 1 sums 3 d0 products and
+    # relation 2 sums d0 - 1 + 2 d1 (its bracket term has no pair from
+    # [e_x, e_x] = 0), so the bound is reached for d1 <= d0 and missed by
+    # one above.
+    def worst(g):
+        act = action_nonzeros(g.action)
+        top = 0
+        for _, _, terms in compatibility_equations(g.bracket, act, g.mode):
+            counts = Counter()
+            for _, group in terms:
+                for col in group:
+                    outputs = [t for t, _ in col]
+                    assert len(outputs) == len(set(outputs))
+                    counts.update(outputs)
+            top = max(top, max(counts.values(), default=0))
+        return top
+
+    def nonzero(field):
+        return rng.randrange(1, field.p) if field.kind == "prime" else field.coerce(rng.choice([-2, -1, 1, 3]))
+
+    for field in (QQ, GF(7)):
+        for d1 in (1, 2, 3, 4, 7):
+            bracket, action, odd = (
+                [[[nonzero(field) for _ in range(c)] for _ in range(b)] for _ in range(a)]
+                for a, b, c in ((3, 3, 3), (3, d1, d1), (d1, d1, 3))
+            )
+            g = SuperAlgebra.from_tensors(field, bracket, action, odd)
+            bound = _products_per_output(3, d1)
+            assert worst(g) == max(9, 2 + 2 * d1) == (bound if d1 <= 3 else bound - 1)
+    for field, base in [
+        (GF(7), build_osp12(GF(7))),
+        (QQ, build_double(sl2_algebra(QQ), Matrix.identity(QQ, 3))),
+        (GF(3), build_char3_example()),
+        (GF(2), build_char2_example()),
+    ]:
+        for z in (0, 1, 6):
+            g = add_centre(base, z)
+            g = g.conjugated(random_invertible(field, 3, rng), random_invertible(field, g.dim_odd, rng))
+            assert worst(g) <= _products_per_output(g.dim_even, g.dim_odd)

@@ -40,10 +40,15 @@ width k comes from a bound on the products one output sums: over Q the
 packed residual is zero exactly when every output is; over F_p, with
 every entry a residue in [0, p), every output is a multiple of p exactly
 when p divides the packed residual and each slot of the quotient fits a
-narrower width.  Past the 2048-bit cut-off of :func:`clear_denominators`
-the integer form holds Fractions, and each instance is summed into a
-list of per-output Fractions instead.  The validator and the solver also
-share :func:`representation_failures`.
+narrower width.  The validator passes the support of the odd bracket,
+and the generator yields only the instances with a term at a pair of it,
+found from bitmasks without visiting every index triple; the solver
+passes none and gets every instance.  Past the 2048-bit cut-off of
+:func:`clear_denominators` the integer form holds Fractions, and each
+instance is summed into a list of per-output Fractions instead.  The
+validator and the solver also share :func:`representation_failures`,
+which packs each action column once and sums each (i, j, w) of
+[rho_i, rho_j] - sum_k c_ijk rho_k as one integer, on integers only.
 
 Each algebra keeps a private integer form, built on first use and left out
 of equality and hashing: over Q the bracket and action scaled by one common
@@ -63,8 +68,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, combinations_with_replacement, product
 from math import lcm
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .fields import Field
@@ -620,7 +627,9 @@ def validate(g: SuperAlgebra) -> ValidationReport:
     evaluated at g's own odd bracket, or at its squaring in char2 mode:
     each instance's terms are summed into one packed integer residual (see
     :func:`_packed_violations`), and the instance is violated iff some
-    output of it is nonzero.  Over Q they run on integers: the bracket and
+    output of it is nonzero.  Only the instances with a term at a pair of
+    the odd bracket's support are generated; every other one vanishes at
+    g.  Over Q they run on integers: the bracket and
     action are scaled by one common denominator D and the odd bracket by
     its own D_p (see :func:`clear_denominators`), which multiplies
     relations 1 and 2 and the cubic by D*D_p and the representation check
@@ -654,16 +663,23 @@ def validate(g: SuperAlgebra) -> ValidationReport:
         for pair in representation_failures(f, bracket, act)
     )
 
-    # the unknowns' values as a dense list indexed by odd_unknowns: g's odd
-    # bracket, or in char2 mode the squaring it polarizes (char 2 means F_2,
-    # whose entries are integers already)
+    # the unknowns' values: g's odd bracket, or in char2 mode the squaring it
+    # polarizes (char 2 means F_2, whose entries are integers already), kept
+    # at the base (odd_unknowns) of each pair of its support
     odd = g.squaring if g.mode == "char2" else form.odd
-    known = [c for u in range(d1) for v in range(u, d1) for c in odd[u][v]]
+    base = odd_unknowns(d0, d1)
+    known, support = {}, [0] * d1
+    for u in range(d1):
+        for v in range(u, d1):
+            if any(odd[u][v]):
+                known[base[u][v]] = odd[u][v]
+                support[u] |= 1 << v
+                support[v] |= 1 << u
     coeffs = [c for plane in bracket for row in plane for c in row]
     coeffs += [c for plane in act for col in plane for _, c in col]
-    equations = compatibility_equations(bracket, act, g.mode)
+    equations = compatibility_equations(bracket, act, g.mode, support)
     p = f.p if f.kind == "prime" else None
-    if all(type(x) is int for x in known + coeffs):
+    if set(map(type, chain(coeffs, *known.values()))) <= {int}:
         violated = _packed_violations(equations, known, coeffs, d0, d1, p)
     else:  # past the cut-off of clear_denominators: Fractions
         violated = _listed_violations(equations, known, d0, d1)
@@ -736,9 +752,11 @@ def _is_zero(r: int, p: int | None, high: int) -> bool:
 def _packed_violations(equations, known, coeffs, d0: int, d1: int, p: int | None):
     """(identity, indices) of each instance of ``equations`` whose residual
     at the ``known`` unknowns is nonzero, every instance summed into one
-    packed integer: a term (base, group) adds known[base + i] times the
-    packed column group[i], a diagonal group of -a its coefficient a times
-    the packed negated odd bracket of the term's pair.
+    packed integer.  ``known`` maps the base (:func:`odd_unknowns`) of each
+    pair in the support to the pair's d0 coordinates: a term (base, group)
+    adds known[base][i] times the packed column group[i], a diagonal group
+    of -a its coefficient a times the packed negated coordinates, and a
+    term at a pair outside the support adds nothing.
 
     Integers only.  An output of an instance sums at most
     :func:`_products_per_output` products, each at most max|known| *
@@ -749,15 +767,17 @@ def _packed_violations(equations, known, coeffs, d0: int, d1: int, p: int | None
     if p:
         bound = (p - 1) ** 2 * products
     else:
-        bound = max(map(abs, known), default=0) * max(map(abs, coeffs), default=0) * products
+        top = max((abs(x) for xs in known.values() for x in xs), default=0)
+        bound = top * max(map(abs, coeffs), default=0) * products
     k, j = _slot_width(bound, p)
     high = _high_bits(k, j, max(d0, d1)) if p else 0
-    # at b, the first unknown of a pair: its d0 coordinates, and the pair
-    # negated and packed.  A diagonal group's coefficient a is reduced
-    # already, so a times the negated pair is the term.
-    coords, minus = [None] * len(known), [None] * len(known)
-    for b in range(0, len(known), d0 or 1):
-        coords[b] = xs = known[b : b + d0]
+    # at each base, the pair's coordinates, or None outside the support, and
+    # the pair negated and packed.  A diagonal group's coefficient a is
+    # reduced already, so a times the negated pair is the term.
+    n = d0 * d1 * (d1 + 1) // 2
+    coords, minus = [None] * n, [0] * n
+    for b, xs in known.items():
+        coords[b] = xs
         minus[b] = _pack([(y, -x) for y, x in enumerate(xs)], k, p)
     packed: dict = {}  # id(group): its packed columns
     for identity, indices, terms in equations:
@@ -766,10 +786,13 @@ def _packed_violations(equations, known, coeffs, d0: int, d1: int, p: int | None
             if type(group) is _Diagonal:
                 r += group.coefficient * minus[b]
                 continue
+            xs = coords[b]
+            if xs is None:
+                continue
             cols = packed.get(id(group))
             if cols is None:
                 cols = packed[id(group)] = [_pack(col, k, p) for col in group]
-            r += sum(map(mul, coords[b], cols))
+            r += sum(map(mul, xs, cols))
         if not _is_zero(r, p, high):
             yield identity, indices
 
@@ -784,8 +807,7 @@ def _listed_violations(equations, known, d0: int, d1: int):
         # term, since 0 + Fraction costs a full Fraction addition.
         r = [None] * (d0 if identity == "relation_2" or indices[0] == "even" else d1)
         for k, group in terms:
-            for i, col in enumerate(group, k):
-                b = known[i]
+            for b, col in zip(known.get(k, ()), group):
                 if b:
                     for t, c in col:
                         s = r[t]
@@ -856,10 +878,65 @@ def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]
     scaled to integers by one :func:`clear_denominators` (the check is
     homogeneous); an empty list means a representation.  Each image of f_w
     is summed over nonzeros only.
+
+    On integers (over F_p, residues in [0, p)) each action column is packed
+    once with :func:`_pack`, and each (i, j, w) is summed as one integer,
+    sum a P_i[t] - sum a P_j[t] - sum c_ijk P_k[w] over the nonzeros (t, a)
+    of e_j(f_w), then of e_i(f_w), and over k, where P_i[t] is e_i(f_t)
+    packed; over F_p each -a is written p - a, so that every slot stays
+    nonnegative.  A slot sums at most 2 d1 + d0 products, the bound that
+    :func:`_slot_width` turns into the slot width.  Fraction inputs (the
+    solver over Q, and the integer form past the cut-off of
+    :func:`clear_denominators`) are summed output by output instead.
     """
     d0 = len(bracket)
     d1 = len(act[0]) if act else 0
     p = field.p if field.kind == "prime" else None
+    coeffs = [c for plane in bracket for row in plane for c in row]
+    nonzeros = [a for plane in act for col in plane for _, a in col]
+    if set(map(type, chain(coeffs, nonzeros))) <= {int}:
+        return _packed_failures(bracket, act, coeffs, nonzeros, p)
+    return _listed_failures(bracket, act, p)
+
+
+def _packed_failures(bracket, act, coeffs, nonzeros, p: int | None) -> list:
+    """:func:`representation_failures` on integers, one packed sum per
+    (i, j, w)."""
+    d0, d1 = len(bracket), len(act[0]) if act else 0
+    if p:
+        bound = (p - 1) ** 2
+    else:
+        top = max(map(abs, nonzeros), default=0)
+        bound = top * max(top, max(map(abs, coeffs), default=0))
+    k, kq = _slot_width(bound * (2 * d1 + d0), p)
+    high = _high_bits(k, kq, d1) if p else 0
+    q = p or 0  # q - a is -a over Q and p - a over F_p
+    packed = [[_pack(col, k, p) for col in plane] for plane in act]
+    minus = [[[(t, q - a) for t, a in col] for col in plane] for plane in act]
+    bad = []
+    for i in range(d0):
+        for j in range(i + 1, d0):
+            pi, pj = packed[i], packed[j]
+            minus_c = [(packed[x], q - c) for x, c in enumerate(bracket[i][j]) if c]
+            for w in range(d1):
+                r = 0
+                for t, a in act[j][w]:
+                    r += a * pi[t]
+                for t, a in minus[i][w]:
+                    r += a * pj[t]
+                for pk, c in minus_c:
+                    r += c * pk[w]
+                if not _is_zero(r, p, high):
+                    bad.append((i, j))
+                    break
+    return bad
+
+
+def _listed_failures(bracket, act, p: int | None) -> list:
+    """:func:`representation_failures` on Fractions, one dict of per-output
+    sums per (i, j, w)."""
+    d0 = len(bracket)
+    d1 = len(act[0]) if act else 0
     bad = []
     for i in range(d0):
         for j in range(i + 1, d0):
@@ -883,7 +960,7 @@ def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]
     return bad
 
 
-def compatibility_equations(bracket, act, mode: str = "standard"):
+def compatibility_equations(bracket, act, mode: str = "standard", support=None):
     """The axiom relations that are linear in the odd bracket (or, in mode
     "char2", in the squaring) as sparse linear equations: the one definition
     that :func:`validate` evaluates and
@@ -931,7 +1008,21 @@ def compatibility_equations(bracket, act, mode: str = "standard"):
     {f_a, f_b} is the unknown S(a,b) for a != b and the diagonal {f_a, f_a}
     vanishes.  Signs do not matter in characteristic 2, so the shared
     groups serve both sides as they are.
+
+    ``support``, if given, is the support of the odd bracket (of the
+    squaring in mode "char2") as one bitmask per odd index u, with bit v set
+    iff {f_u, f_v} != 0 (S(u, v) != 0), symmetric in u and v.  Then only the
+    instances with a term at a pair of the support are yielded, in the same
+    order and with the same terms: every other instance vanishes at such an
+    odd bracket.  They are found from the masks, without visiting every
+    index triple (:func:`_supported_triples`, :func:`_supported_pairs`,
+    :func:`_supported_squares`).  ``None`` yields every instance: the
+    solver's full system.
     """
+    if support is not None and not any(support):
+        # no instance has a term in an empty support.  This also covers
+        # d0 = 0, whose empty act gives no d1 to index the support with.
+        return
     d0 = len(bracket)
     d1 = len(act[0]) if act else 0
     base = odd_unknowns(d0, d1)
@@ -944,53 +1035,128 @@ def compatibility_equations(bracket, act, mode: str = "standard"):
     # e_x(f_s)), each group built once per distinct a
     diagonals = {a: _Diagonal(a, d0) for a in {a for pl in act for col in pl for _, a in col}}
     units = [[[(w, diagonals[a]) for w, a in col] for col in pl] for pl in act]
+    odd_pairs = combinations_with_replacement(range(d1), 2)
     if mode == "char2":
-        for v in range(d1):
-            for w in range(v, d1):
-                orderings = ((v, w), (w, v)) if v < w else ((v, v),)
-                for y in range(d0):
-                    terms = [(base[v][w], ecols[y])] if elive[y] else []
-                    terms += [(base[a][s], ys) for a, b in orderings for s, ys in units[y][b] if s != a]
-                    if terms:
-                        yield "char2_square", ("even", y, v, w), terms
-                for y in range(d1):
-                    terms = [(base[v][w], cols[y])] if live[y] else []
-                    terms += [(base[b][y], cols[a]) for a, b in orderings if b != y and live[a]]
-                    if terms:
-                        yield "char2_square", ("odd", y, v, w), terms
+        if support is None:
+            squares = ((v, w, range(d0), range(d1)) for v, w in odd_pairs)
+        else:
+            squares = _supported_squares(support, act, live, elive)
+        for v, w, evens, odds in squares:
+            orderings = ((v, w), (w, v)) if v < w else ((v, v),)
+            for y in evens:
+                terms = [(base[v][w], ecols[y])] if elive[y] else []
+                terms += [(base[a][s], ys) for a, b in orderings for s, ys in units[y][b] if s != a]
+                if terms:
+                    yield "char2_square", ("even", y, v, w), terms
+            for y in odds:
+                terms = [(base[v][w], cols[y])] if live[y] else []
+                terms += [(base[b][y], cols[a]) for a, b in orderings if b != y and live[a]]
+                if terms:
+                    yield "char2_square", ("odd", y, v, w), terms
         return
-    for u in range(d1):
-        for v in range(u, d1):
-            for w in range(v, d1):
-                rotations = ((u, v, w), (v, w, u), (w, u, v))
-                terms = [(base[a][b], cols[c]) for a, b, c in rotations if live[c]]
-                if terms:
-                    yield "relation_1", (u, v, w), terms
-    for x in range(d0):
-        for u in range(d1):
-            for v in range(u, d1):
-                terms = [(base[u][v], ecols[x])] if elive[x] else []
-                terms += [(base[w][c], ys) for s, c in ((u, v), (v, u)) for w, ys in units[x][s]]
-                if terms:
-                    yield "relation_2", (x, u, v), terms
+
+    def triples():
+        if support is None:
+            return combinations_with_replacement(range(d1), 3)
+        return _supported_triples(support, live)
+
+    for u, v, w in triples():
+        rotations = ((u, v, w), (v, w, u), (w, u, v))
+        terms = [(base[a][b], cols[c]) for a, b, c in rotations if live[c]]
+        if terms:
+            yield "relation_1", (u, v, w), terms
+    if support is None:
+        pairs = product(range(d0), odd_pairs)
+    else:
+        pairs = _supported_pairs(support, act, elive)
+    for x, (u, v) in pairs:
+        terms = [(base[u][v], ecols[x])] if elive[x] else []
+        terms += [(base[w][c], ys) for s, c in ((u, v), (v, u)) for w, ys in units[x][s]]
+        if terms:
+            yield "relation_2", (x, u, v), terms
     if mode != "char3":
         return
     twice = [[[(t, 2 * c) for t, c in col] for col in cw] for cw in cols]
-    for a in range(d1):
-        for b in range(a, d1):
-            for c in range(b, d1):
-                # (i, j, k, group of f_k) for each {f_i,f_j}(f_k), with its multiplicity
-                if a == b == c:
-                    terms = ((a, a, a, cols[a]),)
-                elif a == b:
-                    terms = ((a, a, c, cols[c]), (a, c, a, twice[a]))
-                elif b == c:
-                    terms = ((a, b, b, twice[b]), (b, b, a, cols[a]))
-                else:
-                    terms = ((a, b, c, twice[c]), (a, c, b, twice[b]), (b, c, a, twice[a]))
-                terms = [(base[i][j], grp) for i, j, k, grp in terms if live[k]]
-                if terms:
-                    yield "char3_cubic", (a, b, c), terms
+    for a, b, c in triples():
+        # (i, j, k, group of f_k) for each {f_i,f_j}(f_k), with its multiplicity
+        if a == b == c:
+            terms = ((a, a, a, cols[a]),)
+        elif a == b:
+            terms = ((a, a, c, cols[c]), (a, c, a, twice[a]))
+        elif b == c:
+            terms = ((a, b, b, twice[b]), (b, b, a, cols[a]))
+        else:
+            terms = ((a, b, c, twice[c]), (a, c, b, twice[b]), (b, c, a, twice[a]))
+        terms = [(base[i][j], grp) for i, j, k, grp in terms if live[k]]
+        if terms:
+            yield "char3_cubic", (a, b, c), terms
+
+
+# --- instance selection by support --------------------------------------------
+
+
+def _or(masks) -> int:
+    return reduce(or_, masks, 0)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _supported_triples(support: list, live: list):
+    """(u, v, w), u <= v <= w in lexicographic order, at which some pair has
+    its third index live and lies in the support: where relation 1 and the
+    cubic have a term at a pair of the support.  For each (u, v), the w are
+    the live indices if {u, v} is in it, S(v) if u is live and S(u) if v
+    is; the v are those for which one of these can be nonempty."""
+    lm = _or(1 << i for i, x in enumerate(live) if x)
+    held = _or(1 << i for i, s in enumerate(support) if s)
+    for u, su in enumerate(support):
+        for v in _bits((su | (held if live[u] else 0) | (lm if su else 0)) >> u << u):
+            ws = (lm if su >> v & 1 else 0) | (support[v] if live[u] else 0) | (su if live[v] else 0)
+            for w in _bits(ws >> v << v):
+                yield u, v, w
+
+
+def _supported_pairs(support: list, act, elive: list):
+    """(x, (u, v)), u <= v in the order of relation 2, at which it has a term
+    at a pair of the support: {u, v} is in it and ad(e_x) != 0, or some f_w
+    of e_x(f_u) pairs with f_v into it, or some f_w of e_x(f_v) with f_u."""
+    for x, plane in enumerate(act):
+        # reach[u]: the v that some f_w of e_x(f_u) pairs with in the support
+        reach = [_or(support[w] for w, _ in col) for col in plane]
+        back = [0] * len(reach)  # back[u]: the v with u in reach[v]
+        for v, m in enumerate(reach):
+            for u in _bits(m):
+                back[u] |= 1 << v
+        for u, su in enumerate(support):
+            for v in _bits(((su if elive[x] else 0) | reach[u] | back[u]) >> u << u):
+                yield x, (u, v)
+
+
+def _supported_squares(support: list, act, live: list, elive: list):
+    """(v, w, even ys, odd ys) for v <= w in the order of the squaring
+    axiom, the ys those at which its instance has a term at a pair of the
+    support: {v, w} itself; for an even y, (a, s) with s != a in
+    e_y(f_b); for an odd y, (b, y) with b != y and f_a live, where (a, b)
+    runs over the orderings of {v, w}.  Each such pair needs {v, w} in the
+    support, or one of v, w live and the other in a pair of it, as for
+    relation 1: the w are a superset, the ys exact."""
+    lm = _or(1 << i for i, x in enumerate(live) if x)
+    held = _or(1 << i for i, s in enumerate(support) if s)
+    nz = [[_or(1 << s for s, _ in col) for col in plane] for plane in act]  # the f_s in e_y(f_b)
+    for v, sv in enumerate(support):
+        rv = sv & ~(1 << v)
+        for w in _bits((sv | (held if live[v] else 0) | (lm if sv else 0)) >> v << v):
+            rw = support[w] & ~(1 << w)
+            pair = sv >> w & 1
+            evens = [y for y, n in enumerate(nz) if elive[y] and pair or n[w] & rv or n[v] & rw]
+            odds = (lm if pair else 0) | (rw if live[v] else 0) | (rv if live[w] else 0)
+            yield v, w, evens, _bits(odds)
 
 
 # --- supercentre, spans, simplicity -----------------------------------------

@@ -276,3 +276,60 @@ def test_in_process_calls_release_captured_streams(tmp_path):
         del out, err
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def counting_instances(monkeypatch):
+    """Count the instances validate's relation loop evaluates, by wrapping
+    the generator."""
+    from superbracket import superalgebra as sa
+
+    counts = []
+    real = sa.compatibility_equations
+
+    def counted(*args):
+        for instance in real(*args):
+            counts.append(instance[0])
+            yield instance
+
+    monkeypatch.setattr(sa, "compatibility_equations", counted)
+    return counts
+
+
+def test_empty_3_300_document_validates_without_evaluating_an_instance(monkeypatch, tmp_path):
+    # sl(2) with 300 odd dimensions and no odd entries: no instance can
+    # fail, so the relation loop evaluates none
+    from superbracket import cli
+    from superbracket.constructions import sl2_algebra
+    from superbracket.fields import QQ
+    from superbracket.schema import serialize_algebra
+    from superbracket.superalgebra import SuperAlgebra
+
+    sl2 = sl2_algebra(QQ).bracket
+    bracket = [(i, j, k, c) for i in range(3) for j in range(i + 1, 3) for k, c in enumerate(sl2[i][j]) if c]
+    path = tmp_path / "empty.json"
+    path.write_text(serialize_algebra(SuperAlgebra.from_entries(QQ, 3, 300, bracket)))
+    res = run_cli("validate", str(path))
+    assert (res.returncode, res.stdout, res.stderr) == (0, "valid\n", "")
+    counts = counting_instances(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["validate", str(path)]) == 0
+    assert out.getvalue() == "valid\n" and counts == []
+
+
+def test_central_odd_dimensions_add_no_instances(monkeypatch):
+    # osp(1|2) + z: the central f_w are killed by the action and pair with
+    # nothing, so validate evaluates the same 13 instances at z = 298 as at
+    # z = 0, not the O(d1^3) of the full system
+    from superbracket.constructions import add_centre, build_osp12
+    from superbracket.fields import QQ
+    from superbracket.superalgebra import validate
+
+    docs = [build_osp12(QQ), add_centre(build_osp12(QQ), 298)]
+    counts = counting_instances(monkeypatch)
+    seen = []
+    for g in docs:
+        counts.clear()
+        assert validate(g).ok
+        seen.append(sorted(counts))
+    assert seen[0] == seen[1] == ["relation_1"] * 4 + ["relation_2"] * 9

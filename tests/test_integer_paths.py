@@ -9,6 +9,7 @@ from math import lcm
 
 import pytest
 from conftest import (
+    dense_representation_failures,
     fraction_bilinear,
     fraction_check_morphism,
     fraction_validate,
@@ -27,6 +28,7 @@ from superbracket.constructions import (
 from superbracket.fields import GF, MAX_SCALAR_DIGITS, PRIME_BOUND, QQ, _is_prime
 from superbracket.linalg import Matrix, Vector
 from superbracket.schema import parse_algebra, serialize_algebra
+from superbracket.sl2 import IrrepSpec, build_irrep
 from superbracket.superalgebra import (
     MorphismCertificate,
     SuperAlgebra,
@@ -39,6 +41,7 @@ from superbracket.superalgebra import (
     compatibility_equations,
     killing_form,
     odd_unknowns,
+    representation_failures,
     validate,
 )
 
@@ -525,3 +528,125 @@ def test_many_coprime_denominators_stay_within_the_oracles_time(odd_only):
         if elapsed < budget:
             break
     assert elapsed < budget, (elapsed, oracle_s)
+
+
+# --- the packed representation check ------------------------------------------
+
+
+def packed_and_dense(field, bracket, mats):
+    """representation_failures on (bracket, mats) as plain integers, which
+    it packs, and the dense oracle on the same values as field elements."""
+
+    def ints(rows):
+        return [[int(x) for x in row] for row in rows]
+
+    act = action_nonzeros([ints(m.transpose().data) for m in mats])
+    got = representation_failures(field, [ints(plane) for plane in bracket], act)
+    coerced = [[[field.coerce(x) for x in row] for row in plane] for plane in bracket]
+    return got, dense_representation_failures(field, coerced, mats)
+
+
+def test_packed_representation_check_at_the_largest_prime(rng):
+    # every entry p - 1, and an irreducible module in a random basis, whose
+    # entries range up to p - 1, with and without one entry moved to p - 1
+    f = GF(P_MAX)
+    top = f.p - 1
+    sl2 = sl2_algebra(f).bracket
+    full = [[[top] * 3 for _ in range(3)] for _ in range(3)]
+    outcomes = set()
+    for d1 in (1, 3, 6):
+        every = [Matrix(f, [[top] * d1 for _ in range(d1)]) for _ in range(3)]
+        rep = build_irrep(IrrepSpec.standard_params(f, d1 - 1), f)
+        mats = list(rep.conjugated(random_invertible(f, d1, rng)).matrices())
+        data = [list(r) for r in mats[1].data]
+        data[rng.randrange(d1)][rng.randrange(d1)] = top
+        moved = [mats[0], Matrix(f, data), mats[2]]
+        for bracket, ms in [(full, every), (sl2, every), (full, mats), (sl2, mats), (sl2, moved)]:
+            got, expected = packed_and_dense(f, bracket, ms)
+            assert got == expected
+            outcomes.add(bool(expected))
+    assert outcomes == {True, False}
+
+
+def test_packed_representation_check_at_the_largest_numerators(rng):
+    # numerators of MAX_SCALAR_DIGITS digits and mixed sign: osp(1|2) + 2 in
+    # a random graded basis, scaled (a representation again), and one such
+    # numerator in every entry, as validate hands them over from the
+    # integer form
+    cap = 10**MAX_SCALAR_DIGITS - 1
+    g, _, _ = random_basis(add_centre(build_osp12(QQ), 2), rng)
+    g = at_most_digits(g, MAX_SCALAR_DIGITS, rng)
+    docs = [g, at_most_digits(perturbed(g, rng, which=1), MAX_SCALAR_DIGITS, rng)]
+
+    def full(*shape):
+        return [[[rng.choice([cap, -cap]) for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
+
+    docs.append(SuperAlgebra.from_tensors(QQ, full(3, 3, 3), full(3, 4, 4), full(4, 4, 3)))
+    outcomes = []
+    for h in docs:
+        form = h._integer_form()
+        act = action_nonzeros(form.action)
+        assert all(type(c) is int for plane in act for col in plane for _, c in col)
+        got = representation_failures(QQ, form.bracket, act)
+        mats = [h.action_matrix(x) for x in range(3)]
+        assert got == dense_representation_failures(QQ, h.bracket, mats)
+        outcomes.append(bool(got))
+    assert outcomes == [False, True, True]
+
+
+@pytest.mark.parametrize("field,c", [(QQ, (-1, 0)), (GF(3), (0, 1))], ids=["Q", "F_3"])
+def test_packed_representation_width_holds_the_bound_and_not_one_bit_less(field, c, monkeypatch):
+    # every 2|2 action with entries in {-1, 0, 1} (over F_3 their residues),
+    # against [e_0, e_1] = c_0 e_0 + c_1 e_1: each judged right at the slot
+    # width of the rule, and some misjudged one bit narrower
+    import superbracket.superalgebra as sa
+
+    bracket = [[[0, 0], list(c)], [[0, 0], [0, 0]]]
+    cases = []
+    for e in product((-1, 0, 1), repeat=8):
+        e = [field.coerce(x) for x in e]
+        mats = [Matrix(field, [e[0:2], e[2:4]]), Matrix(field, [e[4:6], e[6:8]])]
+        got, expected = packed_and_dense(field, bracket, mats)
+        assert got == expected
+        cases.append((mats, expected))
+    real = sa._slot_width
+    monkeypatch.setattr(sa, "_slot_width", lambda bound, p: (real(bound, p)[0] - 1, real(bound, p)[1]))
+    assert any(packed_and_dense(field, bracket, mats)[0] != expected for mats, expected in cases)
+
+
+def test_packed_representation_bound_is_reached(monkeypatch):
+    # over Q at 2|2 with entries of absolute value 1, one output of the
+    # check sums 2 d1 + d0 = 6 products of one sign: the slot bound handed
+    # to _slot_width is reached, so no smaller product count would hold
+    import superbracket.superalgebra as sa
+
+    real = sa._slot_width
+    bounds = []
+    monkeypatch.setattr(sa, "_slot_width", lambda bound, p: bounds.append(bound) or real(bound, p))
+    rho = [Matrix(QQ, [[1, 1], [0, -1]]), Matrix(QQ, [[-1, 1], [0, 1]])]
+    bracket = [[[0, 0], [-1, -1]], [[1, 1], [0, 0]]]  # [e_0, e_1] = -e_0 - e_1
+    residual = rho[0].commutator(rho[1]) + rho[0] + rho[1]
+    assert residual.data[0][1] == 6
+    got, expected = packed_and_dense(QQ, bracket, rho)
+    assert got == expected == [(0, 1)] and bounds == [6]
+
+
+def test_representation_check_packs_unless_its_inputs_hold_fractions(monkeypatch, rng):
+    # the per-output dict loop runs only on Fractions: the integer form past
+    # the cut-off of clear_denominators, and the solver over Q, which hands
+    # over its raw tensors
+    import superbracket.superalgebra as sa
+
+    coprime = coprime_document(12)
+    assert clear_denominators(QQ, (coprime.bracket, coprime.action))[0] == 1
+    docs = [coprime] + [next(documents(f, rng)) for f in FIELDS]
+    modules = [build_osp12(QQ), build_osp12(GF(7))]
+    calls = []
+    for name in ("_packed_failures", "_listed_failures"):
+        real = getattr(sa, name)
+        monkeypatch.setattr(sa, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for g in docs:
+        validate(g)
+    for g in modules:
+        moduli.odd_bracket_space_of(g)
+    assert calls == ["_listed_failures"] + ["_packed_failures"] * len(FIELDS) + ["_listed_failures", "_packed_failures"]

@@ -7,8 +7,10 @@ from collections import Counter
 import pytest
 from conftest import (
     dense_representation_failures,
+    fraction_validate,
     naive_char2_violations,
     random_invertible,
+    random_monomial,
     raw_maps,
 )
 from hypothesis import given
@@ -27,10 +29,12 @@ from superbracket.linalg import Matrix, Vector, span_contains
 from superbracket.moduli import odd_bracket_space_of
 from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
+    MODES,
     SuperAlgebra,
     _products_per_output,
     action_nonzeros,
     compatibility_equations,
+    odd_unknowns,
     representation_failures,
     validate,
 )
@@ -337,3 +341,121 @@ def test_instances_sum_at_most_the_bounded_products_per_output(rng):
             g = add_centre(base, z)
             g = g.conjugated(random_invertible(field, 3, rng), random_invertible(field, g.dim_odd, rng))
             assert worst(g) <= _products_per_output(g.dim_even, g.dim_odd)
+
+
+# --- instance selection by the support of the odd bracket ----------------------
+
+
+def monomial_documents(d1, rng):
+    """osp(1|2) + z over Q and F_7, the char-3 example + z and the char-2
+    example + z, each of odd dimension d1 and in a random monomial basis:
+    the odd bracket holds a few pairs, relabelled and rescaled."""
+    for field, base in [
+        (QQ, build_osp12(QQ)),
+        (GF(7), build_osp12(GF(7))),
+        (GF(3), build_char3_example()),
+        (GF(2), build_char2_example()),
+    ]:
+        g = add_centre(base, d1 - base.dim_odd)
+        yield g.conjugated(random_monomial(field, 3, rng), random_monomial(field, d1, rng))
+
+
+def with_entries(g, rng, odd=0, action=0):
+    """g with ``odd`` random odd-bracket and ``action`` random action
+    coefficients each moved by a nonzero scalar."""
+    f, d0, d1 = g.field, g.dim_even, g.dim_odd
+    act = [[list(r) for r in plane] for plane in g.action]
+    tensor = [[list(r) for r in plane] for plane in g.odd_bracket]
+    for _ in range(action):
+        x, v, w = rng.randrange(d0), rng.randrange(d1), rng.randrange(d1)
+        act[x][v][w] = f.add(act[x][v][w], random_scalar(f, rng) or f.one())
+    for _ in range(odd):
+        u = rng.randrange(d1)
+        v, x = rng.randrange(u, d1), rng.randrange(d0)
+        tensor[u][v][x] = f.add(tensor[u][v][x], random_scalar(f, rng) or f.one())
+    return SuperAlgebra.from_tensors(f, g.bracket, act, tensor, mode=g.mode)
+
+
+def variants(g, rng):
+    """Documents near g: a few random odd-bracket entries, one-entry
+    perturbations of the odd bracket and of the action, or in char2 mode
+    flipped squaring and action coefficients."""
+    if g.mode == "char2":
+        return [flipped_char2(g, rng) for _ in range(4)]
+    return [with_entries(g, rng, odd=3), *perturbations(g, rng, 2), with_entries(g, rng, action=1)]
+
+
+def found(report):
+    return [(v.identity, v.indices) for v in report.violations]
+
+
+@pytest.mark.parametrize("d1", [6, 24, 40])
+def test_validate_matches_the_oracles_on_support_sparse_documents(d1, rng):
+    # validate evaluates only the instances the odd bracket's support can
+    # violate; the oracles evaluate every instance (fraction_validate) or
+    # every ordered triple (naive_violations).  The char-2 oracle takes
+    # seconds past d1 = 24.
+    failing = 0
+    for g in monomial_documents(d1, rng):
+        if g.mode == "char2" and d1 > 24:
+            continue
+        for h in [g, *variants(g, rng)]:
+            got = found(validate(h))
+            assert got == (naive_violations(h) if d1 <= 6 else found(fraction_validate(h)))
+            failing += bool(got)
+        assert validate(g).ok
+    assert failing
+
+
+@pytest.mark.parametrize("mode,field", [("standard", QQ), ("char3", GF(3)), ("char2", GF(2))])
+def test_validate_without_an_even_part(mode, field):
+    # d0 = 0: there are no unknowns, so the support is empty and no
+    # instance is generated, though the action is too empty to give d1
+    g = SuperAlgebra.from_entries(field, 0, 3, mode=mode, squaring=[] if mode == "char2" else None)
+    assert validate(g).ok and naive_violations(g) == []
+
+
+def test_validate_at_large_d1_equals_the_full_system(monkeypatch, rng):
+    # at d1 = 100 the oracles take minutes; the integer form evaluated on
+    # every instance of the generator (support None) is the reference
+    import superbracket.superalgebra as sa
+
+    docs = []
+    for g in monomial_documents(100, rng):
+        docs += [g, variants(g, rng)[0]]
+    got = [validate(h).violations for h in docs]
+    real = sa.compatibility_equations
+    monkeypatch.setattr(sa, "compatibility_equations", lambda b, a, mode, support: real(b, a, mode))
+    assert [validate(h).violations for h in docs] == got
+    assert any(got) and not all(got)
+
+
+@given(
+    mode=st.sampled_from(MODES),
+    d0=st.integers(1, 3),
+    d1=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_selects_exactly_the_instances_with_a_term_in_it(mode, d0, d1, seed):
+    # a random sparse bracket and action (neither need be a Lie bracket or
+    # a representation) and a random symmetric support S: the instances
+    # yielded for S are those yielded for None with a term at a pair in S,
+    # in the same order and with the same terms
+    rng = random.Random(seed)
+    density, held_density = rng.random(), rng.random()
+
+    def sparse(*shape):
+        return [[[rng.choice((1, -2)) if rng.random() < density else 0 for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
+
+    bracket, act = sparse(d0, d0, d0), action_nonzeros(sparse(d0, d1, d1))
+    base = odd_unknowns(d0, d1)
+    support, held = [0] * d1, set()
+    for u in range(d1):
+        for v in range(u, d1):
+            if rng.random() < held_density:
+                support[u] |= 1 << v
+                support[v] |= 1 << u
+                held.add(base[u][v])
+    full = list(compatibility_equations(bracket, act, mode))
+    expected = [e for e in full if any(b in held for b, _ in e[2])]
+    assert list(compatibility_equations(bracket, act, mode, support)) == expected

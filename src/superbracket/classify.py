@@ -21,6 +21,7 @@ from .linalg import (
     Vector,
     coordinates_in_span,
     echelon_span,
+    intertwiners,
     kernel_basis,
     solve_linear,
 )
@@ -133,6 +134,23 @@ def _action_kernel(g: SuperAlgebra) -> list[Vector]:
     return kernel_basis(stacked)
 
 
+def _action_on(g: SuperAlgebra, summand: list[Vector]) -> list[Matrix]:
+    """The matrices of the even basis acting on an invariant summand of the
+    odd part, in the coordinates of its basis."""
+    field = g.field
+    mats = []
+    for x in range(g.dim_even):
+        cols = []
+        for v in summand:
+            img = g.act_vec(Vector.unit(field, g.dim_even, x), v)
+            coords = coordinates_in_span(summand, img)
+            if coords is None:
+                raise _TheoremViolated("action image is not invariant")
+            cols.append(coords)
+        mats.append(Matrix.from_columns(field, cols))
+    return mats
+
+
 def _proportionality(target: Vector, reference: Vector):
     """Scalar c with target = c * reference, or None."""
     field = target.field
@@ -171,16 +189,7 @@ def _case_c(
     # The 2-dimensional module is faithful, so the action identifies the
     # even part with sl(2) of the module; pulling back the standard matrix
     # triple yields an sl(2)-triple exactly, over any field -- no search.
-    restr = []
-    for x in range(3):
-        cols = []
-        for v in module:
-            img = g.act_vec(Vector.unit(field, 3, x), v)
-            coords = coordinates_in_span(module, img)
-            if coords is None:
-                raise _TheoremViolated("action image is not invariant")
-            cols.append(coords)
-        restr.append(Matrix.from_columns(field, cols))
+    restr = _action_on(g, module)
     flat = Matrix(
         field,
         [[restr[x].data[i][j] for x in range(3)] for i in range(2) for j in range(2)],
@@ -275,38 +284,15 @@ def _case_b(g: SuperAlgebra, z1: list[Vector], note: str | None) -> Classificati
                 )
 
     # equivariant isomorphism psi: adjoint summand -> even part (Schur line)
-    ad_mats = [g.ad(i) for i in range(3)]
-    coords_of_action = []
-    for x in range(3):
-        row = []
-        for j, aj in enumerate(adjoint):
-            img = g.act_vec(Vector.unit(field, 3, x), aj)
-            coords = coordinates_in_span(adjoint, img)
-            if coords is None:
-                raise _TheoremViolated("action image is not invariant")
-            row.append(coords)
-        coords_of_action.append(row)
-    rows = []
-    for x in range(3):
-        for j in range(3):
-            alpha = coords_of_action[x][j]
-            for r in range(3):
-                row = [field.zero()] * 9
-                for c in range(3):
-                    row[r * 3 + c] = field.add(row[r * 3 + c], alpha.entries[c])
-                for a in range(3):
-                    row[a * 3 + j] = field.sub(
-                        row[a * 3 + j], ad_mats[x].data[r][a]
-                    )
-                rows.append(row)
-    psi_space = kernel_basis(Matrix(field, rows))
+    psi_space = intertwiners(
+        field, [(m, g.ad(x)) for x, m in enumerate(_action_on(g, adjoint))]
+    )
     if len(psi_space) != 1:
         raise _TheoremViolated(
             f"equivariant maps to the even part form a {len(psi_space)}-"
             "dimensional space, expected a Schur line"
         )
-    flat = psi_space[0]
-    psi = Matrix(field, [[flat.entries[r * 3 + c] for c in range(3)] for r in range(3)])
+    psi = psi_space[0]
     if psi.inverse() is None:
         raise _TheoremViolated("equivariant map is singular")
 

@@ -15,6 +15,7 @@ undetermined, 64 usage error, 65 schema error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -42,7 +43,7 @@ from .moduli import (
     odd_bracket_space_of,
     sweep_irrep_sums,
 )
-from .schema import SchemaError, parse_algebra, serialize_algebra
+from .schema import SchemaError, _tensor_entries, parse_algebra, serialize_algebra
 from .sl2 import (
     INCONCLUSIVE,
     IrrepSpec,
@@ -185,17 +186,32 @@ def construct():
     """Builders; each prints canonical JSON."""
 
 
+@contextlib.contextmanager
+def _flag_errors():
+    """A builder's ValueError (a FieldError included) means that the flags
+    describe no algebra: a usage error.  An AssembleError is not one."""
+    try:
+        yield
+    except AssembleError:
+        raise
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 @construct.command("osp12")
 @field_option
 def construct_osp12(field_text):
     """The 3|2 orthosymplectic algebra."""
-    _emit(build_osp12(parse_field_flag(field_text)))
+    field = parse_field_flag(field_text)
+    with _flag_errors():
+        g = build_osp12(field)
+    _emit(g)
 
 
 @construct.command("osp")
 @field_option
-@click.option("--d0", type=int, required=True, help="Quadratic dimension.")
-@click.option("--d1", type=int, required=True, help="Symplectic dimension (even).")
+@click.option("--d0", type=click.IntRange(0), required=True, help="Quadratic dimension.")
+@click.option("--d1", type=click.IntRange(0), required=True, help="Symplectic dimension (even).")
 @click.option(
     "--q-diag",
     default=None,
@@ -204,20 +220,18 @@ def construct_osp12(field_text):
 def construct_osp(field_text, d0, d1, q_diag):
     """Orthosymplectic algebra of diag(q) + standard symplectic form."""
     field = parse_field_flag(field_text)
-    if q_diag is None:
-        forms = BilinearFormPair.standard(field, d0, d1)
-    else:
+    entries = [field.one()] * d0
+    if q_diag is not None:
         try:
             entries = [field.parse(x) for x in q_diag.split(",")]
         except FieldError as exc:
             raise click.UsageError(f"bad --q-diag: {exc}") from None
         if len(entries) != d0:
             raise click.UsageError("--q-diag length must equal --d0")
-        forms = BilinearFormPair(
-            Matrix.diagonal(field, entries),
-            BilinearFormPair.standard(field, 0, d1).omega,
-        )
-    _emit(build_osp(forms, field))
+    with _flag_errors():
+        omega = BilinearFormPair.standard(field, 0, d1).omega
+        g = build_osp(BilinearFormPair(Matrix.diagonal(field, entries), omega), field)
+    _emit(g)
 
 
 @construct.command("double")
@@ -225,7 +239,9 @@ def construct_osp(field_text, d0, d1, q_diag):
 def construct_double(field_text):
     """The double of sl(2): sl2 + (sl2' + centralizer line)."""
     field = parse_field_flag(field_text)
-    _emit(build_double(sl2_algebra(field), Matrix.identity(field, 3)))
+    with _flag_errors():
+        g = build_double(sl2_algebra(field), Matrix.identity(field, 3))
+    _emit(g)
 
 
 @construct.command("irrep")
@@ -240,7 +256,7 @@ def construct_irrep(field_text, m, alpha, beta):
 
 
 def _sl2_module_algebra(field, m, alpha, beta, odd_entries):
-    try:
+    with _flag_errors():
         spec = IrrepSpec(
             m,
             field.scalar(field.parse(alpha)) if alpha is not None else field.scalar(m),
@@ -248,12 +264,6 @@ def _sl2_module_algebra(field, m, alpha, beta, odd_entries):
         )
         rep = build_irrep(spec, field)
         return assemble(sl2_algebra(field), rep, odd_entries)
-    except FieldError as exc:
-        raise click.UsageError(str(exc)) from None
-    except AssembleError:
-        raise
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
 
 
 @construct.command("char3")
@@ -352,17 +362,7 @@ def cmd_pspace(path, mode):
         for pair in exc.pairs:
             _echo(str(sa.Violation("representation", pair)), err=True)
         sys.exit(EXIT_VALIDATION)
-    field = g.field
-    basis_entries = []
-    for tensor in space.basis:
-        entries = [
-            [u, v, x, field.format(tensor[u][v][x])]
-            for u in range(g.dim_odd)
-            for v in range(u, g.dim_odd)
-            for x in range(g.dim_even)
-            if tensor[u][v][x]
-        ]
-        basis_entries.append(entries)
+    basis_entries = [_tensor_entries(g.field, t, symmetric=True) for t in space.basis]
     _echo(json.dumps({"dim": space.dimension, "basis": basis_entries}, indent=2))
 
 

@@ -1,12 +1,16 @@
 """Builders for the concrete superalgebras the library works with.
 
-* ``build_osp`` solves the defining linear condition of the orthosymplectic
-  algebra inside graded End(V) and extracts structure constants.
+* ``build_osp`` solves the one graded condition of the orthosymplectic
+  algebra, (f^T B)[i][j] + (-1)^{|f||i|} (B f)[i][j] = 0 for B = diag(q,
+  omega), once per parity over that sector's cells of End(V) (even cells
+  row-major; odd cells row-major with the V0 -> V1 block first), and
+  extracts structure constants in the echelon bases of the two solutions.
 * ``build_osp12`` is the explicit 3|2-dimensional model: sl(2) acting on its
   standard module with the moment map
   P((a,b),(c,d)) = [[-(ad+bc), 2ac], [-2bd, ad+bc]].
 * ``build_double`` forms g + (g' + C(g')) from a Lie algebra isomorphism
-  phi: g -> g', where C(g') is the space of equivariant maps g -> g'.
+  phi: g -> g', where C(g') is the space of equivariant maps g -> g', the
+  intertwiners of ad x and ad phi(x) (``linalg.intertwiners``).
 * ``add_centre`` / ``assemble`` are the generic glue.
 * ``build_char3_example`` and ``build_char2_example`` are the small-
   characteristic structures that the standard classification does not cover.
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix, Vector, kernel_basis, solve_linear
+from .linalg import Matrix, Vector, coordinates_in_span, intertwiners, sparse_kernel_basis
 from .superalgebra import SuperAlgebra, ValidationReport, validate
 
 __all__ = [
@@ -101,153 +105,78 @@ class BilinearFormPair:
 
 
 def build_osp(forms: BilinearFormPair, field: Field) -> SuperAlgebra:
-    """Orthosymplectic algebra of (V, B) by solving B(f(v),v') +
-    (-1)^{|f||v|} B(v,f(v')) = 0 for graded f, then extracting constants in
-    the echelon basis of the solution space (flattening: even = rows of the
-    V0-block then the V1-block; odd = rows of the V0->V1 block then the
-    V1->V0 block)."""
+    """Orthosymplectic algebra of V = V0 + V1 with the form B = diag(q, omega).
+
+    A graded f in End(V) of parity |f| lies in it when, for every cell (i, j),
+
+        (f^T B)[i][j] + (-1)^{|f||i|} (B f)[i][j] = 0,
+
+    with |i| = 1 for i >= d0.  Both terms vanish off the cells of f's parity,
+    so each parity is one linear system over its own cells: the even cells
+    (V0 -> V0 and V1 -> V1) flattened row-major, the odd cells flattened
+    row-major with the V0 -> V1 block (rows >= d0) first.  Structure
+    constants are the coordinates of (anti)commutators in the echelon bases
+    of the two solution spaces.  Characteristic 2 is refused: there the
+    condition's solution spaces have other dimensions, and char2 mode would
+    need a squaring.
+    """
+    if field.characteristic == 2:
+        raise ValueError("build_osp is not defined in characteristic 2")
     q, om = forms.q, forms.omega
     d0, d1 = q.rows, om.rows
-
-    # even sector: blocks (A, D): A^T q + q A = 0 and D^T om + om D = 0
-    n_even = d0 * d0 + d1 * d1
-
-    def a_idx(k, l):
-        return k * d0 + l
-
-    def d_idx(k, l):
-        return d0 * d0 + k * d1 + l
-
-    rows = []
-    for i in range(d0):
-        for j in range(d0):
-            row = [field.zero()] * n_even
-            for k in range(d0):
-                row[a_idx(k, i)] = field.add(row[a_idx(k, i)], q.data[k][j])
-                row[a_idx(k, j)] = field.add(row[a_idx(k, j)], q.data[i][k])
-            rows.append(row)
-    for i in range(d1):
-        for j in range(d1):
-            row = [field.zero()] * n_even
-            for k in range(d1):
-                row[d_idx(k, i)] = field.add(row[d_idx(k, i)], om.data[k][j])
-                row[d_idx(k, j)] = field.add(row[d_idx(k, j)], om.data[i][k])
-            rows.append(row)
-    even_basis_flat = kernel_basis(Matrix(field, rows)) if n_even else []
-
-    # odd sector: blocks (X: V0->V1, Y: V1->V0): X^T om + q Y = 0
-    n_odd = d1 * d0 + d0 * d1
-
-    def x_idx(k, l):
-        return k * d0 + l
-
-    def y_idx(k, l):
-        return d1 * d0 + k * d1 + l
-
-    rows = []
-    for i in range(d0):
-        for j in range(d1):
-            row = [field.zero()] * n_odd
-            for k in range(d1):
-                row[x_idx(k, i)] = field.add(row[x_idx(k, i)], om.data[k][j])
-            for k in range(d0):
-                row[y_idx(k, j)] = field.add(row[y_idx(k, j)], q.data[i][k])
-            rows.append(row)
-    for j in range(d1):
-        for i in range(d0):
-            row = [field.zero()] * n_odd
-            for k in range(d0):
-                row[y_idx(k, j)] = field.add(row[y_idx(k, j)], q.data[k][i])
-            for k in range(d1):
-                row[x_idx(k, i)] = field.add(
-                    row[x_idx(k, i)], field.neg(om.data[j][k])
-                )
-            rows.append(row)
-    odd_basis_flat = kernel_basis(Matrix(field, rows)) if n_odd else []
-
-    dim_even = d0 * (d0 - 1) // 2 + d1 * (d1 + 1) // 2
-    dim_odd = d0 * d1
-    assert len(even_basis_flat) == dim_even, "even solution space has wrong dimension"
-    assert len(odd_basis_flat) == dim_odd, "odd solution space has wrong dimension"
-
     n = d0 + d1
+    zero = field.zero()
+    form = [list(row) + [zero] * d1 for row in q.data]
+    form += [[zero] * d0 + list(row) for row in om.data]
+    # the nonzeros of each column and of each row of B
+    cols_b = [[(l, form[l][j]) for l in range(n) if form[l][j]] for j in range(n)]
+    rows_b = [[(l, x) for l, x in enumerate(form[i]) if x] for i in range(n)]
 
-    def even_matrix(flat: Vector) -> Matrix:
-        m = [[field.zero()] * n for _ in range(n)]
-        for k in range(d0):
-            for l in range(d0):
-                m[k][l] = flat.entries[a_idx(k, l)]
-        for k in range(d1):
-            for l in range(d1):
-                m[d0 + k][d0 + l] = flat.entries[d_idx(k, l)]
-        return Matrix(field, m)
+    cells, bases = [], []
+    for parity in (0, 1):
+        order = [*range(d0, n), *range(d0)] if parity else range(n)
+        sector = [(r, c) for r in order for c in range(n) if (r >= d0) ^ (c >= d0) == parity]
+        index = {cell: t for t, cell in enumerate(sector)}
+        rows = []
+        for i, j in sector:
+            # B is block diagonal, so the cells (l, i) and (l, j) below lie
+            # in the sector; the second sum carries the sign (-1)^{|f||i|}
+            signed = field.sub if parity and i >= d0 else field.add
+            row = {}
+            for l, x in cols_b[j]:
+                t = index[l, i]
+                row[t] = field.add(row.get(t, zero), x)
+            for l, x in rows_b[i]:
+                t = index[l, j]
+                row[t] = signed(row.get(t, zero), x)
+            rows.append(row)
+        cells.append(sector)
+        bases.append(sparse_kernel_basis(field, rows, len(sector)))
+    dims = (d0 * (d0 - 1) // 2 + d1 * (d1 + 1) // 2, d0 * d1)
+    assert tuple(map(len, bases)) == dims, "solution space has the wrong dimension"
 
-    def odd_matrix(flat: Vector) -> Matrix:
-        m = [[field.zero()] * n for _ in range(n)]
-        for k in range(d1):
-            for l in range(d0):
-                m[d0 + k][l] = flat.entries[x_idx(k, l)]
-        for k in range(d0):
-            for l in range(d1):
-                m[k][d0 + l] = flat.entries[y_idx(k, l)]
-        return Matrix(field, m)
+    def matrix(flat: Vector, parity: int) -> Matrix:
+        m = [[zero] * n for _ in range(n)]
+        for (r, c), x in zip(cells[parity], flat.entries):
+            m[r][c] = x
+        return Matrix._from_raw(field, m)
 
-    def even_flat(m: Matrix) -> Vector:
-        out = [field.zero()] * n_even
-        for k in range(d0):
-            for l in range(d0):
-                out[a_idx(k, l)] = m.data[k][l]
-        for k in range(d1):
-            for l in range(d1):
-                out[d_idx(k, l)] = m.data[d0 + k][d0 + l]
-        return Vector(field, out)
+    def coords(m: Matrix, parity: int) -> list:
+        flat = Vector._from_raw(field, [m.data[r][c] for r, c in cells[parity]])
+        sol = coordinates_in_span(bases[parity], flat)
+        assert sol is not None, "bracket left the solution space"
+        return list(sol.entries)
 
-    def odd_flat(m: Matrix) -> Vector:
-        out = [field.zero()] * n_odd
-        for k in range(d1):
-            for l in range(d0):
-                out[x_idx(k, l)] = m.data[d0 + k][l]
-        for k in range(d0):
-            for l in range(d1):
-                out[y_idx(k, l)] = m.data[k][d0 + l]
-        return Vector(field, out)
-
-    even_mats = [even_matrix(v) for v in even_basis_flat]
-    odd_mats = [odd_matrix(v) for v in odd_basis_flat]
-    even_cols = (
-        Matrix.from_columns(field, even_basis_flat) if even_basis_flat else None
-    )
-    odd_cols = Matrix.from_columns(field, odd_basis_flat) if odd_basis_flat else None
-
-    def even_coords(m: Matrix) -> Vector:
-        target = even_flat(m)
-        if even_cols is None:
-            assert target.is_zero()
-            return Vector(field, [])
-        sol = solve_linear(even_cols, target)
-        assert sol is not None, "bracket left the even solution space"
-        return sol
-
-    def odd_coords(m: Matrix) -> Vector:
-        target = odd_flat(m)
-        if odd_cols is None:
-            assert target.is_zero()
-            return Vector(field, [])
-        sol = solve_linear(odd_cols, target)
-        assert sol is not None, "bracket left the odd solution space"
-        return sol
-
+    even, odd = ([matrix(v, parity) for v in bases[parity]] for parity in (0, 1))
+    # from_tensors reads the even bracket at j > i and the odd one at j >= i
     bracket = [
-        [list(even_coords(ea.commutator(eb)).entries) for eb in even_mats]
-        for ea in even_mats
+        [coords(a.commutator(b), 0) if j > i else None for j, b in enumerate(even)]
+        for i, a in enumerate(even)
     ]
-    action = [
-        [list(odd_coords(ea @ ob - ob @ ea).entries) for ob in odd_mats]
-        for ea in even_mats
-    ]
+    action = [[coords(a @ o - o @ a, 1) for o in odd] for a in even]
     odd_bracket = [
-        [list(even_coords(oa.anticommutator(ob)).entries) for ob in odd_mats]
-        for oa in odd_mats
+        [coords(a.anticommutator(b), 0) if j >= i else None for j, b in enumerate(odd)]
+        for i, a in enumerate(odd)
     ]
     g = SuperAlgebra.from_tensors(
         field, bracket, action, odd_bracket, mode=_mode_for(field)
@@ -304,31 +233,15 @@ def build_double(g: SuperAlgebra, phi: Matrix) -> SuperAlgebra:
     phi_inv = phi.inverse()
     if phi_inv is None:
         raise ValueError("phi is singular")
-    ads = [g.ad(i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             img = phi @ Vector(field, g.bracket[i][j])
             if img != g.even_bracket_vec(phi.column(i), phi.column(j)):
                 raise ValueError("phi is not a Lie algebra isomorphism")
 
-    # centralizer: kernel of f -> f ad(x) - ad(phi x) f over all basis x
-    rows = []
-    for idx in range(n):
-        ad_x = ads[idx]
-        ad_phix = g.ad_vec(phi.column(idx))
-        for r in range(n):
-            for c in range(n):
-                row = [field.zero()] * (n * n)
-                for a in range(n):
-                    row[r * n + a] = field.add(row[r * n + a], ad_x.data[a][c])
-                    row[a * n + c] = field.sub(row[a * n + c], ad_phix.data[r][a])
-                rows.append(row)
-    cent = kernel_basis(Matrix(field, rows))
+    # centralizer: the f with f ad(x) = ad(phi x) f for every basis x
+    cent = intertwiners(field, [(g.ad(i), g.ad_vec(phi.column(i))) for i in range(n)])
     z = len(cent)
-    cent_mats = [
-        Matrix(field, [[v.entries[r * n + c] for c in range(n)] for r in range(n)])
-        for v in cent
-    ]
 
     d1 = n + z
     action_entries = []
@@ -343,7 +256,7 @@ def build_double(g: SuperAlgebra, phi: Matrix) -> SuperAlgebra:
     odd_entries = []
     for j in range(n):
         vj = phi_inv.column(j)  # phi^{-1}(v_j)
-        for k, fk in enumerate(cent_mats):
+        for k, fk in enumerate(cent):
             img = phi_inv @ (fk @ vj)
             for x, val in enumerate(img.entries):
                 if val:

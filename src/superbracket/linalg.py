@@ -38,6 +38,7 @@ __all__ = [
     "DimensionMismatch",
     "kernel_basis",
     "sparse_kernel_basis",
+    "intertwiners",
     "solve_linear",
     "eigenspace",
     "echelon_span",
@@ -583,6 +584,45 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     """Deterministic basis of the right kernel {v : Mv = 0}; see
     :func:`sparse_kernel_basis`."""
     return sparse_kernel_basis(m.field, [dict(enumerate(r)) for r in m.data], m.cols)
+
+
+def intertwiners(field: Field, pairs: Iterable[tuple[Matrix, Matrix]]) -> list[Matrix]:
+    """Echelon basis of {X : X A = B X for every pair (A, B)}, as m x n
+    matrices.
+
+    Each A is n x n and each B is m x m, the same n and m for every pair.
+    The unknowns are X flattened row by row, X[r][c] at r * n + c, and the
+    condition gives one sparse row per pair and cell (r, c).  The basis is
+    :func:`sparse_kernel_basis` of those rows, echelon in that flattening:
+    it depends on the solution space and the flattening only, not on the
+    order of the pairs or of the rows.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("intertwiners needs at least one pair")
+    n, m = pairs[0][0].rows, pairs[0][1].rows
+    rows = []
+    for a, b in pairs:
+        if (a.rows, a.cols, b.rows, b.cols) != (n, n, m, m):
+            raise DimensionMismatch(f"pairs must be {n}x{n} and {m}x{m}")
+        if a.field != field or b.field != field:
+            raise FieldError(f"matrix of another field in intertwiners over {field}")
+        for r in range(m):
+            for c in range(n):
+                # (X A)[r][c] - (B X)[r][c] = sum_k X[r][k] A[k][c] - B[r][k] X[k][c]
+                row: dict = {}
+                for k in range(n):
+                    if a.data[k][c]:
+                        row[r * n + k] = a.data[k][c]
+                for k in range(m):
+                    if b.data[r][k]:
+                        j = k * n + c
+                        row[j] = field.sub(row.get(j, field.zero()), b.data[r][k])
+                rows.append(row)
+    return [
+        Matrix._from_raw(field, [v.entries[r * n : r * n + n] for r in range(m)])
+        for v in sparse_kernel_basis(field, rows, m * n)
+    ]
 
 
 def solve_linear(m: Matrix, b: Vector) -> Vector | None:

@@ -440,22 +440,9 @@ class SuperAlgebra:
         """The squaring map applied to an odd vector (char2 mode only)."""
         if self.squaring is None:
             raise ShapeError("squaring is only defined in char2 mode")
-        f = self.field
-        out = [f.zero()] * self.dim_even
-        for a in range(self.dim_odd):
-            va = v.entries[a]
-            if not va:
-                continue
-            for b in range(a, self.dim_odd):
-                vb = v.entries[b]
-                if not vb:
-                    continue
-                coeff = f.mul(va, vb)
-                row = self.squaring[a][b]
-                for k in range(self.dim_even):
-                    if row[k]:
-                        out[k] = f.add(out[k], f.mul(coeff, row[k]))
-        return Vector(f, out)
+        # over F_2 the squaring is its own integer form, and it is stored at
+        # v <= w only, so the bilinear sum over all (v, w) is the quadratic map
+        return self._apply(self.squaring, 1, v, v, self.dim_even)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i) on the even part (columns are [e_i, e_j])."""
@@ -518,7 +505,6 @@ class SuperAlgebra:
         inv_o = m_odd.inverse()
         if inv_e is None or inv_o is None:
             raise ValueError("basis change must be invertible")
-        d0, d1 = self.dim_even, self.dim_odd
         # On integers: each block and inverse is cleared by its own scale, and
         # each tensor of the integer form is contracted once per left column.
         form = self._integer_form()
@@ -544,19 +530,11 @@ class SuperAlgebra:
         p = transported(form.odd, ocols, ocols, ie, form.dp * so * so * sie, True)
         sq = None
         if self.mode == "char2":
-            # transport the quadratic form: diagonal directly, mixed terms by
-            # polarization (b_v + b_w)^2 + b_v^2 + b_w^2
-            sq = _zero_tensor(f, d1, d1, d0)
-            basis = m_odd.columns()
-            diag = [list((inv_e @ self.square_vec(basis[v])).entries) for v in range(d1)]
-            for v in range(d1):
-                sq[v][v] = diag[v]
-                for w in range(v + 1, d1):
-                    mixed = inv_e @ self.square_vec(basis[v] + basis[w])
-                    sq[v][w] = [
-                        f.add(mixed.entries[k], f.add(diag[v][k], diag[w][k]))
-                        for k in range(d0)
-                    ]
+            # the squaring transports on the diagonal, b_v^2; above it, the
+            # polarization (b_v + b_w)^2 + b_v^2 + b_w^2 is the odd bracket p
+            scale = so * so * sie
+            diag = [transported(self.squaring, [x], [x], ie, scale, False)[0][0] for x in ocols]
+            sq = [row[:v] + [diag[v]] + row[v + 1:] for v, row in enumerate(p)]
         return SuperAlgebra.from_tensors(f, c, a, p, mode=self.mode, squaring=sq)
 
     def odd_bracket_is_zero(self) -> bool:

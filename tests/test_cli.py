@@ -163,6 +163,25 @@ def test_usage_error_exit_code():
     assert res.returncode == 64
 
 
+def test_bad_construct_flags_are_usage_errors():
+    cases = {
+        ("osp", "--d0", "1", "--d1", "3"): "the symplectic space must be even-dimensional",
+        ("osp", "--d0", "1", "--d1", "2", "--q-diag", "0"): "q is degenerate",
+        ("osp", "--d0", "1", "--d1", "2", "--field", "fp:2"):
+            "build_osp is not defined in characteristic 2",
+        ("osp", "--d0", "-1", "--d1", "2"): "Invalid value for '--d0': -1 is not in the range x>=0.",
+        ("osp", "--d0", "1", "--d1", "-2"): "Invalid value for '--d1': -2 is not in the range x>=0.",
+        ("double", "--field", "fp:2"): "build_double requires characteristic not 2 or 3",
+        ("double", "--field", "fp:3"): "build_double requires characteristic not 2 or 3",
+        ("osp12", "--field", "fp:2"): "the moment-map model is not defined in characteristic 2",
+        ("irrep", "--m", "-1"): "m must be nonnegative",
+    }
+    for args, message in cases.items():
+        res = run_cli("construct", *args)
+        assert (res.returncode, res.stdout) == (64, ""), args
+        assert res.stderr == f"usage error: {message}\n", args
+
+
 def test_decompose_pipe():
     built = run_cli("construct", "irrep", "--m", "2", "--field", "q")
     out = run_cli("decompose", "-", stdin=built.stdout)

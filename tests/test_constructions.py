@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from superbracket.constructions import (
@@ -14,6 +16,7 @@ from superbracket.constructions import (
 )
 from superbracket.fields import GF, QQ
 from superbracket.linalg import Matrix, Vector
+from superbracket.schema import serialize_algebra
 from superbracket.sl2 import RepMatrices
 from superbracket.superalgebra import (
     MorphismCertificate,
@@ -55,6 +58,36 @@ def test_osp_dimension_formula(field, d0, d1):
     assert g.dim_even == d0 * (d0 - 1) // 2 + d1 * (d1 + 1) // 2
     assert g.dim_odd == d0 * d1
     assert validate(g).ok
+
+
+# sha256 over d0 in 0..3, d1 in (0, 2, 4) and the q diagonals (1, 1, 1) and
+# (2, -1, 3), cut to d0, of each serialized build_osp or its error message
+OSP_DIGESTS = {
+    "Q": "1c598971576fe137353b549c7289284ef1edc1a865ffbcf624ed3e64dd77575a",
+    "F_3": "95c5fc70967b381189a8c3dc406ae4ced8bc2ed010ae42527f417cf0c969ad82",
+    "F_5": "2a829f952da2bcc3635932c9f0ed3a363c583c7e25bac9753425dff34f6c02e1",
+    "F_7": "130752dcd6a122b91e72bdc0f762afe8fb4d27a42e6c0e324ece3528c4af1bb5",
+    "F_11": "36667c28c41ca2a17a5ac685b07b4242dc625efd794c1281a6b4f1c737c2d931",
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5, GF(7), GF(11)], ids=str)
+def test_osp_bytes_are_pinned(field):
+    digest, errors = hashlib.sha256(), []
+    for d0 in range(4):
+        for d1 in (0, 2, 4):
+            for diag in ([1, 1, 1], [2, -1, 3]):
+                try:
+                    omega = BilinearFormPair.standard(field, 0, d1).omega
+                    forms = BilinearFormPair(Matrix.diagonal(field, diag[:d0]), omega)
+                    out = serialize_algebra(build_osp(forms, field))
+                except ValueError as exc:
+                    out = f"error: {exc}\n"
+                    errors.append(out)
+                digest.update(out.encode())
+    assert digest.hexdigest() == OSP_DIGESTS[str(field)]
+    # 3 = 0 in F_3 makes the second diagonal degenerate at d0 = 3
+    assert errors == (["error: q is degenerate\n"] * 3 if field == F3 else [])
 
 
 def test_osp_without_odd_part_is_sp2():
@@ -102,6 +135,29 @@ def test_double_with_nontrivial_iso():
     dbl = build_double(sl2_algebra(QQ), phi)
     assert validate(dbl).ok
     assert (dbl.dim_even, dbl.dim_odd) == (3, 4)
+
+
+# sha256 of the serialized doubles of sl(2) under the identity, Ad diag(1, -1)
+# and the E <-> F swap with H -> -H, in that order
+DOUBLE_DIGESTS = {
+    "Q": "a4b582f76721454c781b99406c465dd21add160e688c9b0b1b6ebb0fb7f3d0a3",
+    "F_5": "bd260d551ecf1b4fc997b21b86bc6e4aedd0c334a066d926be313047483266e3",
+    "F_7": "508458fb270c002f4d630363c1ea5cbea1ca6c825258dfd3959484a6f58b76da",
+    "F_11": "608ef10f2e27002d76ffc3499113b2aa0be36c2ef293be0d2d221bc997223d22",
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(7), GF(11)], ids=str)
+def test_double_bytes_are_pinned(field):
+    digest = hashlib.sha256()
+    for phi in (
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[-1, 0, 0], [0, 1, 0], [0, 0, -1]],
+        [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+    ):
+        dbl = build_double(sl2_algebra(field), Matrix(field, phi))
+        digest.update(serialize_algebra(dbl).encode())
+    assert digest.hexdigest() == DOUBLE_DIGESTS[str(field)]
 
 
 def test_add_centre_zero_is_identity():

@@ -18,6 +18,7 @@ from superbracket.linalg import (
     coordinates_in_span,
     echelon_span,
     eigenspace,
+    intertwiners,
     kernel_basis,
     solve_linear,
     sparse_kernel_basis,
@@ -413,3 +414,64 @@ def test_constructors_reject_mixed_fields():
         Matrix.vstack([Matrix.identity(QQ, 2), Matrix.identity(F5, 2)])
     with pytest.raises(FieldError):
         Matrix.identity(F5, 2) @ q
+
+
+def kronecker_rows(field, pairs):
+    """The condition X A = B X as dense rows of I_m (x) A^T - B (x) I_n acting
+    on X flattened row by row, one block per pair: the slow reference for
+    intertwiners."""
+    rows = []
+    for a, b in pairs:
+        n, m = a.rows, b.rows
+        for r, c in itertools.product(range(m), range(n)):
+            rows.append([
+                field.sub(
+                    a.data[k][c] if r == r2 else field.zero(),
+                    b.data[r][r2] if k == c else field.zero(),
+                )
+                for r2, k in itertools.product(range(m), range(n))
+            ])
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(7)], ids=str)
+def test_intertwiners_match_the_kronecker_oracle(field, rng):
+    sl2 = sl2_algebra(field)
+    swap = Matrix(field, [[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+    cases = [
+        # the centraliser of build_double under the E <-> F swap: one line
+        [(sl2.ad(i), sl2.ad_vec(swap.column(i))) for i in range(3)],
+        # X diag(1, 2) = diag(3, 4, 5) X has only X = 0: no eigenvalue is shared
+        [(Matrix.diagonal(field, [1, 2]), Matrix.diagonal(field, [3, 4, 5]))],
+    ]
+    for _ in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+
+        def sparse(k):
+            entries = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(k)] for _ in range(k)]
+            return Matrix(field, entries)
+
+        cases.append([(sparse(n), sparse(m)) for _ in range(rng.randint(1, 3))])
+    sizes = set()
+    for pairs in cases:
+        n, m = pairs[0][0].rows, pairs[0][1].rows
+        basis = intertwiners(field, pairs)
+        oracle = dense_kernel(field, kronecker_rows(field, pairs), m * n)
+        assert basis == [Matrix(field, [v[r * n : r * n + n] for r in range(m)]) for v in oracle]
+        assert intertwiners(field, pairs[::-1]) == basis
+        assert all(x @ a == b @ x for x in basis for a, b in pairs)
+        sizes.add(len(basis))
+    assert len(intertwiners(field, cases[0])) == 1
+    assert intertwiners(field, cases[1]) == []
+    assert max(sizes) > 1
+
+
+def test_intertwiners_reject_bad_pairs():
+    with pytest.raises(ValueError):
+        intertwiners(QQ, [])
+    with pytest.raises(DimensionMismatch):
+        intertwiners(QQ, [(Matrix.identity(QQ, 2),) * 2, (Matrix.identity(QQ, 3),) * 2])
+    with pytest.raises(DimensionMismatch):
+        intertwiners(QQ, [(Matrix.zero(QQ, 2, 3), Matrix.identity(QQ, 3))])
+    with pytest.raises(FieldError):
+        intertwiners(QQ, [(Matrix.identity(F5, 2), Matrix.identity(F5, 2))])

@@ -1,6 +1,7 @@
 """Repository hygiene: no file that .gitignore excludes is tracked, so
-generated artifacts cannot go stale in version control, and the package
-computes without floating point."""
+generated artifacts cannot go stale in version control, the package
+computes without floating point, and no module imports a name it never
+uses."""
 
 import ast
 import shutil
@@ -60,3 +61,31 @@ def test_package_uses_no_floating_point():
             ):
                 bad.append(f"{where}: math.{node.attr}")
     assert not bad, "\n".join(bad)
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def test_package_imports_no_unused_name():
+    bad = []
+    for path in sorted((ROOT / "src" / "superbracket").glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # re-exports the package's public names
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    imported[(a.asname or a.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = set(imported) - used - _exported(tree)
+        bad += [f"{path.name}:{imported[name]}: {name}" for name in sorted(unused)]
+    assert not bad, "imported but never used:\n" + "\n".join(bad)

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from conftest import random_invertible
 
@@ -11,6 +14,7 @@ from superbracket.constructions import (
 from superbracket.fields import GF, QQ
 from superbracket.linalg import Matrix, Vector
 from superbracket.moduli import odd_bracket_space
+from superbracket.schema import serialize_algebra
 from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
     MorphismCertificate,
@@ -125,6 +129,51 @@ def test_char2_squaring_below_the_diagonal_is_refused(rng):
     ]
     assert all(validate(a).ok for a in built)
     assert built[1] == g
+
+
+def _conjugated_char2_algebras(rng, count):
+    """char2_example + z in random F_2 bases; every third one first has a
+    squaring coefficient flipped, which mostly breaks the axioms."""
+    f2 = GF(2)
+
+    def invertible(n):
+        while True:
+            m = Matrix(f2, [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
+            if m.det():
+                return m
+
+    for i in range(count):
+        g = add_centre(build_char2_example(), rng.randrange(4))
+        d1 = g.dim_odd
+        if i % 3 == 0:
+            sq = {
+                (v, w, k): c
+                for v in range(d1)
+                for w in range(v, d1)
+                for k, c in enumerate(g.squaring[v][w])
+            }
+            v = rng.randrange(d1)
+            sq[v, rng.randrange(v, d1), rng.randrange(3)] ^= 1
+            g = SuperAlgebra.from_entries(
+                f2, 3, d1, bracket=[(0, 2, 1, 1)], action=[(0, 2, 1, 1), (2, 0, 1, 1)],
+                mode="char2", squaring=[key + (c,) for key, c in sq.items()],
+            )
+        yield g.conjugated(invertible(3), invertible(d1))
+
+
+def test_char2_conjugation_and_squaring_are_pinned():
+    # a fixed seed, not the suite's: the digests were recorded with it
+    rng = random.Random(14)
+    algebras, squares, invalid = hashlib.sha256(), hashlib.sha256(), 0
+    for g in _conjugated_char2_algebras(rng, 200):
+        algebras.update(serialize_algebra(g).encode())
+        invalid += not validate(g).ok
+        for _ in range(5):
+            v = Vector(g.field, [rng.randrange(2) for _ in range(g.dim_odd)])
+            squares.update(repr(g.square_vec(v)).encode())
+    assert algebras.hexdigest() == "0794ea1dec9628bb53e2366d195f8184c02b4873457274926f45541196944d4f"
+    assert squares.hexdigest() == "c23d95deba601b6908aea4326c12ee32ffef5678abd339d96ccdf10d4ac0debd"
+    assert 0 < invalid < 200
 
 
 def test_entry_bounds():

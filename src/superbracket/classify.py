@@ -22,8 +22,8 @@ from .linalg import (
     coordinates_in_span,
     echelon_span,
     intertwiners,
-    kernel_basis,
     solve_linear,
+    sparse_kernel_basis,
 )
 from .sl2 import Sl2Triple, verify_triple
 from .superalgebra import (
@@ -122,16 +122,15 @@ def classify(g: SuperAlgebra) -> ClassificationResult:
 
 
 def _action_image(g: SuperAlgebra) -> list[Vector]:
-    imgs = []
-    for x in range(g.dim_even):
-        m = g.action_matrix(x)
-        imgs.extend(m.columns())
-    return echelon_span(g.field, imgs)
+    """Echelon basis of the span of every e_x(f_v)."""
+    return echelon_span(g.field, [Vector._from_raw(g.field, row) for plane in g.action for row in plane])
 
 
 def _action_kernel(g: SuperAlgebra) -> list[Vector]:
-    stacked = Matrix.vstack([g.action_matrix(x) for x in range(g.dim_even)])
-    return kernel_basis(stacked)
+    """Basis of the odd vectors every e_x kills: one row per (x, w)."""
+    d1 = g.dim_odd
+    rows = ({v: plane[v][w] for v in range(d1) if plane[v][w]} for plane in g.action for w in range(d1))
+    return sparse_kernel_basis(g.field, rows, d1)
 
 
 def _action_on(g: SuperAlgebra, summand: list[Vector]) -> list[Matrix]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .fields import Field
 from .linalg import Matrix, Vector, coordinates_in_span, intertwiners, sparse_kernel_basis
-from .superalgebra import SuperAlgebra, ValidationReport, validate
+from .superalgebra import MorphismCertificate, SuperAlgebra, ValidationReport, check_morphism, validate
 
 __all__ = [
     "BilinearFormPair",
@@ -94,6 +94,8 @@ class BilinearFormPair:
     @staticmethod
     def standard(field: Field, d0: int, d1: int) -> "BilinearFormPair":
         """Identity quadratic form and the standard symplectic form."""
+        if d0 < 0 or d1 < 0:
+            raise ValueError("dimensions must be nonnegative")
         q = Matrix.identity(field, d0)
         half = d1 // 2
         z, one = field.zero(), field.one()
@@ -233,11 +235,8 @@ def build_double(g: SuperAlgebra, phi: Matrix) -> SuperAlgebra:
     phi_inv = phi.inverse()
     if phi_inv is None:
         raise ValueError("phi is singular")
-    for i in range(n):
-        for j in range(i + 1, n):
-            img = phi @ Vector(field, g.bracket[i][j])
-            if img != g.even_bracket_vec(phi.column(i), phi.column(j)):
-                raise ValueError("phi is not a Lie algebra isomorphism")
+    if not check_morphism(MorphismCertificate(g, g, phi, Matrix.identity(field, 0)))[0]:
+        raise ValueError("phi is not a Lie algebra isomorphism")
 
     # centralizer: the f with f ad(x) = ad(phi x) f for every basis x
     cent = intertwiners(field, [(g.ad(i), g.ad_vec(phi.column(i))) for i in range(n)])

@@ -60,8 +60,12 @@ denominator D, and the odd bracket by its own D_p
 identity is homogeneous, so an integer residual is zero exactly when the
 rational one is; a map clears its two argument vectors, sums on integers
 and divides once by the product of the three scales.
-:func:`check_morphism` contracts each target tensor with one column of the
-left block at a time, so each sector costs O(d0 d1^3).
+:meth:`SuperAlgebra.conjugated` and :func:`check_morphism` share one
+transport, :func:`_transported`, which contracts each tensor with one column
+of the left block at a time, so each sector costs O(d0 d1^3): conjugated
+divides out its scales, and the check transports the target into the
+basis of the certificate's columns and compares it with the source's
+integer form.
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ from .linalg import (
     Matrix,
     Vector,
     echelon_span,
-    kernel_basis,
     span_contains,
+    sparse_kernel_basis,
 )
 
 __all__ = [
@@ -196,6 +200,43 @@ def _unscaled(field: Field, values, scale: int) -> list:
     if field.kind == "prime":
         return [v % field.p for v in values]
     return [Fraction(v, scale) for v in values]
+
+
+def _transported(g: "SuperAlgebra", m_even, m_odd, inv_e, inv_o):
+    """g's structure constants in the graded basis whose vectors are the
+    columns of (m_even, m_odd), given with their inverses, on integers.
+
+    Yields ``(sector, i, j, values, scale)``: the new coordinates of the
+    sector's product of basis vectors i and j are ``values / scale``, raw
+    integers not reduced mod p.  The sectors come in the order "even
+    bracket" at i < j, "action" at every (x, v), "odd bracket" at u <= v,
+    and in char2 mode "squaring" at (v, v).  Each block and inverse is
+    cleared by its own scale, and each tensor of g's integer form is
+    contracted once per left column (see :func:`_contract`), so a sector
+    costs O(d0 d1^3) instead of O(d0 d1^4) for a bilinear sum per pair.
+    """
+    f = g.field
+    d0, d1 = g.dim_even, g.dim_odd
+    form = g._integer_form()
+    (se, me), (so, mo) = clear_denominators(f, m_even.data), clear_denominators(f, m_odd.data)
+    (sie, ie), (sio, io) = clear_denominators(f, inv_e.data), clear_denominators(f, inv_o.data)
+    ecols, ocols = list(zip(*me)), list(zip(*mo))
+    sectors = [
+        ("even bracket", form.bracket, ecols, ecols, ie, form.d * se * se * sie, lambda i: range(i + 1, d0)),
+        ("action", form.action, ecols, ocols, io, form.d * se * so * sio, lambda x: range(d1)),
+        ("odd bracket", form.odd, ocols, ocols, ie, form.dp * so * so * sie, lambda u: range(u, d1)),
+    ]
+    if g.mode == "char2":
+        # over F_2 the squaring is its own integer form
+        sectors.append(("squaring", g.squaring, ocols, ocols, ie, so * so * sie, lambda v: (v,)))
+    for sector, tensor, left, right, inv, scale, pairs in sectors:
+        n = len(inv)
+        for i, x in enumerate(left):
+            js = pairs(i)
+            if js:
+                h = _contract(tensor, x)
+                for j in js:
+                    yield sector, i, j, _matvec(inv, _bilinear(h, (1,), right[j], n)), scale
 
 
 class _IntegerForm(NamedTuple):
@@ -505,37 +546,23 @@ class SuperAlgebra:
         inv_o = m_odd.inverse()
         if inv_e is None or inv_o is None:
             raise ValueError("basis change must be invertible")
-        # On integers: each block and inverse is cleared by its own scale, and
-        # each tensor of the integer form is contracted once per left column.
-        form = self._integer_form()
-        (se, me), (so, mo) = clear_denominators(f, m_even.data), clear_denominators(f, m_odd.data)
-        (sie, ie), (sio, io) = clear_denominators(f, inv_e.data), clear_denominators(f, inv_o.data)
-        ecols, ocols = list(zip(*me)), list(zip(*mo))
-
-        def transported(tensor, left, right, inv, scale, upper):
-            """inv @ tensor(left_i, right_j) / scale; if upper, only at j >= i,
-            all that from_tensors reads of the (anti)symmetric tensors."""
-            n = len(inv)
-            out = []
-            for i, x in enumerate(left):
-                h = _contract(tensor, x)
-                row = [None] * i if upper else []
-                for y in right[i:] if upper else right:
-                    row.append(_unscaled(f, _matvec(inv, _bilinear(h, (1,), y, n)), scale))
-                out.append(row)
-            return out
-
-        c = transported(form.bracket, ecols, ecols, ie, form.d * se * se * sie, True)
-        a = transported(form.action, ecols, ocols, io, form.d * se * so * sio, False)
-        p = transported(form.odd, ocols, ocols, ie, form.dp * so * so * sie, True)
-        sq = None
+        # from_tensors reads only the cells the transport yields, so the
+        # others stay None
+        d0, d1 = self.dim_even, self.dim_odd
+        t = {
+            sector: [[None] * cols for _ in range(rows)]
+            for sector, rows, cols in (
+                ("even bracket", d0, d0), ("action", d0, d1), ("odd bracket", d1, d1), ("squaring", d1, d1)
+            )
+        }
+        for sector, i, j, values, scale in _transported(self, m_even, m_odd, inv_e, inv_o):
+            t[sector][i][j] = _unscaled(f, values, scale)
+        p, sq = t["odd bracket"], None
         if self.mode == "char2":
             # the squaring transports on the diagonal, b_v^2; above it, the
             # polarization (b_v + b_w)^2 + b_v^2 + b_w^2 is the odd bracket p
-            scale = so * so * sie
-            diag = [transported(self.squaring, [x], [x], ie, scale, False)[0][0] for x in ocols]
-            sq = [row[:v] + [diag[v]] + row[v + 1:] for v, row in enumerate(p)]
-        return SuperAlgebra.from_tensors(f, c, a, p, mode=self.mode, squaring=sq)
+            sq = [row[:v] + [t["squaring"][v][v]] + row[v + 1:] for v, row in enumerate(p)]
+        return SuperAlgebra.from_tensors(f, t["even bracket"], t["action"], p, mode=self.mode, squaring=sq)
 
     def odd_bracket_is_zero(self) -> bool:
         return all(
@@ -1148,33 +1175,23 @@ def supercentre(g: SuperAlgebra) -> tuple[list[Vector], list[Vector]]:
     {u, f_v} = 0 for all v.  Both conditions are kernels of stacked linear
     maps on the coordinates.
     """
-    f = g.field
-    d0, d1 = g.dim_even, g.dim_odd
-
-    rows_even: list[list] = []
-    for j in range(d0):
-        for k in range(d0):
-            rows_even.append([g.bracket[i][j][k] for i in range(d0)])
-    for v in range(d1):
-        for w in range(d1):
-            rows_even.append([g.action[i][v][w] for i in range(d0)])
-    even = (
-        kernel_basis(Matrix(f, rows_even))
-        if rows_even
-        else [Vector.unit(f, d0, i) for i in range(d0)]
+    f, d0, d1 = g.field, g.dim_even, g.dim_odd
+    c, a, p = g.bracket, g.action, g.odd_bracket
+    even = sparse_kernel_basis(
+        f,
+        chain(
+            ({i: c[i][j][k] for i in range(d0) if c[i][j][k]} for j in range(d0) for k in range(d0)),
+            ({i: a[i][v][w] for i in range(d0) if a[i][v][w]} for v in range(d1) for w in range(d1)),
+        ),
+        d0,
     )
-
-    rows_odd: list[list] = []
-    for x in range(d0):
-        for w in range(d1):
-            rows_odd.append([g.action[x][v][w] for v in range(d1)])
-    for v in range(d1):
-        for k in range(d0):
-            rows_odd.append([g.odd_bracket[u][v][k] for u in range(d1)])
-    odd = (
-        kernel_basis(Matrix(f, rows_odd))
-        if rows_odd
-        else [Vector.unit(f, d1, i) for i in range(d1)]
+    odd = sparse_kernel_basis(
+        f,
+        chain(
+            ({v: a[x][v][w] for v in range(d1) if a[x][v][w]} for x in range(d0) for w in range(d1)),
+            ({u: p[u][v][k] for u in range(d1) if p[u][v][k]} for v in range(d1) for k in range(d0)),
+        ),
+        d1,
     )
     return even, odd
 
@@ -1241,14 +1258,15 @@ def check_morphism(cert: MorphismCertificate) -> tuple[bool, str | None]:
     """Verify a certificate: both blocks invertible and bracket-preserving
     in all three graded sectors.  Returns (ok, first failure or None).
 
-    The checks run on integers: the blocks are cleared of denominators here
-    and the tensors come from each algebra's integer form.  For each column
-    i of the left block, the target tensor T is contracted once into the
-    plane H_i = sum_a M[a][i] T[a], and every pair (i, j) is tested against
-    H_i and column j: O(d0 d1^3) per sector instead of O(d0 d1^4) for a
-    bilinear sum per pair.  Pairs are scanned in the order even bracket
-    (i < j), action (x, v), odd bracket (u <= v), which fixes the failure
-    that is reported."""
+    The target is transported into the basis of the block columns by the
+    loop of :meth:`SuperAlgebra.conjugated` (:func:`_transported`), on
+    integers, and each transported product ``values / scale`` is compared
+    with the source's integer form, ``src / d``, as ``d values == scale
+    src`` (mod p over F_p).  That holds exactly when the block maps the
+    source product to the target product of the images.  Pairs are scanned
+    in the order even bracket (i < j), action (x, v), odd bracket (u <= v),
+    then in char2 mode the squares (v), which fixes the failure that is
+    reported."""
     s, t = cert.source, cert.target
     if s.field != t.field:
         return False, "source and target fields differ"
@@ -1259,51 +1277,26 @@ def check_morphism(cert: MorphismCertificate) -> tuple[bool, str | None]:
         return False, "even block has wrong shape"
     if mo.rows != s.dim_odd or mo.cols != s.dim_odd:
         return False, "odd block has wrong shape"
-    if me.inverse() is None:
+    inv_e = me.inverse()
+    if inv_e is None:
         return False, "even block singular"
-    if mo.inverse() is None:
+    inv_o = mo.inverse()
+    if inv_o is None:
         return False, "odd block singular"
     f = s.field
     p = f.p if f.kind == "prime" else None
-    d0, d1 = s.dim_even, s.dim_odd
-
-    def preserved(m, v, lhs_scale, h, y, rhs_scale) -> bool:
-        """lhs_scale * (m @ v) == rhs_scale * h(y), mod p over F_p, for the
-        target tensor h contracted with one left column (see _contract)."""
-        rhs = _bilinear(h, (1,), y, len(m))
-        diffs = (lhs_scale * l - rhs_scale * r for l, r in zip(_matvec(m, v), rhs))
-        return not any(d % p if p else d for d in diffs)
-
-    # Each block is scaled to integers by its own denominator and each tensor
-    # is read from its algebra's integer form (all scales 1 over F_p).  With
-    # a Me, Ds Cs and Dt Ct integral, for example, Me Cs(i,j) = Ct(Me_i, Me_j)
-    # iff a Dt (a Me)(Ds Cs)(i,j) = Ds (Dt Ct)(a Me_i, a Me_j).
-    a, me_z = clear_denominators(f, me.data)
-    b, mo_z = clear_denominators(f, mo.data)
-    ecols, ocols = list(zip(*me_z)), list(zip(*mo_z))
-    fs, ft = s._integer_form(), t._integer_form()
-    for i in range(d0):
-        h = _contract(ft.bracket, ecols[i])
-        for j in range(i + 1, d0):
-            if not preserved(me_z, fs.bracket[i][j], a * ft.d, h, ecols[j], fs.d):
-                return False, f"even bracket not preserved at ({i},{j})"
-    for x in range(d0):
-        h = _contract(ft.action, ecols[x])
-        for v in range(d1):
-            if not preserved(mo_z, fs.action[x][v], a * ft.d, h, ocols[v], fs.d):
-                return False, f"action not preserved at ({x},{v})"
-    for u in range(d1):
-        h = _contract(ft.odd, ocols[u])
-        for v in range(u, d1):
-            if not preserved(me_z, fs.odd[u][v], b * b * ft.dp, h, ocols[v], a * fs.dp):
-                return False, f"odd bracket not preserved at ({u},{v})"
-    if s.mode == "char2":
-        # the odd bracket is only the polarization; diagonal squares need
-        # their own check
-        if t.mode != "char2":
-            return False, "axiom modes differ"
-        for v in range(s.dim_odd):
-            img = me @ Vector(f, s.squaring[v][v])
-            if img != t.square_vec(mo.column(v)):
-                return False, f"squaring not preserved at ({v})"
+    fs = s._integer_form()
+    # equal fields fix equal axiom modes, so s has a squaring when t does
+    source = {
+        "even bracket": (fs.bracket, fs.d),
+        "action": (fs.action, fs.d),
+        "odd bracket": (fs.odd, fs.dp),
+        "squaring": (s.squaring, 1),
+    }
+    for sector, i, j, values, scale in _transported(t, me, mo, inv_e, inv_o):
+        tensor, d = source[sector]
+        diffs = (d * v - scale * w for v, w in zip(values, tensor[i][j]))
+        if any(x % p if p else x for x in diffs):
+            at = f"({i})" if sector == "squaring" else f"({i},{j})"
+            return False, f"{sector} not preserved at {at}"
     return True, None

@@ -103,6 +103,13 @@ def test_osp_degenerate_forms_rejected():
         BilinearFormPair.standard(QQ, 1, 3)  # odd symplectic dimension
 
 
+@pytest.mark.parametrize("d0,d1", [(-1, -2), (1, -3), (-1, 2), (0, -2)])
+def test_standard_forms_refuse_negative_dimensions(d0, d1):
+    # range() of a negative bound is empty, so the pair would come out smaller
+    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+        BilinearFormPair.standard(QQ, d0, d1)
+
+
 def test_double_shape_and_rules():
     dbl = build_double(sl2_algebra(QQ), Matrix.identity(QQ, 3))
     assert (dbl.dim_even, dbl.dim_odd) == (3, 4)

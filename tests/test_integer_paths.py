@@ -424,6 +424,67 @@ def test_check_morphism_matches_fraction_oracle_at_large_d1(field, rng):
         assert not got[0] and (sector is None or got[1].startswith(f"{sector} not preserved"))
 
 
+def with_squaring_flipped(g, v, w, k):
+    """The char2 algebra g with squaring coefficient (v, w, k), v <= w,
+    flipped; the odd bracket follows as its polarization, so a diagonal
+    flip leaves it unchanged."""
+    d0, d1 = g.dim_even, g.dim_odd
+    sq = [[list(r) for r in plane] for plane in g.squaring]
+    sq[v][w][k] ^= 1
+    odd = [[sq[min(a, b)][max(a, b)] if a != b else [0] * d0 for b in range(d1)] for a in range(d1)]
+    return SuperAlgebra.from_tensors(g.field, g.bracket, g.action, odd, mode="char2", squaring=sq)
+
+
+def test_check_morphism_matches_fraction_oracle_in_char2(rng):
+    # char2_example + z, every third one with a squaring coefficient flipped
+    # first, in random F_2 bases; a flipped diagonal square of the source
+    # changes nothing else, so only the squaring sector can report it
+    f2 = GF(2)
+    messages = set()
+    for n in range(30):
+        g = add_centre(build_char2_example(), rng.randrange(4))
+        d1 = g.dim_odd
+        if n % 3 == 0:
+            v = rng.randrange(d1)
+            g = with_squaring_flipped(g, v, rng.randrange(v, d1), rng.randrange(3))
+        me, mo = random_invertible(f2, 3, rng), random_invertible(f2, d1, rng)
+        h = g.conjugated(me, mo)
+        cert = MorphismCertificate(h, g, me, mo)
+        assert check_morphism(cert) == fraction_check_morphism(cert) == (True, None)
+        v = rng.randrange(d1)
+        square = MorphismCertificate(with_squaring_flipped(h, v, v, rng.randrange(3)), g, me, mo)
+        assert check_morphism(square) == fraction_check_morphism(square) == (False, f"squaring not preserved at ({v})")
+        u = rng.randrange(d1 - 1)
+        variants = [
+            MorphismCertificate(h, g, moved(me, rng), mo),
+            MorphismCertificate(h, g, me, moved(mo, rng)),
+            MorphismCertificate(with_squaring_flipped(h, u, rng.randrange(u + 1, d1), rng.randrange(3)), g, me, mo),
+        ]
+        for bad in variants:
+            got = check_morphism(bad)
+            assert got == fraction_check_morphism(bad)
+            messages.add(got[1].split(" not preserved")[0] if got[1] else None)
+    assert "odd bracket" in messages
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_check_morphism_agrees_with_conjugation(field, rng):
+    # a certificate holds exactly when the target, transported into the
+    # basis of the block columns, is the source
+    for s, t, me, mo in certificates(field, rng):
+        for cert in (
+            MorphismCertificate(s, t, me, mo),
+            MorphismCertificate(s, t, moved(me, rng), mo),
+            MorphismCertificate(s, t, me, moved(mo, rng)),
+            MorphismCertificate(perturbed(s, rng), t, me, mo),
+        ):
+            try:
+                same = cert.target.conjugated(cert.m_even, cert.m_odd) == cert.source
+            except ValueError:  # a moved block may be singular
+                same = False
+            assert check_morphism(cert)[0] == same
+
+
 def random_sparse_vector(field, n, rng):
     """n entries, about a third of them zero, the rest random and nonzero."""
     def entry():

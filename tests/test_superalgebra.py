@@ -202,6 +202,16 @@ def test_supercentre_double_trivial():
     assert even == [] and odd == []
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_supercentre_without_rows(field):
+    # 3|0 has no odd conditions, and 0|3 has no conditions at all: there the
+    # whole odd part is central
+    units = [Vector.unit(field, 3, i) for i in range(3)]
+    assert supercentre(sl2_algebra(field)) == ([], [])
+    assert supercentre(SuperAlgebra.from_entries(field, 3, 0)) == (units, [])
+    assert supercentre(SuperAlgebra.from_entries(field, 0, 3)) == ([], units)
+
+
 def test_supercentre_brackets_vanish():
     # the supercentre is a sub-superalgebra on which all brackets vanish
     g = add_centre(build_osp12(F5), 3)

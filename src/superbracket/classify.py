@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from .constructions import add_centre, build_double, build_osp12
 from .linalg import (
     Matrix,
+    Span,
     Vector,
-    coordinates_in_span,
     echelon_span,
     intertwiners,
-    solve_linear,
     sparse_kernel_basis,
 )
 from .sl2 import Sl2Triple, verify_triple
@@ -136,17 +135,11 @@ def _action_kernel(g: SuperAlgebra) -> list[Vector]:
 def _action_on(g: SuperAlgebra, summand: list[Vector]) -> list[Matrix]:
     """The matrices of the even basis acting on an invariant summand of the
     odd part, in the coordinates of its basis."""
-    field = g.field
-    mats = []
-    for x in range(g.dim_even):
-        cols = []
-        for v in summand:
-            img = g.act_vec(Vector.unit(field, g.dim_even, x), v)
-            coords = coordinates_in_span(summand, img)
-            if coords is None:
-                raise _TheoremViolated("action image is not invariant")
-            cols.append(coords)
-        mats.append(Matrix.from_columns(field, cols))
+    span = Span(g.field, summand)
+    units = [Vector.unit(g.field, g.dim_even, x) for x in range(g.dim_even)]
+    mats = [span.coordinate_matrix([g.act_vec(e, v) for v in summand]) for e in units]
+    if None in mats:
+        raise _TheoremViolated("action image is not invariant")
     return mats
 
 
@@ -188,26 +181,14 @@ def _case_c(
     # The 2-dimensional module is faithful, so the action identifies the
     # even part with sl(2) of the module; pulling back the standard matrix
     # triple yields an sl(2)-triple exactly, over any field -- no search.
+    # the triple is the coordinates of the standard E, H, F in the three
+    # action matrices, all flattened row by row
     restr = _action_on(g, module)
-    flat = Matrix(
-        field,
-        [[restr[x].data[i][j] for x in range(3)] for i in range(2) for j in range(2)],
-    )
-    one, zero = field.one(), field.zero()
-    targets = {
-        "e": Vector(field, [zero, one, zero, zero]),
-        "h": Vector(field, [one, zero, zero, field.neg(one)]),
-        "f": Vector(field, [zero, zero, one, zero]),
-    }
-    pulled = {}
-    for name, t in targets.items():
-        sol = solve_linear(flat, t)
-        if sol is None:
-            raise _TheoremViolated(
-                "the 2-dimensional module is not faithful onto sl(2)"
-            )
-        pulled[name] = sol
-    triple = Sl2Triple(pulled["e"], pulled["h"], pulled["f"])
+    flat = Span(field, [Vector._from_raw(field, [x for row in m.data for x in row]) for m in restr])
+    pulled = [flat.coordinates(Vector(field, t)) for t in ([0, 1, 0, 0], [1, 0, 0, -1], [0, 0, 1, 0])]
+    if None in pulled:
+        raise _TheoremViolated("the 2-dimensional module is not faithful onto sl(2)")
+    triple = Sl2Triple(*pulled)
     if not verify_triple(g, triple):
         raise _TheoremViolated("pulled-back matrices do not satisfy the triple relations")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix, Vector, coordinates_in_span, intertwiners, sparse_kernel_basis
+from .linalg import Matrix, Span, Vector, intertwiners, sparse_kernel_basis
 from .superalgebra import MorphismCertificate, SuperAlgebra, ValidationReport, check_morphism, validate
 
 __all__ = [
@@ -156,6 +156,7 @@ def build_osp(forms: BilinearFormPair, field: Field) -> SuperAlgebra:
         bases.append(sparse_kernel_basis(field, rows, len(sector)))
     dims = (d0 * (d0 - 1) // 2 + d1 * (d1 + 1) // 2, d0 * d1)
     assert tuple(map(len, bases)) == dims, "solution space has the wrong dimension"
+    spans = [Span(field, basis, len(sector)) for basis, sector in zip(bases, cells)]
 
     def matrix(flat: Vector, parity: int) -> Matrix:
         m = [[zero] * n for _ in range(n)]
@@ -165,7 +166,7 @@ def build_osp(forms: BilinearFormPair, field: Field) -> SuperAlgebra:
 
     def coords(m: Matrix, parity: int) -> list:
         flat = Vector._from_raw(field, [m.data[r][c] for r, c in cells[parity]])
-        sol = coordinates_in_span(bases[parity], flat)
+        sol = spans[parity].coordinates(flat)
         assert sol is not None, "bracket left the solution space"
         return list(sol.entries)
 

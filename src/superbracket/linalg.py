@@ -13,11 +13,13 @@ ints for every field: over F_p on residues, reduced mod p after each step;
 over Q fraction-free, on primitive integer rows (Bareiss, Math. Comp. 22,
 1968, with content removal instead of exact division), converted to
 ``Fraction`` only when a row is returned.  Kernels are read straight off
-that reduced basis (:func:`sparse_kernel_basis`); the dense RREF is built
-only where a caller asks for it (``Matrix.rref``, ``inverse``,
-``solve_linear``, ``echelon_span``).  Results of field operations on raw
-entries are assembled without re-coercion; the public ``Matrix(...)`` and
-``Vector(...)`` constructors still coerce.
+that reduced basis (:func:`sparse_kernel_basis`), and so are coordinates,
+membership and remainders modulo a span (:class:`Span`, reduced once per
+list of vectors); the dense RREF is built only where a caller asks for it
+(``Matrix.rref``, ``inverse``, ``solve_linear``, ``echelon_span``).
+Results of field operations on raw entries are assembled without
+re-coercion; the public ``Matrix(...)`` and ``Vector(...)`` constructors
+still coerce.
 
 Everything is deterministic: reduced row echelon form and its pivot columns
 (leftmost first) are unique, so echelon forms, kernel bases and anything
@@ -42,8 +44,7 @@ __all__ = [
     "solve_linear",
     "eigenspace",
     "echelon_span",
-    "span_contains",
-    "coordinates_in_span",
+    "Span",
     "using_compiled_kernel",
 ]
 
@@ -662,12 +663,80 @@ def echelon_span(field: Field, vectors: Sequence[Vector]) -> list[Vector]:
     return [Vector._from_raw(field, red[i]) for i in range(len(pivots))]
 
 
-def coordinates_in_span(basis: Sequence[Vector], v: Vector) -> Vector | None:
-    """Coordinates of v in the given basis, or None if v is outside."""
-    if not basis:
-        return None if not v.is_zero() else Vector(v.field, [])
-    return solve_linear(Matrix.from_columns(v.field, list(basis)), v)
+class Span:
+    """The span of a list of vectors, reduced once; immutable.
 
+    One :func:`_reduce` runs over the rows ``[v_i | t_i]``: vector i, then a
+    unit tag in column ``dim + k - 1 - i`` (k vectors, tags reversed).  The
+    reduced rows with a pivot among the first ``dim`` columns, cut there,
+    are the echelon basis of the span (``basis``, as :func:`echelon_span`);
+    their tags write each as a combination of the vectors.  The other rows
+    are the linear dependencies; with the tags reversed, their pivots are
+    the vectors that depend on earlier ones, so these get coordinate 0, as
+    in :func:`solve_linear`.  Every query reduces one vector against the
+    basis.  ``dim``, the length of the vectors, is needed only when there
+    are none.
+    """
 
-def span_contains(basis: Sequence[Vector], v: Vector) -> bool:
-    return v.is_zero() or coordinates_in_span(basis, v) is not None
+    __slots__ = ("field", "dim", "pivots", "basis", "_rows", "_k")
+
+    def __init__(self, field: Field, vectors: Sequence[Vector], dim: int | None = None):
+        _check_fields(field, vectors)
+        if dim is None and not vectors:
+            raise ValueError("the span of no vectors needs its dimension")
+        dim = len(vectors[0]) if dim is None else dim
+        if any(len(v) != dim for v in vectors):
+            raise DimensionMismatch(f"vectors of a span in dimension {dim} differ in length")
+        k, one, zero = len(vectors), field.one(), field.zero()
+        self.field, self.dim, self._k = field, dim, k
+        rows = ([*enumerate(v.entries), (dim + k - 1 - i, one)] for i, v in enumerate(vectors))
+        reduced = _reduce(field, rows, dim + k)
+        self.pivots = tuple(c for c in sorted(reduced) if c < dim)
+        # each basis row as (pivot, {column: entry}, {vector index: tag})
+        self._rows = [
+            (c, {j: x for j, x in reduced[c].items() if j < dim},
+             {dim + k - 1 - j: x for j, x in reduced[c].items() if j >= dim})
+            for c in self.pivots
+        ]
+        self.basis = tuple(
+            Vector._from_raw(field, [part.get(j, zero) for j in range(dim)]) for _, part, _ in self._rows
+        )
+
+    def _split(self, w: Vector) -> tuple[list, list]:
+        """(w minus the basis combination that agrees with it at the pivots,
+        the coordinates of that combination in the vectors)."""
+        if not isinstance(w, Vector) or w.field != self.field:
+            raise FieldError(f"vector of another field queried in a span over {self.field}")
+        if len(w) != self.dim:
+            raise DimensionMismatch(f"span in dimension {self.dim}, vector of length {len(w)}")
+        f = self.field
+        rest, coords = list(w.entries), [f.zero()] * self._k
+        for c, part, tags in self._rows:
+            a = w.entries[c]
+            if a:
+                for j, x in part.items():
+                    rest[j] = f.sub(rest[j], f.mul(a, x))
+                for i, x in tags.items():
+                    coords[i] = f.add(coords[i], f.mul(a, x))
+        return rest, coords
+
+    def coordinates(self, w: Vector) -> Vector | None:
+        """The coefficients of the vectors summing to w, 0 on those that
+        depend on earlier ones, or None if w is outside the span."""
+        rest, coords = self._split(w)
+        return None if any(rest) else Vector._from_raw(self.field, coords)
+
+    def remainder(self, w: Vector) -> Vector:
+        """w modulo the span: 0 at every pivot column, and 0 exactly when w
+        is in the span."""
+        return Vector._from_raw(self.field, self._split(w)[0])
+
+    def __contains__(self, w: Vector) -> bool:
+        return not any(self._split(w)[0])
+
+    def coordinate_matrix(self, images: Sequence[Vector]) -> Matrix | None:
+        """The matrix whose column i holds the coordinates of images[i], or
+        None if one is outside the span: on the images of the vectors under
+        a map that keeps the span, the matrix of that map on it."""
+        cols = [self.coordinates(w) for w in images]
+        return None if None in cols else Matrix.from_columns(self.field, cols)

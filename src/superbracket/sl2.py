@@ -17,12 +17,10 @@ from typing import Sequence
 from .fields import Field, FieldError, Scalar
 from .linalg import (
     Matrix,
+    Span,
     Vector,
-    coordinates_in_span,
-    echelon_span,
     eigenspace,
     kernel_basis,
-    span_contains,
 )
 from .superalgebra import SuperAlgebra
 
@@ -364,17 +362,13 @@ def decompose(rep: RepMatrices) -> list[tuple[list[Vector], IrrepSpec]]:
     if dim == 0:
         return []
     top = kernel_basis(rep.rho_e)
-    top_matrix = Matrix.from_columns(field, top) if top else None
-    if top_matrix is None:
+    if not top:
         raise ValueError("no highest weight vectors; not a valid module")
+    top_matrix = Matrix.from_columns(field, top)
     # rho_H restricted to ker(rho_E), in coordinates of that kernel basis
-    restr_cols = []
-    for v in top:
-        coords = coordinates_in_span(top, rep.rho_h @ v)
-        if coords is None:
-            raise ValueError("ker(rho_E) is not rho_H-invariant; not a valid module")
-        restr_cols.append(coords)
-    restr = Matrix.from_columns(field, restr_cols)
+    restr = Span(field, top).coordinate_matrix([rep.rho_h @ v for v in top])
+    if restr is None:
+        raise ValueError("ker(rho_E) is not rho_H-invariant; not a valid module")
     summands: list[tuple[list[Vector], IrrepSpec]] = []
     covered = 0
     for m in _weight_candidates(field, dim):
@@ -402,19 +396,18 @@ def decompose(rep: RepMatrices) -> list[tuple[list[Vector], IrrepSpec]]:
 def invariant_closure(mats: Sequence[Matrix], seeds: Sequence[Vector]) -> list[Vector]:
     """Echelon basis of the smallest subspace containing the seeds and
     invariant under all the given operators."""
-    field = seeds[0].field
-    basis = echelon_span(field, list(seeds))
-    frontier = list(basis)
+    span = Span(seeds[0].field, seeds)
+    frontier = list(span.basis)
     while frontier:
         new = []
         for v in frontier:
             for m in mats:
                 img = m @ v
-                if not span_contains(basis, img):
+                if img not in span:
                     new.append(img)
-                    basis = echelon_span(field, basis + [img])
+                    span = Span(span.field, [*span.basis, img])
         frontier = new
-    return basis
+    return list(span.basis)
 
 
 def _joint_kernel(rep: RepMatrices) -> list[Vector]:
@@ -422,68 +415,50 @@ def _joint_kernel(rep: RepMatrices) -> list[Vector]:
     return kernel_basis(stacked)
 
 
+def _weight_closures(rep: RepMatrices):
+    """The invariant closure of each vector of ker(rho_E) that rho_H scales
+    by a weight candidate, by descending weight, then echelon order."""
+    top = kernel_basis(rep.rho_e)
+    for m in _weight_candidates(rep.field, rep.dim):
+        lam = rep.field.from_int(m)
+        for w in top:
+            if (rep.rho_h @ w - w.scaled(lam)).is_zero():
+                yield invariant_closure(rep.matrices(), [w])
+
+
 def _socle_member(rep: RepMatrices) -> list[Vector]:
     """An irreducible submodule of least dimension (ties by echelon order)."""
-    field = rep.field
-    dim = rep.dim
     joint = _joint_kernel(rep)
     if joint:
         return [joint[0]]  # a trivial line; nothing smaller exists
-    mats = rep.matrices()
-    candidates: list[list[Vector]] = []
-    top = kernel_basis(rep.rho_e)
-    for m in _weight_candidates(field, dim):
-        lam = field.from_int(m)
-        for w in top:
-            img = rep.rho_h @ w - w.scaled(lam)
-            if img.is_zero():
-                candidates.append(invariant_closure(mats, [w]))
+    candidates = list(_weight_closures(rep))
     if not candidates:
         raise ValueError(
             "no trivial line or highest weight vector found; "
             "unsupported module structure"
         )
-    best = min(enumerate(candidates), key=lambda kv: (len(kv[1]), kv[0]))[1]
+    best = min(candidates, key=len)  # the first of least dimension
     # refine until irreducible: look for a proper submodule inside
-    while True:
-        sub = _proper_submodule_inside(rep, best)
-        if sub is None:
-            return best
+    while (sub := _proper_submodule_inside(rep, best)) is not None:
         best = sub
-
-
-def _restricted_rep(rep: RepMatrices, basis: list[Vector]) -> RepMatrices:
-    field = rep.field
-    mats = []
-    for m in rep.matrices():
-        cols = []
-        for v in basis:
-            coords = coordinates_in_span(basis, m @ v)
-            if coords is None:
-                raise ValueError("subspace is not invariant")
-            cols.append(coords)
-        mats.append(Matrix.from_columns(field, cols))
-    return RepMatrices(*mats)
+    return best
 
 
 def _proper_submodule_inside(rep: RepMatrices, basis: list[Vector]) -> list[Vector] | None:
     """A proper nonzero submodule of the invariant subspace, or None."""
     if len(basis) <= 1:
         return None
-    sub = _restricted_rep(rep, basis)
+    span = Span(rep.field, basis)
+    mats = [span.coordinate_matrix([m @ v for v in basis]) for m in rep.matrices()]
+    if None in mats:
+        raise ValueError("subspace is not invariant")
+    sub = RepMatrices(*mats)
     lift = Matrix.from_columns(rep.field, basis)
     joint = _joint_kernel(sub)
     if joint:
         return [lift @ joint[0]]
-    top = kernel_basis(sub.rho_e)
-    for m in _weight_candidates(rep.field, sub.dim):
-        lam = rep.field.from_int(m)
-        for w in top:
-            if (sub.rho_h @ w - w.scaled(lam)).is_zero():
-                closure = invariant_closure(sub.matrices(), [w])
-                if 0 < len(closure) < len(basis):
-                    return [lift @ v for v in closure]
-    return None
+    closure = next((c for c in _weight_closures(sub) if len(c) < len(basis)), None)
+    return None if closure is None else [lift @ v for v in closure]
 
 
 def composition_series(rep: RepMatrices) -> tuple[list[int], list[Vector]]:
@@ -498,49 +473,20 @@ def composition_series(rep: RepMatrices) -> tuple[list[int], list[Vector]]:
     dim = rep.dim
     trivial = _joint_kernel(rep)
     factors: list[int] = []
-    flag: list[Vector] = []  # echelon basis of the current submodule
-    while len(flag) < dim:
-        pivot_cols = _pivot_columns(field, flag)
-        complement = [c for c in range(dim) if c not in pivot_cols]
-        lift_cols = [Vector.unit(field, dim, c) for c in complement]
+    flag = Span(field, [], dim)  # the current submodule
+    while len(flag.basis) < dim:
+        # the quotient by flag, on the unit vectors of the non-pivot columns
+        complement = [c for c in range(dim) if c not in flag.pivots]
+        units = [Vector.unit(field, dim, c) for c in complement]
         qmats = []
         for m in rep.matrices():
-            cols = [_reduce_mod(field, flag, pivot_cols, m @ u, complement) for u in lift_cols]
-            qmats.append(Matrix.from_columns(field, cols))
-        qrep = RepMatrices(*qmats)
-        member = _socle_member(qrep)
+            rests = [flag.remainder(m @ u).entries for u in units]
+            qmats.append(Matrix._from_raw(field, [[x[r] for x in rests] for r in complement]))
+        member = _socle_member(RepMatrices(*qmats))
         factors.append(len(member))
-        lifted = [
-            _lift_from_complement(field, dim, complement, v) for v in member
-        ]
-        flag = echelon_span(field, flag + lifted)
+        lift = Matrix.from_columns(field, units)
+        flag = Span(field, [*flag.basis, *(lift @ v for v in member)])
     return factors, trivial
-
-
-def _pivot_columns(field: Field, echelon: list[Vector]) -> list[int]:
-    cols = []
-    for v in echelon:
-        for i, x in enumerate(v.entries):
-            if x:
-                cols.append(i)
-                break
-    return cols
-
-
-def _reduce_mod(field, echelon, pivot_cols, v: Vector, complement) -> Vector:
-    ent = list(v.entries)
-    for row, pc in zip(echelon, pivot_cols):
-        c = ent[pc]
-        if c:
-            ent = [field.sub(a, field.mul(c, b)) for a, b in zip(ent, row.entries)]
-    return Vector(field, [ent[c] for c in complement])
-
-
-def _lift_from_complement(field, dim, complement, v: Vector) -> Vector:
-    ent = [field.zero()] * dim
-    for c, x in zip(complement, v.entries):
-        ent[c] = x
-    return Vector(field, ent)
 
 
 def has_proper_submodule(rep: RepMatrices) -> bool:

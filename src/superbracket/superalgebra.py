@@ -82,9 +82,9 @@ from .fields import Field
 from .linalg import (
     DimensionMismatch,
     Matrix,
+    Span,
     Vector,
     echelon_span,
-    span_contains,
     sparse_kernel_basis,
 )
 
@@ -1208,13 +1208,9 @@ def p_span(
 
 def is_ideal(g: SuperAlgebra, subspace: Sequence[Vector]) -> bool:
     """Whether a subspace of the even part satisfies [g0, S] <= S."""
-    basis = echelon_span(g.field, list(subspace))
-    for i in range(g.dim_even):
-        e_i = Vector.unit(g.field, g.dim_even, i)
-        for s in basis:
-            if not span_contains(basis, g.even_bracket_vec(e_i, s)):
-                return False
-    return True
+    span = Span(g.field, list(subspace), g.dim_even)
+    units = [Vector.unit(g.field, g.dim_even, i) for i in range(g.dim_even)]
+    return all(g.even_bracket_vec(e, s) in span for e in units for s in span.basis)
 
 
 def killing_form(g: SuperAlgebra) -> Matrix:

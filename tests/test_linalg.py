@@ -14,8 +14,8 @@ from superbracket.linalg import (
     _reduce,
     _rref_raw,
     Matrix,
+    Span,
     Vector,
-    coordinates_in_span,
     echelon_span,
     eigenspace,
     intertwiners,
@@ -131,7 +131,7 @@ def test_solve_property(m):
     sol = solve_linear(m, b)
     assert sol is not None
     assert m @ sol == b
-    assert coordinates_in_span(basis + [x], sol) is not None
+    assert Span(QQ, basis + [x]).coordinates(sol) is not None
 
 
 def test_echelon_span_is_canonical():
@@ -324,6 +324,85 @@ def test_peeling_matches_dense_oracle(field, data):
     assert sparse == frozen  # the peel copies each row
     assert chained <= forced
     assert all(len(r) > 1 and not forced & r.keys() for r in left)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+@given(data=st.data())
+def test_span_matches_solve_linear_and_dense_oracle(field, data):
+    # the vectors are the rows of a drawn system, plus a few combinations of
+    # them inserted anywhere, so that the list is dependent
+    vectors = [Vector(field, row) for row in data.draw(raw_systems(field))]
+    n = len(vectors[0]) if vectors else data.draw(st.integers(1, 6))
+    if not n:
+        return  # no Matrix has zero rows and k > 0 columns; see test_span_edge_cases
+    rng = data.draw(st.randoms(use_true_random=False))
+
+    def value():
+        return rng.randrange(1, field.p) if field.p else Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 5))
+
+    def combination():  # of up to three of the vectors
+        terms = [rng.randrange(len(vectors)) for _ in range(rng.randint(0, 3))] if vectors else []
+        return sum((vectors[i].scaled(value()) for i in terms), Vector.zero(field, n))
+
+    for _ in range(rng.randint(0, 3) if vectors else 0):
+        vectors.insert(rng.randint(0, len(vectors)), combination())
+    span = Span(field, vectors, n)
+    matrix = Matrix.from_columns(field, vectors) if vectors else Matrix.zero(field, n, 0)
+    rref, pivots = dense_rref(field, [v.entries for v in vectors])
+    assert list(span.basis) == echelon_span(field, vectors)
+    assert span.pivots == tuple(pivots)
+    queries = [Vector.zero(field, n), Vector.unit(field, n, rng.randrange(n)), combination()]
+    queries += rng.sample(vectors, min(2, len(vectors)))
+    queries.append(Vector(field, [value() if rng.randrange(3) else 0 for _ in range(n)]))
+    for w in queries:
+        coords = span.coordinates(w)
+        assert coords == solve_linear(matrix, w)
+        assert (w in span) == (coords is not None)
+        rest = list(w.entries)
+        for row, p in zip(rref, pivots):
+            rest = [field.sub(x, field.mul(w.entries[p], y)) for x, y in zip(rest, row)]
+        assert span.remainder(w) == Vector(field, rest)
+        assert all(not span.remainder(w).entries[p] for p in pivots)
+
+
+def test_span_edge_cases():
+    empty = Span(F5, [], 3)
+    assert empty.basis == () and empty.pivots == ()
+    assert empty.coordinates(Vector.zero(F5, 3)) == Vector(F5, [])
+    assert empty.coordinates(Vector.unit(F5, 3, 1)) is None
+    assert empty.remainder(Vector(F5, [1, 2, 3])) == Vector(F5, [1, 2, 3])
+    # vectors of length 0 span the zero space; each coordinate is 0
+    nothing = Vector(QQ, [])
+    assert Span(QQ, [nothing, nothing]).coordinates(nothing) == Vector(QQ, [0, 0])
+    assert Span(QQ, [], 0).coordinates(nothing) == solve_linear(Matrix(QQ, []), nothing)
+    # the dependent vector gets coordinate 0, as in solve_linear
+    v = Vector(QQ, [1, 2])
+    assert Span(QQ, [v, v.scaled(3)]).coordinates(v.scaled(6)) == Vector(QQ, [6, 0])
+    assert Span(QQ, [Vector.zero(QQ, 2), v]).coordinates(v) == Vector(QQ, [0, 1])
+
+
+def test_span_rejects_mixed_fields_and_lengths():
+    span = Span(QQ, [Vector(QQ, [1, 2])])
+    with pytest.raises(FieldError):
+        Span(QQ, [Vector(F5, [1, 2])])
+    with pytest.raises(FieldError):
+        Span(QQ, [Vector(QQ, [1, 2]), Vector(F5, [1, 2])])
+    for query in (span.coordinates, span.remainder, span.__contains__):
+        with pytest.raises(FieldError):
+            query(Vector(F5, [1, 2]))
+        with pytest.raises(DimensionMismatch):
+            query(Vector(QQ, [1, 2, 3]))
+    with pytest.raises(DimensionMismatch):
+        Span(QQ, [Vector(QQ, [1, 2]), Vector(QQ, [1, 2, 3])])
+    with pytest.raises(DimensionMismatch):
+        Span(QQ, [Vector(QQ, [1, 2])], 3)
+    with pytest.raises(ValueError):
+        Span(QQ, [])
+    # the oracle raises the same errors
+    with pytest.raises(FieldError):
+        solve_linear(Matrix.from_columns(QQ, [Vector(QQ, [1, 2])]), Vector(F5, [1, 2]))
+    with pytest.raises(DimensionMismatch):
+        solve_linear(Matrix.from_columns(QQ, [Vector(QQ, [1, 2])]), Vector(QQ, [1, 2, 3]))
 
 
 def test_sparse_kernel_rejects_columns_out_of_range():

@@ -399,9 +399,9 @@ def test_char3_space_contains_the_example():
             for v in range(u, d1):
                 entries.extend(tensor[u][v])
         cols.append(Vector(g.field, entries))
-    from superbracket.linalg import coordinates_in_span
+    from superbracket.linalg import Span
 
-    assert coordinates_in_span(cols, Vector(g.field, target)) is not None
+    assert Span(g.field, cols, len(target)).coordinates(Vector(g.field, target)) is not None
 
 
 def test_solver_rejects_non_representations():

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from superbracket.constructions import sl2_algebra
@@ -346,3 +349,87 @@ def test_has_proper_submodule():
     assert not has_proper_submodule(steinberg)
     with_beta = build_irrep(IrrepSpec(4, F5.scalar(4), F5.scalar(1)), F5)
     assert not has_proper_submodule(with_beta)
+
+
+def pinned_modules(field):
+    """The modules behind SL2_DIGESTS: sums of irreducibles in a fixed random
+    basis, and over F_5 and F_7 the extension k[x]/(x^p) as well."""
+    from conftest import random_invertible
+
+    rng = random.Random(1729)
+    sums = {"Q": [(2, 1, 0, 1), (3, 3), (1, 0, 0)], "F_5": [(3, 1, 0), (2, 2)], "F_7": [(5, 1), (4, 2, 0)]}
+    out = []
+    for ms in sums[str(field)]:
+        rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, m), field) for m in ms])
+        out.append(rep.conjugated(random_invertible(field, rep.dim, rng)))
+    if field.kind == "prime":
+        out.append(indecomposable_extension(field.p))
+    return out, rng
+
+
+def module_document(field, ms, rng):
+    """sl(2) plus a sum of irreducibles with zero odd bracket, in a random odd basis."""
+    from conftest import random_invertible
+    from superbracket.constructions import assemble
+    from superbracket.schema import serialize_algebra
+
+    rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, m), field) for m in ms])
+    g = assemble(sl2_algebra(field), rep)
+    g = g.conjugated(Matrix.identity(field, 3), random_invertible(field, rep.dim, rng))
+    return serialize_algebra(g)
+
+
+SL2_DIGESTS = {
+    "Q": "f19d72bdbdc55d80f69f2f6d2cfb75493c1149f382c8fe7c3c2fd928abd33052",
+    "F_5": "46f6a422bffdbc32a734975c0d432b227b3e98d859b3a342df821738ad5d606c",
+    "F_7": "c84355439f491865ddb549c9bf9bc7dcb6374e84a1431dbf6b6d0b87aa62f2a2",
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F7], ids=str)
+def test_sl2_outputs_are_pinned(field, tmp_path):
+    # the exact vectors decompose, invariant_closure and the CLI return, and
+    # the dimensions and trivial part of composition_series, on modules in a
+    # random basis; recorded before the span queries moved to linalg.Span
+    import contextlib
+    import io
+
+    from conftest import random_invertible
+    from superbracket import cli
+    from superbracket.sl2 import invariant_closure
+    from superbracket.superalgebra import is_ideal
+
+    def fmt(vectors):
+        return "[" + "; ".join(" ".join(field.format(x) for x in v.entries) for v in vectors) + "]"
+
+    modules, rng = pinned_modules(field)
+    lines = []
+    for rep in modules:
+        for name, run in (
+            ("decompose", lambda: " | ".join(f"{spec.m}:{fmt(chain)}" for chain, spec in decompose(rep))),
+            ("series", lambda: (lambda factors, trivial: f"{factors} {fmt(trivial)}")(*composition_series(rep))),
+            ("proper", lambda: has_proper_submodule(rep)),
+        ):
+            try:
+                lines.append(f"{name} {run()}")
+            except ValueError as exc:  # pinned too: some bases are not supported
+                lines.append(f"{name} error: {exc}")
+        for i in range(rep.dim):
+            seed = Vector.unit(field, rep.dim, i)
+            lines.append(f"closure {i} {fmt(invariant_closure(rep.matrices(), [seed]))}")
+    sl2 = sl2_algebra(field)
+    g = sl2.conjugated(random_invertible(field, 3, rng), Matrix.identity(field, 0))
+    units = [Vector.unit(field, 3, i) for i in range(3)]
+    subspaces = [[], units[:1], units[1:], units, [units[0] + units[2]]]
+    subspaces += [[Vector(field, [rng.randint(-2, 2) for _ in range(3)]) for _ in range(k)] for k in (1, 2, 2, 3)]
+    for s in subspaces:
+        lines.append(f"ideal {fmt(s)} {is_ideal(g, s)} {is_ideal(sl2, s)}")
+    for k, ms in enumerate({"Q": [(2, 1, 0), (1, 1)], "F_5": [(3, 1)], "F_7": [(2, 2, 0)]}[str(field)]):
+        path = tmp_path / f"module{k}.json"
+        path.write_text(module_document(field, ms, rng))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["decompose", str(path)])
+        lines.append(f"cli {ms} {code} {out.getvalue()}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SL2_DIGESTS[str(field)], "\n".join(lines)

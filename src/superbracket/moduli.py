@@ -16,17 +16,26 @@ the one definition of the relations, which
 deduplicated by symmetric index pattern and yielded, per instance, as terms
 (base, group), where unknown base + i carries the column group[i] of
 (output, coefficient) pairs, built from the nonzeros of the action and the
-even bracket.  The solver is the one place that collects them into sparse
-rows ``{unknown: coefficient}`` (:func:`_rows`, one row per output); each
-row is reduced mod p once, without its zero entries, and the rows go
+even bracket.  Over Q the solver first clears the even bracket and the
+action of denominators by one common D
+(:func:`~superbracket.superalgebra.clear_denominators`, as each algebra's
+integer form does): every equation is linear in the two jointly, so each
+row becomes D times itself, with the same span, and the rows, the
+representation check and the eliminator all run on Python ints.  Over F_p
+the tensors are integers already, and past the cut-off of
+:func:`~superbracket.superalgebra.clear_denominators` they stay Fractions
+and the same code runs on them.  The solver is the one place that collects
+the terms into sparse rows ``{unknown: coefficient}``, in one pass per
+instance (:func:`_append_rows`, one row per output): each row is reduced
+mod p once, or over Q stripped of its zero entries, and the rows go
 straight to :func:`~superbracket.linalg.sparse_kernel_basis`.  Most of
 those rows have a single entry: they force an unknown to vanish.  Most of
 these singletons are relation-2 instances that force a weight-incompatible
 coefficient to zero, so the solver collects the relation-2 instances
 before the others and keeps the set of *dead* unknowns: the columns of the
 single-entry rows collected so far.  Walking an instance's terms, it skips
-every dead unknown (:func:`_collect`), and a row that shrinks to one entry
-kills its own unknown in turn.  The unit row of each dead unknown is itself
+every dead unknown, and a row that shrinks to one entry kills its own
+unknown in turn.  The unit row of each dead unknown is itself
 among the rows passed on, so dropping that unknown elsewhere changes no row span:
 the reduced row echelon form and the kernel stay the same, from about a
 quarter of the rows (7,287 instead of 27,273 for the 65 F_7 sweep systems).
@@ -42,7 +51,7 @@ oracle for this deduplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .fields import Field
@@ -51,6 +60,7 @@ from .sl2 import IrrepSpec, RepMatrices, build_irrep
 from .superalgebra import (
     SuperAlgebra,
     action_nonzeros,
+    clear_denominators,
     compatibility_equations,
     odd_unknowns,
     representation_failures,
@@ -101,11 +111,15 @@ class NotARepresentation(ValueError):
         self.pairs = tuple(pairs)
 
 
-def _collect(terms, dead=frozenset()) -> dict:
-    """{output: {unknown: coeff}} summed from one instance's terms (base,
-    group) without the ``dead`` unknowns.  Dicts are made on first use and a
-    sum starts from its first term, since 0 + Fraction costs a full Fraction
-    addition."""
+def _append_rows(rows: list, terms, dead: set, p: int | None) -> None:
+    """Append one instance's rows to ``rows``: its terms (base, group) summed
+    into one equation ``{unknown: coeff}`` per output without the ``dead``
+    unknowns, each reduced mod p once, or over Q stripped of zero entries
+    when it holds one; a row left with one entry adds its unknown to
+    ``dead``.  Dicts are made on first use and a sum starts from its first
+    term, since 0 + Fraction costs a full Fraction addition (past the
+    cut-off of :func:`~superbracket.superalgebra.clear_denominators` the
+    coefficients are Fractions)."""
     eqs: dict = {}
     for base, group in terms:
         for k, col in enumerate(group, base):
@@ -119,28 +133,15 @@ def _collect(terms, dead=frozenset()) -> dict:
                     eq[k] += c
                 else:
                     eq[k] = c
-    return eqs
-
-
-def _rows(terms, p: int | None, dead=frozenset()) -> Iterator[dict]:
-    """One instance's rows: its terms collected into one equation per output
-    without the ``dead`` unknowns, each reduced mod p once and without its
-    zero entries."""
-    for eq in _collect(terms, dead).values():
+    for eq in eqs.values():
         if p:
-            eq = {k: c % p for k, c in eq.items() if c % p}
-        else:
+            eq = {k: r for k, c in eq.items() if (r := c % p)}
+        elif not all(eq.values()):
             eq = {k: c for k, c in eq.items() if c}
+        if len(eq) == 1:
+            dead.update(eq)
         if eq:
-            yield eq
-
-
-def _live_rows(terms, dead: set, p: int | None) -> list[dict]:
-    """:func:`_rows` of one instance without the ``dead`` unknowns; each row
-    left with one entry adds its unknown to ``dead``."""
-    rows = list(_rows(terms, p, dead))
-    dead.update(k for row in rows if len(row) == 1 for k in row)
-    return rows
+            rows.append(eq)
 
 
 def odd_bracket_space(
@@ -168,24 +169,30 @@ def odd_bracket_space(
         if m.rows != d1 or m.cols != d1:
             raise ValueError("action matrices must be square of equal size")
     bracket = [[[field.coerce(c) for c in row] for row in plane] for plane in even_bracket]
-    act = action_nonzeros([m.transpose().data for m in action_mats])
+    # every equation is linear in (bracket, action) jointly, so clearing both
+    # by one D scales each row by D and keeps its span
+    _, (bracket, action) = clear_denominators(
+        field, (bracket, [m.transpose().data for m in action_mats])
+    )
+    act = action_nonzeros(action)
     failures = representation_failures(field, bracket, act)
     if failures:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
     dead: set[int] = set()
-    held, rows, cubic = [], [], []
+    held, later = [], []  # relation 1; relation 2, then the cubic
     for identity, _, terms in compatibility_equations(bracket, act, mode):
         if identity == "relation_1":
             held.append(terms)  # collected once relation 2 has killed its unknowns
-        elif identity == "relation_2":
-            rows += _live_rows(terms, dead, p)
         else:
-            cubic += _live_rows(terms, dead, p)
+            _append_rows(later, terms, dead, p)
     # The rows keep the generator's order, since fraction-free pivoting
     # depends on it: relation-2 rows first make sl(2) + (4,3,2,1) in a
     # random basis over Q about ten times slower.
-    rows = [row for terms in held for row in _live_rows(terms, dead, p)] + rows + cubic
+    rows: list[dict] = []
+    for terms in held:
+        _append_rows(rows, terms, dead, p)
+    rows += later
     base = odd_unknowns(d0, d1)
     basis = []
     for flat in sparse_kernel_basis(field, rows, d0 * d1 * (d1 + 1) // 2):
@@ -200,7 +207,9 @@ def odd_bracket_space_of(g: SuperAlgebra, mode: str | None = None) -> OddBracket
     ignored -- this asks what brackets *could* live on the module).  The
     mode defaults to g's own, so a char2 document is refused."""
     mats = [g.action_matrix(i) for i in range(g.dim_even)]
-    return odd_bracket_space(g.field, g.bracket, mats, mode=mode or g.mode)
+    space = odd_bracket_space(g.field, g.bracket, mats, mode=mode or g.mode)
+    # with no even part there is no action matrix to read d1 off
+    return replace(space, dim_odd=g.dim_odd)
 
 
 def solution_to_algebra(

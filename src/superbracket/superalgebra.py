@@ -843,7 +843,9 @@ def clear_denominators(field: Field, tensor) -> tuple[int, object]:
     passed together as a tuple.  When D would exceed ``_MAX_SCALE_BITS``
     bits the result is ``(1, tensor)`` too: every caller is exact on
     Fractions as well, only slower on small denominators.  Each
-    :class:`SuperAlgebra` clears its own tensors once, on first use."""
+    :class:`SuperAlgebra` clears its own tensors once, on first use, and
+    :func:`~superbracket.moduli.odd_bracket_space` its even bracket and
+    action."""
     if field.kind == "prime":
         return 1, tensor
     leaves = tensor
@@ -890,9 +892,9 @@ def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]
     of e_j(f_w), then of e_i(f_w), and over k, where P_i[t] is e_i(f_t)
     packed; over F_p each -a is written p - a, so that every slot stays
     nonnegative.  A slot sums at most 2 d1 + d0 products, the bound that
-    :func:`_slot_width` turns into the slot width.  Fraction inputs (the
-    solver over Q, and the integer form past the cut-off of
-    :func:`clear_denominators`) are summed output by output instead.
+    :func:`_slot_width` turns into the slot width.  Fraction inputs (past
+    the cut-off of :func:`clear_denominators`, which both the integer form
+    and the solver clear by) are summed output by output instead.
     """
     d0 = len(bracket)
     d1 = len(act[0]) if act else 0

@@ -6,7 +6,6 @@ from functools import partial
 import pytest
 from hypothesis import HealthCheck, settings
 
-from superbracket import moduli
 from superbracket import superalgebra as sa
 from superbracket.linalg import Matrix, Vector
 
@@ -133,6 +132,43 @@ def dense_representation_failures(field, bracket, mats):
     return bad
 
 
+# --- oracle collector for the solver's rows ------------------------------------
+
+
+def collect(terms, dead=frozenset()) -> dict:
+    """{output: {unknown: coeff}} summed from one instance's terms (base,
+    group) of superalgebra.compatibility_equations, without the ``dead``
+    unknowns, on whatever tensors the terms were built from (raw Fractions
+    over Q).  Dicts are made on first use and a sum starts from its first
+    term; zero sums are kept.  Slow reference for the collection pass of
+    moduli.odd_bracket_space."""
+    eqs: dict = {}
+    for base, group in terms:
+        for k, col in enumerate(group, base):
+            if k in dead:
+                continue
+            for t, c in col:
+                eq = eqs.get(t)
+                if eq is None:
+                    eqs[t] = {k: c}
+                elif k in eq:
+                    eq[k] += c
+                else:
+                    eq[k] = c
+    return eqs
+
+
+def collected_rows(terms, p, dead=frozenset()) -> list[dict]:
+    """The equations of collect(terms, dead), each reduced mod p (if p) and
+    without its zero entries, the empty ones dropped."""
+    rows = []
+    for eq in collect(terms, dead).values():
+        row = {k: c % p if p else c for k, c in eq.items() if (c % p if p else c)}
+        if row:
+            rows.append(row)
+    return rows
+
+
 # --- Fraction oracles for the integer paths of validate and check_morphism ---
 
 
@@ -142,7 +178,7 @@ def fraction_validate(g):
     residue) tensors, the even Jacobi identity by fraction_bilinear, the
     representation check by dense_representation_failures, each
     instance's terms first collected into per-output equations by the
-    solver's moduli._collect, and the char2 axiom by
+    oracle collector collect, and the char2 axiom by
     naive_char2_violations.  It shares no arithmetic with validate's
     integer form.  Slow reference for superalgebra.validate."""
     f = g.field
@@ -177,7 +213,7 @@ def fraction_validate(g):
         }
         p = f.p if f.kind == "prime" else None
         for identity, indices, terms in sa.compatibility_equations(g.bracket, act, g.mode):
-            for eq in moduli._collect(terms).values():
+            for eq in collect(terms).values():
                 r = sum(c * known[k] for k, c in eq.items() if k in known)
                 if r % p if p else r:
                     bad.append(sa.Violation(identity, indices))

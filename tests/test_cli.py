@@ -86,6 +86,21 @@ def test_pspace_on_a_non_representation_exits_1():
     ]
 
 
+def test_pspace_without_an_even_part_prints_the_zero_space():
+    doc = {
+        "field": {"kind": "prime_field", "p": 7},
+        "dim_even": 0,
+        "dim_odd": 3,
+        "axiom_mode": "standard",
+        "bracket_even": [],
+        "action": [],
+        "p_map": [],
+    }
+    res = run_cli("pspace", "-", stdin=json.dumps(doc))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == '{\n  "dim": 0,\n  "basis": []\n}\n'
+
+
 def test_pspace_on_char2_is_not_applicable():
     built = run_cli("construct", "char2")
     res = run_cli("pspace", "-", stdin=built.stdout)

@@ -9,6 +9,7 @@ from math import lcm
 
 import pytest
 from conftest import (
+    collect,
     dense_representation_failures,
     fraction_bilinear,
     fraction_check_morphism,
@@ -286,7 +287,7 @@ def largest_slot(g):
     known = {base[u][v] + x: c for u in range(d1) for v in range(u, d1) for x, c in enumerate(g.odd_bracket[u][v])}
     top = 0
     for _, _, terms in compatibility_equations(g.bracket, action_nonzeros(g.action), g.mode):
-        for eq in moduli._collect(terms).values():
+        for eq in collect(terms).values():
             top = max(top, sum(abs(c) * abs(known[k]) for k, c in eq.items()))
     return top
 
@@ -693,9 +694,10 @@ def test_packed_representation_bound_is_reached(monkeypatch):
 
 
 def test_representation_check_packs_unless_its_inputs_hold_fractions(monkeypatch, rng):
-    # the per-output dict loop runs only on Fractions: the integer form past
-    # the cut-off of clear_denominators, and the solver over Q, which hands
-    # over its raw tensors
+    # the per-output dict loop runs only on Fractions, past the cut-off of
+    # clear_denominators: in validate's integer form, and in the solver,
+    # which clears its bracket and action by the same function and so packs
+    # over Q below the cut-off
     import superbracket.superalgebra as sa
 
     coprime = coprime_document(12)
@@ -710,4 +712,8 @@ def test_representation_check_packs_unless_its_inputs_hold_fractions(monkeypatch
         validate(g)
     for g in modules:
         moduli.odd_bracket_space_of(g)
-    assert calls == ["_listed_failures"] + ["_packed_failures"] * len(FIELDS) + ["_listed_failures", "_packed_failures"]
+    # the coprime action is no representation: the solver stops at the check
+    with pytest.raises(moduli.NotARepresentation):
+        moduli.odd_bracket_space_of(coprime)
+    packed = ["_packed_failures"] * len(FIELDS)
+    assert calls == ["_listed_failures"] + packed + ["_packed_failures", "_packed_failures", "_listed_failures"]

@@ -1,15 +1,16 @@
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from conftest import dense_kernel, random_invertible, random_monomial
+from conftest import collected_rows, dense_kernel, random_invertible, random_monomial
 
 from superbracket import moduli
 from superbracket.classify import classify
 from superbracket.constructions import build_char2_example, build_osp12, sl2_algebra
 from superbracket.fields import GF, QQ
-from superbracket.linalg import Matrix, Vector
+from superbracket.linalg import Matrix, Vector, sparse_kernel_basis
 from superbracket.moduli import (
     NotARepresentation,
     UnsupportedMode,
@@ -22,6 +23,7 @@ from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
     SuperAlgebra,
     action_nonzeros,
+    clear_denominators,
     compatibility_equations,
     representation_failures,
     validate,
@@ -198,10 +200,25 @@ def test_sparse_assembly_matches_naive_oracle(field, dims, rng):
         assert flatten(space) == naive_space(field, even.bracket, mats)
 
 
+def spy_rows(monkeypatch):
+    """The list that collects the rows of each sparse_kernel_basis call of
+    the solver."""
+    seen = []
+    real = moduli.sparse_kernel_basis
+
+    def spy(f, rows, n_cols):
+        seen.append(rows)
+        return real(f, rows, n_cols)
+
+    monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
+    return seen
+
+
 @pytest.mark.parametrize("field", [QQ, F7], ids=str)
 def test_assembled_rows_hold_nonzero_raw_entries(field, rng, monkeypatch):
     # the solver hands its equations to the kernel uncoerced: every entry
-    # must already be a nonzero raw field element in range
+    # must already be a nonzero raw field element in range, over Q a
+    # nonzero int, since the solver clears the denominators of its tensors
     seen = []
     real = moduli.sparse_kernel_basis
 
@@ -221,10 +238,9 @@ def test_assembled_rows_hold_nonzero_raw_entries(field, rng, monkeypatch):
         assert row
         for k, x in row.items():
             assert 0 <= k < n_cols and x
-            if field.kind == "rationals":
-                assert type(x) is Fraction
-            else:
-                assert type(x) is int and 0 < x < field.p
+            assert type(x) is int
+            if field.kind == "prime":
+                assert 0 < x < field.p
 
 
 @pytest.mark.parametrize(
@@ -236,14 +252,7 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
     # the solver leaves out the blocks of unknowns already forced to zero by
     # a single-entry row: far fewer rows, the same row span as every
     # instance collected in full
-    seen = []
-    real = moduli.sparse_kernel_basis
-
-    def spy(f, rows, n_cols):
-        seen.append(rows)
-        return real(f, rows, n_cols)
-
-    monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
+    seen = spy_rows(monkeypatch)
     even = sl2_algebra(field)
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
@@ -256,10 +265,10 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
     full = [
         row
         for _, _, blocks in compatibility_equations(even.bracket, act, mode)
-        for row in moduli._rows(blocks, p)
+        for row in collected_rows(blocks, p)
     ]
     n = len(even.bracket) * rep.dim * (rep.dim + 1) // 2
-    assert real(field, rows, n) == real(field, full, n)
+    assert sparse_kernel_basis(field, rows, n) == sparse_kernel_basis(field, full, n)
     assert 3 * len(rows) < len(full)
 
 
@@ -267,7 +276,7 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
     "field,dims,mode,digest",
     [
         (F7, (5, 3, 3, 1), "standard", "4cfe1e8125c95a834b25c75b031d9fcf04a1f6d8f77d99e5bb13c0b8ebbec26c"),
-        (QQ, (4, 3, 2, 1), "standard", "d152cc9e4efefa692abca267e5b1d45779b8e90873ee45fd75cc10116e837d49"),
+        (QQ, (4, 3, 2, 1), "standard", "01651a93b49dd9a99e68e78b226626df0477fab3519da6fab302f1790e781a9d"),
         (GF(3), (3, 2, 1), "char3", "cf0476d57533e56ccef2c7e9922db2b6f2ebe384e5ff0c077b5abf5e121c3186"),
     ],
     ids=["F_7-5331", "Q-4321", "F_3-321-char3"],
@@ -275,18 +284,100 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
 def test_solver_rows_are_pinned(field, dims, mode, digest, monkeypatch):
     # sha256 of repr(rows) handed to the eliminator in the standard basis:
     # every row, the order of its entries and the order of the rows are
-    # pinned, since fraction-free pivoting depends on row order
-    seen = []
-    real = moduli.sparse_kernel_basis
-
-    def spy(f, rows, n_cols):
-        seen.append(rows)
-        return real(f, rows, n_cols)
-
-    monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
+    # pinned, since fraction-free pivoting depends on row order.  The Q
+    # module's entries are integers, so the solver clears them by D = 1 and
+    # its rows are those of the raw tensors, each Fraction(n, 1) as the int n
+    seen = spy_rows(monkeypatch)
     space_for(field, dims, mode)
     (rows,) = seen
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def oracle_solver_rows(field, bracket, mats, mode="standard"):
+    """The rows the solver hands to the eliminator, from the oracle
+    collector on the raw tensors: relation 2 and the cubic collected first,
+    then relation 1, each instance without the unknowns that the
+    single-entry rows collected before it killed; returned in the
+    generator's order, relation 1 first."""
+    act = action_nonzeros([m.transpose().data for m in mats])
+    p = field.p if field.kind == "prime" else None
+    dead: set = set()
+
+    def live(terms):
+        rows = collected_rows(terms, p, dead)
+        dead.update(k for row in rows if len(row) == 1 for k in row)
+        return rows
+
+    held, rows, cubic = [], [], []
+    for identity, _, terms in compatibility_equations(bracket, act, mode):
+        if identity == "relation_1":
+            held.append(terms)
+        elif identity == "relation_2":
+            rows += live(terms)
+        else:
+            cubic += live(terms)
+    return [row for terms in held for row in live(terms)] + rows + cubic
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (3, 1), (2, 2)])
+def test_solver_rows_are_the_oracle_rows_times_the_common_denominator(dims, rng, monkeypatch):
+    # over Q the solver clears the bracket and the action by one D, so each
+    # row it hands on is D times the row the raw Fraction tensors give, with
+    # the rows and each row's entries in the same order.  Only standard mode
+    # runs over Q, and over F_p, D = 1.
+    seen = spy_rows(monkeypatch)
+    even = sl2_algebra(QQ)
+    rep = RepMatrices.direct_sum(
+        [build_irrep(IrrepSpec.standard_params(QQ, d - 1), QQ) for d in dims]
+    )
+    for t in (random_invertible(QQ, rep.dim, rng), random_monomial(QQ, rep.dim, rng)):
+        mats = list(rep.conjugated(t).matrices())
+        entries = [x for plane in even.bracket for row in plane for x in row]
+        entries += [x for m in mats for row in m.data for x in row]
+        d = lcm(*(x.denominator for x in entries))
+        assert d > 1
+        space = odd_bracket_space(QQ, even.bracket, mats)
+        rows = seen.pop()
+        oracle = oracle_solver_rows(QQ, even.bracket, mats)
+        assert [list(row.items()) for row in rows] == [
+            [(k, d * c) for k, c in row.items()] for row in oracle
+        ]
+        assert all(type(x) is int for row in rows for x in row.values())
+        assert flatten(space) == naive_space(QQ, even.bracket, mats)
+
+
+def test_solver_keeps_fractions_past_the_cut_off(monkeypatch):
+    # a module in a diagonal basis of prime powers, whose action's
+    # denominators have an lcm past the 2048-bit cut-off of
+    # clear_denominators: the tensors stay Fractions, the same collection
+    # pass runs on them, and the kernel is the oracle's
+    seen = spy_rows(monkeypatch)
+    even = sl2_algebra(QQ)
+    rep = RepMatrices.direct_sum(
+        [build_irrep(IrrepSpec.standard_params(QQ, d - 1), QQ) for d in (3, 1, 1)]
+    )
+    n, primes = rep.dim, (2, 3, 5, 7, 11)
+    t = Matrix(QQ, [[Fraction(primes[i]) ** 600 if i == j else 0 for j in range(n)] for i in range(n)])
+    mats = list(rep.conjugated(t).matrices())
+    action = [m.transpose().data for m in mats]
+    assert lcm(*(x.denominator for plane in action for row in plane for x in row)).bit_length() > 2048
+    assert clear_denominators(QQ, (even.bracket, action))[0] == 1
+    space = odd_bracket_space(QQ, even.bracket, mats)
+    (rows,) = seen
+    assert [list(row.items()) for row in rows] == [
+        list(row.items()) for row in oracle_solver_rows(QQ, even.bracket, mats)
+    ]
+    assert all(type(x) is Fraction for row in rows for x in row.values())
+    assert any(x.denominator > 1 for row in rows for x in row.values())
+    assert space.dimension == 2
+    assert flatten(space) == naive_space(QQ, even.bracket, mats)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_space_without_an_even_part_reports_the_odd_dimension(field):
+    # no action matrix to read d1 off: the space reports g's own dimensions
+    space = odd_bracket_space_of(SuperAlgebra.from_entries(field, 0, 3))
+    assert (space.dim_even, space.dim_odd, space.dimension) == (0, 3, 0)
 
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (3, 1), (2, 2)])

@@ -47,10 +47,24 @@ reach it in the generator's order, relation 1 first, because fraction-free
 pivoting depends on row order.  A naive all-triples dense
 assembly, solved by a dense Gauss-Jordan, is kept in the test suite as an
 oracle for this deduplication.
+
+:func:`sweep_irrep_sums` solves one system per direct sum of irreducibles.
+The systems are independent, so it splits them across the CPUs this
+process may use (:func:`_solve_split`): with n processes the parent forks
+n - 1 workers with bare ``os.fork`` and a pipe each (starting a
+``multiprocessing`` pool takes tens of milliseconds, as much as the split
+saves), worker i solves every n-th composition from i, and
+the parent solves its own share and merges the dimensions by index.  Every
+system goes through the same :func:`odd_bracket_space` whatever n is, so
+the rows are identical.  n is 1 where ``os.fork`` is missing, where another
+thread runs (a forked child inherits its locks held), where only one CPU
+is usable, and where the sweep holds too few unknowns to pay for a fork.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -237,10 +251,114 @@ def _partitions_desc(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+# The least work, in unknowns, that a process of a split sweep takes on.
+# Measured on a shared 2-vCPU Xeon (Python 3.11.7), median of 15 alternating
+# runs each: a forked worker costs the parent about 3.5 ms (fork, the
+# worker's start, reaping it), and the systems take about 20 us per unknown,
+# so one worker broke even at about 540-1,200 unknowns in all (F_5 and F_7
+# up to odd dimension 5 and 6) and won above: F_5 up to 8, 4,206 unknowns,
+# went from 79 to 53 ms.
+_UNKNOWNS_PER_PROCESS = 500
+
+
+def _process_count(jobs: int, work: int) -> int:
+    """How many processes share ``jobs`` independent jobs of ``work`` units
+    in all: one per CPU this process may use, at most one per job and at
+    least ``_UNKNOWNS_PER_PROCESS`` units each; 1 where fork is missing or
+    unsafe (another thread may hold a lock the child would inherit held)."""
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, jobs, work // _UNKNOWNS_PER_PROCESS))
+
+
+def _serve(pipe: int, solve, jobs) -> None:
+    """A forked worker's whole life: solve ``jobs``, write the results to
+    ``pipe`` (``b"r"`` and their ``marshal`` bytes: marshal is built in,
+    where importing pickle in every worker would cost it milliseconds) or
+    the exception (``b"e"`` and a pickled ``(exception, traceback text)``),
+    and leave by ``os._exit``, so nothing of the parent's (buffers, atexit
+    hooks, a caller's ``finally``) runs twice.  A worker that cannot write
+    its reply leaves with nothing written."""
+    code = 1
+    try:
+        try:
+            data = b"r" + marshal.dumps([solve(job) for job in jobs])
+        except BaseException as exc:  # raised again by the parent
+            import pickle
+            import traceback
+
+            data = b"e" + pickle.dumps((exc, traceback.format_exc()))
+        with open(pipe, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _solve_split(solve, jobs: list, work: int) -> list:
+    """``[solve(job) for job in jobs]``, the jobs split across processes.
+
+    With n processes (:func:`_process_count`; n = 1 is the serial case) the
+    parent forks n - 1 workers, worker i solves ``jobs[i::n]`` and sends its
+    results down a pipe, the parent solves ``jobs[::n]`` and merges the
+    results by index, so the list is the one the serial loop returns.
+    Results must be ``marshal``-able (the sweep's are ints).  A worker's
+    exception is raised again here, chained to its traceback.  Every worker
+    is reaped before this returns or raises; on any failure the parent
+    kills them first.
+    """
+    n = _process_count(len(jobs), work)
+    pids, pipes = [], []
+    try:
+        for i in range(1, n):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(w, solve, jobs[i::n])
+            finally:
+                os.close(w)  # only the worker writes; EOF once it is done
+            pids.append(pid)
+        results = [None] * len(jobs)
+        results[::n] = [solve(job) for job in jobs[::n]]
+        for i, r in enumerate(pipes, 1):
+            with open(r, "rb", closefd=False) as stream:
+                data = stream.read()
+            if data[:1] == b"r":
+                results[i::n] = marshal.loads(data[1:])
+            elif data[:1] == b"e":
+                import pickle
+
+                exc, text = pickle.loads(data[1:])
+                raise exc from RuntimeError(f"in sweep worker {i} of {n}:\n{text}")
+            else:
+                raise RuntimeError(f"sweep worker {i} of {n} exited without a result")
+        return results
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in pipes:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     """Solution dimension for every direct sum of standard-parameter
     irreducibles (alpha = m, beta = 0, dimension <= p) with total dimension
-    up to max_odd_dim, over F_5 or F_7."""
+    up to max_odd_dim, over F_5 or F_7; the systems are split across the
+    CPUs this process may use (:func:`_solve_split`), with the same rows."""
     if field.kind != "prime" or field.p not in (5, 7):
         raise ValueError("the sweep is budgeted for F_5 and F_7")
     if max_odd_dim > 8:
@@ -252,10 +370,17 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
         d: build_irrep(IrrepSpec.standard_params(field, d - 1), field)
         for d in range(1, min(field.p, max_odd_dim) + 1)
     }
-    rows = []
-    for total in range(1, max_odd_dim + 1):
-        for comp in _partitions_desc(total, field.p):
-            rep = RepMatrices.direct_sum([irreps[d] for d in comp])
-            space = odd_bracket_space(field, even.bracket, list(rep.matrices()))
-            rows.append(SweepRow(field.p, comp, space.dimension))
-    return rows
+    comps = [
+        comp
+        for total in range(1, max_odd_dim + 1)
+        for comp in _partitions_desc(total, field.p)
+    ]
+
+    def dimension(comp):
+        rep = RepMatrices.direct_sum([irreps[d] for d in comp])
+        return odd_bracket_space(field, even.bracket, list(rep.matrices())).dimension
+
+    d0 = len(even.bracket)
+    unknowns = sum(d0 * sum(c) * (sum(c) + 1) // 2 for c in comps)
+    dims = _solve_split(dimension, comps, unknowns)
+    return [SweepRow(field.p, comp, dim) for comp, dim in zip(comps, dims)]

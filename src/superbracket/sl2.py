@@ -364,30 +364,25 @@ def decompose(rep: RepMatrices) -> list[tuple[list[Vector], IrrepSpec]]:
     top = kernel_basis(rep.rho_e)
     if not top:
         raise ValueError("no highest weight vectors; not a valid module")
-    top_matrix = Matrix.from_columns(field, top)
-    # rho_H restricted to ker(rho_E), in coordinates of that kernel basis
-    restr = Span(field, top).coordinate_matrix([rep.rho_h @ v for v in top])
-    if restr is None:
+    tops = _highest_weight_vectors(rep, top)
+    if tops is None:
         raise ValueError("ker(rho_E) is not rho_H-invariant; not a valid module")
     summands: list[tuple[list[Vector], IrrepSpec]] = []
     covered = 0
-    for m in _weight_candidates(field, dim):
-        lam = field.from_int(m)
-        for coords in eigenspace(restr, lam):
-            w = top_matrix @ coords
-            chain = [w]
-            nxt = rep.rho_f @ w
-            while not nxt.is_zero():
-                chain.append(nxt)
-                if len(chain) > dim:
-                    raise ValueError("runaway lowering chain; not a valid module")
-                nxt = rep.rho_f @ nxt
-            if len(chain) != m + 1:
-                raise ValueError(
-                    f"highest weight {m} generated a chain of length {len(chain)}"
-                )
-            summands.append((chain, IrrepSpec.standard_params(field, m)))
-            covered += len(chain)
+    for m, w in tops:
+        chain = [w]
+        nxt = rep.rho_f @ w
+        while not nxt.is_zero():
+            chain.append(nxt)
+            if len(chain) > dim:
+                raise ValueError("runaway lowering chain; not a valid module")
+            nxt = rep.rho_f @ nxt
+        if len(chain) != m + 1:
+            raise ValueError(
+                f"highest weight {m} generated a chain of length {len(chain)}"
+            )
+        summands.append((chain, IrrepSpec.standard_params(field, m)))
+        covered += len(chain)
     if covered != dim:
         raise ValueError("summands do not exhaust the module; not a valid module")
     return summands
@@ -415,15 +410,33 @@ def _joint_kernel(rep: RepMatrices) -> list[Vector]:
     return kernel_basis(stacked)
 
 
+def _highest_weight_vectors(rep: RepMatrices, top: list[Vector]):
+    """(m, w) for each vector w of the echelon basis of each eigenspace of
+    rho_H on ker(rho_E), whose basis is ``top``, with eigenvalue m a weight
+    candidate, by descending m; None when ker(rho_E) is not
+    rho_H-invariant, which no module allows.  In a random basis no vector
+    of ``top`` need be an eigenvector itself."""
+    field = rep.field
+    # rho_H restricted to ker(rho_E), in coordinates of that kernel basis
+    restr = Span(field, top).coordinate_matrix([rep.rho_h @ v for v in top])
+    if restr is None:
+        return None
+    top_matrix = Matrix.from_columns(field, top)
+    return [
+        (m, top_matrix @ coords)
+        for m in _weight_candidates(field, rep.dim)
+        for coords in eigenspace(restr, field.from_int(m))
+    ]
+
+
 def _weight_closures(rep: RepMatrices):
-    """The invariant closure of each vector of ker(rho_E) that rho_H scales
-    by a weight candidate, by descending weight, then echelon order."""
+    """The invariant closure of each highest weight vector of
+    :func:`_highest_weight_vectors`, by descending weight."""
     top = kernel_basis(rep.rho_e)
-    for m in _weight_candidates(rep.field, rep.dim):
-        lam = rep.field.from_int(m)
-        for w in top:
-            if (rep.rho_h @ w - w.scaled(lam)).is_zero():
-                yield invariant_closure(rep.matrices(), [w])
+    if not top:
+        return
+    for _, w in _highest_weight_vectors(rep, top) or ():
+        yield invariant_closure(rep.matrices(), [w])
 
 
 def _socle_member(rep: RepMatrices) -> list[Vector]:

@@ -505,9 +505,9 @@ class SuperAlgebra:
 
     def action_matrix(self, i: int) -> Matrix:
         """Matrix of e_x acting on the odd part (columns are e_x(f_v))."""
-        f = self.field
-        return Matrix(
-            f,
+        # the action holds raw field elements already: no coercion
+        return Matrix._from_raw(
+            self.field,
             [
                 [self.action[i][v][w] for v in range(self.dim_odd)]
                 for w in range(self.dim_odd)

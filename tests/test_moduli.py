@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 from fractions import Fraction
 from math import lcm
 
@@ -541,14 +543,119 @@ def test_sweep_rows_are_sorted_and_complete():
     assert by_comp[(3,)] == 0
 
 
-def test_full_benchmark_sweep_is_pinned():
-    # the sweep the benchmark runs: F_5 and F_7 up to odd dimension 8, 124
-    # rows, pinned by the sha256 of its (p, composition, dimension) rows
+BENCHMARK_SWEEP_DIGEST = "789266f35e380a8afd9f2caa6e7f17ca2ae4f8e7a60ae5469543136055c15c80"
+
+
+def benchmark_sweep_digest():
+    """The sha256 of the (p, composition, dimension) rows of the sweep the
+    benchmark runs: F_5 and F_7 up to odd dimension 8, 124 rows."""
     rows = [
         (r.p, r.composition, r.dimension)
         for field in (F5, F7)
         for r in sweep_irrep_sums(field, 8)
     ]
     assert len(rows) == 124
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "789266f35e380a8afd9f2caa6e7f17ca2ae4f8e7a60ae5469543136055c15c80"
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_full_benchmark_sweep_is_pinned():
+    # on the CPUs this process may use: split across them or serial
+    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the sweep may use, whatever the host has."""
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    return use
+
+
+def forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("the sweep forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def test_sweep_split_in_two_gives_the_pinned_rows_and_reaps_its_worker(cpus, monkeypatch):
+    cpus(2)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+    assert len(forks) == 2  # one worker for each of F_5 and F_7
+    assert_no_child_process()
+
+
+def test_sweep_on_one_cpu_is_serial_and_pinned(cpus, monkeypatch):
+    cpus(1)
+    forbid_fork(monkeypatch)
+    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+
+
+def test_sweep_beside_another_thread_does_not_fork(cpus, monkeypatch):
+    cpus(2)
+    forbid_fork(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize(
+    "dim, worker", [(1, None), (2, "in sweep worker 1 of 2")], ids=["in-caller", "in-worker"]
+)
+def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim, worker):
+    # F_5 up to 8 in two processes: the caller solves the even-indexed
+    # compositions, (1,) among them, and the worker the odd-indexed ones,
+    # (2,) among them; the patch is inherited by the fork
+    cpus(2)
+    real = moduli.odd_bracket_space
+    target = list(build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
+
+    def failing(field, bracket, mats, *args, **kwargs):
+        if list(mats) == target:
+            raise ValueError(f"no solution space for ({dim},)")
+        return real(field, bracket, mats, *args, **kwargs)
+
+    monkeypatch.setattr(moduli, "odd_bracket_space", failing)
+    with pytest.raises(ValueError, match=rf"^no solution space for \({dim},\)$") as info:
+        sweep_irrep_sums(F5, 8)
+    if worker:
+        assert worker in str(info.value.__cause__)
+    else:
+        assert info.value.__cause__ is None
+    assert_no_child_process()
+
+
+def test_sweep_process_count_is_bounded(cpus, monkeypatch):
+    unit = moduli._UNKNOWNS_PER_PROCESS
+    cpus(8)
+    assert moduli._process_count(100, 100 * unit) == 8  # one per CPU
+    assert moduli._process_count(3, 100 * unit) == 3  # one per composition
+    assert moduli._process_count(100, 5 * unit) == 5  # enough work for each
+    assert moduli._process_count(100, unit - 1) == 1  # below the threshold
+    cpus(1)
+    assert moduli._process_count(100, 100 * unit) == 1
+    cpus(8)
+    monkeypatch.delattr(os, "fork")
+    assert moduli._process_count(100, 100 * unit) == 1

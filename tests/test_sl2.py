@@ -379,10 +379,27 @@ def module_document(field, ms, rng):
     return serialize_algebra(g)
 
 
+@pytest.mark.parametrize(
+    "field, ms",
+    [(QQ, (2, 1, 0, 1)), (QQ, (3, 3)), (F5, (3, 1, 0)), (F7, (5, 1)), (F7, (4, 2, 0))],
+    ids=str,
+)
+def test_composition_series_of_a_sum_in_a_random_basis(field, ms):
+    # a completely reducible module in a random basis: its factors are its
+    # summands, whatever echelon basis of ker(rho_E) the basis gives
+    from conftest import random_invertible
+
+    rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, m), field) for m in ms])
+    rep = rep.conjugated(random_invertible(field, rep.dim, random.Random(1729)))
+    factors, trivial = composition_series(rep)
+    assert sorted(factors) == sorted(m + 1 for m in ms)
+    assert len(trivial) == ms.count(0)
+
+
 SL2_DIGESTS = {
-    "Q": "f19d72bdbdc55d80f69f2f6d2cfb75493c1149f382c8fe7c3c2fd928abd33052",
+    "Q": "26ce0d0a129589bea196d96dcef40cbb5580f61b05e17559a03df28a033d9a12",
     "F_5": "46f6a422bffdbc32a734975c0d432b227b3e98d859b3a342df821738ad5d606c",
-    "F_7": "c84355439f491865ddb549c9bf9bc7dcb6374e84a1431dbf6b6d0b87aa62f2a2",
+    "F_7": "f8bec4a6a5b93279a25add3ab26c8a44396756ad58c254bbba0ebd3083fc3650",
 }
 
 

@@ -27,26 +27,32 @@ the tensors are integers already, and past the cut-off of
 and the same code runs on them.  The solver is the one place that collects
 the terms into sparse rows ``{unknown: coefficient}``, in one pass per
 instance (:func:`_append_rows`, one row per output): each row is reduced
-mod p once, or over Q stripped of its zero entries, and the rows go
-straight to :func:`~superbracket.linalg.sparse_kernel_basis`.  Most of
-those rows have a single entry: they force an unknown to vanish.  Most of
-these singletons are relation-2 instances that force a weight-incompatible
-coefficient to zero, so the solver collects the relation-2 instances
-before the others and keeps the set of *dead* unknowns: the columns of the
-single-entry rows collected so far.  Walking an instance's terms, it skips
-every dead unknown, and a row that shrinks to one entry kills its own
-unknown in turn.  The unit row of each dead unknown is itself
-among the rows passed on, so dropping that unknown elsewhere changes no row span:
-the reduced row echelon form and the kernel stay the same, from about a
-quarter of the rows (7,287 instead of 27,273 for the 65 F_7 sweep systems).
-The eliminator then peels the singletons before it pivots, as structured
-Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO 1990), deleting
-each forced unknown from the other rows and peeling the rows that shrink
-to one entry in turn, so only a small remainder is pivoted.  The rows
-reach it in the generator's order, relation 1 first, because fraction-free
-pivoting depends on row order.  A naive all-triples dense
-assembly, solved by a dense Gauss-Jordan, is kept in the test suite as an
-oracle for this deduplication.
+mod p once, or over Q stripped of its zero entries.  Most rows would have
+a single entry, forcing an unknown to vanish, and most of those come from
+relation-2 instances that force a weight-incompatible coefficient to
+zero.  So the solver calls the relations one at a time
+(:class:`~superbracket.superalgebra._Relations`): relation 2, then the
+cubic, then relation 1, and keeps the set of *dead* unknowns, those a
+single-entry row has forced to zero.  Such a row is not kept: it only
+kills its unknown.  Walking an instance's terms, the solver skips every
+dead unknown, and a row that shrinks to one entry kills its own unknown
+in turn.  Relation 1 is collected only at the instances where an unknown
+still alive meets a nonempty action column (:func:`_live_relation_1`);
+every other instance would give no row.  The kept rows, restricted to
+the unknowns alive at the end and renumbered in increasing order, go to
+:func:`~superbracket.linalg.sparse_kernel_basis`, and each kernel vector
+is written back with zeros at the dead unknowns (:func:`_live_system`).
+The kernel is the full system's, bit for bit: every dead unknown's unit
+vector lies in its row span, and a monotone renumbering keeps the pivots,
+the free columns and the values.  For the 124 systems of the benchmark
+sweep (F_5 and F_7 up to odd dimension 8) the solver visits 2,568 of the
+7,682 relation-1 instances and hands the eliminator 294 rows on 132 of
+the 8,967 unknowns.  The eliminator still peels forced columns before it
+pivots, as structured Gaussian elimination does (LaMacchia and Odlyzko,
+CRYPTO 1990).  The rows reach it in the generator's order, relation 1
+first, because fraction-free pivoting depends on row order.  A naive
+all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in
+the test suite as an oracle for this deduplication.
 
 :func:`sweep_irrep_sums` solves one system per direct sum of irreducibles.
 The systems are independent, so it splits them across the CPUs this
@@ -73,10 +79,10 @@ from .linalg import Matrix, sparse_kernel_basis
 from .sl2 import IrrepSpec, RepMatrices, build_irrep
 from .superalgebra import (
     SuperAlgebra,
+    _Relations,
+    _supported_triples,
     action_nonzeros,
     clear_denominators,
-    compatibility_equations,
-    odd_unknowns,
     representation_failures,
 )
 
@@ -129,11 +135,12 @@ def _append_rows(rows: list, terms, dead: set, p: int | None) -> None:
     """Append one instance's rows to ``rows``: its terms (base, group) summed
     into one equation ``{unknown: coeff}`` per output without the ``dead``
     unknowns, each reduced mod p once, or over Q stripped of zero entries
-    when it holds one; a row left with one entry adds its unknown to
-    ``dead``.  Dicts are made on first use and a sum starts from its first
-    term, since 0 + Fraction costs a full Fraction addition (past the
-    cut-off of :func:`~superbracket.superalgebra.clear_denominators` the
-    coefficients are Fractions)."""
+    when it holds one.  A row left with one entry is not appended: it only
+    adds its unknown to ``dead``.  Dicts are made on first use and a sum
+    starts from its first term, since 0 + Fraction costs a full Fraction
+    addition (past the cut-off of
+    :func:`~superbracket.superalgebra.clear_denominators` the coefficients
+    are Fractions)."""
     eqs: dict = {}
     for base, group in terms:
         for k, col in enumerate(group, base):
@@ -154,8 +161,47 @@ def _append_rows(rows: list, terms, dead: set, p: int | None) -> None:
             eq = {k: c for k, c in eq.items() if c}
         if len(eq) == 1:
             dead.update(eq)
-        if eq:
+        elif eq:
             rows.append(eq)
+
+
+def _live_relation_1(rel: _Relations, act, dead: set):
+    """The instances of relation 1 at which some unknown outside ``dead``
+    meets a nonempty column, in the generator's order and with its terms:
+    the only ones that give a row once ``dead`` is left out.  They are
+    found as the union over x of :func:`_supported_triples` for S_x, the
+    pairs whose x-th unknown is alive, and L_x, the odd indices that e_x
+    moves, since unknown base[u][v] + x of a term carries e_x(f_w)."""
+    layers = []
+    for x, plane in enumerate(act):
+        support = [0] * rel.d1
+        for u, row in enumerate(rel.base):
+            for v in range(u, rel.d1):
+                if row[v] + x not in dead:
+                    support[u] |= 1 << v
+                    support[v] |= 1 << u
+        layers.append((support, [bool(col) for col in plane]))
+    return rel.relation_1(_supported_triples(layers))
+
+
+def _live_system(rows: list, dead: set, n: int) -> tuple[list, list]:
+    """``(rows, live)``: the kept ``rows`` restricted to the ``live``
+    unknowns, those of the n outside ``dead``, renumbered in increasing
+    order.  The dead unknowns' unit vectors span with the rows, so the
+    kernel is zero at each of them and, on the live ones, that of the
+    restricted rows: with the columns in the same order, the eliminator
+    picks the same pivots and free columns and gives the same values."""
+    live = [k for k in range(n) if k not in dead]
+    new = [0] * n  # new[k]: the number of live unknown k
+    for i, k in enumerate(live):
+        new[k] = i
+    kept = []
+    for row in rows:
+        if dead.isdisjoint(row):  # most rows: renumbered in C
+            kept.append(dict(zip(map(new.__getitem__, row), row.values())))
+        elif r := {new[k]: c for k, c in row.items() if k not in dead}:
+            kept.append(r)
+    return kept, live
 
 
 def odd_bracket_space(
@@ -193,24 +239,30 @@ def odd_bracket_space(
     if failures:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
+    rel = _Relations(bracket, act)
     dead: set[int] = set()
-    held, later = [], []  # relation 1; relation 2, then the cubic
-    for identity, _, terms in compatibility_equations(bracket, act, mode):
-        if identity == "relation_1":
-            held.append(terms)  # collected once relation 2 has killed its unknowns
-        else:
+    later: list[dict] = []  # relation 2, then the cubic
+    for _, _, terms in rel.relation_2():
+        _append_rows(later, terms, dead, p)
+    if mode == "char3":
+        for _, _, terms in rel.cubic():
             _append_rows(later, terms, dead, p)
     # The rows keep the generator's order, since fraction-free pivoting
     # depends on it: relation-2 rows first make sl(2) + (4,3,2,1) in a
     # random basis over Q about ten times slower.
     rows: list[dict] = []
-    for terms in held:
+    for _, _, terms in _live_relation_1(rel, act, dead):
         _append_rows(rows, terms, dead, p)
     rows += later
-    base = odd_unknowns(d0, d1)
+    n = d0 * d1 * (d1 + 1) // 2
+    rows, live = _live_system(rows, dead, n)
+    base = rel.base
+    zero = field.zero()
     basis = []
-    for flat in sparse_kernel_basis(field, rows, d0 * d1 * (d1 + 1) // 2):
-        e = flat.entries
+    for flat in sparse_kernel_basis(field, rows, len(live)):
+        e = [zero] * n
+        for k, c in zip(live, flat.entries):
+            e[k] = c
         tensor = [[e[base[u][v] : base[u][v] + d0] for v in range(d1)] for u in range(d1)]
         basis.append(tuple(tuple(plane) for plane in tensor))
     return OddBracketSpace(field, d0, d1, tuple(basis))
@@ -252,13 +304,16 @@ def _partitions_desc(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 # The least work, in unknowns, that a process of a split sweep takes on.
-# Measured on a shared 2-vCPU Xeon (Python 3.11.7), median of 15 alternating
-# runs each: a forked worker costs the parent about 3.5 ms (fork, the
-# worker's start, reaping it), and the systems take about 20 us per unknown,
-# so one worker broke even at about 540-1,200 unknowns in all (F_5 and F_7
-# up to odd dimension 5 and 6) and won above: F_5 up to 8, 4,206 unknowns,
-# went from 79 to 53 ms.
-_UNKNOWNS_PER_PROCESS = 500
+# Measured on a shared 2-vCPU Xeon (Python 3.11.7), serial against split in
+# two, median of 15 alternating runs each, over sweeps of F_5 and F_7 up to
+# odd dimension 3-8: a serial sweep takes 15-22 us per unknown at 540-1,233
+# unknowns (12-15 us at 4,206-4,761).  At 540 unknowns in all (F_5 and F_7
+# up to 5) one worker lost in five of six runs, by up to 2.6 ms; at
+# 1,170-1,233 (up to 6) it won every run, by 2.1-6.9 ms.  The gain,
+# interpolated, crosses zero at about 600-750 unknowns, so a worker starts
+# from 700.  Only the split in two was measured: on 3 or more CPUs a sweep
+# of 1,050 unknowns or more forks more than one worker, an unmeasured count.
+_UNKNOWNS_PER_PROCESS = 350
 
 
 def _process_count(jobs: int, work: int) -> int:
@@ -363,6 +418,8 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
         raise ValueError("the sweep is budgeted for F_5 and F_7")
     if max_odd_dim > 8:
         raise ValueError("the sweep is budgeted for odd dimension <= 8")
+    if max_odd_dim < 1:
+        raise ValueError("the sweep needs odd dimension >= 1")
     from .constructions import sl2_algebra
 
     even = sl2_algebra(field)

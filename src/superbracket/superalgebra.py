@@ -976,20 +976,20 @@ def compatibility_equations(bracket, act, mode: str = "standard", support=None):
     ``bracket`` is the even tensor and ``act`` the action's nonzeros from
     :func:`action_nonzeros`, as for :func:`representation_failures`; every
     equation is linear in them, so scaling both by D scales it by D.  The
-    unknowns are indexed by :func:`odd_unknowns`.  Yields ``(identity,
-    indices, terms)`` for every instance that has a term, where ``terms``
-    is a list ``[(base, group), ...]``: unknown ``base + i`` carries the
-    column ``group[i]``, a list ``[(output, coeff), ...]`` (possibly empty)
-    with at most one pair per output.  The instance's equation for output
-    t is the sum over the terms and i of coeff * unknown for the pairs at
-    t.  Groups are shared between terms and instances, an unknown may
-    recur in several terms, and the coefficients are not reduced mod p.
-    The group of each unit term below, -a times the identity on the even
-    outputs, is a :class:`_Diagonal`: a list like the others, built once
-    per distinct coefficient a and carrying a.  An instance has at most
-    three terms, or one term and at most 2 d1 unit terms
-    (:func:`_products_per_output`).  Modes "standard" and "char3" give, in
-    this order:
+    unknowns are indexed by :func:`odd_unknowns`.  Returns a lazy iterator
+    of ``(identity, indices, terms)``, one for every instance that has a
+    term, where ``terms`` is a list ``[(base, group), ...]``: unknown
+    ``base + i`` carries the column ``group[i]``, a list ``[(output,
+    coeff), ...]`` (possibly empty) with at most one pair per output.  The
+    instance's equation for output t is the sum over the terms and i of
+    coeff * unknown for the pairs at t.  Groups are shared between terms
+    and instances, an unknown may recur in several terms, and the
+    coefficients are not reduced mod p.  The group of each unit term below,
+    -a times the identity on the even outputs, is a :class:`_Diagonal`: a
+    list like the others, built once per distinct coefficient a and
+    carrying a.  An instance has at most three terms, or one term and at
+    most 2 d1 unit terms (:func:`_products_per_output`).  Modes "standard"
+    and "char3" give, in this order:
 
     * ``relation_1`` at u <= v <= w (the relation is fully symmetric), one
       equation per odd output t of {f_u,f_v}(f_w) + {f_v,f_w}(f_u) +
@@ -1023,31 +1023,107 @@ def compatibility_equations(bracket, act, mode: str = "standard", support=None):
     order and with the same terms: every other instance vanishes at such an
     odd bracket.  They are found from the masks, without visiting every
     index triple (:func:`_supported_triples`, :func:`_supported_pairs`,
-    :func:`_supported_squares`).  ``None`` yields every instance: the
-    solver's full system.
+    :func:`_supported_squares`).  ``None`` yields every instance.  Each
+    relation is one generator of :class:`_Relations`, which the solver
+    calls in its own order.
     """
     if support is not None and not any(support):
         # no instance has a term in an empty support.  This also covers
         # d0 = 0, whose empty act gives no d1 to index the support with.
-        return
-    d0 = len(bracket)
-    d1 = len(act[0]) if act else 0
-    base = odd_unknowns(d0, d1)
-    # cols[w][x]: nonzeros of e_x(f_w)
-    cols = [[act[x][w] for x in range(d0)] for w in range(d1)]
-    # ecols[x][z]: nonzeros (y, coefficient of e_y) of [e_x, e_z]
-    ecols = action_nonzeros(bracket)
-    live, elive = [any(grp) for grp in cols], [any(grp) for grp in ecols]
-    # units[x][s]: (w, the diagonal group of a = coefficient of f_w in
-    # e_x(f_s)), each group built once per distinct a
-    diagonals = {a: _Diagonal(a, d0) for a in {a for pl in act for col in pl for _, a in col}}
-    units = [[[(w, diagonals[a]) for w, a in col] for col in pl] for pl in act]
-    odd_pairs = combinations_with_replacement(range(d1), 2)
+        return iter(())
+    rel = _Relations(bracket, act)
+    some = support is not None  # else every instance
     if mode == "char2":
-        if support is None:
-            squares = ((v, w, range(d0), range(d1)) for v, w in odd_pairs)
-        else:
-            squares = _supported_squares(support, act, live, elive)
+        return rel.char2_square(_supported_squares(support, act, rel.live, rel.elive) if some else None)
+
+    def triples():
+        return _supported_triples([(support, rel.live)]) if some else None
+
+    relations = [
+        rel.relation_1(triples()),
+        rel.relation_2(_supported_pairs(support, act, rel.elive) if some else None),
+    ]
+    if mode == "char3":
+        relations.append(rel.cubic(triples()))
+    return chain.from_iterable(relations)
+
+
+class _Relations:
+    """The setup that the relations of :func:`compatibility_equations` share,
+    with one generator per relation over the indices it is given (all of
+    them for ``None``), yielding that relation's instances as
+    :func:`compatibility_equations` does.  The solver
+    (:func:`superbracket.moduli.odd_bracket_space`) calls them in its own
+    order: relation 2 and the cubic first, then relation 1 where unknowns
+    are still alive."""
+
+    def __init__(self, bracket, act):
+        self.d0 = d0 = len(bracket)
+        self.d1 = d1 = len(act[0]) if act else 0
+        self.base = odd_unknowns(d0, d1)
+        # cols[w][x]: nonzeros of e_x(f_w)
+        self.cols = cols = [[act[x][w] for x in range(d0)] for w in range(d1)]
+        # ecols[x][z]: nonzeros (y, coefficient of e_y) of [e_x, e_z]
+        self.ecols = ecols = action_nonzeros(bracket)
+        self.live, self.elive = [any(grp) for grp in cols], [any(grp) for grp in ecols]
+        # units[x][s]: (w, the diagonal group of a = coefficient of f_w in
+        # e_x(f_s)), each group built once per distinct a
+        diagonals = {a: _Diagonal(a, d0) for a in {a for pl in act for col in pl for _, a in col}}
+        self.units = [[[(w, diagonals[a]) for w, a in col] for col in pl] for pl in act]
+
+    def _pairs(self):
+        return combinations_with_replacement(range(self.d1), 2)
+
+    def relation_1(self, triples=None):
+        """``relation_1`` at the triples u <= v <= w given, in their order."""
+        base, cols, live = self.base, self.cols, self.live
+        if triples is None:
+            triples = combinations_with_replacement(range(self.d1), 3)
+        for u, v, w in triples:
+            rotations = ((u, v, w), (v, w, u), (w, u, v))
+            terms = [(base[a][b], cols[c]) for a, b, c in rotations if live[c]]
+            if terms:
+                yield "relation_1", (u, v, w), terms
+
+    def relation_2(self, pairs=None):
+        """``relation_2`` at the (x, (u, v)) given, in their order."""
+        base, ecols, elive, units = self.base, self.ecols, self.elive, self.units
+        if pairs is None:
+            pairs = product(range(self.d0), self._pairs())
+        for x, (u, v) in pairs:
+            terms = [(base[u][v], ecols[x])] if elive[x] else []
+            terms += [(base[w][c], ys) for s, c in ((u, v), (v, u)) for w, ys in units[x][s]]
+            if terms:
+                yield "relation_2", (x, u, v), terms
+
+    def cubic(self, triples=None):
+        """``char3_cubic`` at the triples a <= b <= c given, in their order."""
+        base, cols, live = self.base, self.cols, self.live
+        twice = [[[(t, 2 * c) for t, c in col] for col in cw] for cw in cols]
+        if triples is None:
+            triples = combinations_with_replacement(range(self.d1), 3)
+        for a, b, c in triples:
+            # (i, j, k, group of f_k) for each {f_i,f_j}(f_k), with its multiplicity
+            if a == b == c:
+                terms = ((a, a, a, cols[a]),)
+            elif a == b:
+                terms = ((a, a, c, cols[c]), (a, c, a, twice[a]))
+            elif b == c:
+                terms = ((a, b, b, twice[b]), (b, b, a, cols[a]))
+            else:
+                terms = ((a, b, c, twice[c]), (a, c, b, twice[b]), (b, c, a, twice[a]))
+            terms = [(base[i][j], grp) for i, j, k, grp in terms if live[k]]
+            if terms:
+                yield "char3_cubic", (a, b, c), terms
+
+    def char2_square(self, squares=None):
+        """``char2_square`` at the (v, w, even ys, odd ys) given, in their
+        order; ``None`` gives every y at every v <= w."""
+        base, cols, ecols, live, elive, units = (
+            self.base, self.cols, self.ecols, self.live, self.elive, self.units
+        )
+        if squares is None:
+            squares = ((v, w, range(self.d0), range(self.d1)) for v, w in self._pairs())
         for v, w, evens, odds in squares:
             orderings = ((v, w), (w, v)) if v < w else ((v, v),)
             for y in evens:
@@ -1060,43 +1136,6 @@ def compatibility_equations(bracket, act, mode: str = "standard", support=None):
                 terms += [(base[b][y], cols[a]) for a, b in orderings if b != y and live[a]]
                 if terms:
                     yield "char2_square", ("odd", y, v, w), terms
-        return
-
-    def triples():
-        if support is None:
-            return combinations_with_replacement(range(d1), 3)
-        return _supported_triples(support, live)
-
-    for u, v, w in triples():
-        rotations = ((u, v, w), (v, w, u), (w, u, v))
-        terms = [(base[a][b], cols[c]) for a, b, c in rotations if live[c]]
-        if terms:
-            yield "relation_1", (u, v, w), terms
-    if support is None:
-        pairs = product(range(d0), odd_pairs)
-    else:
-        pairs = _supported_pairs(support, act, elive)
-    for x, (u, v) in pairs:
-        terms = [(base[u][v], ecols[x])] if elive[x] else []
-        terms += [(base[w][c], ys) for s, c in ((u, v), (v, u)) for w, ys in units[x][s]]
-        if terms:
-            yield "relation_2", (x, u, v), terms
-    if mode != "char3":
-        return
-    twice = [[[(t, 2 * c) for t, c in col] for col in cw] for cw in cols]
-    for a, b, c in triples():
-        # (i, j, k, group of f_k) for each {f_i,f_j}(f_k), with its multiplicity
-        if a == b == c:
-            terms = ((a, a, a, cols[a]),)
-        elif a == b:
-            terms = ((a, a, c, cols[c]), (a, c, a, twice[a]))
-        elif b == c:
-            terms = ((a, b, b, twice[b]), (b, b, a, cols[a]))
-        else:
-            terms = ((a, b, c, twice[c]), (a, c, b, twice[b]), (b, c, a, twice[a]))
-        terms = [(base[i][j], grp) for i, j, k, grp in terms if live[k]]
-        if terms:
-            yield "char3_cubic", (a, b, c), terms
 
 
 # --- instance selection by support --------------------------------------------
@@ -1114,17 +1153,37 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _supported_triples(support: list, live: list):
-    """(u, v, w), u <= v <= w in lexicographic order, at which some pair has
-    its third index live and lies in the support: where relation 1 and the
-    cubic have a term at a pair of the support.  For each (u, v), the w are
-    the live indices if {u, v} is in it, S(v) if u is live and S(u) if v
-    is; the v are those for which one of these can be nonempty."""
-    lm = _or(1 << i for i, x in enumerate(live) if x)
-    held = _or(1 << i for i, s in enumerate(support) if s)
-    for u, su in enumerate(support):
-        for v in _bits((su | (held if live[u] else 0) | (lm if su else 0)) >> u << u):
-            ws = (lm if su >> v & 1 else 0) | (support[v] if live[u] else 0) | (su if live[v] else 0)
+def _supported_triples(layers: list):
+    """(u, v, w), u <= v <= w in lexicographic order, at which for some
+    layer (support, live) of ``layers`` some pair has its third index live
+    and lies in the support: where relation 1 and the cubic have a term at
+    a pair of the support (one layer), or where the solver's relation 1 has
+    a live unknown that meets a nonempty column (one layer per even index).
+    For each layer and (u, v), the w are the live indices if {u, v} is in
+    the support, S(v) if u is live and S(u) if v is; the v are those for
+    which one of these can be nonempty.  Each (u, v, w) is yielded once."""
+    masks = []
+    for support, live in layers:
+        lm = _or(1 << i for i, x in enumerate(live) if x)
+        held = _or(1 << i for i, s in enumerate(support) if s)
+        if lm and held:  # otherwise the layer selects nothing
+            masks.append((support, lm, held))
+    if not masks:
+        return
+    for u in range(len(masks[0][0])):
+        vs = 0
+        for support, lm, held in masks:
+            su = support[u]
+            vs |= su | (held if lm >> u & 1 else 0) | (lm if su else 0)
+        for v in _bits(vs >> u << u):
+            ws = 0
+            for support, lm, held in masks:
+                su = support[u]
+                ws |= (
+                    (lm if su >> v & 1 else 0)
+                    | (support[v] if lm >> u & 1 else 0)
+                    | (su if lm >> v & 1 else 0)
+                )
             for w in _bits(ws >> v << v):
                 yield u, v, w
 

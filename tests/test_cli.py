@@ -11,6 +11,8 @@ import sys
 import weakref
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -267,6 +269,14 @@ def test_sweep_csv():
     assert lines[0] == "p,composition,dim"
     assert "5,2,1" in lines
     assert "5,3,0" in lines
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_sweep_below_odd_dimension_one_is_a_usage_error(dim):
+    res = run_cli("sweep", "--field", "fp:5", "--max-odd-dim", dim)
+    assert res.returncode == 64
+    assert res.stdout == ""
+    assert "odd dimension >= 1" in res.stderr
 
 
 def test_sweep_json():

@@ -1,10 +1,13 @@
 import hashlib
 import os
+import random
 import threading
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import collected_rows, dense_kernel, random_invertible, random_monomial
 
@@ -24,6 +27,7 @@ from superbracket.moduli import (
 from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
     SuperAlgebra,
+    _Relations,
     action_nonzeros,
     clear_denominators,
     compatibility_equations,
@@ -203,13 +207,13 @@ def test_sparse_assembly_matches_naive_oracle(field, dims, rng):
 
 
 def spy_rows(monkeypatch):
-    """The list that collects the rows of each sparse_kernel_basis call of
-    the solver."""
+    """The list that collects (rows, n_cols) of each sparse_kernel_basis
+    call of the solver."""
     seen = []
     real = moduli.sparse_kernel_basis
 
     def spy(f, rows, n_cols):
-        seen.append(rows)
+        seen.append((rows, n_cols))
         return real(f, rows, n_cols)
 
     monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
@@ -221,14 +225,7 @@ def test_assembled_rows_hold_nonzero_raw_entries(field, rng, monkeypatch):
     # the solver hands its equations to the kernel uncoerced: every entry
     # must already be a nonzero raw field element in range, over Q a
     # nonzero int, since the solver clears the denominators of its tensors
-    seen = []
-    real = moduli.sparse_kernel_basis
-
-    def spy(f, rows, n_cols):
-        seen.append((rows, n_cols))
-        return real(f, rows, n_cols)
-
-    monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
+    seen = spy_rows(monkeypatch)
     even = sl2_algebra(field)
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in (3, 2, 1)]
@@ -245,23 +242,43 @@ def test_assembled_rows_hold_nonzero_raw_entries(field, rng, monkeypatch):
                 assert 0 < x < field.p
 
 
+def live_system(rows, n):
+    """``(rows, columns)`` of the system the solver hands the eliminator,
+    derived from the oracle's ``rows`` on n columns: the single-entry rows
+    dropped, the others restricted to the columns that no single-entry row
+    kills, renumbered in increasing order, and the rows left empty dropped."""
+    dead = {k for row in rows if len(row) == 1 for k in row}
+    new = {k: i for i, k in enumerate(k for k in range(n) if k not in dead)}
+    restricted = [{new[k]: c for k, c in row.items() if k in new} for row in rows if len(row) > 1]
+    return [row for row in restricted if row], len(new)
+
+
+def unknown_count(even, dim):
+    return len(even.bracket) * dim * (dim + 1) // 2
+
+
 @pytest.mark.parametrize(
     "field,dims,mode",
     [(F7, (5, 3, 3, 1), "standard"), (QQ, (4, 3, 2, 1), "standard"), (GF(3), (3, 2, 1), "char3")],
     ids=str,
 )
 def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng, monkeypatch):
-    # the solver leaves out the blocks of unknowns already forced to zero by
-    # a single-entry row: far fewer rows, the same row span as every
-    # instance collected in full
+    # the solver leaves out the unknowns forced to zero by a single-entry
+    # row, those rows themselves and the relation-1 instances that hold
+    # only such unknowns: far fewer rows, the oracle's rows on the live
+    # columns, and the kernel of every instance collected in full
     seen = spy_rows(monkeypatch)
     even = sl2_algebra(field)
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
     )
     mats = list(rep.conjugated(random_monomial(field, rep.dim, rng)).matrices())
-    odd_bracket_space(field, even.bracket, mats, mode=mode)
-    (rows,) = seen
+    space = odd_bracket_space(field, even.bracket, mats, mode=mode)
+    ((rows, n_cols),) = seen
+    n = unknown_count(even, rep.dim)
+    oracle, live = live_system(oracle_solver_rows(field, even.bracket, mats, mode), n)
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in oracle]
+    assert n_cols == live
     act = action_nonzeros([m.transpose().data for m in mats])
     p = field.p if field.kind == "prime" else None
     full = [
@@ -269,30 +286,41 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
         for _, _, blocks in compatibility_equations(even.bracket, act, mode)
         for row in collected_rows(blocks, p)
     ]
-    n = len(even.bracket) * rep.dim * (rep.dim + 1) // 2
-    assert sparse_kernel_basis(field, rows, n) == sparse_kernel_basis(field, full, n)
-    assert 3 * len(rows) < len(full)
+    assert flatten(space) == sparse_kernel_basis(field, full, n)
+    assert 3 * len(rows) < len(full) and n_cols < n
+
+
+# sha256 of "[]": every unknown of these systems dies before elimination
+EMPTY_ROWS_DIGEST = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
 
 
 @pytest.mark.parametrize(
     "field,dims,mode,digest",
     [
-        (F7, (5, 3, 3, 1), "standard", "4cfe1e8125c95a834b25c75b031d9fcf04a1f6d8f77d99e5bb13c0b8ebbec26c"),
-        (QQ, (4, 3, 2, 1), "standard", "01651a93b49dd9a99e68e78b226626df0477fab3519da6fab302f1790e781a9d"),
-        (GF(3), (3, 2, 1), "char3", "cf0476d57533e56ccef2c7e9922db2b6f2ebe384e5ff0c077b5abf5e121c3186"),
+        (F7, (5, 3, 3, 1), "standard", EMPTY_ROWS_DIGEST),
+        (QQ, (4, 3, 2, 1), "standard", EMPTY_ROWS_DIGEST),
+        (GF(3), (3, 2, 1), "char3", EMPTY_ROWS_DIGEST),
+        (QQ, (3, 1, 1, 1), "standard", "6717ff9e0f20aa52515fa5b4d7354513b17a68df841898893a3b0528534b23a2"),
+        (GF(3), (3, 1, 1), "char3", "e73089cc31b15c45d15fcac230b7ae34a3f693bf1d6d123d3ea9d3495b69d533"),
     ],
-    ids=["F_7-5331", "Q-4321", "F_3-321-char3"],
+    ids=["F_7-5331", "Q-4321", "F_3-321-char3", "Q-3111", "F_3-311-char3"],
 )
 def test_solver_rows_are_pinned(field, dims, mode, digest, monkeypatch):
     # sha256 of repr(rows) handed to the eliminator in the standard basis:
     # every row, the order of its entries and the order of the rows are
-    # pinned, since fraction-free pivoting depends on row order.  The Q
+    # pinned, since fraction-free pivoting depends on row order.  Only the
+    # modules with a nonzero space keep live rows.  The Q
     # module's entries are integers, so the solver clears them by D = 1 and
     # its rows are those of the raw tensors, each Fraction(n, 1) as the int n
     seen = spy_rows(monkeypatch)
-    space_for(field, dims, mode)
-    (rows,) = seen
+    even, rep, _ = space_for(field, dims, mode)
+    ((rows, n_cols),) = seen
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    oracle, live = live_system(
+        oracle_solver_rows(field, even.bracket, list(rep.matrices()), mode), unknown_count(even, rep.dim)
+    )
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in oracle]
+    assert n_cols == live
 
 
 def oracle_solver_rows(field, bracket, mats, mode="standard"):
@@ -339,8 +367,9 @@ def test_solver_rows_are_the_oracle_rows_times_the_common_denominator(dims, rng,
         d = lcm(*(x.denominator for x in entries))
         assert d > 1
         space = odd_bracket_space(QQ, even.bracket, mats)
-        rows = seen.pop()
-        oracle = oracle_solver_rows(QQ, even.bracket, mats)
+        rows, n_cols = seen.pop()
+        oracle, live = live_system(oracle_solver_rows(QQ, even.bracket, mats), unknown_count(even, rep.dim))
+        assert n_cols == live
         assert [list(row.items()) for row in rows] == [
             [(k, d * c) for k, c in row.items()] for row in oracle
         ]
@@ -365,14 +394,95 @@ def test_solver_keeps_fractions_past_the_cut_off(monkeypatch):
     assert lcm(*(x.denominator for plane in action for row in plane for x in row)).bit_length() > 2048
     assert clear_denominators(QQ, (even.bracket, action))[0] == 1
     space = odd_bracket_space(QQ, even.bracket, mats)
-    (rows,) = seen
-    assert [list(row.items()) for row in rows] == [
-        list(row.items()) for row in oracle_solver_rows(QQ, even.bracket, mats)
-    ]
+    ((rows, n_cols),) = seen
+    oracle, live = live_system(oracle_solver_rows(QQ, even.bracket, mats), unknown_count(even, n))
+    assert n_cols == live
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in oracle]
     assert all(type(x) is Fraction for row in rows for x in row.values())
     assert any(x.denominator > 1 for row in rows for x in row.values())
     assert space.dimension == 2
     assert flatten(space) == naive_space(QQ, even.bracket, mats)
+
+
+@given(
+    d0=st.integers(1, 3),
+    d1=st.integers(1, 9),
+    dead_density=st.sampled_from((0.0, 0.3, 0.7, 0.95, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_live_relation_1_selects_exactly_the_instances_with_a_live_term(d0, d1, dead_density, seed):
+    # a random sparse bracket and action (neither need be a Lie bracket or
+    # a representation) and a random dead set: the solver's relation-1
+    # instances are those of the full generator with a term at an unknown
+    # outside the dead set whose column is nonempty, in the same order and
+    # with the same terms
+    rng = random.Random(seed)
+    density = rng.random()
+
+    def sparse(*shape):
+        return [[[rng.choice((1, -2)) if rng.random() < density else 0 for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
+
+    bracket, act = sparse(d0, d0, d0), action_nonzeros(sparse(d0, d1, d1))
+    dead = {k for k in range(d0 * d1 * (d1 + 1) // 2) if rng.random() < dead_density}
+    full = [e for e in compatibility_equations(bracket, act) if e[0] == "relation_1"]
+    expected = [
+        e for e in full if any(k not in dead and col for b, group in e[2] for k, col in enumerate(group, b))
+    ]
+    assert list(moduli._live_relation_1(_Relations(bracket, act), act, dead)) == expected
+
+
+def gl2_bracket(field):
+    """sl(2) plus a central line e_3: the bracket of gl(2)."""
+    sl2 = sl2_algebra(field).bracket
+    zero = field.zero()
+    return [[[*sl2[x][z], zero] if x < 3 and z < 3 else [zero] * 4 for z in range(4)] for x in range(4)]
+
+
+def even_parts_with_idle_directions(field):
+    """(name, bracket, action matrices) of even parts that are not sl(2) or
+    where some e_x acts by zero: gl(2) whose centre acts by zero or by a
+    scalar on V(2) + V(0); a 2-dimensional abelian part acting by a
+    nilpotent a and by zero, by commuting nilpotents, or by a Jordan block
+    j and j^2 + 1; and a line acting by zero."""
+    rep = RepMatrices.direct_sum(
+        [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in (3, 1)]
+    )
+    mats = list(rep.matrices())
+    n = rep.dim
+    a = Matrix(field, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0]])
+    b = Matrix(field, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    j = Matrix(field, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]])
+    abelian = [[[field.zero()] * 2 for _ in range(2)] for _ in range(2)]
+    return [
+        ("gl2-centre-by-zero", gl2_bracket(field), [*mats, Matrix.zero(field, n, n)]),
+        ("gl2-centre-by-scalar", gl2_bracket(field), [*mats, Matrix.identity(field, n).scaled(field.coerce(2))]),
+        ("abelian-nilpotent-and-zero", abelian, [a, Matrix.zero(field, 4, 4)]),
+        ("abelian-commuting-nilpotents", abelian, [a, b]),
+        ("abelian-jordan", abelian, [j, j @ j + Matrix.identity(field, 4)]),
+        ("line-by-zero", [[[field.zero()]]], [Matrix.zero(field, 3, 3)]),
+    ]
+
+
+@pytest.mark.parametrize("field,mode", [(QQ, "standard"), (F7, "standard"), (GF(3), "char3")], ids=str)
+def test_even_parts_with_idle_directions_match_naive_oracle(field, mode, rng, monkeypatch):
+    # the solver on even parts other than sl(2), or with a direction that
+    # acts by zero, in the standard basis, a monomial basis (the dead
+    # unknowns shuffled) and a random dense basis, which leaves no unknown
+    # dead: the kernel is the oracle's
+    seen = spy_rows(monkeypatch)
+    dead_somewhere = alive_everywhere = False
+    for name, bracket, mats in even_parts_with_idle_directions(field):
+        n = mats[0].rows
+        for t in (Matrix.identity(field, n), random_monomial(field, n, rng), random_invertible(field, n, rng)):
+            t_inv = t.inverse()
+            module = [t_inv @ m @ t for m in mats]
+            space = odd_bracket_space(field, bracket, module, mode=mode)
+            assert flatten(space) == naive_space(field, bracket, module, mode=mode), name
+            _, n_cols = seen.pop()
+            unknowns = len(bracket) * n * (n + 1) // 2
+            dead_somewhere |= n_cols < unknowns
+            alive_everywhere |= n_cols == unknowns
+    assert dead_somewhere and alive_everywhere
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=str)
@@ -532,6 +642,9 @@ def test_sweep_budget_guards():
         sweep_irrep_sums(QQ, 4)
     with pytest.raises(ValueError):
         sweep_irrep_sums(F5, 9)
+    for dim in (0, -3):
+        with pytest.raises(ValueError, match="odd dimension >= 1"):
+            sweep_irrep_sums(F7, dim)
 
 
 def test_sweep_rows_are_sorted_and_complete():

@@ -30,27 +30,36 @@ instance (:func:`_append_rows`, one row per output): each row is reduced
 mod p once, or over Q stripped of its zero entries.  Most rows would have
 a single entry, forcing an unknown to vanish, and most of those come from
 relation-2 instances that force a weight-incompatible coefficient to
-zero.  So the solver calls the relations one at a time
-(:class:`~superbracket.superalgebra._Relations`): relation 2, then the
-cubic, then relation 1, and keeps the set of *dead* unknowns, those a
-single-entry row has forced to zero.  Such a row is not kept: it only
-kills its unknown.  Walking an instance's terms, the solver skips every
-dead unknown, and a row that shrinks to one entry kills its own unknown
-in turn.  Relation 1 is collected only at the instances where an unknown
-still alive meets a nonempty action column (:func:`_live_relation_1`);
-every other instance would give no row.  The kept rows, restricted to
-the unknowns alive at the end and renumbered in increasing order, go to
-:func:`~superbracket.linalg.sparse_kernel_basis`, and each kernel vector
-is written back with zeros at the dead unknowns (:func:`_live_system`).
-The kernel is the full system's, bit for bit: every dead unknown's unit
-vector lies in its row span, and a monotone renumbering keeps the pivots,
-the free columns and the values.  For the 124 systems of the benchmark
-sweep (F_5 and F_7 up to odd dimension 8) the solver visits 2,568 of the
-7,682 relation-1 instances and hands the eliminator 294 rows on 132 of
-the 8,967 unknowns.  The eliminator still peels forced columns before it
-pivots, as structured Gaussian elimination does (LaMacchia and Odlyzko,
-CRYPTO 1990).  The rows reach it in the generator's order, relation 1
-first, because fraction-free pivoting depends on row order.  A naive
+zero.  So the solver keeps the set of *dead* unknowns, those a
+single-entry row has forced to zero, and settles the weights first: at
+each x where e_x acts diagonally on the module and on the even part
+(e_x(f_w) = lam_w f_w, [e_x, e_z] = mu_z e_z), relation 2 gives one row
+per unknown, (mu_y - lam_u - lam_v) times the coefficient of e_y in
+{f_u, f_v}, so the unknowns whose factor is nonzero are read off as dead,
+with no row built (:func:`_weight_kills`).  Then it calls the relations
+one at a time (:class:`~superbracket.superalgebra._Relations`): relation
+2 at the other x, then the cubic, then relation 1.  A single-entry row is
+not kept: it only kills its unknown.  Walking an instance's terms, the
+solver skips every dead unknown, and a row that shrinks to one entry
+kills its own unknown in turn.  Relation 1 is collected only at the
+instances where an unknown still alive meets a nonempty action column
+(:func:`_live_relation_1`); every other instance would give no row.  The
+kept rows, restricted to the unknowns alive at the end and renumbered in
+increasing order, go to :func:`~superbracket.linalg.sparse_kernel_basis`,
+and each kernel vector is written back with zeros at the dead unknowns
+(:func:`_live_system`).  The kernel is the full system's, bit for bit:
+every dead unknown's unit vector lies in its row span, and a monotone
+renumbering keeps the pivots, the free columns and the values.  In a
+dense basis no e_x is diagonal, and relation 2 is collected at every x.
+For the 124 systems of the benchmark sweep (F_5 and F_7 up to odd
+dimension 8, where H is diagonal) the weights kill 6,950 of the 8,967
+unknowns; the solver collects 5,978 of the 8,967 relation-2 instances
+and 2,568 of the 7,682 relation-1 instances, and hands the eliminator
+294 rows on 132 unknowns.  The eliminator still peels forced columns
+before it pivots, as structured Gaussian elimination does (LaMacchia and
+Odlyzko, CRYPTO 1990).  The rows reach it in the generator's order,
+relation 1 first, because fraction-free pivoting depends on row order.
+The weights settle no row, so they leave that order as it was.  A naive
 all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in
 the test suite as an oracle for this deduplication.
 
@@ -72,6 +81,7 @@ from __future__ import annotations
 import marshal
 import os
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterator, Sequence
 
 from .fields import Field
@@ -165,6 +175,46 @@ def _append_rows(rows: list, terms, dead: set, p: int | None) -> None:
             rows.append(eq)
 
 
+def _diagonal(plane) -> list | None:
+    """The diagonal of the map whose columns ``plane`` lists as nonzeros
+    ``(i, coefficient)``, or None if some column has an entry off it.  Stops
+    at the first such entry, so a dense map costs about one column."""
+    diag = []
+    for i, col in enumerate(plane):
+        if not col:
+            diag.append(0)
+        elif len(col) == 1 and col[0][0] == i:
+            diag.append(col[0][1])
+        else:
+            return None
+    return diag
+
+
+def _weight_kills(rel: _Relations, act, x: int, p: int | None) -> list | None:
+    """The unknowns that relation 2 at x forces to zero, read off the weights
+    when e_x acts diagonally on the module (e_x(f_w) = lam_w f_w) and on the
+    even part ([e_x, e_z] = mu_z e_z); None otherwise.  Then the instance
+    (x, u, v) has one equation per even output y, (mu_y - lam_u - lam_v)
+    times unknown base[u][v] + y, which kills that unknown where the
+    coefficient is nonzero (mod p): the single-entry rows that collecting
+    the instance would give, and no other row."""
+    lam = _diagonal(act[x])
+    mu = None if lam is None else _diagonal(rel.ecols[x])
+    if mu is None:
+        return None
+    kills: dict = {}  # the outputs y killed at each weight lam_u + lam_v
+    dead = []
+    for u, row in enumerate(rel.base):
+        for v in range(u, rel.d1):
+            s = lam[u] + lam[v]
+            ys = kills.get(s)
+            if ys is None:
+                ys = kills[s] = [y for y, m in enumerate(mu) if ((m - s) % p if p else m != s)]
+            b = row[v]
+            dead += [b + y for y in ys]
+    return dead
+
+
 def _live_relation_1(rel: _Relations, act, dead: set):
     """The instances of relation 1 at which some unknown outside ``dead``
     meets a nonempty column, in the generator's order and with its terms:
@@ -241,8 +291,15 @@ def odd_bracket_space(
     p = field.p if field.kind == "prime" else None
     rel = _Relations(bracket, act)
     dead: set[int] = set()
+    off_diagonal = []  # the x at which relation 2 is collected
+    for x in range(d0):
+        kills = _weight_kills(rel, act, x, p)
+        if kills is None:
+            off_diagonal.append(x)
+        else:
+            dead.update(kills)
     later: list[dict] = []  # relation 2, then the cubic
-    for _, _, terms in rel.relation_2():
+    for _, _, terms in rel.relation_2(product(off_diagonal, rel._pairs())):
         _append_rows(later, terms, dead, p)
     if mode == "char3":
         for _, _, terms in rel.cubic():
@@ -306,13 +363,16 @@ def _partitions_desc(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
 # The least work, in unknowns, that a process of a split sweep takes on.
 # Measured on a shared 2-vCPU Xeon (Python 3.11.7), serial against split in
 # two, median of 15 alternating runs each, over sweeps of F_5 and F_7 up to
-# odd dimension 3-8: a serial sweep takes 15-22 us per unknown at 540-1,233
-# unknowns (12-15 us at 4,206-4,761).  At 540 unknowns in all (F_5 and F_7
-# up to 5) one worker lost in five of six runs, by up to 2.6 ms; at
-# 1,170-1,233 (up to 6) it won every run, by 2.1-6.9 ms.  The gain,
-# interpolated, crosses zero at about 600-750 unknowns, so a worker starts
-# from 700.  Only the split in two was measured: on 3 or more CPUs a sweep
-# of 1,050 unknowns or more forks more than one worker, an unmeasured count.
+# odd dimension 3-8, with relation 2 settled by weights: a serial sweep
+# takes 12-17 us per unknown at 540-1,233 unknowns (6-10 us at
+# 4,206-4,761).  At 540 unknowns in all (F_5 and F_7 up to 5) one worker
+# lost in five of eight runs, by up to 2.7 ms, and won three by at most
+# 0.85 ms; at 1,170-1,233 (up to 6) it won all eight, by 1.8-3.1 ms.  The
+# gain, interpolated, crosses zero at about 550-700 unknowns, so a worker
+# still starts from 700.  No sweep holds between 540 and 1,170 unknowns, so
+# any value from 271 to 585 splits the same sweeps on 2 CPUs.  Only the
+# split in two was measured: on 3 or more CPUs a sweep of 1,050 unknowns
+# or more forks more than one worker, an unmeasured count.
 _UNKNOWNS_PER_PROCESS = 350
 
 

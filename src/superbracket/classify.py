@@ -20,9 +20,9 @@ from .linalg import (
     Matrix,
     Span,
     Vector,
+    _kernel_vectors,
     echelon_span,
     intertwiners,
-    sparse_kernel_basis,
 )
 from .sl2 import Sl2Triple, verify_triple
 from .superalgebra import (
@@ -129,7 +129,7 @@ def _action_kernel(g: SuperAlgebra) -> list[Vector]:
     """Basis of the odd vectors every e_x kills: one row per (x, w)."""
     d1 = g.dim_odd
     rows = ({v: plane[v][w] for v in range(d1) if plane[v][w]} for plane in g.action for w in range(d1))
-    return sparse_kernel_basis(g.field, rows, d1)
+    return _kernel_vectors(g.field, rows, d1)
 
 
 def _action_on(g: SuperAlgebra, summand: list[Vector]) -> list[Matrix]:

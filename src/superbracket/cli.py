@@ -43,7 +43,7 @@ from .moduli import (
     odd_bracket_space_of,
     sweep_irrep_sums,
 )
-from .schema import SchemaError, _tensor_entries, parse_algebra, serialize_algebra
+from .schema import SchemaError, parse_algebra, serialize_algebra
 from .sl2 import (
     INCONCLUSIVE,
     IrrepSpec,
@@ -362,7 +362,11 @@ def cmd_pspace(path, mode):
         for pair in exc.pairs:
             _echo(str(sa.Violation("representation", pair)), err=True)
         sys.exit(EXIT_VALIDATION)
-    basis_entries = [_tensor_entries(g.field, t, symmetric=True) for t in space.basis]
+    # the flat unknown base[u][v] + y runs over (u <= v, y) in the order
+    # that the symmetric tensor entries are written in
+    d0, fmt = g.dim_even, g.field.format
+    pairs = [(u, v) for u in range(g.dim_odd) for v in range(u, g.dim_odd)]
+    basis_entries = [[[*pairs[k // d0], k % d0, fmt(c)] for k, c in vec.items()] for vec in space.vectors]
     _echo(json.dumps({"dim": space.dimension, "basis": basis_entries}, indent=2))
 
 

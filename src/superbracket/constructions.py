@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix, Span, Vector, intertwiners, sparse_kernel_basis
+from .linalg import Matrix, Span, Vector, _kernel_vectors, intertwiners
 from .superalgebra import MorphismCertificate, SuperAlgebra, ValidationReport, check_morphism, validate
 
 __all__ = [
@@ -153,7 +153,7 @@ def build_osp(forms: BilinearFormPair, field: Field) -> SuperAlgebra:
                 row[t] = signed(row.get(t, zero), x)
             rows.append(row)
         cells.append(sector)
-        bases.append(sparse_kernel_basis(field, rows, len(sector)))
+        bases.append(_kernel_vectors(field, rows, len(sector)))
     dims = (d0 * (d0 - 1) // 2 + d1 * (d1 + 1) // 2, d0 * d1)
     assert tuple(map(len, bases)) == dims, "solution space has the wrong dimension"
     spans = [Span(field, basis, len(sector)) for basis, sector in zip(bases, cells)]

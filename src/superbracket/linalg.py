@@ -16,7 +16,15 @@ over Q fraction-free, on primitive integer rows (Bareiss, Math. Comp. 22,
 that reduced basis (:func:`sparse_kernel_basis`), and so are coordinates,
 membership and remainders modulo a span (:class:`Span`, reduced once per
 list of vectors); the dense RREF is built only where a caller asks for it
-(``Matrix.rref``, ``inverse``, ``solve_linear``, ``echelon_span``).
+(``Matrix.rref``, ``inverse``, ``solve_linear``, ``echelon_span``).  The
+eliminator keys rows by column and pivots on the least column of a row,
+so it runs on any increasing column labels, not only ``range(n)``: the
+same rows under labels renumbered in increasing order give the same
+pivots, free columns and values.  :func:`sparse_kernel_basis` takes those
+labels and returns each kernel vector sparse, so a solver can hand over
+its equations under its own unknown numbers and a large kernel costs its
+nonzeros, not its length squared; the callers that index a kernel vector
+(:func:`kernel_basis`, :func:`intertwiners`) densify it there.
 Results of field operations on raw entries are assembled without
 re-coercion; the public ``Matrix(...)`` and ``Vector(...)`` constructors
 still coerce.
@@ -29,7 +37,9 @@ derived from them are reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
+from operator import ge
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldError, Scalar
@@ -58,14 +68,17 @@ def using_compiled_kernel() -> bool:
     return False
 
 
-def _reduce(field: Field, rows: Iterable[Iterable], n_cols: int) -> dict[int, dict]:
+def _reduce(field: Field, rows: Iterable[Iterable], cols: set) -> dict[int, dict]:
     """Reduced basis of the span of sparse rows, each given as ``(column,
-    raw value)`` pairs over ``range(n_cols)`` (``dict.items()`` or
-    ``enumerate`` of a dense row); zero values are ignored.
+    raw value)`` pairs (``dict.items()`` or ``enumerate`` of a dense row)
+    with every column in ``cols``, the set of int column labels; zero
+    values are ignored.
 
-    Returns ``{pivot column: row}``; each row has a 1 at its pivot and no
-    entry in any other pivot column, so the rows sorted by pivot are the
-    nonzero rows of the reduced row echelon form.
+    Returns ``{pivot column: row}``; each row has a 1 at its pivot, which
+    is its least column, and no entry in any other pivot column, so the
+    rows sorted by pivot are the nonzero rows of the reduced row echelon
+    form.  Only the order of the labels is ever compared, so renumbering
+    them in increasing order renumbers the result and changes nothing else.
 
     The forced columns are peeled first (:func:`_peel`): each is a pivot
     whose RREF row is ``{c: 1}``, and the rows left hold none of them.
@@ -85,7 +98,7 @@ def _reduce(field: Field, rows: Iterable[Iterable], n_cols: int) -> dict[int, di
     one once, and that copy is what the loop consumes.
     """
     p = field.p if field.kind == "prime" else None
-    forced, rows = _peel(rows, n_cols)
+    forced, rows = _peel(rows, cols)
     basis: dict[int, dict] = {}
     for row in rows:
         if not p:
@@ -109,14 +122,15 @@ def _reduce(field: Field, rows: Iterable[Iterable], n_cols: int) -> dict[int, di
     return basis
 
 
-def _peel(rows: Iterable[Iterable], n_cols: int) -> tuple[set[int], list[dict]]:
+def _peel(rows: Iterable[Iterable], cols: set) -> tuple[set[int], list[dict]]:
     """Singleton peeling, the first step of structured Gaussian elimination
     (LaMacchia and Odlyzko, CRYPTO 1990).
 
-    Each row is given as ``(column, raw value)`` pairs over
-    ``range(n_cols)``; it is copied once into a dict without its zero
-    entries, and the same loop that indexes it by column range-checks it
-    (:class:`DimensionMismatch`), so the caller's rows are left untouched.
+    Each row is given as ``(column, raw value)`` pairs with columns in the
+    set ``cols``; it is copied once into a dict without its zero entries, and
+    the same loop that indexes it by column checks each column against
+    ``cols`` (:class:`DimensionMismatch`), so the caller's rows are left
+    untouched.
     A row ``{c: x}`` spans the unit vector e_c, so column c is forced: it is
     deleted from every other row.  A row that becomes a singleton forces its
     column in turn, and a row that becomes empty is dropped, until no
@@ -132,8 +146,8 @@ def _peel(rows: Iterable[Iterable], n_cols: int) -> tuple[set[int], list[dict]]:
         if len(row) > 1:
             multi.append(row)
         for c in row:
-            if not 0 <= c < n_cols:
-                raise DimensionMismatch(f"row entry outside {n_cols} columns")
+            if c not in cols:
+                raise DimensionMismatch(f"row entry in column {c!r}, not one of the columns")
             if single:
                 forced.add(c)
             elif c in where:
@@ -203,7 +217,7 @@ def _rref_raw(field: Field, rows: Sequence[Sequence]) -> tuple[list, list]:
     then zero rows up to the input row count.  The input is not modified.
     """
     n = len(rows[0]) if rows else 0
-    basis = _reduce(field, map(enumerate, rows), n)
+    basis = _reduce(field, map(enumerate, rows), set(range(n)))
     zero = field.zero()
     pivots = sorted(basis)
     out = []
@@ -557,34 +571,50 @@ def _dot(field: Field, xs, ys):
     return acc
 
 
-def sparse_kernel_basis(field: Field, rows: Iterable[dict], n_cols: int) -> list[Vector]:
-    """Deterministic basis of {v : Mv = 0} for M given by sparse rows.
+def sparse_kernel_basis(field: Field, rows: Iterable[dict], cols: Sequence[int]) -> list[dict]:
+    """Deterministic basis of {v : Mv = 0} for M given by sparse rows on the
+    column labels ``cols``, a strictly increasing sequence of ints.
 
-    Each row is a ``{column: raw value}`` dict over ``range(n_cols)``; zero
-    entries are ignored, an entry outside that range raises
-    :class:`DimensionMismatch`, and the rows are left untouched.  Pivot
-    columns are chosen left to right; each free column, in index order,
-    contributes one basis vector with a 1 in that coordinate and minus the
-    free column's entry of each reduced basis row at that row's pivot.
+    Each row is a ``{column: raw value}`` dict; zero entries are ignored, an
+    entry outside ``cols`` raises :class:`DimensionMismatch`, and the rows
+    are left untouched.  Pivot columns are chosen in the order of the
+    labels; each free column, in that order, contributes one basis vector,
+    returned sparse as a dict ``{column: raw value}`` in increasing column
+    order: minus the free column's entry of each reduced basis row at that
+    row's pivot, then a 1 at the free column, which comes last since every
+    pivot of the vector is smaller.  Columns absent from a vector are zero.
     """
-    basis = _reduce(field, (row.items() for row in rows), n_cols)
-    zero, one = field.zero(), field.one()
-    kernel: dict[int, list] = {}
-    for c in range(n_cols):
-        if c not in basis:
-            kernel[c] = [zero] * n_cols
-            kernel[c][c] = one
-    for pc, row in basis.items():
-        for fc, x in row.items():
+    if any(map(ge, cols, islice(cols, 1, None))):
+        raise DimensionMismatch("column labels must be strictly increasing")
+    basis = _reduce(field, (row.items() for row in rows), set(cols))
+    kernel = {c: {} for c in cols if c not in basis}
+    for pc in sorted(basis):
+        for fc, x in basis[pc].items():
             if fc != pc:
                 kernel[fc][pc] = field.neg(x)
-    return [Vector._from_raw(field, v) for v in kernel.values()]
+    one = field.one()
+    for c, v in kernel.items():
+        v[c] = one
+    return list(kernel.values())
+
+
+def _kernel_vectors(field: Field, rows: Iterable[dict], n: int) -> list[Vector]:
+    """:func:`sparse_kernel_basis` on the columns ``range(n)``, each vector
+    written out as a dense :class:`Vector` of length n."""
+    zero = field.zero()
+    out = []
+    for v in sparse_kernel_basis(field, rows, range(n)):
+        e = [zero] * n
+        for j, x in v.items():
+            e[j] = x
+        out.append(Vector._from_raw(field, e))
+    return out
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Deterministic basis of the right kernel {v : Mv = 0}; see
     :func:`sparse_kernel_basis`."""
-    return sparse_kernel_basis(m.field, [dict(enumerate(r)) for r in m.data], m.cols)
+    return _kernel_vectors(m.field, [dict(enumerate(r)) for r in m.data], m.cols)
 
 
 def intertwiners(field: Field, pairs: Iterable[tuple[Matrix, Matrix]]) -> list[Matrix]:
@@ -594,9 +624,9 @@ def intertwiners(field: Field, pairs: Iterable[tuple[Matrix, Matrix]]) -> list[M
     Each A is n x n and each B is m x m, the same n and m for every pair.
     The unknowns are X flattened row by row, X[r][c] at r * n + c, and the
     condition gives one sparse row per pair and cell (r, c).  The basis is
-    :func:`sparse_kernel_basis` of those rows, echelon in that flattening:
-    it depends on the solution space and the flattening only, not on the
-    order of the pairs or of the rows.
+    the kernel of those rows (:func:`sparse_kernel_basis`), echelon in that
+    flattening: it depends on the solution space and the flattening only,
+    not on the order of the pairs or of the rows.
     """
     pairs = list(pairs)
     if not pairs:
@@ -622,7 +652,7 @@ def intertwiners(field: Field, pairs: Iterable[tuple[Matrix, Matrix]]) -> list[M
                 rows.append(row)
     return [
         Matrix._from_raw(field, [v.entries[r * n : r * n + n] for r in range(m)])
-        for v in sparse_kernel_basis(field, rows, m * n)
+        for v in _kernel_vectors(field, rows, m * n)
     ]
 
 
@@ -690,7 +720,7 @@ class Span:
         k, one, zero = len(vectors), field.one(), field.zero()
         self.field, self.dim, self._k = field, dim, k
         rows = ([*enumerate(v.entries), (dim + k - 1 - i, one)] for i, v in enumerate(vectors))
-        reduced = _reduce(field, rows, dim + k)
+        reduced = _reduce(field, rows, set(range(dim + k)))
         self.pivots = tuple(c for c in sorted(reduced) if c < dim)
         # each basis row as (pivot, {column: entry}, {vector index: tag})
         self._rows = [

@@ -10,19 +10,24 @@ superalgebra structures on g0 + V with fixed even bracket and action is
 exactly the kernel of one assembled linear system -- no search and no
 numerics, just exact row reduction.
 
-The equations are :func:`~superbracket.superalgebra.compatibility_equations`,
-the one definition of the relations, which
-:func:`~superbracket.superalgebra.validate` evaluates at a given odd bracket:
-deduplicated by symmetric index pattern and yielded, per instance, as terms
-(base, group), where unknown base + i carries the column group[i] of
-(output, coefficient) pairs, built from the nonzeros of the action and the
-even bracket.  Over Q the solver first clears the even bracket and the
-action of denominators by one common D
-(:func:`~superbracket.superalgebra.clear_denominators`, as each algebra's
-integer form does): every equation is linear in the two jointly, so each
-row becomes D times itself, with the same span, and the rows, the
-representation check and the eliminator all run on Python ints.  Over F_p
-the tensors are integers already, and past the cut-off of
+The solver works on sparse data from end to end.  It takes the action as
+its nonzero columns, ``act[x][w]`` the pairs (t, c) of e_x(f_w), the form
+that :func:`~superbracket.superalgebra.action_nonzeros` builds and the
+relations are built from, so no dense matrix is built or transposed on
+the way in; the sweep makes each direct sum's columns by shifting each
+summand's by its offset.  The equations are
+:func:`~superbracket.superalgebra.compatibility_equations`, the one
+definition of the relations, which :func:`~superbracket.superalgebra.validate`
+evaluates at a given odd bracket: deduplicated by symmetric index pattern
+and yielded, per instance, as terms (base, group), where unknown base + i
+carries the column group[i] of (output, coefficient) pairs, built from the
+nonzeros of the action and the even bracket.  Over Q the solver first
+clears the even bracket and the action's nonzeros of denominators by one
+common D (:func:`~superbracket.superalgebra.clear_denominators`, as each
+algebra's integer form does): every equation is linear in the two
+jointly, so each row becomes D times itself, with the same span, and the
+rows, the representation check and the eliminator all run on Python ints.
+Over F_p the tensors are integers already, and past the cut-off of
 :func:`~superbracket.superalgebra.clear_denominators` they stay Fractions
 and the same code runs on them.  The solver is the one place that collects
 the terms into sparse rows ``{unknown: coefficient}``, in one pass per
@@ -41,19 +46,26 @@ one at a time (:class:`~superbracket.superalgebra._Relations`): relation
 2 at the other x, then the cubic, then relation 1.  A single-entry row is
 not kept: it only kills its unknown.  Walking an instance's terms, the
 solver skips every dead unknown, and a row that shrinks to one entry
-kills its own unknown in turn.  Relation 1 is collected only at the
-instances where an unknown still alive meets a nonempty action column
-(:func:`_live_relation_1`); every other instance would give no row.  The
-kept rows, restricted to the unknowns alive at the end and renumbered in
-increasing order, go to :func:`~superbracket.linalg.sparse_kernel_basis`,
-and each kernel vector is written back with zeros at the dead unknowns
-(:func:`_live_system`).  The kernel is the full system's, bit for bit:
-every dead unknown's unit vector lies in its row span, and a monotone
-renumbering keeps the pivots, the free columns and the values.  In a
+kills its own unknown in turn.  Relation 2 at the other x is collected
+only at the instances with a term at an unknown that the weights of the
+first diagonal direction leave alive (:func:`_live_relation_2`), and
+relation 1 only at the instances where an unknown still alive meets a
+nonempty action column (:func:`_live_relation_1`); every other instance
+would give no row.  The kept rows go to
+:func:`~superbracket.linalg.sparse_kernel_basis` under their own unknown
+numbers, on the labels of the unknowns alive at the end; only a row that
+holds an unknown killed after it was kept is rebuilt without it.  The
+kernel is the full system's, bit for bit: every dead unknown's unit vector
+lies in its row span, so the kernel is zero there, and the eliminator
+compares columns by order only, so it picks the pivots, free columns and
+values it would pick on the live unknowns numbered from 0.  The kernel
+vectors come back sparse, and :class:`OddBracketSpace` builds its dense
+tensors only when they are asked for: the abelian 3|100 document has
+15,150 free unknowns, whose basis is 15,150 vectors of one entry.  In a
 dense basis no e_x is diagonal, and relation 2 is collected at every x.
 For the 124 systems of the benchmark sweep (F_5 and F_7 up to odd
 dimension 8, where H is diagonal) the weights kill 6,950 of the 8,967
-unknowns; the solver collects 5,978 of the 8,967 relation-2 instances
+unknowns; the solver collects 3,568 of the 8,967 relation-2 instances
 and 2,568 of the 7,682 relation-1 instances, and hands the eliminator
 294 rows on 132 unknowns.  The eliminator still peels forced columns
 before it pivots, as structured Gaussian elimination does (LaMacchia and
@@ -80,19 +92,21 @@ from __future__ import annotations
 
 import marshal
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .fields import Field
-from .linalg import Matrix, sparse_kernel_basis
-from .sl2 import IrrepSpec, RepMatrices, build_irrep
+from .linalg import sparse_kernel_basis
+from .sl2 import IrrepSpec, build_irrep
 from .superalgebra import (
     SuperAlgebra,
     _Relations,
     _supported_triples,
     action_nonzeros,
     clear_denominators,
+    odd_unknowns,
     representation_failures,
 )
 
@@ -108,22 +122,62 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OddBracketSpace:
     """Solution space of the two relations for one even algebra + module.
 
-    ``basis`` holds symmetric d1 x d1 x d0 tensors, echelon with respect to
-    the flattening (u <= v) lexicographic, then the even coordinate.
+    ``vectors`` holds the basis sparse, each element a dict ``{unknown:
+    coefficient}`` over the flat unknowns of
+    :func:`~superbracket.superalgebra.odd_unknowns` (pairs u <= v
+    lexicographic, then the even coordinate), in increasing order of
+    unknowns.  ``basis`` holds the same elements as symmetric
+    d1 x d1 x d0 tensors, echelon in that flattening.  The space is made
+    from either form, and the other is built on first use.
     """
 
-    field: Field
-    dim_even: int
-    dim_odd: int
-    basis: tuple
+    __slots__ = ("field", "dim_even", "dim_odd", "_basis", "_vectors")
+
+    def __init__(self, field: Field, dim_even: int, dim_odd: int, basis=None, vectors=None):
+        if (basis is None) == (vectors is None):
+            raise ValueError("give the basis either as tensors or as sparse vectors")
+        self.field, self.dim_even, self.dim_odd = field, dim_even, dim_odd
+        self._basis = None if basis is None else tuple(basis)
+        self._vectors = None if vectors is None else tuple(vectors)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self._basis if self._vectors is None else self._vectors)
+
+    @property
+    def vectors(self) -> tuple:
+        if self._vectors is None:
+            d1 = self.dim_odd
+            base = odd_unknowns(self.dim_even, d1)
+            self._vectors = tuple(
+                {
+                    base[u][v] + y: c
+                    for u in range(d1)
+                    for v in range(u, d1)
+                    for y, c in enumerate(tensor[u][v])
+                    if c
+                }
+                for tensor in self._basis
+            )
+        return self._vectors
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            d0, d1 = self.dim_even, self.dim_odd
+            base = odd_unknowns(d0, d1)
+            zero = self.field.zero()
+            basis = []
+            for vector in self._vectors:
+                e = [zero] * (d0 * d1 * (d1 + 1) // 2)
+                for k, c in vector.items():
+                    e[k] = c
+                basis.append(tuple(tuple(e[base[u][v] : base[u][v] + d0] for v in range(d1)) for u in range(d1)))
+            self._basis = tuple(basis)
+        return self._basis
 
 
 class UnsupportedMode(ValueError):
@@ -190,18 +244,21 @@ def _diagonal(plane) -> list | None:
     return diag
 
 
-def _weight_kills(rel: _Relations, act, x: int, p: int | None) -> list | None:
-    """The unknowns that relation 2 at x forces to zero, read off the weights
-    when e_x acts diagonally on the module (e_x(f_w) = lam_w f_w) and on the
-    even part ([e_x, e_z] = mu_z e_z); None otherwise.  Then the instance
-    (x, u, v) has one equation per even output y, (mu_y - lam_u - lam_v)
-    times unknown base[u][v] + y, which kills that unknown where the
-    coefficient is nonzero (mod p): the single-entry rows that collecting
-    the instance would give, and no other row."""
+def _weights(rel: _Relations, act, x: int) -> tuple[list, list] | None:
+    """``(lam, mu)`` when e_x acts diagonally on the module (e_x(f_w) =
+    lam_w f_w) and on the even part ([e_x, e_z] = mu_z e_z), else None."""
     lam = _diagonal(act[x])
     mu = None if lam is None else _diagonal(rel.ecols[x])
-    if mu is None:
-        return None
+    return None if mu is None else (lam, mu)
+
+
+def _weight_kills(rel: _Relations, lam: list, mu: list, p: int | None) -> list:
+    """The unknowns that relation 2 at a direction x with weights
+    :func:`_weights` ``(lam, mu)`` forces to zero.  The instance (x, u, v)
+    has one equation per even output y, (mu_y - lam_u - lam_v) times
+    unknown base[u][v] + y, which kills that unknown where the coefficient
+    is nonzero (mod p): the single-entry rows that collecting the instance
+    would give, and no other row."""
     kills: dict = {}  # the outputs y killed at each weight lam_u + lam_v
     dead = []
     for u, row in enumerate(rel.base):
@@ -213,6 +270,36 @@ def _weight_kills(rel: _Relations, act, x: int, p: int | None) -> list | None:
             b = row[v]
             dead += [b + y for y in ys]
     return dead
+
+
+def _live_relation_2(rel: _Relations, act, xs: list, weights, p: int | None):
+    """The instances of relation 2 at the x in ``xs``, in the generator's
+    order and with its terms, without those whose every unknown the
+    ``weights`` ``(lam, mu)`` of a diagonal direction kill (all of them for
+    None): those give no row and kill nothing.  Unknown base[u][v] + y
+    survives the weights only if mu_y = lam_u + lam_v (mod p).  The bracket
+    term of (x, u, v) carries base[u][v] + z for the z with [e_x, e_z] !=
+    0, and its unit terms carry base[w][c] + y for f_w in e_x(f_s), where
+    {s, c} = {u, v}; writing lam_w = lam_s + d, with d in the set D_x of
+    such differences read off the action, the instance is kept when
+    lam_u + lam_v is some mu_z of its bracket term, or mu_y - d for some y
+    and d in D_x while e_x moves f_u or f_v.  D_x is the single shift mu_x
+    when the action is a representation and [e_x0, e_x] = mu_x e_x, but it
+    is read off the action, so no identity is assumed."""
+    if weights is None:
+        return rel.relation_2(product(xs, rel._pairs()))
+    lam, mu = weights
+    if p:
+        lam, mu = [a % p for a in lam], [m % p for m in mu]
+    sums = [(u, v, (lam[u] + lam[v]) % p if p else lam[u] + lam[v]) for u, v in rel._pairs()]
+    pairs = []
+    for x in xs:
+        hit = {mu[z] for z, col in enumerate(rel.ecols[x]) if col}
+        shifts = {lam[w] - lam[s] for s, col in enumerate(act[x]) for w, _ in col}
+        shifted = {(m - d) % p if p else m - d for m in mu for d in shifts}
+        moved = [bool(col) for col in act[x]]
+        pairs += [(x, (u, v)) for u, v, s in sums if s in hit or s in shifted and (moved[u] or moved[v])]
+    return rel.relation_2(pairs)
 
 
 def _live_relation_1(rel: _Relations, act, dead: set):
@@ -234,72 +321,77 @@ def _live_relation_1(rel: _Relations, act, dead: set):
     return rel.relation_1(_supported_triples(layers))
 
 
-def _live_system(rows: list, dead: set, n: int) -> tuple[list, list]:
-    """``(rows, live)``: the kept ``rows`` restricted to the ``live``
-    unknowns, those of the n outside ``dead``, renumbered in increasing
-    order.  The dead unknowns' unit vectors span with the rows, so the
-    kernel is zero at each of them and, on the live ones, that of the
-    restricted rows: with the columns in the same order, the eliminator
-    picks the same pivots and free columns and gives the same values."""
-    live = [k for k in range(n) if k not in dead]
-    new = [0] * n  # new[k]: the number of live unknown k
-    for i, k in enumerate(live):
-        new[k] = i
-    kept = []
-    for row in rows:
-        if dead.isdisjoint(row):  # most rows: renumbered in C
-            kept.append(dict(zip(map(new.__getitem__, row), row.values())))
-        elif r := {new[k]: c for k, c in row.items() if k not in dead}:
-            kept.append(r)
-    return kept, live
+def _checked_action(field: Field, act, d0: int) -> list:
+    """The coefficients of the action's nonzero columns ``act``, in order,
+    after checking that there are d0 planes of d1 columns each, that each
+    column lists its outputs t in increasing order within range(d1), and
+    that each coefficient is a nonzero raw element of ``field``: a Fraction
+    over Q, a residue in [1, p) over F_p."""
+    d1 = len(act[0]) if act else 0
+    if len(act) != d0:
+        raise ValueError("need the action's columns for each even basis vector")
+    values = []
+    for plane in act:
+        if len(plane) != d1:
+            raise ValueError("each even basis vector needs one action column per odd one")
+        for col in plane:
+            last = -1
+            for t, c in col:
+                if type(t) is not int or not last < t < d1:
+                    raise ValueError("action column outputs must increase within the odd indices")
+                last = t
+                values.append(c)
+    p = field.p if field.kind == "prime" else None
+    if not all(type(c) is int and 0 < c < p for c in values) if p else not all(type(c) is Fraction and c for c in values):
+        raise ValueError(f"action coefficients must be nonzero raw elements of {field}")
+    return values
 
 
-def odd_bracket_space(
-    field: Field,
-    even_bracket,
-    action_mats: Sequence[Matrix],
-    mode: str = "standard",
-) -> OddBracketSpace:
+def odd_bracket_space(field: Field, even_bracket, act, mode: str = "standard") -> OddBracketSpace:
     """Solve for every symmetric odd bracket compatible with the module.
 
-    ``even_bracket`` is the d0 x d0 x d0 tensor of the even part and
-    ``action_mats`` the matrices of its basis acting on the module (columns
-    are images).  mode "char3" also imposes the cubic identity, whose only
-    content beyond the trilinear relation sits on the diagonal monomials.
-    Raises :class:`UnsupportedMode` for any other mode and
+    ``even_bracket`` is the d0 x d0 x d0 tensor of the even part and ``act``
+    the action as nonzero columns, as
+    :func:`~superbracket.superalgebra.action_nonzeros` builds them:
+    ``act[x][w]`` lists the pairs ``(t, c)``, t increasing, of the nonzero
+    coefficients c of f_t in e_x(f_w), each a raw field element.  mode
+    "char3" also imposes the cubic identity, whose only content beyond the
+    trilinear relation sits on the diagonal monomials.  Raises ValueError
+    when the bracket or the columns are not of that form,
+    :class:`UnsupportedMode` for any other mode and
     :class:`NotARepresentation` when the action is not a representation.
     """
     if mode not in ("standard", "char3"):
         raise UnsupportedMode(f"unsupported mode for the bracket solver: {mode!r}")
     d0 = len(even_bracket)
-    d1 = action_mats[0].rows if action_mats else 0
-    if len(action_mats) != d0:
-        raise ValueError("need one action matrix per even basis vector")
-    for m in action_mats:
-        if m.rows != d1 or m.cols != d1:
-            raise ValueError("action matrices must be square of equal size")
+    if any(len(plane) != d0 or any(len(row) != d0 for row in plane) for plane in even_bracket):
+        raise ValueError("the even bracket must be a d0 x d0 x d0 tensor")
+    values = _checked_action(field, act, d0)
+    d1 = len(act[0]) if act else 0
     bracket = [[[field.coerce(c) for c in row] for row in plane] for plane in even_bracket]
     # every equation is linear in (bracket, action) jointly, so clearing both
-    # by one D scales each row by D and keeps its span
-    _, (bracket, action) = clear_denominators(
-        field, (bracket, [m.transpose().data for m in action_mats])
-    )
-    act = action_nonzeros(action)
+    # by one D scales each row by D and keeps its span; the action's
+    # coefficients go in at the depth of the bracket's entries
+    _, (bracket, [[scaled]]) = clear_denominators(field, (bracket, [[values]]))
+    if scaled is not values:
+        it = iter(scaled)
+        act = [[[(t, next(it)) for t, _ in col] for col in plane] for plane in act]
     failures = representation_failures(field, bracket, act)
     if failures:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
     rel = _Relations(bracket, act)
     dead: set[int] = set()
-    off_diagonal = []  # the x at which relation 2 is collected
+    off_diagonal, first = [], None  # the x at which relation 2 is collected
     for x in range(d0):
-        kills = _weight_kills(rel, act, x, p)
-        if kills is None:
+        weights = _weights(rel, act, x)
+        if weights is None:
             off_diagonal.append(x)
         else:
-            dead.update(kills)
+            dead.update(_weight_kills(rel, *weights, p))
+            first = first or weights
     later: list[dict] = []  # relation 2, then the cubic
-    for _, _, terms in rel.relation_2(product(off_diagonal, rel._pairs())):
+    for _, _, terms in _live_relation_2(rel, act, off_diagonal, first, p):
         _append_rows(later, terms, dead, p)
     if mode == "char3":
         for _, _, terms in rel.cubic():
@@ -311,28 +403,25 @@ def odd_bracket_space(
     for _, _, terms in _live_relation_1(rel, act, dead):
         _append_rows(rows, terms, dead, p)
     rows += later
-    n = d0 * d1 * (d1 + 1) // 2
-    rows, live = _live_system(rows, dead, n)
-    base = rel.base
-    zero = field.zero()
-    basis = []
-    for flat in sparse_kernel_basis(field, rows, len(live)):
-        e = [zero] * n
-        for k, c in zip(live, flat.entries):
-            e[k] = c
-        tensor = [[e[base[u][v] : base[u][v] + d0] for v in range(d1)] for u in range(d1)]
-        basis.append(tuple(tuple(plane) for plane in tensor))
-    return OddBracketSpace(field, d0, d1, tuple(basis))
+    # each row under its own unknowns; only one that holds a dead unknown,
+    # killed after the row was kept, is rebuilt without it
+    kept = []
+    for row in rows:
+        if dead.isdisjoint(row):
+            kept.append(row)
+        elif r := {k: c for k, c in row.items() if k not in dead}:
+            kept.append(r)
+    live = [k for k in range(d0 * d1 * (d1 + 1) // 2) if k not in dead]
+    return OddBracketSpace(field, d0, d1, vectors=sparse_kernel_basis(field, kept, live))
 
 
 def odd_bracket_space_of(g: SuperAlgebra, mode: str | None = None) -> OddBracketSpace:
     """Solution space for g's own even part and action (its odd bracket is
     ignored -- this asks what brackets *could* live on the module).  The
     mode defaults to g's own, so a char2 document is refused."""
-    mats = [g.action_matrix(i) for i in range(g.dim_even)]
-    space = odd_bracket_space(g.field, g.bracket, mats, mode=mode or g.mode)
-    # with no even part there is no action matrix to read d1 off
-    return replace(space, dim_odd=g.dim_odd)
+    space = odd_bracket_space(g.field, g.bracket, action_nonzeros(g.action), mode=mode or g.mode)
+    # with no even part there are no action columns to read d1 off
+    return OddBracketSpace(g.field, g.dim_even, g.dim_odd, vectors=space.vectors)
 
 
 def solution_to_algebra(
@@ -483,8 +572,12 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     from .constructions import sl2_algebra
 
     even = sl2_algebra(field)
-    irreps = {
-        d: build_irrep(IrrepSpec.standard_params(field, d - 1), field)
+    d0 = len(even.bracket)
+    # each irreducible's nonzero columns, act[x][w]
+    summands = {
+        d: action_nonzeros(
+            [m.transpose().data for m in build_irrep(IrrepSpec.standard_params(field, d - 1), field).matrices()]
+        )
         for d in range(1, min(field.p, max_odd_dim) + 1)
     }
     comps = [
@@ -494,10 +587,15 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     ]
 
     def dimension(comp):
-        rep = RepMatrices.direct_sum([irreps[d] for d in comp])
-        return odd_bracket_space(field, even.bracket, list(rep.matrices())).dimension
+        # the direct sum's columns: each summand's, shifted by its offset
+        act = [[] for _ in range(d0)]
+        offset = 0
+        for d in comp:
+            for x, plane in enumerate(summands[d]):
+                act[x] += [[(t + offset, c) for t, c in col] for col in plane]
+            offset += d
+        return odd_bracket_space(field, even.bracket, act).dimension
 
-    d0 = len(even.bracket)
     unknowns = sum(d0 * sum(c) * (sum(c) + 1) // 2 for c in comps)
     dims = _solve_split(dimension, comps, unknowns)
     return [SweepRow(field.p, comp, dim) for comp, dim in zip(comps, dims)]

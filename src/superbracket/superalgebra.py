@@ -84,8 +84,8 @@ from .linalg import (
     Matrix,
     Span,
     Vector,
+    _kernel_vectors,
     echelon_span,
-    sparse_kernel_basis,
 )
 
 __all__ = [
@@ -266,6 +266,7 @@ class SuperAlgebra:
         "odd_bracket",
         "squaring",
         "_ints",
+        "_centre",
     )
 
     def __init__(
@@ -301,6 +302,7 @@ class SuperAlgebra:
         self.odd_bracket = _freeze3(odd_bracket)
         self.squaring = _freeze3(squaring) if squaring is not None else None
         self._ints = None  # the integer form, built by _integer_form on first use
+        self._centre = None  # the supercentre's bases, built by supercentre on first use
         self._check_shapes()
         if mode == "char2":
             # validate reads only the squaring, so the odd bracket must be its
@@ -1234,11 +1236,21 @@ def supercentre(g: SuperAlgebra) -> tuple[list[Vector], list[Vector]]:
     An even x is central iff [x, e_j] = 0 for all j and x acts by zero on
     the odd part; an odd u is central iff every e_x kills it and
     {u, f_v} = 0 for all v.  Both conditions are kernels of stacked linear
-    maps on the coordinates.
+    maps on the coordinates.  They are computed once per algebra, as its
+    integer form is (``info`` asks for them, and so does the classifier
+    that it calls); each call returns new lists.
     """
+    if g._centre is None:
+        g._centre = _centre_bases(g)
+    even, odd = g._centre
+    return list(even), list(odd)
+
+
+def _centre_bases(g: SuperAlgebra) -> tuple[list[Vector], list[Vector]]:
+    """The two bases of :func:`supercentre`, computed."""
     f, d0, d1 = g.field, g.dim_even, g.dim_odd
     c, a, p = g.bracket, g.action, g.odd_bracket
-    even = sparse_kernel_basis(
+    even = _kernel_vectors(
         f,
         chain(
             ({i: c[i][j][k] for i in range(d0) if c[i][j][k]} for j in range(d0) for k in range(d0)),
@@ -1246,7 +1258,7 @@ def supercentre(g: SuperAlgebra) -> tuple[list[Vector], list[Vector]]:
         ),
         d0,
     )
-    odd = sparse_kernel_basis(
+    odd = _kernel_vectors(
         f,
         chain(
             ({v: a[x][v][w] for v in range(d1) if a[x][v][w]} for x in range(d0) for w in range(d1)),

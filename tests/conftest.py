@@ -60,6 +60,12 @@ def random_monomial(field, n, rng):
     return Matrix(field, [[scalars[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
 
 
+def columns(mats):
+    """The action's nonzero columns, act[x][w] = [(t, c), ...] for e_x(f_w),
+    that the solver takes, from action matrices whose columns are images."""
+    return sa.action_nonzeros([m.transpose().data for m in mats])
+
+
 def random_graded_change(g, rng):
     """Random invertible graded basis change for a superalgebra."""
     return (

@@ -7,7 +7,7 @@ Every expected value is exact; there are no tolerances anywhere.  Run with
 
 import time
 
-from conftest import random_graded_change
+from conftest import columns, random_graded_change
 
 from superbracket.classify import classify
 from superbracket.constructions import (
@@ -62,7 +62,7 @@ def _space(field, dims, mode="standard"):
     return (
         even,
         rep,
-        odd_bracket_space(field, even.bracket, list(rep.matrices()), mode=mode),
+        odd_bracket_space(field, even.bracket, columns(rep.matrices()), mode=mode),
     )
 
 
@@ -354,7 +354,7 @@ def test_criterion_7_sweep_completeness():
                 for d in row.composition
             ]
         )
-        space = odd_bracket_space(F5, even.bracket, list(rep.matrices()))
+        space = odd_bracket_space(F5, even.bracket, columns(rep.matrices()))
         holder = assemble(even, rep, ())
         want = "C" if has_std else "B"
         for i in range(space.dimension):

@@ -377,3 +377,54 @@ def test_central_odd_dimensions_add_no_instances(monkeypatch):
         assert validate(g).ok
         seen.append(sorted(counts))
     assert seen[0] == seen[1] == ["relation_1"] * 4 + ["relation_2"] * 9
+
+
+def test_abelian_3_100_pspace_prints_one_entry_per_basis_tensor(tmp_path):
+    # zero bracket and zero action: no relation has a term, so all 15,150
+    # unknowns are free and the space is spanned by the unit tensors.  The
+    # kernel vectors stay sparse from the eliminator to the printed
+    # entries; written out dense they would be 15,150 vectors of 15,150
+    # entries each
+    from superbracket.fields import QQ
+    from superbracket.schema import serialize_algebra
+    from superbracket.superalgebra import SuperAlgebra
+
+    path = tmp_path / "abelian.json"
+    path.write_text(serialize_algebra(SuperAlgebra.from_entries(QQ, 3, 100)))
+    res = run_cli("pspace", str(path))
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["dim"] == len(doc["basis"]) == 3 * 100 * 101 // 2
+    assert all(len(entries) == 1 for entries in doc["basis"])
+    # the unit tensors in the (u <= v, y) order of the entries
+    units = [[u, v, y, "1/1"] for u in range(100) for v in range(u, 100) for y in range(3)]
+    assert [entries[0] for entries in doc["basis"]] == units
+
+
+def test_info_computes_the_supercentre_once(monkeypatch, tmp_path):
+    # info reports the centre and then asks the classifier whether the
+    # algebra is simple, which needs the centre again: it is computed once
+    # per algebra
+    from superbracket import cli
+    from superbracket import superalgebra as sa
+    from superbracket.constructions import add_centre, build_osp12
+    from superbracket.fields import QQ
+    from superbracket.schema import serialize_algebra
+
+    path = tmp_path / "osp_z2.json"
+    path.write_text(serialize_algebra(add_centre(build_osp12(QQ), 2)))
+    calls = []
+    real = sa._centre_bases
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(sa, "_centre_bases", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["info", str(path)]) in (0, None)
+    doc = json.loads(out.getvalue())
+    assert (doc["centre_dim_odd"], doc["simple"]) == (2, False)
+    assert len(calls) == 1
+    assert out.getvalue() == run_cli("info", str(path)).stdout

@@ -149,6 +149,12 @@ def test_echelon_span_is_canonical():
 ORACLE_FIELDS = [QQ, GF(5), GF(7), GF(10**9 + 7), GF(2**61 - 1)]
 
 
+def densified(field, kernel, n):
+    """The sparse vectors of sparse_kernel_basis on range(n) as Vectors of
+    length n, holding their raw entries."""
+    return [Vector._from_raw(field, [v.get(j, field.zero()) for j in range(n)]) for v in kernel]
+
+
 def field_values(field):
     if field.kind == "prime":
         return st.integers(min_value=1, max_value=field.p - 1)
@@ -217,7 +223,9 @@ def test_sparse_kernel_matches_dense_oracle(field, data):
     for i, j in data.draw(st.lists(st.sampled_from(cells), max_size=3)) if cells else []:
         sparse[i].setdefault(j, rows[i][j])  # explicit zero entries are ignored
     frozen = [dict(r) for r in sparse]
-    basis = sparse_kernel_basis(field, sparse, n)
+    kernel = sparse_kernel_basis(field, sparse, range(n))
+    assert all(list(v) == sorted(v) and all(v.values()) for v in kernel)  # increasing, no zeros
+    basis = densified(field, kernel, n)
     assert basis == [Vector(field, v) for v in dense_kernel(field, rows, n)]
     assert sparse == frozen  # input left untouched
     for v, r in itertools.product(basis, sparse):
@@ -262,11 +270,11 @@ def test_fraction_free_elimination_matches_dense_oracle(rows):
     red, pivots = _rref_raw(QQ, rows)
     assert (red, pivots) == dense_rref(QQ, rows)
     assert all(type(x) is Fraction for row in red for x in row)
-    basis = _reduce(QQ, map(enumerate, rows), n)
+    basis = _reduce(QQ, map(enumerate, rows), set(range(n)))
     assert sorted(basis) == pivots
     for c, row in basis.items():
         assert row[c] == 1 and all(type(x) is Fraction and x for x in row.values())
-    kernel = sparse_kernel_basis(QQ, [dict(enumerate(r)) for r in rows], n)
+    kernel = densified(QQ, sparse_kernel_basis(QQ, [dict(enumerate(r)) for r in rows], range(n)), n)
     assert [list(v.entries) for v in kernel] == dense_kernel(QQ, rows, n)
     assert all(type(x) is Fraction for v in kernel for x in v.entries)
 
@@ -317,10 +325,10 @@ def test_peeling_matches_dense_oracle(field, data):
     red, pivots = _rref_raw(field, dense)
     assert (red, pivots) == dense_rref(field, dense)
     assert chained <= set(pivots)
-    basis = sparse_kernel_basis(field, sparse, n)
+    basis = densified(field, sparse_kernel_basis(field, sparse, range(n)), n)
     assert basis == [Vector(field, v) for v in dense_kernel(field, dense, n)]
     assert sparse == frozen  # the eliminator works on copies
-    forced, left = _peel([r.items() for r in sparse], n)
+    forced, left = _peel([r.items() for r in sparse], set(range(n)))
     assert sparse == frozen  # the peel copies each row
     assert chained <= forced
     assert all(len(r) > 1 and not forced & r.keys() for r in left)
@@ -407,14 +415,39 @@ def test_span_rejects_mixed_fields_and_lengths():
 
 def test_sparse_kernel_rejects_columns_out_of_range():
     with pytest.raises(DimensionMismatch):
-        sparse_kernel_basis(QQ, [{3: Fraction(1)}], 3)
+        sparse_kernel_basis(QQ, [{3: Fraction(1)}], range(3))
     with pytest.raises(DimensionMismatch):
-        sparse_kernel_basis(F5, [{-1: 1}], 3)
+        sparse_kernel_basis(F5, [{-1: 1}], range(3))
     with pytest.raises(DimensionMismatch):
-        sparse_kernel_basis(F5, [{0: 1, 1: 2}, {2: 1, 3: 4}], 3)
-    assert sparse_kernel_basis(F5, [], 2) == [Vector.unit(F5, 2, 0), Vector.unit(F5, 2, 1)]
+        sparse_kernel_basis(F5, [{0: 1, 1: 2}, {2: 1, 3: 4}], range(3))
+    with pytest.raises(DimensionMismatch):
+        sparse_kernel_basis(F5, [{1: 1, 2: 1}], [0, 2, 5])  # between two labels
+    for labels in ([2, 1], [1, 1], [0, 3, 3, 4]):
+        with pytest.raises(DimensionMismatch, match="strictly increasing"):
+            sparse_kernel_basis(F5, [], labels)
+    assert sparse_kernel_basis(F5, [], range(2)) == [{0: 1}, {1: 1}]
+    assert sparse_kernel_basis(F5, [], [4, 9]) == [{4: 1}, {9: 1}]
     # a zero entry is ignored wherever it sits
-    assert sparse_kernel_basis(F5, [{0: 1, 9: 0}], 2) == [Vector.unit(F5, 2, 1)]
+    assert sparse_kernel_basis(F5, [{0: 1, 9: 0}], range(2)) == [{1: 1}]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+@given(data=st.data())
+def test_sparse_kernel_on_increasing_labels_is_the_compacted_kernel_mapped_back(field, data):
+    # the eliminator keys rows by column and pivots on the least one, so on
+    # any strictly increasing labels the kernel is that of the same system
+    # on range(n), column j renamed labels[j]: each vector sparse, its
+    # entries in increasing order, with a 1 at its free column, which comes
+    # last
+    rows = data.draw(raw_systems(field))
+    n = len(rows[0]) if rows else data.draw(st.integers(0, 6))
+    labels = sorted(data.draw(st.sets(st.integers(-(10**6), 10**9), min_size=n, max_size=n)))
+    sparse = [{labels[j]: x for j, x in enumerate(r) if x} for r in rows]
+    kernel = sparse_kernel_basis(field, sparse, labels)
+    expected = [{labels[j]: x for j, x in enumerate(v) if x} for v in dense_kernel(field, rows, n)]
+    assert kernel == expected
+    for v in kernel:
+        assert list(v) == sorted(v) and v[max(v)] == field.one()
 
 
 # --- the raw-entry contract behind Matrix._from_raw / Vector._from_raw -----------
@@ -472,7 +505,7 @@ def test_results_hold_raw_entries(field, data):
         Vector.zero(field, n),
         Vector.unit(field, n, 0),
         *kernel_basis(a),
-        *sparse_kernel_basis(field, [dict(enumerate(r)) for r in a.data], n),
+        *densified(field, sparse_kernel_basis(field, [dict(enumerate(r)) for r in a.data], range(n)), n),
         *echelon_span(field, [v, w]),
     )
     inv = a.inverse()

@@ -3,13 +3,14 @@ import os
 import random
 import threading
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import collected_rows, dense_kernel, random_invertible, random_monomial
+from conftest import collected_rows, columns, dense_kernel, random_invertible, random_monomial
 
 from superbracket import moduli
 from superbracket.classify import classify
@@ -18,6 +19,7 @@ from superbracket.fields import GF, QQ
 from superbracket.linalg import Matrix, Vector, sparse_kernel_basis
 from superbracket.moduli import (
     NotARepresentation,
+    OddBracketSpace,
     UnsupportedMode,
     odd_bracket_space,
     odd_bracket_space_of,
@@ -44,9 +46,7 @@ def space_for(field, dims, mode="standard"):
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
     )
-    return even, rep, odd_bracket_space(
-        field, even.bracket, list(rep.matrices()), mode=mode
-    )
+    return even, rep, odd_bracket_space(field, even.bracket, columns(rep.matrices()), mode=mode)
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -202,19 +202,19 @@ def test_sparse_assembly_matches_naive_oracle(field, dims, rng):
         rep.conjugated(random_monomial(field, rep.dim, rng)),
     ):
         mats = list(module.matrices())
-        space = odd_bracket_space(field, even.bracket, mats)
+        space = odd_bracket_space(field, even.bracket, columns(mats))
         assert flatten(space) == naive_space(field, even.bracket, mats)
 
 
 def spy_rows(monkeypatch):
-    """The list that collects (rows, n_cols) of each sparse_kernel_basis
-    call of the solver."""
+    """The list that collects (rows, labels) of each sparse_kernel_basis
+    call of the solver: the rows and the column labels it hands over."""
     seen = []
     real = moduli.sparse_kernel_basis
 
-    def spy(f, rows, n_cols):
-        seen.append((rows, n_cols))
-        return real(f, rows, n_cols)
+    def spy(f, rows, labels):
+        seen.append((rows, labels))
+        return real(f, rows, labels)
 
     monkeypatch.setattr(moduli, "sparse_kernel_basis", spy)
     return seen
@@ -231,26 +231,28 @@ def test_assembled_rows_hold_nonzero_raw_entries(field, rng, monkeypatch):
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in (3, 2, 1)]
     )
     for module in (rep, rep.conjugated(random_invertible(field, rep.dim, rng))):
-        odd_bracket_space(field, even.bracket, list(module.matrices()))
+        odd_bracket_space(field, even.bracket, columns(module.matrices()))
     assert len(seen) == 2
-    for row, n_cols in ((row, n) for rows, n in seen for row in rows):
+    for row, labels in ((row, set(labels)) for rows, labels in seen for row in rows):
         assert row
         for k, x in row.items():
-            assert 0 <= k < n_cols and x
+            assert k in labels and x
             assert type(x) is int
             if field.kind == "prime":
                 assert 0 < x < field.p
 
 
 def live_system(rows, n):
-    """``(rows, columns)`` of the system the solver hands the eliminator,
+    """``(rows, labels)`` of the system the solver hands the eliminator,
     derived from the oracle's ``rows`` on n columns: the single-entry rows
     dropped, the others restricted to the columns that no single-entry row
-    kills, renumbered in increasing order, and the rows left empty dropped."""
+    kills, and the rows left empty dropped; the labels are those columns,
+    in increasing order.  The columns keep their unknown numbers: the
+    eliminator sees the same system up to the numbering of its columns,
+    since it compares them by order only."""
     dead = {k for row in rows if len(row) == 1 for k in row}
-    new = {k: i for i, k in enumerate(k for k in range(n) if k not in dead)}
-    restricted = [{new[k]: c for k, c in row.items() if k in new} for row in rows if len(row) > 1]
-    return [row for row in restricted if row], len(new)
+    restricted = [{k: c for k, c in row.items() if k not in dead} for row in rows if len(row) > 1]
+    return [row for row in restricted if row], [k for k in range(n) if k not in dead]
 
 
 def unknown_count(even, dim):
@@ -273,21 +275,21 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
     )
     mats = list(rep.conjugated(random_monomial(field, rep.dim, rng)).matrices())
-    space = odd_bracket_space(field, even.bracket, mats, mode=mode)
-    ((rows, n_cols),) = seen
+    space = odd_bracket_space(field, even.bracket, columns(mats), mode=mode)
+    ((rows, labels),) = seen
     n = unknown_count(even, rep.dim)
     oracle, live = live_system(oracle_solver_rows(field, even.bracket, mats, mode), n)
     assert [list(row.items()) for row in rows] == [list(row.items()) for row in oracle]
-    assert n_cols == live
-    act = action_nonzeros([m.transpose().data for m in mats])
+    assert labels == live
+    act = columns(mats)
     p = field.p if field.kind == "prime" else None
     full = [
         row
         for _, _, blocks in compatibility_equations(even.bracket, act, mode)
         for row in collected_rows(blocks, p)
     ]
-    assert flatten(space) == sparse_kernel_basis(field, full, n)
-    assert 3 * len(rows) < len(full) and n_cols < n
+    assert list(space.vectors) == sparse_kernel_basis(field, full, range(n))
+    assert 3 * len(rows) < len(full) and len(labels) < n
 
 
 # sha256 of "[]": every unknown of these systems dies before elimination
@@ -300,27 +302,28 @@ EMPTY_ROWS_DIGEST = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f1116120
         (F7, (5, 3, 3, 1), "standard", EMPTY_ROWS_DIGEST),
         (QQ, (4, 3, 2, 1), "standard", EMPTY_ROWS_DIGEST),
         (GF(3), (3, 2, 1), "char3", EMPTY_ROWS_DIGEST),
-        (QQ, (3, 1, 1, 1), "standard", "6717ff9e0f20aa52515fa5b4d7354513b17a68df841898893a3b0528534b23a2"),
-        (GF(3), (3, 1, 1), "char3", "e73089cc31b15c45d15fcac230b7ae34a3f693bf1d6d123d3ea9d3495b69d533"),
+        (QQ, (3, 1, 1, 1), "standard", "1b61bca8ebb21dee933ef08dcad74d5f9575ea8bb7c9b02813eb8010b23aec38"),
+        (GF(3), (3, 1, 1), "char3", "62ed853bb913c07d03e1cf6ff0fac266e5a6baac5eaa3952294662c5338c501d"),
     ],
     ids=["F_7-5331", "Q-4321", "F_3-321-char3", "Q-3111", "F_3-311-char3"],
 )
 def test_solver_rows_are_pinned(field, dims, mode, digest, monkeypatch):
-    # sha256 of repr(rows) handed to the eliminator in the standard basis:
-    # every row, the order of its entries and the order of the rows are
-    # pinned, since fraction-free pivoting depends on row order.  Only the
+    # sha256 of repr(rows) handed to the eliminator in the standard basis,
+    # each row under its own unknown numbers: every row, the order of its
+    # entries and the order of the rows are pinned, since fraction-free
+    # pivoting depends on row order.  Only the
     # modules with a nonzero space keep live rows.  The Q
     # module's entries are integers, so the solver clears them by D = 1 and
     # its rows are those of the raw tensors, each Fraction(n, 1) as the int n
     seen = spy_rows(monkeypatch)
     even, rep, _ = space_for(field, dims, mode)
-    ((rows, n_cols),) = seen
+    ((rows, labels),) = seen
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
     oracle, live = live_system(
         oracle_solver_rows(field, even.bracket, list(rep.matrices()), mode), unknown_count(even, rep.dim)
     )
     assert [list(row.items()) for row in rows] == [list(row.items()) for row in oracle]
-    assert n_cols == live
+    assert labels == live
 
 
 def oracle_solver_rows(field, bracket, mats, mode="standard"):
@@ -329,7 +332,7 @@ def oracle_solver_rows(field, bracket, mats, mode="standard"):
     then relation 1, each instance without the unknowns that the
     single-entry rows collected before it killed; returned in the
     generator's order, relation 1 first."""
-    act = action_nonzeros([m.transpose().data for m in mats])
+    act = columns(mats)
     p = field.p if field.kind == "prime" else None
     dead: set = set()
 
@@ -366,10 +369,10 @@ def test_solver_rows_are_the_oracle_rows_times_the_common_denominator(dims, rng,
         entries += [x for m in mats for row in m.data for x in row]
         d = lcm(*(x.denominator for x in entries))
         assert d > 1
-        space = odd_bracket_space(QQ, even.bracket, mats)
-        rows, n_cols = seen.pop()
+        space = odd_bracket_space(QQ, even.bracket, columns(mats))
+        rows, labels = seen.pop()
         oracle, live = live_system(oracle_solver_rows(QQ, even.bracket, mats), unknown_count(even, rep.dim))
-        assert n_cols == live
+        assert labels == live
         assert [list(row.items()) for row in rows] == [
             [(k, d * c) for k, c in row.items()] for row in oracle
         ]
@@ -393,10 +396,10 @@ def test_solver_keeps_fractions_past_the_cut_off(monkeypatch):
     action = [m.transpose().data for m in mats]
     assert lcm(*(x.denominator for plane in action for row in plane for x in row)).bit_length() > 2048
     assert clear_denominators(QQ, (even.bracket, action))[0] == 1
-    space = odd_bracket_space(QQ, even.bracket, mats)
-    ((rows, n_cols),) = seen
+    space = odd_bracket_space(QQ, even.bracket, columns(mats))
+    ((rows, labels),) = seen
     oracle, live = live_system(oracle_solver_rows(QQ, even.bracket, mats), unknown_count(even, n))
-    assert n_cols == live
+    assert labels == live
     assert [list(row.items()) for row in rows] == [list(row.items()) for row in oracle]
     assert all(type(x) is Fraction for row in rows for x in row.values())
     assert any(x.denominator > 1 for row in rows for x in row.values())
@@ -472,15 +475,127 @@ def test_weight_kills_are_the_dead_set_of_relation_2_at_a_diagonal_direction(p, 
         diagonal = all(t == w for w, col in enumerate(act[x]) for t, _ in col) and all(
             y == z for z, col in enumerate(rel.ecols[x]) for y, _ in col
         )
-        kills = moduli._weight_kills(rel, act, x, p)
+        weights = moduli._weights(rel, act, x)
         if not diagonal:
-            assert kills is None
+            assert weights is None
             continue
+        kills = moduli._weight_kills(rel, *weights, p)
         rows, dead = [], set()
         for _, _, terms in rel.relation_2((x, pair) for pair in rel._pairs()):
             moduli._append_rows(rows, terms, dead, p)
         assert rows == []
         assert sorted(kills) == sorted(dead)
+
+
+@given(
+    p=st.sampled_from((3, 5, 7, None, "fractions")),
+    d0=st.integers(2, 4),
+    d1=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relation_2_left_out_at_the_other_directions_gives_no_row_and_no_kill(p, d0, d1, seed):
+    # a random sparse bracket and action with one diagonal direction x0,
+    # anywhere; neither need be antisymmetric, satisfy the Jacobi identity
+    # or be a representation, and every other direction is random, diagonal
+    # or not.  With the unknowns that the weights of x0 kill dead, each
+    # instance of relation 2 at another x that the solver leaves out gives
+    # no row and kills nothing, and those it keeps come in the generator's
+    # order with its terms
+    rng = random.Random(seed)
+    if p == "fractions":
+        p, pool = None, (0, BIG_A, -BIG_A, BIG_B, BIG_A + BIG_B, 2 * BIG_A, BIG_A - BIG_B)
+    else:
+        pool = range(-3, 4) if p is None else range(-2 * p, 2 * p)
+    density = rng.random()
+
+    def plane(d, diagonal):
+        return [[rng.choice(pool) if i == j or not diagonal and rng.random() < density else 0 for j in range(d)] for i in range(d)]
+
+    x0 = rng.randrange(d0)
+    diagonal = [x == x0 or rng.random() < 0.3 for x in range(d0)]
+    bracket = [plane(d0, diag) for diag in diagonal]
+    act = action_nonzeros([plane(d1, diag) for diag in diagonal])
+    rel = _Relations(bracket, act)
+    weights = moduli._weights(rel, act, x0)
+    dead = set(moduli._weight_kills(rel, *weights, p))
+    xs = [x for x in range(d0) if x != x0]
+    kept = list(moduli._live_relation_2(rel, act, xs, weights, p))
+    full = list(rel.relation_2(product(xs, rel._pairs())))
+    chosen = {indices for _, indices, _ in kept}
+    assert kept == [e for e in full if e[1] in chosen]
+    for _, indices, terms in full:
+        if indices not in chosen:
+            rows, killed = [], set(dead)
+            moduli._append_rows(rows, terms, killed, p)
+            assert rows == [] and killed == dead, indices
+
+
+def test_relation_2_at_e_and_f_is_collected_only_where_the_weights_leave_an_unknown(monkeypatch):
+    # sl(2) on V(4) + V(2) + V(2) + V(0) over F_7 in the weight basis: H is
+    # diagonal, and of the 2 x 66 instances of relation 2 at E and F the
+    # solver collects only those with an unknown that H's weights leave
+    # alive; the space is the oracle's
+    instances = []
+    real = moduli._live_relation_2
+
+    def counted(*args):
+        for instance in real(*args):
+            instances.append(instance[1])
+            yield instance
+
+    monkeypatch.setattr(moduli, "_live_relation_2", counted)
+    even, rep, space = space_for(F7, (5, 3, 3, 1))
+    assert 0 < len(instances) < 2 * 66
+    assert {x for x, _, _ in instances} == {0, 2}
+    assert flatten(space) == naive_space(F7, even.bracket, list(rep.matrices())) == []
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_solver_checks_the_columns_it_is_handed(field):
+    # sl(2) on its standard module, V(1): E f_1 = f_0, H f_0 = f_0,
+    # H f_1 = -f_1, F f_0 = f_1
+    even = sl2_algebra(field)
+    e, h, f = columns(build_irrep(IrrepSpec.standard_params(field, 1), field).matrices())
+    assert odd_bracket_space(field, even.bracket, [e, h, f]).dimension == 1
+    one, zero = field.one(), field.zero()
+    other = Fraction(1, 2) if field.kind == "prime" else 1
+    bad = [
+        ([e, h], "columns for each even basis vector"),
+        ([e[:1], h, f], "one action column per odd one"),
+        ([[[], [(2, one)]], h, f], "increase within the odd indices"),
+        ([[[], [(-1, one)]], h, f], "increase within the odd indices"),
+        ([[[], [(1, one), (0, one)]], h, f], "increase within the odd indices"),
+        ([[[], [(0, one), (0, one)]], h, f], "increase within the odd indices"),
+        ([[[], [(0.0, one)]], h, f], "increase within the odd indices"),
+        ([[[], [(0, zero)]], h, f], "nonzero raw elements"),
+        ([[[], [(0, other)]], h, f], "nonzero raw elements"),
+    ]
+    if field.kind == "prime":
+        bad.append(([[[], [(0, field.p + 1)]], h, f], "nonzero raw elements"))
+    for act, message in bad:
+        with pytest.raises(ValueError, match=message):
+            odd_bracket_space(field, even.bracket, act)
+    with pytest.raises(ValueError, match="d0 x d0 x d0"):
+        odd_bracket_space(field, [plane[:2] for plane in even.bracket], [e, h, f])
+
+
+def test_space_from_tensors_and_from_sparse_vectors_agree():
+    # the solver makes a space from sparse vectors; one made positionally
+    # from tensors, as a caller that reads a printed basis back does, has
+    # the same vectors, and each form is built from the other on first use
+    even, rep, space = space_for(QQ, (3, 1, 1))
+    assert space.dimension == 2
+    for vector in space.vectors:
+        assert list(vector) == sorted(vector) and all(vector.values())
+    again = OddBracketSpace(QQ, space.dim_even, space.dim_odd, space.basis)
+    assert again.dimension == 2
+    assert again.vectors == space.vectors and again.basis == space.basis
+    g0 = solution_holder(QQ, even, rep)
+    for i in range(2):
+        assert solution_to_algebra(g0, again, i) == solution_to_algebra(g0, space, i)
+    for args in ((), ((), ())):
+        with pytest.raises(ValueError, match="either as tensors or as sparse vectors"):
+            OddBracketSpace(QQ, 3, 5, *args)
 
 
 def gl2_bracket(field):
@@ -535,9 +650,9 @@ def test_even_parts_with_idle_directions_match_naive_oracle(field, mode, rng, mo
         for t in (Matrix.identity(field, n), random_monomial(field, n, rng), random_invertible(field, n, rng)):
             t_inv = t.inverse()
             module = [t_inv @ m @ t for m in mats]
-            space = odd_bracket_space(field, bracket, module, mode=mode)
+            space = odd_bracket_space(field, bracket, columns(module), mode=mode)
             assert flatten(space) == naive_space(field, bracket, module, mode=mode), name
-            _, n_cols = seen.pop()
+            n_cols = len(seen.pop()[1])
             unknowns = len(bracket) * n * (n + 1) // 2
             dead_somewhere |= n_cols < unknowns
             alive_everywhere |= n_cols == unknowns
@@ -564,7 +679,7 @@ def test_char3_assembly_matches_naive_oracle(dims, rng):
         rep.conjugated(random_monomial(f3, rep.dim, rng)),
     ):
         mats = list(module.matrices())
-        space = odd_bracket_space(f3, even.bracket, mats, mode="char3")
+        space = odd_bracket_space(f3, even.bracket, columns(mats), mode="char3")
         assert flatten(space) == naive_space(f3, even.bracket, mats, mode="char3")
 
 
@@ -586,8 +701,8 @@ def test_char3_cubic_rows_bite_on_an_abelian_even_part(mats, rng):
     t = random_invertible(f3, mats[0].rows, rng)
     t_inv = t.inverse()
     for module in (mats, [t_inv @ m @ t for m in mats]):
-        standard = odd_bracket_space(f3, zero, module)
-        space = odd_bracket_space(f3, zero, module, mode="char3")
+        standard = odd_bracket_space(f3, zero, columns(module))
+        space = odd_bracket_space(f3, zero, columns(module), mode="char3")
         assert space.dimension < standard.dimension
         assert flatten(space) == naive_space(f3, zero, module, mode="char3")
         assert flatten(standard) == naive_space(f3, zero, module)
@@ -632,13 +747,11 @@ def test_dimension_invariant_under_module_base_change(rng):
         rep = RepMatrices.direct_sum(
             [build_irrep(IrrepSpec.standard_params(F5, d - 1), F5) for d in dims]
         )
-        base = odd_bracket_space(F5, even.bracket, list(rep.matrices())).dimension
+        base = odd_bracket_space(F5, even.bracket, columns(rep.matrices())).dimension
         for _ in range(3):
             t = random_invertible(F5, rep.dim, rng)
             conj = rep.conjugated(t)
-            dim = odd_bracket_space(
-                F5, even.bracket, list(conj.matrices())
-            ).dimension
+            dim = odd_bracket_space(F5, even.bracket, columns(conj.matrices())).dimension
             assert dim == base
 
 
@@ -670,7 +783,7 @@ def test_solver_rejects_non_representations():
     even = sl2_algebra(QQ)
     bogus = [Matrix.identity(QQ, 2)] * 3
     with pytest.raises(ValueError, match="represent"):
-        odd_bracket_space(QQ, even.bracket, bogus)
+        odd_bracket_space(QQ, even.bracket, columns(bogus))
 
 
 def test_solver_names_the_failing_pairs_like_validate():
@@ -693,7 +806,7 @@ def test_char2_documents_are_refused():
         odd_bracket_space_of(g)
     mats = [g.action_matrix(i) for i in range(g.dim_even)]
     with pytest.raises(UnsupportedMode):
-        odd_bracket_space(g.field, g.bracket, mats, mode="char2")
+        odd_bracket_space(g.field, g.bracket, columns(mats), mode="char2")
 
 
 def test_sweep_budget_guards():
@@ -779,6 +892,18 @@ def test_sweep_on_one_cpu_is_serial_and_pinned(cpus, monkeypatch):
     assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
 
 
+def test_sweep_builds_no_direct_sum(cpus, monkeypatch):
+    # each composition's columns are its summands' columns, shifted by
+    # their offsets: no dense direct-sum matrix is built
+    cpus(1)
+
+    def direct_sum(parts):
+        raise AssertionError("the sweep built a direct sum")
+
+    monkeypatch.setattr(RepMatrices, "direct_sum", staticmethod(direct_sum))
+    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+
+
 def test_sweep_beside_another_thread_does_not_fork(cpus, monkeypatch):
     cpus(2)
     forbid_fork(monkeypatch)
@@ -802,12 +927,12 @@ def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim,
     # (2,) among them; the patch is inherited by the fork
     cpus(2)
     real = moduli.odd_bracket_space
-    target = list(build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
+    target = columns(build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
 
-    def failing(field, bracket, mats, *args, **kwargs):
-        if list(mats) == target:
+    def failing(field, bracket, act, *args, **kwargs):
+        if act == target:
             raise ValueError(f"no solution space for ({dim},)")
-        return real(field, bracket, mats, *args, **kwargs)
+        return real(field, bracket, act, *args, **kwargs)
 
     monkeypatch.setattr(moduli, "odd_bracket_space", failing)
     with pytest.raises(ValueError, match=rf"^no solution space for \({dim},\)$") as info:

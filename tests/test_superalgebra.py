@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from conftest import random_invertible
+from conftest import columns, random_invertible
 
 from superbracket.constructions import (
     add_centre,
@@ -304,7 +304,7 @@ def _random_oracle_instance(rng, dims):
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(F5, d - 1), F5) for d in dims]
     )
-    space = odd_bracket_space(F5, even.bracket, list(rep.matrices()))
+    space = odd_bracket_space(F5, even.bracket, columns(rep.matrices()))
     tensors = [
         [[F5.zero()] * 3 for _ in range(rep.dim)] for _ in range(rep.dim)
     ]

@@ -24,10 +24,11 @@ from .linalg import (
     echelon_span,
     intertwiners,
 )
-from .sl2 import Sl2Triple, verify_triple
+from .sl2 import Sl2Triple, _proportionality, verify_triple
 from .superalgebra import (
     MorphismCertificate,
     SuperAlgebra,
+    _grouped,
     check_morphism,
     is_simple_3dim,
     supercentre,
@@ -122,14 +123,14 @@ def classify(g: SuperAlgebra) -> ClassificationResult:
 
 def _action_image(g: SuperAlgebra) -> list[Vector]:
     """Echelon basis of the span of every e_x(f_v)."""
-    return echelon_span(g.field, [Vector._from_raw(g.field, row) for plane in g.action for row in plane])
+    f, zero = g.field, g.field.zero()
+    images = _grouped(((x, v), w, c) for (x, v, w), c in g._act.items())
+    return echelon_span(f, [Vector._from_raw(f, [e.get(w, zero) for w in range(g.dim_odd)]) for e in images])
 
 
 def _action_kernel(g: SuperAlgebra) -> list[Vector]:
     """Basis of the odd vectors every e_x kills: one row per (x, w)."""
-    d1 = g.dim_odd
-    rows = ({v: plane[v][w] for v in range(d1) if plane[v][w]} for plane in g.action for w in range(d1))
-    return _kernel_vectors(g.field, rows, d1)
+    return _kernel_vectors(g.field, _grouped(((x, w), v, c) for (x, v, w), c in g._act.items()), g.dim_odd)
 
 
 def _action_on(g: SuperAlgebra, summand: list[Vector]) -> list[Matrix]:
@@ -141,21 +142,6 @@ def _action_on(g: SuperAlgebra, summand: list[Vector]) -> list[Matrix]:
     if None in mats:
         raise _TheoremViolated("action image is not invariant")
     return mats
-
-
-def _proportionality(target: Vector, reference: Vector):
-    """Scalar c with target = c * reference, or None."""
-    field = target.field
-    c = None
-    for t, r in zip(target.entries, reference.entries):
-        if r:
-            c = field.div(t, r)
-            break
-        if t:
-            return None
-    if c is None:
-        return None
-    return c if target == reference.scaled(c) else None
 
 
 def _verified(cert: MorphismCertificate) -> MorphismCertificate:

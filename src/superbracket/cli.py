@@ -372,20 +372,10 @@ def cmd_pspace(path, mode):
 
 @cli.command("decompose")
 @click.argument("path")
-@click.option(
-    "--triple-budget",
-    type=int,
-    default=None,
-    help="Search budget for the sl(2)-triple (height over Q, exhaustion "
-    "bound over F_p).",
-)
-def cmd_decompose(path, triple_budget):
+def cmd_decompose(path):
     """Split the document's odd module into irreducible summands."""
     g, _ = _load(path)
-    kwargs = {}
-    if triple_budget is not None:
-        kwargs = {"fp_max": max(13, triple_budget), "q_budget": triple_budget}
-    triple = find_sl2_triple(g, **kwargs)
+    triple = find_sl2_triple(g)
     if isinstance(triple, Undetermined):
         _echo(json.dumps({"error": triple.reason}), err=True)
         sys.exit(EXIT_UNDETERMINED)

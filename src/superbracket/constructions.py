@@ -265,13 +265,7 @@ def build_double(g: SuperAlgebra, phi: Matrix) -> SuperAlgebra:
         field,
         n,
         d1,
-        bracket=[
-            (i, j, k, g.bracket[i][j][k])
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(n)
-            if g.bracket[i][j][k]
-        ],
+        bracket=[(*key, c) for key, c in g._even.items()],
         action=action_entries,
         odd_bracket=odd_entries,
         mode="standard",
@@ -288,73 +282,31 @@ def add_centre(g: SuperAlgebra, z: int) -> SuperAlgebra:
         raise ValueError("z must be nonnegative")
     if z == 0:
         return g
-    field = g.field
-    d0, d1 = g.dim_even, g.dim_odd
-    new_d1 = d1 + z
-    zero = field.zero()
-    action = [
-        [
-            [g.action[x][v][w] if v < d1 and w < d1 else zero for w in range(new_d1)]
-            for v in range(new_d1)
-        ]
-        for x in range(d0)
-    ]
-    odd = [
-        [
-            [
-                g.odd_bracket[u][v][k] if u < d1 and v < d1 else zero
-                for k in range(d0)
-            ]
-            for v in range(new_d1)
-        ]
-        for u in range(new_d1)
-    ]
-    sq = None
-    if g.mode == "char2":
-        sq = [
-            [
-                [
-                    g.squaring[u][v][k] if u < d1 and v < d1 else zero
-                    for k in range(d0)
-                ]
-                for v in range(new_d1)
-            ]
-            for u in range(new_d1)
-        ]
-    return SuperAlgebra(
-        field, d0, new_d1, g.bracket, action, odd, mode=g.mode, squaring=sq
-    )
+    return SuperAlgebra._of(g.field, g.dim_even, g.dim_odd + z, g.mode, g._even, g._act, g._odd, g._sq)
 
 
-def assemble(
-    even: SuperAlgebra,
-    rep,
-    odd_entries=(),
-    odd_tensor=None,
-    mode: str = "standard",
-) -> SuperAlgebra:
+def assemble(even: SuperAlgebra, rep, odd_entries=()) -> SuperAlgebra:
     """Glue an even algebra with basis (E, H, F), a module given by
-    RepMatrices, and an odd bracket into a validated superalgebra.
-
-    The odd bracket comes either as (u, v, x, coeff) entries with u <= v or
-    as a dense d1 x d1 x d0 tensor (upper part authoritative).  Raises
-    AssembleError carrying the full report when the axioms fail.
+    RepMatrices, and an odd bracket given as (u, v, x, coeff) entries with
+    u <= v into a validated superalgebra in the even algebra's axiom mode.
+    Raises AssembleError carrying the full report when the axioms fail.
     """
-    field = even.field
     if even.dim_odd != 0 or even.dim_even != 3:
         raise ValueError("assemble expects a purely even 3-dimensional algebra")
-    mats = rep.matrices()
-    d1 = rep.dim
+    if even.mode == "char2":
+        raise ValueError("char2 mode needs a squaring, not an odd bracket")
+    # column v of the matrix of e_x is e_x(f_v)
     action = [
-        [[mats[x].data[w][v] for w in range(d1)] for v in range(d1)]
-        for x in range(3)
+        (x, v, w, c) for x, m in enumerate(rep.matrices()) for w, row in enumerate(m.data) for v, c in enumerate(row) if c
     ]
-    if odd_tensor is None:
-        odd_tensor = [[[field.zero()] * 3 for _ in range(d1)] for _ in range(d1)]
-        for u, v, x, coeff in odd_entries:
-            odd_tensor[u][v][x] = field.add(odd_tensor[u][v][x], field.coerce(coeff))
-    g = SuperAlgebra.from_tensors(
-        field, even.bracket, action, odd_tensor, mode=mode
+    g = SuperAlgebra.from_entries(
+        even.field,
+        3,
+        rep.dim,
+        bracket=[(*key, c) for key, c in even._even.items()],
+        action=action,
+        odd_bracket=odd_entries,
+        mode=even.mode,
     )
     report = validate(g)
     if not report.ok:

@@ -102,6 +102,7 @@ from .linalg import sparse_kernel_basis
 from .sl2 import IrrepSpec, build_irrep
 from .superalgebra import (
     SuperAlgebra,
+    _columns,
     _Relations,
     _supported_triples,
     action_nonzeros,
@@ -419,7 +420,8 @@ def odd_bracket_space_of(g: SuperAlgebra, mode: str | None = None) -> OddBracket
     """Solution space for g's own even part and action (its odd bracket is
     ignored -- this asks what brackets *could* live on the module).  The
     mode defaults to g's own, so a char2 document is refused."""
-    space = odd_bracket_space(g.field, g.bracket, action_nonzeros(g.action), mode=mode or g.mode)
+    act = _columns(g._act, g.dim_even, g.dim_odd)
+    space = odd_bracket_space(g.field, g.bracket, act, mode=mode or g.mode)
     # with no even part there are no action columns to read d1 off
     return OddBracketSpace(g.field, g.dim_even, g.dim_odd, vectors=space.vectors)
 

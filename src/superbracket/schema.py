@@ -168,41 +168,25 @@ def parse_algebra(text: str | bytes) -> tuple[SuperAlgebra, dict]:
     return g, dict(metadata)
 
 
-def _tensor_entries(field, tensor, symmetric: bool) -> list:
-    out = []
-    for i, plane in enumerate(tensor):
-        for j, row in enumerate(plane):
-            if symmetric and j < i:
-                continue
-            if not symmetric and j <= i:
-                continue
-            for k, value in enumerate(row):
-                if value:
-                    out.append([i, j, k, field.format(value)])
-    return out
-
-
 def serialize_algebra(g: SuperAlgebra, metadata: dict | None = None) -> str:
     """Canonical serialization (stable key order, sorted sparse entries)."""
     field = g.field
+
+    def entries(sector: dict) -> list:
+        return [[*key, field.format(c)] for key, c in sorted(sector.items())]
+
     doc: dict = {
         "field": field_to_json(field),
         "dim_even": g.dim_even,
         "dim_odd": g.dim_odd,
         "axiom_mode": g.mode,
-        "bracket_even": _tensor_entries(field, g.bracket, symmetric=False),
-        "action": [
-            [x, v, w, field.format(g.action[x][v][w])]
-            for x in range(g.dim_even)
-            for v in range(g.dim_odd)
-            for w in range(g.dim_odd)
-            if g.action[x][v][w]
-        ],
+        "bracket_even": entries(g._even),
+        "action": entries(g._act),
     }
     if g.mode == "char2":
-        doc["squaring"] = _tensor_entries(field, g.squaring, symmetric=True)
+        doc["squaring"] = entries(g._sq)
     else:
-        doc["p_map"] = _tensor_entries(field, g.odd_bracket, symmetric=True)
+        doc["p_map"] = entries(g._odd)
     if metadata:
         doc["metadata"] = {k: metadata[k] for k in sorted(metadata)}
     return json.dumps(doc, indent=2) + "\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .fields import Field, FieldError, Scalar
@@ -73,6 +74,21 @@ def verify_triple(g: SuperAlgebra, triple: Sl2Triple) -> bool:
     )
 
 
+def _proportionality(target: Vector, reference: Vector):
+    """Scalar c with target = c * reference, or None."""
+    field = target.field
+    c = None
+    for t, r in zip(target.entries, reference.entries):
+        if r:
+            c = field.div(t, r)
+            break
+        if t:
+            return None
+    if c is None:
+        return None
+    return c if target == reference.scaled(c) else None
+
+
 def _triple_from_h(g: SuperAlgebra, h: Vector) -> Sl2Triple | None:
     """Given H with ad(H) eigenvalues {2, 0, -2}, solve for E and F."""
     field = g.field
@@ -82,27 +98,24 @@ def _triple_from_h(g: SuperAlgebra, h: Vector) -> Sl2Triple | None:
     if not e_space or not f_space:
         return None
     e0, f0 = e_space[0], f_space[0]
-    bracket = g.even_bracket_vec(e0, f0)
     # [E0, F0] lies in ker(ad H); demand it be a nonzero multiple of H
-    c = None
-    for i, hx in enumerate(h.entries):
-        if hx:
-            c = field.div(bracket.entries[i], hx)
-            break
+    c = _proportionality(g.even_bracket_vec(e0, f0), h)
     if c is None or not c:
-        return None
-    if bracket != h.scaled(c):
         return None
     cand = Sl2Triple(e0.scaled(field.inv(c)), h, f0)
     return cand if verify_triple(g, cand) else None
 
 
-def find_sl2_triple(
-    g: SuperAlgebra, fp_max: int = 13, q_budget: int = 2
-) -> Sl2Triple | None | Undetermined:
+# the triple search's bounds: it tries p^3 candidates for H over F_p and
+# (2b + 1)^3 of height at most b over Q, past seconds for larger bounds
+_FP_MAX = 13
+_Q_HEIGHT = 2
+
+
+def find_sl2_triple(g: SuperAlgebra) -> Sl2Triple | None | Undetermined:
     """Search the 3-dimensional even part of g for an sl(2)-triple.
 
-    Over F_p (p <= fp_max) the search is exhaustive over all H candidates,
+    Over F_p (p <= 13) the search is exhaustive over all H candidates,
     so None is a proof that no triple exists (the algebra is non-split).
     Over Q only a finite list of small integer combinations is tried for H,
     and exhausting it yields Undetermined, never None.
@@ -112,35 +125,19 @@ def find_sl2_triple(
         raise ValueError("triple search requires a 3-dimensional even part")
     if field.kind == "prime":
         p = field.p
-        if p > fp_max:
-            return Undetermined(f"p={p} exceeds the exhaustive-search bound {fp_max}")
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
-                    if a == b == c == 0:
-                        continue
-                    t = _triple_from_h(g, Vector(field, [a, b, c]))
-                    if t is not None:
-                        return t
+        if p > _FP_MAX:
+            return Undetermined(f"p={p} exceeds the exhaustive-search bound {_FP_MAX}")
+        for h in product(range(p), repeat=3):
+            t = _triple_from_h(g, Vector(field, h)) if any(h) else None
+            if t is not None:
+                return t
         return None
 
-    # rationals: try H proportional to small primitive integer combinations,
-    # sparsest (hence basis vectors) first
-    candidates: list[tuple[int, int, int]] = []
-    bound = q_budget
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            for c in range(-bound, bound + 1):
-                v = (a, b, c)
-                if v == (0, 0, 0):
-                    continue
-                if math.gcd(math.gcd(abs(a), abs(b)), abs(c)) != 1:
-                    continue
-                # primitive, first nonzero positive: one per line
-                first = next(x for x in v if x)
-                if first < 0:
-                    continue
-                candidates.append(v)
+    # rationals: try H proportional to small primitive integer combinations
+    # (first nonzero positive: one per line), sparsest (hence basis vectors)
+    # first
+    heights = range(-_Q_HEIGHT, _Q_HEIGHT + 1)
+    candidates = [v for v in product(heights, repeat=3) if math.gcd(*v) == 1 and next(x for x in v if x) > 0]
     candidates.sort(
         key=lambda v: (
             max(abs(x) for x in v),
@@ -165,7 +162,7 @@ def find_sl2_triple(
         if t is not None:
             return t
     return Undetermined(
-        f"no rational sl(2)-triple found among integer combinations of height <= {q_budget}"
+        f"no rational sl(2)-triple found among integer combinations of height <= {_Q_HEIGHT}"
     )
 
 

@@ -1,15 +1,20 @@
 """Structure-constant model of finite-dimensional Lie superalgebras.
 
-A superalgebra here is g = g0 + g1 over an exact field, stored as three
-dense tensors:
+A superalgebra here is g = g0 + g1 over an exact field, stored as the
+nonzero entries of its structure constants, keyed as the canonical document
+keys them:
 
-* ``bracket[i][j]``      -- coordinates of [e_i, e_j] in the even basis,
-* ``action[x][v]``       -- coordinates of e_x(f_v) in the odd basis,
-* ``odd_bracket[u][v]``  -- coordinates of {f_u, f_v} in the even basis.
+* the even bracket at (i, j, k), i < j  -- coefficient of e_k in [e_i, e_j],
+* the action at (x, v, w)              -- coefficient of f_w in e_x(f_v),
+* the odd bracket at (u, v, x), u <= v -- coefficient of e_x in {f_u, f_v}.
+
+The dense tensors ``bracket[i][j]``, ``action[x][v]`` and
+``odd_bracket[u][v]`` are read-only views, built on first use for the code
+that indexes them.
 
 Antisymmetry of the even bracket and symmetry of the odd one are enforced
-structurally: constructors take the entries with i < j (resp. u <= v) and
-mirror them, so those symmetries cannot be violated by construction.
+structurally: only the entries with i < j (resp. u <= v) are stored, and
+the views mirror them, so those symmetries cannot be violated.
 
 Three axiom modes are supported.  ``standard`` is the usual super Jacobi
 identity, split into the four graded checks (even Jacobi, representation
@@ -51,9 +56,9 @@ which packs each action column once and sums each (i, j, w) of
 [rho_i, rho_j] - sum_k c_ijk rho_k as one integer, on integers only.
 
 Each algebra keeps a private integer form, built on first use and left out
-of equality and hashing: over Q the bracket and action scaled by one common
-denominator D, and the odd bracket by its own D_p
-(:func:`clear_denominators`); over F_p the tensors themselves.
+of equality and hashing: over Q the entries of the bracket and action
+scaled by one common denominator D, and those of the odd bracket by its
+own D_p (:func:`clear_denominators`); over F_p the entries themselves.
 :func:`validate`, :func:`check_morphism`, :func:`killing_form`,
 :meth:`SuperAlgebra.conjugated` and the bilinear maps
 (``even_bracket_vec``, ``act_vec``, ``odd_bracket_vec``) all read it.  Every
@@ -75,7 +80,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations_with_replacement, product
 from math import lcm
-from operator import mul, or_
+from operator import mul, neg, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .fields import Field
@@ -143,49 +148,124 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _zero_tensor(field, a, b, c):
-    z = field.zero()
-    return [[[z] * c for _ in range(b)] for _ in range(a)]
-
-
 def _freeze3(t):
     return tuple(tuple(tuple(row) for row in plane) for plane in t)
 
 
-def _bilinear(tensor, x, y, n: int) -> list:
-    """The n sums over a, b of x_a y_b tensor[a][b], over the nonzeros of x,
-    y and each row.  Plain + and * on the raw entries, so ints or Fractions
-    alike and nothing reduced mod p: the caller reduces."""
-    out = [0] * n
-    for a, xa in enumerate(x):
-        if xa:
-            plane = tensor[a]
-            for b, yb in enumerate(y):
-                if yb:
-                    c = xa * yb
-                    for k, z in enumerate(plane[b]):
-                        if z:
-                            out[k] += c * z
+def _same(c):
+    return c
+
+
+def _rows(entries: dict, mirror=None) -> dict:
+    """rows[i][j]: the nonzeros (k, c), k increasing, of the entries
+    ``{(i, j, k): c}``; with a ``mirror``, also (k, mirror(c)) at
+    rows[j][i] for i != j, as the even bracket (negated) and the odd
+    bracket (:func:`_same`) mirror their stored entries."""
+    rows: dict = {}
+    for (i, j, k), c in sorted(entries.items()):
+        rows.setdefault(i, {}).setdefault(j, []).append((k, c))
+        if mirror and i != j:
+            rows.setdefault(j, {}).setdefault(i, []).append((k, mirror(c)))
+    return rows
+
+
+def _dense(entries: dict, shape, zero=0, mirror=None) -> list:
+    """The nested lists of the tensor of the given shape that holds the
+    entries ``{(i, j, k): c}``, each mirrored as in :func:`_rows`, and
+    ``zero`` elsewhere."""
+    a, b, n = shape
+    t = [[[zero] * n for _ in range(b)] for _ in range(a)]
+    for (i, j, k), c in entries.items():
+        t[i][j][k] = c
+        if mirror:
+            t[j][i][k] = mirror(c)
+    return t
+
+
+def _columns(action: dict, d0: int, d1: int) -> list:
+    """act[x][v]: the nonzeros (w, c), w increasing, of e_x(f_v), from the
+    action's entries ``{(x, v, w): c}``, as :func:`action_nonzeros` builds
+    them."""
+    act = [[[] for _ in range(d1)] for _ in range(d0)]
+    for (x, v, w), c in sorted(action.items()):
+        act[x][v].append((w, c))
+    return act
+
+
+def _grouped(cells) -> list:
+    """The sparse rows ``{column: value}`` of the cells (row key, column,
+    value), one row per key."""
+    rows: dict = {}
+    for key, col, c in cells:
+        rows.setdefault(key, {})[col] = c
+    return list(rows.values())
+
+
+def _nonzeros(tensor, shape, start, refusal: str, convert=_same) -> dict:
+    """``{(i, j, k): c}`` for the nonzero c = convert(tensor[i][j][k]) of a
+    dense tensor of the given shape, read at j >= i + start only (at every j
+    for start None); raises ShapeError with ``refusal`` when a plane, or a
+    row that is read, has the wrong length."""
+    a, b, n = shape
+    if len(tensor) != a or any(len(plane) != b for plane in tensor):
+        raise ShapeError(refusal)
+    out = {}
+    for i, plane in enumerate(tensor):
+        for j in range(0 if start is None else i + start, b):
+            row = plane[j]
+            if len(row) != n:
+                raise ShapeError(refusal)
+            for k, c in enumerate(map(convert, row)):
+                if c:
+                    out[i, j, k] = c
     return out
 
 
-def _contract(tensor, x) -> tuple:
-    """The plane sum over a of x_a tensor[a], as a one-plane tensor h with
-    ``_bilinear(h, (1,), y, n) == _bilinear(tensor, x, y, n)`` for every y.
-    Rows that are zero in every plane x touches stay ``()``, so a sparse
-    tensor gives a sparse plane.  Raw entries, nothing reduced mod p."""
-    rows: dict = {}
-    for a, xa in enumerate(x):
+def _upper_parts(d0: int, d1: int, bracket, action, odd_bracket, squaring, convert=_same) -> tuple:
+    """The nonzero entries (:func:`_nonzeros`) of the even bracket at i < j,
+    the action, the odd bracket at u <= v and the squaring (None if None)
+    at v <= w, from dense tensors of dimension d0|d1."""
+    return (
+        _nonzeros(bracket, (d0, d0, d0), 1, "even bracket tensor must be d0 x d0 x d0", convert),
+        _nonzeros(action, (d0, d1, d1), None, "action tensor must be d0 x d1 x d1", convert),
+        _nonzeros(odd_bracket, (d1, d1, d0), 0, "odd bracket tensor must be d1 x d1 x d0", convert),
+        None
+        if squaring is None
+        else _nonzeros(squaring, (d1, d1, d0), 0, "squaring tensor must be d1 x d1 x d0", convert),
+    )
+
+
+def _bilinear(rows: dict, x, y, n: int) -> list:
+    """The n sums over a, b of x_a y_b t_ab for the tensor t given by its
+    nonzero rows (see :func:`_rows`), over the nonzeros of x and y.  Plain +
+    and * on the raw entries, so ints or Fractions alike and nothing
+    reduced mod p: the caller reduces."""
+    out = [0] * n
+    for a, plane in rows.items():
+        xa = x[a]
         if xa:
-            for b, row in enumerate(tensor[a]):
-                if any(row):
-                    acc = rows.get(b)
-                    rows[b] = (
-                        [xa * z for z in row]
-                        if acc is None
-                        else [s + xa * z for s, z in zip(acc, row)]
-                    )
-    return ([rows.get(b, ()) for b in range(len(tensor[0]) if tensor else 0)],)
+            for b, row in plane.items():
+                yb = y[b]
+                if yb:
+                    c = xa * yb
+                    for k, z in row:
+                        out[k] += c * z
+    return out
+
+
+def _contract(rows: dict, x) -> dict:
+    """The rows of the one-plane tensor h = sum over a of x_a t_a, so that
+    ``_bilinear(h, (1,), y, n) == _bilinear(rows, x, y, n)`` for every y.
+    Raw entries, nothing reduced mod p."""
+    h: dict = {}
+    for a, plane in rows.items():
+        xa = x[a]
+        if xa:
+            for b, row in plane.items():
+                acc = h.setdefault(b, {})
+                for k, z in row:
+                    acc[k] = acc[k] + xa * z if k in acc else xa * z
+    return {0: {b: list(acc.items()) for b, acc in h.items()}}
 
 
 def _matvec(m, v) -> list:
@@ -222,49 +302,89 @@ def _transported(g: "SuperAlgebra", m_even, m_odd, inv_e, inv_o):
     (sie, ie), (sio, io) = clear_denominators(f, inv_e.data), clear_denominators(f, inv_o.data)
     ecols, ocols = list(zip(*me)), list(zip(*mo))
     sectors = [
-        ("even bracket", form.bracket, ecols, ecols, ie, form.d * se * se * sie, lambda i: range(i + 1, d0)),
-        ("action", form.action, ecols, ocols, io, form.d * se * so * sio, lambda x: range(d1)),
-        ("odd bracket", form.odd, ocols, ocols, ie, form.dp * so * so * sie, lambda u: range(u, d1)),
+        ("even bracket", ecols, ecols, ie, form.d * se * se * sie, lambda i: range(i + 1, d0)),
+        ("action", ecols, ocols, io, form.d * se * so * sio, lambda x: range(d1)),
+        ("odd bracket", ocols, ocols, ie, form.dp * so * so * sie, lambda u: range(u, d1)),
     ]
     if g.mode == "char2":
-        # over F_2 the squaring is its own integer form
-        sectors.append(("squaring", g.squaring, ocols, ocols, ie, so * so * sie, lambda v: (v,)))
-    for sector, tensor, left, right, inv, scale, pairs in sectors:
-        n = len(inv)
+        sectors.append(("squaring", ocols, ocols, ie, so * so * sie, lambda v: (v,)))
+    for sector, left, right, inv, scale, pairs in sectors:
+        n, rows = len(inv), form.rows(sector)
         for i, x in enumerate(left):
             js = pairs(i)
             if js:
-                h = _contract(tensor, x)
+                h = _contract(rows, x)
                 for j in js:
                     yield sector, i, j, _matvec(inv, _bilinear(h, (1,), right[j], n)), scale
 
 
+def _cleared(field: Field, *sectors: dict) -> tuple:
+    """``(D, [D * entries for each sector])`` for the least D > 0 that makes
+    every entry of the sectors an integer, as :func:`clear_denominators`
+    gives it for their values (and so also its cut-off)."""
+    flat = [c for s in sectors for c in s.values()]
+    d, values = clear_denominators(field, flat)
+    if values is flat:  # over F_p, and past the cut-off
+        return d, list(sectors)
+    it = iter(values)
+    return d, [{key: next(it) for key in s} for s in sectors]
+
+
 class _IntegerForm(NamedTuple):
-    """An algebra's tensors cleared of denominators by
-    :func:`clear_denominators`: ``bracket`` and ``action`` are scaled by one
-    common ``d`` (relation 2 and the representation check add bracket terms
-    to action terms), ``odd`` is the odd bracket scaled by its own ``dp``.
-    Over F_p both scales are 1 and the tensors are the algebra's own."""
+    """An algebra's entries cleared of denominators by
+    :func:`clear_denominators`, keyed as the algebra keys them: ``bracket``
+    and ``action`` are scaled by one common ``d`` (relation 2 and the
+    representation check add bracket terms to action terms), ``odd`` is
+    the odd bracket scaled by its own ``dp``, and ``squaring`` (F_2 only,
+    so unscaled) is None outside char2 mode.  Over F_p both scales are 1
+    and the entries are the algebra's own.  :meth:`rows` builds each
+    sector's nonzero rows once."""
 
     d: int
-    bracket: object
-    action: object
+    bracket: dict
+    action: dict
     dp: int
-    odd: object
+    odd: dict
+    squaring: dict | None
+    cache: dict
+
+    def rows(self, sector: str) -> dict:
+        """The nonzero rows (:func:`_rows`) of the "even bracket" (every
+        i != j), "action", "odd bracket" (every u, v) or "squaring" (v <= w).
+        The bracket's lower rows are plain negatives, not residues mod p:
+        the bilinear sums are reduced by their callers."""
+        rows = self.cache.get(sector)
+        if rows is None:
+            entries, mirror = {
+                "even bracket": (self.bracket, neg),
+                "action": (self.action, None),
+                "odd bracket": (self.odd, _same),
+                "squaring": (self.squaring, None),
+            }[sector]
+            rows = self.cache[sector] = _rows(entries, mirror)
+        return rows
 
 
 class SuperAlgebra:
-    """Immutable Lie superalgebra given by structure constants."""
+    """Immutable Lie superalgebra given by structure constants.
+
+    Each sector is a dict of its nonzero entries, keyed as in the module
+    docstring; in char2 mode the squaring's entries are kept at (v, w, x),
+    v <= w, and the odd bracket's are derived from them by polarization.
+    ``bracket``, ``action``, ``odd_bracket`` and ``squaring`` are dense
+    nested tuples of raw field elements, ``field.zero()`` at the zeros,
+    each built once on first access."""
 
     __slots__ = (
         "field",
         "dim_even",
         "dim_odd",
         "mode",
-        "bracket",
-        "action",
-        "odd_bracket",
-        "squaring",
+        "_even",
+        "_act",
+        "_odd",
+        "_sq",
+        "_views",
         "_ints",
         "_centre",
     )
@@ -280,6 +400,23 @@ class SuperAlgebra:
         mode: str = "standard",
         squaring=None,
     ):
+        """Build from dense tensors of the full shape, storing their raw
+        entries as given.  The entries are read off the upper parts (i < j
+        for the bracket, u <= v for the odd bracket and the squaring), and a
+        lower part that the views would not give back is refused."""
+        entries = _upper_parts(dim_even, dim_odd, bracket, action, odd_bracket, squaring)
+        self._init(field, dim_even, dim_odd, mode, *entries)
+        if self.bracket != _freeze3(bracket):
+            raise ShapeError("even bracket tensor must be antisymmetric")
+        if self.odd_bracket != _freeze3(odd_bracket):
+            if mode == "char2":
+                raise ShapeError("char2 mode needs the odd bracket to polarize the squaring")
+            raise ShapeError("odd bracket tensor must be symmetric")
+        # S(v,w) is stored at v <= w only, so that equal squarings compare equal
+        if squaring is not None and self.squaring != _freeze3(squaring):
+            raise ShapeError("char2 squaring entries below the diagonal must be zero")
+
+    def _init(self, field, d0, d1, mode, even, act, odd, sq):
         if mode not in MODES:
             raise ShapeError(f"unknown axiom mode {mode!r}")
         char = field.characteristic
@@ -289,58 +426,48 @@ class SuperAlgebra:
             raise ShapeError("char3 mode requires characteristic 3")
         if mode == "char2" and char != 2:
             raise ShapeError("char2 mode requires characteristic 2")
-        if mode == "char2" and squaring is None:
+        if mode == "char2" and sq is None:
             raise ShapeError("char2 mode needs a squaring tensor")
-        if mode != "char2" and squaring is not None:
+        if mode != "char2" and sq is not None:
             raise ShapeError("squaring is only meaningful in char2 mode")
-        self.field = field
-        self.dim_even = dim_even
-        self.dim_odd = dim_odd
-        self.mode = mode
-        self.bracket = _freeze3(bracket)
-        self.action = _freeze3(action)
-        self.odd_bracket = _freeze3(odd_bracket)
-        self.squaring = _freeze3(squaring) if squaring is not None else None
+        # validate reads only the squaring, so the odd bracket must be its
+        # polarization: {f_v, f_w} = S(v,w) for v < w and {f_v, f_v} = 0
+        if mode == "char2" and odd != {key: c for key, c in sq.items() if key[0] < key[1]}:
+            raise ShapeError("char2 mode needs the odd bracket to polarize the squaring")
+        self.field, self.dim_even, self.dim_odd, self.mode = field, d0, d1, mode
+        self._even, self._act, self._odd, self._sq = even, act, odd, sq
+        self._views = {}  # the dense views, each built on first access
         self._ints = None  # the integer form, built by _integer_form on first use
         self._centre = None  # the supercentre's bases, built by supercentre on first use
-        self._check_shapes()
-        if mode == "char2":
-            # validate reads only the squaring, so the odd bracket must be its
-            # polarization: {f_v, f_w} = S(v,w) for v < w and {f_v, f_v} = 0
-            zero = (field.zero(),) * dim_even
-            p, s = self.odd_bracket, self.squaring
-            if any(
-                not p[v][w] == p[w][v] == (s[v][w] if v < w else zero)
-                for v in range(dim_odd)
-                for w in range(v, dim_odd)
-            ):
-                raise ShapeError("char2 mode needs the odd bracket to polarize the squaring")
-            # S(v,w) is stored at v <= w only, so that equal squarings compare
-            # equal: validate, square_vec and serialization never read below
-            if any(s[w][v] != zero for v in range(dim_odd) for w in range(v + 1, dim_odd)):
-                raise ShapeError("char2 squaring entries below the diagonal must be zero")
 
-    def _check_shapes(self):
-        d0, d1 = self.dim_even, self.dim_odd
-        if len(self.bracket) != d0 or any(
-            len(p) != d0 or any(len(r) != d0 for r in p) for p in self.bracket
-        ):
-            raise ShapeError("even bracket tensor must be d0 x d0 x d0")
-        if len(self.action) != d0 or any(
-            len(p) != d1 or any(len(r) != d1 for r in p) for p in self.action
-        ):
-            raise ShapeError("action tensor must be d0 x d1 x d1")
-        if len(self.odd_bracket) != d1 or any(
-            len(p) != d1 or any(len(r) != d0 for r in p) for p in self.odd_bracket
-        ):
-            raise ShapeError("odd bracket tensor must be d1 x d1 x d0")
-        if self.squaring is not None and (
-            len(self.squaring) != d1
-            or any(
-                len(p) != d1 or any(len(r) != d0 for r in p) for p in self.squaring
-            )
-        ):
-            raise ShapeError("squaring tensor must be d1 x d1 x d0")
+    @classmethod
+    def _of(cls, field: Field, d0: int, d1: int, mode: str, even: dict, act: dict, odd: dict, sq=None):
+        """The algebra with these dicts of nonzero raw entries, keyed as the
+        class docstring says; the dicts are kept, not copied."""
+        g = cls.__new__(cls)
+        g._init(field, d0, d1, mode, even, act, odd, sq)
+        return g
+
+    def _view(self, name: str) -> tuple:
+        view = self._views.get(name)
+        if view is None:
+            f, d0, d1 = self.field, self.dim_even, self.dim_odd
+            entries, shape, mirror = {
+                "bracket": (self._even, (d0, d0, d0), f.neg),
+                "action": (self._act, (d0, d1, d1), None),
+                "odd_bracket": (self._odd, (d1, d1, d0), _same),
+                "squaring": (self._sq, (d1, d1, d0), None),
+            }[name]
+            view = self._views[name] = _freeze3(_dense(entries, shape, f.zero(), mirror))
+        return view
+
+    bracket = property(lambda self: self._view("bracket"), doc="[i][j][k]: coefficient of e_k in [e_i, e_j]")
+    action = property(lambda self: self._view("action"), doc="[x][v][w]: coefficient of f_w in e_x(f_v)")
+    odd_bracket = property(lambda self: self._view("odd_bracket"), doc="[u][v][x]: coefficient of e_x in {f_u, f_v}")
+    squaring = property(
+        lambda self: None if self._sq is None else self._view("squaring"),
+        doc="char2 mode: [v][w][x], coefficient of e_x in S(v, w), zero for w < v; else None",
+    )
 
     # --- constructors ----------------------------------------------------
 
@@ -358,55 +485,34 @@ class SuperAlgebra:
     ) -> "SuperAlgebra":
         """Build from sparse entries ``(i, j, k, coeff)``.
 
-        Even bracket entries require i < j and are mirrored with a sign;
-        odd bracket and squaring entries require u <= v and are mirrored
-        symmetrically.  In char2 mode the odd bracket is not an input: it
-        is derived from the squaring by polarization.
+        Even bracket entries require i < j and odd bracket and squaring
+        entries u <= v; the views mirror them.  Repeated entries are summed.
+        In char2 mode the odd bracket is not an input: it is derived from
+        the squaring by polarization.
         """
-        c = _zero_tensor(field, dim_even, dim_even, dim_even)
-        for i, j, k, coeff in bracket:
-            if not (0 <= i < j < dim_even and 0 <= k < dim_even):
-                raise ShapeError(f"bracket entry ({i},{j},{k}) out of range (need i<j)")
-            val = field.coerce(coeff)
-            c[i][j][k] = field.add(c[i][j][k], val)
-            c[j][i][k] = field.neg(c[i][j][k])
-        a = _zero_tensor(field, dim_even, dim_odd, dim_odd)
-        for x, v, w, coeff in action:
-            if not (0 <= x < dim_even and 0 <= v < dim_odd and 0 <= w < dim_odd):
-                raise ShapeError(f"action entry ({x},{v},{w}) out of range")
-            a[x][v][w] = field.add(a[x][v][w], field.coerce(coeff))
+        d0, d1 = dim_even, dim_odd
 
+        def summed(entries, shape, start, refusal):
+            (a, b, n), out = shape, {}
+            for i, j, k, coeff in entries:
+                if not (0 <= i < a and 0 <= j < b and 0 <= k < n) or start is not None and j < i + start:
+                    raise ShapeError(refusal.format(i, j, k))
+                key, c = (i, j, k), field.coerce(coeff)
+                out[key] = field.add(out[key], c) if key in out else c
+            return {key: c for key, c in out.items() if c}
+
+        even = summed(bracket, (d0, d0, d0), 1, "bracket entry ({},{},{}) out of range (need i<j)")
+        act = summed(action, (d0, d1, d1), None, "action entry ({},{},{}) out of range")
         if mode == "char2":
             if list(odd_bracket):
                 raise ShapeError("char2 mode derives the odd bracket from squaring")
-            s = _zero_tensor(field, dim_odd, dim_odd, dim_even)
-            for v, w, x, coeff in squaring or ():
-                if not (0 <= v <= w < dim_odd and 0 <= x < dim_even):
-                    raise ShapeError(
-                        f"squaring entry ({v},{w},{x}) out of range (need v<=w)"
-                    )
-                s[v][w][x] = field.add(s[v][w][x], field.coerce(coeff))
-            p = _zero_tensor(field, dim_odd, dim_odd, dim_even)
-            for v in range(dim_odd):
-                for w in range(v + 1, dim_odd):
-                    # polarization: {f_v, f_w} = (f_v+f_w)^2 + f_v^2 + f_w^2;
-                    # the diagonal {f_v, f_v} = 2 f_v^2 vanishes in char 2
-                    p[v][w] = list(s[v][w])
-                    p[w][v] = list(s[v][w])
-            return cls(
-                field, dim_even, dim_odd, c, a, p, mode=mode, squaring=s
-            )
-
-        p = _zero_tensor(field, dim_odd, dim_odd, dim_even)
-        for u, v, x, coeff in odd_bracket:
-            if not (0 <= u <= v < dim_odd and 0 <= x < dim_even):
-                raise ShapeError(
-                    f"odd bracket entry ({u},{v},{x}) out of range (need u<=v)"
-                )
-            val = field.add(p[u][v][x], field.coerce(coeff))
-            p[u][v][x] = val
-            p[v][u][x] = val
-        return cls(field, dim_even, dim_odd, c, a, p, mode=mode)
+            sq = summed(squaring or (), (d1, d1, d0), 0, "squaring entry ({},{},{}) out of range (need v<=w)")
+            # polarization: {f_v, f_w} = (f_v+f_w)^2 + f_v^2 + f_w^2; the
+            # diagonal {f_v, f_v} = 2 f_v^2 vanishes in char 2
+            odd = {key: c for key, c in sq.items() if key[0] < key[1]}
+            return cls._of(field, d0, d1, mode, even, act, odd, sq)
+        odd = summed(odd_bracket, (d1, d1, d0), 0, "odd bracket entry ({},{},{}) out of range (need u<=v)")
+        return cls._of(field, d0, d1, mode, even, act, odd)
 
     @classmethod
     def from_tensors(
@@ -419,84 +525,55 @@ class SuperAlgebra:
         squaring=None,
     ) -> "SuperAlgebra":
         """Build from dense tensors, re-canonicalizing the symmetries from
-        the upper-triangular parts."""
-        d0 = len(bracket)
-        d1 = len(odd_bracket)
-        c = _zero_tensor(field, d0, d0, d0)
-        for i in range(d0):
-            for j in range(i + 1, d0):
-                row = [field.coerce(x) for x in bracket[i][j]]
-                c[i][j] = row
-                c[j][i] = [field.neg(x) for x in row]
-        a = [
-            [[field.coerce(x) for x in action[x_][v]] for v in range(d1)]
-            for x_ in range(d0)
-        ]
-        p = _zero_tensor(field, d1, d1, d0)
-        for u in range(d1):
-            for v in range(u, d1):
-                row = [field.coerce(x) for x in odd_bracket[u][v]]
-                p[u][v] = row
-                p[v][u] = list(row)
-        sq = None
-        if squaring is not None:
-            sq = _zero_tensor(field, d1, d1, d0)
-            for v in range(d1):
-                for w in range(v, d1):
-                    sq[v][w] = [field.coerce(x) for x in squaring[v][w]]
-        return cls(field, d0, d1, c, a, p, mode=mode, squaring=sq)
+        the upper-triangular parts; the cells below are not read."""
+        d0, d1 = len(bracket), len(odd_bracket)
+        entries = _upper_parts(d0, d1, bracket, action, odd_bracket, squaring, field.coerce)
+        return cls._of(field, d0, d1, mode, *entries)
 
     # --- basic algebra operations -----------------------------------------
 
     def _integer_form(self) -> _IntegerForm:
-        """The tensors cleared of denominators, computed once per algebra."""
+        """The entries cleared of denominators, computed once per algebra."""
         form = self._ints
         if form is None:
             f = self.field
-            d, (bracket, action) = clear_denominators(f, (self.bracket, self.action))
-            dp, odd = clear_denominators(f, self.odd_bracket)
-            form = self._ints = _IntegerForm(d, bracket, action, dp, odd)
+            d, (even, act) = _cleared(f, self._even, self._act)
+            dp, (odd,) = _cleared(f, self._odd)
+            form = self._ints = _IntegerForm(d, even, act, dp, odd, self._sq, {})
         return form
 
-    def _apply(self, tensor, scale: int, x: Vector, y: Vector, n: int) -> Vector:
+    def _apply(self, rows: dict, scale: int, x: Vector, y: Vector, n: int) -> Vector:
         # the integer tensor times the cleared arguments is scale*dx*dy times
         # the rational value
         f = self.field
         dx, xs = clear_denominators(f, x.entries)
         dy, ys = clear_denominators(f, y.entries)
-        out = _bilinear(tensor, xs, ys, n)
+        out = _bilinear(rows, xs, ys, n)
         return Vector._from_raw(f, _unscaled(f, out, scale * dx * dy))
 
     def even_bracket_vec(self, x: Vector, y: Vector) -> Vector:
         form = self._integer_form()
-        return self._apply(form.bracket, form.d, x, y, self.dim_even)
+        return self._apply(form.rows("even bracket"), form.d, x, y, self.dim_even)
 
     def act_vec(self, x: Vector, v: Vector) -> Vector:
         form = self._integer_form()
-        return self._apply(form.action, form.d, x, v, self.dim_odd)
+        return self._apply(form.rows("action"), form.d, x, v, self.dim_odd)
 
     def odd_bracket_vec(self, u: Vector, v: Vector) -> Vector:
         form = self._integer_form()
-        return self._apply(form.odd, form.dp, u, v, self.dim_even)
+        return self._apply(form.rows("odd bracket"), form.dp, u, v, self.dim_even)
 
     def square_vec(self, v: Vector) -> Vector:
         """The squaring map applied to an odd vector (char2 mode only)."""
-        if self.squaring is None:
+        if self._sq is None:
             raise ShapeError("squaring is only defined in char2 mode")
         # over F_2 the squaring is its own integer form, and it is stored at
         # v <= w only, so the bilinear sum over all (v, w) is the quadratic map
-        return self._apply(self.squaring, 1, v, v, self.dim_even)
+        return self._apply(self._integer_form().rows("squaring"), 1, v, v, self.dim_even)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i) on the even part (columns are [e_i, e_j])."""
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [self.bracket[i][j][k] for j in range(self.dim_even)]
-                for k in range(self.dim_even)
-            ],
-        )
+        return Matrix._from_raw(self.field, zip(*self.bracket[i]))
 
     def ad_vec(self, x: Vector) -> Matrix:
         cols = [
@@ -507,14 +584,7 @@ class SuperAlgebra:
 
     def action_matrix(self, i: int) -> Matrix:
         """Matrix of e_x acting on the odd part (columns are e_x(f_v))."""
-        # the action holds raw field elements already: no coercion
-        return Matrix._from_raw(
-            self.field,
-            [
-                [self.action[i][v][w] for v in range(self.dim_odd)]
-                for w in range(self.dim_odd)
-            ],
-        )
+        return Matrix._from_raw(self.field, zip(*self.action[i]))
 
     def action_matrix_vec(self, x: Vector) -> Matrix:
         f = self.field
@@ -526,17 +596,8 @@ class SuperAlgebra:
 
     def even_part(self) -> "SuperAlgebra":
         """The even part as a stand-alone (purely even) algebra."""
-        f = self.field
-        return SuperAlgebra(
-            f,
-            self.dim_even,
-            0,
-            self.bracket,
-            [[] for _ in range(self.dim_even)],
-            [],
-            mode=self.mode,
-            squaring=[] if self.mode == "char2" else None,
-        )
+        sq = {} if self.mode == "char2" else None
+        return SuperAlgebra._of(self.field, self.dim_even, 0, self.mode, self._even, {}, {}, sq)
 
     def conjugated(self, m_even: Matrix, m_odd: Matrix) -> "SuperAlgebra":
         """Structure constants in the new graded basis whose vectors are the
@@ -548,75 +609,54 @@ class SuperAlgebra:
         inv_o = m_odd.inverse()
         if inv_e is None or inv_o is None:
             raise ValueError("basis change must be invertible")
-        # from_tensors reads only the cells the transport yields, so the
-        # others stay None
-        d0, d1 = self.dim_even, self.dim_odd
-        t = {
-            sector: [[None] * cols for _ in range(rows)]
-            for sector, rows, cols in (
-                ("even bracket", d0, d0), ("action", d0, d1), ("odd bracket", d1, d1), ("squaring", d1, d1)
-            )
-        }
+        entries: dict = {"even bracket": {}, "action": {}, "odd bracket": {}, "squaring": {}}
         for sector, i, j, values, scale in _transported(self, m_even, m_odd, inv_e, inv_o):
-            t[sector][i][j] = _unscaled(f, values, scale)
-        p, sq = t["odd bracket"], None
-        if self.mode == "char2":
-            # the squaring transports on the diagonal, b_v^2; above it, the
-            # polarization (b_v + b_w)^2 + b_v^2 + b_w^2 is the odd bracket p
-            sq = [row[:v] + [t["squaring"][v][v]] + row[v + 1:] for v, row in enumerate(p)]
-        return SuperAlgebra.from_tensors(f, t["even bracket"], t["action"], p, mode=self.mode, squaring=sq)
+            entries[sector].update(((i, j, k), c) for k, c in enumerate(_unscaled(f, values, scale)) if c)
+        even, act, odd, sq = entries.values()
+        # the squaring transports on the diagonal, b_v^2; above it, the
+        # polarization (b_v + b_w)^2 + b_v^2 + b_w^2 is the odd bracket
+        sq = {**odd, **sq} if self.mode == "char2" else None
+        return SuperAlgebra._of(f, self.dim_even, self.dim_odd, self.mode, even, act, odd, sq)
 
     def odd_bracket_is_zero(self) -> bool:
-        return all(
-            not x for plane in self.odd_bracket for row in plane for x in row
-        )
+        return not self._odd
 
     def restrict_odd(self, indices: Sequence[int]) -> "SuperAlgebra":
-        """Sub-superalgebra on a coordinate subset of the odd basis.
+        """Sub-superalgebra on a coordinate subset of the odd basis, in the
+        order given.
 
-        The chosen odd coordinates must be closed under the action;
-        otherwise this raises.
+        The chosen odd coordinates must be distinct and closed under the
+        action; otherwise this raises.
         """
         idx = list(indices)
-        f = self.field
-        keep = set(idx)
-        for x in range(self.dim_even):
-            for v in idx:
-                for w in range(self.dim_odd):
-                    if self.action[x][v][w] and w not in keep:
-                        raise ValueError(
-                            f"odd coordinates {idx} are not action-closed"
-                        )
-        d1 = len(idx)
-        a = [
-            [[self.action[x][idx[v]][idx[w]] for w in range(d1)] for v in range(d1)]
-            for x in range(self.dim_even)
-        ]
-        p = [
-            [list(self.odd_bracket[idx[u]][idx[v]]) for v in range(d1)]
-            for u in range(d1)
-        ]
-        sq = None
-        if self.mode == "char2":
-            # the squaring is stored for v <= w only, and idx need not be sorted
-            sq = [[list(self.squaring[min(a, b)][max(a, b)]) for b in idx] for a in idx]
-        return SuperAlgebra.from_tensors(
-            f, self.bracket, a, p, mode=self.mode, squaring=sq
-        )
+        new = {v: i for i, v in enumerate(idx)}
+        if len(new) != len(idx) or not all(0 <= v < self.dim_odd for v in idx):
+            raise ValueError(f"odd coordinates {idx} are not distinct odd indices")
+        if any(v in new and w not in new for _, v, w in self._act):
+            raise ValueError(f"odd coordinates {idx} are not action-closed")
+        act = {(x, new[v], new[w]): c for (x, v, w), c in self._act.items() if v in new}
+
+        def kept(entries):
+            # a pair u <= v keeps the smaller new index first
+            return {
+                (*sorted((new[u], new[v])), x): c
+                for (u, v, x), c in entries.items()
+                if u in new and v in new
+            }
+
+        sq = None if self._sq is None else kept(self._sq)
+        odd = kept(self._odd)
+        return SuperAlgebra._of(self.field, self.dim_even, len(idx), self.mode, self._even, act, odd, sq)
+
+    def _key(self) -> tuple:
+        return (self.field, self.mode, self.dim_even, self.dim_odd, self._even, self._act, self._odd, self._sq)
 
     def __eq__(self, o) -> bool:
-        return (
-            isinstance(o, SuperAlgebra)
-            and o.field == self.field
-            and o.mode == self.mode
-            and o.bracket == self.bracket
-            and o.action == self.action
-            and o.odd_bracket == self.odd_bracket
-            and o.squaring == self.squaring
-        )
+        return isinstance(o, SuperAlgebra) and o._key() == self._key()
 
     def __hash__(self):
-        return hash((self.field, self.mode, self.bracket, self.action, self.odd_bracket))
+        entries = (frozenset(s.items()) for s in (self._even, self._act, self._odd))
+        return hash((self.field, self.mode, self.dim_even, self.dim_odd, *entries))
 
     def __repr__(self) -> str:
         return (
@@ -664,7 +704,7 @@ def validate(g: SuperAlgebra) -> ValidationReport:
                     bad.append(Violation("even_jacobi", (i, j, k), repr(s)))
 
     form = g._integer_form()
-    bracket, act = form.bracket, action_nonzeros(form.action)
+    bracket, act = _dense(form.bracket, (d0, d0, d0), 0, f.neg), _columns(form.action, d0, d1)
     bad.extend(
         Violation("representation", pair)
         for pair in representation_failures(f, bracket, act)
@@ -672,18 +712,15 @@ def validate(g: SuperAlgebra) -> ValidationReport:
 
     # the unknowns' values: g's odd bracket, or in char2 mode the squaring it
     # polarizes (char 2 means F_2, whose entries are integers already), kept
-    # at the base (odd_unknowns) of each pair of its support
-    odd = g.squaring if g.mode == "char2" else form.odd
-    base = odd_unknowns(d0, d1)
+    # at the base (odd_unknowns) of each pair u <= v of its support
+    odd = form.squaring if g.mode == "char2" else form.odd
+    base = odd_unknowns(d0, d1) if odd else None
     known, support = {}, [0] * d1
-    for u in range(d1):
-        for v in range(u, d1):
-            if any(odd[u][v]):
-                known[base[u][v]] = odd[u][v]
-                support[u] |= 1 << v
-                support[v] |= 1 << u
-    coeffs = [c for plane in bracket for row in plane for c in row]
-    coeffs += [c for plane in act for col in plane for _, c in col]
+    for (u, v, x), c in odd.items():
+        known.setdefault(base[u][v], [0] * d0)[x] = c
+        support[u] |= 1 << v
+        support[v] |= 1 << u
+    coeffs = [*form.bracket.values(), *form.action.values()]  # only sizes and types matter
     equations = compatibility_equations(bracket, act, g.mode, support)
     p = f.p if f.kind == "prime" else None
     if set(map(type, chain(coeffs, *known.values()))) <= {int}:
@@ -845,7 +882,7 @@ def clear_denominators(field: Field, tensor) -> tuple[int, object]:
     passed together as a tuple.  When D would exceed ``_MAX_SCALE_BITS``
     bits the result is ``(1, tensor)`` too: every caller is exact on
     Fractions as well, only slower on small denominators.  Each
-    :class:`SuperAlgebra` clears its own tensors once, on first use, and
+    :class:`SuperAlgebra` clears its own entries once, on first use, and
     :func:`~superbracket.moduli.odd_bracket_space` its even bracket and
     action."""
     if field.kind == "prime":
@@ -1249,20 +1286,25 @@ def supercentre(g: SuperAlgebra) -> tuple[list[Vector], list[Vector]]:
 def _centre_bases(g: SuperAlgebra) -> tuple[list[Vector], list[Vector]]:
     """The two bases of :func:`supercentre`, computed."""
     f, d0, d1 = g.field, g.dim_even, g.dim_odd
-    c, a, p = g.bracket, g.action, g.odd_bracket
     even = _kernel_vectors(
         f,
-        chain(
-            ({i: c[i][j][k] for i in range(d0) if c[i][j][k]} for j in range(d0) for k in range(d0)),
-            ({i: a[i][v][w] for i in range(d0) if a[i][v][w]} for v in range(d1) for w in range(d1)),
+        _grouped(
+            chain(
+                (((0, j, k), i, c) for (i, j, k), c in g._even.items()),
+                (((0, i, k), j, f.neg(c)) for (i, j, k), c in g._even.items()),
+                (((1, v, w), x, c) for (x, v, w), c in g._act.items()),
+            )
         ),
         d0,
     )
     odd = _kernel_vectors(
         f,
-        chain(
-            ({v: a[x][v][w] for v in range(d1) if a[x][v][w]} for x in range(d0) for w in range(d1)),
-            ({u: p[u][v][k] for u in range(d1) if p[u][v][k]} for v in range(d1) for k in range(d0)),
+        _grouped(
+            chain(
+                (((0, x, w), v, c) for (x, v, w), c in g._act.items()),
+                (((1, v, x), u, c) for (u, v, x), c in g._odd.items()),
+                (((1, u, x), v, c) for (u, v, x), c in g._odd.items()),
+            )
         ),
         d1,
     )
@@ -1290,8 +1332,8 @@ def killing_form(g: SuperAlgebra) -> Matrix:
     """Killing form K(x,y) = trace(ad x . ad y) of the even part:
     K(e_i, e_j) is the sum over k, l of c_il^k c_jk^l, summed on the integer
     bracket D*c of g's integer form and divided by D**2."""
-    form = g._integer_form()
-    c, n = form.bracket, g.dim_even
+    form, n = g._integer_form(), g.dim_even
+    c = _dense(form.bracket, (n, n, n), 0, g.field.neg)
     rows = [
         [sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)) for j in range(n)]
         for i in range(n)
@@ -1356,15 +1398,16 @@ def check_morphism(cert: MorphismCertificate) -> tuple[bool, str | None]:
     p = f.p if f.kind == "prime" else None
     fs = s._integer_form()
     # equal fields fix equal axiom modes, so s has a squaring when t does
+    # the transport yields each pair as the entries are keyed
     source = {
         "even bracket": (fs.bracket, fs.d),
         "action": (fs.action, fs.d),
         "odd bracket": (fs.odd, fs.dp),
-        "squaring": (s.squaring, 1),
+        "squaring": (fs.squaring, 1),
     }
     for sector, i, j, values, scale in _transported(t, me, mo, inv_e, inv_o):
-        tensor, d = source[sector]
-        diffs = (d * v - scale * w for v, w in zip(values, tensor[i][j]))
+        entries, d = source[sector]
+        diffs = (d * v - scale * entries.get((i, j, k), 0) for k, v in enumerate(values))
         if any(x % p if p else x for x in diffs):
             at = f"({i})" if sector == "squaring" else f"({i},{j})"
             return False, f"{sector} not preserved at {at}"

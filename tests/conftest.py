@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from fractions import Fraction
@@ -72,6 +73,89 @@ def random_graded_change(g, rng):
         random_invertible(g.field, g.dim_even, rng),
         random_invertible(g.field, g.dim_odd, rng),
     )
+
+
+# --- dense oracle for the sparse storage of SuperAlgebra ------------------------
+
+
+def dense_from_entries(field, d0, d1, bracket=(), action=(), odd_bracket=(), mode="standard", squaring=None):
+    """The dense tensors (bracket, action, odd bracket, squaring) that
+    SuperAlgebra.from_entries filled before it kept only the nonzero
+    entries: each entry summed into a zero tensor, the even bracket
+    mirrored with a sign, the odd bracket symmetrically, and in char2 mode
+    the odd bracket the squaring's polarization; the squaring is None
+    outside char2 mode.  Slow reference for the dense views."""
+
+    def zeros(a, b, c):
+        z = field.zero()
+        return [[[z] * c for _ in range(b)] for _ in range(a)]
+
+    c = zeros(d0, d0, d0)
+    for i, j, k, coeff in bracket:
+        c[i][j][k] = field.add(c[i][j][k], field.coerce(coeff))
+        c[j][i][k] = field.neg(c[i][j][k])
+    a = zeros(d0, d1, d1)
+    for x, v, w, coeff in action:
+        a[x][v][w] = field.add(a[x][v][w], field.coerce(coeff))
+    p, s = zeros(d1, d1, d0), None
+    if mode == "char2":
+        s = zeros(d1, d1, d0)
+        for v, w, x, coeff in squaring or ():
+            s[v][w][x] = field.add(s[v][w][x], field.coerce(coeff))
+        for v in range(d1):
+            for w in range(v + 1, d1):
+                p[v][w] = list(s[v][w])
+                p[w][v] = list(s[v][w])
+    else:
+        for u, v, x, coeff in odd_bracket:
+            val = field.add(p[u][v][x], field.coerce(coeff))
+            p[u][v][x] = val
+            p[v][u][x] = val
+    return c, a, p, s
+
+
+def dense_integer_form(field, bracket, action, odd_bracket):
+    """(D, D bracket, D action, D_p, D_p odd bracket), each algebra's
+    integer form as it was cleared from the dense tensors, zeros included.
+    Slow reference for SuperAlgebra._integer_form."""
+    d, (b, a) = sa.clear_denominators(field, (bracket, action))
+    dp, p = sa.clear_denominators(field, odd_bracket)
+    return d, b, a, dp, p
+
+
+def dense_serialization(field, mode, tensors) -> str:
+    """The canonical document as serialize_algebra wrote it from the dense
+    tensors (bracket, action, odd bracket, squaring): the nonzeros of the
+    even bracket at i < j, of the action everywhere and of the odd bracket,
+    or in char2 mode the squaring, at u <= v, each scanned in index order.
+    Slow reference for serialize_algebra."""
+    from superbracket.schema import field_to_json
+
+    c, a, p, s = tensors
+
+    def scanned(tensor, start):
+        return [
+            [i, j, k, field.format(x)]
+            for i, plane in enumerate(tensor)
+            for j, row in enumerate(plane)
+            if start is None or j >= i + start
+            for k, x in enumerate(row)
+            if x
+        ]
+
+    doc = {
+        "field": field_to_json(field),
+        "dim_even": len(c),
+        "dim_odd": len(p),
+        "axiom_mode": mode,
+        "bracket_even": scanned(c, 1),
+        "action": scanned(a, None),
+    }
+    if mode == "char2":
+        doc["squaring"] = scanned(s, 0)
+    else:
+        doc["p_map"] = scanned(p, 0)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # --- dense oracle for the sparse eliminator and kernel --------------------------

@@ -227,6 +227,24 @@ def test_decompose_undetermined_exit_code():
     assert res.returncode == 3
 
 
+def test_decompose_has_no_triple_budget_flag():
+    built = run_cli("construct", "irrep", "--m", "2", "--field", "q")
+    res = run_cli("decompose", "-", "--triple-budget", "5", stdin=built.stdout)
+    assert (res.returncode, res.stdout) == (64, "")
+    assert "--triple-budget" in res.stderr
+
+
+def test_irrep_over_f3_takes_the_char3_mode_of_sl2():
+    built = run_cli("construct", "irrep", "--m", "1", "--field", "fp:3")
+    assert built.returncode == 0
+    assert json.loads(built.stdout)["axiom_mode"] == "char3"
+    valid = run_cli("validate", "-", stdin=built.stdout)
+    assert (valid.returncode, valid.stdout) == (0, "valid\n")
+    space = run_cli("pspace", "-", stdin=built.stdout)
+    assert space.returncode == 0
+    assert json.loads(space.stdout)["dim"] == 1
+
+
 def test_add_centre_and_info():
     osp = run_cli("construct", "osp12", "--field", "q").stdout
     extended = run_cli("construct", "add-centre", "-", "--z", "2", stdin=osp)
@@ -260,6 +278,17 @@ def test_assemble_invalid_bracket_fails_validation():
     res = run_cli("construct", "assemble", "--m", "1", "--field", "q", "--p-file", name)
     os.unlink(name)
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("entry", [[1, 0, 0, "1/1"], [0, 5, 0, "1/1"]], ids=["below-diagonal", "out-of-range"])
+def test_assemble_p_file_entry_outside_u_le_v_is_a_usage_error(entry, tmp_path):
+    # the odd bracket is read as entries with u <= v < d1: one below the
+    # diagonal is refused, not dropped, and one out of range is no traceback
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps([entry]))
+    res = run_cli("construct", "assemble", "--m", "1", "--field", "q", "--p-file", str(p_file))
+    assert (res.returncode, res.stdout) == (64, "")
+    assert "(need u<=v)" in res.stderr
 
 
 def test_sweep_csv():

@@ -245,6 +245,10 @@ def test_char3_restriction_requires_closure():
     g = build_char3_example()
     with pytest.raises(ValueError):
         g.restrict_odd([0, 2])  # E moves v to e1, outside the subset
+    # a subset names each odd coordinate once, and only those of g
+    for indices in ([0, 0], [0, 1, 3], [-1]):
+        with pytest.raises(ValueError, match="not distinct odd indices"):
+            g.restrict_odd(indices)
 
 
 def test_char2_example_squaring():

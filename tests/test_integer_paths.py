@@ -33,6 +33,8 @@ from superbracket.sl2 import IrrepSpec, build_irrep
 from superbracket.superalgebra import (
     MorphismCertificate,
     SuperAlgebra,
+    _columns,
+    _dense,
     _high_bits,
     _is_zero,
     _slot_width,
@@ -646,10 +648,10 @@ def test_packed_representation_check_at_the_largest_numerators(rng):
     docs.append(SuperAlgebra.from_tensors(QQ, full(3, 3, 3), full(3, 4, 4), full(4, 4, 3)))
     outcomes = []
     for h in docs:
-        form = h._integer_form()
-        act = action_nonzeros(form.action)
+        form, d1 = h._integer_form(), h.dim_odd
+        bracket, act = _dense(form.bracket, (3, 3, 3), 0, QQ.neg), _columns(form.action, 3, d1)
         assert all(type(c) is int for plane in act for col in plane for _, c in col)
-        got = representation_failures(QQ, form.bracket, act)
+        got = representation_failures(QQ, bracket, act)
         mats = [h.action_matrix(x) for x in range(3)]
         assert got == dense_representation_failures(QQ, h.bracket, mats)
         outcomes.append(bool(got))

@@ -1,8 +1,11 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
-from conftest import columns, random_invertible
+from conftest import columns, dense_from_entries, dense_integer_form, dense_serialization, random_invertible
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superbracket.constructions import (
     add_centre,
@@ -20,6 +23,8 @@ from superbracket.superalgebra import (
     MorphismCertificate,
     ShapeError,
     SuperAlgebra,
+    _dense,
+    _same,
     check_morphism,
     is_ideal,
     is_simple_3dim,
@@ -76,6 +81,104 @@ def test_mode_characteristic_guards():
     with pytest.raises(ValueError):
         # char2 requires the squaring tensor at the raw-constructor level
         SuperAlgebra(GF(2), 1, 0, [[[0]]], [[]], [], mode="char2", squaring=None)
+
+
+# a denominator past the 2048-bit cut-off of clear_denominators, also after a
+# numerator in -4..4 cancels a factor of it
+PAST_CUT_OFF = 2**2100 + 1
+STORAGE_FIELDS = [(QQ, "standard"), (F5, "standard"), (GF(7), "standard"), (GF(3), "char3"), (GF(2), "char2")]
+
+
+@st.composite
+def entry_lists(draw, field, shape, start):
+    """Entries (i, j, k, coeff) of a tensor of the given shape, j >= i +
+    start unless start is None; some repeated, some cancelled by a copy of
+    opposite sign, and zero coefficients among them."""
+    a, b, n = shape
+    cells = [(i, j) for i in range(a) for j in range(b) if start is None or j >= i + start]
+    if not cells or not n:
+        return []
+    if field.kind == "prime":
+        coeffs = st.integers(-2 * field.p, 2 * field.p)
+    else:
+        coeffs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7, PAST_CUT_OFF]))
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        (i, j), k, c = draw(st.sampled_from(cells)), draw(st.integers(0, n - 1)), draw(coeffs)
+        out.append((i, j, k, c))
+        if draw(st.booleans()):
+            out.append((i, j, k, draw(st.sampled_from([c, -c]))))
+    return out
+
+
+@st.composite
+def entry_documents(draw):
+    field, mode = draw(st.sampled_from(STORAGE_FIELDS))
+    d0, d1 = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    entries = {
+        "bracket": draw(entry_lists(field, (d0, d0, d0), 1)),
+        "action": draw(entry_lists(field, (d0, d1, d1), None)),
+    }
+    odd = draw(entry_lists(field, (d1, d1, d0), 0))
+    entries["squaring" if mode == "char2" else "odd_bracket"] = odd
+    return field, d0, d1, mode, entries
+
+
+def _frozen(tensor):
+    return tuple(tuple(tuple(row) for row in plane) for plane in tensor)
+
+
+def _flat(tensor):
+    return [x for plane in tensor for row in plane for x in row]
+
+
+@given(entry_documents())
+def test_sparse_storage_matches_the_dense_oracle(document):
+    # the dense views, equality, hashing, the integer form and the canonical
+    # bytes of from_entries against the dense fill it used to make
+    field, d0, d1, mode, entries = document
+    g = SuperAlgebra.from_entries(field, d0, d1, mode=mode, **entries)
+    c, a, p, s = tensors = dense_from_entries(field, d0, d1, mode=mode, **entries)
+    assert (g.bracket, g.action, g.odd_bracket) == tuple(map(_frozen, (c, a, p)))
+    assert g.squaring == (None if s is None else _frozen(s))
+    assert [type(x) for t in (g.bracket, g.action, g.odd_bracket) for x in _flat(t)] == [
+        type(x) for t in (c, a, p) for x in _flat(t)
+    ]
+    raw = SuperAlgebra(field, d0, d1, c, a, p, mode=mode, squaring=s)
+    assert raw == g and hash(raw) == hash(g)
+    assert raw != SuperAlgebra.from_entries(field, d0, d1 + 1, mode=mode, **entries)
+    d, bracket, action, dp, odd = dense_integer_form(field, c, a, p)
+    form = g._integer_form()
+    assert (form.d, form.dp) == (d, dp)
+    for scaled, shape, mirror, expected in [
+        (form.bracket, (d0, d0, d0), field.neg, bracket),
+        (form.action, (d0, d1, d1), None, action),
+        (form.odd, (d1, d1, d0), _same, odd),
+    ]:
+        got = _dense(scaled, shape, 0, mirror)
+        assert got == expected
+        assert [type(x) for x in _flat(got) if x] == [type(x) for x in _flat(expected) if x]
+    assert serialize_algebra(g) == dense_serialization(field, mode, tensors)
+
+
+def test_raw_constructor_refuses_a_lower_part_that_does_not_mirror():
+    # only the upper parts are stored, so a lower part or a diagonal that the
+    # views would not give back is refused
+    g = build_osp12(QQ)
+
+    def raw(bracket=g.bracket, odd_bracket=g.odd_bracket):
+        return SuperAlgebra(QQ, 3, 2, bracket, g.action, odd_bracket)
+
+    assert raw() == g
+    for i, j in ((1, 0), (2, 2)):
+        bracket = [[list(r) for r in plane] for plane in g.bracket]
+        bracket[i][j][0] += 1
+        with pytest.raises(ShapeError, match="antisymmetric"):
+            raw(bracket=bracket)
+    odd = [[list(r) for r in plane] for plane in g.odd_bracket]
+    odd[1][0][1] += 1
+    with pytest.raises(ShapeError, match="symmetric"):
+        raw(odd_bracket=odd)
 
 
 def test_char2_odd_bracket_must_polarize_the_squaring():

@@ -8,8 +8,9 @@ compose through pipes: a path argument of "-" reads stdin, and every
     superbracket construct double --field q | superbracket classify -
 
 Exit codes: 0 success (classification cases A/B/C), 1 validation failure
-(also ``pspace`` on an action that is not a representation), 2 not
-applicable (classification, or ``pspace`` on a char2 document), 3
+(also ``pspace`` and ``decompose`` on an action that is not a
+representation), 2 not applicable (classification, ``pspace`` on a char2
+document, ``decompose`` on an even part that is not 3-dimensional), 3
 undetermined, 64 usage error, 65 schema error.
 """
 
@@ -40,7 +41,7 @@ from .linalg import Matrix
 from .moduli import (
     NotARepresentation,
     UnsupportedMode,
-    odd_bracket_space_of,
+    odd_bracket_space,
     sweep_irrep_sums,
 )
 from .schema import SchemaError, parse_algebra, serialize_algebra
@@ -339,43 +340,50 @@ def construct_assemble(field_text, m, alpha, beta, p_file):
     _emit(g)
 
 
+def _not_a_representation(pairs) -> None:
+    """Exit 1, naming on stderr each pair i < j at which the action fails to
+    represent the even part, as ``validate`` names them."""
+    for pair in pairs:
+        _echo(str(sa.Violation("representation", pair)), err=True)
+    sys.exit(EXIT_VALIDATION)
+
+
 @cli.command("pspace")
 @click.argument("path")
-@click.option(
-    "--mode",
-    default=None,
-    type=click.Choice(["standard", "char3"]),
-    help="Axiom system for the solver (default: inferred from the document).",
-)
-def cmd_pspace(path, mode):
-    """Dimension and basis of all odd brackets compatible with the module.
+def cmd_pspace(path):
+    """Dimension and basis of all odd brackets compatible with the module,
+    in the document's axiom mode.
 
     Exits 1 when the action is not a representation, 2 on char2 documents.
     """
     g, _ = _load(path)
     try:
-        space = odd_bracket_space_of(g, mode=mode)
+        space = odd_bracket_space(g)
     except UnsupportedMode as exc:
         _echo(f"not applicable: {exc}", err=True)
         sys.exit(EXIT_NOT_APPLICABLE)
     except NotARepresentation as exc:
-        for pair in exc.pairs:
-            _echo(str(sa.Violation("representation", pair)), err=True)
-        sys.exit(EXIT_VALIDATION)
-    # the flat unknown base[u][v] + y runs over (u <= v, y) in the order
-    # that the symmetric tensor entries are written in
-    d0, fmt = g.dim_even, g.field.format
-    pairs = [(u, v) for u in range(g.dim_odd) for v in range(u, g.dim_odd)]
-    basis_entries = [[[*pairs[k // d0], k % d0, fmt(c)] for k, c in vec.items()] for vec in space.vectors]
+        _not_a_representation(exc.pairs)
+    fmt = g.field.format
+    basis_entries = [[[u, v, y, fmt(c)] for u, v, y, c in space.entries(i)] for i in range(space.dimension)]
     _echo(json.dumps({"dim": space.dimension, "basis": basis_entries}, indent=2))
 
 
 @cli.command("decompose")
 @click.argument("path")
 def cmd_decompose(path):
-    """Split the document's odd module into irreducible summands."""
+    """Split the document's odd module into irreducible summands.
+
+    Exits 1 when the action is not a representation, 2 when the even part
+    is not 3-dimensional or not split, or complete reducibility is not
+    certified, 3 when the triple search is undetermined.
+    """
     g, _ = _load(path)
-    triple = find_sl2_triple(g)
+    try:
+        triple = find_sl2_triple(g)
+    except ValueError as exc:  # an even part that is not 3-dimensional
+        _echo(json.dumps({"error": f"not applicable: {exc}"}), err=True)
+        sys.exit(EXIT_NOT_APPLICABLE)
     if isinstance(triple, Undetermined):
         _echo(json.dumps({"error": triple.reason}), err=True)
         sys.exit(EXIT_UNDETERMINED)
@@ -385,6 +393,9 @@ def cmd_decompose(path):
             err=True,
         )
         sys.exit(EXIT_NOT_APPLICABLE)
+    failures = sa.representation_failures(g.field, *sa._even_system(g))
+    if failures:
+        _not_a_representation(failures)
     rep = RepMatrices.from_algebra(g, triple)
     status = jacobson_test(rep)
     if status == INCONCLUSIVE:

@@ -10,32 +10,32 @@ superalgebra structures on g0 + V with fixed even bracket and action is
 exactly the kernel of one assembled linear system -- no search and no
 numerics, just exact row reduction.
 
-The solver works on sparse data from end to end.  It takes the action as
-its nonzero columns, ``act[x][w]`` the pairs (t, c) of e_x(f_w), the form
-that :func:`~superbracket.superalgebra.action_nonzeros` builds and the
-relations are built from, so no dense matrix is built or transposed on
-the way in; the sweep makes each direct sum's columns by shifting each
-summand's by its offset.  The equations are
+The solver works on sparse data from end to end.  It takes one
+:class:`~superbracket.superalgebra.SuperAlgebra` and solves in its mode,
+on the even bracket and the action's nonzero columns ``act[x][w]``, the
+pairs (t, c) of e_x(f_w), of the algebra's own integer form: the copy that
+:func:`~superbracket.superalgebra.validate` builds its system from, with
+the bracket and the action cleared of denominators by one common D over Q
+(:func:`~superbracket.superalgebra.clear_denominators`).  Every equation is
+linear in the two jointly, so each row is D times itself, with the same
+span, and the rows, the representation check and the eliminator all run
+on Python ints.  Over F_p the entries are integers already, and past the
+cut-off of :func:`~superbracket.superalgebra.clear_denominators` they stay
+Fractions and the same code runs on them.  The sweep builds each direct
+sum's algebra from its summands' action entries, shifted by their
+offsets.  The equations are
 :func:`~superbracket.superalgebra.compatibility_equations`, the one
 definition of the relations, which :func:`~superbracket.superalgebra.validate`
 evaluates at a given odd bracket: deduplicated by symmetric index pattern
 and yielded, per instance, as terms (base, group), where unknown base + i
 carries the column group[i] of (output, coefficient) pairs, built from the
-nonzeros of the action and the even bracket.  Over Q the solver first
-clears the even bracket and the action's nonzeros of denominators by one
-common D (:func:`~superbracket.superalgebra.clear_denominators`, as each
-algebra's integer form does): every equation is linear in the two
-jointly, so each row becomes D times itself, with the same span, and the
-rows, the representation check and the eliminator all run on Python ints.
-Over F_p the tensors are integers already, and past the cut-off of
-:func:`~superbracket.superalgebra.clear_denominators` they stay Fractions
-and the same code runs on them.  The solver is the one place that collects
-the terms into sparse rows ``{unknown: coefficient}``, in one pass per
-instance (:func:`_append_rows`, one row per output): each row is reduced
-mod p once, or over Q stripped of its zero entries.  Most rows would have
-a single entry, forcing an unknown to vanish, and most of those come from
-relation-2 instances that force a weight-incompatible coefficient to
-zero.  So the solver keeps the set of *dead* unknowns, those a
+nonzeros of the action and the even bracket.  The solver is the one
+place that collects the terms into sparse rows ``{unknown: coefficient}``,
+in one pass per instance (:func:`_append_rows`, one row per output): each
+row is reduced mod p once, or over Q stripped of its zero entries.  Most
+rows would have a single entry, forcing an unknown to vanish, and most of
+those come from relation-2 instances that force a weight-incompatible
+coefficient to zero.  So the solver keeps the set of *dead* unknowns, those a
 single-entry row has forced to zero, and settles the weights first: at
 each x where e_x acts diagonally on the module and on the even part
 (e_x(f_w) = lam_w f_w, [e_x, e_z] = mu_z e_z), relation 2 gives one row
@@ -59,10 +59,13 @@ kernel is the full system's, bit for bit: every dead unknown's unit vector
 lies in its row span, so the kernel is zero there, and the eliminator
 compares columns by order only, so it picks the pivots, free columns and
 values it would pick on the live unknowns numbered from 0.  The kernel
-vectors come back sparse, and :class:`OddBracketSpace` builds its dense
-tensors only when they are asked for: the abelian 3|100 document has
-15,150 free unknowns, whose basis is 15,150 vectors of one entry.  In a
-dense basis no e_x is diagonal, and relation 2 is collected at every x.
+vectors come back sparse, :meth:`OddBracketSpace.entries` reads each one
+as the entries (u, v, y, c) that ``pspace`` prints and
+:func:`solution_to_algebra` installs, and :class:`OddBracketSpace` builds
+its dense tensors only when they are asked for: the abelian 3|100
+document has 15,150 free unknowns, whose basis is 15,150 vectors of one
+entry.  In a dense basis no e_x is diagonal, and relation 2 is collected
+at every x.
 For the 124 systems of the benchmark sweep (F_5 and F_7 up to odd
 dimension 8, where H is diagonal) the weights kill 6,950 of the 8,967
 unknowns; the solver collects 3,568 of the 8,967 relation-2 instances
@@ -93,7 +96,6 @@ from __future__ import annotations
 import marshal
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
@@ -101,12 +103,11 @@ from .fields import Field
 from .linalg import sparse_kernel_basis
 from .sl2 import IrrepSpec, build_irrep
 from .superalgebra import (
+    ShapeError,
     SuperAlgebra,
-    _columns,
+    _even_system,
     _Relations,
     _supported_triples,
-    action_nonzeros,
-    clear_denominators,
     odd_unknowns,
     representation_failures,
 )
@@ -116,7 +117,6 @@ __all__ = [
     "NotARepresentation",
     "UnsupportedMode",
     "odd_bracket_space",
-    "odd_bracket_space_of",
     "solution_to_algebra",
     "sweep_irrep_sums",
     "SweepRow",
@@ -135,7 +135,7 @@ class OddBracketSpace:
     from either form, and the other is built on first use.
     """
 
-    __slots__ = ("field", "dim_even", "dim_odd", "_basis", "_vectors")
+    __slots__ = ("field", "dim_even", "dim_odd", "_basis", "_vectors", "_pairs")
 
     def __init__(self, field: Field, dim_even: int, dim_odd: int, basis=None, vectors=None):
         if (basis is None) == (vectors is None):
@@ -143,6 +143,7 @@ class OddBracketSpace:
         self.field, self.dim_even, self.dim_odd = field, dim_even, dim_odd
         self._basis = None if basis is None else tuple(basis)
         self._vectors = None if vectors is None else tuple(vectors)
+        self._pairs = None
 
     @property
     def dimension(self) -> int:
@@ -164,6 +165,17 @@ class OddBracketSpace:
                 for tensor in self._basis
             )
         return self._vectors
+
+    def entries(self, index: int) -> list[tuple]:
+        """The nonzero entries ``(u, v, y, c)``, u <= v, of basis element
+        ``index``, c the coefficient of e_y in {f_u, f_v}, in the order of
+        the flat unknowns."""
+        d0 = self.dim_even
+        if self._pairs is None:
+            d1 = self.dim_odd
+            self._pairs = [(u, v) for u in range(d1) for v in range(u, d1)]
+        pairs = self._pairs
+        return [(*pairs[k // d0], k % d0, c) for k, c in self.vectors[index].items()]
 
     @property
     def basis(self) -> tuple:
@@ -322,61 +334,19 @@ def _live_relation_1(rel: _Relations, act, dead: set):
     return rel.relation_1(_supported_triples(layers))
 
 
-def _checked_action(field: Field, act, d0: int) -> list:
-    """The coefficients of the action's nonzero columns ``act``, in order,
-    after checking that there are d0 planes of d1 columns each, that each
-    column lists its outputs t in increasing order within range(d1), and
-    that each coefficient is a nonzero raw element of ``field``: a Fraction
-    over Q, a residue in [1, p) over F_p."""
-    d1 = len(act[0]) if act else 0
-    if len(act) != d0:
-        raise ValueError("need the action's columns for each even basis vector")
-    values = []
-    for plane in act:
-        if len(plane) != d1:
-            raise ValueError("each even basis vector needs one action column per odd one")
-        for col in plane:
-            last = -1
-            for t, c in col:
-                if type(t) is not int or not last < t < d1:
-                    raise ValueError("action column outputs must increase within the odd indices")
-                last = t
-                values.append(c)
-    p = field.p if field.kind == "prime" else None
-    if not all(type(c) is int and 0 < c < p for c in values) if p else not all(type(c) is Fraction and c for c in values):
-        raise ValueError(f"action coefficients must be nonzero raw elements of {field}")
-    return values
-
-
-def odd_bracket_space(field: Field, even_bracket, act, mode: str = "standard") -> OddBracketSpace:
-    """Solve for every symmetric odd bracket compatible with the module.
-
-    ``even_bracket`` is the d0 x d0 x d0 tensor of the even part and ``act``
-    the action as nonzero columns, as
-    :func:`~superbracket.superalgebra.action_nonzeros` builds them:
-    ``act[x][w]`` lists the pairs ``(t, c)``, t increasing, of the nonzero
-    coefficients c of f_t in e_x(f_w), each a raw field element.  mode
-    "char3" also imposes the cubic identity, whose only content beyond the
-    trilinear relation sits on the diagonal monomials.  Raises ValueError
-    when the bracket or the columns are not of that form,
-    :class:`UnsupportedMode` for any other mode and
-    :class:`NotARepresentation` when the action is not a representation.
+def odd_bracket_space(g: SuperAlgebra) -> OddBracketSpace:
+    """Solve for every symmetric odd bracket compatible with g's even part
+    and action, in g's mode; g's own odd bracket is ignored, since this asks
+    what brackets *could* live on the module.  Mode "char3" also imposes
+    the cubic identity, whose only content beyond the trilinear relation
+    sits on the diagonal monomials.  Raises :class:`UnsupportedMode` in
+    mode "char2" and :class:`NotARepresentation` when the action is not a
+    representation.
     """
-    if mode not in ("standard", "char3"):
-        raise UnsupportedMode(f"unsupported mode for the bracket solver: {mode!r}")
-    d0 = len(even_bracket)
-    if any(len(plane) != d0 or any(len(row) != d0 for row in plane) for plane in even_bracket):
-        raise ValueError("the even bracket must be a d0 x d0 x d0 tensor")
-    values = _checked_action(field, act, d0)
-    d1 = len(act[0]) if act else 0
-    bracket = [[[field.coerce(c) for c in row] for row in plane] for plane in even_bracket]
-    # every equation is linear in (bracket, action) jointly, so clearing both
-    # by one D scales each row by D and keeps its span; the action's
-    # coefficients go in at the depth of the bracket's entries
-    _, (bracket, [[scaled]]) = clear_denominators(field, (bracket, [[values]]))
-    if scaled is not values:
-        it = iter(scaled)
-        act = [[[(t, next(it)) for t, _ in col] for col in plane] for plane in act]
+    if g.mode not in ("standard", "char3"):
+        raise UnsupportedMode(f"unsupported mode for the bracket solver: {g.mode!r}")
+    field, d0, d1 = g.field, g.dim_even, g.dim_odd
+    bracket, act = _even_system(g)
     failures = representation_failures(field, bracket, act)
     if failures:
         raise NotARepresentation(failures)
@@ -394,7 +364,7 @@ def odd_bracket_space(field: Field, even_bracket, act, mode: str = "standard") -
     later: list[dict] = []  # relation 2, then the cubic
     for _, _, terms in _live_relation_2(rel, act, off_diagonal, first, p):
         _append_rows(later, terms, dead, p)
-    if mode == "char3":
+    if g.mode == "char3":
         for _, _, terms in rel.cubic():
             _append_rows(later, terms, dead, p)
     # The rows keep the generator's order, since fraction-free pivoting
@@ -416,23 +386,16 @@ def odd_bracket_space(field: Field, even_bracket, act, mode: str = "standard") -
     return OddBracketSpace(field, d0, d1, vectors=sparse_kernel_basis(field, kept, live))
 
 
-def odd_bracket_space_of(g: SuperAlgebra, mode: str | None = None) -> OddBracketSpace:
-    """Solution space for g's own even part and action (its odd bracket is
-    ignored -- this asks what brackets *could* live on the module).  The
-    mode defaults to g's own, so a char2 document is refused."""
-    act = _columns(g._act, g.dim_even, g.dim_odd)
-    space = odd_bracket_space(g.field, g.bracket, act, mode=mode or g.mode)
-    # with no even part there are no action columns to read d1 off
-    return OddBracketSpace(g.field, g.dim_even, g.dim_odd, vectors=space.vectors)
-
-
 def solution_to_algebra(
     g: SuperAlgebra, space: OddBracketSpace, index: int
 ) -> SuperAlgebra:
-    """Install one solution tensor as the odd bracket of g's even data."""
-    return SuperAlgebra.from_tensors(
-        g.field, g.bracket, g.action, space.basis[index], mode=g.mode
-    )
+    """g's even part and action with basis element ``index`` of the space
+    as its odd bracket."""
+    if (space.dim_even, space.dim_odd) != (g.dim_even, g.dim_odd):
+        raise ShapeError("the solution space is not of g's dimensions")
+    coerce = g.field.coerce
+    odd = {(u, v, y): c for u, v, y, raw in space.entries(index) if (c := coerce(raw))}
+    return SuperAlgebra._of(g.field, g.dim_even, g.dim_odd, g.mode, g._even, g._act, odd)
 
 
 @dataclass(frozen=True)
@@ -574,12 +537,17 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     from .constructions import sl2_algebra
 
     even = sl2_algebra(field)
-    d0 = len(even.bracket)
-    # each irreducible's nonzero columns, act[x][w]
+    d0 = even.dim_even
+    # each irreducible's action entries {(x, v, w): c}, c the coefficient of
+    # f_w in e_x(f_v), read off the columns of its matrices
     summands = {
-        d: action_nonzeros(
-            [m.transpose().data for m in build_irrep(IrrepSpec.standard_params(field, d - 1), field).matrices()]
-        )
+        d: {
+            (x, v, w): c
+            for x, m in enumerate(build_irrep(IrrepSpec.standard_params(field, d - 1), field).matrices())
+            for w, row in enumerate(m.data)
+            for v, c in enumerate(row)
+            if c
+        }
         for d in range(1, min(field.p, max_odd_dim) + 1)
     }
     comps = [
@@ -589,14 +557,12 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     ]
 
     def dimension(comp):
-        # the direct sum's columns: each summand's, shifted by its offset
-        act = [[] for _ in range(d0)]
-        offset = 0
+        # the direct sum's entries: each summand's, shifted by its offset
+        act, offset = {}, 0
         for d in comp:
-            for x, plane in enumerate(summands[d]):
-                act[x] += [[(t + offset, c) for t, c in col] for col in plane]
+            act.update(((x, v + offset, w + offset), c) for (x, v, w), c in summands[d].items())
             offset += d
-        return odd_bracket_space(field, even.bracket, act).dimension
+        return odd_bracket_space(SuperAlgebra._of(field, d0, offset, even.mode, even._even, act, {})).dimension
 
     unknowns = sum(d0 * sum(c) * (sum(c) + 1) // 2 for c in comps)
     dims = _solve_split(dimension, comps, unknowns)

@@ -54,6 +54,8 @@ instance is summed into a list of per-output Fractions instead.  The
 validator and the solver also share :func:`representation_failures`,
 which packs each action column once and sums each (i, j, w) of
 [rho_i, rho_j] - sum_k c_ijk rho_k as one integer, on integers only.
+Both read their inputs off the algebra's integer form
+(:func:`_even_system`).
 
 Each algebra keeps a private integer form, built on first use and left out
 of equality and hashing: over Q the entries of the bracket and action
@@ -61,7 +63,8 @@ scaled by one common denominator D, and those of the odd bracket by its
 own D_p (:func:`clear_denominators`); over F_p the entries themselves.
 :func:`validate`, :func:`check_morphism`, :func:`killing_form`,
 :meth:`SuperAlgebra.conjugated` and the bilinear maps
-(``even_bracket_vec``, ``act_vec``, ``odd_bracket_vec``) all read it.  Every
+(``even_bracket_vec``, ``act_vec``, ``odd_bracket_vec``) all read it, and
+so does :func:`~superbracket.moduli.odd_bracket_space`.  Every
 identity is homogeneous, so an integer residual is zero exactly when the
 rational one is; a map clears its two argument vectors, sums on integers
 and divides once by the product of the three scales.
@@ -363,6 +366,17 @@ class _IntegerForm(NamedTuple):
             }[sector]
             rows = self.cache[sector] = _rows(entries, mirror)
         return rows
+
+
+def _even_system(g: "SuperAlgebra") -> tuple[list, list]:
+    """The even bracket, dense, and the action's nonzero columns
+    (:func:`_columns`) of g's integer form, both cleared by its one D: the
+    inputs of :func:`representation_failures` and
+    :func:`compatibility_equations`, from which :func:`validate` and
+    :func:`~superbracket.moduli.odd_bracket_space` build their systems."""
+    form = g._integer_form()
+    d0 = g.dim_even
+    return _dense(form.bracket, (d0, d0, d0), 0, g.field.neg), _columns(form.action, d0, g.dim_odd)
 
 
 class SuperAlgebra:
@@ -704,7 +718,7 @@ def validate(g: SuperAlgebra) -> ValidationReport:
                     bad.append(Violation("even_jacobi", (i, j, k), repr(s)))
 
     form = g._integer_form()
-    bracket, act = _dense(form.bracket, (d0, d0, d0), 0, f.neg), _columns(form.action, d0, d1)
+    bracket, act = _even_system(g)
     bad.extend(
         Violation("representation", pair)
         for pair in representation_failures(f, bracket, act)
@@ -878,13 +892,13 @@ def clear_denominators(field: Field, tensor) -> tuple[int, object]:
     integer.  ``tensor`` is nested lists or tuples of raw field elements,
     every leaf at the same depth (empty lists may stand anywhere above it);
     over Q the result nests lists of ints the same way, over F_p (already
-    integers) it is ``(1, tensor)``.  Tensors that must share one scale are
-    passed together as a tuple.  When D would exceed ``_MAX_SCALE_BITS``
-    bits the result is ``(1, tensor)`` too: every caller is exact on
-    Fractions as well, only slower on small denominators.  Each
-    :class:`SuperAlgebra` clears its own entries once, on first use, and
-    :func:`~superbracket.moduli.odd_bracket_space` its even bracket and
-    action."""
+    integers) it is ``(1, tensor)``.  When D would exceed
+    ``_MAX_SCALE_BITS`` bits the result is ``(1, tensor)`` too: every caller
+    is exact on Fractions as well, only slower on small denominators.  Each
+    :class:`SuperAlgebra` clears its own entries once, on first use
+    (:func:`_cleared`), and :func:`validate` and
+    :func:`~superbracket.moduli.odd_bracket_space` both read that integer
+    form."""
     if field.kind == "prime":
         return 1, tensor
     leaves = tensor
@@ -932,8 +946,8 @@ def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]
     packed; over F_p each -a is written p - a, so that every slot stays
     nonnegative.  A slot sums at most 2 d1 + d0 products, the bound that
     :func:`_slot_width` turns into the slot width.  Fraction inputs (past
-    the cut-off of :func:`clear_denominators`, which both the integer form
-    and the solver clear by) are summed output by output instead.
+    the cut-off of :func:`clear_denominators`, by which the integer form is
+    cleared) are summed output by output instead.
     """
     d0 = len(bracket)
     d1 = len(act[0]) if act else 0

@@ -63,8 +63,29 @@ def random_monomial(field, n, rng):
 
 def columns(mats):
     """The action's nonzero columns, act[x][w] = [(t, c), ...] for e_x(f_w),
-    that the solver takes, from action matrices whose columns are images."""
+    that the relations are built from, from action matrices whose columns
+    are images."""
     return sa.action_nonzeros([m.transpose().data for m in mats])
+
+
+def module_algebra(field, bracket, mats):
+    """The algebra with even bracket ``bracket`` (a dense tensor, read at
+    i < j), acting by the matrices ``mats`` (columns the images e_x(f_v)),
+    and zero odd bracket, in mode "char3" over F_3 and "standard"
+    otherwise: what moduli.odd_bracket_space solves on."""
+    d0, d1 = len(bracket), mats[0].rows if mats else 0
+    zero = [[[0] * d0 for _ in range(d1)] for _ in range(d1)]
+    mode = "char3" if field.characteristic == 3 else "standard"
+    action = [m.transpose().data for m in mats]
+    return sa.SuperAlgebra.from_tensors(field, bracket, action, zero, mode=mode)
+
+
+def dense_solution_to_algebra(g, space, index):
+    """g's dense even bracket and action with the dense basis tensor
+    ``index`` of the space as its odd bracket, as solution_to_algebra built
+    it before it read g's entries and the sparse vector.  Slow reference
+    for moduli.solution_to_algebra."""
+    return sa.SuperAlgebra.from_tensors(g.field, g.bracket, g.action, space.basis[index], mode=g.mode)
 
 
 def random_graded_change(g, rng):

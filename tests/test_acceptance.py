@@ -7,7 +7,7 @@ Every expected value is exact; there are no tolerances anywhere.  Run with
 
 import time
 
-from conftest import columns, random_graded_change
+from conftest import random_graded_change
 
 from superbracket.classify import classify
 from superbracket.constructions import (
@@ -54,7 +54,7 @@ def _finish(number, name, failures):
     assert not failures, f"criterion {number}: " + "; ".join(failures)
 
 
-def _space(field, dims, mode="standard"):
+def _space(field, dims):
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
     )
@@ -62,7 +62,7 @@ def _space(field, dims, mode="standard"):
     return (
         even,
         rep,
-        odd_bracket_space(field, even.bracket, columns(rep.matrices()), mode=mode),
+        odd_bracket_space(assemble(even, rep)),
     )
 
 
@@ -354,8 +354,8 @@ def test_criterion_7_sweep_completeness():
                 for d in row.composition
             ]
         )
-        space = odd_bracket_space(F5, even.bracket, columns(rep.matrices()))
         holder = assemble(even, rep, ())
+        space = odd_bracket_space(holder)
         want = "C" if has_std else "B"
         for i in range(space.dimension):
             result = classify(solution_to_algebra(holder, space, i))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import columns, fraction_check_morphism, random_graded_change
+from conftest import fraction_check_morphism, random_graded_change
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -176,8 +176,8 @@ def test_sweep_solutions_always_classify(field, max_dim):
                 for d in row.composition
             ]
         )
-        space = odd_bracket_space(field, even.bracket, columns(rep.matrices()))
         holder = assemble(even, rep, ())
+        space = odd_bracket_space(holder)
         for i in range(space.dimension):
             g = solution_to_algebra(holder, space, i)
             result = classify(g)

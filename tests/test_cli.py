@@ -227,6 +227,67 @@ def test_decompose_undetermined_exit_code():
     assert res.returncode == 3
 
 
+def _sl2_document(field, dim_odd, action):
+    """sl(2) acting on dim_odd odd coordinates by the action entries given,
+    with zero odd bracket: a canonical document over Q or F_7."""
+    fmt = (lambda c: f"{c}/1") if field == "q" else str
+    bracket = [[0, 1, 0, -2], [0, 2, 1, 1], [1, 2, 2, -2]] if field == "q" else [[0, 1, 0, 5], [0, 2, 1, 1], [1, 2, 2, 5]]
+    return json.dumps({
+        "field": {"kind": "rationals"} if field == "q" else {"kind": "prime_field", "p": 7},
+        "dim_even": 3,
+        "dim_odd": dim_odd,
+        "axiom_mode": "standard",
+        "bracket_even": [[i, j, k, fmt(c)] for i, j, k, c in bracket],
+        "action": [[x, v, w, fmt(c)] for x, v, w, c in action],
+        "p_map": [],
+    })
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: run_cli("construct", "osp", "--d0", "2", "--d1", "2", "--field", "fp:7").stdout,
+        lambda: json.dumps({
+            "field": {"kind": "rationals"}, "dim_even": 0, "dim_odd": 3, "axiom_mode": "standard",
+            "bracket_even": [], "action": [], "p_map": [],
+        }),
+    ],
+    ids=["osp-4|2", "empty-0|3"],
+)
+def test_decompose_on_an_even_part_that_is_not_3_dimensional_is_not_applicable(make):
+    res = run_cli("decompose", "-", stdin=make())
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "Traceback" not in res.stderr
+    assert json.loads(res.stderr)["error"].startswith("not applicable")
+
+
+@pytest.mark.parametrize(
+    "field, action",
+    [("q", [(1, 0, 0, 5)]), ("q", [(0, 1, 0, 1)]), ("fp:7", [(1, 0, 0, 3), (1, 1, 1, 4)])],
+    ids=["Q-H", "Q-E", "F_7-H"],
+)
+def test_decompose_on_a_non_representation_exits_1(field, action):
+    # the pairs that validate names, on stderr as pspace prints them, and no
+    # traceback from a decomposition of a module that is none
+    text = _sl2_document(field, 2, action)
+    checked = run_cli("validate", "-", stdin=text)
+    expected = [line for line in checked.stdout.splitlines() if line.startswith("representation")]
+    assert checked.returncode == 1 and expected
+    for command in ("decompose", "pspace"):
+        res = run_cli(command, "-", stdin=text)
+        assert (res.returncode, res.stdout) == (1, ""), command
+        assert res.stderr.splitlines() == expected, command
+
+
+def test_pspace_has_no_mode_flag():
+    # the solver runs in the document's own mode; a flag could only repeat
+    # it or drop the cubic of a char-3 document
+    built = run_cli("construct", "char3")
+    res = run_cli("pspace", "-", "--mode", "standard", stdin=built.stdout)
+    assert (res.returncode, res.stdout) == (64, "")
+    assert "--mode" in res.stderr
+
+
 def test_decompose_has_no_triple_budget_flag():
     built = run_cli("construct", "irrep", "--m", "2", "--field", "q")
     res = run_cli("decompose", "-", "--triple-budget", "5", stdin=built.stdout)
@@ -457,3 +518,67 @@ def test_info_computes_the_supercentre_once(monkeypatch, tmp_path):
     assert (doc["centre_dim_odd"], doc["simple"]) == (2, False)
     assert len(calls) == 1
     assert out.getvalue() == run_cli("info", str(path)).stdout
+
+
+def _pspace_documents():
+    """(name, canonical document) of every document whose pspace output is
+    pinned: sl(2) plus sums of 1-4 irreducibles over Q, F_5 and F_7 in
+    their weight basis, a monomial basis and a random dense basis; two
+    over F_3 in char3 mode; the char-3 example; abelian 3|6; an empty 0|3
+    document; an action that is not a representation and a char2
+    document."""
+    import random
+
+    from conftest import random_invertible, random_monomial
+    from superbracket.constructions import assemble, build_char2_example, build_char3_example, sl2_algebra
+    from superbracket.fields import QQ, Field
+    from superbracket.linalg import Matrix
+    from superbracket.schema import serialize_algebra
+    from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
+    from superbracket.superalgebra import SuperAlgebra
+
+    F3, F5, F7 = Field.prime(3), Field.prime(5), Field.prime(7)
+    rng = random.Random(2718)
+    docs = []
+    for field in (QQ, F5, F7):
+        for comp in ((2,), (3, 1), (4, 2, 1), (2, 2, 1, 1)):
+            rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in comp])
+            g = assemble(sl2_algebra(field), rep)
+            for basis, change in (("weight", None), ("monomial", random_monomial), ("dense", random_invertible)):
+                h = g if change is None else g.conjugated(Matrix.identity(field, 3), change(field, rep.dim, rng))
+                docs.append((f"{field} {comp} {basis}", serialize_algebra(h)))
+    for comp in ((2, 1), (3,)):
+        rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(F3, d - 1), F3) for d in comp])
+        docs.append((f"F_3 {comp} weight", serialize_algebra(assemble(sl2_algebra(F3), rep))))
+    docs.append(("char3 example", serialize_algebra(build_char3_example())))
+    docs.append(("abelian 3|6", serialize_algebra(SuperAlgebra.from_entries(QQ, 3, 6))))
+    docs.append(("empty 0|3", serialize_algebra(SuperAlgebra.from_entries(F7, 0, 3))))
+    sl2 = json.loads(serialize_algebra(sl2_algebra(QQ)))
+    docs.append(("not a representation", json.dumps({**sl2, "dim_odd": 2, "action": [[1, 0, 0, "5"]]})))
+    docs.append(("char2 example", serialize_algebra(build_char2_example())))
+    return docs
+
+
+# sha256 over the pspace stdout and exit code of every _pspace_documents()
+# document, recorded before the solver read its input off the integer form
+PSPACE_DIGEST = "51e3ea44134d0da52791b99a2d7e540d117d397d938616f75b1d0468f30ea37c"
+
+
+def test_pspace_outputs_are_pinned(tmp_path):
+    import hashlib
+
+    from superbracket import cli
+
+    lines = []
+    for name, text in _pspace_documents():
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(["pspace", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+        lines.append(f"{name} {code} {out.getvalue()}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PSPACE_DIGEST, "\n".join(line.split("\n")[0] + " ..." for line in lines)

@@ -698,8 +698,8 @@ def test_packed_representation_bound_is_reached(monkeypatch):
 def test_representation_check_packs_unless_its_inputs_hold_fractions(monkeypatch, rng):
     # the per-output dict loop runs only on Fractions, past the cut-off of
     # clear_denominators: in validate's integer form, and in the solver,
-    # which clears its bracket and action by the same function and so packs
-    # over Q below the cut-off
+    # which reads the same integer form and so packs over Q below the
+    # cut-off
     import superbracket.superalgebra as sa
 
     coprime = coprime_document(12)
@@ -713,9 +713,9 @@ def test_representation_check_packs_unless_its_inputs_hold_fractions(monkeypatch
     for g in docs:
         validate(g)
     for g in modules:
-        moduli.odd_bracket_space_of(g)
+        moduli.odd_bracket_space(g)
     # the coprime action is no representation: the solver stops at the check
     with pytest.raises(moduli.NotARepresentation):
-        moduli.odd_bracket_space_of(coprime)
+        moduli.odd_bracket_space(coprime)
     packed = ["_packed_failures"] * len(FIELDS)
     assert calls == ["_listed_failures"] + packed + ["_packed_failures", "_packed_failures", "_listed_failures"]

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import collected_rows, columns, dense_kernel, random_invertible, random_monomial
+from conftest import (
+    collected_rows,
+    columns,
+    dense_kernel,
+    dense_solution_to_algebra,
+    module_algebra,
+    random_invertible,
+    random_monomial,
+)
 
 from superbracket import moduli
 from superbracket.classify import classify
@@ -22,12 +30,12 @@ from superbracket.moduli import (
     OddBracketSpace,
     UnsupportedMode,
     odd_bracket_space,
-    odd_bracket_space_of,
     solution_to_algebra,
     sweep_irrep_sums,
 )
 from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
+    ShapeError,
     SuperAlgebra,
     _Relations,
     action_nonzeros,
@@ -41,12 +49,12 @@ F5 = GF(5)
 F7 = GF(7)
 
 
-def space_for(field, dims, mode="standard"):
+def space_for(field, dims):
     even = sl2_algebra(field)
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
     )
-    return even, rep, odd_bracket_space(field, even.bracket, columns(rep.matrices()), mode=mode)
+    return even, rep, odd_bracket_space(module_algebra(field, even.bracket, list(rep.matrices())))
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -202,7 +210,7 @@ def test_sparse_assembly_matches_naive_oracle(field, dims, rng):
         rep.conjugated(random_monomial(field, rep.dim, rng)),
     ):
         mats = list(module.matrices())
-        space = odd_bracket_space(field, even.bracket, columns(mats))
+        space = odd_bracket_space(module_algebra(field, even.bracket, mats))
         assert flatten(space) == naive_space(field, even.bracket, mats)
 
 
@@ -231,7 +239,7 @@ def test_assembled_rows_hold_nonzero_raw_entries(field, rng, monkeypatch):
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in (3, 2, 1)]
     )
     for module in (rep, rep.conjugated(random_invertible(field, rep.dim, rng))):
-        odd_bracket_space(field, even.bracket, columns(module.matrices()))
+        odd_bracket_space(module_algebra(field, even.bracket, list(module.matrices())))
     assert len(seen) == 2
     for row, labels in ((row, set(labels)) for rows, labels in seen for row in rows):
         assert row
@@ -275,7 +283,7 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
         [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
     )
     mats = list(rep.conjugated(random_monomial(field, rep.dim, rng)).matrices())
-    space = odd_bracket_space(field, even.bracket, columns(mats), mode=mode)
+    space = odd_bracket_space(module_algebra(field, even.bracket, mats))
     ((rows, labels),) = seen
     n = unknown_count(even, rep.dim)
     oracle, live = live_system(oracle_solver_rows(field, even.bracket, mats, mode), n)
@@ -316,7 +324,7 @@ def test_solver_rows_are_pinned(field, dims, mode, digest, monkeypatch):
     # module's entries are integers, so the solver clears them by D = 1 and
     # its rows are those of the raw tensors, each Fraction(n, 1) as the int n
     seen = spy_rows(monkeypatch)
-    even, rep, _ = space_for(field, dims, mode)
+    even, rep, _ = space_for(field, dims)
     ((rows, labels),) = seen
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
     oracle, live = live_system(
@@ -369,7 +377,7 @@ def test_solver_rows_are_the_oracle_rows_times_the_common_denominator(dims, rng,
         entries += [x for m in mats for row in m.data for x in row]
         d = lcm(*(x.denominator for x in entries))
         assert d > 1
-        space = odd_bracket_space(QQ, even.bracket, columns(mats))
+        space = odd_bracket_space(module_algebra(QQ, even.bracket, mats))
         rows, labels = seen.pop()
         oracle, live = live_system(oracle_solver_rows(QQ, even.bracket, mats), unknown_count(even, rep.dim))
         assert labels == live
@@ -396,7 +404,7 @@ def test_solver_keeps_fractions_past_the_cut_off(monkeypatch):
     action = [m.transpose().data for m in mats]
     assert lcm(*(x.denominator for plane in action for row in plane for x in row)).bit_length() > 2048
     assert clear_denominators(QQ, (even.bracket, action))[0] == 1
-    space = odd_bracket_space(QQ, even.bracket, columns(mats))
+    space = odd_bracket_space(module_algebra(QQ, even.bracket, mats))
     ((rows, labels),) = seen
     oracle, live = live_system(oracle_solver_rows(QQ, even.bracket, mats), unknown_count(even, n))
     assert labels == live
@@ -551,32 +559,17 @@ def test_relation_2_at_e_and_f_is_collected_only_where_the_weights_leave_an_unkn
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=str)
-def test_solver_checks_the_columns_it_is_handed(field):
-    # sl(2) on its standard module, V(1): E f_1 = f_0, H f_0 = f_0,
-    # H f_1 = -f_1, F f_0 = f_1
+def test_action_entries_out_of_range_are_refused_before_the_solver(field):
+    # the solver takes an algebra, whose action is checked where it is
+    # built: sl(2) on its standard module, V(1), solves, and an action entry
+    # outside the odd indices never reaches the solver
     even = sl2_algebra(field)
-    e, h, f = columns(build_irrep(IrrepSpec.standard_params(field, 1), field).matrices())
-    assert odd_bracket_space(field, even.bracket, [e, h, f]).dimension == 1
-    one, zero = field.one(), field.zero()
-    other = Fraction(1, 2) if field.kind == "prime" else 1
-    bad = [
-        ([e, h], "columns for each even basis vector"),
-        ([e[:1], h, f], "one action column per odd one"),
-        ([[[], [(2, one)]], h, f], "increase within the odd indices"),
-        ([[[], [(-1, one)]], h, f], "increase within the odd indices"),
-        ([[[], [(1, one), (0, one)]], h, f], "increase within the odd indices"),
-        ([[[], [(0, one), (0, one)]], h, f], "increase within the odd indices"),
-        ([[[], [(0.0, one)]], h, f], "increase within the odd indices"),
-        ([[[], [(0, zero)]], h, f], "nonzero raw elements"),
-        ([[[], [(0, other)]], h, f], "nonzero raw elements"),
-    ]
-    if field.kind == "prime":
-        bad.append(([[[], [(0, field.p + 1)]], h, f], "nonzero raw elements"))
-    for act, message in bad:
-        with pytest.raises(ValueError, match=message):
-            odd_bracket_space(field, even.bracket, act)
-    with pytest.raises(ValueError, match="d0 x d0 x d0"):
-        odd_bracket_space(field, [plane[:2] for plane in even.bracket], [e, h, f])
+    g = module_algebra(field, even.bracket, list(build_irrep(IrrepSpec.standard_params(field, 1), field).matrices()))
+    assert odd_bracket_space(g).dimension == 1
+    bracket = [(*key, c) for key, c in g._even.items()]
+    for entry in ((0, 1, 2, 1), (0, 2, 0, 1), (3, 0, 0, 1), (-1, 0, 0, 1)):
+        with pytest.raises(ShapeError, match="action entry .* out of range"):
+            SuperAlgebra.from_entries(field, 3, 2, bracket, [entry])
 
 
 def test_space_from_tensors_and_from_sparse_vectors_agree():
@@ -650,7 +643,7 @@ def test_even_parts_with_idle_directions_match_naive_oracle(field, mode, rng, mo
         for t in (Matrix.identity(field, n), random_monomial(field, n, rng), random_invertible(field, n, rng)):
             t_inv = t.inverse()
             module = [t_inv @ m @ t for m in mats]
-            space = odd_bracket_space(field, bracket, columns(module), mode=mode)
+            space = odd_bracket_space(module_algebra(field, bracket, module))
             assert flatten(space) == naive_space(field, bracket, module, mode=mode), name
             n_cols = len(seen.pop()[1])
             unknowns = len(bracket) * n * (n + 1) // 2
@@ -662,7 +655,7 @@ def test_even_parts_with_idle_directions_match_naive_oracle(field, mode, rng, mo
 @pytest.mark.parametrize("field", [QQ, F7], ids=str)
 def test_space_without_an_even_part_reports_the_odd_dimension(field):
     # no action matrix to read d1 off: the space reports g's own dimensions
-    space = odd_bracket_space_of(SuperAlgebra.from_entries(field, 0, 3))
+    space = odd_bracket_space(SuperAlgebra.from_entries(field, 0, 3))
     assert (space.dim_even, space.dim_odd, space.dimension) == (0, 3, 0)
 
 
@@ -679,7 +672,7 @@ def test_char3_assembly_matches_naive_oracle(dims, rng):
         rep.conjugated(random_monomial(f3, rep.dim, rng)),
     ):
         mats = list(module.matrices())
-        space = odd_bracket_space(f3, even.bracket, columns(mats), mode="char3")
+        space = odd_bracket_space(module_algebra(f3, even.bracket, mats))
         assert flatten(space) == naive_space(f3, even.bracket, mats, mode="char3")
 
 
@@ -693,7 +686,8 @@ def test_char3_assembly_matches_naive_oracle(dims, rng):
 )
 def test_char3_cubic_rows_bite_on_an_abelian_even_part(mats, rng):
     # over sl(2) no module separates the modes; with an abelian even part
-    # the diagonal rows cut the space, so the oracle sees them
+    # the diagonal rows cut the space, so the oracle sees them: the space
+    # of the standard relations alone, from the oracle, is larger
     f3 = GF(3)
     d0 = len(mats)
     zero = [[[0] * d0 for _ in range(d0)] for _ in range(d0)]
@@ -701,11 +695,9 @@ def test_char3_cubic_rows_bite_on_an_abelian_even_part(mats, rng):
     t = random_invertible(f3, mats[0].rows, rng)
     t_inv = t.inverse()
     for module in (mats, [t_inv @ m @ t for m in mats]):
-        standard = odd_bracket_space(f3, zero, columns(module))
-        space = odd_bracket_space(f3, zero, columns(module), mode="char3")
-        assert space.dimension < standard.dimension
+        space = odd_bracket_space(module_algebra(f3, zero, module))
+        assert space.dimension < len(naive_space(f3, zero, module))
         assert flatten(space) == naive_space(f3, zero, module, mode="char3")
-        assert flatten(standard) == naive_space(f3, zero, module)
 
 
 def test_char3_example_matches_naive_oracle():
@@ -713,7 +705,7 @@ def test_char3_example_matches_naive_oracle():
 
     g = build_char3_example()
     mats = [g.action_matrix(i) for i in range(g.dim_even)]
-    space = odd_bracket_space_of(g)
+    space = odd_bracket_space(g)
     assert space.dimension
     assert flatten(space) == naive_space(g.field, g.bracket, mats, mode="char3")
 
@@ -725,6 +717,32 @@ def test_solutions_assemble_to_valid_algebras():
         for i in range(space.dimension):
             g = solution_to_algebra(g0, space, i)
             assert validate(g).ok
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F7, GF(3)], ids=str)
+def test_solution_to_algebra_matches_the_dense_oracle(field, rng):
+    # each basis element installed from g's entries and the sparse vector is
+    # the algebra the dense tensors give, entry for entry and byte for byte,
+    # in the weight basis and a random dense basis of the module
+    from superbracket.schema import serialize_algebra
+
+    even = sl2_algebra(field)
+    checked = 0
+    for dims in ((2,), (3, 1), (2, 2, 1)):
+        rep = RepMatrices.direct_sum(
+            [build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims]
+        )
+        for module in (rep, rep.conjugated(random_invertible(field, rep.dim, rng))):
+            g = module_algebra(field, even.bracket, list(module.matrices()))
+            space = odd_bracket_space(g)
+            for i in range(space.dimension):
+                h, oracle = solution_to_algebra(g, space, i), dense_solution_to_algebra(g, space, i)
+                assert h == oracle and serialize_algebra(h) == serialize_algebra(oracle)
+                assert [(u, v, y) for u, v, y, _ in space.entries(i)] == sorted(h._odd)
+                checked += 1
+    assert checked
+    with pytest.raises(ShapeError):
+        solution_to_algebra(SuperAlgebra.from_entries(field, 3, 1, mode=g.mode), space, 0)
 
 
 def solution_holder(field, even, rep):
@@ -747,11 +765,11 @@ def test_dimension_invariant_under_module_base_change(rng):
         rep = RepMatrices.direct_sum(
             [build_irrep(IrrepSpec.standard_params(F5, d - 1), F5) for d in dims]
         )
-        base = odd_bracket_space(F5, even.bracket, columns(rep.matrices())).dimension
+        base = odd_bracket_space(module_algebra(F5, even.bracket, list(rep.matrices()))).dimension
         for _ in range(3):
             t = random_invertible(F5, rep.dim, rng)
             conj = rep.conjugated(t)
-            dim = odd_bracket_space(F5, even.bracket, columns(conj.matrices())).dimension
+            dim = odd_bracket_space(module_algebra(F5, even.bracket, list(conj.matrices()))).dimension
             assert dim == base
 
 
@@ -759,7 +777,7 @@ def test_char3_space_contains_the_example():
     from superbracket.constructions import build_char3_example
 
     g = build_char3_example()
-    space = odd_bracket_space_of(g)
+    space = odd_bracket_space(g)
     assert g.mode == "char3"
     # flatten g's own bracket and check membership in the solution span
     d0, d1 = g.dim_even, g.dim_odd
@@ -783,7 +801,7 @@ def test_solver_rejects_non_representations():
     even = sl2_algebra(QQ)
     bogus = [Matrix.identity(QQ, 2)] * 3
     with pytest.raises(ValueError, match="represent"):
-        odd_bracket_space(QQ, even.bracket, columns(bogus))
+        odd_bracket_space(module_algebra(QQ, even.bracket, bogus))
 
 
 def test_solver_names_the_failing_pairs_like_validate():
@@ -795,18 +813,14 @@ def test_solver_names_the_failing_pairs_like_validate():
     assert expected
     assert representation_failures(QQ, bad.bracket, action_nonzeros(bad.action)) == expected
     with pytest.raises(NotARepresentation) as info:
-        odd_bracket_space_of(bad)
+        odd_bracket_space(bad)
     assert list(info.value.pairs) == expected
     assert representation_failures(QQ, g.bracket, action_nonzeros(g.action)) == []
 
 
 def test_char2_documents_are_refused():
-    g = build_char2_example()
     with pytest.raises(UnsupportedMode, match="char2"):
-        odd_bracket_space_of(g)
-    mats = [g.action_matrix(i) for i in range(g.dim_even)]
-    with pytest.raises(UnsupportedMode):
-        odd_bracket_space(g.field, g.bracket, columns(mats), mode="char2")
+        odd_bracket_space(build_char2_example())
 
 
 def test_sweep_budget_guards():
@@ -927,12 +941,12 @@ def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim,
     # (2,) among them; the patch is inherited by the fork
     cpus(2)
     real = moduli.odd_bracket_space
-    target = columns(build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
+    target = module_algebra(F5, sl2_algebra(F5).bracket, build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
 
-    def failing(field, bracket, act, *args, **kwargs):
-        if act == target:
+    def failing(g):
+        if g == target:
             raise ValueError(f"no solution space for ({dim},)")
-        return real(field, bracket, act, *args, **kwargs)
+        return real(g)
 
     monkeypatch.setattr(moduli, "odd_bracket_space", failing)
     with pytest.raises(ValueError, match=rf"^no solution space for \({dim},\)$") as info:

@@ -26,7 +26,7 @@ from superbracket.constructions import (
 )
 from superbracket.fields import GF, QQ
 from superbracket.linalg import Matrix, Span, Vector
-from superbracket.moduli import odd_bracket_space_of
+from superbracket.moduli import odd_bracket_space
 from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
     MODES,
@@ -201,7 +201,7 @@ def test_validate_matches_naive_oracle_below_the_even_dimension(field, dim, rng)
     # odd ones, so a residual sized for the odd outputs cannot hold relation 2
     mats = list(irrep_sum(field, [dim]).matrices())
     g = module_algebra(field, mats)
-    space = odd_bracket_space_of(g)
+    space = odd_bracket_space(g)
     if space.basis:
         g = module_algebra(field, mats, [[list(r) for r in pl] for pl in space.basis[-1]])
     assert g.dim_odd < g.dim_even
@@ -275,7 +275,7 @@ def test_validate_accepts_exactly_the_solution_span(field, dims, seed):
     rep = irrep_sum(field, dims)
     d1 = rep.dim
     g = module_algebra(field, list(rep.matrices()))
-    space = odd_bracket_space_of(g)
+    space = odd_bracket_space(g)
 
     def flat(tensor):
         return Vector(field, [c for u in range(d1) for v in range(u, d1) for c in tensor[u][v]])

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import columns, dense_from_entries, dense_integer_form, dense_serialization, random_invertible
+from conftest import dense_from_entries, dense_integer_form, dense_serialization, module_algebra, random_invertible
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -407,7 +407,7 @@ def _random_oracle_instance(rng, dims):
     rep = RepMatrices.direct_sum(
         [build_irrep(IrrepSpec.standard_params(F5, d - 1), F5) for d in dims]
     )
-    space = odd_bracket_space(F5, even.bracket, columns(rep.matrices()))
+    space = odd_bracket_space(module_algebra(F5, even.bracket, list(rep.matrices())))
     tensors = [
         [[F5.zero()] * 3 for _ in range(rep.dim)] for _ in range(rep.dim)
     ]

@@ -41,7 +41,6 @@ CASE_A = "A"
 CASE_B = "B"
 CASE_C = "C"
 NOT_APPLICABLE = "not_applicable"
-UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Exit codes: 0 success (classification cases A/B/C), 1 validation failure
 (also ``pspace`` and ``decompose`` on an action that is not a
 representation), 2 not applicable (classification, ``pspace`` on a char2
 document, ``decompose`` on an even part that is not 3-dimensional), 3
-undetermined, 64 usage error, 65 schema error.
+undetermined (``decompose``'s triple search), 64 usage error, 65 schema
+error.
 """
 
 from __future__ import annotations
@@ -178,8 +179,6 @@ def cmd_classify(path):
     _echo(json.dumps(doc, indent=2))
     if result.case == "not_applicable":
         sys.exit(EXIT_NOT_APPLICABLE)
-    if result.case == "undetermined":
-        sys.exit(EXIT_UNDETERMINED)
 
 
 @cli.group("construct")

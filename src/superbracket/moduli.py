@@ -12,8 +12,9 @@ numerics, just exact row reduction.
 
 The solver works on sparse data from end to end.  It takes one
 :class:`~superbracket.superalgebra.SuperAlgebra` and solves in its mode,
-on the even bracket and the action's nonzero columns ``act[x][w]``, the
-pairs (t, c) of e_x(f_w), of the algebra's own integer form: the copy that
+on the nonzero columns of the even bracket, ``ecols[x][z]``, the pairs
+(y, c) of [e_x, e_z], and of the action, ``act[x][w]``, the pairs (t, c)
+of e_x(f_w), of the algebra's own integer form: the copy that
 :func:`~superbracket.superalgebra.validate` builds its system from, with
 the bracket and the action cleared of denominators by one common D over Q
 (:func:`~superbracket.superalgebra.clear_denominators`).  Every equation is
@@ -346,12 +347,12 @@ def odd_bracket_space(g: SuperAlgebra) -> OddBracketSpace:
     if g.mode not in ("standard", "char3"):
         raise UnsupportedMode(f"unsupported mode for the bracket solver: {g.mode!r}")
     field, d0, d1 = g.field, g.dim_even, g.dim_odd
-    bracket, act = _even_system(g)
-    failures = representation_failures(field, bracket, act)
+    ecols, act = _even_system(g)
+    failures = representation_failures(field, ecols, act)
     if failures:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
-    rel = _Relations(bracket, act)
+    rel = _Relations(ecols, act)
     dead: set[int] = set()
     off_diagonal, first = [], None  # the x at which relation 2 is collected
     for x in range(d0):

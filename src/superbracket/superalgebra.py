@@ -53,9 +53,11 @@ passes none and gets every instance.  Past the 2048-bit cut-off of
 instance is summed into a list of per-output Fractions instead.  The
 validator and the solver also share :func:`representation_failures`,
 which packs each action column once and sums each (i, j, w) of
-[rho_i, rho_j] - sum_k c_ijk rho_k as one integer, on integers only.
-Both read their inputs off the algebra's integer form
-(:func:`_even_system`).
+[rho_i, rho_j] - sum_k c_ijk rho_k as one integer.  :func:`validate`
+checks the even Jacobi identity with it too, as "ad represents g0".  Both
+routines take the even bracket and the action as nonzero columns,
+``ecols[x][z]`` the pairs (y, c) of [e_x, e_z] and ``act[x][w]`` those of
+e_x(f_w), read off the algebra's integer form (:func:`_even_system`).
 
 Each algebra keeps a private integer form, built on first use and left out
 of equality and hashing: over Q the entries of the bracket and action
@@ -104,7 +106,6 @@ __all__ = [
     "MODES",
     "validate",
     "clear_denominators",
-    "action_nonzeros",
     "odd_unknowns",
     "representation_failures",
     "compatibility_equations",
@@ -185,14 +186,16 @@ def _dense(entries: dict, shape, zero=0, mirror=None) -> list:
     return t
 
 
-def _columns(action: dict, d0: int, d1: int) -> list:
-    """act[x][v]: the nonzeros (w, c), w increasing, of e_x(f_v), from the
-    action's entries ``{(x, v, w): c}``, as :func:`action_nonzeros` builds
-    them."""
-    act = [[[] for _ in range(d1)] for _ in range(d0)]
-    for (x, v, w), c in sorted(action.items()):
-        act[x][v].append((w, c))
-    return act
+def _columns(entries: dict, a: int, b: int, mirror=None) -> list:
+    """cols[x][v]: the nonzeros (w, c), w increasing, of the entries
+    ``{(x, v, w): c}`` of an a x b x n tensor; with a ``mirror``, also
+    (w, mirror(c)) at cols[v][x], as the even bracket mirrors its own."""
+    cols = [[[] for _ in range(b)] for _ in range(a)]
+    for (x, v, w), c in sorted(entries.items()):
+        cols[x][v].append((w, c))
+        if mirror:
+            cols[v][x].append((w, mirror(c)))
+    return cols
 
 
 def _grouped(cells) -> list:
@@ -369,14 +372,15 @@ class _IntegerForm(NamedTuple):
 
 
 def _even_system(g: "SuperAlgebra") -> tuple[list, list]:
-    """The even bracket, dense, and the action's nonzero columns
-    (:func:`_columns`) of g's integer form, both cleared by its one D: the
-    inputs of :func:`representation_failures` and
+    """``(ecols, act)``: the nonzero columns (:func:`_columns`) of the even
+    bracket, mirrored by ``field.neg``, and of the action of g's integer
+    form, both cleared by its one D: the inputs of
+    :func:`representation_failures` and
     :func:`compatibility_equations`, from which :func:`validate` and
     :func:`~superbracket.moduli.odd_bracket_space` build their systems."""
     form = g._integer_form()
     d0 = g.dim_even
-    return _dense(form.bracket, (d0, d0, d0), 0, g.field.neg), _columns(form.action, d0, g.dim_odd)
+    return _columns(form.bracket, d0, d0, g.field.neg), _columns(form.action, d0, g.dim_odd)
 
 
 class SuperAlgebra:
@@ -684,45 +688,33 @@ class SuperAlgebra:
 
 def validate(g: SuperAlgebra) -> ValidationReport:
     """Check every axiom of g's mode; lists all violations, not just the first.
-    The relations are the equations of :func:`compatibility_equations`,
+    The even Jacobi identity says that ad represents g0: the residual of
+    [ad e_i, ad e_j] - ad [e_i, e_j] at e_k is the Jacobi sum J(i, j, k),
+    which alternates, so the failures (i, j, k) with k > j of the
+    representation check on (ecols, ecols) are the violated triples.  The
+    relations are the equations of :func:`compatibility_equations`,
     evaluated at g's own odd bracket, or at its squaring in char2 mode:
     each instance's terms are summed into one packed integer residual (see
     :func:`_packed_violations`), and the instance is violated iff some
     output of it is nonzero.  Only the instances with a term at a pair of
     the odd bracket's support are generated; every other one vanishes at
-    g.  Over Q they run on integers: the bracket and
-    action are scaled by one common denominator D and the odd bracket by
-    its own D_p (see :func:`clear_denominators`), which multiplies
-    relations 1 and 2 and the cubic by D*D_p and the representation check
-    by D**2.  Past the cut-off of :func:`clear_denominators` the integer
-    form holds Fractions, which cannot be packed, and each instance is
-    summed output by output instead."""
+    g.  Over Q they run on integers: the bracket and action are scaled by
+    one common denominator D and the odd bracket by its own D_p (see
+    :func:`clear_denominators`), which multiplies relations 1 and 2 and
+    the cubic by D*D_p and both representation checks by D**2.  Past the
+    cut-off of :func:`clear_denominators` the integer form holds
+    Fractions, which cannot be packed, and each instance is summed output
+    by output instead."""
     f = g.field
     d0, d1 = g.dim_even, g.dim_odd
-    bad: list[Violation] = []
-
-    def vec_even(raw) -> Vector:
-        return Vector(f, raw)
-
-    # even Jacobi identity on basis triples i < j < k
-    units_e = [Vector.unit(f, d0, i) for i in range(d0)]
-    for i in range(d0):
-        for j in range(i + 1, d0):
-            for k in range(j + 1, d0):
-                s = (
-                    g.even_bracket_vec(units_e[i], vec_even(g.bracket[j][k]))
-                    + g.even_bracket_vec(units_e[j], vec_even(g.bracket[k][i]))
-                    + g.even_bracket_vec(units_e[k], vec_even(g.bracket[i][j]))
-                )
-                if not s.is_zero():
-                    bad.append(Violation("even_jacobi", (i, j, k), repr(s)))
-
     form = g._integer_form()
-    bracket, act = _even_system(g)
-    bad.extend(
-        Violation("representation", pair)
-        for pair in representation_failures(f, bracket, act)
-    )
+    ecols, act = _even_system(g)
+    bad = [
+        Violation("even_jacobi", (i, j, k), _jacobi_sum(f, ecols, form.d, i, j, k))
+        for i, j, k in _failures(f, ecols, ecols)
+        if k > j
+    ]
+    bad += [Violation("representation", pair) for pair in representation_failures(f, ecols, act)]
 
     # the unknowns' values: g's odd bracket, or in char2 mode the squaring it
     # polarizes (char 2 means F_2, whose entries are integers already), kept
@@ -735,7 +727,7 @@ def validate(g: SuperAlgebra) -> ValidationReport:
         support[u] |= 1 << v
         support[v] |= 1 << u
     coeffs = [*form.bracket.values(), *form.action.values()]  # only sizes and types matter
-    equations = compatibility_equations(bracket, act, g.mode, support)
+    equations = compatibility_equations(ecols, act, g.mode, support)
     p = f.p if f.kind == "prime" else None
     if set(map(type, chain(coeffs, *known.values()))) <= {int}:
         violated = _packed_violations(equations, known, coeffs, d0, d1, p)
@@ -874,12 +866,6 @@ def _listed_violations(equations, known, d0: int, d1: int):
             yield identity, indices
 
 
-def action_nonzeros(action) -> list:
-    """act[x][w]: the nonzeros (t, coefficient of f_t) of e_x(f_w), from a
-    tensor ``action[x][w][t]`` laid out like :attr:`SuperAlgebra.action`."""
-    return [[[(t, c) for t, c in enumerate(col) if c] for col in plane] for plane in action]
-
-
 # Past this size a common denominator costs more than it saves: products of
 # the scaled entries grow with D, while a Fraction sum only carries the
 # denominators of its own terms.  On 3|8 to 3|12 documents whose entries
@@ -930,39 +916,47 @@ def odd_unknowns(d0: int, d1: int) -> list:
     return base
 
 
-def representation_failures(field: Field, bracket, act) -> list[tuple[int, int]]:
+def representation_failures(field: Field, ecols, act) -> list[tuple[int, int]]:
     """Pairs i < j with [rho(e_i), rho(e_j)] != rho([e_i, e_j]).
 
-    ``bracket`` is the d0 x d0 x d0 even tensor and ``act`` the action's
-    nonzeros from :func:`action_nonzeros`, both raw field elements or both
-    scaled to integers by one :func:`clear_denominators` (the check is
-    homogeneous); an empty list means a representation.  Each image of f_w
-    is summed over nonzeros only.
+    ``ecols`` holds the even bracket and ``act`` the action as nonzero
+    columns (:func:`_even_system`): ecols[x][z] the pairs (y, c) of
+    [e_x, e_z], act[x][w] the pairs (t, c) of e_x(f_w), both raw field
+    elements or both scaled to integers by one :func:`clear_denominators`
+    (the check is homogeneous); an empty list means a representation.
+    :func:`validate` checks the even Jacobi identity, "ad represents g0",
+    by the same routine on (ecols, ecols).  Each image of f_w is summed
+    over nonzeros only.
 
     On integers (over F_p, residues in [0, p)) each action column is packed
     once with :func:`_pack`, and each (i, j, w) is summed as one integer,
     sum a P_i[t] - sum a P_j[t] - sum c_ijk P_k[w] over the nonzeros (t, a)
-    of e_j(f_w), then of e_i(f_w), and over k, where P_i[t] is e_i(f_t)
-    packed; over F_p each -a is written p - a, so that every slot stays
-    nonnegative.  A slot sums at most 2 d1 + d0 products, the bound that
-    :func:`_slot_width` turns into the slot width.  Fraction inputs (past
-    the cut-off of :func:`clear_denominators`, by which the integer form is
-    cleared) are summed output by output instead.
+    of e_j(f_w), then of e_i(f_w), and over the (k, c_ijk) of [e_i, e_j],
+    where P_i[t] is e_i(f_t) packed; over F_p each -a is written p - a, so
+    that every slot stays nonnegative.  A slot sums at most 2 d1 + d0
+    products, the bound that :func:`_slot_width` turns into the slot width.
+    Fraction inputs (past the cut-off of :func:`clear_denominators`, by
+    which the integer form is cleared) are summed output by output instead.
     """
-    d0 = len(bracket)
-    d1 = len(act[0]) if act else 0
+    return list(dict.fromkeys((i, j) for i, j, _ in _failures(field, ecols, act)))
+
+
+def _failures(field: Field, ecols, act):
+    """Every (i, j, w), i < j, in lexicographic order, at which
+    [rho_i, rho_j](f_w) != sum_k c_ijk rho_k(f_w), on the inputs of
+    :func:`representation_failures`: packed on integers, summed per
+    output on Fractions."""
     p = field.p if field.kind == "prime" else None
-    coeffs = [c for plane in bracket for row in plane for c in row]
+    coeffs = [c for plane in ecols for col in plane for _, c in col]
     nonzeros = [a for plane in act for col in plane for _, a in col]
     if set(map(type, chain(coeffs, nonzeros))) <= {int}:
-        return _packed_failures(bracket, act, coeffs, nonzeros, p)
-    return _listed_failures(bracket, act, p)
+        return _packed_failures(ecols, act, coeffs, nonzeros, p)
+    return _listed_failures(ecols, act, p)
 
 
-def _packed_failures(bracket, act, coeffs, nonzeros, p: int | None) -> list:
-    """:func:`representation_failures` on integers, one packed sum per
-    (i, j, w)."""
-    d0, d1 = len(bracket), len(act[0]) if act else 0
+def _packed_failures(ecols, act, coeffs, nonzeros, p: int | None):
+    """:func:`_failures` on integers, one packed sum per (i, j, w)."""
+    d0, d1 = len(ecols), len(act[0]) if act else 0
     if p:
         bound = (p - 1) ** 2
     else:
@@ -973,11 +967,10 @@ def _packed_failures(bracket, act, coeffs, nonzeros, p: int | None) -> list:
     q = p or 0  # q - a is -a over Q and p - a over F_p
     packed = [[_pack(col, k, p) for col in plane] for plane in act]
     minus = [[[(t, q - a) for t, a in col] for col in plane] for plane in act]
-    bad = []
     for i in range(d0):
         for j in range(i + 1, d0):
             pi, pj = packed[i], packed[j]
-            minus_c = [(packed[x], q - c) for x, c in enumerate(bracket[i][j]) if c]
+            minus_c = [(packed[x], q - c) for x, c in ecols[i][j]]
             for w in range(d1):
                 r = 0
                 for t, a in act[j][w]:
@@ -987,48 +980,54 @@ def _packed_failures(bracket, act, coeffs, nonzeros, p: int | None) -> list:
                 for pk, c in minus_c:
                     r += c * pk[w]
                 if not _is_zero(r, p, high):
-                    bad.append((i, j))
-                    break
-    return bad
+                    yield i, j, w
 
 
-def _listed_failures(bracket, act, p: int | None) -> list:
-    """:func:`representation_failures` on Fractions, one dict of per-output
-    sums per (i, j, w)."""
-    d0 = len(bracket)
-    d1 = len(act[0]) if act else 0
-    bad = []
+def _listed_failures(ecols, act, p: int | None):
+    """:func:`_failures` on Fractions, one dict of per-output sums
+    (:func:`_residual`) per (i, j, w)."""
+    d0, d1 = len(ecols), len(act[0]) if act else 0
     for i in range(d0):
         for j in range(i + 1, d0):
-            minus_c = [(act[k], -c) for k, c in enumerate(bracket[i][j]) if c]
             for w in range(d1):
-                # rho_i rho_j (f_w) - rho_j rho_i (f_w) - sum_k c_ijk rho_k (f_w),
-                # as (nonzeros of an image, its coefficient) terms
-                terms = (
-                    [(act[i][t], a) for t, a in act[j][w]]
-                    + [(act[j][t], -a) for t, a in act[i][w]]
-                    + [(rho_k[w], c) for rho_k, c in minus_c]
-                )
-                col: dict = {}
-                for pairs, a in terms:
-                    for s, b in pairs:
-                        x = a * b
-                        col[s] = col[s] + x if s in col else x
-                if any(x % p if p else x for x in col.values()):
-                    bad.append((i, j))
-                    break
-    return bad
+                if any(x % p if p else x for x in _residual(ecols, act, i, j, w).values()):
+                    yield i, j, w
 
 
-def compatibility_equations(bracket, act, mode: str = "standard", support=None):
+def _residual(ecols, act, i: int, j: int, w: int) -> dict:
+    """{s: coefficient of f_s} of rho_i rho_j (f_w) - rho_j rho_i (f_w) -
+    sum_k c_ijk rho_k (f_w), from (nonzeros of an image, its coefficient)
+    terms; plain + and *, nothing reduced mod p."""
+    terms = (
+        [(act[i][t], a) for t, a in act[j][w]]
+        + [(act[j][t], -a) for t, a in act[i][w]]
+        + [(act[k][w], -c) for k, c in ecols[i][j]]
+    )
+    col: dict = {}
+    for pairs, a in terms:
+        for s, b in pairs:
+            x = a * b
+            col[s] = col[s] + x if s in col else x
+    return col
+
+
+def _jacobi_sum(field: Field, ecols, d: int, i: int, j: int, k: int) -> str:
+    """The repr of the Jacobi sum J(i, j, k): the residual of ad on the
+    even bracket's columns scaled by d (:func:`_residual`), over d**2."""
+    col = _residual(ecols, ecols, i, j, k)
+    values = _unscaled(field, [col.get(y, 0) for y in range(len(ecols))], d * d)
+    return repr(Vector._from_raw(field, values))
+
+
+def compatibility_equations(ecols, act, mode: str = "standard", support=None):
     """The axiom relations that are linear in the odd bracket (or, in mode
     "char2", in the squaring) as sparse linear equations: the one definition
     that :func:`validate` evaluates and
     :func:`superbracket.moduli.odd_bracket_space` eliminates.
 
-    ``bracket`` is the even tensor and ``act`` the action's nonzeros from
-    :func:`action_nonzeros`, as for :func:`representation_failures`; every
-    equation is linear in them, so scaling both by D scales it by D.  The
+    ``ecols`` and ``act`` are the nonzero columns of the even bracket and
+    of the action, as for :func:`representation_failures`; every equation
+    is linear in them, so scaling both by D scales it by D.  The
     unknowns are indexed by :func:`odd_unknowns`.  Returns a lazy iterator
     of ``(identity, indices, terms)``, one for every instance that has a
     term, where ``terms`` is a list ``[(base, group), ...]``: unknown
@@ -1084,7 +1083,7 @@ def compatibility_equations(bracket, act, mode: str = "standard", support=None):
         # no instance has a term in an empty support.  This also covers
         # d0 = 0, whose empty act gives no d1 to index the support with.
         return iter(())
-    rel = _Relations(bracket, act)
+    rel = _Relations(ecols, act)
     some = support is not None  # else every instance
     if mode == "char2":
         return rel.char2_square(_supported_squares(support, act, rel.live, rel.elive) if some else None)
@@ -1110,14 +1109,13 @@ class _Relations:
     order: relation 2 and the cubic first, then relation 1 where unknowns
     are still alive."""
 
-    def __init__(self, bracket, act):
-        self.d0 = d0 = len(bracket)
+    def __init__(self, ecols, act):
+        self.d0 = d0 = len(ecols)
         self.d1 = d1 = len(act[0]) if act else 0
         self.base = odd_unknowns(d0, d1)
         # cols[w][x]: nonzeros of e_x(f_w)
         self.cols = cols = [[act[x][w] for x in range(d0)] for w in range(d1)]
-        # ecols[x][z]: nonzeros (y, coefficient of e_y) of [e_x, e_z]
-        self.ecols = ecols = action_nonzeros(bracket)
+        self.ecols = ecols  # ecols[x][z]: nonzeros (y, coefficient of e_y) of [e_x, e_z]
         self.live, self.elive = [any(grp) for grp in cols], [any(grp) for grp in ecols]
         # units[x][s]: (w, the diagonal group of a = coefficient of f_w in
         # e_x(f_s)), each group built once per distinct a

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from superbracket import superalgebra as sa
+from superbracket.fields import Field
 from superbracket.linalg import Matrix, Vector
 
 settings.register_profile(
@@ -61,11 +62,19 @@ def random_monomial(field, n, rng):
     return Matrix(field, [[scalars[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
 
 
+def nonzero_columns(tensor):
+    """cols[x][w]: the nonzeros (t, c) of tensor[x][w], t increasing: the
+    layout in which representation_failures and compatibility_equations
+    take the even bracket ([e_x, e_w]) and the action (e_x(f_w)), from a
+    dense tensor laid out like SuperAlgebra.bracket or .action."""
+    return [[[(t, c) for t, c in enumerate(col) if c] for col in plane] for plane in tensor]
+
+
 def columns(mats):
     """The action's nonzero columns, act[x][w] = [(t, c), ...] for e_x(f_w),
     that the relations are built from, from action matrices whose columns
     are images."""
-    return sa.action_nonzeros([m.transpose().data for m in mats])
+    return nonzero_columns([m.transpose().data for m in mats])
 
 
 def module_algebra(field, bracket, mats):
@@ -94,6 +103,51 @@ def random_graded_change(g, rng):
         random_invertible(g.field, g.dim_even, rng),
         random_invertible(g.field, g.dim_odd, rng),
     )
+
+
+def bumped(g, tensor, cells=None):
+    """g with 1 added at each cell (i, j, k) of one of its tensors
+    ("bracket", "action" or "odd_bracket"), or at its first nonzero entry
+    in the order in which from_tensors reads them (i < j, every (x, v),
+    u <= v) for None; the cells must lie where from_tensors reads.  An
+    entry that becomes zero is dropped.  Not char2 mode."""
+    f = g.field
+    tensors = {
+        name: [[list(row) for row in plane] for plane in getattr(g, name)]
+        for name in ("bracket", "action", "odd_bracket")
+    }
+    t = tensors[tensor]
+    if cells is None:
+        start = {"bracket": 1, "action": None, "odd_bracket": 0}[tensor]
+        cells = [
+            next(
+                (i, j, k)
+                for i, plane in enumerate(t)
+                for j in range(0 if start is None else i + start, len(plane))
+                for k, c in enumerate(plane[j])
+                if c
+            )
+        ]
+    for i, j, k in cells:
+        t[i][j][k] = f.add(t[i][j][k], 1)
+    return sa.SuperAlgebra.from_tensors(f, *tensors.values(), mode=g.mode)
+
+
+def coprime_bracket_algebra(d0, d1):
+    """A d0|d1 algebra over Q, zero action and odd bracket, whose even
+    bracket entries at i < j each have their own prime denominator: at
+    d0 = 9 the common denominator has over 3,000 bits, past the cut-off of
+    clear_denominators, so the integer form keeps Fractions.  Not a Lie
+    algebra: most Jacobi triples fail."""
+    cells = [(i, j, k) for i in range(d0) for j in range(i + 1, d0) for k in range(d0)]
+    primes, q = [], 2
+    while len(primes) < 25 + len(cells):
+        if all(q % r for r in primes if r * r <= q):
+            primes.append(q)
+        q += 1
+    rng = random.Random(d0)
+    entries = [(*cell, Fraction(rng.choice([-2, -1, 1, 2]), q)) for cell, q in zip(cells, primes[25:])]
+    return sa.SuperAlgebra.from_entries(Field.rationals(), d0, d1, bracket=entries)
 
 
 # --- dense oracle for the sparse storage of SuperAlgebra ------------------------
@@ -312,7 +366,7 @@ def fraction_validate(g):
         sa.Violation("representation", pair)
         for pair in dense_representation_failures(f, g.bracket, mats)
     )
-    act = sa.action_nonzeros(g.action)
+    act = nonzero_columns(g.action)
     if g.mode in ("standard", "char3"):
         base = sa.odd_unknowns(d0, d1)
         known = {
@@ -323,7 +377,7 @@ def fraction_validate(g):
             if c
         }
         p = f.p if f.kind == "prime" else None
-        for identity, indices, terms in sa.compatibility_equations(g.bracket, act, g.mode):
+        for identity, indices, terms in sa.compatibility_equations(nonzero_columns(g.bracket), act, g.mode):
             for eq in collect(terms).values():
                 r = sum(c * known[k] for k, c in eq.items() if k in known)
                 if r % p if p else r:

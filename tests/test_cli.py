@@ -564,21 +564,90 @@ def _pspace_documents():
 PSPACE_DIGEST = "51e3ea44134d0da52791b99a2d7e540d117d397d938616f75b1d0468f30ea37c"
 
 
-def test_pspace_outputs_are_pinned(tmp_path):
+def _pinned_outputs(command, documents, tmp_path):
+    """(sha256, first lines) over the stdout and exit code of an in-process
+    ``command`` run on each (name, document)."""
     import hashlib
 
     from superbracket import cli
 
     lines = []
-    for name, text in _pspace_documents():
+    for name, text in documents:
         path = tmp_path / "doc.json"
         path.write_text(text)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
-                code = cli.main(["pspace", str(path)])
+                code = cli.main([command, str(path)])
             except SystemExit as exc:
                 code = exc.code
         lines.append(f"{name} {code} {out.getvalue()}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == PSPACE_DIGEST, "\n".join(line.split("\n")[0] + " ..." for line in lines)
+    return digest, "\n".join(line.split("\n")[0] + " ..." for line in lines)
+
+
+def test_pspace_outputs_are_pinned(tmp_path):
+    digest, heads = _pinned_outputs("pspace", _pspace_documents(), tmp_path)
+    assert digest == PSPACE_DIGEST, heads
+
+
+def _validate_documents():
+    """(name, canonical document) of every document whose validate output
+    is pinned: osp(2|2), osp(3|2) and osp(4|2) (even dimension 4, 6 and 9)
+    over Q and F_7, as built, with 1 added at a random even-bracket cell
+    (also in a random graded basis) and with its first action and
+    odd-bracket entry bumped; osp(1|2) plus a 2-dimensional centre in a
+    random graded basis over Q, F_5 and F_7, as it is and with its first
+    bracket and action entry bumped; the char-3 example, as it is and with
+    its bracket bumped; the char-2 example; and a 9|2 algebra whose integer
+    form keeps Fractions."""
+    import random
+
+    from conftest import bumped, coprime_bracket_algebra, random_graded_change
+    from superbracket.constructions import (
+        BilinearFormPair,
+        add_centre,
+        build_char2_example,
+        build_char3_example,
+        build_osp,
+        build_osp12,
+    )
+    from superbracket.fields import QQ, Field
+    from superbracket.schema import serialize_algebra
+
+    F5, F7 = Field.prime(5), Field.prime(7)
+    rng = random.Random(1618)
+    docs = []
+    for field in (QQ, F7):
+        for m in (2, 3, 4):
+            g = build_osp(BilinearFormPair.standard(field, m, 2), field)
+            docs.append((f"{field} osp({m}|2)", serialize_algebra(g)))
+            h = g.conjugated(*random_graded_change(g, rng))
+            for name, k in (("", g), (" random basis", h)):
+                cell = (*sorted(rng.sample(range(g.dim_even), 2)), rng.randrange(g.dim_even))
+                doc = serialize_algebra(bumped(k, "bracket", [cell]))
+                docs.append((f"{field} osp({m}|2){name} bracket bumped", doc))
+            for tensor in ("action", "odd_bracket"):
+                docs.append((f"{field} osp({m}|2) {tensor} bumped", serialize_algebra(bumped(g, tensor))))
+    for field in (QQ, F5, F7):
+        g = add_centre(build_osp12(field), 2)
+        h = g.conjugated(*random_graded_change(g, rng))
+        docs.append((f"{field} osp(1|2)+z random basis", serialize_algebra(h)))
+        for tensor in ("bracket", "action"):
+            docs.append((f"{field} osp(1|2)+z {tensor} bumped", serialize_algebra(bumped(h, tensor))))
+    docs.append(("char3 example", serialize_algebra(build_char3_example())))
+    docs.append(("char3 example bracket bumped", serialize_algebra(bumped(build_char3_example(), "bracket"))))
+    docs.append(("char2 example", serialize_algebra(build_char2_example())))
+    docs.append(("coprime bracket 9|2", serialize_algebra(coprime_bracket_algebra(9, 2))))
+    return docs
+
+
+# sha256 over the validate stdout and exit code of every
+# _validate_documents() document, recorded while validate checked the even
+# Jacobi identity by a loop over basis triples
+VALIDATE_DIGEST = "f3bae6b8e96099de1ea46160513963dada9bf7fd4a1360cb1d31b0b6b0326547"
+
+
+def test_validate_outputs_are_pinned(tmp_path):
+    digest, heads = _pinned_outputs("validate", _validate_documents(), tmp_path)
+    assert digest == VALIDATE_DIGEST, heads

@@ -14,6 +14,7 @@ from conftest import (
     fraction_bilinear,
     fraction_check_morphism,
     fraction_validate,
+    nonzero_columns,
     random_invertible,
 )
 
@@ -34,11 +35,9 @@ from superbracket.superalgebra import (
     MorphismCertificate,
     SuperAlgebra,
     _columns,
-    _dense,
     _high_bits,
     _is_zero,
     _slot_width,
-    action_nonzeros,
     check_morphism,
     clear_denominators,
     compatibility_equations,
@@ -288,7 +287,7 @@ def largest_slot(g):
     base = odd_unknowns(d0, d1)
     known = {base[u][v] + x: c for u in range(d1) for v in range(u, d1) for x, c in enumerate(g.odd_bracket[u][v])}
     top = 0
-    for _, _, terms in compatibility_equations(g.bracket, action_nonzeros(g.action), g.mode):
+    for _, _, terms in compatibility_equations(nonzero_columns(g.bracket), nonzero_columns(g.action), g.mode):
         for eq in collect(terms).values():
             top = max(top, sum(abs(c) * abs(known[k]) for k, c in eq.items()))
     return top
@@ -604,8 +603,8 @@ def packed_and_dense(field, bracket, mats):
     def ints(rows):
         return [[int(x) for x in row] for row in rows]
 
-    act = action_nonzeros([ints(m.transpose().data) for m in mats])
-    got = representation_failures(field, [ints(plane) for plane in bracket], act)
+    act = nonzero_columns([ints(m.transpose().data) for m in mats])
+    got = representation_failures(field, nonzero_columns([ints(plane) for plane in bracket]), act)
     coerced = [[[field.coerce(x) for x in row] for row in plane] for plane in bracket]
     return got, dense_representation_failures(field, coerced, mats)
 
@@ -649,9 +648,9 @@ def test_packed_representation_check_at_the_largest_numerators(rng):
     outcomes = []
     for h in docs:
         form, d1 = h._integer_form(), h.dim_odd
-        bracket, act = _dense(form.bracket, (3, 3, 3), 0, QQ.neg), _columns(form.action, 3, d1)
+        ecols, act = _columns(form.bracket, 3, 3, QQ.neg), _columns(form.action, 3, d1)
         assert all(type(c) is int for plane in act for col in plane for _, c in col)
-        got = representation_failures(QQ, bracket, act)
+        got = representation_failures(QQ, ecols, act)
         mats = [h.action_matrix(x) for x in range(3)]
         assert got == dense_representation_failures(QQ, h.bracket, mats)
         outcomes.append(bool(got))
@@ -717,5 +716,7 @@ def test_representation_check_packs_unless_its_inputs_hold_fractions(monkeypatch
     # the coprime action is no representation: the solver stops at the check
     with pytest.raises(moduli.NotARepresentation):
         moduli.odd_bracket_space(coprime)
-    packed = ["_packed_failures"] * len(FIELDS)
-    assert calls == ["_listed_failures"] + packed + ["_packed_failures", "_packed_failures", "_listed_failures"]
+    # validate runs the check twice per document: on the even bracket as
+    # its own action (the even Jacobi identity), then on the action
+    packed = ["_packed_failures"] * (2 * len(FIELDS))
+    assert calls == ["_listed_failures"] * 2 + packed + ["_packed_failures", "_packed_failures", "_listed_failures"]

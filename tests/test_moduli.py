@@ -16,6 +16,7 @@ from conftest import (
     dense_kernel,
     dense_solution_to_algebra,
     module_algebra,
+    nonzero_columns,
     random_invertible,
     random_monomial,
 )
@@ -38,7 +39,6 @@ from superbracket.superalgebra import (
     ShapeError,
     SuperAlgebra,
     _Relations,
-    action_nonzeros,
     clear_denominators,
     compatibility_equations,
     representation_failures,
@@ -293,7 +293,7 @@ def test_solver_drops_settled_unknowns_and_keeps_the_span(field, dims, mode, rng
     p = field.p if field.kind == "prime" else None
     full = [
         row
-        for _, _, blocks in compatibility_equations(even.bracket, act, mode)
+        for _, _, blocks in compatibility_equations(nonzero_columns(even.bracket), act, mode)
         for row in collected_rows(blocks, p)
     ]
     assert list(space.vectors) == sparse_kernel_basis(field, full, range(n))
@@ -350,7 +350,7 @@ def oracle_solver_rows(field, bracket, mats, mode="standard"):
         return rows
 
     held, rows, cubic = [], [], []
-    for identity, _, terms in compatibility_equations(bracket, act, mode):
+    for identity, _, terms in compatibility_equations(nonzero_columns(bracket), act, mode):
         if identity == "relation_1":
             held.append(terms)
         elif identity == "relation_2":
@@ -433,13 +433,13 @@ def test_live_relation_1_selects_exactly_the_instances_with_a_live_term(d0, d1, 
     def sparse(*shape):
         return [[[rng.choice((1, -2)) if rng.random() < density else 0 for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
 
-    bracket, act = sparse(d0, d0, d0), action_nonzeros(sparse(d0, d1, d1))
+    ecols, act = nonzero_columns(sparse(d0, d0, d0)), nonzero_columns(sparse(d0, d1, d1))
     dead = {k for k in range(d0 * d1 * (d1 + 1) // 2) if rng.random() < dead_density}
-    full = [e for e in compatibility_equations(bracket, act) if e[0] == "relation_1"]
+    full = [e for e in compatibility_equations(ecols, act) if e[0] == "relation_1"]
     expected = [
         e for e in full if any(k not in dead and col for b, group in e[2] for k, col in enumerate(group, b))
     ]
-    assert list(moduli._live_relation_1(_Relations(bracket, act), act, dead)) == expected
+    assert list(moduli._live_relation_1(_Relations(ecols, act), act, dead)) == expected
 
 
 # past the 2048-bit cut-off of clear_denominators the solver's tensors stay
@@ -476,9 +476,9 @@ def test_weight_kills_are_the_dead_set_of_relation_2_at_a_diagonal_direction(p, 
         return m
 
     shapes = [(rng.random() < 0.5, rng.random() < 0.5) for _ in range(d0)]
-    bracket = [plane(d0, even) for _, even in shapes]
-    act = action_nonzeros([plane(d1, odd) for odd, _ in shapes])
-    rel = _Relations(bracket, act)
+    ecols = nonzero_columns([plane(d0, even) for _, even in shapes])
+    act = nonzero_columns([plane(d1, odd) for odd, _ in shapes])
+    rel = _Relations(ecols, act)
     for x in range(d0):
         diagonal = all(t == w for w, col in enumerate(act[x]) for t, _ in col) and all(
             y == z for z, col in enumerate(rel.ecols[x]) for y, _ in col
@@ -521,9 +521,9 @@ def test_relation_2_left_out_at_the_other_directions_gives_no_row_and_no_kill(p,
 
     x0 = rng.randrange(d0)
     diagonal = [x == x0 or rng.random() < 0.3 for x in range(d0)]
-    bracket = [plane(d0, diag) for diag in diagonal]
-    act = action_nonzeros([plane(d1, diag) for diag in diagonal])
-    rel = _Relations(bracket, act)
+    ecols = nonzero_columns([plane(d0, diag) for diag in diagonal])
+    act = nonzero_columns([plane(d1, diag) for diag in diagonal])
+    rel = _Relations(ecols, act)
     weights = moduli._weights(rel, act, x0)
     dead = set(moduli._weight_kills(rel, *weights, p))
     xs = [x for x in range(d0) if x != x0]
@@ -811,11 +811,11 @@ def test_solver_names_the_failing_pairs_like_validate():
     bad = SuperAlgebra.from_tensors(QQ, g.bracket, action, g.odd_bracket)
     expected = [v.indices for v in validate(bad).violations if v.identity == "representation"]
     assert expected
-    assert representation_failures(QQ, bad.bracket, action_nonzeros(bad.action)) == expected
+    assert representation_failures(QQ, nonzero_columns(bad.bracket), nonzero_columns(bad.action)) == expected
     with pytest.raises(NotARepresentation) as info:
         odd_bracket_space(bad)
     assert list(info.value.pairs) == expected
-    assert representation_failures(QQ, g.bracket, action_nonzeros(g.action)) == []
+    assert representation_failures(QQ, nonzero_columns(g.bracket), nonzero_columns(g.action)) == []
 
 
 def test_char2_documents_are_refused():

@@ -6,9 +6,13 @@ from collections import Counter
 
 import pytest
 from conftest import (
+    bumped,
+    coprime_bracket_algebra,
     dense_representation_failures,
     fraction_validate,
     naive_char2_violations,
+    nonzero_columns,
+    random_graded_change,
     random_invertible,
     random_monomial,
     raw_maps,
@@ -17,10 +21,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superbracket.constructions import (
+    BilinearFormPair,
     add_centre,
     build_char2_example,
     build_char3_example,
     build_double,
+    build_osp,
     build_osp12,
     sl2_algebra,
 )
@@ -32,7 +38,6 @@ from superbracket.superalgebra import (
     MODES,
     SuperAlgebra,
     _products_per_output,
-    action_nonzeros,
     compatibility_equations,
     odd_unknowns,
     representation_failures,
@@ -100,8 +105,8 @@ def test_sparse_representation_check_matches_dense_oracle(field, rng):
             cases.append((bogus, mats))
             for bracket, ms in cases:
                 expected = dense_representation_failures(field, bracket, ms)
-                act = action_nonzeros([m.transpose().data for m in ms])
-                assert representation_failures(field, bracket, act) == expected
+                act = nonzero_columns([m.transpose().data for m in ms])
+                assert representation_failures(field, nonzero_columns(bracket), act) == expected
                 seen.add(bool(expected))
     assert seen == {True, False}
 
@@ -225,6 +230,39 @@ def test_validate_matches_naive_oracle_on_the_char3_example(rng):
     assert "char3_cubic" in identities
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7), GF(3)], ids=str)
+def test_even_jacobi_violations_match_the_oracle_at_larger_even_dimension(field, rng):
+    # osp(m|2) at d0 = 4, 6 and 9, whose even identity has 4, 20 and 84
+    # triples, in its own basis and in a random graded one (over Q with
+    # denominators, so each detail is divided by D^2), with 1 added at one
+    # or two random even-bracket cells (over F_3 in char3 mode): validate's
+    # violations are the oracle's, in its order and with its details
+    jacobi = set()
+    for m in (2, 3, 4):
+        g = build_osp(BilinearFormPair.standard(field, m, 2), field)
+        d0 = g.dim_even
+        for h in (g, g.conjugated(*random_graded_change(g, rng))):
+            for n in (1, 2):
+                cells = [(*sorted(rng.sample(range(d0), 2)), rng.randrange(d0)) for _ in range(n)]
+                bad = bumped(h, "bracket", cells)
+                got = validate(bad).violations
+                assert got == fraction_validate(bad).violations
+                jacobi.update(v.indices for v in got if v.identity == "even_jacobi")
+    assert max(k for _, _, k in jacobi) >= 6
+    if field == QQ:
+        assert bad._integer_form().d > 1
+
+
+def test_even_jacobi_violations_past_the_cut_off_match_the_oracle():
+    # a 9|2 bracket whose integer form keeps Fractions: the even identity
+    # is summed output by output, and each detail divided by no scale
+    g = coprime_bracket_algebra(9, 2)
+    assert g._integer_form().d == 1
+    got = validate(g).violations
+    assert got == fraction_validate(g).violations
+    assert sum(v.identity == "even_jacobi" for v in got) > 40
+
+
 def flipped_char2(g, rng):
     """g with up to two squaring and one action coefficient flipped over
     F_2, rebuilt from entries so that the odd bracket stays the squaring's
@@ -307,9 +345,9 @@ def test_instances_sum_at_most_the_bounded_products_per_output(rng):
     # [e_x, e_x] = 0), so the bound is reached for d1 <= d0 and missed by
     # one above.
     def worst(g):
-        act = action_nonzeros(g.action)
+        act = nonzero_columns(g.action)
         top = 0
-        for _, _, terms in compatibility_equations(g.bracket, act, g.mode):
+        for _, _, terms in compatibility_equations(nonzero_columns(g.bracket), act, g.mode):
             counts = Counter()
             for _, group in terms:
                 for col in group:
@@ -447,7 +485,7 @@ def test_support_selects_exactly_the_instances_with_a_term_in_it(mode, d0, d1, s
     def sparse(*shape):
         return [[[rng.choice((1, -2)) if rng.random() < density else 0 for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
 
-    bracket, act = sparse(d0, d0, d0), action_nonzeros(sparse(d0, d1, d1))
+    ecols, act = nonzero_columns(sparse(d0, d0, d0)), nonzero_columns(sparse(d0, d1, d1))
     base = odd_unknowns(d0, d1)
     support, held = [0] * d1, set()
     for u in range(d1):
@@ -456,6 +494,6 @@ def test_support_selects_exactly_the_instances_with_a_term_in_it(mode, d0, d1, s
                 support[u] |= 1 << v
                 support[v] |= 1 << u
                 held.add(base[u][v])
-    full = list(compatibility_equations(bracket, act, mode))
+    full = list(compatibility_equations(ecols, act, mode))
     expected = [e for e in full if any(b in held for b, _ in e[2])]
-    assert list(compatibility_equations(bracket, act, mode, support)) == expected
+    assert list(compatibility_equations(ecols, act, mode, support)) == expected

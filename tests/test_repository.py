@@ -1,11 +1,12 @@
 """Repository hygiene: no file that .gitignore excludes is tracked, so
 generated artifacts cannot go stale in version control, the package
-computes without floating point, and no module imports a name it never
-uses."""
+computes without floating point, no module imports a name it never
+uses, and every module-level name is referenced."""
 
 import ast
 import shutil
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,50 @@ def test_package_imports_no_unused_name():
         unused = set(imported) - used - _exported(tree)
         bad += [f"{path.name}:{imported[name]}: {name}" for name in sorted(unused)]
     assert not bad, "imported but never used:\n" + "\n".join(bad)
+
+
+def _referenced(top) -> set:
+    """The names that a node loads, as names, attributes or imports."""
+    out = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_package_defines_no_unreferenced_name():
+    # every module-level function, class or constant is referenced somewhere
+    # in the package outside its own definition; dunders, decorated
+    # functions (the click commands) and the names in a module's __all__
+    # are entry points and exempt
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((ROOT / "src" / "superbracket").glob("*.py"))
+    }
+    refs = {node: _referenced(node) for tree in trees.values() for node in tree.body}
+    # the number of top-level statements of the package that load each name
+    counts = Counter(name for names in refs.values() for name in names)
+    bad = []
+    for module, tree in trees.items():
+        exported = _exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [] if node.decorator_list else [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            bad += [
+                f"{module}:{node.lineno}: {name}"
+                for name in defined
+                if not (name.startswith("__") and name.endswith("__"))
+                and name not in exported
+                and counts[name] == (name in refs[node])
+            ]
+    assert not bad, "defined but never referenced:\n" + "\n".join(bad)

@@ -295,16 +295,12 @@ def assemble(even: SuperAlgebra, rep, odd_entries=()) -> SuperAlgebra:
         raise ValueError("assemble expects a purely even 3-dimensional algebra")
     if even.mode == "char2":
         raise ValueError("char2 mode needs a squaring, not an odd bracket")
-    # column v of the matrix of e_x is e_x(f_v)
-    action = [
-        (x, v, w, c) for x, m in enumerate(rep.matrices()) for w, row in enumerate(m.data) for v, c in enumerate(row) if c
-    ]
     g = SuperAlgebra.from_entries(
         even.field,
         3,
         rep.dim,
         bracket=[(*key, c) for key, c in even._even.items()],
-        action=action,
+        action=[(*key, c) for key, c in rep.entries.items()],
         odd_bracket=odd_entries,
         mode=even.mode,
     )

@@ -52,7 +52,6 @@ __all__ = [
     "sparse_kernel_basis",
     "intertwiners",
     "solve_linear",
-    "eigenspace",
     "echelon_span",
     "Span",
     "using_compiled_kernel",
@@ -377,19 +376,6 @@ class Matrix:
             field, [[ent[i] if i == j else z for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        field = blocks[0].field
-        cols = blocks[0].cols
-        rows: list = []
-        for b in blocks:
-            if b.field != field:
-                raise FieldError("mixed-field vstack")
-            if b.cols != cols:
-                raise DimensionMismatch("vstack column mismatch")
-            rows.extend(b.data)
-        return Matrix._from_raw(field, rows)
-
     # --- accessors -------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
@@ -476,18 +462,6 @@ class Matrix:
         return Matrix._from_raw(
             f, [[_dot(f, row, col) for col in ot] for row in self.data]
         )
-
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of a non-square matrix")
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
 
     def transpose(self) -> "Matrix":
         return Matrix._from_raw(self.field, list(zip(*self.data)) if self.data else [])
@@ -598,17 +572,19 @@ def sparse_kernel_basis(field: Field, rows: Iterable[dict], cols: Sequence[int])
     return list(kernel.values())
 
 
+def _densified(field: Field, v: dict, n: int) -> Vector:
+    """The sparse vector ``{column: raw value}`` written out as a dense
+    :class:`Vector` of length n."""
+    e = [field.zero()] * n
+    for j, x in v.items():
+        e[j] = x
+    return Vector._from_raw(field, e)
+
+
 def _kernel_vectors(field: Field, rows: Iterable[dict], n: int) -> list[Vector]:
     """:func:`sparse_kernel_basis` on the columns ``range(n)``, each vector
     written out as a dense :class:`Vector` of length n."""
-    zero = field.zero()
-    out = []
-    for v in sparse_kernel_basis(field, rows, range(n)):
-        e = [zero] * n
-        for j, x in v.items():
-            e[j] = x
-        out.append(Vector._from_raw(field, e))
-    return out
+    return [_densified(field, v, n) for v in sparse_kernel_basis(field, rows, range(n))]
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -673,15 +649,6 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     for r, pc in enumerate(pivots):
         x[pc] = red[r][m.cols]
     return Vector._from_raw(f, x)
-
-
-def eigenspace(m: Matrix, lam) -> list[Vector]:
-    """Kernel basis of (M - lambda * Id)."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("eigenspace of a non-square matrix")
-    lam = m.field.coerce(lam)
-    shifted = m - Matrix.identity(m.field, m.rows).scaled(lam)
-    return kernel_basis(shifted)
 
 
 def echelon_span(field: Field, vectors: Sequence[Vector]) -> list[Vector]:

@@ -101,7 +101,7 @@ from itertools import product
 from typing import Iterator
 
 from .fields import Field
-from .linalg import sparse_kernel_basis
+from .linalg import _densified, sparse_kernel_basis
 from .sl2 import IrrepSpec, build_irrep
 from .superalgebra import (
     ShapeError,
@@ -183,12 +183,9 @@ class OddBracketSpace:
         if self._basis is None:
             d0, d1 = self.dim_even, self.dim_odd
             base = odd_unknowns(d0, d1)
-            zero = self.field.zero()
             basis = []
             for vector in self._vectors:
-                e = [zero] * (d0 * d1 * (d1 + 1) // 2)
-                for k, c in vector.items():
-                    e[k] = c
+                e = _densified(self.field, vector, d0 * d1 * (d1 + 1) // 2).entries
                 basis.append(tuple(tuple(e[base[u][v] : base[u][v] + d0] for v in range(d1)) for u in range(d1)))
             self._basis = tuple(basis)
         return self._basis
@@ -540,15 +537,9 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     even = sl2_algebra(field)
     d0 = even.dim_even
     # each irreducible's action entries {(x, v, w): c}, c the coefficient of
-    # f_w in e_x(f_v), read off the columns of its matrices
+    # f_w in e_x(f_v)
     summands = {
-        d: {
-            (x, v, w): c
-            for x, m in enumerate(build_irrep(IrrepSpec.standard_params(field, d - 1), field).matrices())
-            for w, row in enumerate(m.data)
-            for v, c in enumerate(row)
-            if c
-        }
+        d: build_irrep(IrrepSpec.standard_params(field, d - 1), field).entries
         for d in range(1, min(field.p, max_odd_dim) + 1)
     }
     comps = [

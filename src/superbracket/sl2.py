@@ -17,13 +17,16 @@ from typing import Sequence
 
 from .fields import Field, FieldError, Scalar
 from .linalg import (
+    DimensionMismatch,
     Matrix,
     Span,
     Vector,
-    eigenspace,
-    kernel_basis,
+    _densified,
+    _kernel_vectors,
+    sparse_kernel_basis,
 )
-from .superalgebra import SuperAlgebra
+from .superalgebra import SuperAlgebra, representation_failures
+from .superalgebra import _columns, _contract, _dense, _grouped, _rows
 
 __all__ = [
     "Sl2Triple",
@@ -91,13 +94,12 @@ def _proportionality(target: Vector, reference: Vector):
 
 def _triple_from_h(g: SuperAlgebra, h: Vector) -> Sl2Triple | None:
     """Given H with ad(H) eigenvalues {2, 0, -2}, solve for E and F."""
-    field = g.field
-    ad_h = g.ad_vec(h)
-    e_space = eigenspace(ad_h, field.from_int(2))
-    f_space = eigenspace(ad_h, field.from_int(-2))
-    if not e_space or not f_space:
+    field, n = g.field, g.dim_even
+    cols = [[(w, c) for w, c in enumerate(col.entries) if c] for col in g.ad_vec(h).columns()]
+    spaces = _weight_spaces(field, cols, n, (2, -2))
+    if 2 not in spaces or -2 not in spaces:
         return None
-    e0, f0 = e_space[0], f_space[0]
+    e0, f0 = _densified(field, spaces[2][0], n), _densified(field, spaces[-2][0], n)
     # [E0, F0] lies in ker(ad H); demand it be a nonzero multiple of H
     c = _proportionality(g.even_bracket_vec(e0, f0), h)
     if c is None or not c:
@@ -209,72 +211,94 @@ class IrrepSpec:
                 raise ValueError("alpha must equal [m] when the dimension is p")
 
 
-@dataclass(frozen=True)
 class RepMatrices:
-    """Action matrices of a triple on a module (columns are images)."""
+    """A module of a triple (E, H, F), kept as its nonzero raw entries
+    ``{(x, v, w): c}`` (the dict is kept, not copied) in the layout of
+    ``SuperAlgebra``'s action: c is the coefficient of f_w in x(f_v), x = 0,
+    1, 2 for E, H, F.  The matrices (columns are images) are dense views
+    built on first use, for the callers that index them."""
 
-    rho_e: Matrix
-    rho_h: Matrix
-    rho_f: Matrix
+    __slots__ = ("field", "dim", "entries", "_mats", "_cols")
 
-    @property
-    def dim(self) -> int:
-        return self.rho_e.rows
+    def __init__(self, field: Field, dim: int, entries: dict):
+        self.field, self.dim, self.entries = field, dim, entries
+        self._mats = self._cols = None
 
-    @property
-    def field(self) -> Field:
-        return self.rho_e.field
+    @staticmethod
+    def from_matrices(rho_e: Matrix, rho_h: Matrix, rho_f: Matrix) -> "RepMatrices":
+        """The module on which E, H and F act by these matrices, which must
+        be square, of one size and over one field."""
+        mats = (rho_e, rho_h, rho_f)
+        field, n = rho_e.field, rho_e.rows
+        if any(m.field != field for m in mats):
+            raise FieldError("action matrices over different fields")
+        if any((m.rows, m.cols) != (n, n) for m in mats):
+            raise DimensionMismatch(f"action matrices must all be {n} x {n}")
+        cells = ((x, v, w, c) for x, m in enumerate(mats) for w, row in enumerate(m.data) for v, c in enumerate(row))
+        return RepMatrices(field, n, {(x, v, w): c for x, v, w, c in cells if c})
+
+    def __eq__(self, o) -> bool:
+        return isinstance(o, RepMatrices) and (o.field, o.dim, o.entries) == (self.field, self.dim, self.entries)
 
     def matrices(self) -> tuple[Matrix, Matrix, Matrix]:
-        return self.rho_e, self.rho_h, self.rho_f
+        if self._mats is None:
+            planes = _dense(self.entries, (3, self.dim, self.dim), self.field.zero())
+            self._mats = tuple(Matrix._from_raw(self.field, zip(*plane)) for plane in planes)
+        return self._mats
+
+    rho_e = property(lambda self: self.matrices()[0])
+    rho_h = property(lambda self: self.matrices()[1])
+    rho_f = property(lambda self: self.matrices()[2])
+
+    def _columns(self) -> list:
+        """cols[x][v]: the nonzeros (w, c) of x(f_v), built on first use."""
+        if self._cols is None:
+            self._cols = _columns(self.entries, 3, self.dim)
+        return self._cols
 
     def satisfies_triple_relations(self) -> bool:
-        e, h, f = self.matrices()
-        return (
-            e.commutator(f) == h
-            and h.commutator(e) == e.scaled(2)
-            and h.commutator(f) == f.scaled(-2)
-        )
+        """Whether [E, F] = H, [H, E] = 2E and [H, F] = -2F hold here."""
+        f = self.field
+        bracket = {(0, 1, 0): f.from_int(-2), (0, 2, 1): f.one(), (1, 2, 2): f.from_int(-2)}
+        return not representation_failures(f, _columns(bracket, 3, 3, f.neg), self._columns())
 
     @staticmethod
     def from_algebra(g: SuperAlgebra, triple: Sl2Triple) -> "RepMatrices":
-        return RepMatrices(
-            g.action_matrix_vec(triple.e),
-            g.action_matrix_vec(triple.h),
-            g.action_matrix_vec(triple.f),
+        """The action of the triple on g's odd part: each of E, H, F acts by
+        g's action entries combined with its coordinates."""
+        f, rows = g.field, _rows(g._act)
+        terms = (
+            (x, v, w, f.coerce(c))
+            for x, vec in enumerate((triple.e, triple.h, triple.f))
+            for v, col in _contract(rows, vec.entries)[0].items()
+            for w, c in col
         )
+        return RepMatrices(f, g.dim_odd, {(x, v, w): c for x, v, w, c in terms if c})
 
     @staticmethod
     def direct_sum(parts: Sequence["RepMatrices"]) -> "RepMatrices":
+        """The direct sum, each part's entries shifted by its offset."""
+        if not parts:
+            raise ValueError("the direct sum needs at least one module")
         field = parts[0].field
         if any(part.field != field for part in parts):
             raise FieldError("direct sum of modules over different fields")
-        n = sum(p.dim for p in parts)
-        blocks = []
-        for which in range(3):
-            m = [[field.zero()] * n for _ in range(n)]
-            off = 0
-            for part in parts:
-                src = part.matrices()[which]
-                for i in range(part.dim):
-                    for j in range(part.dim):
-                        m[off + i][off + j] = src.data[i][j]
-                off += part.dim
-            blocks.append(Matrix._from_raw(field, m))
-        return RepMatrices(*blocks)
+        entries, off = {}, 0
+        for part in parts:
+            entries.update(((x, v + off, w + off), c) for (x, v, w), c in part.entries.items())
+            off += part.dim
+        return RepMatrices(field, off, entries)
 
     def conjugated(self, t: Matrix) -> "RepMatrices":
         """The same action written in the basis given by the columns of t."""
         inv = t.inverse()
         if inv is None:
             raise ValueError("basis change must be invertible")
-        return RepMatrices(
-            inv @ self.rho_e @ t, inv @ self.rho_h @ t, inv @ self.rho_f @ t
-        )
+        return RepMatrices.from_matrices(*(inv @ m @ t for m in self.matrices()))
 
 
 def build_irrep(spec: IrrepSpec, field: Field) -> RepMatrices:
-    """Matrices of the module with basis e_0..e_m:
+    """The entries of the module with basis e_0..e_m:
 
     H e_i = (alpha - 2[i]) e_i,
     E e_0 = 0,  E e_i = [i](alpha - ([i]-1)) e_{i-1},
@@ -283,20 +307,12 @@ def build_irrep(spec: IrrepSpec, field: Field) -> RepMatrices:
     spec.check(field)
     n = spec.m + 1
     alpha = spec.alpha.value
-    zero, one = field.zero(), field.one()
-    h = [[zero] * n for _ in range(n)]
-    e = [[zero] * n for _ in range(n)]
-    fm = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        h[i][i] = field.sub(alpha, field.from_int(2 * i))
+    entries = {(1, i, i): field.sub(alpha, field.from_int(2 * i)) for i in range(n)}
     for i in range(1, n):
-        e[i - 1][i] = field.mul(
-            field.from_int(i), field.sub(alpha, field.from_int(i - 1))
-        )
-    for i in range(n - 1):
-        fm[i + 1][i] = one
-    fm[0][n - 1] = field.add(fm[0][n - 1], spec.beta.value)
-    rep = RepMatrices(Matrix(field, e), Matrix(field, h), Matrix(field, fm))
+        entries[0, i, i - 1] = field.mul(field.from_int(i), field.sub(alpha, field.from_int(i - 1)))
+    entries.update(((2, i, i + 1), field.one()) for i in range(n - 1))
+    entries[2, n - 1, 0] = spec.beta.value
+    rep = RepMatrices(field, n, {key: c for key, c in entries.items() if c})
     assert rep.satisfies_triple_relations()
     return rep
 
@@ -308,9 +324,8 @@ def annihilator(spec: IrrepSpec, i: int, field: Field) -> list[Vector]:
     """
     if not 0 <= i <= spec.m:
         raise ValueError(f"index {i} outside 0..{spec.m}")
-    rep = build_irrep(spec, field)
-    cols = [m.column(i) for m in rep.matrices()]
-    return kernel_basis(Matrix.from_columns(field, cols))
+    rows = _grouped((w, x, c) for (x, v, w), c in build_irrep(spec, field).entries.items() if v == i)
+    return _kernel_vectors(field, rows, 3)
 
 
 def casimir(rep: RepMatrices) -> Matrix:
@@ -319,27 +334,64 @@ def casimir(rep: RepMatrices) -> Matrix:
     return shifted @ shifted + (rep.rho_f @ rep.rho_e).scaled(4)
 
 
+def _image(field: Field, cols: Sequence, vec: dict) -> dict:
+    """The nonzeros ``{w: c}`` of M vec, for M given by the nonzeros (w, c)
+    of each column ``cols[v]`` and vec by its nonzeros ``{v: a}``; so, for
+    vectors as the columns, their combination with the coefficients vec."""
+    out: dict = {}
+    for v, a in vec.items():
+        for w, c in cols[v]:
+            term = field.mul(a, c)
+            out[w] = field.add(out[w], term) if w in out else term
+    return {w: c for w, c in out.items() if c}
+
+
 def jacobson_test(rep: RepMatrices) -> str:
     """Sufficient condition for complete reducibility.
 
     In characteristic zero every finite-dimensional module is completely
     reducible.  In characteristic p the criterion rho(E)^(p-1) =
-    rho(F)^(p-1) = 0 suffices; failing it decides nothing.
+    rho(F)^(p-1) = 0 suffices; failing it decides nothing.  The sparse
+    columns are applied min(p - 1, dim) times: once p - 1 >= dim, rho^(p-1)
+    = 0 exactly when rho is nilpotent, that is when rho^dim = 0.
     """
     char = rep.field.characteristic
     if char == 0:
         return CHAR_ZERO
-    if rep.rho_e.power(char - 1).is_zero() and rep.rho_f.power(char - 1).is_zero():
-        return SUFFICIENT
-    return INCONCLUSIVE
+    for cols in rep._columns()[::2]:  # rho(E) and rho(F)
+        images = [dict(col) for col in cols if col]
+        for _ in range(min(char - 1, rep.dim) - 1):
+            images = [y for y in (_image(rep.field, cols, x) for x in images) if y]
+        if images:
+            return INCONCLUSIVE
+    return SUFFICIENT
 
 
-def _weight_candidates(field: Field, dim: int) -> list[int]:
-    if field.characteristic == 0:
-        top = dim
-    else:
-        top = min(field.characteristic, dim)
-    return list(range(top - 1, -1, -1))  # descending m
+def _weight_spaces(field: Field, cols: Sequence, dim: int, candidates) -> dict[int, list[dict]]:
+    """``{m: echelon basis of ker(M - m)}`` for the weight candidates m, in
+    their order, where M, the dim x dim matrix with the nonzeros (w, c) of
+    column v at ``cols[v]``, has the eigenvalue m; each basis vector is
+    sparse (:func:`sparse_kernel_basis`).  The one routine for the weights
+    of an sl(2) action.  Candidates of one image in the field share a solve,
+    and none is solved once the spaces found add up to dim; where they never
+    do, M is not diagonalisable with eigenvalues among the candidates."""
+    rows: list[dict] = [{} for _ in range(dim)]
+    for v, col in enumerate(cols):
+        for w, c in col:
+            rows[w][v] = c
+    spaces, solved, found = {}, {}, 0
+    for m in candidates:
+        lam = field.from_int(m)
+        if lam not in solved:
+            if found == dim:
+                continue
+            neg = field.neg(lam)
+            shifted = ({**row, w: field.sub(row[w], lam) if w in row else neg} for w, row in enumerate(rows))
+            solved[lam] = sparse_kernel_basis(field, shifted, range(dim))
+            found += len(solved[lam])
+        if solved[lam]:
+            spaces[m] = solved[lam]
+    return spaces
 
 
 def decompose(rep: RepMatrices) -> list[tuple[list[Vector], IrrepSpec]]:
@@ -349,7 +401,9 @@ def decompose(rep: RepMatrices) -> list[tuple[list[Vector], IrrepSpec]]:
     weight vectors are found in ker(rho_E), split by rho_H eigenvalue, and
     each summand is generated by applying rho_F; summands are listed by
     descending H-eigenvalue, then echelon order, and each chain basis
-    (w, Fw, F^2 w, ...) matches the basis convention of build_irrep.
+    (w, Fw, F^2 w, ...) matches the basis convention of build_irrep.  All
+    of it runs on the module's nonzero entries; only the chains returned
+    are written out densely.
     """
     status = jacobson_test(rep)
     if status == INCONCLUSIVE:
@@ -358,27 +412,27 @@ def decompose(rep: RepMatrices) -> list[tuple[list[Vector], IrrepSpec]]:
     dim = rep.dim
     if dim == 0:
         return []
-    top = kernel_basis(rep.rho_e)
+    top, tops = _highest_weight_vectors(rep)
     if not top:
         raise ValueError("no highest weight vectors; not a valid module")
-    tops = _highest_weight_vectors(rep, top)
     if tops is None:
         raise ValueError("ker(rho_E) is not rho_H-invariant; not a valid module")
+    lowering = rep._columns()[2]
     summands: list[tuple[list[Vector], IrrepSpec]] = []
     covered = 0
     for m, w in tops:
         chain = [w]
-        nxt = rep.rho_f @ w
-        while not nxt.is_zero():
+        nxt = _image(field, lowering, w)
+        while nxt:
             chain.append(nxt)
             if len(chain) > dim:
                 raise ValueError("runaway lowering chain; not a valid module")
-            nxt = rep.rho_f @ nxt
+            nxt = _image(field, lowering, nxt)
         if len(chain) != m + 1:
             raise ValueError(
                 f"highest weight {m} generated a chain of length {len(chain)}"
             )
-        summands.append((chain, IrrepSpec.standard_params(field, m)))
+        summands.append(([_densified(field, v, dim) for v in chain], IrrepSpec.standard_params(field, m)))
         covered += len(chain)
     if covered != dim:
         raise ValueError("summands do not exhaust the module; not a valid module")
@@ -403,37 +457,40 @@ def invariant_closure(mats: Sequence[Matrix], seeds: Sequence[Vector]) -> list[V
 
 
 def _joint_kernel(rep: RepMatrices) -> list[Vector]:
-    stacked = Matrix.vstack([rep.rho_e, rep.rho_h, rep.rho_f])
-    return kernel_basis(stacked)
+    return _kernel_vectors(rep.field, _grouped(((x, w), v, c) for (x, v, w), c in rep.entries.items()), rep.dim)
 
 
-def _highest_weight_vectors(rep: RepMatrices, top: list[Vector]):
-    """(m, w) for each vector w of the echelon basis of each eigenspace of
-    rho_H on ker(rho_E), whose basis is ``top``, with eigenvalue m a weight
-    candidate, by descending m; None when ker(rho_E) is not
-    rho_H-invariant, which no module allows.  In a random basis no vector
-    of ``top`` need be an eigenvector itself."""
+def _highest_weight_vectors(rep: RepMatrices):
+    """(top, vectors): the echelon basis ``top`` of ker(rho_E), and (m, w)
+    for each vector w of the echelon basis of each eigenspace of rho_H on
+    ker(rho_E), with eigenvalue m a weight candidate, by descending m, all
+    sparse; vectors is None when ker(rho_E) is not rho_H-invariant, which no
+    module allows.  In a random basis no vector of ``top`` need be an
+    eigenvector itself."""
     field = rep.field
-    # rho_H restricted to ker(rho_E), in coordinates of that kernel basis
-    restr = Span(field, top).coordinate_matrix([rep.rho_h @ v for v in top])
-    if restr is None:
-        return None
-    top_matrix = Matrix.from_columns(field, top)
-    return [
-        (m, top_matrix @ coords)
-        for m in _weight_candidates(field, rep.dim)
-        for coords in eigenspace(restr, field.from_int(m))
-    ]
+    rows = _grouped((w, v, c) for (x, v, w), c in rep.entries.items() if x == 0)
+    top = sparse_kernel_basis(field, rows, range(rep.dim))
+    raising, weight, _ = rep._columns()
+    images = [_image(field, weight, t) for t in top]
+    if any(_image(field, raising, y) for y in images):
+        return top, None
+    # rho_H restricted to ker(rho_E), in coordinates of its kernel basis:
+    # each basis vector has a 1 at its own free column, its last entry, and
+    # 0 at the others', so a member's coordinates are its entries there
+    free = [next(reversed(t)) for t in top]
+    restricted = [[(i, y[c]) for i, c in enumerate(free) if c in y] for y in images]
+    p = field.characteristic
+    candidates = range((min(p, rep.dim) if p else rep.dim) - 1, -1, -1)
+    spaces = _weight_spaces(field, restricted, len(top), candidates)
+    cols = [t.items() for t in top]
+    return top, [(m, _image(field, cols, coords)) for m, basis in spaces.items() for coords in basis]
 
 
 def _weight_closures(rep: RepMatrices):
     """The invariant closure of each highest weight vector of
     :func:`_highest_weight_vectors`, by descending weight."""
-    top = kernel_basis(rep.rho_e)
-    if not top:
-        return
-    for _, w in _highest_weight_vectors(rep, top) or ():
-        yield invariant_closure(rep.matrices(), [w])
+    for _, w in _highest_weight_vectors(rep)[1] or ():
+        yield invariant_closure(rep.matrices(), [_densified(rep.field, w, rep.dim)])
 
 
 def _socle_member(rep: RepMatrices) -> list[Vector]:
@@ -462,7 +519,7 @@ def _proper_submodule_inside(rep: RepMatrices, basis: list[Vector]) -> list[Vect
     mats = [span.coordinate_matrix([m @ v for v in basis]) for m in rep.matrices()]
     if None in mats:
         raise ValueError("subspace is not invariant")
-    sub = RepMatrices(*mats)
+    sub = RepMatrices.from_matrices(*mats)
     lift = Matrix.from_columns(rep.field, basis)
     joint = _joint_kernel(sub)
     if joint:
@@ -492,7 +549,7 @@ def composition_series(rep: RepMatrices) -> tuple[list[int], list[Vector]]:
         for m in rep.matrices():
             rests = [flag.remainder(m @ u).entries for u in units]
             qmats.append(Matrix._from_raw(field, [[x[r] for x in rests] for r in complement]))
-        member = _socle_member(RepMatrices(*qmats))
+        member = _socle_member(RepMatrices.from_matrices(*qmats))
         factors.append(len(member))
         lift = Matrix.from_columns(field, units)
         flag = Span(field, [*flag.basis, *(lift @ v for v in member)])
@@ -505,7 +562,9 @@ def has_proper_submodule(rep: RepMatrices) -> bool:
     Complete whenever rho_H is diagonalizable over the base field with
     integer-image eigenvalues (every module built from the explicit family
     and its extensions), which is the situation the rest of the library
-    produces; other module structures may raise.
+    produces; other module structures may raise.  Its weight spaces come
+    from the weight routine of :func:`decompose`, over every integer image
+    an eigenvalue may take.
     """
     dim = rep.dim
     if dim <= 1:
@@ -513,14 +572,9 @@ def has_proper_submodule(rep: RepMatrices) -> bool:
     if _joint_kernel(rep):
         return True
     field = rep.field
+    p = field.characteristic
+    spaces = _weight_spaces(field, rep._columns()[1], dim, range(p) if p else range(1 - dim, dim))
     mats = rep.matrices()
-    if field.characteristic == 0:
-        weights = [w for m in range(dim) for w in (m, -m)]
-    else:
-        weights = list(range(field.characteristic))
-    for r in weights:
-        lam = field.from_int(r)
-        for w in eigenspace(rep.rho_h, lam):
-            if len(invariant_closure(mats, [w])) < dim:
-                return True
-    return False
+    return any(
+        len(invariant_closure(mats, [_densified(field, w, dim)])) < dim for space in spaces.values() for w in space
+    )

@@ -604,14 +604,6 @@ class SuperAlgebra:
         """Matrix of e_x acting on the odd part (columns are e_x(f_v))."""
         return Matrix._from_raw(self.field, zip(*self.action[i]))
 
-    def action_matrix_vec(self, x: Vector) -> Matrix:
-        f = self.field
-        m = Matrix.zero(f, self.dim_odd, self.dim_odd)
-        for i, xi in enumerate(x.entries):
-            if xi:
-                m = m + self.action_matrix(i).scaled(xi)
-        return m
-
     def even_part(self) -> "SuperAlgebra":
         """The even part as a stand-alone (purely even) algebra."""
         sq = {} if self.mode == "char2" else None

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 
 from superbracket import superalgebra as sa
 from superbracket.fields import Field
-from superbracket.linalg import Matrix, Vector
+from superbracket.linalg import Matrix, Vector, kernel_basis
 
 settings.register_profile(
     "ci",
@@ -274,6 +274,55 @@ def dense_kernel(field, rows, n_cols):
             v[pc] = field.neg(red[r][fc])
         basis.append(v)
     return basis
+
+
+# --- dense oracles for the sl(2) weight spaces and the Jacobson test -------------
+
+
+def sparse_columns(m):
+    """The nonzeros (row, value) of each column of a matrix: the layout in
+    which sl2._weight_spaces takes an operator."""
+    return [[(w, c) for w, c in enumerate(col.entries) if c] for col in m.columns()]
+
+
+def dense_eigenspace(m, lam):
+    """Kernel basis of the dense M - lambda * Id: linalg.eigenspace, as sl2
+    found every weight space before sl2._weight_spaces."""
+    return kernel_basis(m - Matrix.identity(m.field, m.rows).scaled(lam))
+
+
+def dense_weight_spaces(m, candidates):
+    """``{m: dense_eigenspace(M, m)}`` over the candidates, in their order,
+    where the space is not zero: one dense eigenspace per candidate, the
+    slow reference for sl2._weight_spaces."""
+    spaces = {c: dense_eigenspace(m, c) for c in candidates}
+    return {c: space for c, space in spaces.items() if space}
+
+
+def dense_power(m, k):
+    """M^k by repeated squaring of dense matrices: Matrix.power, as
+    sl2.jacobson_test took the powers rho^(p-1) before it applied sparse
+    columns."""
+    result, base = Matrix.identity(m.field, m.rows), m
+    while k:
+        if k & 1:
+            result = result @ base
+        base = base @ base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def dense_jacobson(rep):
+    """sl2.jacobson_test on dense powers: the slow reference for its sparse
+    nilpotency check."""
+    from superbracket.sl2 import CHAR_ZERO, INCONCLUSIVE, SUFFICIENT
+
+    p = rep.field.characteristic
+    if p == 0:
+        return CHAR_ZERO
+    if dense_power(rep.rho_e, p - 1).is_zero() and dense_power(rep.rho_f, p - 1).is_zero():
+        return SUFFICIENT
+    return INCONCLUSIVE
 
 
 # --- dense oracle for the sparse representation check ---------------------------

@@ -591,6 +591,75 @@ def test_pspace_outputs_are_pinned(tmp_path):
     assert digest == PSPACE_DIGEST, heads
 
 
+def _decompose_documents():
+    """(name, canonical document) of every document whose decompose output
+    is pinned: sl(2) plus sums of irreducibles over Q, F_5 and F_7 in their
+    weight basis, a monomial basis and a random dense basis, up to odd
+    dimension 12; a module over F_5 and F_7 that fails the Jacobson
+    criterion; the empty sl(2) 3|40 document over Q and F_7; osp(1|2) and
+    the double of sl(2); and the error paths: the char-2 and char-3
+    examples, an action that is not a representation, an even part that is
+    not 3-dimensional and the non-split cross-product algebra over Q."""
+    import random
+
+    from conftest import random_invertible, random_monomial
+    from superbracket.constructions import (
+        assemble,
+        build_char2_example,
+        build_char3_example,
+        build_double,
+        build_osp12,
+        sl2_algebra,
+    )
+    from superbracket.fields import QQ, Field
+    from superbracket.linalg import Matrix
+    from superbracket.schema import serialize_algebra
+    from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
+    from superbracket.superalgebra import SuperAlgebra
+
+    F5, F7 = Field.prime(5), Field.prime(7)
+    rng = random.Random(3141)
+    comps = {
+        QQ: ((2,), (3, 1), (4, 2, 1), (2, 2, 1, 1), (5, 4, 3), (3,) + (1,) * 9),
+        F5: ((2,), (3, 1), (4, 2, 1), (2, 2, 1, 1), (4, 4, 3, 1), (3, 3, 2, 2, 1, 1)),
+        F7: ((2,), (3, 1), (4, 2, 1), (2, 2, 1, 1), (6, 5, 1), (3, 3, 3, 3)),
+    }
+    docs = []
+    for field, field_comps in comps.items():
+        for comp in field_comps:
+            rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in comp])
+            g = assemble(sl2_algebra(field), rep)
+            for basis, change in (("weight", None), ("monomial", random_monomial), ("dense", random_invertible)):
+                h = g if change is None else g.conjugated(Matrix.identity(field, 3), change(field, rep.dim, rng))
+                docs.append((f"{field} {comp} {basis}", serialize_algebra(h)))
+    for field in (F5, F7):
+        p = field.p
+        steinberg = build_irrep(IrrepSpec(p - 1, field.scalar(p - 1), field.scalar(1)), field)
+        docs.append((f"{field} V({p - 1}) beta 1", serialize_algebra(assemble(sl2_algebra(field), steinberg))))
+    docs.append(("empty Q 3|40", _sl2_document("q", 40, [])))
+    docs.append(("empty F_7 3|40", _sl2_document("fp:7", 40, [])))
+    docs.append(("osp12", serialize_algebra(build_osp12(QQ))))
+    docs.append(("double", serialize_algebra(build_double(sl2_algebra(QQ), Matrix.identity(QQ, 3)))))
+    docs.append(("char2 example", serialize_algebra(build_char2_example())))
+    docs.append(("char3 example", serialize_algebra(build_char3_example())))
+    docs.append(("not a representation", _sl2_document("q", 2, [(1, 0, 0, 5)])))
+    docs.append(("empty 0|3", serialize_algebra(SuperAlgebra.from_entries(QQ, 0, 3))))
+    cross = [(0, 1, 2, 1), (0, 2, 1, -1), (1, 2, 0, 1)]
+    docs.append(("cross product Q", serialize_algebra(SuperAlgebra.from_entries(QQ, 3, 2, bracket=cross))))
+    return docs
+
+
+# sha256 over the decompose stdout and exit code of every
+# _decompose_documents() document, recorded while decompose found weights by
+# one dense eigenspace per candidate
+DECOMPOSE_DIGEST = "a5867314e93aba835075b503acf78238424faca01e18154fcc29c5f4d3725019"
+
+
+def test_decompose_outputs_are_pinned(tmp_path):
+    digest, heads = _pinned_outputs("decompose", _decompose_documents(), tmp_path)
+    assert digest == DECOMPOSE_DIGEST, heads
+
+
 def _validate_documents():
     """(name, canonical document) of every document whose validate output
     is pinned: osp(2|2), osp(3|2) and osp(4|2) (even dimension 4, 6 and 9)

@@ -184,7 +184,7 @@ def test_assemble_reproduces_double():
     # adjoint + trivial module with the double's pairing equals the double
     dbl = build_double(sl2_algebra(QQ), Matrix.identity(QQ, 3))
     sl2 = sl2_algebra(QQ)
-    rep = RepMatrices(
+    rep = RepMatrices.from_matrices(
         *[
             Matrix(
                 QQ,

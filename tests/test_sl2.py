@@ -2,10 +2,12 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superbracket.constructions import sl2_algebra
 from superbracket.fields import GF, QQ, FieldError
-from superbracket.linalg import Matrix, Vector
+from superbracket.linalg import DimensionMismatch, Matrix, Vector, _densified
 from superbracket.sl2 import (
     CHAR_ZERO,
     INCONCLUSIVE,
@@ -23,6 +25,7 @@ from superbracket.sl2 import (
     has_proper_submodule,
     jacobson_test,
     verify_triple,
+    _weight_spaces,
 )
 from superbracket.superalgebra import SuperAlgebra
 
@@ -199,6 +202,60 @@ def test_jacobson():
     assert jacobson_test(build_irrep(IrrepSpec.standard_params(QQ, 3), QQ)) == CHAR_ZERO
 
 
+def test_jacobson_matches_dense_powers():
+    # applying sparse columns min(p - 1, dim) times decides what the dense
+    # powers rho^(p-1) decide, on the pinned modules in a random basis
+    from conftest import dense_jacobson
+
+    modules = [rep for field in (QQ, F5, F7) for rep in pinned_modules(field)[0]]
+    modules += [indecomposable_extension(p) for p in (3, 5, 7)]
+    for rep in modules:
+        assert jacobson_test(rep) == dense_jacobson(rep)
+
+
+def test_jacobson_past_the_dimension_and_on_a_non_nilpotent_action():
+    from conftest import dense_jacobson
+
+    big = GF(1000000007)
+    v3 = build_irrep(IrrepSpec.standard_params(big, 3), big)
+    assert jacobson_test(v3) == dense_jacobson(v3) == SUFFICIENT
+    one, zero = Matrix.identity(F5, 2), Matrix.zero(F5, 2, 2)
+    identity_e = RepMatrices.from_matrices(one, zero, zero)
+    assert jacobson_test(identity_e) == dense_jacobson(identity_e) == INCONCLUSIVE
+
+
+def test_dense_matrices_must_be_square_of_one_size_and_field():
+    with pytest.raises(DimensionMismatch):
+        RepMatrices.from_matrices(*[Matrix.zero(QQ, 1, 2)] * 3)
+    with pytest.raises(DimensionMismatch):
+        RepMatrices.from_matrices(Matrix.zero(QQ, 2, 2), Matrix.zero(QQ, 3, 3), Matrix.zero(QQ, 2, 2))
+    with pytest.raises(FieldError):
+        RepMatrices.from_matrices(Matrix.zero(QQ, 2, 2), Matrix.zero(F5, 2, 2), Matrix.zero(QQ, 2, 2))
+
+
+def test_direct_sum_of_no_modules_is_refused():
+    with pytest.raises(ValueError, match="at least one module"):
+        RepMatrices.direct_sum([])
+
+
+def test_decompose_runs_on_the_entries(monkeypatch):
+    # a module read off an algebra in a random odd basis: decompose solves
+    # and applies its sparse columns and never builds the dense matrices
+    from conftest import random_invertible
+    from superbracket.constructions import assemble
+
+    rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(F7, m), F7) for m in (4, 2, 2, 0)])
+    g = assemble(sl2_algebra(F7), rep)
+    g = g.conjugated(Matrix.identity(F7, 3), random_invertible(F7, rep.dim, random.Random(7)))
+
+    def refused(self):
+        raise AssertionError("decompose built a dense view")
+
+    monkeypatch.setattr(RepMatrices, "matrices", refused)
+    summands = decompose(RepMatrices.from_algebra(g, standard_triple(F7)))
+    assert [(spec.m, len(chain)) for chain, spec in summands] == [(4, 5), (2, 3), (2, 3), (0, 1)]
+
+
 def test_decompose_adjoint_plus_trivial():
     rep = RepMatrices.direct_sum(
         [
@@ -230,7 +287,7 @@ def test_direct_sum_holds_raw_entries_of_one_field():
 
 
 def test_decompose_trivial_rep():
-    rep = RepMatrices(
+    rep = RepMatrices.from_matrices(
         Matrix.zero(QQ, 4, 4), Matrix.zero(QQ, 4, 4), Matrix.zero(QQ, 4, 4)
     )
     summands = decompose(rep)
@@ -302,7 +359,7 @@ def indecomposable_extension(p):
         h[i][i] = field.from_int(-2 * i)
     for i in range(p - 1):
         f[i + 1][i] = field.from_int(-i)
-    return RepMatrices(Matrix(field, e), Matrix(field, h), Matrix(field, f))
+    return RepMatrices.from_matrices(Matrix(field, e), Matrix(field, h), Matrix(field, f))
 
 
 def test_extension_module_is_consistent():
@@ -324,14 +381,16 @@ def test_composition_series_extension_has_p_minus_1_factor():
 def test_casimir_eigenvalue_one_on_extension_factors():
     # all composition factors of an indecomposable with a trivial submodule
     # carry Casimir eigenvalue 1
+    from conftest import dense_power
+
     rep = indecomposable_extension(5)
     om = casimir(rep)
     shifted = om - Matrix.identity(GF(5), 5)
-    assert shifted.power(5).is_zero()
+    assert dense_power(shifted, 5).is_zero()
 
 
 def test_all_one_dim_factors_means_trivial():
-    rep = RepMatrices(
+    rep = RepMatrices.from_matrices(
         Matrix.zero(F5, 3, 3), Matrix.zero(F5, 3, 3), Matrix.zero(F5, 3, 3)
     )
     factors, trivial = composition_series(rep)
@@ -349,6 +408,55 @@ def test_has_proper_submodule():
     assert not has_proper_submodule(steinberg)
     with_beta = build_irrep(IrrepSpec(4, F5.scalar(4), F5.scalar(1)), F5)
     assert not has_proper_submodule(with_beta)
+
+
+def _weight_space_cases(data):
+    """A field, an operator M and weight candidates: rho(H) of a sum of
+    irreducibles in a weight, monomial or random dense basis, or a Jordan
+    block of size 2 or more beside a diagonal part (not diagonalisable) in a
+    random basis; the candidates a list in any order, repeats allowed, over
+    F_p with several integers of one residue."""
+    from conftest import random_invertible, random_monomial
+
+    field = data.draw(st.sampled_from([QQ, GF(3), F5, F7]), label="field")
+    p = field.characteristic
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if data.draw(st.booleans(), label="jordan"):
+        k = data.draw(st.integers(2, 4), label="block")
+        diag = data.draw(st.lists(st.integers(-3, 3), max_size=3), label="diagonal")
+        lam = data.draw(st.integers(-3, 3), label="eigenvalue")
+        n = k + len(diag)
+        cells = [[0] * n for _ in range(n)]
+        for i in range(k):
+            cells[i][i] = lam
+            if i + 1 < k:
+                cells[i][i + 1] = 1
+        for i, d in enumerate(diag):
+            cells[k + i][k + i] = d
+        t = random_invertible(field, n, rng)
+        m = t.inverse() @ Matrix(field, cells) @ t
+    else:
+        dims = data.draw(st.lists(st.integers(1, p or 5), min_size=1, max_size=4), label="dims")
+        rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims])
+        change = data.draw(st.sampled_from([None, random_monomial, random_invertible]), label="basis")
+        m = (rep if change is None else rep.conjugated(change(field, rep.dim, rng))).rho_h
+    span = range(-8, 9) if p == 0 else range(-p, 2 * p)
+    candidates = data.draw(st.lists(st.sampled_from(span), max_size=24), label="candidates")
+    return field, m, candidates
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_weight_spaces_match_the_dense_eigenspace_loop(data):
+    # the one weight routine against one dense eigenspace per candidate: the
+    # same spaces, in the candidates' order, whether it stops early (the
+    # spaces add up to the dimension) or not (a Jordan block)
+    from conftest import dense_weight_spaces, sparse_columns
+
+    field, m, candidates = _weight_space_cases(data)
+    spaces = _weight_spaces(field, sparse_columns(m), m.rows, candidates)
+    dense = {c: [_densified(field, v, m.rows) for v in space] for c, space in spaces.items()}
+    assert list(dense.items()) == list(dense_weight_spaces(m, candidates).items())
 
 
 def pinned_modules(field):

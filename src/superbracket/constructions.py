@@ -3,8 +3,8 @@
 * ``build_osp`` solves the one graded condition of the orthosymplectic
   algebra, (f^T B)[i][j] + (-1)^{|f||i|} (B f)[i][j] = 0 for B = diag(q,
   omega), once per parity over that sector's cells of End(V) (even cells
-  row-major; odd cells row-major with the V0 -> V1 block first), and
-  extracts structure constants in the echelon bases of the two solutions.
+  row-major; odd cells row-major with the V0 -> V1 block first), and reads
+  structure constants off each echelon basis element's free cell.
 * ``build_osp12`` is the explicit 3|2-dimensional model: sl(2) acting on its
   standard module with the moment map
   P((a,b),(c,d)) = [[-(ad+bc), 2ac], [-2bd, ad+bc]].
@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix, Span, Vector, _kernel_vectors, intertwiners
+from .linalg import Matrix, intertwiners, sparse_kernel_basis
 from .superalgebra import MorphismCertificate, SuperAlgebra, ValidationReport, check_morphism, validate
+from .superalgebra import _contract, _rows
 
 __all__ = [
     "BilinearFormPair",
@@ -96,14 +97,17 @@ class BilinearFormPair:
         """Identity quadratic form and the standard symplectic form."""
         if d0 < 0 or d1 < 0:
             raise ValueError("dimensions must be nonnegative")
-        q = Matrix.identity(field, d0)
-        half = d1 // 2
-        z, one = field.zero(), field.one()
-        om = [[z] * d1 for _ in range(d1)]
-        for i in range(half):
-            om[i][half + i] = one
-            om[half + i][i] = field.neg(one)
-        return BilinearFormPair(q, Matrix(field, om))
+        h = d1 // 2
+        om = [[1 if j == i + h else -1 if i == j + h else 0 for j in range(d1)] for i in range(d1)]
+        return BilinearFormPair(Matrix.identity(field, d0), Matrix(field, om))
+
+
+def _by_row(cells) -> dict:
+    """``{r: {c: x}}`` for the cells ``((r, c), x)``."""
+    rows: dict = {}
+    for (r, c), x in cells:
+        rows.setdefault(r, {})[c] = x
+    return rows
 
 
 def build_osp(forms: BilinearFormPair, field: Field) -> SuperAlgebra:
@@ -117,8 +121,9 @@ def build_osp(forms: BilinearFormPair, field: Field) -> SuperAlgebra:
     so each parity is one linear system over its own cells: the even cells
     (V0 -> V0 and V1 -> V1) flattened row-major, the odd cells flattened
     row-major with the V0 -> V1 block (rows >= d0) first.  Structure
-    constants are the coordinates of (anti)commutators in the echelon bases
-    of the two solution spaces.  Characteristic 2 is refused: there the
+    constants are the coordinates of (anti)commutators, taken on the nonzero
+    entries, in the echelon bases of the two solution spaces, read off each
+    basis element's free cell.  Characteristic 2 is refused: there the
     condition's solution spaces have other dimensions, and char2 mode would
     need a squaring.
     """
@@ -128,13 +133,17 @@ def build_osp(forms: BilinearFormPair, field: Field) -> SuperAlgebra:
     d0, d1 = q.rows, om.rows
     n = d0 + d1
     zero = field.zero()
-    form = [list(row) + [zero] * d1 for row in q.data]
-    form += [[zero] * d0 + list(row) for row in om.data]
-    # the nonzeros of each column and of each row of B
-    cols_b = [[(l, form[l][j]) for l in range(n) if form[l][j]] for j in range(n)]
-    rows_b = [[(l, x) for l, x in enumerate(form[i]) if x] for i in range(n)]
+    # the nonzeros of each row and of each column of B, block by block
+    blocks = ((0, q), (d0, om))
+    rows_b = [[(off + l, x) for l, x in enumerate(row) if x] for off, m in blocks for row in m.data]
+    cols_b = [[(off + l, x) for l, x in enumerate(col) if x] for off, m in blocks for col in m.transpose().data]
 
-    cells, bases = [], []
+    def summed(terms, out: dict, op=field.add) -> dict:
+        for key, x in terms:
+            out[key] = op(out.get(key, zero), x)
+        return out
+
+    bases, free = [], []
     for parity in (0, 1):
         order = [*range(d0, n), *range(d0)] if parity else range(n)
         sector = [(r, c) for r in order for c in range(n) if (r >= d0) ^ (c >= d0) == parity]
@@ -144,45 +153,50 @@ def build_osp(forms: BilinearFormPair, field: Field) -> SuperAlgebra:
             # B is block diagonal, so the cells (l, i) and (l, j) below lie
             # in the sector; the second sum carries the sign (-1)^{|f||i|}
             signed = field.sub if parity and i >= d0 else field.add
-            row = {}
-            for l, x in cols_b[j]:
-                t = index[l, i]
-                row[t] = field.add(row.get(t, zero), x)
-            for l, x in rows_b[i]:
-                t = index[l, j]
-                row[t] = signed(row.get(t, zero), x)
-            rows.append(row)
-        cells.append(sector)
-        bases.append(_kernel_vectors(field, rows, len(sector)))
+            row = summed(((index[l, i], x) for l, x in cols_b[j]), {})
+            rows.append(summed(((index[l, j], x) for l, x in rows_b[i]), row, signed))
+        kernel = sparse_kernel_basis(field, rows, range(len(sector)))
+        # each kernel vector has a 1 at its own free cell, its last entry, and
+        # a 0 at the others', so a member's coordinates are its entries there
+        free.append({sector[next(reversed(v))]: k for k, v in enumerate(kernel)})
+        bases.append([_by_row((sector[t], x) for t, x in v.items()) for v in kernel])
     dims = (d0 * (d0 - 1) // 2 + d1 * (d1 + 1) // 2, d0 * d1)
     assert tuple(map(len, bases)) == dims, "solution space has the wrong dimension"
-    spans = [Span(field, basis, len(sector)) for basis, sector in zip(bases, cells)]
 
-    def matrix(flat: Vector, parity: int) -> Matrix:
-        m = [[zero] * n for _ in range(n)]
-        for (r, c), x in zip(cells[parity], flat.entries):
-            m[r][c] = x
-        return Matrix._from_raw(field, m)
+    def product(a: dict, b: dict):
+        # the terms ((r, c), a[r][l] b[l][c]) of a b, on the rows of b
+        for r, row in a.items():
+            for l, x in row.items():
+                for c, y in b.get(l, {}).items():
+                    yield (r, c), field.mul(x, y)
 
-    def coords(m: Matrix, parity: int) -> list:
-        flat = Vector._from_raw(field, [m.data[r][c] for r, c in cells[parity]])
-        sol = spans[parity].coordinates(flat)
-        assert sol is not None, "bracket left the solution space"
-        return list(sol.entries)
+    def entries(left: int, right: int, op, start=None) -> list:
+        # (i, j, k, x): x the k-th coordinate of op(a b, b a) for the i-th
+        # basis element a of parity left and the j-th b of parity right, at
+        # j >= i + start when start is given; the coordinates, recombined,
+        # must give op(a b, b a) back
+        out, basis, cells = [], bases[left ^ right], free[left ^ right]
+        for i, a in enumerate(bases[left]):
+            for j in range(0 if start is None else i + start, len(bases[right])):
+                b = bases[right][j]
+                m = summed(product(b, a), summed(product(a, b), {}), op)
+                m = {cell: x for cell, x in m.items() if x}
+                xs = [(cells[cell], x) for cell, x in m.items() if cell in cells]
+                back: dict = {}
+                for k, x in xs:
+                    summed((((r, c), field.mul(x, y)) for r, row in basis[k].items() for c, y in row.items()), back)
+                if {cell: y for cell, y in back.items() if y} != m:
+                    raise AssertionError("bracket left the solution space")
+                out.extend((i, j, k, x) for k, x in xs)
+        return out
 
-    even, odd = ([matrix(v, parity) for v in bases[parity]] for parity in (0, 1))
-    # from_tensors reads the even bracket at j > i and the odd one at j >= i
-    bracket = [
-        [coords(a.commutator(b), 0) if j > i else None for j, b in enumerate(even)]
-        for i, a in enumerate(even)
-    ]
-    action = [[coords(a @ o - o @ a, 1) for o in odd] for a in even]
-    odd_bracket = [
-        [coords(a.anticommutator(b), 0) if j >= i else None for j, b in enumerate(odd)]
-        for i, a in enumerate(odd)
-    ]
-    g = SuperAlgebra.from_tensors(
-        field, bracket, action, odd_bracket, mode=_mode_for(field)
+    g = SuperAlgebra.from_entries(
+        field,
+        *dims,
+        bracket=entries(0, 0, field.sub, 1),
+        action=entries(0, 1, field.sub),
+        odd_bracket=entries(1, 1, field.add, 0),
+        mode=_mode_for(field),
     )
     report = validate(g)
     if not report.ok:
@@ -241,33 +255,20 @@ def build_double(g: SuperAlgebra, phi: Matrix) -> SuperAlgebra:
 
     # centralizer: the f with f ad(x) = ad(phi x) f for every basis x
     cent = intertwiners(field, [(g.ad(i), g.ad_vec(phi.column(i))) for i in range(n)])
-    z = len(cent)
-
-    d1 = n + z
-    action_entries = []
-    for x in range(n):
-        phix = phi.column(x)
-        for j in range(n):
-            img = g.even_bracket_vec(phix, Vector.unit(field, n, j))
-            for w, val in enumerate(img.entries):
-                if val:
-                    action_entries.append((x, j, w, val))
-        # centralizer coordinates are killed by the action
-    odd_entries = []
-    for j in range(n):
-        vj = phi_inv.column(j)  # phi^{-1}(v_j)
-        for k, fk in enumerate(cent):
-            img = phi_inv @ (fk @ vj)
-            for x, val in enumerate(img.entries):
-                if val:
-                    odd_entries.append((j, n + k, x, val))
+    # x acts on g' by ad phi(x), read off g's bracket entries, and kills
+    # C(g'); {v_j, f_k} is column j of phi^{-1} f_k phi^{-1}
+    rows = _rows(g._even, field.neg)
+    planes = [_contract(rows, phi.column(x).entries)[0] for x in range(n)]
+    action = [(x, j, w, c) for x, plane in enumerate(planes) for j, col in plane.items() for w, c in col]
+    images = [(n + k, (phi_inv @ f @ phi_inv).data) for k, f in enumerate(cent)]
+    odd = [(j, v, x, m[x][j]) for v, m in images for j in range(n) for x in range(n) if m[x][j]]
     dbl = SuperAlgebra.from_entries(
         field,
         n,
-        d1,
+        n + len(cent),
         bracket=[(*key, c) for key, c in g._even.items()],
-        action=action_entries,
-        odd_bracket=odd_entries,
+        action=action,
+        odd_bracket=odd,
         mode="standard",
     )
     report = validate(dbl)

@@ -476,9 +476,6 @@ class Matrix:
     def commutator(self, o: "Matrix") -> "Matrix":
         return self @ o - o @ self
 
-    def anticommutator(self, o: "Matrix") -> "Matrix":
-        return self @ o + o @ self
-
     # --- elimination-based operations -------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:

@@ -477,13 +477,14 @@ def _highest_weight_vectors(rep: RepMatrices):
     # rho_H restricted to ker(rho_E), in coordinates of its kernel basis:
     # each basis vector has a 1 at its own free column, its last entry, and
     # 0 at the others', so a member's coordinates are its entries there
-    free = [next(reversed(t)) for t in top]
-    restricted = [[(i, y[c]) for i, c in enumerate(free) if c in y] for y in images]
+    free = {next(reversed(t)): i for i, t in enumerate(top)}
+    restricted = [[(free[c], x) for c, x in y.items() if c in free] for y in images]
     p = field.characteristic
-    candidates = range((min(p, rep.dim) if p else rep.dim) - 1, -1, -1)
+    # ascending, so that the solves stop at the largest weight present
+    candidates = range(min(p, rep.dim) if p else rep.dim)
     spaces = _weight_spaces(field, restricted, len(top), candidates)
     cols = [t.items() for t in top]
-    return top, [(m, _image(field, cols, coords)) for m, basis in spaces.items() for coords in basis]
+    return top, [(m, _image(field, cols, coords)) for m in sorted(spaces, reverse=True) for coords in spaces[m]]
 
 
 def _weight_closures(rep: RepMatrices):

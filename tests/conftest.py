@@ -7,9 +7,10 @@ from functools import partial
 import pytest
 from hypothesis import HealthCheck, settings
 
+from superbracket import constructions
 from superbracket import superalgebra as sa
 from superbracket.fields import Field
-from superbracket.linalg import Matrix, Vector, kernel_basis
+from superbracket.linalg import Matrix, Span, Vector, _kernel_vectors, kernel_basis
 
 settings.register_profile(
     "ci",
@@ -545,3 +546,90 @@ def fraction_check_morphism(cert):
             if me @ Vector(f, s.squaring[v][v]) != t.square_vec(ocols[v]):
                 return False, f"squaring not preserved at ({v})"
     return True, None
+
+
+def dense_build_osp(forms, field):
+    """The dense reference for constructions.build_osp: each basis element
+    written out as an n x n Matrix, every (anti)commutator a dense product,
+    and its coordinates read back through a linalg.Span.  Orthosymplectic
+    algebra of V = V0 + V1 with the form B = diag(q, omega).
+
+    A graded f in End(V) of parity |f| lies in it when, for every cell (i, j),
+
+        (f^T B)[i][j] + (-1)^{|f||i|} (B f)[i][j] = 0,
+
+    with |i| = 1 for i >= d0.  Both terms vanish off the cells of f's parity,
+    so each parity is one linear system over its own cells: the even cells
+    (V0 -> V0 and V1 -> V1) flattened row-major, the odd cells flattened
+    row-major with the V0 -> V1 block (rows >= d0) first.  Structure
+    constants are the coordinates of (anti)commutators in the echelon bases
+    of the two solution spaces.  Characteristic 2 is refused: there the
+    condition's solution spaces have other dimensions, and char2 mode would
+    need a squaring.
+    """
+    if field.characteristic == 2:
+        raise ValueError("build_osp is not defined in characteristic 2")
+    q, om = forms.q, forms.omega
+    d0, d1 = q.rows, om.rows
+    n = d0 + d1
+    zero = field.zero()
+    form = [list(row) + [zero] * d1 for row in q.data]
+    form += [[zero] * d0 + list(row) for row in om.data]
+    # the nonzeros of each column and of each row of B
+    cols_b = [[(l, form[l][j]) for l in range(n) if form[l][j]] for j in range(n)]
+    rows_b = [[(l, x) for l, x in enumerate(form[i]) if x] for i in range(n)]
+
+    cells, bases = [], []
+    for parity in (0, 1):
+        order = [*range(d0, n), *range(d0)] if parity else range(n)
+        sector = [(r, c) for r in order for c in range(n) if (r >= d0) ^ (c >= d0) == parity]
+        index = {cell: t for t, cell in enumerate(sector)}
+        rows = []
+        for i, j in sector:
+            # B is block diagonal, so the cells (l, i) and (l, j) below lie
+            # in the sector; the second sum carries the sign (-1)^{|f||i|}
+            signed = field.sub if parity and i >= d0 else field.add
+            row = {}
+            for l, x in cols_b[j]:
+                t = index[l, i]
+                row[t] = field.add(row.get(t, zero), x)
+            for l, x in rows_b[i]:
+                t = index[l, j]
+                row[t] = signed(row.get(t, zero), x)
+            rows.append(row)
+        cells.append(sector)
+        bases.append(_kernel_vectors(field, rows, len(sector)))
+    dims = (d0 * (d0 - 1) // 2 + d1 * (d1 + 1) // 2, d0 * d1)
+    assert tuple(map(len, bases)) == dims, "solution space has the wrong dimension"
+    spans = [Span(field, basis, len(sector)) for basis, sector in zip(bases, cells)]
+
+    def matrix(flat: Vector, parity: int) -> Matrix:
+        m = [[zero] * n for _ in range(n)]
+        for (r, c), x in zip(cells[parity], flat.entries):
+            m[r][c] = x
+        return Matrix._from_raw(field, m)
+
+    def coords(m: Matrix, parity: int) -> list:
+        flat = Vector._from_raw(field, [m.data[r][c] for r, c in cells[parity]])
+        sol = spans[parity].coordinates(flat)
+        assert sol is not None, "bracket left the solution space"
+        return list(sol.entries)
+
+    even, odd = ([matrix(v, parity) for v in bases[parity]] for parity in (0, 1))
+    # from_tensors reads the even bracket at j > i and the odd one at j >= i
+    bracket = [
+        [coords(a.commutator(b), 0) if j > i else None for j, b in enumerate(even)]
+        for i, a in enumerate(even)
+    ]
+    action = [[coords(a @ o - o @ a, 1) for o in odd] for a in even]
+    odd_bracket = [
+        [coords(a @ b + b @ a, 0) if j >= i else None for j, b in enumerate(odd)]
+        for i, a in enumerate(odd)
+    ]
+    g = sa.SuperAlgebra.from_tensors(
+        field, bracket, action, odd_bracket, mode=constructions._mode_for(field)
+    )
+    report = sa.validate(g)
+    if not report.ok:
+        raise constructions.AssembleError(report)
+    return g

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +92,64 @@ def test_osp_bytes_are_pinned(field):
     assert errors == (["error: q is degenerate\n"] * 3 if field == F3 else [])
 
 
+# sha256 of the serialized build_osp at the CLI's shapes, `construct osp
+# --d0 5 --d1 6` and `--d0 7 --d1 8` with q the identity, as the dense
+# matrix products wrote them
+CLI_OSP_DIGESTS = {
+    ("Q", 5, 6): "832da2107c94e37e5c5983b533c9926ab5e990618b3980079bfb3ee733cde112",
+    ("Q", 7, 8): "5cb9c9b9f280ee92e885a1fbdda005f8629c0c2d2de3436276ad519d3b55594e",
+    ("F_7", 5, 6): "a00cc1e0d26d72e96b3da26b259e09771a010c3365292a234b270430a70d95e4",
+    ("F_7", 7, 8): "8a9c5fafc8ff1bff566df7beaf5d74fdb2e3c584069825f696195ab3c363fcee",
+}
+
+
+@pytest.mark.parametrize("field,d0,d1", [(QQ, 5, 6), (QQ, 7, 8), (GF(7), 5, 6), (GF(7), 7, 8)], ids=str)
+def test_osp_bytes_at_the_cli_shapes_are_pinned(field, d0, d1):
+    out = serialize_algebra(build_osp(BilinearFormPair.standard(field, d0, d1), field))
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_OSP_DIGESTS[str(field), d0, d1]
+
+
+def random_forms(field, d0, d1, rng):
+    """A random diagonal q, its entries drawn with negative and non-square
+    values among them, and the standard omega."""
+    if field.characteristic:
+        diag = [rng.randrange(1, field.characteristic) for _ in range(d0)]
+    else:
+        diag = [rng.choice([1, -1, 2, -2, 3, -3, 5, Fraction(1, 2), Fraction(-2, 3)]) for _ in range(d0)]
+    return BilinearFormPair(Matrix.diagonal(field, diag), BilinearFormPair.standard(field, 0, d1).omega)
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5, GF(7), GF(11)], ids=str)
+def test_osp_matches_the_dense_products(field):
+    # the structure constants read off each basis element's free cell
+    # against dense matrix products read back through a Span
+    from conftest import dense_build_osp
+
+    rng = random.Random(20250808)
+    for d0 in range(5):
+        for d1 in (0, 2, 4):
+            forms = random_forms(field, d0, d1, rng)
+            expected = serialize_algebra(dense_build_osp(forms, field))
+            assert serialize_algebra(build_osp(forms, field)) == expected, (d0, d1, forms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_osp_matches_the_dense_products_on_general_forms(field):
+    # a symmetric q off the diagonal and an omega other than the standard
+    # form: basis elements with several nonzeros, products that mix them
+    from conftest import dense_build_osp
+
+    q = Matrix(field, [[1, 2, 0], [2, -1, 3], [0, 3, 2]])
+    omega = Matrix(field, [[0, 1, 2, 0], [-1, 0, 1, 3], [-2, -1, 0, 1], [0, -3, -1, 0]])
+    for forms in (
+        BilinearFormPair(q, BilinearFormPair.standard(field, 0, 2).omega),
+        BilinearFormPair(Matrix.identity(field, 2), omega),
+        BilinearFormPair(q, omega),
+    ):
+        expected = serialize_algebra(dense_build_osp(forms, field))
+        assert serialize_algebra(build_osp(forms, field)) == expected
+
+
 def test_osp_without_odd_part_is_sp2():
     g = build_osp(BilinearFormPair.standard(QQ, 0, 2), QQ)
     assert (g.dim_even, g.dim_odd) == (3, 0)
@@ -142,6 +202,24 @@ def test_double_with_nontrivial_iso():
     dbl = build_double(sl2_algebra(QQ), phi)
     assert validate(dbl).ok
     assert (dbl.dim_even, dbl.dim_odd) == (3, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_double_acts_by_ad_phi_in_a_random_basis(field):
+    # the action on the copy of g, read off g's bracket entries, is
+    # [phi(x), e_j] in g's own basis, and the centralizer is killed
+    from conftest import random_invertible
+
+    t = random_invertible(field, 3, random.Random(3))
+    g = sl2_algebra(field).conjugated(t, Matrix.identity(field, 0))
+    phi = t.inverse() @ Matrix.diagonal(field, [-1, 1, -1]) @ t
+    dbl = build_double(g, phi)
+    assert dbl.dim_odd == 4
+    for x in range(3):
+        for j in range(3):
+            img = g.even_bracket_vec(phi.column(x), Vector.unit(field, 3, j))
+            assert dbl.action[x][j] == (*img.entries, field.zero())
+        assert not any(dbl.action[x][3])
 
 
 # sha256 of the serialized doubles of sl(2) under the identity, Ad diag(1, -1)

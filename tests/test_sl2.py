@@ -256,6 +256,23 @@ def test_decompose_runs_on_the_entries(monkeypatch):
     assert [(spec.m, len(chain)) for chain, spec in summands] == [(4, 5), (2, 3), (2, 3), (0, 1)]
 
 
+def test_highest_weights_stop_at_the_largest_weight_present(monkeypatch):
+    # the zero action on 50 lines: one solve for ker rho(E), then weight 0
+    # fills the whole kernel, so no larger candidate is solved
+    from superbracket import sl2
+
+    solve, calls = sl2.sparse_kernel_basis, []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sl2, "sparse_kernel_basis", counted)
+    top, tops = sl2._highest_weight_vectors(RepMatrices(QQ, 50, {}))
+    assert len(calls) == 2
+    assert len(top) == 50 and [m for m, _ in tops] == [0] * 50
+
+
 def test_decompose_adjoint_plus_trivial():
     rep = RepMatrices.direct_sum(
         [

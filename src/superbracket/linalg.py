@@ -13,9 +13,9 @@ ints for every field: over F_p on residues, reduced mod p after each step;
 over Q fraction-free, on primitive integer rows (Bareiss, Math. Comp. 22,
 1968, with content removal instead of exact division), converted to
 ``Fraction`` only when a row is returned.  Kernels are read straight off
-that reduced basis (:func:`sparse_kernel_basis`), and so are coordinates,
-membership and remainders modulo a span (:class:`Span`, reduced once per
-list of vectors); the dense RREF is built only where a caller asks for it
+that reduced basis (:func:`sparse_kernel_basis`), and so are coordinates
+and membership in a span (:class:`Span`, reduced once per list of
+vectors); the dense RREF is built only where a caller asks for it
 (``Matrix.rref``, ``inverse``, ``solve_linear``, ``echelon_span``).  The
 eliminator keys rows by column and pivots on the least column of a row,
 so it runs on any increasing column labels, not only ``range(n)``: the
@@ -378,9 +378,6 @@ class Matrix:
 
     # --- accessors -------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self.data[i][j])
-
     def row(self, i: int) -> Vector:
         return Vector._from_raw(self.field, self.data[i])
 
@@ -719,11 +716,6 @@ class Span:
         depend on earlier ones, or None if w is outside the span."""
         rest, coords = self._split(w)
         return None if any(rest) else Vector._from_raw(self.field, coords)
-
-    def remainder(self, w: Vector) -> Vector:
-        """w modulo the span: 0 at every pivot column, and 0 exactly when w
-        is in the span."""
-        return Vector._from_raw(self.field, self._split(w)[0])
 
     def __contains__(self, w: Vector) -> bool:
         return not any(self._split(w)[0])

@@ -5,6 +5,7 @@ search over Q), the explicit irreducible modules V(m, alpha, beta), their
 annihilators, the Casimir operator (H+1)^2 + 4FE, the nilpotency criterion
 for complete reducibility in positive characteristic, direct-sum
 decomposition, and composition series with the maximal trivial submodule.
+A module is its nonzero entries; only casimir and conjugated densify it.
 """
 
 from __future__ import annotations
@@ -12,17 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 from .fields import Field, FieldError, Scalar
 from .linalg import (
     DimensionMismatch,
     Matrix,
-    Span,
     Vector,
     _densified,
     _kernel_vectors,
+    _reduce,
     sparse_kernel_basis,
 )
 from .superalgebra import SuperAlgebra, representation_failures
@@ -215,14 +216,12 @@ class RepMatrices:
     """A module of a triple (E, H, F), kept as its nonzero raw entries
     ``{(x, v, w): c}`` (the dict is kept, not copied) in the layout of
     ``SuperAlgebra``'s action: c is the coefficient of f_w in x(f_v), x = 0,
-    1, 2 for E, H, F.  The matrices (columns are images) are dense views
-    built on first use, for the callers that index them."""
+    1, 2 for E, H, F."""
 
-    __slots__ = ("field", "dim", "entries", "_mats", "_cols")
+    __slots__ = ("field", "dim", "entries", "_cols")
 
     def __init__(self, field: Field, dim: int, entries: dict):
-        self.field, self.dim, self.entries = field, dim, entries
-        self._mats = self._cols = None
+        self.field, self.dim, self.entries, self._cols = field, dim, entries, None
 
     @staticmethod
     def from_matrices(rho_e: Matrix, rho_h: Matrix, rho_f: Matrix) -> "RepMatrices":
@@ -241,14 +240,9 @@ class RepMatrices:
         return isinstance(o, RepMatrices) and (o.field, o.dim, o.entries) == (self.field, self.dim, self.entries)
 
     def matrices(self) -> tuple[Matrix, Matrix, Matrix]:
-        if self._mats is None:
-            planes = _dense(self.entries, (3, self.dim, self.dim), self.field.zero())
-            self._mats = tuple(Matrix._from_raw(self.field, zip(*plane)) for plane in planes)
-        return self._mats
-
-    rho_e = property(lambda self: self.matrices()[0])
-    rho_h = property(lambda self: self.matrices()[1])
-    rho_f = property(lambda self: self.matrices()[2])
+        """The dense matrices of E, H and F (columns are images), built anew."""
+        planes = _dense(self.entries, (3, self.dim, self.dim), self.field.zero())
+        return tuple(Matrix._from_raw(self.field, zip(*plane)) for plane in planes)
 
     def _columns(self) -> list:
         """cols[x][v]: the nonzeros (w, c) of x(f_v), built on first use."""
@@ -330,8 +324,9 @@ def annihilator(spec: IrrepSpec, i: int, field: Field) -> list[Vector]:
 
 def casimir(rep: RepMatrices) -> Matrix:
     """The Casimir operator (rho_H + Id)^2 + 4 rho_F rho_E."""
-    shifted = rep.rho_h + Matrix.identity(rep.field, rep.dim)
-    return shifted @ shifted + (rep.rho_f @ rep.rho_e).scaled(4)
+    e, h, f = rep.matrices()
+    shifted = h + Matrix.identity(rep.field, rep.dim)
+    return shifted @ shifted + (f @ e).scaled(4)
 
 
 def _image(field: Field, cols: Sequence, vec: dict) -> dict:
@@ -439,25 +434,34 @@ def decompose(rep: RepMatrices) -> list[tuple[list[Vector], IrrepSpec]]:
     return summands
 
 
-def invariant_closure(mats: Sequence[Matrix], seeds: Sequence[Vector]) -> list[Vector]:
-    """Echelon basis of the smallest subspace containing the seeds and
-    invariant under all the given operators."""
-    span = Span(seeds[0].field, seeds)
-    frontier = list(span.basis)
-    while frontier:
-        new = []
-        for v in frontier:
-            for m in mats:
-                img = m @ v
-                if img not in span:
-                    new.append(img)
-                    span = Span(span.field, [*span.basis, img])
-        frontier = new
-    return list(span.basis)
+def _joint_kernel(rep: RepMatrices) -> list[dict]:
+    rows = _grouped(((x, w), v, c) for (x, v, w), c in rep.entries.items())
+    return sparse_kernel_basis(rep.field, rows, range(rep.dim))
 
 
-def _joint_kernel(rep: RepMatrices) -> list[Vector]:
-    return _kernel_vectors(rep.field, _grouped(((x, w), v, c) for (x, v, w), c in rep.entries.items()), rep.dim)
+def _modulo(field: Field, rows: dict, vec: dict) -> dict:
+    """vec minus the combination of the echelon rows ``{pivot: row}`` that
+    agrees with it at their pivots: 0 exactly when vec lies in their span."""
+    out = dict(vec)
+    for c, a in vec.items():
+        for w, x in rows.get(c, {}).items():
+            out[w] = field.sub(out.get(w, field.zero()), field.mul(a, x))
+    return {w: x for w, x in out.items() if x}
+
+
+def invariant_closure(rep: RepMatrices, seeds: Sequence[dict]) -> dict[int, dict]:
+    """The echelon rows ``{pivot: row}``, by increasing pivot, of the least
+    E-, H- and F-invariant subspace that holds the sparse seeds.  The span
+    grows by the images of the rows each round added until its rank stops
+    rising: the spin step of Parker's MeatAxe (1984)."""
+    field, cols = rep.field, set(range(rep.dim))
+    basis = _reduce(field, (s.items() for s in seeds), cols)
+    new = list(basis.values())
+    while new:
+        images = [_image(field, ops, v) for v in new for ops in rep._columns()]
+        grown = _reduce(field, (row.items() for row in chain(basis.values(), images)), cols)
+        new, basis = [row for c, row in grown.items() if c not in basis], grown
+    return dict(sorted(basis.items()))
 
 
 def _highest_weight_vectors(rep: RepMatrices):
@@ -491,11 +495,11 @@ def _weight_closures(rep: RepMatrices):
     """The invariant closure of each highest weight vector of
     :func:`_highest_weight_vectors`, by descending weight."""
     for _, w in _highest_weight_vectors(rep)[1] or ():
-        yield invariant_closure(rep.matrices(), [_densified(rep.field, w, rep.dim)])
+        yield invariant_closure(rep, [w])
 
 
-def _socle_member(rep: RepMatrices) -> list[Vector]:
-    """An irreducible submodule of least dimension (ties by echelon order)."""
+def _socle_member(rep: RepMatrices) -> list[dict]:
+    """An irreducible submodule of least dimension (ties by echelon order), as sparse vectors."""
     joint = _joint_kernel(rep)
     if joint:
         return [joint[0]]  # a trivial line; nothing smaller exists
@@ -506,27 +510,35 @@ def _socle_member(rep: RepMatrices) -> list[Vector]:
             "unsupported module structure"
         )
     best = min(candidates, key=len)  # the first of least dimension
-    # refine until irreducible: look for a proper submodule inside
-    while (sub := _proper_submodule_inside(rep, best)) is not None:
-        best = sub
-    return best
+    # refine until irreducible: each proper submodule is found in the
+    # coordinates of the one before, and lifted by that one's vectors
+    module, lift = rep, list(best.values())
+    while (found := _proper_submodule_inside(module, best)) is not None:
+        module, best = found
+        lift = [_image(rep.field, [v.items() for v in lift], row) for row in best.values()]
+    return lift
 
 
-def _proper_submodule_inside(rep: RepMatrices, basis: list[Vector]) -> list[Vector] | None:
-    """A proper nonzero submodule of the invariant subspace, or None."""
+def _proper_submodule_inside(rep: RepMatrices, basis: dict[int, dict]):
+    """A proper nonzero submodule of the invariant span of the echelon rows
+    ``basis`` (by increasing pivot), or None.  Returns the module restricted
+    to that span, in the rows' coordinates (a vector's entries at the
+    pivots), and the submodule's rows in those coordinates."""
     if len(basis) <= 1:
         return None
-    span = Span(rep.field, basis)
-    mats = [span.coordinate_matrix([m @ v for v in basis]) for m in rep.matrices()]
-    if None in mats:
-        raise ValueError("subspace is not invariant")
-    sub = RepMatrices.from_matrices(*mats)
-    lift = Matrix.from_columns(rep.field, basis)
+    field, index, entries = rep.field, {c: i for i, c in enumerate(basis)}, {}
+    for x, ops in enumerate(rep._columns()):
+        for v, row in enumerate(basis.values()):
+            img = _image(field, ops, row)
+            if _modulo(field, basis, img):
+                raise ValueError("subspace is not invariant")
+            entries.update(((x, v, index[c]), a) for c, a in img.items() if c in index)
+    sub = RepMatrices(field, len(basis), entries)
     joint = _joint_kernel(sub)
     if joint:
-        return [lift @ joint[0]]
+        return sub, {next(reversed(joint[0])): joint[0]}
     closure = next((c for c in _weight_closures(sub) if len(c) < len(basis)), None)
-    return None if closure is None else [lift @ v for v in closure]
+    return None if closure is None else (sub, closure)
 
 
 def composition_series(rep: RepMatrices) -> tuple[list[int], list[Vector]]:
@@ -537,23 +549,21 @@ def composition_series(rep: RepMatrices) -> tuple[list[int], list[Vector]]:
     the factor dimensions.  Also returns the joint kernel of rho_E, rho_H,
     rho_F, i.e. the maximal trivial submodule of the original module.
     """
-    field = rep.field
-    dim = rep.dim
-    trivial = _joint_kernel(rep)
+    field, dim = rep.field, rep.dim
+    trivial = [_densified(field, v, dim) for v in _joint_kernel(rep)]
     factors: list[int] = []
-    flag = Span(field, [], dim)  # the current submodule
-    while len(flag.basis) < dim:
-        # the quotient by flag, on the unit vectors of the non-pivot columns
-        complement = [c for c in range(dim) if c not in flag.pivots]
-        units = [Vector.unit(field, dim, c) for c in complement]
-        qmats = []
-        for m in rep.matrices():
-            rests = [flag.remainder(m @ u).entries for u in units]
-            qmats.append(Matrix._from_raw(field, [[x[r] for x in rests] for r in complement]))
-        member = _socle_member(RepMatrices.from_matrices(*qmats))
+    flag: dict[int, dict] = {}  # the echelon rows of the current submodule
+    while len(flag) < dim:
+        # the quotient by flag, on the non-pivot columns relabelled in
+        # order: each column reduced modulo the flag's rows
+        complement = [c for c in range(dim) if c not in flag]
+        label = {c: i for i, c in enumerate(complement)}
+        cols = ((x, i, dict(ops[c])) for x, ops in enumerate(rep._columns()) for i, c in enumerate(complement))
+        entries = {(x, i, label[w]): a for x, i, col in cols for w, a in _modulo(field, flag, col).items()}
+        member = _socle_member(RepMatrices(field, len(complement), entries))
         factors.append(len(member))
-        lift = Matrix.from_columns(field, units)
-        flag = Span(field, [*flag.basis, *(lift @ v for v in member)])
+        lifted = ({complement[i]: a for i, a in v.items()} for v in member)
+        flag = _reduce(field, (row.items() for row in chain(flag.values(), lifted)), set(range(dim)))
     return factors, trivial
 
 
@@ -572,10 +582,6 @@ def has_proper_submodule(rep: RepMatrices) -> bool:
         return False
     if _joint_kernel(rep):
         return True
-    field = rep.field
-    p = field.characteristic
+    field, p = rep.field, rep.field.characteristic
     spaces = _weight_spaces(field, rep._columns()[1], dim, range(p) if p else range(1 - dim, dim))
-    mats = rep.matrices()
-    return any(
-        len(invariant_closure(mats, [_densified(field, w, dim)])) < dim for space in spaces.values() for w in space
-    )
+    return any(len(invariant_closure(rep, [w])) < dim for space in spaces.values() for w in space)

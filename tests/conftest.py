@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings
 from superbracket import constructions
 from superbracket import superalgebra as sa
 from superbracket.fields import Field
-from superbracket.linalg import Matrix, Span, Vector, _kernel_vectors, kernel_basis
+from superbracket.linalg import Matrix, Span, Vector, _densified, _kernel_vectors, kernel_basis
 
 settings.register_profile(
     "ci",
@@ -321,9 +321,132 @@ def dense_jacobson(rep):
     p = rep.field.characteristic
     if p == 0:
         return CHAR_ZERO
-    if dense_power(rep.rho_e, p - 1).is_zero() and dense_power(rep.rho_f, p - 1).is_zero():
+    e, _, f = rep.matrices()
+    if dense_power(e, p - 1).is_zero() and dense_power(f, p - 1).is_zero():
         return SUFFICIENT
     return INCONCLUSIVE
+
+
+# --- dense oracles for the sl(2) submodule routines ----------------------------
+
+
+def dense_invariant_closure(mats, seeds):
+    """Echelon basis of the smallest subspace containing the seeds and
+    invariant under all the given operators, one Span rebuilt per new
+    image: sl2.invariant_closure as it ran on dense matrices."""
+    span = Span(seeds[0].field, seeds)
+    frontier = list(span.basis)
+    while frontier:
+        new = []
+        for v in frontier:
+            for m in mats:
+                img = m @ v
+                if img not in span:
+                    new.append(img)
+                    span = Span(span.field, [*span.basis, img])
+        frontier = new
+    return list(span.basis)
+
+
+def dense_joint_kernel(rep):
+    """The trivial vectors of a module: the kernel of E, H and F stacked."""
+    return kernel_basis(Matrix(rep.field, [row for m in rep.matrices() for row in m.data]))
+
+
+def dense_weight_closures(rep):
+    """The dense invariant closure of each highest weight vector of
+    sl2._highest_weight_vectors, by descending weight."""
+    from superbracket.sl2 import _highest_weight_vectors
+
+    for _, w in _highest_weight_vectors(rep)[1] or ():
+        yield dense_invariant_closure(rep.matrices(), [_densified(rep.field, w, rep.dim)])
+
+
+def dense_socle_member(rep):
+    """An irreducible submodule of least dimension (ties by echelon order),
+    refined in the ambient space: sl2._socle_member on dense views."""
+    joint = dense_joint_kernel(rep)
+    if joint:
+        return [joint[0]]
+    candidates = list(dense_weight_closures(rep))
+    if not candidates:
+        raise ValueError(
+            "no trivial line or highest weight vector found; "
+            "unsupported module structure"
+        )
+    best = min(candidates, key=len)
+    while (sub := dense_proper_submodule_inside(rep, best)) is not None:
+        best = sub
+    return best
+
+
+def dense_proper_submodule_inside(rep, basis):
+    """A proper nonzero submodule of the invariant span of the vectors, in
+    the ambient space, or None: the module restricted by Span coordinates
+    in the given vectors, and a submodule found there lifted by a Matrix."""
+    from superbracket.sl2 import RepMatrices
+
+    if len(basis) <= 1:
+        return None
+    span = Span(rep.field, basis)
+    mats = [span.coordinate_matrix([m @ v for v in basis]) for m in rep.matrices()]
+    if None in mats:
+        raise ValueError("subspace is not invariant")
+    sub = RepMatrices.from_matrices(*mats)
+    lift = Matrix.from_columns(rep.field, basis)
+    joint = dense_joint_kernel(sub)
+    if joint:
+        return [lift @ joint[0]]
+    closure = next((c for c in dense_weight_closures(sub) if len(c) < len(basis)), None)
+    return None if closure is None else [lift @ v for v in closure]
+
+
+def dense_composition_series(rep):
+    """sl2.composition_series on dense views: each quotient written on the
+    unit vectors of the non-pivot columns by dense remainders modulo the
+    flag's Span, and each factor lifted by a Matrix."""
+    from superbracket.sl2 import RepMatrices
+
+    field, dim = rep.field, rep.dim
+    trivial = dense_joint_kernel(rep)
+    factors = []
+    flag = Span(field, [], dim)
+    while len(flag.basis) < dim:
+        complement = [c for c in range(dim) if c not in flag.pivots]
+        units = [Vector.unit(field, dim, c) for c in complement]
+        qmats = []
+        for m in rep.matrices():
+            rests = []
+            for u in units:
+                rest = list((m @ u).entries)
+                for c, row in zip(flag.pivots, flag.basis):
+                    a = rest[c]
+                    rest = [field.sub(x, field.mul(a, y)) for x, y in zip(rest, row.entries)]
+                rests.append(rest)
+            qmats.append(Matrix(field, [[x[r] for x in rests] for r in complement]))
+        member = dense_socle_member(RepMatrices.from_matrices(*qmats))
+        factors.append(len(member))
+        lift = Matrix.from_columns(field, units)
+        flag = Span(field, [*flag.basis, *(lift @ v for v in member)])
+    return factors, trivial
+
+
+def dense_has_proper_submodule(rep):
+    """sl2.has_proper_submodule with dense invariant closures."""
+    from superbracket.sl2 import _weight_spaces
+
+    dim = rep.dim
+    if dim <= 1:
+        return False
+    if dense_joint_kernel(rep):
+        return True
+    field = rep.field
+    p = field.characteristic
+    spaces = _weight_spaces(field, rep._columns()[1], dim, range(p) if p else range(1 - dim, dim))
+    mats = rep.matrices()
+    return any(
+        len(dense_invariant_closure(mats, [_densified(field, w, dim)])) < dim for space in spaces.values() for w in space
+    )
 
 
 # --- dense oracle for the sparse representation check ---------------------------

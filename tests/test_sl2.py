@@ -100,23 +100,23 @@ def test_find_triple_large_p_budget():
 
 def test_build_irrep_m1():
     rep = build_irrep(IrrepSpec.standard_params(QQ, 1), QQ)
-    assert rep.rho_h == Matrix.diagonal(QQ, [1, -1])
-    assert rep.rho_e == Matrix(QQ, [[0, 1], [0, 0]])
-    assert rep.rho_f == Matrix(QQ, [[0, 0], [1, 0]])
+    assert rep.matrices()[1] == Matrix.diagonal(QQ, [1, -1])
+    assert rep.matrices()[0] == Matrix(QQ, [[0, 1], [0, 0]])
+    assert rep.matrices()[2] == Matrix(QQ, [[0, 0], [1, 0]])
 
 
 def test_build_irrep_m2():
     rep = build_irrep(IrrepSpec.standard_params(QQ, 2), QQ)
-    assert rep.rho_h == Matrix.diagonal(QQ, [2, 0, -2])
-    assert rep.rho_e @ Vector.unit(QQ, 3, 1) == Vector(QQ, [2, 0, 0])
-    assert rep.rho_e @ Vector.unit(QQ, 3, 2) == Vector(QQ, [0, 2, 0])
+    assert rep.matrices()[1] == Matrix.diagonal(QQ, [2, 0, -2])
+    assert rep.matrices()[0] @ Vector.unit(QQ, 3, 1) == Vector(QQ, [2, 0, 0])
+    assert rep.matrices()[0] @ Vector.unit(QQ, 3, 2) == Vector(QQ, [0, 2, 0])
 
 
 def test_build_irrep_dim_p_with_beta():
     spec = IrrepSpec(4, F5.scalar(4), F5.scalar(1))
     rep = build_irrep(spec, F5)
-    assert rep.rho_h == Matrix.diagonal(F5, [4, 2, 0, 3, 1])
-    assert rep.rho_f @ Vector.unit(F5, 5, 4) == Vector.unit(F5, 5, 0)
+    assert rep.matrices()[1] == Matrix.diagonal(F5, [4, 2, 0, 3, 1])
+    assert rep.matrices()[2] @ Vector.unit(F5, 5, 4) == Vector.unit(F5, 5, 0)
     assert rep.satisfies_triple_relations()
 
 
@@ -456,7 +456,7 @@ def _weight_space_cases(data):
         dims = data.draw(st.lists(st.integers(1, p or 5), min_size=1, max_size=4), label="dims")
         rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims])
         change = data.draw(st.sampled_from([None, random_monomial, random_invertible]), label="basis")
-        m = (rep if change is None else rep.conjugated(change(field, rep.dim, rng))).rho_h
+        m = (rep if change is None else rep.conjugated(change(field, rep.dim, rng))).matrices()[1]
     span = range(-8, 9) if p == 0 else range(-p, 2 * p)
     candidates = data.draw(st.lists(st.sampled_from(span), max_size=24), label="candidates")
     return field, m, candidates
@@ -521,6 +521,137 @@ def test_composition_series_of_a_sum_in_a_random_basis(field, ms):
     assert len(trivial) == ms.count(0)
 
 
+def baby_verma(field, lam):
+    """Z(lam) over F_p: e_0..e_(p-1) with H e_i = (lam - 2i) e_i, E e_i =
+    i(lam - i + 1) e_(i-1) and F e_i = e_(i+1), F e_(p-1) = 0.  For lam <
+    p - 1 its socle is spanned by e_(lam+1), .., e_(p-1), of highest weight
+    p - lam - 2."""
+    p = field.p
+    entries = {(1, i, i): field.from_int(lam - 2 * i) for i in range(p)}
+    entries.update(((0, i, i - 1), field.from_int(i * (lam - i + 1))) for i in range(1, p))
+    entries.update(((2, i, i + 1), field.one()) for i in range(p - 1))
+    return RepMatrices(field, p, {key: c for key, c in entries.items() if c})
+
+
+def _submodule_cases(data):
+    """A module as the submodule oracles take it: a direct sum of
+    irreducibles, V(p - 1) among them with any beta, and over F_p maybe the
+    extension k[x]/(x^p) or Z(lam) + Z(p - lam - 2) as more parts, in the
+    weight, a monomial or a random dense basis.  The socle of each of that
+    pair of baby Verma modules has the other's highest weight, and for 0 <
+    lam < p - 2 neither socle is trivial; so in a random basis the echelon
+    highest weight vectors generically all generate reducible modules, and
+    the socle member of least dimension among their closures is refined."""
+    from conftest import random_invertible, random_monomial
+
+    field = data.draw(st.sampled_from([QQ, GF(3), F5, F7]), label="field")
+    p = field.characteristic
+    parts = [indecomposable_extension(p)] if p and data.draw(st.booleans(), label="extension") else []
+    if p >= 5 and data.draw(st.booleans(), label="baby Verma pair"):
+        lam = data.draw(st.integers(1, p - 3), label="lam")
+        parts += [baby_verma(field, lam), baby_verma(field, p - lam - 2)]
+    for m in data.draw(st.lists(st.integers(0, (p or 5) - 1), min_size=0 if parts else 1, max_size=3), label="ms"):
+        beta = data.draw(st.integers(0, p - 1), label="beta") if m == p - 1 else 0
+        parts.append(build_irrep(IrrepSpec(m, field.scalar(m), field.scalar(beta)), field))
+    rep = RepMatrices.direct_sum(data.draw(st.permutations(parts), label="order"))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    change = data.draw(st.sampled_from([None, random_monomial, random_invertible]), label="basis")
+    return (rep if change is None else rep.conjugated(change(field, rep.dim, rng))), rng
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_submodule_routines_match_the_dense_oracles(data):
+    # the sparse routines against the dense ones they replaced: the same
+    # factors, trivial part and answer, every closure vector for vector, the
+    # same proper submodule of an invariant span, and the same errors
+    from conftest import (
+        dense_composition_series,
+        dense_has_proper_submodule,
+        dense_invariant_closure,
+        dense_proper_submodule_inside,
+    )
+    from superbracket.linalg import echelon_span
+    from superbracket.sl2 import _image, _proper_submodule_inside, invariant_closure
+
+    rep, rng = _submodule_cases(data)
+    field, dim, mats = rep.field, rep.dim, rep.matrices()
+
+    def outcome(run, *args):
+        try:
+            return run(*args)
+        except ValueError as exc:
+            return f"error: {exc}"
+
+    def dense(vectors):
+        return [_densified(field, v, dim) for v in vectors]
+
+    def sparse_inside(basis):
+        found = _proper_submodule_inside(rep, basis)
+        if found is None:
+            return None
+        rows = [row.items() for row in basis.values()]
+        return dense(_image(field, rows, v) for v in found[1].values())
+
+    assert outcome(composition_series, rep) == outcome(dense_composition_series, rep)
+    assert outcome(has_proper_submodule, rep) == outcome(dense_has_proper_submodule, rep)
+    seeds = [{i: field.one()} for i in range(dim)]
+    seeds.append({i: c for i in range(dim) if (c := field.coerce(rng.randint(-2, 2)))})
+    for seed in seeds:
+        closure = invariant_closure(rep, [seed])
+        assert list(closure) == sorted(closure)
+        assert dense(closure.values()) == dense_invariant_closure(mats, dense([seed]))
+    # the closure of a random vector, and a random span that need not be
+    # invariant, written as echelon rows keyed by their pivots
+    spans = [invariant_closure(rep, [seeds[-1]])]
+    vectors = [Vector(field, [rng.randint(-2, 2) for _ in range(dim)]) for _ in range(rng.randint(1, 3))]
+    rows = [{j: x for j, x in enumerate(v.entries) if x} for v in echelon_span(field, vectors)]
+    spans.append({min(row): row for row in rows})
+    for basis in spans:
+        assert outcome(sparse_inside, basis) == outcome(dense_proper_submodule_inside, rep, dense(basis.values()))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_composition_series_refines_a_reducible_closure(p, monkeypatch):
+    # Z(lam) + Z(p - lam - 2) in random bases: the least closure of an
+    # echelon highest weight vector is often reducible, so it is refined in
+    # the coordinates of each submodule found; the series must still be the
+    # dense oracle's, and the refinement must have run
+    from conftest import dense_composition_series, random_invertible
+    from superbracket import sl2
+
+    found, inside = [], sl2._proper_submodule_inside
+    monkeypatch.setattr(sl2, "_proper_submodule_inside", lambda rep, basis: found.append(inside(rep, basis)) or found[-1])
+    field = GF(p)
+    for lam in range(1, p - 2):
+        for seed in range(5):
+            rep = RepMatrices.direct_sum([baby_verma(field, lam), baby_verma(field, p - lam - 2)])
+            rep = rep.conjugated(random_invertible(field, rep.dim, random.Random(seed)))
+            assert composition_series(rep) == dense_composition_series(rep)
+    assert any(found)
+
+
+def test_submodule_routines_run_on_the_entries(monkeypatch):
+    # a sum with a V(p - 1) and the extension k[x]/(x^p) in a random basis:
+    # the series, the submodule test and the closures never build a dense view
+    from conftest import random_invertible
+    from superbracket.sl2 import invariant_closure
+
+    parts = [indecomposable_extension(5), build_irrep(IrrepSpec(4, F5.scalar(4), F5.scalar(2)), F5)]
+    parts.append(build_irrep(IrrepSpec.standard_params(F5, 1), F5))
+    rep = RepMatrices.direct_sum(parts)
+    rep = rep.conjugated(random_invertible(F5, rep.dim, random.Random(5)))
+
+    def refused(self):
+        raise AssertionError("a submodule routine built a dense view")
+
+    monkeypatch.setattr(RepMatrices, "matrices", refused)
+    factors, trivial = composition_series(rep)
+    assert sorted(factors) == [1, 2, 4, 5] and len(trivial) == 1
+    assert has_proper_submodule(rep)
+    assert len(invariant_closure(rep, [{j: x for j, x in enumerate(trivial[0].entries) if x}])) == 1
+
+
 SL2_DIGESTS = {
     "Q": "26ce0d0a129589bea196d96dcef40cbb5580f61b05e17559a03df28a033d9a12",
     "F_5": "46f6a422bffdbc32a734975c0d432b227b3e98d859b3a342df821738ad5d606c",
@@ -557,8 +688,8 @@ def test_sl2_outputs_are_pinned(field, tmp_path):
             except ValueError as exc:  # pinned too: some bases are not supported
                 lines.append(f"{name} error: {exc}")
         for i in range(rep.dim):
-            seed = Vector.unit(field, rep.dim, i)
-            lines.append(f"closure {i} {fmt(invariant_closure(rep.matrices(), [seed]))}")
+            closure = invariant_closure(rep, [{i: field.one()}])
+            lines.append(f"closure {i} {fmt([_densified(field, v, rep.dim) for v in closure.values()])}")
     sl2 = sl2_algebra(field)
     g = sl2.conjugated(random_invertible(field, 3, rng), Matrix.identity(field, 0))
     units = [Vector.unit(field, 3, i) for i in range(3)]

@@ -37,7 +37,13 @@ row is reduced mod p once, or over Q stripped of its zero entries.  Most
 rows would have a single entry, forcing an unknown to vanish, and most of
 those come from relation-2 instances that force a weight-incompatible
 coefficient to zero.  So the solver keeps the set of *dead* unknowns, those a
-single-entry row has forced to zero, and settles the weights first: at
+single-entry row has forced to zero, and settles two families first.
+The blocks of the module (:func:`_block_kills`), the connected components
+of the action's nonzero pattern: relation 1 at (u, v, w) with f_w in a
+block other than those of f_u and f_v says that {f_u, f_v} acts as zero
+on f_w's block, so a pair that misses a *faithful* block, one on which
+the e_y act linearly independently, is dead; from three faithful blocks
+on every pair is, and no row is collected.  Then the weights: at
 each x where e_x acts diagonally on the module and on the even part
 (e_x(f_w) = lam_w f_w, [e_x, e_z] = mu_z e_z), relation 2 gives one row
 per unknown, (mu_y - lam_u - lam_v) times the coefficient of e_y in
@@ -48,11 +54,12 @@ one at a time (:class:`~superbracket.superalgebra._Relations`): relation
 not kept: it only kills its unknown.  Walking an instance's terms, the
 solver skips every dead unknown, and a row that shrinks to one entry
 kills its own unknown in turn.  Relation 2 at the other x is collected
-only at the instances with a term at an unknown that the weights of the
-first diagonal direction leave alive (:func:`_live_relation_2`), and
-relation 1 only at the instances where an unknown still alive meets a
-nonempty action column (:func:`_live_relation_1`); every other instance
-would give no row.  The kept rows go to
+only at the instances with a term at a pair that has an unknown alive
+(:func:`_live_pairs`, selected as the validator selects its support,
+:func:`~superbracket.superalgebra._supported_pairs`), and relation 1
+only at the instances where an unknown still alive meets a nonempty
+action column (:func:`_live_relation_1`); every other instance would
+give no row.  The kept rows go to
 :func:`~superbracket.linalg.sparse_kernel_basis` under their own unknown
 numbers, on the labels of the unknowns alive at the end; only a row that
 holds an unknown killed after it was kept is rebuilt without it.  The
@@ -65,17 +72,18 @@ as the entries (u, v, y, c) that ``pspace`` prints and
 :func:`solution_to_algebra` installs, and :class:`OddBracketSpace` builds
 its dense tensors only when they are asked for: the abelian 3|100
 document has 15,150 free unknowns, whose basis is 15,150 vectors of one
-entry.  In a dense basis no e_x is diagonal, and relation 2 is collected
-at every x.
+entry.  In a dense basis the action is one block and no e_x is diagonal:
+nothing is killed first, and relation 2 is collected at every x.
 For the 124 systems of the benchmark sweep (F_5 and F_7 up to odd
-dimension 8, where H is diagonal) the weights kill 6,950 of the 8,967
-unknowns; the solver collects 3,568 of the 8,967 relation-2 instances
-and 2,568 of the 7,682 relation-1 instances, and hands the eliminator
-294 rows on 132 unknowns.  The eliminator still peels forced columns
-before it pivots, as structured Gaussian elimination does (LaMacchia and
-Odlyzko, CRYPTO 1990).  The rows reach it in the generator's order,
-relation 1 first, because fraction-free pivoting depends on row order.
-The weights settle no row, so they leave that order as it was.  A naive
+dimension 8, where H is diagonal) the blocks and the weights kill 8,105
+of the 8,967 unknowns (the blocks all of them in 16 systems); the solver
+collects 1,984 of the 8,967 relation-2 instances and 1,024 of the 7,682
+relation-1 instances, and hands the eliminator 294 rows on 132 unknowns.
+The eliminator still peels forced columns before it pivots, as
+structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO
+1990).  The rows reach it in the generator's order, relation 1 first,
+because fraction-free pivoting depends on row order.  The blocks and the
+weights settle no row, so they leave that order as it was.  A naive
 all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in
 the test suite as an oracle for this deduplication.
 
@@ -97,17 +105,17 @@ from __future__ import annotations
 import marshal
 import os
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from .fields import Field
-from .linalg import _densified, sparse_kernel_basis
+from .linalg import _densified, _reduce, sparse_kernel_basis
 from .sl2 import IrrepSpec, build_irrep
 from .superalgebra import (
     ShapeError,
     SuperAlgebra,
     _even_system,
     _Relations,
+    _supported_pairs,
     _supported_triples,
     odd_unknowns,
     representation_failures,
@@ -283,34 +291,80 @@ def _weight_kills(rel: _Relations, lam: list, mu: list, p: int | None) -> list:
     return dead
 
 
-def _live_relation_2(rel: _Relations, act, xs: list, weights, p: int | None):
-    """The instances of relation 2 at the x in ``xs``, in the generator's
-    order and with its terms, without those whose every unknown the
-    ``weights`` ``(lam, mu)`` of a diagonal direction kill (all of them for
-    None): those give no row and kill nothing.  Unknown base[u][v] + y
-    survives the weights only if mu_y = lam_u + lam_v (mod p).  The bracket
-    term of (x, u, v) carries base[u][v] + z for the z with [e_x, e_z] !=
-    0, and its unit terms carry base[w][c] + y for f_w in e_x(f_s), where
-    {s, c} = {u, v}; writing lam_w = lam_s + d, with d in the set D_x of
-    such differences read off the action, the instance is kept when
-    lam_u + lam_v is some mu_z of its bracket term, or mu_y - d for some y
-    and d in D_x while e_x moves f_u or f_v.  D_x is the single shift mu_x
-    when the action is a representation and [e_x0, e_x] = mu_x e_x, but it
-    is read off the action, so no identity is assumed."""
-    if weights is None:
-        return rel.relation_2(product(xs, rel._pairs()))
-    lam, mu = weights
-    if p:
-        lam, mu = [a % p for a in lam], [m % p for m in mu]
-    sums = [(u, v, (lam[u] + lam[v]) % p if p else lam[u] + lam[v]) for u, v in rel._pairs()]
-    pairs = []
-    for x in xs:
-        hit = {mu[z] for z, col in enumerate(rel.ecols[x]) if col}
-        shifts = {lam[w] - lam[s] for s, col in enumerate(act[x]) for w, _ in col}
-        shifted = {(m - d) % p if p else m - d for m in mu for d in shifts}
-        moved = [bool(col) for col in act[x]]
-        pairs += [(x, (u, v)) for u, v, s in sums if s in hit or s in shifted and (moved[u] or moved[v])]
-    return rel.relation_2(pairs)
+def _blocks(act, d1: int) -> list:
+    """block[w]: the least index of the block of f_w, the connected
+    component of the action's nonzero pattern (an edge w - t for each t of
+    e_x(f_w)), so that every e_x maps each block into itself."""
+    parent = list(range(d1))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for plane in act:
+        for w, col in enumerate(plane):
+            for t, _ in col:
+                a, b = root(w), root(t)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    return [root(w) for w in range(d1)]
+
+
+def _block_kills(rel: _Relations, act, field: Field) -> list:
+    """The unknowns that relation 1 forces to zero through the module's
+    blocks (:func:`_blocks`).  At (u, v, w) with f_w in a block V_k other
+    than those of f_u and f_v, the terms {f_v, f_w}(f_u) and
+    {f_w, f_u}(f_v) have no output in V_k, so its rows there say that
+    {f_u, f_v} acts as zero on V_k.  On a *faithful* block, where the d0
+    restrictions of the e_y are linearly independent, that makes every
+    coefficient of {f_u, f_v} zero.  So a pair is dead when some faithful
+    block is neither of its own; from three faithful blocks on, every pair
+    is.  Faithfulness is the rank d0 of the rows (w, t) -> {y: coefficient
+    of f_t in e_y(f_w)} over the block; one block kills nothing and is not
+    checked."""
+    d0, d1 = rel.d0, rel.d1
+    block = _blocks(act, d1)
+    members: dict = {}
+    for w, k in enumerate(block):
+        members.setdefault(k, []).append(w)
+    if len(members) < 2:
+        return []
+    faithful = []
+    for k, ws in members.items():
+        rows: dict = {}
+        for y, plane in enumerate(act):
+            for w in ws:
+                for t, c in plane[w]:
+                    rows.setdefault((w, t), {})[y] = c
+        if len(_reduce(field, (r.items() for r in rows.values()), range(d0))) == d0:
+            faithful.append(k)
+            if len(faithful) == 3:
+                break
+    dead = []
+    for u, row in enumerate(rel.base):
+        # the pair (u, v) lives only if f_v lies in every faithful block
+        # that f_u misses
+        missed = [k for k in faithful if k != block[u]]
+        if missed:
+            only = missed[0] if len(missed) == 1 else None
+            for v in range(u, d1):
+                if block[v] != only:
+                    dead += range(row[v], row[v] + d0)
+    return dead
+
+
+def _live_pairs(rel: _Relations, dead: set) -> list:
+    """The pairs with an unknown outside ``dead``, as the support masks of
+    :func:`~superbracket.superalgebra.compatibility_equations`: bit v of
+    entry u set iff some coefficient of {f_u, f_v} is alive."""
+    d0, support = rel.d0, [0] * rel.d1
+    for u, row in enumerate(rel.base):
+        for v in range(u, rel.d1):
+            if not dead.issuperset(range(row[v], row[v] + d0)):
+                support[u] |= 1 << v
+                support[v] |= 1 << u
+    return support
 
 
 def _live_relation_1(rel: _Relations, act, dead: set):
@@ -332,6 +386,36 @@ def _live_relation_1(rel: _Relations, act, dead: set):
     return rel.relation_1(_supported_triples(layers))
 
 
+def _collect(mode: str, rel: _Relations, act, dead: set, p: int | None) -> list:
+    """The rows of the system without the ``dead`` unknowns, adding to
+    ``dead`` every unknown that a single-entry row kills: the weights of
+    each diagonal direction first (:func:`_weight_kills`), then relation 2 at the other directions
+    where a pair still has an unknown alive, the cubic in mode "char3", and
+    relation 1 where a live unknown meets a nonempty column; returned in
+    the generator's order, relation 1 first."""
+    off_diagonal = []  # the x at which relation 2 is collected
+    for x in range(rel.d0):
+        weights = _weights(rel, act, x)
+        if weights is None:
+            off_diagonal.append(x)
+        else:
+            dead.update(_weight_kills(rel, *weights, p))
+    later: list[dict] = []  # relation 2, then the cubic
+    pairs = _supported_pairs(_live_pairs(rel, dead), act, rel.elive, off_diagonal)
+    for _, _, terms in rel.relation_2(pairs):
+        _append_rows(later, terms, dead, p)
+    if mode == "char3":
+        for _, _, terms in rel.cubic():
+            _append_rows(later, terms, dead, p)
+    # The rows keep the generator's order, since fraction-free pivoting
+    # depends on it: relation-2 rows first make sl(2) + (4,3,2,1) in a
+    # random basis over Q about ten times slower.
+    rows: list[dict] = []
+    for _, _, terms in _live_relation_1(rel, act, dead):
+        _append_rows(rows, terms, dead, p)
+    return rows + later
+
+
 def odd_bracket_space(g: SuperAlgebra) -> OddBracketSpace:
     """Solve for every symmetric odd bracket compatible with g's even part
     and action, in g's mode; g's own odd bracket is ignored, since this asks
@@ -350,28 +434,10 @@ def odd_bracket_space(g: SuperAlgebra) -> OddBracketSpace:
         raise NotARepresentation(failures)
     p = field.p if field.kind == "prime" else None
     rel = _Relations(ecols, act)
-    dead: set[int] = set()
-    off_diagonal, first = [], None  # the x at which relation 2 is collected
-    for x in range(d0):
-        weights = _weights(rel, act, x)
-        if weights is None:
-            off_diagonal.append(x)
-        else:
-            dead.update(_weight_kills(rel, *weights, p))
-            first = first or weights
-    later: list[dict] = []  # relation 2, then the cubic
-    for _, _, terms in _live_relation_2(rel, act, off_diagonal, first, p):
-        _append_rows(later, terms, dead, p)
-    if g.mode == "char3":
-        for _, _, terms in rel.cubic():
-            _append_rows(later, terms, dead, p)
-    # The rows keep the generator's order, since fraction-free pivoting
-    # depends on it: relation-2 rows first make sl(2) + (4,3,2,1) in a
-    # random basis over Q about ten times slower.
-    rows: list[dict] = []
-    for _, _, terms in _live_relation_1(rel, act, dead):
-        _append_rows(rows, terms, dead, p)
-    rows += later
+    dead = set(_block_kills(rel, act, field))
+    n = d0 * d1 * (d1 + 1) // 2
+    # from three faithful blocks on no unknown is alive, and nothing is collected
+    rows = _collect(g.mode, rel, act, dead, p) if len(dead) < n else []
     # each row under its own unknowns; only one that holds a dead unknown,
     # killed after the row was kept, is rebuilt without it
     kept = []
@@ -380,7 +446,7 @@ def odd_bracket_space(g: SuperAlgebra) -> OddBracketSpace:
             kept.append(row)
         elif r := {k: c for k, c in row.items() if k not in dead}:
             kept.append(r)
-    live = [k for k in range(d0 * d1 * (d1 + 1) // 2) if k not in dead]
+    live = [k for k in range(n) if k not in dead]
     return OddBracketSpace(field, d0, d1, vectors=sparse_kernel_basis(field, kept, live))
 
 
@@ -414,17 +480,18 @@ def _partitions_desc(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 # The least work, in unknowns, that a process of a split sweep takes on.
 # Measured on a shared 2-vCPU Xeon (Python 3.11.7), serial against split in
-# two, median of 15 alternating runs each, over sweeps of F_5 and F_7 up to
-# odd dimension 3-8, with relation 2 settled by weights: a serial sweep
-# takes 12-17 us per unknown at 540-1,233 unknowns (6-10 us at
-# 4,206-4,761).  At 540 unknowns in all (F_5 and F_7 up to 5) one worker
-# lost in five of eight runs, by up to 2.7 ms, and won three by at most
-# 0.85 ms; at 1,170-1,233 (up to 6) it won all eight, by 1.8-3.1 ms.  The
-# gain, interpolated, crosses zero at about 550-700 unknowns, so a worker
-# still starts from 700.  No sweep holds between 540 and 1,170 unknowns, so
-# any value from 271 to 585 splits the same sweeps on 2 CPUs.  Only the
-# split in two was measured: on 3 or more CPUs a sweep of 1,050 unknowns
-# or more forks more than one worker, an unmeasured count.
+# two, median of 15-25 alternating runs each, over sweeps of F_5 and F_7 up
+# to odd dimension 3-8, with the block and weight kills: a serial sweep
+# takes 7.2-7.3 us per unknown at 540 unknowns, 5.6-5.7 us at 1,170-1,233
+# and 3.7-3.9 us at 4,206-4,761.  At 540 unknowns (F_5 or F_7 up to 5) one
+# worker lost 47 of 50 runs, by a median 0.40-0.47 ms; at 1,170-1,233 (up
+# to 6) it won 47 of 50, by a median 0.30-1.06 ms.  The gain, interpolated,
+# crosses zero at about 800 unknowns (about 890 without the block kills,
+# measured alike).  No sweep holds between 540 and 1,170 unknowns, so any
+# value from 271 to 585 splits the same sweeps on 2 CPUs, and a worker
+# still starts from 700.  Only the split in two was measured: on 3 or more
+# CPUs a sweep of 1,050 unknowns or more forks more than one worker, an
+# unmeasured count.
 _UNKNOWNS_PER_PROCESS = 350
 
 

@@ -1231,11 +1231,13 @@ def _supported_triples(layers: list):
                 yield u, v, w
 
 
-def _supported_pairs(support: list, act, elive: list):
+def _supported_pairs(support: list, act, elive: list, xs=None):
     """(x, (u, v)), u <= v in the order of relation 2, at which it has a term
     at a pair of the support: {u, v} is in it and ad(e_x) != 0, or some f_w
-    of e_x(f_u) pairs with f_v into it, or some f_w of e_x(f_v) with f_u."""
-    for x, plane in enumerate(act):
+    of e_x(f_u) pairs with f_v into it, or some f_w of e_x(f_v) with f_u;
+    at the x in ``xs``, increasing, or at every x for None."""
+    for x in range(len(act)) if xs is None else xs:
+        plane = act[x]
         # reach[u]: the v that some f_w of e_x(f_u) pairs with in the support
         reach = [_or(support[w] for w, _ in col) for col in plane]
         back = [0] * len(reach)  # back[u]: the v with u in reach[v]

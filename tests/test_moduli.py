@@ -7,7 +7,7 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -38,9 +38,12 @@ from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
 from superbracket.superalgebra import (
     ShapeError,
     SuperAlgebra,
+    _even_system,
     _Relations,
+    _supported_pairs,
     clear_denominators,
     compatibility_equations,
+    odd_unknowns,
     representation_failures,
     validate,
 )
@@ -505,10 +508,12 @@ def test_relation_2_left_out_at_the_other_directions_gives_no_row_and_no_kill(p,
     # a random sparse bracket and action with one diagonal direction x0,
     # anywhere; neither need be antisymmetric, satisfy the Jacobi identity
     # or be a representation, and every other direction is random, diagonal
-    # or not.  With the unknowns that the weights of x0 kill dead, each
-    # instance of relation 2 at another x that the solver leaves out gives
-    # no row and kills nothing, and those it keeps come in the generator's
-    # order with its terms
+    # or not.  With the unknowns that the weights of x0 kill dead, and a
+    # random share of the others, as the block kills would leave them,
+    # each instance of relation 2 at another x that the support selector
+    # leaves out on the pairs with a live unknown gives no row and kills
+    # nothing, and those it keeps come in the generator's order with its
+    # terms
     rng = random.Random(seed)
     if p == "fractions":
         p, pool = None, (0, BIG_A, -BIG_A, BIG_B, BIG_A + BIG_B, 2 * BIG_A, BIG_A - BIG_B)
@@ -525,9 +530,11 @@ def test_relation_2_left_out_at_the_other_directions_gives_no_row_and_no_kill(p,
     act = nonzero_columns([plane(d1, diag) for diag in diagonal])
     rel = _Relations(ecols, act)
     weights = moduli._weights(rel, act, x0)
+    share = rng.choice((0.0, 0.5, 0.9))
     dead = set(moduli._weight_kills(rel, *weights, p))
+    dead |= {k for k in range(d0 * d1 * (d1 + 1) // 2) if rng.random() < share}
     xs = [x for x in range(d0) if x != x0]
-    kept = list(moduli._live_relation_2(rel, act, xs, weights, p))
+    kept = list(rel.relation_2(_supported_pairs(moduli._live_pairs(rel, dead), act, rel.elive, xs)))
     full = list(rel.relation_2(product(xs, rel._pairs())))
     chosen = {indices for _, indices, _ in kept}
     assert kept == [e for e in full if e[1] in chosen]
@@ -539,23 +546,95 @@ def test_relation_2_left_out_at_the_other_directions_gives_no_row_and_no_kill(p,
 
 
 def test_relation_2_at_e_and_f_is_collected_only_where_the_weights_leave_an_unknown(monkeypatch):
-    # sl(2) on V(4) + V(2) + V(2) + V(0) over F_7 in the weight basis: H is
-    # diagonal, and of the 2 x 66 instances of relation 2 at E and F the
-    # solver collects only those with an unknown that H's weights leave
-    # alive; the space is the oracle's
+    # sl(2) on V(4) + V(2) + V(0) + V(0) over F_7 in the weight basis: the
+    # blocks kill every pair outside V(4) x V(2), H is diagonal, and of the
+    # 2 x 55 instances of relation 2 at E and F the solver collects only
+    # those with a term at a pair that still has an unknown alive; the
+    # space is the oracle's
     instances = []
-    real = moduli._live_relation_2
+    real = moduli._supported_pairs
 
     def counted(*args):
         for instance in real(*args):
-            instances.append(instance[1])
+            instances.append(instance)
             yield instance
 
-    monkeypatch.setattr(moduli, "_live_relation_2", counted)
-    even, rep, space = space_for(F7, (5, 3, 3, 1))
-    assert 0 < len(instances) < 2 * 66
-    assert {x for x, _, _ in instances} == {0, 2}
+    monkeypatch.setattr(moduli, "_supported_pairs", counted)
+    even, rep, space = space_for(F7, (5, 3, 1, 1))
+    assert 0 < len(instances) < 2 * 55
+    assert {x for x, _ in instances} == {0, 2}
     assert flatten(space) == naive_space(F7, even.bracket, list(rep.matrices())) == []
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F7, GF(3)], ids=str)
+@settings(max_examples=30)
+@given(gl2=st.booleans(), basis=st.sampled_from(("weight", "monomial")), data=st.data())
+def test_block_kills_are_zero_in_every_oracle_solution(field, gl2, basis, data):
+    # sl(2), or gl(2) whose central line acts on each summand by a scalar
+    # that may be zero, on a sum of irreducibles with random multiplicities
+    # in a random order, V(0) included, of dimension at most 6 (5 over Q),
+    # in the weight basis or a monomial one; F_3 solves in mode "char3".
+    # The blocks are the summands, and a summand is faithful when it is not
+    # V(0) and, for gl(2), its scalar is nonzero: the unknowns killed are
+    # exactly those of the pairs that miss a faithful summand, each is zero
+    # in every oracle solution, and the space is the oracle's
+    top = 3 if field.characteristic == 3 else 4
+    cap = 5 if field is QQ else 6  # the dense oracle over Q is the slow part
+    drawn = data.draw(st.lists(st.integers(1, top), min_size=2, max_size=cap).filter(lambda ds: ds[0] + ds[1] <= cap))
+    dims = [d for i, d in enumerate(drawn) if sum(drawn[: i + 1]) <= cap]
+    scalars = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(dims), max_size=len(dims)))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims])
+    n = rep.dim
+    summand = [i for i, d in enumerate(dims) for _ in range(d)]
+    mats = list(rep.matrices())
+    bracket = sl2_algebra(field).bracket
+    faithful = {i for i, d in enumerate(dims) if d > 1}
+    if gl2:
+        bracket = gl2_bracket(field)
+        mats.append(Matrix(field, [[scalars[summand[i]] if i == j else 0 for j in range(n)] for i in range(n)]))
+        faithful = {i for i in faithful if scalars[i]}
+    t = Matrix.identity(field, n) if basis == "weight" else random_monomial(field, n, rng)
+    # new basis vector j is a multiple of old basis vector old[j]
+    old = [next(i for i in range(n) if t.data[i][j]) for j in range(n)]
+    t_inv = t.inverse()
+    mats = [t_inv @ m @ t for m in mats]
+    g = module_algebra(field, bracket, mats)
+    ecols, act = _even_system(g)
+    kills = moduli._block_kills(_Relations(ecols, act), act, field)
+    d0, base = len(bracket), odd_unknowns(len(bracket), n)
+    expected = [
+        k
+        for u in range(n)
+        for v in range(u, n)
+        if faithful - {summand[old[u]], summand[old[v]]}
+        for k in range(base[u][v], base[u][v] + d0)
+    ]
+    assert sorted(kills) == expected
+    naive = naive_space(field, bracket, mats, mode=g.mode)
+    assert all(not vector.entries[k] for vector in naive for k in kills)
+    assert flatten(odd_bracket_space(g)) == naive
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F7, GF(3)], ids=str)
+@pytest.mark.parametrize("dims", [(2, 1, 1), (3, 2), (2, 2, 1)])
+def test_one_block_kills_nothing_and_checks_no_faithfulness(field, dims, rng, monkeypatch):
+    # in a random dense basis the action's pattern is one block: nothing is
+    # killed, no faithfulness rank is computed, and the space is the
+    # oracle's
+
+    def refused(*args):
+        raise AssertionError("faithfulness checked on one block")
+
+    monkeypatch.setattr(moduli, "_reduce", refused)
+    even = sl2_algebra(field)
+    rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in dims])
+    mats = list(rep.conjugated(random_invertible(field, rep.dim, rng)).matrices())
+    g = module_algebra(field, even.bracket, mats)
+    ecols, act = _even_system(g)
+    assert set(moduli._blocks(act, rep.dim)) == {0}
+    assert moduli._block_kills(_Relations(ecols, act), act, field) == []
+    assert flatten(odd_bracket_space(g)) == naive_space(field, even.bracket, mats, mode=g.mode)
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=str)

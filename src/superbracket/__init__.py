@@ -20,7 +20,6 @@ from .linalg import (
     Matrix,
     Vector,
     kernel_basis,
-    solve_linear,
     sparse_kernel_basis,
     using_compiled_kernel,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "Matrix",
     "Vector",
     "kernel_basis",
-    "solve_linear",
     "sparse_kernel_basis",
     "using_compiled_kernel",
     "OddBracketSpace",

@@ -20,8 +20,9 @@ from .linalg import (
     Matrix,
     Span,
     Vector,
+    _densified,
     _kernel_vectors,
-    echelon_span,
+    _reduce,
     intertwiners,
 )
 from .sl2 import Sl2Triple, _proportionality, verify_triple
@@ -122,9 +123,10 @@ def classify(g: SuperAlgebra) -> ClassificationResult:
 
 def _action_image(g: SuperAlgebra) -> list[Vector]:
     """Echelon basis of the span of every e_x(f_v)."""
-    f, zero = g.field, g.field.zero()
+    f, d1 = g.field, g.dim_odd
     images = _grouped(((x, v), w, c) for (x, v, w), c in g._act.items())
-    return echelon_span(f, [Vector._from_raw(f, [e.get(w, zero) for w in range(g.dim_odd)]) for e in images])
+    basis = _reduce(f, (e.items() for e in images), range(d1))
+    return [_densified(f, basis[c], d1) for c in sorted(basis)]
 
 
 def _action_kernel(g: SuperAlgebra) -> list[Vector]:

@@ -16,7 +16,7 @@ over Q fraction-free, on primitive integer rows (Bareiss, Math. Comp. 22,
 that reduced basis (:func:`sparse_kernel_basis`), and so are coordinates
 and membership in a span (:class:`Span`, reduced once per list of
 vectors); the dense RREF is built only where a caller asks for it
-(``Matrix.rref``, ``inverse``, ``solve_linear``, ``echelon_span``).  The
+(``Matrix.rref``, ``inverse``).  The
 eliminator keys rows by column and pivots on the least column of a row,
 so it runs on any increasing column labels, not only ``range(n)``: the
 same rows under labels renumbered in increasing order give the same
@@ -51,8 +51,6 @@ __all__ = [
     "kernel_basis",
     "sparse_kernel_basis",
     "intertwiners",
-    "solve_linear",
-    "echelon_span",
     "Span",
     "using_compiled_kernel",
 ]
@@ -626,47 +624,19 @@ def intertwiners(field: Field, pairs: Iterable[tuple[Matrix, Matrix]]) -> list[M
     ]
 
 
-def solve_linear(m: Matrix, b: Vector) -> Vector | None:
-    """One particular solution of Mx = b (free variables 0), or None."""
-    if not isinstance(b, Vector) or b.field != m.field:
-        raise FieldError("mixed-field solve")
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"matrix has {m.rows} rows, b has {len(b)}")
-    f = m.field
-    aug = [list(row) + [be] for row, be in zip(m.data, b.entries)]
-    if not aug:
-        return Vector.zero(f, m.cols)
-    red, pivots = _rref_raw(f, aug)
-    if m.cols in pivots:
-        return None
-    x = [f.zero()] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][m.cols]
-    return Vector._from_raw(f, x)
-
-
-def echelon_span(field: Field, vectors: Sequence[Vector]) -> list[Vector]:
-    """Canonical (RREF-row) basis of the span of the given vectors."""
-    vecs = [v for v in vectors if not v.is_zero()]
-    if not vecs:
-        return []
-    red, pivots = _rref_raw(field, [v.entries for v in vecs])
-    return [Vector._from_raw(field, red[i]) for i in range(len(pivots))]
-
-
 class Span:
     """The span of a list of vectors, reduced once; immutable.
 
     One :func:`_reduce` runs over the rows ``[v_i | t_i]``: vector i, then a
     unit tag in column ``dim + k - 1 - i`` (k vectors, tags reversed).  The
     reduced rows with a pivot among the first ``dim`` columns, cut there,
-    are the echelon basis of the span (``basis``, as :func:`echelon_span`);
+    are the echelon basis of the span (``basis``, the rows of its RREF);
     their tags write each as a combination of the vectors.  The other rows
     are the linear dependencies; with the tags reversed, their pivots are
     the vectors that depend on earlier ones, so these get coordinate 0, as
-    in :func:`solve_linear`.  Every query reduces one vector against the
-    basis.  ``dim``, the length of the vectors, is needed only when there
-    are none.
+    free variables do in a particular solution.  Every query reduces one
+    vector against the basis.  ``dim``, the length of the vectors, is
+    needed only when there are none.
     """
 
     __slots__ = ("field", "dim", "pivots", "basis", "_rows", "_k")

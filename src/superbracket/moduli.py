@@ -53,13 +53,12 @@ one at a time (:class:`~superbracket.superalgebra._Relations`): relation
 2 at the other x, then the cubic, then relation 1.  A single-entry row is
 not kept: it only kills its unknown.  Walking an instance's terms, the
 solver skips every dead unknown, and a row that shrinks to one entry
-kills its own unknown in turn.  Relation 2 at the other x is collected
-only at the instances with a term at a pair that has an unknown alive
-(:func:`_live_pairs`, selected as the validator selects its support,
-:func:`~superbracket.superalgebra._supported_pairs`), and relation 1
-only at the instances where an unknown still alive meets a nonempty
-action column (:func:`_live_relation_1`); every other instance would
-give no row.  The kept rows go to
+kills its own unknown in turn.  Each relation is collected only at the
+instances with a term at a pair that still has an unknown alive
+(:func:`_live_pairs`), selected as the validator selects its support
+(:func:`~superbracket.superalgebra._supported_pairs`,
+:func:`~superbracket.superalgebra._supported_triples`); every other
+instance would give no row.  The kept rows go to
 :func:`~superbracket.linalg.sparse_kernel_basis` under their own unknown
 numbers, on the labels of the unknowns alive at the end; only a row that
 holds an unknown killed after it was kept is rebuilt without it.  The
@@ -77,7 +76,7 @@ nothing is killed first, and relation 2 is collected at every x.
 For the 124 systems of the benchmark sweep (F_5 and F_7 up to odd
 dimension 8, where H is diagonal) the blocks and the weights kill 8,105
 of the 8,967 unknowns (the blocks all of them in 16 systems); the solver
-collects 1,984 of the 8,967 relation-2 instances and 1,024 of the 7,682
+collects 1,984 of the 8,967 relation-2 instances and 1,446 of the 7,682
 relation-1 instances, and hands the eliminator 294 rows on 132 unknowns.
 The eliminator still peels forced columns before it pivots, as
 structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO
@@ -367,32 +366,14 @@ def _live_pairs(rel: _Relations, dead: set) -> list:
     return support
 
 
-def _live_relation_1(rel: _Relations, act, dead: set):
-    """The instances of relation 1 at which some unknown outside ``dead``
-    meets a nonempty column, in the generator's order and with its terms:
-    the only ones that give a row once ``dead`` is left out.  They are
-    found as the union over x of :func:`_supported_triples` for S_x, the
-    pairs whose x-th unknown is alive, and L_x, the odd indices that e_x
-    moves, since unknown base[u][v] + x of a term carries e_x(f_w)."""
-    layers = []
-    for x, plane in enumerate(act):
-        support = [0] * rel.d1
-        for u, row in enumerate(rel.base):
-            for v in range(u, rel.d1):
-                if row[v] + x not in dead:
-                    support[u] |= 1 << v
-                    support[v] |= 1 << u
-        layers.append((support, [bool(col) for col in plane]))
-    return rel.relation_1(_supported_triples(layers))
-
-
 def _collect(mode: str, rel: _Relations, act, dead: set, p: int | None) -> list:
     """The rows of the system without the ``dead`` unknowns, adding to
     ``dead`` every unknown that a single-entry row kills: the weights of
-    each diagonal direction first (:func:`_weight_kills`), then relation 2 at the other directions
-    where a pair still has an unknown alive, the cubic in mode "char3", and
-    relation 1 where a live unknown meets a nonempty column; returned in
-    the generator's order, relation 1 first."""
+    each diagonal direction first (:func:`_weight_kills`), then relation 2
+    at the other directions, the cubic in mode "char3", and relation 1,
+    each at the instances with a term at a pair that still has an unknown
+    alive (:func:`_live_pairs`); returned in the generator's order,
+    relation 1 first."""
     off_diagonal = []  # the x at which relation 2 is collected
     for x in range(rel.d0):
         weights = _weights(rel, act, x)
@@ -405,13 +386,13 @@ def _collect(mode: str, rel: _Relations, act, dead: set, p: int | None) -> list:
     for _, _, terms in rel.relation_2(pairs):
         _append_rows(later, terms, dead, p)
     if mode == "char3":
-        for _, _, terms in rel.cubic():
+        for _, _, terms in rel.cubic(_supported_triples(_live_pairs(rel, dead), rel.live)):
             _append_rows(later, terms, dead, p)
     # The rows keep the generator's order, since fraction-free pivoting
     # depends on it: relation-2 rows first make sl(2) + (4,3,2,1) in a
     # random basis over Q about ten times slower.
     rows: list[dict] = []
-    for _, _, terms in _live_relation_1(rel, act, dead):
+    for _, _, terms in rel.relation_1(_supported_triples(_live_pairs(rel, dead), rel.live)):
         _append_rows(rows, terms, dead, p)
     return rows + later
 

@@ -78,12 +78,13 @@ def _check_dim(value, name: str) -> int:
     return value
 
 
-def _entries(doc, key, field, bound1, bound2, bound3, ordered) -> list:
+def _entries(doc, key, field, bound1, bound2, bound3, ordered) -> dict:
+    """The document's ``key`` entries as ``{(i, j, k): raw value}``, each
+    checked in range and order, nonzero and not duplicated."""
     raw = doc.get(key, [])
     if not isinstance(raw, list):
         raise SchemaError(f"{key} must be a list")
-    out = []
-    seen = set()
+    out: dict = {}
     for item in raw:
         if not (isinstance(item, list) and len(item) == 4):
             raise SchemaError(f"{key} entries must be [i, j, k, coeff]")
@@ -103,10 +104,9 @@ def _entries(doc, key, field, bound1, bound2, bound3, ordered) -> list:
             raise SchemaError(f"{key} coefficient: {exc}") from None
         if not value:
             raise SchemaError(f"{key} entry ({i},{j},{k}) has zero coefficient")
-        if (i, j, k) in seen:
+        if (i, j, k) in out:
             raise SchemaError(f"{key} entry ({i},{j},{k}) duplicated")
-        seen.add((i, j, k))
-        out.append((i, j, k, value))
+        out[i, j, k] = value
     return out
 
 
@@ -139,7 +139,7 @@ def parse_algebra(text: str | bytes) -> tuple[SuperAlgebra, dict]:
         if "p_map" in doc:
             raise SchemaError("char2 documents carry squaring, not p_map")
         squaring = _entries(doc, "squaring", field, d1, d1, d0, "weak")
-        p_map: list = []
+        p_map = None  # derived from the squaring by polarization
     else:
         if "squaring" in doc:
             raise SchemaError("squaring is only valid in char2 mode")
@@ -153,16 +153,7 @@ def parse_algebra(text: str | bytes) -> tuple[SuperAlgebra, dict]:
         raise SchemaError("metadata must be a string-to-string object")
 
     try:
-        g = SuperAlgebra.from_entries(
-            field,
-            d0,
-            d1,
-            bracket=bracket,
-            action=action,
-            odd_bracket=p_map,
-            mode=mode,
-            squaring=squaring,
-        )
+        g = SuperAlgebra._of(field, d0, d1, mode, bracket, action, p_map, squaring)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
     return g, dict(metadata)

@@ -95,7 +95,6 @@ from .linalg import (
     Span,
     Vector,
     _kernel_vectors,
-    echelon_span,
 )
 
 __all__ = [
@@ -448,10 +447,15 @@ class SuperAlgebra:
             raise ShapeError("char2 mode needs a squaring tensor")
         if mode != "char2" and sq is not None:
             raise ShapeError("squaring is only meaningful in char2 mode")
-        # validate reads only the squaring, so the odd bracket must be its
-        # polarization: {f_v, f_w} = S(v,w) for v < w and {f_v, f_v} = 0
-        if mode == "char2" and odd != {key: c for key, c in sq.items() if key[0] < key[1]}:
-            raise ShapeError("char2 mode needs the odd bracket to polarize the squaring")
+        # validate reads only the squaring, so the odd bracket is its
+        # polarization, {f_v, f_w} = S(v,w) for v < w and {f_v, f_v} = 0:
+        # derived from it for None, and checked against it otherwise
+        if mode == "char2":
+            polar = {key: c for key, c in sq.items() if key[0] < key[1]}
+            if odd is None:
+                odd = polar
+            elif odd != polar:
+                raise ShapeError("char2 mode needs the odd bracket to polarize the squaring")
         self.field, self.dim_even, self.dim_odd, self.mode = field, d0, d1, mode
         self._even, self._act, self._odd, self._sq = even, act, odd, sq
         self._views = {}  # the dense views, each built on first access
@@ -461,7 +465,8 @@ class SuperAlgebra:
     @classmethod
     def _of(cls, field: Field, d0: int, d1: int, mode: str, even: dict, act: dict, odd: dict, sq=None):
         """The algebra with these dicts of nonzero raw entries, keyed as the
-        class docstring says; the dicts are kept, not copied."""
+        class docstring says; the dicts are kept, not copied.  In char2
+        mode ``odd`` None is derived from ``sq`` by polarization."""
         g = cls.__new__(cls)
         g._init(field, d0, d1, mode, even, act, odd, sq)
         return g
@@ -525,10 +530,7 @@ class SuperAlgebra:
             if list(odd_bracket):
                 raise ShapeError("char2 mode derives the odd bracket from squaring")
             sq = summed(squaring or (), (d1, d1, d0), 0, "squaring entry ({},{},{}) out of range (need v<=w)")
-            # polarization: {f_v, f_w} = (f_v+f_w)^2 + f_v^2 + f_w^2; the
-            # diagonal {f_v, f_v} = 2 f_v^2 vanishes in char 2
-            odd = {key: c for key, c in sq.items() if key[0] < key[1]}
-            return cls._of(field, d0, d1, mode, even, act, odd, sq)
+            return cls._of(field, d0, d1, mode, even, act, None, sq)
         odd = summed(odd_bracket, (d1, d1, d0), 0, "odd bracket entry ({},{},{}) out of range (need u<=v)")
         return cls._of(field, d0, d1, mode, even, act, odd)
 
@@ -1081,7 +1083,7 @@ def compatibility_equations(ecols, act, mode: str = "standard", support=None):
         return rel.char2_square(_supported_squares(support, act, rel.live, rel.elive) if some else None)
 
     def triples():
-        return _supported_triples([(support, rel.live)]) if some else None
+        return _supported_triples(support, rel.live) if some else None
 
     relations = [
         rel.relation_1(triples()),
@@ -1098,8 +1100,8 @@ class _Relations:
     them for ``None``), yielding that relation's instances as
     :func:`compatibility_equations` does.  The solver
     (:func:`superbracket.moduli.odd_bracket_space`) calls them in its own
-    order: relation 2 and the cubic first, then relation 1 where unknowns
-    are still alive."""
+    order, relation 2 and the cubic first, then relation 1, each on the
+    support of the pairs that still have an unknown alive."""
 
     def __init__(self, ecols, act):
         self.d0 = d0 = len(ecols)
@@ -1196,37 +1198,21 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _supported_triples(layers: list):
-    """(u, v, w), u <= v <= w in lexicographic order, at which for some
-    layer (support, live) of ``layers`` some pair has its third index live
-    and lies in the support: where relation 1 and the cubic have a term at
-    a pair of the support (one layer), or where the solver's relation 1 has
-    a live unknown that meets a nonempty column (one layer per even index).
-    For each layer and (u, v), the w are the live indices if {u, v} is in
-    the support, S(v) if u is live and S(u) if v is; the v are those for
-    which one of these can be nonempty.  Each (u, v, w) is yielded once."""
-    masks = []
-    for support, live in layers:
-        lm = _or(1 << i for i, x in enumerate(live) if x)
-        held = _or(1 << i for i, s in enumerate(support) if s)
-        if lm and held:  # otherwise the layer selects nothing
-            masks.append((support, lm, held))
-    if not masks:
+def _supported_triples(support: list, live: list):
+    """(u, v, w), u <= v <= w in lexicographic order, at which relation 1
+    and the cubic have a term at a pair of the support: some pair of
+    {u, v, w} lies in it and the third index is live.  For each (u, v),
+    the w are the live indices if {u, v} is in the support, S(v) if u is
+    live and S(u) if v is; the v are those for which one of these can be
+    nonempty.  Each (u, v, w) is yielded once."""
+    lm = _or(1 << i for i, x in enumerate(live) if x)
+    held = _or(1 << i for i, s in enumerate(support) if s)
+    if not (lm and held):  # no triple has a term in the support
         return
-    for u in range(len(masks[0][0])):
-        vs = 0
-        for support, lm, held in masks:
-            su = support[u]
-            vs |= su | (held if lm >> u & 1 else 0) | (lm if su else 0)
+    for u, su in enumerate(support):
+        vs = su | (held if lm >> u & 1 else 0) | (lm if su else 0)
         for v in _bits(vs >> u << u):
-            ws = 0
-            for support, lm, held in masks:
-                su = support[u]
-                ws |= (
-                    (lm if su >> v & 1 else 0)
-                    | (support[v] if lm >> u & 1 else 0)
-                    | (su if lm >> v & 1 else 0)
-                )
+            ws = (lm if su >> v & 1 else 0) | (support[v] if lm >> u & 1 else 0) | (su if lm >> v & 1 else 0)
             for w in _bits(ws >> v << v):
                 yield u, v, w
 
@@ -1324,7 +1310,7 @@ def p_span(
     vecs = [
         g.odd_bracket_vec(u, w) for u in u_basis for w in w_basis
     ]
-    return echelon_span(g.field, vecs)
+    return list(Span(g.field, vecs, g.dim_even).basis)
 
 
 def is_ideal(g: SuperAlgebra, subspace: Sequence[Vector]) -> bool:

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, settings
 
 from superbracket import constructions
 from superbracket import superalgebra as sa
-from superbracket.fields import Field
-from superbracket.linalg import Matrix, Span, Vector, _densified, _kernel_vectors, kernel_basis
+from superbracket.fields import Field, FieldError
+from superbracket.linalg import DimensionMismatch, Matrix, Span, Vector, _densified, _kernel_vectors, kernel_basis
 
 settings.register_profile(
     "ci",
@@ -275,6 +275,36 @@ def dense_kernel(field, rows, n_cols):
             v[pc] = field.neg(red[r][fc])
         basis.append(v)
     return basis
+
+
+def solve_linear(m, b):
+    """One particular solution of Mx = b (free variables 0), or None, read
+    off dense_rref of [M | b].  Reference for Span.coordinates."""
+    if not isinstance(b, Vector) or b.field != m.field:
+        raise FieldError("mixed-field solve")
+    if len(b) != m.rows:
+        raise DimensionMismatch(f"matrix has {m.rows} rows, b has {len(b)}")
+    f = m.field
+    aug = [list(row) + [be] for row, be in zip(m.data, b.entries)]
+    if not aug:
+        return Vector.zero(f, m.cols)
+    red, pivots = dense_rref(f, aug)
+    if m.cols in pivots:
+        return None
+    x = [f.zero()] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][m.cols]
+    return Vector._from_raw(f, x)
+
+
+def echelon_span(field, vectors):
+    """The RREF rows of the span of the vectors, from dense_rref.
+    Reference for Span.basis."""
+    vecs = [v for v in vectors if not v.is_zero()]
+    if not vecs:
+        return []
+    red, pivots = dense_rref(field, [v.entries for v in vecs])
+    return [Vector._from_raw(field, red[i]) for i in range(len(pivots))]
 
 
 # --- dense oracles for the sl(2) weight spaces and the Jacobson test -------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_kernel, dense_rref
+from conftest import dense_kernel, dense_rref, echelon_span, solve_linear
 from superbracket.fields import GF, QQ, FieldError
 from superbracket.linalg import (
     DimensionMismatch,
@@ -17,10 +17,8 @@ from superbracket.linalg import (
     Matrix,
     Span,
     Vector,
-    echelon_span,
     intertwiners,
     kernel_basis,
-    solve_linear,
     sparse_kernel_basis,
 )
 from superbracket.constructions import sl2_algebra

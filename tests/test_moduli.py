@@ -41,6 +41,7 @@ from superbracket.superalgebra import (
     _even_system,
     _Relations,
     _supported_pairs,
+    _supported_triples,
     clear_denominators,
     compatibility_equations,
     odd_unknowns,
@@ -419,30 +420,39 @@ def test_solver_keeps_fractions_past_the_cut_off(monkeypatch):
 
 
 @given(
+    mode=st.sampled_from(("standard", "char3")),
     d0=st.integers(1, 3),
-    d1=st.integers(1, 9),
+    d1=st.integers(0, 9),
     dead_density=st.sampled_from((0.0, 0.3, 0.7, 0.95, 1.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_live_relation_1_selects_exactly_the_instances_with_a_live_term(d0, d1, dead_density, seed):
+def test_relation_1_and_the_cubic_left_out_give_no_row_and_no_kill(mode, d0, d1, dead_density, seed):
     # a random sparse bracket and action (neither need be a Lie bracket or
-    # a representation) and a random dead set: the solver's relation-1
-    # instances are those of the full generator with a term at an unknown
-    # outside the dead set whose column is nonempty, in the same order and
-    # with the same terms
+    # a representation) and a random dead set: relation 1 over Q in mode
+    # "standard", and relation 1 and the cubic over F_3 in mode "char3".
+    # The instances that the support selector keeps on the pairs with a
+    # live unknown come in the generator's order with its terms, and each
+    # instance it leaves out gives no row and kills nothing
     rng = random.Random(seed)
+    p = 3 if mode == "char3" else None
     density = rng.random()
 
     def sparse(*shape):
         return [[[rng.choice((1, -2)) if rng.random() < density else 0 for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
 
     ecols, act = nonzero_columns(sparse(d0, d0, d0)), nonzero_columns(sparse(d0, d1, d1))
+    rel = _Relations(ecols, act)
     dead = {k for k in range(d0 * d1 * (d1 + 1) // 2) if rng.random() < dead_density}
-    full = [e for e in compatibility_equations(ecols, act) if e[0] == "relation_1"]
-    expected = [
-        e for e in full if any(k not in dead and col for b, group in e[2] for k, col in enumerate(group, b))
-    ]
-    assert list(moduli._live_relation_1(_Relations(ecols, act), act, dead)) == expected
+    for generate in (rel.relation_1, rel.cubic) if mode == "char3" else (rel.relation_1,):
+        kept = list(generate(_supported_triples(moduli._live_pairs(rel, dead), rel.live)))
+        full = list(generate())
+        chosen = {indices for _, indices, _ in kept}
+        assert kept == [e for e in full if e[1] in chosen]
+        for _, indices, terms in full:
+            if indices not in chosen:
+                rows, killed = [], set(dead)
+                moduli._append_rows(rows, terms, killed, p)
+                assert rows == [] and killed == dead, indices
 
 
 # past the 2048-bit cut-off of clear_denominators the solver's tensors stay

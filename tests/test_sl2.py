@@ -570,8 +570,8 @@ def test_submodule_routines_match_the_dense_oracles(data):
         dense_has_proper_submodule,
         dense_invariant_closure,
         dense_proper_submodule_inside,
+        echelon_span,
     )
-    from superbracket.linalg import echelon_span
     from superbracket.sl2 import _image, _proper_submodule_inside, invariant_closure
 
     rep, rng = _submodule_cases(data)

@@ -87,22 +87,25 @@ all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in
 the test suite as an oracle for this deduplication.
 
 :func:`sweep_irrep_sums` solves one system per direct sum of irreducibles.
-The systems are independent, so it splits them across the CPUs this
-process may use (:func:`_solve_split`): with n processes the parent forks
-n - 1 workers with bare ``os.fork`` and a pipe each (starting a
-``multiprocessing`` pool takes tens of milliseconds, as much as the split
-saves), worker i solves every n-th composition from i, and
-the parent solves its own share and merges the dimensions by index.  Every
-system goes through the same :func:`odd_bracket_space` whatever n is, so
-the rows are identical.  n is 1 where ``os.fork`` is missing, where another
-thread runs (a forked child inherits its locks held), where only one CPU
-is usable, and where the sweep holds too few unknowns to pay for a fork.
+The systems are independent, so it splits them in two, with one forked
+worker at most (:func:`_solve_split`): a bare ``os.fork`` and a pipe
+(starting a ``multiprocessing`` pool takes tens of milliseconds, as much as
+the split saves).  The worker solves the odd-indexed compositions, the
+parent the even-indexed ones, and the parent merges the dimensions by
+index; if the worker fails or is killed, the parent solves its share too.
+Every system goes through the same :func:`odd_bracket_space` either way,
+so the rows are identical.  The sweep stays in one process where
+``os.fork`` is missing, where another thread runs (a forked child inherits
+its locks held), where only one CPU is usable, and where the sweep holds
+too few unknowns to pay for a fork.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -459,121 +462,67 @@ def _partitions_desc(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-# The least work, in unknowns, that a process of a split sweep takes on.
-# Measured on a shared 2-vCPU Xeon (Python 3.11.7), serial against split in
-# two, median of 15-25 alternating runs each, over sweeps of F_5 and F_7 up
-# to odd dimension 3-8, with the block and weight kills: a serial sweep
-# takes 7.2-7.3 us per unknown at 540 unknowns, 5.6-5.7 us at 1,170-1,233
-# and 3.7-3.9 us at 4,206-4,761.  At 540 unknowns (F_5 or F_7 up to 5) one
-# worker lost 47 of 50 runs, by a median 0.40-0.47 ms; at 1,170-1,233 (up
-# to 6) it won 47 of 50, by a median 0.30-1.06 ms.  The gain, interpolated,
-# crosses zero at about 800 unknowns (about 890 without the block kills,
-# measured alike).  No sweep holds between 540 and 1,170 unknowns, so any
-# value from 271 to 585 splits the same sweeps on 2 CPUs, and a worker
-# still starts from 700.  Only the split in two was measured: on 3 or more
-# CPUs a sweep of 1,050 unknowns or more forks more than one worker, an
-# unmeasured count.
-_UNKNOWNS_PER_PROCESS = 350
+# The least work, in unknowns, for which the sweep forks a worker.  Measured
+# on a shared 2-vCPU Xeon (Python 3.11.7), median of 15-25 alternating runs:
+# a worker lost 47 of 50 runs at 540 unknowns (F_5 or F_7 up to odd
+# dimension 5) and won 47 of 50 at 1,170-1,233 (up to 6, the next size).
+_SPLIT_UNKNOWNS = 700
 
 
-def _process_count(jobs: int, work: int) -> int:
-    """How many processes share ``jobs`` independent jobs of ``work`` units
-    in all: one per CPU this process may use, at most one per job and at
-    least ``_UNKNOWNS_PER_PROCESS`` units each; 1 where fork is missing or
-    unsafe (another thread may hold a lock the child would inherit held)."""
-    import threading
-
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
+def _splits(jobs: int, work: int) -> bool:
+    """Whether ``jobs`` jobs of ``work`` units in all are split in two: at
+    least two jobs and ``_SPLIT_UNKNOWNS`` units, ``os.fork`` there, no
+    other thread (a forked child inherits its locks held), and more than
+    one CPU usable."""
+    if jobs < 2 or work < _SPLIT_UNKNOWNS or not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0)) > 1
     except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, jobs, work // _UNKNOWNS_PER_PROCESS))
-
-
-def _serve(pipe: int, solve, jobs) -> None:
-    """A forked worker's whole life: solve ``jobs``, write the results to
-    ``pipe`` (``b"r"`` and their ``marshal`` bytes: marshal is built in,
-    where importing pickle in every worker would cost it milliseconds) or
-    the exception (``b"e"`` and a pickled ``(exception, traceback text)``),
-    and leave by ``os._exit``, so nothing of the parent's (buffers, atexit
-    hooks, a caller's ``finally``) runs twice.  A worker that cannot write
-    its reply leaves with nothing written."""
-    code = 1
-    try:
-        try:
-            data = b"r" + marshal.dumps([solve(job) for job in jobs])
-        except BaseException as exc:  # raised again by the parent
-            import pickle
-            import traceback
-
-            data = b"e" + pickle.dumps((exc, traceback.format_exc()))
-        with open(pipe, "wb") as out:
-            out.write(data)
-        code = 0
-    finally:
-        os._exit(code)
+        return (os.cpu_count() or 1) > 1
 
 
 def _solve_split(solve, jobs: list, work: int) -> list:
-    """``[solve(job) for job in jobs]``, the jobs split across processes.
-
-    With n processes (:func:`_process_count`; n = 1 is the serial case) the
-    parent forks n - 1 workers, worker i solves ``jobs[i::n]`` and sends its
-    results down a pipe, the parent solves ``jobs[::n]`` and merges the
-    results by index, so the list is the one the serial loop returns.
-    Results must be ``marshal``-able (the sweep's are ints).  A worker's
-    exception is raised again here, chained to its traceback.  Every worker
-    is reaped before this returns or raises; on any failure the parent
-    kills them first.
-    """
-    n = _process_count(len(jobs), work)
-    pids, pipes = [], []
-    try:
-        for i in range(1, n):
-            r, w = os.pipe()
-            pipes.append(r)
+    """``[solve(job) for job in jobs]``, with one forked worker where
+    :func:`_splits`: it solves ``jobs[1::2]``, writes their ``marshal``
+    bytes (ints) to a pipe, or nothing if anything fails, and leaves by
+    ``os._exit``, so nothing of the parent's runs twice.  The parent solves
+    ``jobs[::2]``, and ``jobs[1::2]`` too if the reply is missing or short,
+    so a failure is raised here with its own traceback.  The worker is
+    reaped before this returns, killed first if the parent fails."""
+    if not _splits(len(jobs), work):
+        return [solve(job) for job in jobs]
+    r, w = os.pipe()
+    with open(r, "rb") as reply, open(w, "wb") as out:
+        pid = os.fork()
+        if pid == 0:  # the worker
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(w, solve, jobs[i::n])
+                out.write(marshal.dumps([solve(job) for job in jobs[1::2]]))
+                out.flush()
             finally:
-                os.close(w)  # only the worker writes; EOF once it is done
-            pids.append(pid)
-        results = [None] * len(jobs)
-        results[::n] = [solve(job) for job in jobs[::n]]
-        for i, r in enumerate(pipes, 1):
-            with open(r, "rb", closefd=False) as stream:
-                data = stream.read()
-            if data[:1] == b"r":
-                results[i::n] = marshal.loads(data[1:])
-            elif data[:1] == b"e":
-                import pickle
-
-                exc, text = pickle.loads(data[1:])
-                raise exc from RuntimeError(f"in sweep worker {i} of {n}:\n{text}")
-            else:
-                raise RuntimeError(f"sweep worker {i} of {n} exited without a result")
-        return results
-    except BaseException:
-        import signal
-
-        for pid in pids:
+                os._exit(0)
+        try:
+            out.close()  # only the worker writes; EOF once it is done
+            results = [None] * len(jobs)
+            results[::2] = [solve(job) for job in jobs[::2]]
+            try:
+                share = marshal.loads(reply.read())
+            except EOFError:  # no reply, or a cut one
+                share = []
+            results[1::2] = share if len(share) == len(jobs) // 2 else [solve(job) for job in jobs[1::2]]
+            return results
+        except BaseException:
             os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for r in pipes:
-            os.close(r)
-        for pid in pids:
+            raise
+        finally:
             os.waitpid(pid, 0)
 
 
 def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     """Solution dimension for every direct sum of standard-parameter
     irreducibles (alpha = m, beta = 0, dimension <= p) with total dimension
-    up to max_odd_dim, over F_5 or F_7; the systems are split across the
-    CPUs this process may use (:func:`_solve_split`), with the same rows."""
+    up to max_odd_dim, over F_5 or F_7; the systems are split in two, with
+    one forked worker at most (:func:`_solve_split`), with the same rows."""
     if field.kind != "prime" or field.p not in (5, 7):
         raise ValueError("the sweep is budgeted for F_5 and F_7")
     if max_odd_dim > 8:

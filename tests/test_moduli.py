@@ -2,6 +2,7 @@ import hashlib
 import os
 import random
 import threading
+import time
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -974,8 +975,7 @@ def forbid_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-def test_sweep_split_in_two_gives_the_pinned_rows_and_reaps_its_worker(cpus, monkeypatch):
-    cpus(2)
+def count_forks(monkeypatch):
     forks = []
     fork = os.fork
 
@@ -984,8 +984,33 @@ def test_sweep_split_in_two_gives_the_pinned_rows_and_reaps_its_worker(cpus, mon
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_sweep_split_in_two_gives_the_pinned_rows_and_reaps_its_worker(cpus, monkeypatch):
+    cpus(2)
+    forks = count_forks(monkeypatch)
+    solved = []  # the worker appends to its own copy
+    real = moduli.odd_bracket_space
+
+    def counted(g):
+        solved.append(None)
+        return real(g)
+
+    monkeypatch.setattr(moduli, "odd_bracket_space", counted)
     assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
     assert len(forks) == 2  # one worker for each of F_5 and F_7
+    # the caller solves only its own share: 30 of F_5's 59 systems and 33
+    # of F_7's 65, and takes the rest from the worker's reply
+    assert len(solved) == 30 + 33
+    assert_no_child_process()
+
+
+def test_sweep_on_eight_cpus_still_forks_one_worker_per_call(cpus, monkeypatch):
+    cpus(8)
+    forks = count_forks(monkeypatch)
+    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+    assert len(forks) == 2
     assert_no_child_process()
 
 
@@ -1021,13 +1046,12 @@ def test_sweep_beside_another_thread_does_not_fork(cpus, monkeypatch):
     assert not other.is_alive()
 
 
-@pytest.mark.parametrize(
-    "dim, worker", [(1, None), (2, "in sweep worker 1 of 2")], ids=["in-caller", "in-worker"]
-)
-def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim, worker):
+@pytest.mark.parametrize("dim", [1, 2], ids=["in-caller", "in-worker"])
+def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim):
     # F_5 up to 8 in two processes: the caller solves the even-indexed
     # compositions, (1,) among them, and the worker the odd-indexed ones,
-    # (2,) among them; the patch is inherited by the fork
+    # (2,) among them; the patch is inherited by the fork.  A worker that
+    # fails writes no reply, and the caller's own solve of its share raises
     cpus(2)
     real = moduli.odd_bracket_space
     target = module_algebra(F5, sl2_algebra(F5).bracket, build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
@@ -1040,22 +1064,67 @@ def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim,
     monkeypatch.setattr(moduli, "odd_bracket_space", failing)
     with pytest.raises(ValueError, match=rf"^no solution space for \({dim},\)$") as info:
         sweep_irrep_sums(F5, 8)
-    if worker:
-        assert worker in str(info.value.__cause__)
-    else:
-        assert info.value.__cause__ is None
+    assert info.value.__cause__ is None
     assert_no_child_process()
 
 
-def test_sweep_process_count_is_bounded(cpus, monkeypatch):
-    unit = moduli._UNKNOWNS_PER_PROCESS
+def test_sweep_worker_that_fails_costs_only_time(cpus, monkeypatch):
+    # every solve in the forked worker raises, none in this process: the
+    # caller solves the worker's share too, with the pinned rows
+    cpus(2)
+    forks = count_forks(monkeypatch)
+    caller = os.getpid()
+    real = moduli.odd_bracket_space
+
+    def failing_in_worker(g):
+        if os.getpid() != caller:
+            raise RuntimeError("the worker fails")
+        return real(g)
+
+    monkeypatch.setattr(moduli, "odd_bracket_space", failing_in_worker)
+    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+    assert len(forks) == 2
+    assert_no_child_process()
+
+
+def test_sweep_kills_a_busy_worker_when_the_caller_fails(cpus, monkeypatch):
+    # the worker would sleep for a minute; the caller fails at once, and
+    # kills the worker rather than waiting for it
+    cpus(2)
+    caller = os.getpid()
+
+    def stuck(g):
+        if os.getpid() == caller:
+            raise ValueError("the caller fails")
+        time.sleep(60)
+
+    monkeypatch.setattr(moduli, "odd_bracket_space", stuck)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^the caller fails$"):
+        sweep_irrep_sums(F5, 8)
+    assert time.monotonic() - start < 30
+    assert_no_child_process()
+
+
+def test_small_sweep_does_not_fork(cpus, monkeypatch):
+    # F_5 up to odd dimension 5 holds 540 unknowns, below the split
     cpus(8)
-    assert moduli._process_count(100, 100 * unit) == 8  # one per CPU
-    assert moduli._process_count(3, 100 * unit) == 3  # one per composition
-    assert moduli._process_count(100, 5 * unit) == 5  # enough work for each
-    assert moduli._process_count(100, unit - 1) == 1  # below the threshold
+    forbid_fork(monkeypatch)
+    comps = [c for total in range(1, 6) for c in moduli._partitions_desc(total, 5)]
+    assert sum(3 * sum(c) * (sum(c) + 1) // 2 for c in comps) == 540
+    assert [r.composition for r in sweep_irrep_sums(F5, 5)] == comps
+
+
+def test_sweep_split_decision(cpus, monkeypatch):
+    # a second running thread is covered by
+    # test_sweep_beside_another_thread_does_not_fork
+    cpus(8)
+    assert not moduli._splits(100, 699)  # below the threshold
+    assert moduli._splits(100, 700)
+    assert moduli._splits(2, 700)
+    assert not moduli._splits(1, 10**6)  # nothing to share
     cpus(1)
-    assert moduli._process_count(100, 100 * unit) == 1
+    assert not moduli._splits(100, 10**6)
     cpus(8)
     monkeypatch.delattr(os, "fork")
-    assert moduli._process_count(100, 100 * unit) == 1
+    assert not moduli._splits(100, 10**6)

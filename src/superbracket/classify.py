@@ -7,8 +7,11 @@ g0 + (g0 + k) plus centre (B), or it is the 3|2 orthosymplectic algebra plus
 centre (C).  ``classify`` decides the case intrinsically -- no field
 extensions -- by the dimension of g1 modulo the odd supercentre (4 for B,
 2 for C), and for B/C emits an explicit isomorphism certificate onto the
-canonical model, which is re-verified by ``check_morphism`` on every run
-before being returned.
+canonical model.  ``check_morphism`` re-verifies it on every run before it
+is returned, and it alone decides: the case builders read the normal form
+off the algebra and raise only where a step cannot go on (a summand of the
+wrong dimension, a missing coordinate or inverse, a zero scalar).  An
+algebra off the normal form fails the certificate check instead.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .linalg import (
     _reduce,
     intertwiners,
 )
-from .sl2 import Sl2Triple, _proportionality, verify_triple
+from .sl2 import Sl2Triple, _proportionality
 from .superalgebra import (
     MorphismCertificate,
     SuperAlgebra,
@@ -108,9 +111,9 @@ def classify(g: SuperAlgebra) -> ClassificationResult:
     qdim = g.dim_odd - z
     try:
         if qdim == 2:
-            out = _case_c(g, z1, note)
+            out = _certified(g, z1, note, CASE_C, *_case_c(g))
         elif qdim == 4:
-            out = _case_b(g, z1, note)
+            out = _certified(g, z1, note, CASE_B, *_case_b(g))
         else:
             raise _TheoremViolated(
                 f"odd part modulo its centre has dimension {qdim}, which the "
@@ -145,25 +148,37 @@ def _action_on(g: SuperAlgebra, summand: list[Vector]) -> list[Matrix]:
     return mats
 
 
-def _verified(cert: MorphismCertificate) -> MorphismCertificate:
+def _certified(
+    g: SuperAlgebra, z1: list[Vector], note: str | None, case: str,
+    base: SuperAlgebra, m_even: Matrix, cols: list[Vector], images: list[Vector],
+) -> ClassificationResult:
+    """The common end of cases B and C: the odd block sends the summand
+    vectors ``cols`` to ``images`` and the odd centre onto the lines that
+    ``add_centre`` appends to ``base``; the certificate is checked before
+    it is returned.  ``_case_c`` and ``_case_b`` give the last four
+    arguments."""
+    field, d1, z = g.field, g.dim_odd, len(z1)
+    s_inv = Matrix.from_columns(field, cols + list(z1)).inverse()
+    if s_inv is None:
+        raise _TheoremViolated("summands + centre do not span the odd part")
+    images = images + [Vector.unit(field, d1, len(cols) + i) for i in range(z)]
+    canonical = add_centre(base, z)
+    cert = MorphismCertificate(g, canonical, m_even, Matrix.from_columns(field, images) @ s_inv)
     ok, why = check_morphism(cert)
     if not ok:  # soundness is checked on every run, never assumed
         raise _TheoremViolated(f"internal certificate failed verification: {why}")
-    return cert
+    return ClassificationResult(
+        case, centre_dim=z, certificate=cert, canonical=canonical, restricted_note=note
+    )
 
 
-def _case_c(
-    g: SuperAlgebra, z1: list[Vector], note: str | None
-) -> ClassificationResult:
+def _case_c(g: SuperAlgebra) -> tuple[SuperAlgebra, Matrix, list[Vector], list[Vector]]:
     field = g.field
-    z = len(z1)
     module = _action_image(g)
     if len(module) != 2:
         raise _TheoremViolated(
             f"action image has dimension {len(module)}, expected 2"
         )
-    if len(_action_kernel(g)) != z:
-        raise _TheoremViolated("action-trivial part exceeds the odd centre")
 
     # The 2-dimensional module is faithful, so the action identifies the
     # even part with sl(2) of the module; pulling back the standard matrix
@@ -176,79 +191,41 @@ def _case_c(
     if None in pulled:
         raise _TheoremViolated("the 2-dimensional module is not faithful onto sl(2)")
     triple = Sl2Triple(*pulled)
-    if not verify_triple(g, triple):
-        raise _TheoremViolated("pulled-back matrices do not satisfy the triple relations")
 
     # weight basis of the module: e0 at H-weight 1, e1 = F e0; in module
     # coordinates rho(H) is exactly diag(1,-1), so e0 is the first echelon
     # basis vector
     e0 = module[0]
     e1 = g.act_vec(triple.f, e0)
-    if e1.is_zero():
-        raise _TheoremViolated("lowering the weight-1 vector gave zero")
 
-    # read gamma from {e0,e1} = gamma H and check the full normal form
+    # read gamma from {e0,e1} = gamma H; the certificate checks the rest of
+    # the normal form, {e0,e0} = -2 gamma E and {e1,e1} = 2 gamma F
     gamma = _proportionality(g.odd_bracket_vec(e0, e1), triple.h)
     if gamma is None or not gamma:
         raise _TheoremViolated("{e0,e1} is not a nonzero multiple of H")
-    minus_two_gamma = field.mul(field.from_int(-2), gamma)
-    if g.odd_bracket_vec(e0, e0) != triple.e.scaled(minus_two_gamma):
-        raise _TheoremViolated("{e0,e0} does not match -2*gamma*E")
-    if g.odd_bracket_vec(e1, e1) != triple.f.scaled(field.neg(minus_two_gamma)):
-        raise _TheoremViolated("{e1,e1} does not match 2*gamma*F")
-
-    canonical = add_centre(build_osp12(field), z)
 
     # even block: E -> -gamma E^, H -> H^, F -> -(1/gamma) F^ composed with
     # triple coordinates; the -gamma twist absorbs gamma without square roots
-    t_src = Matrix.from_columns(field, [triple.e, triple.h, triple.f])
-    t_inv = t_src.inverse()
+    t_inv = Matrix.from_columns(field, [triple.e, triple.h, triple.f]).inverse()
     if t_inv is None:
         raise _TheoremViolated("triple vectors are linearly dependent")
     m_even = Matrix.diagonal(
         field, [field.neg(gamma), field.one(), field.neg(field.inv(gamma))]
     ) @ t_inv
 
-    # odd block: e0 -> -gamma e0^, e1 -> e1^, centre onto the added lines
-    s_cols = [e0, e1] + list(z1)
-    s = Matrix.from_columns(field, s_cols)
-    s_inv = s.inverse()
-    if s_inv is None:
-        raise _TheoremViolated("module + centre do not span the odd part")
+    # odd block: e0 -> -gamma e0^, e1 -> e1^
     d1 = g.dim_odd
     images = [Vector.unit(field, d1, 0).scaled(field.neg(gamma)), Vector.unit(field, d1, 1)]
-    images += [Vector.unit(field, d1, 2 + i) for i in range(z)]
-    m_odd = Matrix.from_columns(field, images) @ s_inv
-
-    cert = _verified(MorphismCertificate(g, canonical, m_even, m_odd))
-    return ClassificationResult(
-        CASE_C,
-        centre_dim=z,
-        certificate=cert,
-        canonical=canonical,
-        restricted_note=note,
-    )
+    return build_osp12(field), m_even, [e0, e1], images
 
 
-def _case_b(g: SuperAlgebra, z1: list[Vector], note: str | None) -> ClassificationResult:
+def _case_b(g: SuperAlgebra) -> tuple[SuperAlgebra, Matrix, list[Vector], list[Vector]]:
     field = g.field
-    z = len(z1)
     adjoint = _action_image(g)
     if len(adjoint) != 3:
         raise _TheoremViolated(
             f"action image has dimension {len(adjoint)}, expected 3"
         )
-    trivial = _action_kernel(g)
-    if len(trivial) != z + 1:
-        raise _TheoremViolated(
-            "action-trivial part must exceed the odd centre by exactly one line"
-        )
-    for a in adjoint:
-        for b in adjoint:
-            if not g.odd_bracket_vec(a, b).is_zero():
-                raise _TheoremViolated(
-                    "odd bracket does not vanish on the adjoint summand"
-                )
 
     # equivariant isomorphism psi: adjoint summand -> even part (Schur line)
     psi_space = intertwiners(
@@ -260,56 +237,32 @@ def _case_b(g: SuperAlgebra, z1: list[Vector], note: str | None) -> Classificati
             "dimensional space, expected a Schur line"
         )
     psi = psi_space[0]
-    if psi.inverse() is None:
-        raise _TheoremViolated("equivariant map is singular")
 
     # pairing vector: the trivial line that brackets the adjoint part onto g0
     t_star = None
-    for t in trivial:
+    for t in _action_kernel(g):
         if any(not g.odd_bracket_vec(t, a).is_zero() for a in adjoint):
             t_star = t
             break
     if t_star is None:
         raise _TheoremViolated("no trivial line pairs with the adjoint summand")
-    if not g.odd_bracket_vec(t_star, t_star).is_zero():
-        raise _TheoremViolated("pairing line does not square to zero")
 
-    # {t*, a} = c * psi(a) on the Schur line; read c off the first basis vector
-    paired = g.odd_bracket_vec(t_star, adjoint[0])
-    c = _proportionality(paired, psi @ Vector.unit(field, 3, 0))
+    # {t*, a} = c * psi(a) on the Schur line; read c off the first basis
+    # vector, and let the certificate check the other two
+    c = _proportionality(g.odd_bracket_vec(t_star, adjoint[0]), psi @ Vector.unit(field, 3, 0))
     if c is None or not c:
         raise _TheoremViolated("pairing is not proportional to the Schur line")
-    for j, aj in enumerate(adjoint):
-        expected = (psi @ Vector.unit(field, 3, j)).scaled(c)
-        if g.odd_bracket_vec(t_star, aj) != expected:
-            raise _TheoremViolated("pairing deviates from the Schur line")
 
-    canonical = add_centre(build_double(g.even_part(), Matrix.identity(field, 3)), z)
-
+    # odd block: the adjoint summand onto the even copy through psi, t* onto
+    # c times the canonical pairing line
     d1 = g.dim_odd
-    s_cols = list(adjoint) + [t_star] + list(z1)
-    s = Matrix.from_columns(field, s_cols)
-    s_inv = s.inverse()
-    if s_inv is None:
-        raise _TheoremViolated("adjoint + pairing + centre do not span the odd part")
     images = []
     for j in range(3):
         col = psi @ Vector.unit(field, 3, j)
         images.append(Vector(field, list(col.entries) + [field.zero()] * (d1 - 3)))
-    f_hat = Vector.unit(field, d1, 3).scaled(c)
-    images.append(f_hat)
-    images += [Vector.unit(field, d1, 4 + i) for i in range(z)]
-    m_odd = Matrix.from_columns(field, images) @ s_inv
-    m_even = Matrix.identity(field, 3)
-
-    cert = _verified(MorphismCertificate(g, canonical, m_even, m_odd))
-    return ClassificationResult(
-        CASE_B,
-        centre_dim=z,
-        certificate=cert,
-        canonical=canonical,
-        restricted_note=note,
-    )
+    images.append(Vector.unit(field, d1, 3).scaled(c))
+    double = build_double(g.even_part(), Matrix.identity(field, 3))
+    return double, Matrix.identity(field, 3), adjoint + [t_star], images
 
 
 def is_simple_superalgebra(g: SuperAlgebra) -> bool:

@@ -24,7 +24,7 @@ import sys
 import click
 
 from . import superalgebra as sa
-from .classify import classify as run_classify
+from .classify import classify as run_classify, is_simple_superalgebra
 from .constructions import (
     AssembleError,
     BilinearFormPair,
@@ -448,8 +448,6 @@ def cmd_info(path):
         doc["killing_det"] = str(det)
         doc["even_part_simple"] = bool(det)
         if g.mode == "standard" and doc["even_part_simple"]:
-            from .classify import is_simple_superalgebra
-
             try:
                 doc["simple"] = is_simple_superalgebra(g)
             except ValueError:

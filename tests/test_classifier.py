@@ -1,4 +1,6 @@
+import ast
 import random
+import sys
 
 import pytest
 from conftest import fraction_check_morphism, random_graded_change
@@ -18,9 +20,9 @@ from superbracket.constructions import (
     BilinearFormPair,
 )
 from superbracket.fields import GF, QQ
-from superbracket.linalg import Matrix
+from superbracket.linalg import Matrix, Vector
 from superbracket.moduli import solution_to_algebra, sweep_irrep_sums, odd_bracket_space
-from superbracket.sl2 import IrrepSpec, RepMatrices, build_irrep
+from superbracket.sl2 import IrrepSpec, RepMatrices, Sl2Triple, _proportionality, build_irrep
 from superbracket.superalgebra import SuperAlgebra, check_morphism, supercentre
 
 F5 = GF(5)
@@ -195,3 +197,74 @@ def test_is_simple():
     assert not is_simple_superalgebra(assemble(sl2_algebra(QQ), rep, ()))
     with pytest.raises(ValueError):
         is_simple_superalgebra(build_char3_example())
+
+
+# the package re-exports the function ``classify`` under the module's name
+CLASSIFY = sys.modules["superbracket.classify"]
+
+
+def _double(field):
+    return build_double(sl2_algebra(field), Matrix.identity(field, 3))
+
+
+@pytest.mark.parametrize("g", [build_osp12(F5), _double(QQ)], ids=["osp12", "double"])
+def test_certificate_check_alone_rejects_a_wrong_normal_form(g, monkeypatch):
+    # gamma (case C) or c (case B) read off twice too large: the certificate
+    # built from it is wrong, and only check_morphism stands in the way
+    def doubled(target, reference):
+        c = _proportionality(target, reference)
+        return None if c is None else target.field.mul(target.field.from_int(2), c)
+
+    monkeypatch.setattr(CLASSIFY, "_proportionality", doubled)
+    result = classify(g)
+    assert result.case == "not_applicable" and result.certificate is None
+    assert result.reason.startswith("internal certificate failed verification: ")
+
+
+_osp12_z1 = add_centre(build_osp12(F5), 1)
+
+# (algebra, patched name, replacement, reason): each replacement feeds one
+# raise in classify.py a value that the theorem rules out
+RAISES = [
+    (_osp12_z1, "supercentre", lambda g: ([], []),
+     "odd part modulo its centre has dimension 3, which the classification "
+     "forbids -- check the input and characteristic"),
+    (_osp12_z1, "_action_image", lambda g: [Vector.unit(F5, 3, 0), Vector.unit(F5, 3, 2)], "action image is not invariant"),
+    (build_osp12(F5), "_action_image", lambda g: [], "action image has dimension 0, expected 2"),
+    (build_osp12(F5), "_action_on", lambda g, summand: [Matrix.zero(F5, 2, 2)] * 3,
+     "the 2-dimensional module is not faithful onto sl(2)"),
+    (build_osp12(F5), "_proportionality", lambda t, r: None, "{e0,e1} is not a nonzero multiple of H"),
+    (build_osp12(F5), "Sl2Triple", lambda e, h, f: Sl2Triple(f, h, f), "triple vectors are linearly dependent"),
+    (_osp12_z1, "supercentre", lambda g: ([], [Vector.unit(F5, 3, 0)]), "summands + centre do not span the odd part"),
+    (_double(QQ), "_action_image", lambda g: [], "action image has dimension 0, expected 3"),
+    (_double(QQ), "intertwiners", lambda field, pairs: [],
+     "equivariant maps to the even part form a 0-dimensional space, expected a Schur line"),
+    (_double(QQ), "_action_kernel", lambda g: [], "no trivial line pairs with the adjoint summand"),
+    (_double(QQ), "_proportionality", lambda t, r: None, "pairing is not proportional to the Schur line"),
+]
+
+
+@pytest.mark.parametrize("g,name,patched,reason", RAISES, ids=[r[3][:40] for r in RAISES])
+def test_each_guard_ends_in_not_applicable(g, name, patched, reason, monkeypatch):
+    monkeypatch.setattr(CLASSIFY, name, patched)
+    assert classify(g) == CLASSIFY.ClassificationResult("not_applicable", reason=reason)
+
+
+def test_every_raise_in_classify_is_reached():
+    # every _TheoremViolated raise, keyed by the literal text its message
+    # starts with, is matched by a reason above or by the certificate test
+    reached = [r[3] for r in RAISES] + ["internal certificate failed verification: "]
+    with open(CLASSIFY.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    messages = [
+        node.exc.args[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "_TheoremViolated"
+    ]
+    # an f-string's head is its first literal part
+    heads = [m.value if isinstance(m, ast.Constant) else m.values[0].value for m in messages]
+    assert len(heads) == len(RAISES) + 1
+    for head in heads:
+        assert any(reason.startswith(head) for reason in reached), head

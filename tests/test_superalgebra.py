@@ -402,6 +402,24 @@ def test_morphism_singular_block_distinct_reason():
     assert not ok and "singular" in why
 
 
+@pytest.mark.parametrize(
+    "target,m_even,m_odd,reason",
+    [
+        (build_osp12(F5), 3, 2, "source and target fields differ"),
+        (add_centre(build_osp12(QQ), 1), 3, 2, "graded dimensions differ"),
+        (build_osp12(QQ), 2, 2, "even block has wrong shape"),
+        (build_osp12(QQ), 3, 3, "odd block has wrong shape"),
+    ],
+)
+def test_morphism_refuses_mismatched_certificates(target, m_even, m_odd, reason):
+    # the four refusals before any block is inverted; classify's
+    # certificates are judged by this check alone
+    cert = MorphismCertificate(
+        build_osp12(QQ), target, Matrix.identity(QQ, m_even), Matrix.identity(QQ, m_odd)
+    )
+    assert check_morphism(cert) == (False, reason)
+
+
 def _random_oracle_instance(rng, dims):
     even = sl2_algebra(F5)
     rep = RepMatrices.direct_sum(

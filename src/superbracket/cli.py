@@ -12,7 +12,10 @@ Exit codes: 0 success (classification cases A/B/C), 1 validation failure
 representation), 2 not applicable (classification, ``pspace`` on a char2
 document, ``decompose`` on an even part that is not 3-dimensional), 3
 undetermined (``decompose``'s triple search), 64 usage error, 65 schema
-error.
+error.  Commands raise their errors, and :func:`main` alone turns each into
+its exit code and stderr text; only ``validate``'s violations and
+``classify``'s ``not_applicable``, which are results printed on stdout,
+exit from their command.
 """
 
 from __future__ import annotations
@@ -120,11 +123,7 @@ def _read_document(path: str) -> str:
 
 
 def _load(path: str):
-    try:
-        return parse_algebra(_read_document(path))
-    except SchemaError as exc:
-        _echo(f"schema error: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
+    return parse_algebra(_read_document(path))
 
 
 def _emit(g, metadata=None):
@@ -188,8 +187,9 @@ def construct():
 
 @contextlib.contextmanager
 def _flag_errors():
-    """A builder's ValueError (a FieldError included) means that the flags
-    describe no algebra: a usage error.  An AssembleError is not one."""
+    """A ValueError (a FieldError included) of a builder or the sweep means
+    that the flags describe no algebra: a usage error.  An AssembleError is
+    not one."""
     try:
         yield
     except AssembleError:
@@ -329,22 +329,8 @@ def construct_assemble(field_text, m, alpha, beta, p_file):
                 (u, v, x, field.parse(c)) for u, v, x, c in raw
             ]
         except (ValueError, TypeError, FieldError) as exc:
-            _echo(f"schema error: bad --p-file: {exc}", err=True)
-            sys.exit(EXIT_SCHEMA)
-    try:
-        g = _sl2_module_algebra(field, m, alpha, beta, entries)
-    except AssembleError as exc:
-        _echo(f"assembly produced an invalid structure:\n{exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    _emit(g)
-
-
-def _not_a_representation(pairs) -> None:
-    """Exit 1, naming on stderr each pair i < j at which the action fails to
-    represent the even part, as ``validate`` names them."""
-    for pair in pairs:
-        _echo(str(sa.Violation("representation", pair)), err=True)
-    sys.exit(EXIT_VALIDATION)
+            raise SchemaError(f"bad --p-file: {exc}") from None
+    _emit(_sl2_module_algebra(field, m, alpha, beta, entries))
 
 
 @cli.command("pspace")
@@ -356,16 +342,19 @@ def cmd_pspace(path):
     Exits 1 when the action is not a representation, 2 on char2 documents.
     """
     g, _ = _load(path)
-    try:
-        space = odd_bracket_space(g)
-    except UnsupportedMode as exc:
-        _echo(f"not applicable: {exc}", err=True)
-        sys.exit(EXIT_NOT_APPLICABLE)
-    except NotARepresentation as exc:
-        _not_a_representation(exc.pairs)
+    space = odd_bracket_space(g)
     fmt = g.field.format
     basis_entries = [[[u, v, y, fmt(c)] for u, v, y, c in space.entries(i)] for i in range(space.dimension)]
     _echo(json.dumps({"dim": space.dimension, "basis": basis_entries}, indent=2))
+
+
+class _Refusal(Exception):
+    """``decompose`` declines to answer: exit ``code``, with the reason as
+    a JSON ``error`` on stderr."""
+
+    def __init__(self, code: int, reason: str):
+        super().__init__(reason)
+        self.code, self.reason = code, reason
 
 
 @cli.command("decompose")
@@ -381,28 +370,18 @@ def cmd_decompose(path):
     try:
         triple = find_sl2_triple(g)
     except ValueError as exc:  # an even part that is not 3-dimensional
-        _echo(json.dumps({"error": f"not applicable: {exc}"}), err=True)
-        sys.exit(EXIT_NOT_APPLICABLE)
+        raise _Refusal(EXIT_NOT_APPLICABLE, f"not applicable: {exc}") from None
     if isinstance(triple, Undetermined):
-        _echo(json.dumps({"error": triple.reason}), err=True)
-        sys.exit(EXIT_UNDETERMINED)
+        raise _Refusal(EXIT_UNDETERMINED, triple.reason)
     if triple is None:
-        _echo(
-            json.dumps({"error": "even part admits no sl(2)-triple (non-split)"}),
-            err=True,
-        )
-        sys.exit(EXIT_NOT_APPLICABLE)
+        raise _Refusal(EXIT_NOT_APPLICABLE, "even part admits no sl(2)-triple (non-split)")
     failures = sa.representation_failures(g.field, *sa._even_system(g))
     if failures:
-        _not_a_representation(failures)
+        raise NotARepresentation(failures)
     rep = RepMatrices.from_algebra(g, triple)
     status = jacobson_test(rep)
     if status == INCONCLUSIVE:
-        _echo(
-            json.dumps({"error": "complete reducibility is not certified"}),
-            err=True,
-        )
-        sys.exit(EXIT_NOT_APPLICABLE)
+        raise _Refusal(EXIT_NOT_APPLICABLE, "complete reducibility is not certified")
     summands = rep_decompose(rep)
     field = g.field
     doc = {
@@ -469,10 +448,8 @@ def cmd_info(path):
 def cmd_sweep(field_text, max_odd_dim, output):
     """Solution dimensions over all irreducible-sum modules up to a bound."""
     field = parse_field_flag(field_text)
-    try:
+    with _flag_errors():
         rows = sweep_irrep_sums(field, max_odd_dim)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
     if output == "json":
         _echo(
             json.dumps(
@@ -500,6 +477,23 @@ def main(argv=None):
         sys.exit(exc.exit_code)
     except click.exceptions.Abort:
         sys.exit(130)
+    except SchemaError as exc:
+        _echo(f"schema error: {exc}", err=True)
+        sys.exit(EXIT_SCHEMA)
+    except NotARepresentation as exc:
+        # each pair i < j at which the action fails, as validate names them
+        for pair in exc.pairs:
+            _echo(str(sa.Violation("representation", pair)), err=True)
+        sys.exit(EXIT_VALIDATION)
+    except UnsupportedMode as exc:
+        _echo(f"not applicable: {exc}", err=True)
+        sys.exit(EXIT_NOT_APPLICABLE)
+    except AssembleError as exc:
+        _echo(f"assembly produced an invalid structure:\n{exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    except _Refusal as exc:
+        _echo(json.dumps({"error": exc.reason}), err=True)
+        sys.exit(exc.code)
     return 0
 
 

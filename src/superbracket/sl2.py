@@ -1,7 +1,7 @@
 """sl(2)-triples and the representation toolkit built on them.
 
 Covers: locating triples (exhaustively over F_p, by a bounded rational
-search over Q), the explicit irreducible modules V(m, alpha, beta), their
+search over Q), the explicit modules V(m, alpha, beta), their
 annihilators, the Casimir operator (H+1)^2 + 4FE, the nilpotency criterion
 for complete reducibility in positive characteristic, direct-sum
 decomposition, and composition series with the maximal trivial submodule.
@@ -174,7 +174,11 @@ def find_sl2_triple(g: SuperAlgebra) -> Sl2Triple | None | Undetermined:
 
 @dataclass(frozen=True)
 class IrrepSpec:
-    """Parameters (m, alpha, beta) of the explicit (m+1)-dimensional module."""
+    """Parameters (m, alpha, beta) of the explicit (m+1)-dimensional module.
+
+    Below dimension p (every dimension over Q) alpha = m and beta = 0.  At
+    dimension p any alpha and beta are admissible; the module is irreducible
+    unless beta = 0 and alpha != [m], the baby Verma modules."""
 
     m: int
     alpha: Scalar
@@ -200,16 +204,12 @@ class IrrepSpec:
             return
         if dim > char:
             raise ValueError(f"dimension {dim} exceeds the bound p = {char}")
+        # at dim == p every (alpha, beta) satisfies the triple relations
         if dim < char:
             if self.alpha != field.scalar(self.m):
                 raise ValueError("dimension below p forces alpha = m")
             if self.beta != field.scalar(0):
                 raise ValueError("dimension below p forces beta = 0")
-        else:
-            # dim == p over a prime field: every scalar is an integer image,
-            # so alpha = [m] is forced; beta is unconstrained here
-            if self.alpha != field.scalar(self.m):
-                raise ValueError("alpha must equal [m] when the dimension is p")
 
 
 class RepMatrices:
@@ -499,7 +499,9 @@ def _weight_closures(rep: RepMatrices):
 
 
 def _socle_member(rep: RepMatrices) -> list[dict]:
-    """An irreducible submodule of least dimension (ties by echelon order), as sparse vectors."""
+    """A submodule of least dimension among those found (ties by echelon
+    order), as sparse vectors: irreducible wherever :func:`has_proper_submodule`
+    is complete."""
     joint = _joint_kernel(rep)
     if joint:
         return [joint[0]]  # a trivial line; nothing smaller exists
@@ -510,8 +512,10 @@ def _socle_member(rep: RepMatrices) -> list[dict]:
             "unsupported module structure"
         )
     best = min(candidates, key=len)  # the first of least dimension
-    # refine until irreducible: each proper submodule is found in the
-    # coordinates of the one before, and lifted by that one's vectors
+    # refine while _proper_submodule_inside finds a proper submodule, each
+    # in the coordinates of the one before and lifted by that one's vectors.
+    # It spins echelon weight vectors only, as has_proper_submodule does, so
+    # the member returned can still be reducible in a dense basis
     module, lift = rep, list(best.values())
     while (found := _proper_submodule_inside(module, best)) is not None:
         module, best = found
@@ -547,7 +551,10 @@ def composition_series(rep: RepMatrices) -> tuple[list[int], list[Vector]]:
     Repeatedly removes an irreducible submodule of the current quotient
     (socle member of least dimension, ties by echelon order) and records
     the factor dimensions.  Also returns the joint kernel of rho_E, rho_H,
-    rho_F, i.e. the maximal trivial submodule of the original module.
+    rho_F, i.e. the maximal trivial submodule of the original module.  A
+    factor can be reducible where :func:`has_proper_submodule` is not
+    complete: V(4, 4, 1) + V(4, 4, 2) over F_5 in a random dense basis may
+    give the one factor [10].
     """
     field, dim = rep.field, rep.dim
     trivial = [_densified(field, v, dim) for v in _joint_kernel(rep)]
@@ -570,12 +577,17 @@ def composition_series(rep: RepMatrices) -> tuple[list[int], list[Vector]]:
 def has_proper_submodule(rep: RepMatrices) -> bool:
     """Whether the module has a proper nonzero submodule.
 
-    Complete whenever rho_H is diagonalizable over the base field with
-    integer-image eigenvalues (every module built from the explicit family
-    and its extensions), which is the situation the rest of the library
-    produces; other module structures may raise.  Its weight spaces come
-    from the weight routine of :func:`decompose`, over every integer image
-    an eigenvalue may take.
+    Looks for a trivial line, then spins each echelon basis vector of each
+    weight space of rho_H, which come from the weight routine of
+    :func:`decompose` over every integer image an eigenvalue may take.  True
+    is certain; False is not.  A weight space of dimension 2 or more can
+    hold a vector that generates a proper submodule while each of its
+    echelon vectors generates the whole module: V(4, 4, 1) + V(4, 4, 2)
+    over F_5 in a random dense basis may be called irreducible, though it
+    is a direct sum.  The answer is complete when every weight space is
+    one-dimensional; in general it needs an irreducibility test such as
+    Norton's criterion of the MeatAxe.  A module whose rho_H is not
+    diagonalizable with integer-image eigenvalues may raise.
     """
     dim = rep.dim
     if dim <= 1:

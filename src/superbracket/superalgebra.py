@@ -417,20 +417,25 @@ class SuperAlgebra:
         mode: str = "standard",
         squaring=None,
     ):
-        """Build from dense tensors of the full shape, storing their raw
-        entries as given.  The entries are read off the upper parts (i < j
-        for the bracket, u <= v for the odd bracket and the squaring), and a
-        lower part that the views would not give back is refused."""
-        entries = _upper_parts(dim_even, dim_odd, bracket, action, odd_bracket, squaring)
+        """Build from dense tensors of the full shape, their entries coerced
+        into the field (an int such as -1 becomes its residue over F_p).  The
+        entries are read off the upper parts (i < j for the bracket, u <= v
+        for the odd bracket and the squaring), and a lower part that the
+        views would not give back is refused."""
+
+        def coerced(t):
+            return tuple(tuple(tuple(map(field.coerce, row)) for row in plane) for plane in t)
+
+        entries = _upper_parts(dim_even, dim_odd, bracket, action, odd_bracket, squaring, field.coerce)
         self._init(field, dim_even, dim_odd, mode, *entries)
-        if self.bracket != _freeze3(bracket):
+        if self.bracket != coerced(bracket):
             raise ShapeError("even bracket tensor must be antisymmetric")
-        if self.odd_bracket != _freeze3(odd_bracket):
+        if self.odd_bracket != coerced(odd_bracket):
             if mode == "char2":
                 raise ShapeError("char2 mode needs the odd bracket to polarize the squaring")
             raise ShapeError("odd bracket tensor must be symmetric")
         # S(v,w) is stored at v <= w only, so that equal squarings compare equal
-        if squaring is not None and self.squaring != _freeze3(squaring):
+        if squaring is not None and self.squaring != coerced(squaring):
             raise ShapeError("char2 squaring entries below the diagonal must be zero")
 
     def _init(self, field, d0, d1, mode, even, act, odd, sq):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: real subprocesses, pinned exit codes, and the
 streams of in-process ``cli.main`` calls."""
 
+import ast
 import contextlib
 import gc
 import io
@@ -171,6 +172,19 @@ def test_deeply_nested_json_is_a_schema_error():
     assert res.stderr.strip() == "schema error: not valid JSON: nested too deeply"
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("info", [], "top level must be an object"),
+        ("pspace", {"field": {"kind": "rationals"}, "dim_odd": 1}, "missing key 'dim_even'"),
+    ],
+    ids=["top-level", "missing-key"],
+)
+def test_schema_refusals_reach_stderr_through_main(command, doc, message):
+    res = run_cli(command, "-", stdin=json.dumps(doc))
+    assert (res.returncode, res.stdout, res.stderr) == (65, "", f"schema error: {message}\n")
+
+
 def test_usage_error_exit_code():
     res = run_cli("classify", "-", "--field", "zp:5", stdin="{}")
     assert res.returncode == 64
@@ -304,6 +318,13 @@ def test_irrep_over_f3_takes_the_char3_mode_of_sl2():
     space = run_cli("pspace", "-", stdin=built.stdout)
     assert space.returncode == 0
     assert json.loads(space.stdout)["dim"] == 1
+
+
+def test_irrep_at_dimension_p_takes_any_alpha():
+    built = run_cli("construct", "irrep", "--m", "4", "--field", "fp:5", "--alpha", "2")
+    assert built.returncode == 0, built.stderr
+    checked = run_cli("validate", "-", stdin=built.stdout)
+    assert (checked.returncode, checked.stdout) == (0, "valid\n")
 
 
 def test_add_centre_and_info():
@@ -720,3 +741,30 @@ VALIDATE_DIGEST = "f3bae6b8e96099de1ea46160513963dada9bf7fd4a1360cb1d31b0b6b0326
 def test_validate_outputs_are_pinned(tmp_path):
     digest, heads = _pinned_outputs("validate", _validate_documents(), tmp_path)
     assert digest == VALIDATE_DIGEST, heads
+
+
+# the library errors that main alone turns into an exit code and stderr text
+ERRORS_FOR_MAIN = {"SchemaError", "NotARepresentation", "UnsupportedMode", "AssembleError"}
+
+
+def test_main_alone_chooses_exit_codes():
+    # commands raise, and main turns each error into its exit code; validate
+    # and classify exit only to report a result already printed on stdout.
+    # A handler may name one of main's errors only to raise it on
+    tree = ast.parse((SRC / "superbracket" / "cli.py").read_text())
+    exits, handlers = set(), []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr == "exit" and getattr(node.value, "id", None) == "sys":
+                exits.add(func.name)
+            elif isinstance(node, ast.Name) and node.id == "SystemExit":
+                exits.add(func.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None and func.name != "main":
+                named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                passed_on = [type(n) for n in node.body] == [ast.Raise] and node.body[0].exc is None
+                if named & ERRORS_FOR_MAIN and not passed_on:
+                    handlers.append(f"{func.name}:{node.lineno}")
+    assert exits == {"main", "cmd_validate", "cmd_classify"}
+    assert handlers == []

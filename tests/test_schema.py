@@ -129,3 +129,30 @@ def test_mode_characteristic_mismatch():
     doc["axiom_mode"] = "char3"
     with pytest.raises(SchemaError, match="characteristic 3"):
         parse_algebra(json.dumps(doc))
+
+
+MINIMAL = {"field": {"kind": "prime_field", "p": 5}, "dim_even": 1, "dim_odd": 1}
+REFUSALS = [
+    ({**MINIMAL, "field": "q"}, "field must be an object"),
+    ({**MINIMAL, "field": {"kind": "rationals", "p": 5}}, "unexpected keys in rational field spec"),
+    ({**MINIMAL, "field": {"kind": "prime_field", "p": 5, "q": 5}}, "unexpected keys in prime field spec"),
+    ({**MINIMAL, "field": {"kind": "prime_field", "p": "5"}}, "p must be an integer"),
+    ({**MINIMAL, "dim_odd": -1}, "dim_odd must be a nonnegative integer"),
+    ({**MINIMAL, "action": {}}, "action must be a list"),
+    ({**MINIMAL, "action": [[0, 0, 0]]}, "action entries must be [i, j, k, coeff]"),
+    ({**MINIMAL, "action": [[0, 0, True, "1"]]}, "action indices must be integers"),
+    ({**MINIMAL, "action": [[0, 0, 0, "5"]]}, "action entry (0,0,0) has zero coefficient"),
+    ([MINIMAL], "top level must be an object"),
+    ({"field": MINIMAL["field"], "dim_odd": 1}, "missing key 'dim_even'"),
+    ({**MINIMAL, "axiom_mode": "char5"}, "unknown axiom_mode 'char5'"),
+    ({**MINIMAL, "metadata": {"name": 1}}, "metadata must be a string-to-string object"),
+]
+
+
+@pytest.mark.parametrize("doc, message", REFUSALS, ids=[message for _, message in REFUSALS])
+def test_each_refusal_names_its_cause(doc, message):
+    # one minimal document per refusal that no other test reaches
+    parse_algebra(json.dumps(MINIMAL))
+    with pytest.raises(SchemaError) as refused:
+        parse_algebra(json.dumps(doc))
+    assert str(refused.value) == message

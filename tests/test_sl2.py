@@ -131,6 +131,21 @@ def test_irrep_spec_rejections():
         build_irrep(IrrepSpec(2, F5.scalar(2), F5.scalar(1)), F5)
 
 
+@pytest.mark.parametrize("field", [F5, F7], ids=str)
+def test_every_alpha_and_beta_is_admissible_at_dimension_p(field):
+    # over F_p every alpha is the image of an integer, but that does not
+    # force alpha = [p - 1]: each of the p^2 modules satisfies the triple
+    # relations.  beta = 0 gives the baby Verma module Z(alpha), reducible
+    # unless alpha = [p - 1]; a nonzero beta closes F's chain into a cycle
+    p = field.p
+    for a in range(p):
+        assert build_irrep(IrrepSpec(p - 1, field.scalar(a), field.scalar(0)), field) == baby_verma(field, a)
+        for b in range(p):
+            rep = build_irrep(IrrepSpec(p - 1, field.scalar(a), field.scalar(b)), field)
+            assert rep.satisfies_triple_relations()
+            assert has_proper_submodule(rep) == (b == 0 and a != p - 1), (a, b)
+
+
 def all_admissible_specs(field):
     p = field.characteristic
     if p == 0:

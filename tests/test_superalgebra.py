@@ -7,6 +7,7 @@ from conftest import dense_from_entries, dense_integer_form, dense_serialization
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superbracket.classify import classify
 from superbracket.constructions import (
     add_centre,
     build_char2_example,
@@ -179,6 +180,34 @@ def test_raw_constructor_refuses_a_lower_part_that_does_not_mirror():
     odd[1][0][1] += 1
     with pytest.raises(ShapeError, match="symmetric"):
         raw(odd_bracket=odd)
+
+
+def test_raw_constructor_coerces_entries_into_the_field():
+    # osp(1|2) over F_5 with its odd bracket written as build_osp12's
+    # docstring writes it, {e0,e1} = -H and {e1,e1} = -2F: the raw
+    # constructor stores residues, as from_tensors does, so the validator's
+    # packed checks and the classifier see the algebra itself
+    g = build_osp12(F5)
+    odd = [[[0, 0, 0] for _ in range(2)] for _ in range(2)]
+    odd[0][0][0] = 2
+    odd[0][1][1] = odd[1][0][1] = -1
+    odd[1][1][2] = -2
+    h = SuperAlgebra(F5, 3, 2, g.bracket, g.action, odd)
+    assert SuperAlgebra.from_tensors(F5, g.bracket, g.action, odd) == g
+    assert h == g and hash(h) == hash(g)
+    assert serialize_algebra(h) == serialize_algebra(g)
+    assert validate(h).ok
+    assert classify(h).case == "C"
+    # a lower part that disagrees after coercion is still refused
+    odd[1][0][1] = 1
+    with pytest.raises(ShapeError, match="symmetric"):
+        SuperAlgebra(F5, 3, 2, g.bracket, g.action, odd)
+    bracket = [[list(r) for r in plane] for plane in g.bracket]
+    bracket[1][0][0] = -2  # [H, E] = 2E, and -2 is 3 over F_5
+    with pytest.raises(ShapeError, match="antisymmetric"):
+        SuperAlgebra(F5, 3, 2, bracket, g.action, g.odd_bracket)
+    bracket[1][0][0] = -3  # -3 is 2 over F_5
+    assert SuperAlgebra(F5, 3, 2, bracket, g.action, g.odd_bracket) == g
 
 
 def test_char2_odd_bracket_must_polarize_the_squaring():

@@ -453,10 +453,18 @@ class Matrix:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} @ {o.rows}x{o.cols}"
             )
-        ot = list(zip(*o.data)) if o.data else []
-        return Matrix._from_raw(
-            f, [[_dot(f, row, col) for col in ot] for row in self.data]
-        )
+        # row i of the product sums the rows of o at the nonzeros of row i
+        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in o.data]
+        add, mul, zero = f.add, f.mul, f.zero()
+        out = []
+        for row in self.data:
+            acc = [zero] * o.cols
+            for a, right in zip(row, nonzeros):
+                if a:
+                    for j, b in right:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
+        return Matrix._from_raw(f, out)
 
     def transpose(self) -> "Matrix":
         return Matrix._from_raw(self.field, list(zip(*self.data)) if self.data else [])
@@ -535,6 +543,16 @@ def _dot(field: Field, xs, ys):
         if a and b:
             acc = field.add(acc, field.mul(a, b))
     return acc
+
+
+def _modulo(field: Field, rows: dict, vec: dict) -> dict:
+    """vec minus the combination of the echelon rows ``{pivot: row}`` that
+    agrees with it at their pivots: 0 exactly when vec lies in their span."""
+    out = dict(vec)
+    for c, a in vec.items():
+        for w, x in rows.get(c, {}).items():
+            out[w] = field.sub(out.get(w, field.zero()), field.mul(a, x))
+    return {w: x for w, x in out.items() if x}
 
 
 def sparse_kernel_basis(field: Field, rows: Iterable[dict], cols: Sequence[int]) -> list[dict]:
@@ -635,8 +653,8 @@ class Span:
     are the linear dependencies; with the tags reversed, their pivots are
     the vectors that depend on earlier ones, so these get coordinate 0, as
     free variables do in a particular solution.  Every query reduces one
-    vector against the basis.  ``dim``, the length of the vectors, is
-    needed only when there are none.
+    vector against the basis rows, tags included (:func:`_modulo`).
+    ``dim``, the length of the vectors, is needed only when there are none.
     """
 
     __slots__ = ("field", "dim", "pivots", "basis", "_rows", "_k")
@@ -653,42 +671,34 @@ class Span:
         rows = ([*enumerate(v.entries), (dim + k - 1 - i, one)] for i, v in enumerate(vectors))
         reduced = _reduce(field, rows, set(range(dim + k)))
         self.pivots = tuple(c for c in sorted(reduced) if c < dim)
-        # each basis row as (pivot, {column: entry}, {vector index: tag})
-        self._rows = [
-            (c, {j: x for j, x in reduced[c].items() if j < dim},
-             {dim + k - 1 - j: x for j, x in reduced[c].items() if j >= dim})
-            for c in self.pivots
-        ]
+        self._rows = {c: reduced[c] for c in self.pivots}  # the basis rows, tags included
         self.basis = tuple(
-            Vector._from_raw(field, [part.get(j, zero) for j in range(dim)]) for _, part, _ in self._rows
+            Vector._from_raw(field, [row.get(j, zero) for j in range(dim)]) for row in self._rows.values()
         )
 
-    def _split(self, w: Vector) -> tuple[list, list]:
-        """(w minus the basis combination that agrees with it at the pivots,
-        the coordinates of that combination in the vectors)."""
+    def _split(self, w: Vector) -> tuple[bool, list]:
+        """(whether w differs from the basis combination that agrees with it
+        at the pivots, the coordinates of that combination in the vectors)."""
         if not isinstance(w, Vector) or w.field != self.field:
             raise FieldError(f"vector of another field queried in a span over {self.field}")
         if len(w) != self.dim:
             raise DimensionMismatch(f"span in dimension {self.dim}, vector of length {len(w)}")
-        f = self.field
-        rest, coords = list(w.entries), [f.zero()] * self._k
-        for c, part, tags in self._rows:
-            a = w.entries[c]
-            if a:
-                for j, x in part.items():
-                    rest[j] = f.sub(rest[j], f.mul(a, x))
-                for i, x in tags.items():
-                    coords[i] = f.add(coords[i], f.mul(a, x))
-        return rest, coords
+        f, dim, k = self.field, self.dim, self._k
+        rest = _modulo(f, self._rows, {j: x for j, x in enumerate(w.entries) if x})
+        coords = [f.zero()] * k
+        for j, x in rest.items():
+            if j >= dim:
+                coords[dim + k - 1 - j] = f.neg(x)
+        return any(j < dim for j in rest), coords
 
     def coordinates(self, w: Vector) -> Vector | None:
         """The coefficients of the vectors summing to w, 0 on those that
         depend on earlier ones, or None if w is outside the span."""
-        rest, coords = self._split(w)
-        return None if any(rest) else Vector._from_raw(self.field, coords)
+        outside, coords = self._split(w)
+        return None if outside else Vector._from_raw(self.field, coords)
 
     def __contains__(self, w: Vector) -> bool:
-        return not any(self._split(w)[0])
+        return not self._split(w)[0]
 
     def coordinate_matrix(self, images: Sequence[Vector]) -> Matrix | None:
         """The matrix whose column i holds the coordinates of images[i], or

@@ -23,6 +23,7 @@ from .linalg import (
     Vector,
     _densified,
     _kernel_vectors,
+    _modulo,
     _reduce,
     sparse_kernel_basis,
 )
@@ -437,16 +438,6 @@ def decompose(rep: RepMatrices) -> list[tuple[list[Vector], IrrepSpec]]:
 def _joint_kernel(rep: RepMatrices) -> list[dict]:
     rows = _grouped(((x, w), v, c) for (x, v, w), c in rep.entries.items())
     return sparse_kernel_basis(rep.field, rows, range(rep.dim))
-
-
-def _modulo(field: Field, rows: dict, vec: dict) -> dict:
-    """vec minus the combination of the echelon rows ``{pivot: row}`` that
-    agrees with it at their pivots: 0 exactly when vec lies in their span."""
-    out = dict(vec)
-    for c, a in vec.items():
-        for w, x in rows.get(c, {}).items():
-            out[w] = field.sub(out.get(w, field.zero()), field.mul(a, x))
-    return {w: x for w, x in out.items() if x}
 
 
 def invariant_closure(rep: RepMatrices, seeds: Sequence[dict]) -> dict[int, dict]:

@@ -48,7 +48,8 @@ when p divides the packed residual and each slot of the quotient fits a
 narrower width.  The validator passes the support of the odd bracket,
 and the generator yields only the instances with a term at a pair of it,
 found from bitmasks without visiting every index triple; the solver
-passes none and gets every instance.  Past the 2048-bit cut-off of
+selects the same way on the pairs that still have an unknown alive, and
+no support means the full one.  Past the 2048-bit cut-off of
 :func:`clear_denominators` the integer form holds Fractions, and each
 instance is summed into a list of per-output Fractions instead.  The
 validator and the solver also share :func:`representation_failures`,
@@ -83,7 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain
 from math import lcm
 from operator import mul, neg, or_
 from typing import Iterable, NamedTuple, Sequence
@@ -275,7 +276,8 @@ def _contract(rows: dict, x) -> dict:
 
 def _matvec(m, v) -> list:
     """m @ v on raw entries, over the nonzeros of v; nothing reduced mod p."""
-    return [sum(r * c for r, c in zip(row, v) if c) for row in m]
+    nonzeros = [(k, c) for k, c in enumerate(v) if c]
+    return [sum(row[k] * c for k, c in nonzeros) for row in m]
 
 
 def _unscaled(field: Field, values, scale: int) -> list:
@@ -1029,9 +1031,10 @@ def compatibility_equations(ecols, act, mode: str = "standard", support=None):
     is linear in them, so scaling both by D scales it by D.  The
     unknowns are indexed by :func:`odd_unknowns`.  Returns a lazy iterator
     of ``(identity, indices, terms)``, one for every instance that has a
-    term, where ``terms`` is a list ``[(base, group), ...]``: unknown
-    ``base + i`` carries the column ``group[i]``, a list ``[(output,
-    coeff), ...]`` (possibly empty) with at most one pair per output.  The
+    term at a pair of ``support``, where ``terms`` is a list ``[(base,
+    group), ...]``: unknown ``base + i`` carries the column ``group[i]``, a
+    list ``[(output, coeff), ...]`` (possibly empty) with at most one pair
+    per output.  The
     instance's equation for output t is the sum over the terms and i of
     coeff * unknown for the pairs at t.  Groups are shared between terms
     and instances, an unknown may recur in several terms, and the
@@ -1067,43 +1070,42 @@ def compatibility_equations(ecols, act, mode: str = "standard", support=None):
     vanishes.  Signs do not matter in characteristic 2, so the shared
     groups serve both sides as they are.
 
-    ``support``, if given, is the support of the odd bracket (of the
-    squaring in mode "char2") as one bitmask per odd index u, with bit v set
-    iff {f_u, f_v} != 0 (S(u, v) != 0), symmetric in u and v.  Then only the
-    instances with a term at a pair of the support are yielded, in the same
-    order and with the same terms: every other instance vanishes at such an
-    odd bracket.  They are found from the masks, without visiting every
-    index triple (:func:`_supported_triples`, :func:`_supported_pairs`,
-    :func:`_supported_squares`).  ``None`` yields every instance.  Each
-    relation is one generator of :class:`_Relations`, which the solver
-    calls in its own order.
+    ``support`` is the support of the odd bracket (of the squaring in mode
+    "char2") as one bitmask per odd index u, with bit v set iff
+    {f_u, f_v} != 0 (S(u, v) != 0), symmetric in u and v; ``None`` is the
+    full support, every bit set.  Only the instances with a term at a pair
+    of the support are yielded, in the same order and with the same terms:
+    every other instance vanishes at such an odd bracket.  They are found
+    from the masks, without visiting every index triple
+    (:func:`_supported_triples`, :func:`_supported_pairs`,
+    :func:`_supported_squares`).  Each relation is one generator of
+    :class:`_Relations`, which the solver calls in its own order.
     """
-    if support is not None and not any(support):
+    d1 = len(act[0]) if act else 0
+    if support is None:
+        support = [(1 << d1) - 1] * d1
+    if not any(support):
         # no instance has a term in an empty support.  This also covers
         # d0 = 0, whose empty act gives no d1 to index the support with.
         return iter(())
     rel = _Relations(ecols, act)
-    some = support is not None  # else every instance
     if mode == "char2":
-        return rel.char2_square(_supported_squares(support, act, rel.live, rel.elive) if some else None)
-
-    def triples():
-        return _supported_triples(support, rel.live) if some else None
-
+        return rel.char2_square(_supported_squares(support, act, rel.live, rel.elive))
     relations = [
-        rel.relation_1(triples()),
-        rel.relation_2(_supported_pairs(support, act, rel.elive) if some else None),
+        rel.relation_1(_supported_triples(support, rel.live)),
+        rel.relation_2(_supported_pairs(support, act, rel.elive)),
     ]
     if mode == "char3":
-        relations.append(rel.cubic(triples()))
+        relations.append(rel.cubic(_supported_triples(support, rel.live)))
     return chain.from_iterable(relations)
 
 
 class _Relations:
     """The setup that the relations of :func:`compatibility_equations` share,
-    with one generator per relation over the indices it is given (all of
-    them for ``None``), yielding that relation's instances as
-    :func:`compatibility_equations` does.  The solver
+    with one generator per relation, yielding that relation's instance at
+    each index it is given, as :func:`compatibility_equations` does.  The
+    indices come from the support selectors, which hand out only indices
+    whose instance has a term at a pair of the support.  The solver
     (:func:`superbracket.moduli.odd_bracket_space`) calls them in its own
     order, relation 2 and the cubic first, then relation 1, each on the
     support of the pairs that still have an unknown alive."""
@@ -1121,37 +1123,25 @@ class _Relations:
         diagonals = {a: _Diagonal(a, d0) for a in {a for pl in act for col in pl for _, a in col}}
         self.units = [[[(w, diagonals[a]) for w, a in col] for col in pl] for pl in act]
 
-    def _pairs(self):
-        return combinations_with_replacement(range(self.d1), 2)
-
-    def relation_1(self, triples=None):
+    def relation_1(self, triples):
         """``relation_1`` at the triples u <= v <= w given, in their order."""
         base, cols, live = self.base, self.cols, self.live
-        if triples is None:
-            triples = combinations_with_replacement(range(self.d1), 3)
         for u, v, w in triples:
             rotations = ((u, v, w), (v, w, u), (w, u, v))
-            terms = [(base[a][b], cols[c]) for a, b, c in rotations if live[c]]
-            if terms:
-                yield "relation_1", (u, v, w), terms
+            yield "relation_1", (u, v, w), [(base[a][b], cols[c]) for a, b, c in rotations if live[c]]
 
-    def relation_2(self, pairs=None):
+    def relation_2(self, pairs):
         """``relation_2`` at the (x, (u, v)) given, in their order."""
         base, ecols, elive, units = self.base, self.ecols, self.elive, self.units
-        if pairs is None:
-            pairs = product(range(self.d0), self._pairs())
         for x, (u, v) in pairs:
             terms = [(base[u][v], ecols[x])] if elive[x] else []
             terms += [(base[w][c], ys) for s, c in ((u, v), (v, u)) for w, ys in units[x][s]]
-            if terms:
-                yield "relation_2", (x, u, v), terms
+            yield "relation_2", (x, u, v), terms
 
-    def cubic(self, triples=None):
+    def cubic(self, triples):
         """``char3_cubic`` at the triples a <= b <= c given, in their order."""
         base, cols, live = self.base, self.cols, self.live
         twice = [[[(t, 2 * c) for t, c in col] for col in cw] for cw in cols]
-        if triples is None:
-            triples = combinations_with_replacement(range(self.d1), 3)
         for a, b, c in triples:
             # (i, j, k, group of f_k) for each {f_i,f_j}(f_k), with its multiplicity
             if a == b == c:
@@ -1162,30 +1152,24 @@ class _Relations:
                 terms = ((a, b, b, twice[b]), (b, b, a, cols[a]))
             else:
                 terms = ((a, b, c, twice[c]), (a, c, b, twice[b]), (b, c, a, twice[a]))
-            terms = [(base[i][j], grp) for i, j, k, grp in terms if live[k]]
-            if terms:
-                yield "char3_cubic", (a, b, c), terms
+            yield "char3_cubic", (a, b, c), [(base[i][j], grp) for i, j, k, grp in terms if live[k]]
 
-    def char2_square(self, squares=None):
+    def char2_square(self, squares):
         """``char2_square`` at the (v, w, even ys, odd ys) given, in their
-        order; ``None`` gives every y at every v <= w."""
+        order: at each even y, then at each odd y."""
         base, cols, ecols, live, elive, units = (
             self.base, self.cols, self.ecols, self.live, self.elive, self.units
         )
-        if squares is None:
-            squares = ((v, w, range(self.d0), range(self.d1)) for v, w in self._pairs())
         for v, w, evens, odds in squares:
             orderings = ((v, w), (w, v)) if v < w else ((v, v),)
             for y in evens:
                 terms = [(base[v][w], ecols[y])] if elive[y] else []
                 terms += [(base[a][s], ys) for a, b in orderings for s, ys in units[y][b] if s != a]
-                if terms:
-                    yield "char2_square", ("even", y, v, w), terms
+                yield "char2_square", ("even", y, v, w), terms
             for y in odds:
                 terms = [(base[v][w], cols[y])] if live[y] else []
                 terms += [(base[b][y], cols[a]) for a, b in orderings if b != y and live[a]]
-                if terms:
-                    yield "char2_square", ("odd", y, v, w), terms
+                yield "char2_square", ("odd", y, v, w), terms
 
 
 # --- instance selection by support --------------------------------------------

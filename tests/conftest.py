@@ -2,7 +2,8 @@ import json
 import os
 import random
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -260,6 +261,15 @@ def dense_rref(field, rows):
     return a, pivots
 
 
+def dense_product(a, b):
+    """a @ b as one dot product per (row, column) over every k, as
+    Matrix.__matmul__ computed it before it followed the nonzeros."""
+    f = a.field
+    return Matrix._from_raw(
+        f, [[reduce(f.add, map(f.mul, row, col), f.zero()) for col in zip(*b.data)] for row in a.data]
+    )
+
+
 def dense_kernel(field, rows, n_cols):
     """Kernel basis read off dense_rref: one vector per free column, in
     index order, with a 1 there and minus that column of each RREF row at
@@ -498,6 +508,31 @@ def dense_representation_failures(field, bracket, mats):
             if mats[i].commutator(mats[j]) != expected:
                 bad.append((i, j))
     return bad
+
+
+# --- every instance of the relations, by enumeration ----------------------------
+
+
+def naive_equations(ecols, act, mode="standard"):
+    """Every instance of superalgebra.compatibility_equations(ecols, act,
+    mode) that has a term, without the support selectors: each generator
+    of superalgebra._Relations runs over every index, in the order of
+    combinations_with_replacement and product, and the instances without
+    a term are dropped.  Nothing for d0 = 0, whose empty act gives no d1.
+    Slow reference for the full support."""
+    if not act:
+        return []
+    rel = sa._Relations(ecols, act)
+    d0, d1 = rel.d0, rel.d1
+    pairs = list(combinations_with_replacement(range(d1), 2))
+    triples = list(combinations_with_replacement(range(d1), 3))
+    if mode == "char2":
+        instances = rel.char2_square((v, w, range(d0), range(d1)) for v, w in pairs)
+    else:
+        instances = [*rel.relation_1(triples), *rel.relation_2(product(range(d0), pairs))]
+        if mode == "char3":
+            instances += rel.cubic(triples)
+    return [e for e in instances if e[2]]
 
 
 # --- oracle collector for the solver's rows ------------------------------------

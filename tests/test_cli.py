@@ -743,6 +743,44 @@ def test_validate_outputs_are_pinned(tmp_path):
     assert digest == VALIDATE_DIGEST, heads
 
 
+def _classify_documents():
+    """(name, canonical document) of every document whose classify output,
+    certificate matrices included, is pinned: osp(1|2) and the double of
+    sl(2), each plus a centre of dimension 0, 2 and 5, in a random graded
+    basis over Q and F_(10^9+7); and osp(1|2) plus a 50-dimensional centre
+    over Q in its own basis."""
+    import random
+
+    from conftest import random_graded_change
+    from superbracket.constructions import add_centre, build_double, build_osp12, sl2_algebra
+    from superbracket.fields import QQ, Field
+    from superbracket.linalg import Matrix
+    from superbracket.schema import serialize_algebra
+
+    rng = random.Random(1414)
+    docs = []
+    for field in (QQ, Field.prime(10**9 + 7)):
+        bases = (("osp(1|2)", build_osp12(field)), ("double", build_double(sl2_algebra(field), Matrix.identity(field, 3))))
+        for name, g in bases:
+            for z in (0, 2, 5):
+                h = add_centre(g, z)
+                h = h.conjugated(*random_graded_change(h, rng))
+                docs.append((f"{field} {name}+{z} random basis", serialize_algebra(h)))
+    docs.append(("Q osp(1|2)+50", serialize_algebra(add_centre(build_osp12(QQ), 50))))
+    return docs
+
+
+# sha256 over the classify stdout and exit code of every
+# _classify_documents() document, recorded while Matrix products summed one
+# dot product per (row, column)
+CLASSIFY_DIGEST = "340a79f40df33c0d118915791f209249787004a3ed88424bab0a008d77e66343"
+
+
+def test_classify_outputs_are_pinned(tmp_path):
+    digest, heads = _pinned_outputs("classify", _classify_documents(), tmp_path)
+    assert digest == CLASSIFY_DIGEST, heads
+
+
 # the library errors that main alone turns into an exit code and stderr text
 ERRORS_FOR_MAIN = {"SchemaError", "NotARepresentation", "UnsupportedMode", "AssembleError"}
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_kernel, dense_rref, echelon_span, solve_linear
+from conftest import dense_kernel, dense_product, dense_rref, echelon_span, solve_linear
 from superbracket.fields import GF, QQ, FieldError
 from superbracket.linalg import (
     DimensionMismatch,
@@ -164,14 +164,14 @@ def field_values(field):
 
 
 @st.composite
-def raw_systems(draw, field):
+def raw_systems(draw, field, n_rows=None):
     """Rows of raw field entries: sparse (about 2% nonzero, up to 40 x 40) or
     dense (up to 8 x 8) with zero rows and zero columns forced in; row and
-    column counts are drawn independently."""
+    column counts are drawn independently, or ``n_rows`` rows if given."""
     values = field_values(field).map(field.coerce)
     zero = field.zero()
     if draw(st.booleans()):
-        m = draw(st.integers(0, 40))
+        m = draw(st.integers(0, 40)) if n_rows is None else n_rows
         n = draw(st.integers(0, 40))
         rows = [[zero] * n for _ in range(m)]
         if m and n:
@@ -179,7 +179,7 @@ def raw_systems(draw, field):
             for i, j, x in draw(st.lists(cells, max_size=max(1, m * n // 50))):
                 rows[i][j] = x
     else:
-        m = draw(st.integers(0, 8))
+        m = draw(st.integers(0, 8)) if n_rows is None else n_rows
         n = draw(st.integers(0, 8))
         rows = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(m)]
         if m and n:
@@ -198,6 +198,20 @@ def test_sparse_rref_matches_dense_oracle(field, data):
     frozen = [tuple(r) for r in rows]
     assert _rref_raw(field, rows) == dense_rref(field, rows)
     assert [tuple(r) for r in rows] == frozen  # input left untouched
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+@given(data=st.data())
+def test_product_matches_the_all_pairs_oracle(field, data):
+    # sparse and dense factors with zero rows and columns, of any shapes
+    # that multiply, empty ones too: summing the right rows at each left
+    # row's nonzeros gives the product of one dot product per entry
+    a = Matrix._from_raw(field, data.draw(raw_systems(field)))
+    b = Matrix._from_raw(field, data.draw(raw_systems(field, n_rows=a.cols)))
+    product = a @ b
+    assert product == dense_product(a, b)
+    assert (product.rows, product.cols) == (a.rows, b.cols if a.rows else 0)
+    assert_raw(field, product)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)

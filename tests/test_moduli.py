@@ -4,7 +4,7 @@ import random
 import threading
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm
 
 import pytest
@@ -446,7 +446,7 @@ def test_relation_1_and_the_cubic_left_out_give_no_row_and_no_kill(mode, d0, d1,
     dead = {k for k in range(d0 * d1 * (d1 + 1) // 2) if rng.random() < dead_density}
     for generate in (rel.relation_1, rel.cubic) if mode == "char3" else (rel.relation_1,):
         kept = list(generate(_supported_triples(moduli._live_pairs(rel, dead), rel.live)))
-        full = list(generate())
+        full = list(generate(combinations_with_replacement(range(d1), 3)))
         chosen = {indices for _, indices, _ in kept}
         assert kept == [e for e in full if e[1] in chosen]
         for _, indices, terms in full:
@@ -503,7 +503,7 @@ def test_weight_kills_are_the_dead_set_of_relation_2_at_a_diagonal_direction(p, 
             continue
         kills = moduli._weight_kills(rel, *weights, p)
         rows, dead = [], set()
-        for _, _, terms in rel.relation_2((x, pair) for pair in rel._pairs()):
+        for _, _, terms in rel.relation_2((x, pair) for pair in combinations_with_replacement(range(d1), 2)):
             moduli._append_rows(rows, terms, dead, p)
         assert rows == []
         assert sorted(kills) == sorted(dead)
@@ -546,7 +546,7 @@ def test_relation_2_left_out_at_the_other_directions_gives_no_row_and_no_kill(p,
     dead |= {k for k in range(d0 * d1 * (d1 + 1) // 2) if rng.random() < share}
     xs = [x for x in range(d0) if x != x0]
     kept = list(rel.relation_2(_supported_pairs(moduli._live_pairs(rel, dead), act, rel.elive, xs)))
-    full = list(rel.relation_2(product(xs, rel._pairs())))
+    full = list(rel.relation_2(product(xs, combinations_with_replacement(range(d1), 2))))
     chosen = {indices for _, indices, _ in kept}
     assert kept == [e for e in full if e[1] in chosen]
     for _, indices, terms in full:

@@ -10,6 +10,7 @@ from conftest import (
     coprime_bracket_algebra,
     dense_representation_failures,
     fraction_validate,
+    naive_equations,
     naive_char2_violations,
     nonzero_columns,
     random_graded_change,
@@ -477,8 +478,8 @@ def test_validate_at_large_d1_equals_the_full_system(monkeypatch, rng):
 def test_support_selects_exactly_the_instances_with_a_term_in_it(mode, d0, d1, seed):
     # a random sparse bracket and action (neither need be a Lie bracket or
     # a representation) and a random symmetric support S: the instances
-    # yielded for S are those yielded for None with a term at a pair in S,
-    # in the same order and with the same terms
+    # yielded for S are those of the naive enumeration with a term at a
+    # pair in S, in the same order and with the same terms
     rng = random.Random(seed)
     density, held_density = rng.random(), rng.random()
 
@@ -494,6 +495,32 @@ def test_support_selects_exactly_the_instances_with_a_term_in_it(mode, d0, d1, s
                 support[u] |= 1 << v
                 support[v] |= 1 << u
                 held.add(base[u][v])
-    full = list(compatibility_equations(ecols, act, mode))
+    full = naive_equations(ecols, act, mode)
     expected = [e for e in full if any(b in held for b, _ in e[2])]
     assert list(compatibility_equations(ecols, act, mode, support)) == expected
+
+
+@given(
+    mode=st.sampled_from(MODES),
+    d0=st.integers(0, 3),
+    d1=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_support_is_the_full_support(mode, d0, d1, seed):
+    # a random sparse bracket and action (neither need be a Lie bracket or
+    # a representation): with no support given, the selectors run on the
+    # full one and yield every instance that has a term, in the order and
+    # with the terms of the naive enumeration over every index; at d0 = 0
+    # there is nothing
+    rng = random.Random(seed)
+    density = rng.random()
+
+    def sparse(*shape):
+        return [[[rng.choice((1, -2)) if rng.random() < density else 0 for _ in range(shape[2])] for _ in range(shape[1])] for _ in range(shape[0])]
+
+    ecols, act = nonzero_columns(sparse(d0, d0, d0)), nonzero_columns(sparse(d0, d1, d1))
+    got = list(compatibility_equations(ecols, act, mode))
+    assert got == naive_equations(ecols, act, mode)
+    assert all(terms for _, _, terms in got)
+    if d0 == 0:
+        assert got == []

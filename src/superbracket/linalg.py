@@ -82,7 +82,10 @@ def _reduce(field: Field, rows: Iterable[Iterable], cols: set) -> dict[int, dict
     Those rows then go through the pivot loop: each is reduced against the
     basis; a nonzero remainder is normalised and its pivot column is then
     cleared from the existing basis rows.  Since no forced column is ever
-    touched there, the two parts together are the one reduced basis.
+    touched there, the two parts together are the one reduced basis.  The
+    loop stops once the pivots and the forced columns cover ``cols``: every
+    row left lies in the span, and :func:`_peel` has already checked its
+    columns.
 
     Over F_p a normalised row has a leading 1, found by the modular inverse.
     Over Q the loop runs fraction-free on Python ints: an incoming row is
@@ -96,8 +99,11 @@ def _reduce(field: Field, rows: Iterable[Iterable], cols: set) -> dict[int, dict
     """
     p = field.p if field.kind == "prime" else None
     forced, rows = _peel(rows, cols)
+    full = len(cols) - len(forced)  # the rank at which the span is everything
     basis: dict[int, dict] = {}
     for row in rows:
+        if len(basis) == full:
+            break
         if not p:
             d = lcm(*(x.denominator for x in row.values()))
             row = {c: x.numerator * (d // x.denominator) for c, x in row.items()}

@@ -22,9 +22,7 @@ linear in the two jointly, so each row is D times itself, with the same
 span, and the rows, the representation check and the eliminator all run
 on Python ints.  Over F_p the entries are integers already, and past the
 cut-off of :func:`~superbracket.superalgebra.clear_denominators` they stay
-Fractions and the same code runs on them.  The sweep builds each direct
-sum's algebra from its summands' action entries, shifted by their
-offsets.  The equations are
+Fractions and the same code runs on them.  The equations are
 :func:`~superbracket.superalgebra.compatibility_equations`, the one
 definition of the relations, which :func:`~superbracket.superalgebra.validate`
 evaluates at a given odd bracket: deduplicated by symmetric index pattern
@@ -87,14 +85,21 @@ all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in
 the test suite as an oracle for this deduplication.
 
 :func:`sweep_irrep_sums` solves one system per direct sum of irreducibles.
-The systems are independent, so it splits them in two, with one forked
+It checks each summand once and builds each system from the summands'
+shifted columns and blocks: the action of a direct sum is block-diagonal,
+so the sum is a representation iff every summand is, its blocks are the
+summands' blocks shifted by their offsets, and a block's faithfulness is
+its own, so every kill, row and kernel is the one that
+:func:`odd_bracket_space` finds on the assembled algebra.  Both hand the
+module's facts to one per-system solve, :func:`_solve`.
+The systems are independent, so the sweep splits them in two, with one forked
 worker at most (:func:`_solve_split`): a bare ``os.fork`` and a pipe
 (starting a ``multiprocessing`` pool takes tens of milliseconds, as much as
 the split saves).  The worker solves the odd-indexed compositions, the
 parent the even-indexed ones, and the parent merges the dimensions by
 index; if the worker fails or is killed, the parent solves its share too.
-Every system goes through the same :func:`odd_bracket_space` either way,
-so the rows are identical.  The sweep stays in one process where
+Every system goes through the same :func:`_solve` either way, so the rows
+are identical.  The sweep stays in one process where
 ``os.fork`` is missing, where another thread runs (a forked child inherits
 its locks held), where only one CPU is usable, and where the sweep holds
 too few unknowns to pay for a fork.
@@ -313,36 +318,53 @@ def _blocks(act, d1: int) -> list:
     return [root(w) for w in range(d1)]
 
 
-def _block_kills(rel: _Relations, act, field: Field) -> list:
+def _members(block: list) -> dict:
+    """``{k: [w, ...]}``: the indices of each block, keyed by its least
+    index, in increasing order of both."""
+    members: dict = {}
+    for w, k in enumerate(block):
+        members.setdefault(k, []).append(w)
+    return members
+
+
+def _faithful(field: Field, act, ws: list) -> bool:
+    """Whether the d0 restrictions of the e_y to the block ``ws`` are
+    linearly independent: the rank d0 of the rows (w, t) -> {y: coefficient
+    of f_t in e_y(f_w)} over the block."""
+    rows: dict = {}
+    for y, plane in enumerate(act):
+        for w in ws:
+            for t, c in plane[w]:
+                rows.setdefault((w, t), {})[y] = c
+    return len(_reduce(field, (r.items() for r in rows.values()), range(len(act)))) == len(act)
+
+
+def _faithful_blocks(field: Field, act, block: list) -> list:
+    """The least indices of the faithful blocks (:func:`_faithful`), in
+    increasing order, up to three, after which :func:`_block_kills` kills
+    every pair; none where the module is one block, which kills nothing
+    and is not checked."""
+    members = _members(block)
+    faithful: list = []
+    if len(members) > 1:
+        for k, ws in members.items():
+            if _faithful(field, act, ws):
+                faithful.append(k)
+                if len(faithful) == 3:
+                    break
+    return faithful
+
+
+def _block_kills(rel: _Relations, block: list, faithful: list) -> list:
     """The unknowns that relation 1 forces to zero through the module's
     blocks (:func:`_blocks`).  At (u, v, w) with f_w in a block V_k other
     than those of f_u and f_v, the terms {f_v, f_w}(f_u) and
     {f_w, f_u}(f_v) have no output in V_k, so its rows there say that
-    {f_u, f_v} acts as zero on V_k.  On a *faithful* block, where the d0
-    restrictions of the e_y are linearly independent, that makes every
-    coefficient of {f_u, f_v} zero.  So a pair is dead when some faithful
-    block is neither of its own; from three faithful blocks on, every pair
-    is.  Faithfulness is the rank d0 of the rows (w, t) -> {y: coefficient
-    of f_t in e_y(f_w)} over the block; one block kills nothing and is not
-    checked."""
+    {f_u, f_v} acts as zero on V_k.  On a *faithful* block (one of
+    ``faithful``, :func:`_faithful`) that makes every coefficient of
+    {f_u, f_v} zero.  So a pair is dead when some faithful block is neither
+    of its own; from three faithful blocks on, every pair is."""
     d0, d1 = rel.d0, rel.d1
-    block = _blocks(act, d1)
-    members: dict = {}
-    for w, k in enumerate(block):
-        members.setdefault(k, []).append(w)
-    if len(members) < 2:
-        return []
-    faithful = []
-    for k, ws in members.items():
-        rows: dict = {}
-        for y, plane in enumerate(act):
-            for w in ws:
-                for t, c in plane[w]:
-                    rows.setdefault((w, t), {})[y] = c
-        if len(_reduce(field, (r.items() for r in rows.values()), range(d0))) == d0:
-            faithful.append(k)
-            if len(faithful) == 3:
-                break
     dead = []
     for u, row in enumerate(rel.base):
         # the pair (u, v) lives only if f_v lies in every faithful block
@@ -411,17 +433,28 @@ def odd_bracket_space(g: SuperAlgebra) -> OddBracketSpace:
     """
     if g.mode not in ("standard", "char3"):
         raise UnsupportedMode(f"unsupported mode for the bracket solver: {g.mode!r}")
-    field, d0, d1 = g.field, g.dim_even, g.dim_odd
     ecols, act = _even_system(g)
-    failures = representation_failures(field, ecols, act)
+    failures = representation_failures(g.field, ecols, act)
     if failures:
         raise NotARepresentation(failures)
+    block = _blocks(act, g.dim_odd)
+    return _solve(g.field, g.mode, ecols, act, block, _faithful_blocks(g.field, act, block))
+
+
+def _solve(field: Field, mode: str, ecols, act, block: list, faithful: list) -> OddBracketSpace:
+    """The solution space of one system, from the facts that
+    :func:`odd_bracket_space` reads off a module and the sweep off its
+    summands: the columns ``ecols`` and ``act`` of a representation, its
+    blocks ``block`` (:func:`_blocks`) and its faithful blocks ``faithful``
+    (:func:`_faithful`) in increasing order, of which only the first three
+    count, and none where the module is one block."""
+    d0, d1 = len(ecols), len(block)
     p = field.p if field.kind == "prime" else None
     rel = _Relations(ecols, act)
-    dead = set(_block_kills(rel, act, field))
+    dead = set(_block_kills(rel, block, faithful))
     n = d0 * d1 * (d1 + 1) // 2
     # from three faithful blocks on no unknown is alive, and nothing is collected
-    rows = _collect(g.mode, rel, act, dead, p) if len(dead) < n else []
+    rows = _collect(mode, rel, act, dead, p) if len(dead) < n else []
     # each row under its own unknowns; only one that holds a dead unknown,
     # killed after the row was kept, is rebuilt without it
     kept = []
@@ -521,8 +554,10 @@ def _solve_split(solve, jobs: list, work: int) -> list:
 def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     """Solution dimension for every direct sum of standard-parameter
     irreducibles (alpha = m, beta = 0, dimension <= p) with total dimension
-    up to max_odd_dim, over F_5 or F_7; the systems are split in two, with
-    one forked worker at most (:func:`_solve_split`), with the same rows."""
+    up to max_odd_dim, over F_5 or F_7.  Each irreducible is checked once,
+    and each direct sum's system is built from its summands' shifted
+    facts; the systems are split in two, with one forked worker at most
+    (:func:`_solve_split`), with the same rows."""
     if field.kind != "prime" or field.p not in (5, 7):
         raise ValueError("the sweep is budgeted for F_5 and F_7")
     if max_odd_dim > 8:
@@ -533,12 +568,19 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
 
     even = sl2_algebra(field)
     d0 = even.dim_even
-    # each irreducible's action entries {(x, v, w): c}, c the coefficient of
-    # f_w in e_x(f_v)
-    summands = {
-        d: build_irrep(IrrepSpec.standard_params(field, d - 1), field).entries
-        for d in range(1, min(field.p, max_odd_dim) + 1)
-    }
+    ecols, _ = _even_system(even)
+    # each irreducible's facts, as odd_bracket_space reads them: its action
+    # columns, checked to be a representation, its blocks and its faithful
+    # blocks
+    summands = {}
+    for d in range(1, min(field.p, max_odd_dim) + 1):
+        entries = build_irrep(IrrepSpec.standard_params(field, d - 1), field).entries
+        _, act = _even_system(SuperAlgebra._of(field, d0, d, even.mode, even._even, entries, {}))
+        failures = representation_failures(field, ecols, act)
+        if failures:
+            raise NotARepresentation(failures)
+        block = _blocks(act, d)
+        summands[d] = act, block, [k for k, ws in _members(block).items() if _faithful(field, act, ws)]
     comps = [
         comp
         for total in range(1, max_odd_dim + 1)
@@ -546,12 +588,18 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     ]
 
     def dimension(comp):
-        # the direct sum's entries: each summand's, shifted by its offset
-        act, offset = {}, 0
+        # the direct sum's facts: each summand's, shifted by its offset.  The
+        # action is block-diagonal, so the sum is a representation, its
+        # blocks are the summands' and a block's faithfulness is its own
+        act, block, faithful, offset = [[] for _ in range(d0)], [], [], 0
         for d in comp:
-            act.update(((x, v + offset, w + offset), c) for (x, v, w), c in summands[d].items())
+            cols, blk, fth = summands[d]
+            for plane, part in zip(act, cols):
+                plane += [[(t + offset, c) for t, c in col] for col in part]
+            block += [k + offset for k in blk]
+            faithful += [k + offset for k in fth]
             offset += d
-        return odd_bracket_space(SuperAlgebra._of(field, d0, offset, even.mode, even._even, act, {})).dimension
+        return _solve(field, even.mode, ecols, act, block, faithful).dimension
 
     unknowns = sum(d0 * sum(c) * (sum(c) + 1) // 2 for c in comps)
     dims = _solve_split(dimension, comps, unknowns)

@@ -80,11 +80,13 @@ def _check_dim(value, name: str) -> int:
 
 def _entries(doc, key, field, bound1, bound2, bound3, ordered) -> dict:
     """The document's ``key`` entries as ``{(i, j, k): raw value}``, each
-    checked in range and order, nonzero and not duplicated."""
+    checked in range and order, nonzero and not duplicated.  Each distinct
+    scalar string is parsed once: a dense document repeats few values."""
     raw = doc.get(key, [])
     if not isinstance(raw, list):
         raise SchemaError(f"{key} must be a list")
     out: dict = {}
+    parsed: dict = {}  # scalar string -> its parsed value
     for item in raw:
         if not (isinstance(item, list) and len(item) == 4):
             raise SchemaError(f"{key} entries must be [i, j, k, coeff]")
@@ -98,10 +100,12 @@ def _entries(doc, key, field, bound1, bound2, bound3, ordered) -> dict:
             raise SchemaError(f"{key} entry ({i},{j},{k}) needs i < j")
         if ordered == "weak" and not i <= j:
             raise SchemaError(f"{key} entry ({i},{j},{k}) needs i <= j")
-        try:
-            value = field.parse(coeff)
-        except FieldError as exc:
-            raise SchemaError(f"{key} coefficient: {exc}") from None
+        value = parsed.get(coeff) if type(coeff) is str else None
+        if value is None:
+            try:
+                value = parsed[coeff] = field.parse(coeff)
+            except FieldError as exc:
+                raise SchemaError(f"{key} coefficient: {exc}") from None
         if not value:
             raise SchemaError(f"{key} entry ({i},{j},{k}) has zero coefficient")
         if (i, j, k) in out:

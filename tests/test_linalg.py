@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dense_kernel, dense_product, dense_rref, echelon_span, solve_linear
+from superbracket import linalg
 from superbracket.fields import GF, QQ, FieldError
 from superbracket.linalg import (
     DimensionMismatch,
@@ -293,6 +294,53 @@ def test_fraction_free_elimination_matches_dense_oracle(rows):
     kernel = densified(QQ, sparse_kernel_basis(QQ, [dict(enumerate(r)) for r in rows], range(n)), n)
     assert [list(v.entries) for v in kernel] == dense_kernel(QQ, rows, n)
     assert all(type(x) is Fraction for v in kernel for x in v.entries)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+@given(data=st.data())
+def test_tall_full_rank_systems_match_the_dense_oracle(field, data):
+    # an invertible n x n block, and up to 4n rows more, shuffled: the
+    # pivot loop stops at full rank, and the RREF and the (empty) kernel
+    # are still the dense oracle's
+    values = field_values(field).map(field.coerce)
+    n = data.draw(st.integers(1, 8))
+    square = [
+        [data.draw(values) if j >= i else field.zero() for j in range(n)] for i in range(n)
+    ]  # upper triangular, nonzero diagonal
+    extra = data.draw(st.lists(st.lists(values | st.just(field.zero()), min_size=n, max_size=n), max_size=4 * n))
+    rows = data.draw(st.permutations(square + extra))
+    assert _rref_raw(field, rows) == dense_rref(field, rows)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert sparse_kernel_basis(field, sparse, range(n)) == [] == dense_kernel(field, rows, n)
+
+
+def test_pivot_loop_stops_at_full_rank_but_every_column_is_checked(monkeypatch):
+    # rows {i, i + 1} and {0, n - 1} on an odd n columns span everything
+    # and force no column; the rows after them are never reduced, yet a
+    # column outside the labels is refused wherever it sits
+    n = 5
+    ring = [{i: 1, (i + 1) % n: 1} for i in range(n)]
+    tail = [{j: (i * j) % 4 + 1 for j in range(n)} for i in range(40)]
+    cancels = []
+    cancel = linalg._cancel
+
+    def counted(*args):
+        cancels.append(None)
+        return cancel(*args)
+
+    monkeypatch.setattr(linalg, "_cancel", counted)
+    for field in (QQ, F5):
+        ring_q = [{c: field.coerce(x) for c, x in row.items()} for row in ring]
+        tail_q = [{c: field.coerce(x) for c, x in row.items()} for row in tail]
+        cancels.clear()
+        alone = _reduce(field, (r.items() for r in ring_q), range(n))
+        before = len(cancels)
+        assert before
+        assert _reduce(field, (r.items() for r in ring_q + tail_q), range(n)) == alone
+        assert len(cancels) == 2 * before
+        assert alone == {c: {c: field.one()} for c in range(n)}
+        with pytest.raises(DimensionMismatch):
+            _reduce(field, (r.items() for r in ring_q + tail_q + [{0: field.one(), n: field.one()}]), range(n))
 
 
 @st.composite

@@ -24,7 +24,7 @@ from conftest import (
 
 from superbracket import moduli
 from superbracket.classify import classify
-from superbracket.constructions import build_char2_example, build_osp12, sl2_algebra
+from superbracket.constructions import assemble, build_char2_example, build_osp12, sl2_algebra
 from superbracket.fields import GF, QQ
 from superbracket.linalg import Matrix, Vector, sparse_kernel_basis
 from superbracket.moduli import (
@@ -612,7 +612,8 @@ def test_block_kills_are_zero_in_every_oracle_solution(field, gl2, basis, data):
     mats = [t_inv @ m @ t for m in mats]
     g = module_algebra(field, bracket, mats)
     ecols, act = _even_system(g)
-    kills = moduli._block_kills(_Relations(ecols, act), act, field)
+    block = moduli._blocks(act, n)
+    kills = moduli._block_kills(_Relations(ecols, act), block, moduli._faithful_blocks(field, act, block))
     d0, base = len(bracket), odd_unknowns(len(bracket), n)
     expected = [
         k
@@ -643,8 +644,10 @@ def test_one_block_kills_nothing_and_checks_no_faithfulness(field, dims, rng, mo
     mats = list(rep.conjugated(random_invertible(field, rep.dim, rng)).matrices())
     g = module_algebra(field, even.bracket, mats)
     ecols, act = _even_system(g)
-    assert set(moduli._blocks(act, rep.dim)) == {0}
-    assert moduli._block_kills(_Relations(ecols, act), act, field) == []
+    block = moduli._blocks(act, rep.dim)
+    assert set(block) == {0}
+    assert moduli._faithful_blocks(field, act, block) == []
+    assert moduli._block_kills(_Relations(ecols, act), block, []) == []
     assert flatten(odd_bracket_space(g)) == naive_space(field, even.bracket, mats, mode=g.mode)
 
 
@@ -991,13 +994,13 @@ def test_sweep_split_in_two_gives_the_pinned_rows_and_reaps_its_worker(cpus, mon
     cpus(2)
     forks = count_forks(monkeypatch)
     solved = []  # the worker appends to its own copy
-    real = moduli.odd_bracket_space
+    real = moduli._solve
 
-    def counted(g):
+    def counted(*system):
         solved.append(None)
-        return real(g)
+        return real(*system)
 
-    monkeypatch.setattr(moduli, "odd_bracket_space", counted)
+    monkeypatch.setattr(moduli, "_solve", counted)
     assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
     assert len(forks) == 2  # one worker for each of F_5 and F_7
     # the caller solves only its own share: 30 of F_5's 59 systems and 33
@@ -1053,15 +1056,16 @@ def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim)
     # (2,) among them; the patch is inherited by the fork.  A worker that
     # fails writes no reply, and the caller's own solve of its share raises
     cpus(2)
-    real = moduli.odd_bracket_space
+    real = moduli._solve
     target = module_algebra(F5, sl2_algebra(F5).bracket, build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
+    _, target_act = _even_system(target)
 
-    def failing(g):
-        if g == target:
+    def failing(field, mode, ecols, act, *facts):
+        if act == target_act:
             raise ValueError(f"no solution space for ({dim},)")
-        return real(g)
+        return real(field, mode, ecols, act, *facts)
 
-    monkeypatch.setattr(moduli, "odd_bracket_space", failing)
+    monkeypatch.setattr(moduli, "_solve", failing)
     with pytest.raises(ValueError, match=rf"^no solution space for \({dim},\)$") as info:
         sweep_irrep_sums(F5, 8)
     assert info.value.__cause__ is None
@@ -1074,14 +1078,14 @@ def test_sweep_worker_that_fails_costs_only_time(cpus, monkeypatch):
     cpus(2)
     forks = count_forks(monkeypatch)
     caller = os.getpid()
-    real = moduli.odd_bracket_space
+    real = moduli._solve
 
-    def failing_in_worker(g):
+    def failing_in_worker(*system):
         if os.getpid() != caller:
             raise RuntimeError("the worker fails")
-        return real(g)
+        return real(*system)
 
-    monkeypatch.setattr(moduli, "odd_bracket_space", failing_in_worker)
+    monkeypatch.setattr(moduli, "_solve", failing_in_worker)
     assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
     assert len(forks) == 2
     assert_no_child_process()
@@ -1093,17 +1097,88 @@ def test_sweep_kills_a_busy_worker_when_the_caller_fails(cpus, monkeypatch):
     cpus(2)
     caller = os.getpid()
 
-    def stuck(g):
+    def stuck(*system):
         if os.getpid() == caller:
             raise ValueError("the caller fails")
         time.sleep(60)
 
-    monkeypatch.setattr(moduli, "odd_bracket_space", stuck)
+    monkeypatch.setattr(moduli, "_solve", stuck)
     start = time.monotonic()
     with pytest.raises(ValueError, match="^the caller fails$"):
         sweep_irrep_sums(F5, 8)
     assert time.monotonic() - start < 30
     assert_no_child_process()
+
+
+@pytest.mark.parametrize("field", [F5, F7], ids=str)
+def test_sweep_systems_are_those_of_the_assembled_direct_sums(field, cpus, monkeypatch):
+    # each system the sweep builds from its summands' shifted facts has the
+    # columns and blocks of the assembled direct sum, its faithful blocks
+    # are those whose three restrictions are independent there, and its
+    # dimension is odd_bracket_space's on the assembled algebra
+    cpus(1)
+    systems = []
+    real = moduli._solve
+
+    def recorded(*system):
+        systems.append(system)
+        return real(*system)
+
+    monkeypatch.setattr(moduli, "_solve", recorded)
+    rows = sweep_irrep_sums(field, 8)
+    assert len(systems) == len(rows) == {5: 59, 7: 65}[field.p]
+    even = sl2_algebra(field)
+    for row, (f, mode, ecols, act, block, faithful) in zip(rows, systems):
+        rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in row.composition])
+        g = assemble(even, rep)
+        assert (f, mode) == (field, g.mode)
+        assert (ecols, act) == _even_system(g)
+        assert block == moduli._blocks(act, rep.dim)
+        mats = rep.matrices()
+        oracle = [
+            k
+            for k in sorted(set(block))
+            if Matrix(field, [[m.data[t][w] for w in range(rep.dim) for t in range(rep.dim) if block[w] == block[t] == k] for m in mats]).rank() == 3
+        ]
+        assert faithful == oracle
+        assert moduli._faithful_blocks(field, act, block) == (oracle[:3] if len(set(block)) > 1 else [])
+        assert row.dimension == odd_bracket_space(g).dimension
+
+
+def test_sweep_checks_each_summand_once_before_any_fork(cpus, monkeypatch):
+    # the representation check runs once per irreducible, and a broken one
+    # is refused in the caller before a worker is forked
+    cpus(2)
+    checked = []
+    real = moduli.representation_failures
+
+    def counted(*args):
+        checked.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(moduli, "representation_failures", counted)
+    assert len(sweep_irrep_sums(F7, 8)) == 65
+    assert len(checked) == 7
+    forbid_fork(monkeypatch)
+    build = moduli.build_irrep
+
+    def broken(spec, field):
+        # the 3-dimensional irreducible with one entry of E doubled
+        rep = build(spec, field)
+        if rep.dim == 3:
+            entries = dict(rep.entries)
+            key = min(key for key in entries if key[0] == 0)
+            entries[key] = field.add(entries[key], entries[key])
+            rep = RepMatrices(field, rep.dim, entries)
+        return rep
+
+    monkeypatch.setattr(moduli, "build_irrep", broken)
+    for field in (F5, F7):
+        with pytest.raises(NotARepresentation) as info:
+            sweep_irrep_sums(field, 8)
+        with pytest.raises(NotARepresentation) as alone:
+            odd_bracket_space(module_algebra(field, sl2_algebra(field).bracket, broken(IrrepSpec.standard_params(field, 2), field).matrices()))
+        assert info.value.pairs == alone.value.pairs != ()
 
 
 def test_small_sweep_does_not_fork(cpus, monkeypatch):

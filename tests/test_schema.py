@@ -9,13 +9,14 @@ from superbracket.constructions import (
     build_osp12,
     sl2_algebra,
 )
-from superbracket.fields import GF, QQ
+from superbracket.fields import GF, QQ, FieldError
 from superbracket.linalg import Matrix
 from superbracket.schema import (
     SchemaError,
     parse_algebra,
     serialize_algebra,
 )
+from superbracket.superalgebra import SuperAlgebra
 
 
 ALGEBRAS = [
@@ -82,6 +83,60 @@ def test_scalar_strings_validated():
     doc = doc_of(build_osp12(QQ))
     doc["p_map"][0][3] = 2  # must be a string
     with pytest.raises(SchemaError):
+        parse_algebra(json.dumps(doc))
+
+
+SPELLINGS = {QQ: ["3", "+3", "03", "6/2", "3", " 3", "3/1", "6/2", "+3"], GF(7): ["3", "+3", "03", "10", "3", "-4", "10", "+3", "3"]}
+
+
+@pytest.mark.parametrize("field", list(SPELLINGS), ids=str)
+def test_repeated_and_respelled_scalars_parse_to_the_same_algebra(field):
+    # each distinct scalar string is parsed once per sector; every entry is
+    # still checked, and every spelling of 3 gives the same algebra as the
+    # entries given as values
+    spellings = SPELLINGS[field]
+    cells = [(x, v, w) for x in range(3) for v in range(3) for w in range(3)][: len(spellings)]
+    doc = {
+        "field": {"kind": "rationals"} if field is QQ else {"kind": "prime_field", "p": field.p},
+        "dim_even": 3,
+        "dim_odd": 3,
+        "action": [[*cell, c] for cell, c in zip(cells, spellings)],
+        "p_map": [[0, 0, 0, c] for c in spellings[:1]] + [[0, 1, 0, spellings[1]], [1, 2, 2, spellings[2]]],
+    }
+    parsed, _ = parse_algebra(json.dumps(doc))
+    three = field.coerce(3)
+    expected = SuperAlgebra.from_entries(
+        field, 3, 3, action=[(*cell, three) for cell in cells], odd_bracket=[(0, 0, 0, three), (0, 1, 0, three), (1, 2, 2, three)]
+    )
+    assert parsed == expected
+    assert serialize_algebra(parsed) == serialize_algebra(expected)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [(QQ, "3x"), (QQ, "3/0"), (QQ, "1" * 5000), (GF(7), "1/2"), (GF(7), "3.0")],
+    ids=["letter", "zero-denominator", "too-long", "fraction-over-Fp", "decimal"],
+)
+def test_bad_scalar_after_good_ones_gives_the_same_error(field, bad):
+    try:
+        field.parse(bad)
+    except FieldError as exc:
+        message = f"action coefficient: {exc}"
+    doc = {
+        "field": {"kind": "rationals"} if field is QQ else {"kind": "prime_field", "p": field.p},
+        "dim_even": 1,
+        "dim_odd": 3,
+        "action": [[0, 0, 0, "3"], [0, 0, 1, "3"], [0, 0, 2, bad], [0, 1, 0, bad]],
+    }
+    with pytest.raises(SchemaError) as refused:
+        parse_algebra(json.dumps(doc))
+    assert str(refused.value) == message
+    # a repeated scalar still meets the zero and duplicate checks
+    doc["action"] = [[0, 0, 0, "3"], [0, 0, 1, "3"], [0, 0, 0, "3"]]
+    with pytest.raises(SchemaError, match=r"^action entry \(0,0,0\) duplicated$"):
+        parse_algebra(json.dumps(doc))
+    doc["action"] = [[0, 0, 0, "00"], [0, 0, 1, "00"]]
+    with pytest.raises(SchemaError, match=r"^action entry \(0,0,0\) has zero coefficient$"):
         parse_algebra(json.dumps(doc))
 
 

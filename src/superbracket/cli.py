@@ -7,24 +7,29 @@ compose through pipes: a path argument of "-" reads stdin, and every
     superbracket construct irrep --m 2 --field fp:5 | superbracket pspace -
     superbracket construct double --field q | superbracket classify -
 
+The command line is parsed by the standard library's ``argparse``, with one
+parser built once per process; ``--help`` is its only help flag, and no
+option may be abbreviated.
+
 Exit codes: 0 success (classification cases A/B/C), 1 validation failure
 (also ``pspace`` and ``decompose`` on an action that is not a
 representation), 2 not applicable (classification, ``pspace`` on a char2
 document, ``decompose`` on an even part that is not 3-dimensional), 3
-undetermined (``decompose``'s triple search), 64 usage error, 65 schema
-error.  Commands raise their errors, and :func:`main` alone turns each into
-its exit code and stderr text; only ``validate``'s violations and
+undetermined (``decompose``'s triple search), 64 usage error (argparse's
+wording for a malformed command line), 65 schema error, 130 interrupted.
+Commands raise their errors, and :func:`main` alone turns each into its
+exit code and stderr text; only ``validate``'s violations and
 ``classify``'s ``not_applicable``, which are results printed on stdout,
 exit from their command.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import functools
 import json
 import sys
-
-import click
 
 from . import superalgebra as sa
 from .classify import classify as run_classify, is_simple_superalgebra
@@ -65,6 +70,11 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_UNDETERMINED = 3
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
+EXIT_INTERRUPTED = 130
+
+
+class UsageError(Exception):
+    """A command line that names no document or no algebra: exit 64."""
 
 
 def parse_field_flag(text: str) -> Field:
@@ -74,42 +84,8 @@ def parse_field_flag(text: str) -> Field:
         try:
             return Field.prime(int(text[3:]))
         except (ValueError, FieldError) as exc:
-            raise click.UsageError(f"bad --field {text!r}: {exc}") from None
-    raise click.UsageError(f"--field must be 'q' or 'fp:<prime>', got {text!r}")
-
-
-field_option = click.option(
-    "--field", "field_text", default="q", show_default=True,
-    help="Coefficient field: q or fp:<prime>.",
-)
-
-
-def _echo(message, err: bool = False, nl: bool = True) -> None:
-    """``click.echo`` to the stream current at this call.  click's default
-    stream is cached per stream in a WeakKeyDictionary whose value for a
-    text stream is that stream itself, which would keep every stream ever
-    captured in-process (an ``io.StringIO`` in place of sys.stdout) alive."""
-    click.echo(message, nl=nl, file=click.get_text_stream("stderr" if err else "stdout"))
-
-
-def _show_help(ctx, param, value) -> None:
-    if value and not ctx.resilient_parsing:
-        _echo(ctx.get_help())
-        ctx.exit()
-
-
-class _Command(click.Command):
-    """--help through :func:`_echo`, not click's cached default stream."""
-
-    def get_help_option(self, ctx):
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
-
-
-class _Group(_Command, click.Group):
-    command_class, group_class = _Command, type  # subgroups are _Group too
+            raise UsageError(f"bad --field {text!r}: {exc}") from None
+    raise UsageError(f"--field must be 'q' or 'fp:<prime>', got {text!r}")
 
 
 def _read_document(path: str) -> str:
@@ -119,7 +95,7 @@ def _read_document(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}") from None
+        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _load(path: str):
@@ -127,31 +103,21 @@ def _load(path: str):
 
 
 def _emit(g, metadata=None):
-    _echo(serialize_algebra(g, metadata), nl=False)
+    sys.stdout.write(serialize_algebra(g, metadata))
 
 
-@click.group(cls=_Group)
-def cli():
-    """Exact construction, validation and classification of Lie
-    superalgebras with three-dimensional simple even part."""
-
-
-@cli.command("validate")
-@click.argument("path")
 def cmd_validate(path):
     """Check every axiom of the document's mode; exit 1 on violations."""
     g, _ = _load(path)
     report = sa.validate(g)
     if report.ok:
-        _echo("valid")
+        print("valid")
         return
     for violation in report.violations:
-        _echo(str(violation))
+        print(violation)
     sys.exit(EXIT_VALIDATION)
 
 
-@cli.command("classify")
-@click.argument("path")
 def cmd_classify(path):
     """Decide case A/B/C and print the verified certificate."""
     g, _ = _load(path)
@@ -175,14 +141,9 @@ def cmd_classify(path):
         doc["reason"] = result.reason
     if result.restricted_note:
         doc["restricted"] = result.restricted_note
-    _echo(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2))
     if result.case == "not_applicable":
         sys.exit(EXIT_NOT_APPLICABLE)
-
-
-@cli.group("construct")
-def construct():
-    """Builders; each prints canonical JSON."""
 
 
 @contextlib.contextmanager
@@ -195,63 +156,41 @@ def _flag_errors():
     except AssembleError:
         raise
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
-@construct.command("osp12")
-@field_option
-def construct_osp12(field_text):
+def construct_osp12(field):
     """The 3|2 orthosymplectic algebra."""
-    field = parse_field_flag(field_text)
     with _flag_errors():
         g = build_osp12(field)
     _emit(g)
 
 
-@construct.command("osp")
-@field_option
-@click.option("--d0", type=click.IntRange(0), required=True, help="Quadratic dimension.")
-@click.option("--d1", type=click.IntRange(0), required=True, help="Symplectic dimension (even).")
-@click.option(
-    "--q-diag",
-    default=None,
-    help="Comma-separated diagonal of the quadratic form (default all ones).",
-)
-def construct_osp(field_text, d0, d1, q_diag):
+def construct_osp(field, d0, d1, q_diag):
     """Orthosymplectic algebra of diag(q) + standard symplectic form."""
-    field = parse_field_flag(field_text)
     entries = [field.one()] * d0
     if q_diag is not None:
         try:
             entries = [field.parse(x) for x in q_diag.split(",")]
         except FieldError as exc:
-            raise click.UsageError(f"bad --q-diag: {exc}") from None
+            raise UsageError(f"bad --q-diag: {exc}") from None
         if len(entries) != d0:
-            raise click.UsageError("--q-diag length must equal --d0")
+            raise UsageError("--q-diag length must equal --d0")
     with _flag_errors():
         omega = BilinearFormPair.standard(field, 0, d1).omega
         g = build_osp(BilinearFormPair(Matrix.diagonal(field, entries), omega), field)
     _emit(g)
 
 
-@construct.command("double")
-@field_option
-def construct_double(field_text):
+def construct_double(field):
     """The double of sl(2): sl2 + (sl2' + centralizer line)."""
-    field = parse_field_flag(field_text)
     with _flag_errors():
         g = build_double(sl2_algebra(field), Matrix.identity(field, 3))
     _emit(g)
 
 
-@construct.command("irrep")
-@field_option
-@click.option("--m", type=int, required=True, help="Highest weight (dim = m+1).")
-@click.option("--alpha", default=None, help="Override alpha (dim = p only).")
-@click.option("--beta", default=None, help="Override beta (dim = p only).")
-def construct_irrep(field_text, m, alpha, beta):
+def construct_irrep(field, m, alpha, beta):
     """sl(2) + V(m, alpha, beta) with zero odd bracket."""
-    field = parse_field_flag(field_text)
     _emit(_sl2_module_algebra(field, m, alpha, beta, ()))
 
 
@@ -266,19 +205,11 @@ def _sl2_module_algebra(field, m, alpha, beta, odd_entries):
         return assemble(sl2_algebra(field), rep, odd_entries)
 
 
-@construct.command("char3")
 def construct_char3():
     """The 3|3 characteristic-3 structure outside the classification."""
     _emit(build_char3_example())
 
 
-@construct.command("char2")
-@click.option(
-    "--literal-elementary-symmetric",
-    is_flag=True,
-    help="Use the elementary-symmetric squaring (fails validation; kept for "
-    "comparison).",
-)
 def construct_char2(literal_elementary_symmetric):
     """The 3|3 characteristic-2 structure with nonzero squaring."""
     if literal_elementary_symmetric:
@@ -296,31 +227,14 @@ def construct_char2(literal_elementary_symmetric):
     _emit(build_char2_example())
 
 
-@construct.command("add-centre")
-@click.argument("path")
-@click.option("--z", type=int, required=True, help="Number of central odd lines.")
 def construct_add_centre(path, z):
     """Append z central odd coordinates to an existing document."""
     g, meta = _load(path)
-    if z < 0:
-        raise click.UsageError("--z must be nonnegative")
     _emit(add_centre(g, z), meta)
 
 
-@construct.command("assemble")
-@field_option
-@click.option("--m", type=int, required=True, help="Highest weight of the module.")
-@click.option("--alpha", default=None)
-@click.option("--beta", default=None)
-@click.option(
-    "--p-file",
-    default=None,
-    help="JSON file holding [[u, v, x, coeff], ...] odd bracket entries "
-    "(default: zero bracket).",
-)
-def construct_assemble(field_text, m, alpha, beta, p_file):
+def construct_assemble(field, m, alpha, beta, p_file):
     """sl(2) + V(m) with a supplied odd bracket, validated on assembly."""
-    field = parse_field_flag(field_text)
     entries = ()
     if p_file is not None:
         try:
@@ -333,8 +247,6 @@ def construct_assemble(field_text, m, alpha, beta, p_file):
     _emit(_sl2_module_algebra(field, m, alpha, beta, entries))
 
 
-@cli.command("pspace")
-@click.argument("path")
 def cmd_pspace(path):
     """Dimension and basis of all odd brackets compatible with the module,
     in the document's axiom mode.
@@ -345,7 +257,7 @@ def cmd_pspace(path):
     space = odd_bracket_space(g)
     fmt = g.field.format
     basis_entries = [[[u, v, y, fmt(c)] for u, v, y, c in space.entries(i)] for i in range(space.dimension)]
-    _echo(json.dumps({"dim": space.dimension, "basis": basis_entries}, indent=2))
+    print(json.dumps({"dim": space.dimension, "basis": basis_entries}, indent=2))
 
 
 class _Refusal(Exception):
@@ -357,8 +269,6 @@ class _Refusal(Exception):
         self.code, self.reason = code, reason
 
 
-@cli.command("decompose")
-@click.argument("path")
 def cmd_decompose(path):
     """Split the document's odd module into irreducible summands.
 
@@ -404,11 +314,9 @@ def cmd_decompose(path):
             for chain, spec in summands
         ],
     }
-    _echo(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2))
 
 
-@cli.command("info")
-@click.argument("path")
 def cmd_info(path):
     """Dimensions, centre, Killing determinant, simplicity flags."""
     g, meta = _load(path)
@@ -433,25 +341,15 @@ def cmd_info(path):
                 pass
     if meta:
         doc["metadata"] = meta
-    _echo(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2))
 
 
-@cli.command("sweep")
-@field_option
-@click.option("--max-odd-dim", type=int, default=6, show_default=True)
-@click.option(
-    "--output",
-    type=click.Choice(["csv", "json"]),
-    default="csv",
-    show_default=True,
-)
-def cmd_sweep(field_text, max_odd_dim, output):
+def cmd_sweep(field, max_odd_dim, output):
     """Solution dimensions over all irreducible-sum modules up to a bound."""
-    field = parse_field_flag(field_text)
     with _flag_errors():
         rows = sweep_irrep_sums(field, max_odd_dim)
     if output == "json":
-        _echo(
+        print(
             json.dumps(
                 [
                     {"p": r.p, "composition": list(r.composition), "dim": r.dimension}
@@ -461,38 +359,132 @@ def cmd_sweep(field_text, max_odd_dim, output):
             )
         )
         return
-    _echo("p,composition,dim")
+    print("p,composition,dim")
     for r in rows:
-        _echo(f"{r.p},{'+'.join(map(str, r.composition))},{r.dimension}")
+        print(f"{r.p},{'+'.join(map(str, r.composition))},{r.dimension}")
+
+
+# --- the parser --------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, and each of its subparsers, whose errors are
+    raised as :class:`UsageError` for :func:`main` to report; ``--help`` is
+    its only help flag, and no option may be abbreviated."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+class _NonNegative(argparse.Action):
+    """An integer flag that must be >= 0, refused while parsing, so before
+    any document is read."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.error(f"Invalid value for '{option_string}': {value} is not in the range x>=0.")
+        setattr(namespace, self.dest, value)
+
+
+def _command(group, name, func, field=False):
+    """The subcommand ``name`` of ``group``, which calls ``func`` with its
+    parsed flags; ``field`` gives it ``--field``."""
+    doc = func.__doc__
+    sub = group.add_parser(name, help=doc.split("\n\n")[0], description=doc)
+    sub.set_defaults(command=func)
+    if field:
+        sub.add_argument(
+            "--field", type=parse_field_flag, default="q",
+            help="Coefficient field: q or fp:<prime> (default: q).",
+        )
+    return sub
+
+
+_PATH_HELP = "A canonical JSON document; - reads stdin."
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The whole command line, built once per process."""
+    top = _Parser(
+        prog="superbracket",
+        description="Exact construction, validation and classification of Lie "
+        "superalgebras with three-dimensional simple even part.",
+    )
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    for name, func in (
+        ("validate", cmd_validate),
+        ("classify", cmd_classify),
+        ("pspace", cmd_pspace),
+        ("decompose", cmd_decompose),
+        ("info", cmd_info),
+    ):
+        _command(commands, name, func).add_argument("path", help=_PATH_HELP)
+
+    construct = commands.add_parser("construct", help="Builders; each prints canonical JSON.")
+    builders = construct.add_subparsers(metavar="BUILDER", required=True)
+    _command(builders, "osp12", construct_osp12, field=True)
+    osp = _command(builders, "osp", construct_osp, field=True)
+    osp.add_argument("--d0", type=int, action=_NonNegative, required=True, help="Quadratic dimension.")
+    osp.add_argument("--d1", type=int, action=_NonNegative, required=True, help="Symplectic dimension (even).")
+    osp.add_argument("--q-diag", help="Comma-separated diagonal of the quadratic form (default all ones).")
+    _command(builders, "double", construct_double, field=True)
+    irrep = _command(builders, "irrep", construct_irrep, field=True)
+    irrep.add_argument("--m", type=int, required=True, help="Highest weight (dim = m+1).")
+    irrep.add_argument("--alpha", help="Override alpha (dim = p only).")
+    irrep.add_argument("--beta", help="Override beta (dim = p only).")
+    _command(builders, "char3", construct_char3)
+    _command(builders, "char2", construct_char2).add_argument(
+        "--literal-elementary-symmetric", action="store_true",
+        help="Use the elementary-symmetric squaring (fails validation; kept for comparison).",
+    )
+    centre = _command(builders, "add-centre", construct_add_centre)
+    centre.add_argument("path", help=_PATH_HELP)
+    centre.add_argument("--z", type=int, action=_NonNegative, required=True, help="Number of central odd lines.")
+    assembled = _command(builders, "assemble", construct_assemble, field=True)
+    assembled.add_argument("--m", type=int, required=True, help="Highest weight of the module.")
+    assembled.add_argument("--alpha")
+    assembled.add_argument("--beta")
+    assembled.add_argument(
+        "--p-file",
+        help="JSON file holding [[u, v, x, coeff], ...] odd bracket entries (default: zero bracket).",
+    )
+
+    sweep = _command(commands, "sweep", cmd_sweep, field=True)
+    sweep.add_argument("--max-odd-dim", type=int, default=6, help="(default: 6)")
+    sweep.add_argument("--output", choices=("csv", "json"), default="csv", help="(default: csv)")
+    return top
 
 
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        _echo(f"usage error: {exc.format_message()}", err=True)
+        args = vars(_parser().parse_args(argv))
+        args.pop("command")(**args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
-    except click.exceptions.Abort:
-        sys.exit(130)
+    except KeyboardInterrupt:
+        sys.exit(EXIT_INTERRUPTED)
     except SchemaError as exc:
-        _echo(f"schema error: {exc}", err=True)
+        print(f"schema error: {exc}", file=sys.stderr)
         sys.exit(EXIT_SCHEMA)
     except NotARepresentation as exc:
         # each pair i < j at which the action fails, as validate names them
         for pair in exc.pairs:
-            _echo(str(sa.Violation("representation", pair)), err=True)
+            print(sa.Violation("representation", pair), file=sys.stderr)
         sys.exit(EXIT_VALIDATION)
     except UnsupportedMode as exc:
-        _echo(f"not applicable: {exc}", err=True)
+        print(f"not applicable: {exc}", file=sys.stderr)
         sys.exit(EXIT_NOT_APPLICABLE)
     except AssembleError as exc:
-        _echo(f"assembly produced an invalid structure:\n{exc}", err=True)
+        print(f"assembly produced an invalid structure:\n{exc}", file=sys.stderr)
         sys.exit(EXIT_VALIDATION)
     except _Refusal as exc:
-        _echo(json.dumps({"error": exc.reason}), err=True)
+        print(json.dumps({"error": exc.reason}), file=sys.stderr)
         sys.exit(exc.code)
     return 0
 

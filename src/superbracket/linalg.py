@@ -367,11 +367,6 @@ class Matrix:
         )
 
     @staticmethod
-    def from_rows(field: Field, vectors: Sequence[Vector]) -> "Matrix":
-        _check_fields(field, vectors)
-        return Matrix._from_raw(field, [v.entries for v in vectors])
-
-    @staticmethod
     def diagonal(field: Field, entries: Iterable) -> "Matrix":
         ent = [field.coerce(x) for x in entries]
         z = field.zero()
@@ -481,9 +476,6 @@ class Matrix:
         for i in range(min(self.rows, self.cols)):
             t = f.add(t, self.data[i][i])
         return Scalar(f, t)
-
-    def commutator(self, o: "Matrix") -> "Matrix":
-        return self @ o - o @ self
 
     # --- elimination-based operations -------------------------------------
 

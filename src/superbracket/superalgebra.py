@@ -590,14 +590,6 @@ class SuperAlgebra:
         form = self._integer_form()
         return self._apply(form.rows("odd bracket"), form.dp, u, v, self.dim_even)
 
-    def square_vec(self, v: Vector) -> Vector:
-        """The squaring map applied to an odd vector (char2 mode only)."""
-        if self._sq is None:
-            raise ShapeError("squaring is only defined in char2 mode")
-        # over F_2 the squaring is its own integer form, and it is stored at
-        # v <= w only, so the bilinear sum over all (v, w) is the quadratic map
-        return self._apply(self._integer_form().rows("squaring"), 1, v, v, self.dim_even)
-
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i) on the even part (columns are [e_i, e_j])."""
         return Matrix._from_raw(self.field, zip(*self.bracket[i]))
@@ -608,10 +600,6 @@ class SuperAlgebra:
             for j in range(self.dim_even)
         ]
         return Matrix.from_columns(self.field, cols)
-
-    def action_matrix(self, i: int) -> Matrix:
-        """Matrix of e_x acting on the odd part (columns are e_x(f_v))."""
-        return Matrix._from_raw(self.field, zip(*self.action[i]))
 
     def even_part(self) -> "SuperAlgebra":
         """The even part as a stand-alone (purely even) algebra."""
@@ -639,33 +627,6 @@ class SuperAlgebra:
 
     def odd_bracket_is_zero(self) -> bool:
         return not self._odd
-
-    def restrict_odd(self, indices: Sequence[int]) -> "SuperAlgebra":
-        """Sub-superalgebra on a coordinate subset of the odd basis, in the
-        order given.
-
-        The chosen odd coordinates must be distinct and closed under the
-        action; otherwise this raises.
-        """
-        idx = list(indices)
-        new = {v: i for i, v in enumerate(idx)}
-        if len(new) != len(idx) or not all(0 <= v < self.dim_odd for v in idx):
-            raise ValueError(f"odd coordinates {idx} are not distinct odd indices")
-        if any(v in new and w not in new for _, v, w in self._act):
-            raise ValueError(f"odd coordinates {idx} are not action-closed")
-        act = {(x, new[v], new[w]): c for (x, v, w), c in self._act.items() if v in new}
-
-        def kept(entries):
-            # a pair u <= v keeps the smaller new index first
-            return {
-                (*sorted((new[u], new[v])), x): c
-                for (u, v, x), c in entries.items()
-                if u in new and v in new
-            }
-
-        sq = None if self._sq is None else kept(self._sq)
-        odd = kept(self._odd)
-        return SuperAlgebra._of(self.field, self.dim_even, len(idx), self.mode, self._even, act, odd, sq)
 
     def _key(self) -> tuple:
         return (self.field, self.mode, self.dim_even, self.dim_odd, self._even, self._act, self._odd, self._sq)

@@ -91,6 +91,36 @@ def module_algebra(field, bracket, mats):
     return sa.SuperAlgebra.from_tensors(field, bracket, action, zero, mode=mode)
 
 
+def action_matrix(g, x):
+    """The matrix of e_x acting on g's odd part: its columns are the
+    images e_x(f_v)."""
+    return Matrix(g.field, [list(row) for row in zip(*g.action[x])])
+
+
+def square_vec(g, v):
+    """The squaring of a char2-mode algebra at the odd vector v: the sum
+    over u <= w of v_u v_w S(u, w), since g.squaring is zero below the
+    diagonal."""
+    return fraction_bilinear(g.field, g.squaring, v, v)
+
+
+def restrict_odd(g, indices):
+    """The sub-superalgebra of g on a subset of its odd coordinates, in
+    the order given, read off g's dense tensors.  The coordinates must be
+    distinct odd indices, closed under the action, or this raises
+    ValueError."""
+    idx = list(indices)
+    if len(set(idx)) != len(idx) or not all(0 <= v < g.dim_odd for v in idx):
+        raise ValueError(f"odd coordinates {idx} are not distinct odd indices")
+    rest = set(range(g.dim_odd)) - set(idx)
+    if any(g.action[x][v][w] for x in range(g.dim_even) for v in idx for w in rest):
+        raise ValueError(f"odd coordinates {idx} are not action-closed")
+    action = [[[plane[v][w] for w in idx] for v in idx] for plane in g.action]
+    odd = [[g.odd_bracket[u][v] for v in idx] for u in idx]
+    sq = None if g.squaring is None else [[g.squaring[min(u, v)][max(u, v)] for v in idx] for u in idx]
+    return sa.SuperAlgebra.from_tensors(g.field, g.bracket, action, odd, mode=g.mode, squaring=sq)
+
+
 def dense_solution_to_algebra(g, space, index):
     """g's dense even bracket and action with the dense basis tensor
     ``index`` of the space as its odd bracket, as solution_to_algebra built
@@ -505,7 +535,7 @@ def dense_representation_failures(field, bracket, mats):
             for k in range(d0):
                 if bracket[i][j][k]:
                     expected = expected + mats[k].scaled(bracket[i][j][k])
-            if mats[i].commutator(mats[j]) != expected:
+            if mats[i] @ mats[j] - mats[j] @ mats[i] != expected:
                 bad.append((i, j))
     return bad
 
@@ -599,7 +629,7 @@ def fraction_validate(g):
                 )
                 if not s.is_zero():
                     bad.append(sa.Violation("even_jacobi", (i, j, k), repr(s)))
-    mats = [g.action_matrix(x) for x in range(d0)]
+    mats = [action_matrix(g, x) for x in range(d0)]
     bad.extend(
         sa.Violation("representation", pair)
         for pair in dense_representation_failures(f, g.bracket, mats)
@@ -640,7 +670,7 @@ def naive_char2_violations(g):
     br, act, ob = raw_maps(g)
 
     def defect(x, sector, y):
-        sq = g.square_vec(x)
+        sq = square_vec(g, x)
         if sector == "even":
             return br(sq, e[y]) - ob(x, act(e[y], x))
         return act(sq, o[y]) - act(ob(x, o[y]), x)
@@ -731,7 +761,7 @@ def fraction_check_morphism(cert):
         if t.mode != "char2":
             return False, "axiom modes differ"
         for v in range(s.dim_odd):
-            if me @ Vector(f, s.squaring[v][v]) != t.square_vec(ocols[v]):
+            if me @ Vector(f, s.squaring[v][v]) != square_vec(t, ocols[v]):
                 return False, f"squaring not preserved at ({v})"
     return True, None
 
@@ -806,7 +836,7 @@ def dense_build_osp(forms, field):
     even, odd = ([matrix(v, parity) for v in bases[parity]] for parity in (0, 1))
     # from_tensors reads the even bracket at j > i and the odd one at j >= i
     bracket = [
-        [coords(a.commutator(b), 0) if j > i else None for j, b in enumerate(even)]
+        [coords(a @ b - b @ a, 0) if j > i else None for j, b in enumerate(even)]
         for i, a in enumerate(even)
     ]
     action = [[coords(a @ o - o @ a, 1) for o in odd] for a in even]

@@ -7,7 +7,7 @@ Every expected value is exact; there are no tolerances anywhere.  Run with
 
 import time
 
-from conftest import random_graded_change
+from conftest import random_graded_change, restrict_odd
 
 from superbracket.classify import classify
 from superbracket.constructions import (
@@ -312,7 +312,7 @@ def test_criterion_6_counterexample_fidelity():
     report = validate(c3)
     if not report.ok:
         failures.append(f"char3 structure rejected: {report}")
-    sub = c3.restrict_odd([0, 1])
+    sub = restrict_odd(c3, [0, 1])
     cert = MorphismCertificate(
         sub,
         build_osp12(GF(3)),

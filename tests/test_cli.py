@@ -213,6 +213,82 @@ def test_bad_construct_flags_are_usage_errors():
         assert res.stderr == f"usage error: {message}\n", args
 
 
+def call_main(argv):
+    """(exit code, stdout, stderr) of one in-process ``cli.main`` call."""
+    from superbracket import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["construct"],
+        ["frobnicate", "-"],
+        ["validate", "-", "--mode", "standard"],
+        ["-h"],
+        ["validate", "-h"],
+        ["sweep", "--max", "4"],
+        ["sweep", "--max-odd-dim", "x"],
+        ["construct", "irrep", "--m", "x"],
+        ["construct", "add-centre", "-", "--z", "x"],
+        ["sweep", "--output", "xml"],
+        ["validate"],
+        ["construct", "osp", "--d0", "1"],
+        ["validate", "a.json", "b.json"],
+    ],
+    ids=[
+        "no-command", "no-builder", "unknown-command", "unknown-option", "-h",
+        "command-h", "abbreviated", "max-odd-dim-not-int", "m-not-int",
+        "z-not-int", "not-a-choice", "no-path", "missing-d1", "extra-path",
+    ],
+)
+def test_malformed_command_lines_are_usage_errors(argv):
+    # refused while parsing: no document is read, nothing is printed
+    code, out, err = call_main(argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_negative_z_is_refused_before_the_document_is_read():
+    # as --d0 and --d1 are: the malformed document on stdin is never parsed
+    res = run_cli("construct", "add-centre", "-", "--z", "-1", stdin="{")
+    assert (res.returncode, res.stdout) == (64, "")
+    assert res.stderr == "usage error: Invalid value for '--z': -1 is not in the range x>=0.\n"
+
+
+COMMANDS = ["validate", "classify", "pspace", "decompose", "info", "sweep", "construct"]
+BUILDERS = ["osp12", "osp", "double", "irrep", "char3", "char2", "add-centre", "assemble"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"]] + [[c, "--help"] for c in COMMANDS] + [["construct", b, "--help"] for b in BUILDERS],
+    ids=lambda argv: " ".join(argv[:-1]) or "top",
+)
+def test_help_goes_to_stdout_and_exits_0(argv):
+    code, out, err = call_main(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: superbracket " + " ".join(argv[:-1]))
+
+
+def test_interrupt_inside_a_command_exits_130(monkeypatch):
+    from superbracket import cli
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "sweep_irrep_sums", interrupted)
+    assert call_main(["sweep", "--field", "fp:5"])[0] == 130
+
+
 def test_decompose_pipe():
     built = run_cli("construct", "irrep", "--m", "2", "--field", "q")
     out = run_cli("decompose", "-", stdin=built.stdout)
@@ -405,9 +481,9 @@ def test_classify_preserves_metadata_free_round_trip():
 
 
 def test_in_process_calls_release_captured_streams(tmp_path):
-    # click.echo's default stream is cached in a WeakKeyDictionary whose
-    # value for a StringIO is the StringIO itself, so a captured stream
-    # written through that default, as click's own --help is, would never die
+    # every write, --help included, goes to the stream current at the call,
+    # and no reference to it is kept: a front end that cached its output
+    # stream per captured StringIO would keep each one alive
     from superbracket import cli
 
     bad = tmp_path / "bad.json"

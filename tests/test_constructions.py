@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import action_matrix, restrict_odd, square_vec
 
 from superbracket.constructions import (
     AssembleError,
@@ -175,7 +176,7 @@ def test_double_shape_and_rules():
     assert (dbl.dim_even, dbl.dim_odd) == (3, 4)
     # {x, f} = 0 for the centralizer line
     for x in range(3):
-        col = dbl.action_matrix(x).column(3)
+        col = action_matrix(dbl, x).column(3)
         assert col.is_zero()
     # {v, w} = 0 inside the copy of the even part
     for u in range(3):
@@ -299,15 +300,15 @@ def test_assemble_surfaces_validation_report():
 def test_char3_example_matrices_and_validity():
     g = build_char3_example()
     assert g.mode == "char3" and (g.dim_even, g.dim_odd) == (3, 3)
-    assert g.action_matrix(1) == Matrix.diagonal(F3, [1, -1, 0])  # rho(H)
-    assert g.action_matrix(0) == Matrix(F3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert g.action_matrix(2) == Matrix(F3, [[0, 0, 1], [1, 0, 0], [0, 0, 0]])
+    assert action_matrix(g, 1) == Matrix.diagonal(F3, [1, -1, 0])  # rho(H)
+    assert action_matrix(g, 0) == Matrix(F3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert action_matrix(g, 2) == Matrix(F3, [[0, 0, 1], [1, 0, 0], [0, 0, 0]])
     assert validate(g).ok
 
 
 def test_char3_restriction_is_osp12():
     g = build_char3_example()
-    sub = g.restrict_odd([0, 1])
+    sub = restrict_odd(g, [0, 1])
     assert validate(sub).ok
     target = build_osp12(F3)
     cert = MorphismCertificate(
@@ -322,11 +323,11 @@ def test_char3_restriction_is_osp12():
 def test_char3_restriction_requires_closure():
     g = build_char3_example()
     with pytest.raises(ValueError):
-        g.restrict_odd([0, 2])  # E moves v to e1, outside the subset
+        restrict_odd(g, [0, 2])  # E moves v to e1, outside the subset
     # a subset names each odd coordinate once, and only those of g
     for indices in ([0, 0], [0, 1, 3], [-1]):
         with pytest.raises(ValueError, match="not distinct odd indices"):
-            g.restrict_odd(indices)
+            restrict_odd(g, indices)
 
 
 def test_char2_example_squaring():
@@ -334,8 +335,8 @@ def test_char2_example_squaring():
     assert g.mode == "char2"
     # (pE)^2 = 0, (pE + pF)^2 = H, polarization {pE, pF} = H
     f2 = g.field
-    assert g.square_vec(Vector.unit(f2, 3, 0)).is_zero()
-    assert g.square_vec(Vector(f2, [1, 0, 1])) == Vector.unit(f2, 3, 1)
+    assert square_vec(g, Vector.unit(f2, 3, 0)).is_zero()
+    assert square_vec(g, Vector(f2, [1, 0, 1])) == Vector.unit(f2, 3, 1)
     assert g.odd_bracket[0][2] == (0, 1, 0)
     assert g.odd_bracket[0][0] == (0, 0, 0)
     assert validate(g).ok

@@ -9,6 +9,7 @@ from math import lcm
 
 import pytest
 from conftest import (
+    action_matrix,
     collect,
     dense_representation_failures,
     fraction_bilinear,
@@ -651,7 +652,7 @@ def test_packed_representation_check_at_the_largest_numerators(rng):
         ecols, act = _columns(form.bracket, 3, 3, QQ.neg), _columns(form.action, 3, d1)
         assert all(type(c) is int for plane in act for col in plane for _, c in col)
         got = representation_failures(QQ, ecols, act)
-        mats = [h.action_matrix(x) for x in range(3)]
+        mats = [action_matrix(h, x) for x in range(3)]
         assert got == dense_representation_failures(QQ, h.bracket, mats)
         outcomes.append(bool(got))
     assert outcomes == [False, True, True]
@@ -688,7 +689,7 @@ def test_packed_representation_bound_is_reached(monkeypatch):
     monkeypatch.setattr(sa, "_slot_width", lambda bound, p: bounds.append(bound) or real(bound, p))
     rho = [Matrix(QQ, [[1, 1], [0, -1]]), Matrix(QQ, [[-1, 1], [0, 1]])]
     bracket = [[[0, 0], [-1, -1]], [[1, 1], [0, 0]]]  # [e_0, e_1] = -e_0 - e_1
-    residual = rho[0].commutator(rho[1]) + rho[0] + rho[1]
+    residual = rho[0] @ rho[1] - rho[1] @ rho[0] + rho[0] + rho[1]
     assert residual.data[0][1] == 6
     got, expected = packed_and_dense(QQ, bracket, rho)
     assert got == expected == [(0, 1)] and bounds == [6]

@@ -545,7 +545,6 @@ def test_results_hold_raw_entries(field, data):
         Matrix.identity(field, n),
         Matrix.zero(field, n, n + 1),
         Matrix.from_columns(field, [v, w]),
-        Matrix.from_rows(field, [v, w]),
         Matrix.diagonal(field, list(range(-1, n - 1))),
         a + b,
         a - b,
@@ -577,8 +576,6 @@ def test_constructors_reject_mixed_fields():
     q = Vector(QQ, [1, 2])
     with pytest.raises(FieldError):
         Matrix.from_columns(F5, [q])
-    with pytest.raises(FieldError):
-        Matrix.from_rows(F5, [q])
     with pytest.raises(FieldError):
         Matrix.identity(F5, 2) @ q
 

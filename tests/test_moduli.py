@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    action_matrix,
     collected_rows,
     columns,
     dense_kernel,
@@ -797,7 +798,7 @@ def test_char3_example_matches_naive_oracle():
     from superbracket.constructions import build_char3_example
 
     g = build_char3_example()
-    mats = [g.action_matrix(i) for i in range(g.dim_even)]
+    mats = [action_matrix(g, i) for i in range(g.dim_even)]
     space = odd_bracket_space(g)
     assert space.dimension
     assert flatten(space) == naive_space(g.field, g.bracket, mats, mode="char3")

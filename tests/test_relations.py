@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from conftest import (
+    action_matrix,
     bumped,
     coprime_bracket_algebra,
     dense_representation_failures,
@@ -134,7 +135,7 @@ def naive_violations(g):
         ).is_zero()
     }
     out += [("even_jacobi", t) for t in sorted(jacobi)]
-    mats = [g.action_matrix(x) for x in range(d0)]
+    mats = [action_matrix(g, x) for x in range(d0)]
     out += [("representation", t) for t in dense_representation_failures(f, g.bracket, mats)]
     if g.mode == "char2":
         return out + naive_char2_violations(g)

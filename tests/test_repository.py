@@ -1,11 +1,14 @@
 """Repository hygiene: no file that .gitignore excludes is tracked, so
 generated artifacts cannot go stale in version control, the package
-computes without floating point, no module imports a name it never
-uses, and every module-level name is referenced."""
+needs nothing outside the standard library, computes without floating
+point, imports no name it never uses, and references every module-level
+name."""
 
 import ast
+import re
 import shutil
 import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +32,28 @@ def test_no_ignored_file_is_tracked():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == "", f"tracked but ignored:\n{listed.stdout}"
+
+
+def test_package_needs_only_the_standard_library():
+    # the installed script runs where no third-party package is installed
+    bad = []
+    for path in sorted((ROOT / "src" / "superbracket").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            bad += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not bad, "imports outside the standard library:\n" + "\n".join(bad)
+    project = (ROOT / "pyproject.toml").read_text().split("[project]", 1)[1].split("\n[", 1)[0]
+    declared = re.search(r"^dependencies\s*=\s*\[([^\]]*)\]", project, re.M)
+    assert declared is None or declared.group(1).strip() == "", declared.group(0)
 
 
 # the integer functions of math; every other one computes in floating point
@@ -108,8 +133,7 @@ def _referenced(top) -> set:
 def test_package_defines_no_unreferenced_name():
     # every module-level function, class or constant is referenced somewhere
     # in the package outside its own definition; dunders, decorated
-    # functions (the click commands) and the names in a module's __all__
-    # are entry points and exempt
+    # definitions and the names in a module's __all__ are exempt
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted((ROOT / "src" / "superbracket").glob("*.py"))

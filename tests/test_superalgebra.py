@@ -3,7 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import dense_from_entries, dense_integer_form, dense_serialization, module_algebra, random_invertible
+from conftest import (
+    action_matrix,
+    dense_from_entries,
+    dense_integer_form,
+    dense_serialization,
+    module_algebra,
+    random_invertible,
+    restrict_odd,
+    square_vec,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -231,8 +240,8 @@ def test_char2_odd_bracket_must_polarize_the_squaring():
     # the derived constructors keep it, also on an unsorted coordinate subset
     e = Matrix.identity(F2, 3)
     m = Matrix(F2, [[int(i + j == d1 - 1) for j in range(d1)] for i in range(d1)])
-    assert g.restrict_odd(range(d1 - 1, -1, -1)) == g.conjugated(e, m)
-    assert g.conjugated(e, m).square_vec(Vector(F2, [0, 1, 0, 1])) == Vector.unit(F2, 3, 1)
+    assert restrict_odd(g, range(d1 - 1, -1, -1)) == g.conjugated(e, m)
+    assert square_vec(g.conjugated(e, m), Vector(F2, [0, 1, 0, 1])) == Vector.unit(F2, 3, 1)
 
 
 def test_char2_squaring_below_the_diagonal_is_refused(rng):
@@ -256,7 +265,7 @@ def test_char2_squaring_below_the_diagonal_is_refused(rng):
         ),
         SuperAlgebra.from_tensors(F2, g.bracket, g.action, g.odd_bracket, mode="char2", squaring=symmetric),
         h,
-        h.restrict_odd(range(h.dim_odd - 1, -1, -1)),
+        restrict_odd(h, range(h.dim_odd - 1, -1, -1)),
         h.conjugated(random_invertible(F2, 3, rng), random_invertible(F2, h.dim_odd, rng)),
     ]
     assert all(validate(a).ok for a in built)
@@ -302,7 +311,7 @@ def test_char2_conjugation_and_squaring_are_pinned():
         invalid += not validate(g).ok
         for _ in range(5):
             v = Vector(g.field, [rng.randrange(2) for _ in range(g.dim_odd)])
-            squares.update(repr(g.square_vec(v)).encode())
+            squares.update(repr(square_vec(g, v)).encode())
     assert algebras.hexdigest() == "0794ea1dec9628bb53e2366d195f8184c02b4873457274926f45541196944d4f"
     assert squares.hexdigest() == "c23d95deba601b6908aea4326c12ee32ffef5678abd339d96ccdf10d4ac0debd"
     assert 0 < invalid < 200
@@ -500,7 +509,7 @@ def test_nonzero_self_span_confines_action(rng):
             w = [Vector.unit(F5, g.dim_odd, i) for i in range(dims[0])]
             if p_span(g, w, w):
                 for x in range(3):
-                    mat = g.action_matrix(x)
+                    mat = action_matrix(g, x)
                     for col in mat.columns():
                         coords = [col.entries[i] for i in range(dims[0], g.dim_odd)]
                         assert not any(coords)

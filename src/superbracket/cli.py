@@ -13,7 +13,8 @@ option may be abbreviated.
 
 Exit codes: 0 success (classification cases A/B/C), 1 validation failure
 (also ``pspace`` and ``decompose`` on an action that is not a
-representation), 2 not applicable (classification, ``pspace`` on a char2
+representation, and any command whose reader closes stdout before all is
+printed), 2 not applicable (classification, ``pspace`` on a char2
 document, ``decompose`` on an even part that is not 3-dimensional), 3
 undetermined (``decompose``'s triple search), 64 usage error (argparse's
 wording for a malformed command line), 65 schema error, 130 interrupted.
@@ -29,6 +30,8 @@ import argparse
 import contextlib
 import functools
 import json
+import os
+import re
 import sys
 
 from . import superalgebra as sa
@@ -71,6 +74,7 @@ EXIT_UNDETERMINED = 3
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 1
 
 
 class UsageError(Exception):
@@ -126,16 +130,10 @@ def cmd_classify(path):
     if result.centre_dim is not None:
         doc["centre_dim"] = result.centre_dim
     if result.certificate is not None:
-        field = g.field
+        fmt, cert = g.field.format, result.certificate
         doc["certificate"] = {
-            "even": [
-                [field.format(x) for x in row]
-                for row in result.certificate.m_even.data
-            ],
-            "odd": [
-                [field.format(x) for x in row]
-                for row in result.certificate.m_odd.data
-            ],
+            "even": [[fmt(x) for x in row] for row in cert.m_even.data],
+            "odd": [[fmt(x) for x in row] for row in cert.m_odd.data],
         }
     if result.reason:
         doc["reason"] = result.reason
@@ -349,15 +347,8 @@ def cmd_sweep(field, max_odd_dim, output):
     with _flag_errors():
         rows = sweep_irrep_sums(field, max_odd_dim)
     if output == "json":
-        print(
-            json.dumps(
-                [
-                    {"p": r.p, "composition": list(r.composition), "dim": r.dimension}
-                    for r in rows
-                ],
-                indent=2,
-            )
-        )
+        doc = [{"p": r.p, "composition": list(r.composition), "dim": r.dimension} for r in rows]
+        print(json.dumps(doc, indent=2))
         return
     print("p,composition,dim")
     for r in rows:
@@ -370,10 +361,13 @@ def cmd_sweep(field, max_odd_dim, output):
 class _Parser(argparse.ArgumentParser):
     """An argparse parser, and each of its subparsers, whose errors are
     raised as :class:`UsageError` for :func:`main` to report; ``--help`` is
-    its only help flag, and no option may be abbreviated."""
+    its only help flag, and no option may be abbreviated.  A token that
+    starts with "-" and a digit, such as ``-1,1`` or ``-1/2``, is a value,
+    since no option starts with a digit."""
 
     def __init__(self, **kwargs):
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
     def error(self, message):
@@ -462,8 +456,15 @@ def _parser() -> _Parser:
 
 def main(argv=None):
     try:
-        args = vars(_parser().parse_args(argv))
-        args.pop("command")(**args)
+        try:
+            args = vars(_parser().parse_args(argv))
+            args.pop("command")(**args)
+        finally:
+            sys.stdout.flush()  # a reader that left early fails here, not at exit
+    except BrokenPipeError:
+        # nothing more can be printed: send what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         sys.exit(EXIT_USAGE)

@@ -4,6 +4,7 @@ streams of in-process ``cli.main`` calls."""
 import ast
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -262,6 +263,63 @@ def test_negative_z_is_refused_before_the_document_is_read():
     res = run_cli("construct", "add-centre", "-", "--z", "-1", stdin="{")
     assert (res.returncode, res.stdout) == (64, "")
     assert res.stderr == "usage error: Invalid value for '--z': -1 is not in the range x>=0.\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["osp", "--d0", "2", "--d1", "2", "--q-diag", "-1,1"], 0,
+         "6e944a6925ea25f4d4812c44b60213484f0372073390b6f9b67f73521ee4805f"),
+        (["osp", "--d0", "2", "--d1", "2", "--q-diag", "-1,-1"], 0,
+         "520d2b1771dfc5d2a4a64bbb784ef8b49d581b918b920c043dfa4bde0ca49f2d"),
+        (["irrep", "--m", "4", "--alpha", "-1", "--beta", "-2", "--field", "fp:5"], 0,
+         "5e16ce9ab5f326dd4c019ea14fec3d0a55fdd528883dc03bbaf211028d3b814e"),
+        (["assemble", "--m", "4", "--alpha", "-2", "--beta", "-1", "--field", "fp:5"], 0,
+         "15c47c5dca8936529de55deb84f5b611617bd831a01f1326e0ab299e1f2c86b4"),
+        (["irrep", "--m", "4", "--alpha", "-1/2"], 64, "characteristic zero forces alpha = m"),
+        (["assemble", "--m", "4", "--beta", "-1/2", "--field", "fp:5"], 64,
+         "bad scalar '-1/2': fraction syntax invalid over F_5"),
+    ],
+    ids=["q-diag-minus-first", "q-diag-all-minus", "irrep-alpha-beta", "assemble-alpha-beta",
+         "alpha-fraction", "beta-fraction"],
+)
+def test_a_value_that_starts_with_minus_and_a_digit_is_a_value(argv, code, digest):
+    # it reaches the builder, which prints the pinned bytes or refuses the value
+    # itself; it is never read as an unknown option
+    got, out, err = call_main(["construct", *argv])
+    if code == 0:
+        assert (got, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", digest)
+    else:
+        assert (got, out, err) == (code, "", f"usage error: {digest}\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command, read", [("classify", 10), ("sweep", 0)])
+def test_a_reader_that_leaves_early_ends_in_exit_1_without_a_traceback(buffered, command, read, tmp_path):
+    # classify prints a 600 kB certificate, more than a pipe holds, and its
+    # reader leaves after 10 bytes; sweep's reader leaves before anything is
+    # printed, so a buffered sweep meets the closed pipe only at its flush
+    from superbracket.constructions import add_centre, build_osp12
+    from superbracket.fields import Field
+    from superbracket.schema import serialize_algebra
+
+    doc = tmp_path / "centred.json"
+    doc.write_text(serialize_algebra(add_centre(build_osp12(Field.rationals()), 200)))
+    argv = {"classify": [str(doc)], "sweep": ["--field", "fp:7", "--max-odd-dim", "8"]}[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superbracket.cli", command, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 COMMANDS = ["validate", "classify", "pspace", "decompose", "info", "sweep", "construct"]

@@ -361,17 +361,26 @@ def cmd_sweep(field, max_odd_dim, output):
 class _Parser(argparse.ArgumentParser):
     """An argparse parser, and each of its subparsers, whose errors are
     raised as :class:`UsageError` for :func:`main` to report; ``--help`` is
-    its only help flag, and no option may be abbreviated.  A token that
-    starts with "-" and a digit, such as ``-1,1`` or ``-1/2``, is a value,
-    since no option starts with a digit."""
+    its only help flag (``-h`` is refused as unrecognized), and no option may
+    be abbreviated.  A token that starts with "-" and a digit, such as
+    ``-1,1`` or ``-1/2``, is a value, since no option starts with a digit."""
 
     def __init__(self, **kwargs):
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"-\d")
         self.add_argument("--help", action="help", help="Show this message and exit.")
+        # refused as soon as it is read, before any required argument is missed
+        self.add_argument("-h", nargs=0, action=_Unrecognized, dest=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     def error(self, message):
         raise UsageError(message)
+
+
+class _Unrecognized(argparse.Action):
+    """A flag that is reported as unrecognized."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"unrecognized arguments: {option_string}")
 
 
 class _NonNegative(argparse.Action):

@@ -71,11 +71,11 @@ its dense tensors only when they are asked for: the abelian 3|100
 document has 15,150 free unknowns, whose basis is 15,150 vectors of one
 entry.  In a dense basis the action is one block and no e_x is diagonal:
 nothing is killed first, and relation 2 is collected at every x.
-For the 124 systems of the benchmark sweep (F_5 and F_7 up to odd
-dimension 8, where H is diagonal) the blocks and the weights kill 8,105
-of the 8,967 unknowns (the blocks all of them in 16 systems); the solver
-collects 1,984 of the 8,967 relation-2 instances and 1,446 of the 7,682
-relation-1 instances, and hands the eliminator 294 rows on 132 unknowns.
+For the 41 systems of the benchmark sweep (F_5 and F_7 up to odd
+dimension 8, where H is diagonal) the blocks and the weights kill 1,908
+of the 2,157 unknowns; the solver collects 618 of the 2,157 relation-2
+instances and 702 of the 1,984 relation-1 instances, and hands the
+eliminator 38 rows on 18 unknowns.
 The eliminator still peels forced columns before it pivots, as
 structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO
 1990).  The rows reach it in the generator's order, relation 1 first,
@@ -84,34 +84,29 @@ weights settle no row, so they leave that order as it was.  A naive
 all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in
 the test suite as an oracle for this deduplication.
 
-:func:`sweep_irrep_sums` solves one system per direct sum of irreducibles.
-It checks each summand once and builds each system from the summands'
-shifted columns and blocks: the action of a direct sum is block-diagonal,
-so the sum is a representation iff every summand is, its blocks are the
-summands' blocks shifted by their offsets, and a block's faithfulness is
-its own, so every kill, row and kernel is the one that
-:func:`odd_bracket_space` finds on the assembled algebra.  Both hand the
-module's facts to one per-system solve, :func:`_solve`.
-The systems are independent, so the sweep splits them in two, with one forked
-worker at most (:func:`_solve_split`): a bare ``os.fork`` and a pipe
-(starting a ``multiprocessing`` pool takes tens of milliseconds, as much as
-the split saves).  The worker solves the odd-indexed compositions, the
-parent the even-indexed ones, and the parent merges the dimensions by
-index; if the worker fails or is killed, the parent solves its share too.
-Every system goes through the same :func:`_solve` either way, so the rows
-are identical.  The sweep stays in one process where
-``os.fork`` is missing, where another thread runs (a forked child inherits
-its locks held), where only one CPU is usable, and where the sweep holds
-too few unknowns to pay for a fork.
+:func:`sweep_irrep_sums` finds the dimension for every direct sum
+M = V_1 + ... + V_r of irreducibles, solving only the sums of one or two.
+Split the bracket into blocks B_ij on V_i x V_j.  The action is
+block-diagonal, so relation 2 at (x, V_i, V_j) holds only B_ij; relation 1
+at (V_i, V_j, V_k), k a third summand, says B_ij acts as zero on V_k; and
+at (V_i, V_i, V_j) its V_i part holds only B_ij and its V_j part says B_ii
+acts as zero on V_j.  A faithful V_k kills those blocks, and one that acts
+as zero imposes nothing; every summand must be one or the other.  So with
+s(d) the dimension for (d,), and x(a, b) = dim(a, b) - [V_b acts as
+zero] s(a) - [V_a acts as zero] s(b),
+
+    dim(M) = sum_i [no other V faithful] s(d_i)
+           + sum_{i<j} [no V but V_i, V_j faithful] x(d_i, d_j).
+
+Each of those small systems is built from its summands' facts, checked
+once and shifted by their offsets, and goes through :func:`_solve`, as
+:func:`odd_bracket_space` on the assembled algebra would.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
-import signal
-import threading
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .fields import Field
@@ -495,75 +490,24 @@ def _partitions_desc(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-# The least work, in unknowns, for which the sweep forks a worker.  Measured
-# on a shared 2-vCPU Xeon (Python 3.11.7), median of 15-25 alternating runs:
-# a worker lost 47 of 50 runs at 540 unknowns (F_5 or F_7 up to odd
-# dimension 5) and won 47 of 50 at 1,170-1,233 (up to 6, the next size).
-_SPLIT_UNKNOWNS = 700
-
-
-def _splits(jobs: int, work: int) -> bool:
-    """Whether ``jobs`` jobs of ``work`` units in all are split in two: at
-    least two jobs and ``_SPLIT_UNKNOWNS`` units, ``os.fork`` there, no
-    other thread (a forked child inherits its locks held), and more than
-    one CPU usable."""
-    if jobs < 2 or work < _SPLIT_UNKNOWNS or not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # not on every platform
-        return (os.cpu_count() or 1) > 1
-
-
-def _solve_split(solve, jobs: list, work: int) -> list:
-    """``[solve(job) for job in jobs]``, with one forked worker where
-    :func:`_splits`: it solves ``jobs[1::2]``, writes their ``marshal``
-    bytes (ints) to a pipe, or nothing if anything fails, and leaves by
-    ``os._exit``, so nothing of the parent's runs twice.  The parent solves
-    ``jobs[::2]``, and ``jobs[1::2]`` too if the reply is missing or short,
-    so a failure is raised here with its own traceback.  The worker is
-    reaped before this returns, killed first if the parent fails."""
-    if not _splits(len(jobs), work):
-        return [solve(job) for job in jobs]
-    r, w = os.pipe()
-    with open(r, "rb") as reply, open(w, "wb") as out:
-        pid = os.fork()
-        if pid == 0:  # the worker
-            try:
-                out.write(marshal.dumps([solve(job) for job in jobs[1::2]]))
-                out.flush()
-            finally:
-                os._exit(0)
-        try:
-            out.close()  # only the worker writes; EOF once it is done
-            results = [None] * len(jobs)
-            results[::2] = [solve(job) for job in jobs[::2]]
-            try:
-                share = marshal.loads(reply.read())
-            except EOFError:  # no reply, or a cut one
-                share = []
-            results[1::2] = share if len(share) == len(jobs) // 2 else [solve(job) for job in jobs[1::2]]
-            return results
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            os.waitpid(pid, 0)
-
-
 def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     """Solution dimension for every direct sum of standard-parameter
     irreducibles (alpha = m, beta = 0, dimension <= p) with total dimension
-    up to max_odd_dim, over F_5 or F_7.  Each irreducible is checked once,
-    and each direct sum's system is built from its summands' shifted
-    facts; the systems are split in two, with one forked worker at most
-    (:func:`_solve_split`), with the same rows."""
+    up to max_odd_dim, over F_5 or F_7 (:func:`_sweep`)."""
     if field.kind != "prime" or field.p not in (5, 7):
         raise ValueError("the sweep is budgeted for F_5 and F_7")
     if max_odd_dim > 8:
         raise ValueError("the sweep is budgeted for odd dimension <= 8")
     if max_odd_dim < 1:
         raise ValueError("the sweep needs odd dimension >= 1")
+    return _sweep(field, max_odd_dim)
+
+
+def _sweep(field: Field, max_odd_dim: int) -> list[SweepRow]:
+    """The rows of :func:`sweep_irrep_sums` over any F_p, without its
+    budget: each irreducible is checked once, each composition of one or two
+    summands is solved, and every other row is a sum of those (module
+    docstring)."""
     from .constructions import sl2_algebra
 
     even = sl2_algebra(field)
@@ -571,8 +515,8 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
     ecols, _ = _even_system(even)
     # each irreducible's facts, as odd_bracket_space reads them: its action
     # columns, checked to be a representation, its blocks and its faithful
-    # blocks
-    summands = {}
+    # blocks; and whether it is faithful, else it must act as zero
+    summands, is_faithful = {}, {}
     for d in range(1, min(field.p, max_odd_dim) + 1):
         entries = build_irrep(IrrepSpec.standard_params(field, d - 1), field).entries
         _, act = _even_system(SuperAlgebra._of(field, d0, d, even.mode, even._even, entries, {}))
@@ -580,14 +524,12 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
         if failures:
             raise NotARepresentation(failures)
         block = _blocks(act, d)
-        summands[d] = act, block, [k for k, ws in _members(block).items() if _faithful(field, act, ws)]
-    comps = [
-        comp
-        for total in range(1, max_odd_dim + 1)
-        for comp in _partitions_desc(total, field.p)
-    ]
+        fth = [k for k, ws in _members(block).items() if _faithful(field, act, ws)]
+        if not fth and any(col for plane in act for col in plane):
+            raise ValueError(f"the summand of dimension {d} acts neither faithfully nor as zero")
+        summands[d], is_faithful[d] = (act, block, fth), bool(fth)
 
-    def dimension(comp):
+    def solve(comp):
         # the direct sum's facts: each summand's, shifted by its offset.  The
         # action is block-diagonal, so the sum is a representation, its
         # blocks are the summands' and a block's faithfulness is its own
@@ -601,6 +543,20 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
             offset += d
         return _solve(field, even.mode, ecols, act, block, faithful).dimension
 
-    unknowns = sum(d0 * sum(c) * (sum(c) + 1) // 2 for c in comps)
-    dims = _solve_split(dimension, comps, unknowns)
-    return [SweepRow(field.p, comp, dim) for comp, dim in zip(comps, dims)]
+    s, x, rows = {}, {}, []  # s[d] and x[a, b] of the module docstring
+    for total in range(1, max_odd_dim + 1):
+        for comp in _partitions_desc(total, field.p):
+            if len(comp) == 1:
+                dim = s[total] = solve(comp)
+            elif len(comp) == 2:
+                a, b = comp
+                dim = solve(comp)
+                x[comp] = dim - (not is_faithful[b]) * s[a] - (not is_faithful[a]) * s[b]
+            else:
+                # a term counts only where no summand outside it is faithful
+                n = sum(is_faithful[d] for d in comp)
+                dim = sum(s[d] for d in comp if n == is_faithful[d]) + sum(
+                    x[a, b] for a, b in combinations(comp, 2) if n == is_faithful[a] + is_faithful[b]
+                )
+            rows.append(SweepRow(field.p, comp, dim))
+    return rows

@@ -258,6 +258,17 @@ def test_malformed_command_lines_are_usage_errors(argv):
     assert err.startswith("usage error: ") and err.endswith("\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["validate", "-h"], ["validate", "-", "-h"], ["-h", "validate"], ["construct", "osp", "-h"]],
+    ids=["top", "command", "command-with-path", "before-command", "builder"],
+)
+def test_h_is_reported_as_unrecognized_before_missing_arguments(argv):
+    # only --help gives help; -h is refused as soon as it is read, so the
+    # message names it, not a required argument that is missing after it
+    assert call_main(argv) == (64, "", "usage error: unrecognized arguments: -h\n")
+
+
 def test_negative_z_is_refused_before_the_document_is_read():
     # as --d0 and --d1 are: the malformed document on stdin is never parsed
     res = run_cli("construct", "add-centre", "-", "--z", "-1", stdin="{")

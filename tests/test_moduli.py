@@ -1,8 +1,6 @@
 import hashlib
 import os
 import random
-import threading
-import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
@@ -961,17 +959,6 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set how many CPUs the sweep may use, whatever the host has."""
-
-    def use(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-    return use
-
-
 def forbid_fork(monkeypatch):
     def fork():
         raise AssertionError("the sweep forked")
@@ -979,56 +966,30 @@ def forbid_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-def count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def test_sweep_split_in_two_gives_the_pinned_rows_and_reaps_its_worker(cpus, monkeypatch):
-    cpus(2)
-    forks = count_forks(monkeypatch)
-    solved = []  # the worker appends to its own copy
+def count_solves(monkeypatch):
+    """Record the arguments of every ``moduli._solve`` call."""
+    systems = []
     real = moduli._solve
 
-    def counted(*system):
-        solved.append(None)
+    def recorded(*system):
+        systems.append(system)
         return real(*system)
 
-    monkeypatch.setattr(moduli, "_solve", counted)
-    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
-    assert len(forks) == 2  # one worker for each of F_5 and F_7
-    # the caller solves only its own share: 30 of F_5's 59 systems and 33
-    # of F_7's 65, and takes the rest from the worker's reply
-    assert len(solved) == 30 + 33
-    assert_no_child_process()
+    monkeypatch.setattr(moduli, "_solve", recorded)
+    return systems
 
 
-def test_sweep_on_eight_cpus_still_forks_one_worker_per_call(cpus, monkeypatch):
-    cpus(8)
-    forks = count_forks(monkeypatch)
-    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
-    assert len(forks) == 2
-    assert_no_child_process()
-
-
-def test_sweep_on_one_cpu_is_serial_and_pinned(cpus, monkeypatch):
-    cpus(1)
+def test_benchmark_sweep_solves_41_systems_without_a_fork(monkeypatch):
+    # the one- and two-summand compositions: 18 of F_5's 59 and 23 of F_7's 65
     forbid_fork(monkeypatch)
+    systems = count_solves(monkeypatch)
     assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+    assert len(systems) == 18 + 23
 
 
-def test_sweep_builds_no_direct_sum(cpus, monkeypatch):
+def test_sweep_builds_no_direct_sum(monkeypatch):
     # each composition's columns are its summands' columns, shifted by
     # their offsets: no dense direct-sum matrix is built
-    cpus(1)
-
     def direct_sum(parts):
         raise AssertionError("the sweep built a direct sum")
 
@@ -1036,27 +997,9 @@ def test_sweep_builds_no_direct_sum(cpus, monkeypatch):
     assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
 
 
-def test_sweep_beside_another_thread_does_not_fork(cpus, monkeypatch):
-    cpus(2)
-    forbid_fork(monkeypatch)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(60,))
-    other.start()
-    try:
-        assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
-    finally:
-        release.set()
-        other.join(timeout=60)
-    assert not other.is_alive()
-
-
-@pytest.mark.parametrize("dim", [1, 2], ids=["in-caller", "in-worker"])
-def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim):
-    # F_5 up to 8 in two processes: the caller solves the even-indexed
-    # compositions, (1,) among them, and the worker the odd-indexed ones,
-    # (2,) among them; the patch is inherited by the fork.  A worker that
-    # fails writes no reply, and the caller's own solve of its share raises
-    cpus(2)
+@pytest.mark.parametrize("dim", [1], ids=["in-caller"])
+def test_sweep_failure_is_raised_in_the_caller_and_reaps(monkeypatch, dim):
+    # a failing solve of (1,) is raised as it is, and leaves no process
     real = moduli._solve
     target = module_algebra(F5, sl2_algebra(F5).bracket, build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
     _, target_act = _even_system(target)
@@ -1073,63 +1016,27 @@ def test_sweep_failure_is_raised_in_the_caller_and_reaps(cpus, monkeypatch, dim)
     assert_no_child_process()
 
 
-def test_sweep_worker_that_fails_costs_only_time(cpus, monkeypatch):
-    # every solve in the forked worker raises, none in this process: the
-    # caller solves the worker's share too, with the pinned rows
-    cpus(2)
-    forks = count_forks(monkeypatch)
-    caller = os.getpid()
-    real = moduli._solve
-
-    def failing_in_worker(*system):
-        if os.getpid() != caller:
-            raise RuntimeError("the worker fails")
-        return real(*system)
-
-    monkeypatch.setattr(moduli, "_solve", failing_in_worker)
-    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
-    assert len(forks) == 2
-    assert_no_child_process()
-
-
-def test_sweep_kills_a_busy_worker_when_the_caller_fails(cpus, monkeypatch):
-    # the worker would sleep for a minute; the caller fails at once, and
-    # kills the worker rather than waiting for it
-    cpus(2)
-    caller = os.getpid()
-
-    def stuck(*system):
-        if os.getpid() == caller:
-            raise ValueError("the caller fails")
-        time.sleep(60)
-
-    monkeypatch.setattr(moduli, "_solve", stuck)
-    start = time.monotonic()
-    with pytest.raises(ValueError, match="^the caller fails$"):
-        sweep_irrep_sums(F5, 8)
-    assert time.monotonic() - start < 30
-    assert_no_child_process()
+def assembled_dimension(field, comp):
+    """The solution dimension of sl(2) acting on the assembled direct sum of
+    the standard irreducibles of dimensions ``comp``."""
+    rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in comp])
+    return odd_bracket_space(assemble(sl2_algebra(field), rep)).dimension
 
 
 @pytest.mark.parametrize("field", [F5, F7], ids=str)
-def test_sweep_systems_are_those_of_the_assembled_direct_sums(field, cpus, monkeypatch):
-    # each system the sweep builds from its summands' shifted facts has the
+def test_sweep_systems_are_those_of_the_assembled_direct_sums(field, monkeypatch):
+    # the sweep solves the compositions of one or two summands, in row
+    # order; each system built from its summands' shifted facts has the
     # columns and blocks of the assembled direct sum, its faithful blocks
-    # are those whose three restrictions are independent there, and its
-    # dimension is odd_bracket_space's on the assembled algebra
-    cpus(1)
-    systems = []
-    real = moduli._solve
-
-    def recorded(*system):
-        systems.append(system)
-        return real(*system)
-
-    monkeypatch.setattr(moduli, "_solve", recorded)
+    # are those whose three restrictions are independent there, and every
+    # row's dimension is odd_bracket_space's on the assembled algebra
+    systems = count_solves(monkeypatch)
     rows = sweep_irrep_sums(field, 8)
-    assert len(systems) == len(rows) == {5: 59, 7: 65}[field.p]
+    assert len(rows) == {5: 59, 7: 65}[field.p]
+    solved = [row for row in rows if len(row.composition) <= 2]
+    assert len(systems) == len(solved) == {5: 18, 7: 23}[field.p]
     even = sl2_algebra(field)
-    for row, (f, mode, ecols, act, block, faithful) in zip(rows, systems):
+    for row, (f, mode, ecols, act, block, faithful) in zip(solved, systems):
         rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in row.composition])
         g = assemble(even, rep)
         assert (f, mode) == (field, g.mode)
@@ -1143,13 +1050,35 @@ def test_sweep_systems_are_those_of_the_assembled_direct_sums(field, cpus, monke
         ]
         assert faithful == oracle
         assert moduli._faithful_blocks(field, act, block) == (oracle[:3] if len(set(block)) > 1 else [])
-        assert row.dimension == odd_bracket_space(g).dimension
+    for row in rows:
+        assert row.dimension == assembled_dimension(field, row.composition)
 
 
-def test_sweep_checks_each_summand_once_before_any_fork(cpus, monkeypatch):
+@pytest.mark.parametrize("field", [GF(11), GF(13)], ids=str)
+def test_pair_rule_matches_the_assembled_direct_sums_past_the_cap(field):
+    # the sweep's core without its F_5/F_7 and odd-dimension-8 budget
+    rows = moduli._sweep(field, 10)
+    assert [r.composition for r in rows] == [c for total in range(1, 11) for c in moduli._partitions_desc(total, field.p)]
+    for row in rows:
+        assert row.dimension == assembled_dimension(field, row.composition)
+
+
+def test_sweep_refuses_a_summand_neither_faithful_nor_zero(monkeypatch):
+    # the pair rule holds only where each summand is faithful or acts as
+    # zero; a 2-dimensional irreducible called non-faithful is refused
+    real = moduli._faithful
+
+    def faithful(field, act, ws):
+        return len(ws) != 2 and real(field, act, ws)
+
+    monkeypatch.setattr(moduli, "_faithful", faithful)
+    with pytest.raises(ValueError, match="^the summand of dimension 2 acts neither faithfully nor as zero$"):
+        sweep_irrep_sums(F5, 3)
+
+
+def test_sweep_checks_each_summand_once_before_any_fork(monkeypatch):
     # the representation check runs once per irreducible, and a broken one
-    # is refused in the caller before a worker is forked
-    cpus(2)
+    # is refused before any system is solved
     checked = []
     real = moduli.representation_failures
 
@@ -1161,6 +1090,7 @@ def test_sweep_checks_each_summand_once_before_any_fork(cpus, monkeypatch):
     assert len(sweep_irrep_sums(F7, 8)) == 65
     assert len(checked) == 7
     forbid_fork(monkeypatch)
+    systems = count_solves(monkeypatch)
     build = moduli.build_irrep
 
     def broken(spec, field):
@@ -1180,27 +1110,10 @@ def test_sweep_checks_each_summand_once_before_any_fork(cpus, monkeypatch):
         with pytest.raises(NotARepresentation) as alone:
             odd_bracket_space(module_algebra(field, sl2_algebra(field).bracket, broken(IrrepSpec.standard_params(field, 2), field).matrices()))
         assert info.value.pairs == alone.value.pairs != ()
+    assert systems == []
 
 
-def test_small_sweep_does_not_fork(cpus, monkeypatch):
-    # F_5 up to odd dimension 5 holds 540 unknowns, below the split
-    cpus(8)
+def test_small_sweep_does_not_fork(monkeypatch):
     forbid_fork(monkeypatch)
     comps = [c for total in range(1, 6) for c in moduli._partitions_desc(total, 5)]
-    assert sum(3 * sum(c) * (sum(c) + 1) // 2 for c in comps) == 540
     assert [r.composition for r in sweep_irrep_sums(F5, 5)] == comps
-
-
-def test_sweep_split_decision(cpus, monkeypatch):
-    # a second running thread is covered by
-    # test_sweep_beside_another_thread_does_not_fork
-    cpus(8)
-    assert not moduli._splits(100, 699)  # below the threshold
-    assert moduli._splits(100, 700)
-    assert moduli._splits(2, 700)
-    assert not moduli._splits(1, 10**6)  # nothing to share
-    cpus(1)
-    assert not moduli._splits(100, 10**6)
-    cpus(8)
-    monkeypatch.delattr(os, "fork")
-    assert not moduli._splits(100, 10**6)

@@ -71,11 +71,11 @@ its dense tensors only when they are asked for: the abelian 3|100
 document has 15,150 free unknowns, whose basis is 15,150 vectors of one
 entry.  In a dense basis the action is one block and no e_x is diagonal:
 nothing is killed first, and relation 2 is collected at every x.
-For the 41 systems of the benchmark sweep (F_5 and F_7 up to odd
-dimension 8, where H is diagonal) the blocks and the weights kill 1,908
-of the 2,157 unknowns; the solver collects 618 of the 2,157 relation-2
-instances and 702 of the 1,984 relation-1 instances, and hands the
-eliminator 38 rows on 18 unknowns.
+For the 29 systems of the benchmark sweep (F_5 and F_7 up to odd
+dimension 8, where H is diagonal) the blocks and the weights kill 1,616
+of the 1,800 unknowns; the solver collects 458 of the 1,800 relation-2
+instances and 551 of the 1,706 relation-1 instances, and hands the
+eliminator 26 rows on 12 unknowns.
 The eliminator still peels forced columns before it pivots, as
 structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO
 1990).  The rows reach it in the generator's order, relation 1 first,
@@ -85,33 +85,36 @@ all-triples dense assembly, solved by a dense Gauss-Jordan, is kept in
 the test suite as an oracle for this deduplication.
 
 :func:`sweep_irrep_sums` finds the dimension for every direct sum
-M = V_1 + ... + V_r of irreducibles, solving only the sums of one or two.
-Split the bracket into blocks B_ij on V_i x V_j.  The action is
-block-diagonal, so relation 2 at (x, V_i, V_j) holds only B_ij; relation 1
-at (V_i, V_j, V_k), k a third summand, says B_ij acts as zero on V_k; and
-at (V_i, V_i, V_j) its V_i part holds only B_ij and its V_j part says B_ii
-acts as zero on V_j.  A faithful V_k kills those blocks, and one that acts
-as zero imposes nothing; every summand must be one or the other.  So with
-s(d) the dimension for (d,), and x(a, b) = dim(a, b) - [V_b acts as
-zero] s(a) - [V_a acts as zero] s(b),
+M = V_1 + ... + V_r of irreducibles, solving only sums of two and at most
+one irreducible alone.  Split the bracket into blocks B_ij on V_i x V_j.
+The action is block-diagonal, so relation 2 at (x, V_i, V_j) holds only
+B_ij; relation 1 at (V_i, V_j, V_k), k a third summand, says B_ij acts as
+zero on V_k; and at (V_i, V_i, V_j) its V_i part holds only B_ij and its
+V_j part says B_ii acts as zero on V_j.  So the system is block-diagonal
+in the pairs of summands, each basis vector of the space lies in one B_ij,
+and a faithful V_k kills the blocks that miss it, while one that acts as
+zero imposes nothing; every summand must be one or the other.  With s(a)
+the number of basis vectors of V_a + V_1 on V_a x V_a (V_1 acts as zero,
+so that is the dimension for V_a alone) and x(a, b) the number of those of
+V_a + V_b on V_a x V_b,
 
     dim(M) = sum_i [no other V faithful] s(d_i)
            + sum_{i<j} [no V but V_i, V_j faithful] x(d_i, d_j).
 
-Each of those small systems is built from its summands' facts, checked
-once and shifted by their offsets, and goes through :func:`_solve`, as
-:func:`odd_bracket_space` on the assembled algebra would.
+Each sum of two is assembled and solved by :func:`odd_bracket_space`, and
+so is V_a alone where a is the bound and V_a + V_1 is past it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .fields import Field
+from .fields import Field, FieldError
 from .linalg import _densified, _reduce, sparse_kernel_basis
-from .sl2 import IrrepSpec, build_irrep
+from .sl2 import IrrepSpec, RepMatrices, build_irrep
 from .superalgebra import (
     ShapeError,
     SuperAlgebra,
@@ -313,15 +316,6 @@ def _blocks(act, d1: int) -> list:
     return [root(w) for w in range(d1)]
 
 
-def _members(block: list) -> dict:
-    """``{k: [w, ...]}``: the indices of each block, keyed by its least
-    index, in increasing order of both."""
-    members: dict = {}
-    for w, k in enumerate(block):
-        members.setdefault(k, []).append(w)
-    return members
-
-
 def _faithful(field: Field, act, ws: list) -> bool:
     """Whether the d0 restrictions of the e_y to the block ``ws`` are
     linearly independent: the rank d0 of the rows (w, t) -> {y: coefficient
@@ -339,7 +333,9 @@ def _faithful_blocks(field: Field, act, block: list) -> list:
     increasing order, up to three, after which :func:`_block_kills` kills
     every pair; none where the module is one block, which kills nothing
     and is not checked."""
-    members = _members(block)
+    members: dict = {}  # the indices of each block, keyed by its least index
+    for w, k in enumerate(block):
+        members.setdefault(k, []).append(w)
     faithful: list = []
     if len(members) > 1:
         for k, ws in members.items():
@@ -428,28 +424,18 @@ def odd_bracket_space(g: SuperAlgebra) -> OddBracketSpace:
     """
     if g.mode not in ("standard", "char3"):
         raise UnsupportedMode(f"unsupported mode for the bracket solver: {g.mode!r}")
+    field, d0, d1 = g.field, g.dim_even, g.dim_odd
     ecols, act = _even_system(g)
-    failures = representation_failures(g.field, ecols, act)
+    failures = representation_failures(field, ecols, act)
     if failures:
         raise NotARepresentation(failures)
-    block = _blocks(act, g.dim_odd)
-    return _solve(g.field, g.mode, ecols, act, block, _faithful_blocks(g.field, act, block))
-
-
-def _solve(field: Field, mode: str, ecols, act, block: list, faithful: list) -> OddBracketSpace:
-    """The solution space of one system, from the facts that
-    :func:`odd_bracket_space` reads off a module and the sweep off its
-    summands: the columns ``ecols`` and ``act`` of a representation, its
-    blocks ``block`` (:func:`_blocks`) and its faithful blocks ``faithful``
-    (:func:`_faithful`) in increasing order, of which only the first three
-    count, and none where the module is one block."""
-    d0, d1 = len(ecols), len(block)
     p = field.p if field.kind == "prime" else None
     rel = _Relations(ecols, act)
-    dead = set(_block_kills(rel, block, faithful))
+    block = _blocks(act, d1)
+    dead = set(_block_kills(rel, block, _faithful_blocks(field, act, block)))
     n = d0 * d1 * (d1 + 1) // 2
     # from three faithful blocks on no unknown is alive, and nothing is collected
-    rows = _collect(mode, rel, act, dead, p) if len(dead) < n else []
+    rows = _collect(g.mode, rel, act, dead, p) if len(dead) < n else []
     # each row under its own unknowns; only one that holds a dead unknown,
     # killed after the row was kept, is rebuilt without it
     kept = []
@@ -469,6 +455,8 @@ def solution_to_algebra(
     as its odd bracket."""
     if (space.dim_even, space.dim_odd) != (g.dim_even, g.dim_odd):
         raise ShapeError("the solution space is not of g's dimensions")
+    if space.field != g.field:
+        raise FieldError(f"a solution space over {space.field} installed in an algebra over {g.field}")
     coerce = g.field.coerce
     odd = {(u, v, y): c for u, v, y, raw in space.entries(index) if (c := coerce(raw))}
     return SuperAlgebra._of(g.field, g.dim_even, g.dim_odd, g.mode, g._even, g._act, odd)
@@ -505,58 +493,51 @@ def sweep_irrep_sums(field: Field, max_odd_dim: int) -> list[SweepRow]:
 
 def _sweep(field: Field, max_odd_dim: int) -> list[SweepRow]:
     """The rows of :func:`sweep_irrep_sums` over any F_p, without its
-    budget: each irreducible is checked once, each composition of one or two
-    summands is solved, and every other row is a sum of those (module
-    docstring)."""
+    budget: each composition of two summands is solved, and V_a alone where
+    a = max_odd_dim, and every row is a sum of the counts that those
+    solutions give (module docstring)."""
     from .constructions import sl2_algebra
 
     even = sl2_algebra(field)
-    d0 = even.dim_even
-    ecols, _ = _even_system(even)
-    # each irreducible's facts, as odd_bracket_space reads them: its action
-    # columns, checked to be a representation, its blocks and its faithful
-    # blocks; and whether it is faithful, else it must act as zero
-    summands, is_faithful = {}, {}
+    # each irreducible, and whether it is faithful, else it must act as zero
+    irreps, is_faithful = {}, {}
     for d in range(1, min(field.p, max_odd_dim) + 1):
-        entries = build_irrep(IrrepSpec.standard_params(field, d - 1), field).entries
-        _, act = _even_system(SuperAlgebra._of(field, d0, d, even.mode, even._even, entries, {}))
-        failures = representation_failures(field, ecols, act)
-        if failures:
-            raise NotARepresentation(failures)
-        block = _blocks(act, d)
-        fth = [k for k, ws in _members(block).items() if _faithful(field, act, ws)]
-        if not fth and any(col for plane in act for col in plane):
+        rep = irreps[d] = build_irrep(IrrepSpec.standard_params(field, d - 1), field)
+        is_faithful[d] = _faithful(field, rep._columns(), range(d))
+        if not is_faithful[d] and rep.entries:
             raise ValueError(f"the summand of dimension {d} acts neither faithfully nor as zero")
-        summands[d], is_faithful[d] = (act, block, fth), bool(fth)
 
-    def solve(comp):
-        # the direct sum's facts: each summand's, shifted by its offset.  The
-        # action is block-diagonal, so the sum is a representation, its
-        # blocks are the summands' and a block's faithfulness is its own
-        act, block, faithful, offset = [[] for _ in range(d0)], [], [], 0
-        for d in comp:
-            cols, blk, fth = summands[d]
-            for plane, part in zip(act, cols):
-                plane += [[(t + offset, c) for t, c in col] for col in part]
-            block += [k + offset for k in blk]
-            faithful += [k + offset for k in fth]
-            offset += d
-        return _solve(field, even.mode, ecols, act, block, faithful).dimension
+    def counts(comp):
+        # the basis vectors of the direct sum's space, counted by the pair of
+        # summands (i, j), i <= j, on which each one has its entries
+        rep = RepMatrices.direct_sum([irreps[d] for d in comp])
+        g = SuperAlgebra._of(field, even.dim_even, rep.dim, even.mode, even._even, rep.entries, {})
+        space = odd_bracket_space(g)
+        summand = [i for i, d in enumerate(comp) for _ in range(d)]
+        by_pair = Counter()
+        for k in range(space.dimension):
+            pairs = {(summand[u], summand[v]) for u, v, _, _ in space.entries(k)}
+            if len(pairs) != 1:
+                raise ValueError(f"a solution for {comp} has entries on {len(pairs)} pairs of summands")
+            by_pair.update(pairs)
+        return by_pair
 
-    s, x, rows = {}, {}, []  # s[d] and x[a, b] of the module docstring
-    for total in range(1, max_odd_dim + 1):
-        for comp in _partitions_desc(total, field.p):
-            if len(comp) == 1:
-                dim = s[total] = solve(comp)
-            elif len(comp) == 2:
-                a, b = comp
-                dim = solve(comp)
-                x[comp] = dim - (not is_faithful[b]) * s[a] - (not is_faithful[a]) * s[b]
-            else:
-                # a term counts only where no summand outside it is faithful
-                n = sum(is_faithful[d] for d in comp)
-                dim = sum(s[d] for d in comp if n == is_faithful[d]) + sum(
-                    x[a, b] for a, b in combinations(comp, 2) if n == is_faithful[a] + is_faithful[b]
-                )
-            rows.append(SweepRow(field.p, comp, dim))
+    comps = [comp for total in range(1, max_odd_dim + 1) for comp in _partitions_desc(total, field.p)]
+    s, x = {}, {}  # s[a] and x[a, b] of the module docstring
+    for comp in comps:
+        if len(comp) == 2:
+            by_pair = counts(comp)
+            x[comp] = by_pair[0, 1]
+            if comp[1] == 1:  # V_1 acts as zero, so V_a x V_a solves as in V_a alone
+                s[comp[0]] = by_pair[0, 0]
+        elif comp == (max_odd_dim,):  # the one V_a with no V_a + V_1 in the sweep
+            s[max_odd_dim] = counts(comp)[0, 0]
+    rows = []
+    for comp in comps:
+        # a term counts only where no summand outside it is faithful
+        n = sum(is_faithful[d] for d in comp)
+        dim = sum(s[d] for d in comp if n == is_faithful[d]) + sum(
+            x[a, b] for a, b in combinations(comp, 2) if n == is_faithful[a] + is_faithful[b]
+        )
+        rows.append(SweepRow(field.p, comp, dim))
     return rows

@@ -525,7 +525,12 @@ class SuperAlgebra:
         def summed(entries, shape, start, refusal):
             (a, b, n), out = shape, {}
             for i, j, k, coeff in entries:
-                if not (0 <= i < a and 0 <= j < b and 0 <= k < n) or start is not None and j < i + start:
+                # a bool or a float such as 0.0 passes the range test but is no index
+                if (
+                    not (type(i) is type(j) is type(k) is int)
+                    or not (0 <= i < a and 0 <= j < b and 0 <= k < n)
+                    or start is not None and j < i + start
+                ):
                     raise ShapeError(refusal.format(i, j, k))
                 key, c = (i, j, k), field.coerce(coeff)
                 out[key] = field.add(out[key], c) if key in out else c

@@ -507,10 +507,15 @@ def test_assemble_invalid_bracket_fails_validation():
     assert res.returncode == 1
 
 
-@pytest.mark.parametrize("entry", [[1, 0, 0, "1/1"], [0, 5, 0, "1/1"]], ids=["below-diagonal", "out-of-range"])
+@pytest.mark.parametrize(
+    "entry",
+    [[1, 0, 0, "1/1"], [0, 5, 0, "1/1"], [0.0, 0, 0, "1"], [0, True, 1, "-1"]],
+    ids=["below-diagonal", "out-of-range", "float", "bool"],
+)
 def test_assemble_p_file_entry_outside_u_le_v_is_a_usage_error(entry, tmp_path):
-    # the odd bracket is read as entries with u <= v < d1: one below the
-    # diagonal is refused, not dropped, and one out of range is no traceback
+    # the odd bracket is read as entries with integer u <= v < d1: one below
+    # the diagonal is refused, not dropped, and one out of range or with a
+    # float or bool index is no traceback and no document
     p_file = tmp_path / "p.json"
     p_file.write_text(json.dumps([entry]))
     res = run_cli("construct", "assemble", "--m", "1", "--field", "q", "--p-file", str(p_file))

@@ -24,7 +24,7 @@ from conftest import (
 from superbracket import moduli
 from superbracket.classify import classify
 from superbracket.constructions import assemble, build_char2_example, build_osp12, sl2_algebra
-from superbracket.fields import GF, QQ
+from superbracket.fields import GF, QQ, FieldError
 from superbracket.linalg import Matrix, Vector, sparse_kernel_basis
 from superbracket.moduli import (
     NotARepresentation,
@@ -837,6 +837,16 @@ def test_solution_to_algebra_matches_the_dense_oracle(field, rng):
         solution_to_algebra(SuperAlgebra.from_entries(field, 3, 1, mode=g.mode), space, 0)
 
 
+def test_solution_to_algebra_refuses_a_space_over_another_field():
+    # F_7's residues 6 and 4 are no rationals: installed into the Q algebra
+    # of the same module they would give an invalid algebra
+    _, _, space = space_for(F7, (2,))
+    g = solution_holder(QQ, sl2_algebra(QQ), build_irrep(IrrepSpec.standard_params(QQ, 1), QQ))
+    assert space.dimension == odd_bracket_space(g).dimension == 1
+    with pytest.raises(FieldError, match="^a solution space over F_7 installed in an algebra over Q$"):
+        solution_to_algebra(g, space, 0)
+
+
 def solution_holder(field, even, rep):
     from superbracket.constructions import assemble
 
@@ -966,51 +976,39 @@ def forbid_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-def count_solves(monkeypatch):
-    """Record the arguments of every ``moduli._solve`` call."""
-    systems = []
-    real = moduli._solve
+def record_solves(monkeypatch):
+    """Record the algebra of every ``moduli.odd_bracket_space`` call."""
+    algebras = []
+    real = moduli.odd_bracket_space
 
-    def recorded(*system):
-        systems.append(system)
-        return real(*system)
+    def recorded(g):
+        algebras.append(g)
+        return real(g)
 
-    monkeypatch.setattr(moduli, "_solve", recorded)
-    return systems
+    monkeypatch.setattr(moduli, "odd_bracket_space", recorded)
+    return algebras
 
 
-def test_benchmark_sweep_solves_41_systems_without_a_fork(monkeypatch):
-    # the one- and two-summand compositions: 18 of F_5's 59 and 23 of F_7's 65
+def test_benchmark_sweep_makes_29_odd_bracket_space_calls_without_a_fork(monkeypatch):
+    # the two-summand compositions: 13 of F_5's 59 and 16 of F_7's 65
     forbid_fork(monkeypatch)
-    systems = count_solves(monkeypatch)
+    algebras = record_solves(monkeypatch)
     assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
-    assert len(systems) == 18 + 23
-
-
-def test_sweep_builds_no_direct_sum(monkeypatch):
-    # each composition's columns are its summands' columns, shifted by
-    # their offsets: no dense direct-sum matrix is built
-    def direct_sum(parts):
-        raise AssertionError("the sweep built a direct sum")
-
-    monkeypatch.setattr(RepMatrices, "direct_sum", staticmethod(direct_sum))
-    assert benchmark_sweep_digest() == BENCHMARK_SWEEP_DIGEST
+    assert len(algebras) == 13 + 16
 
 
 @pytest.mark.parametrize("dim", [1], ids=["in-caller"])
 def test_sweep_failure_is_raised_in_the_caller_and_reaps(monkeypatch, dim):
-    # a failing solve of (1,) is raised as it is, and leaves no process
-    real = moduli._solve
-    target = module_algebra(F5, sl2_algebra(F5).bracket, build_irrep(IrrepSpec.standard_params(F5, dim - 1), F5).matrices())
-    _, target_act = _even_system(target)
+    # a failing solve of (1, 1) is raised as it is, and leaves no process
+    real = moduli.odd_bracket_space
 
-    def failing(field, mode, ecols, act, *facts):
-        if act == target_act:
-            raise ValueError(f"no solution space for ({dim},)")
-        return real(field, mode, ecols, act, *facts)
+    def failing(g):
+        if g.dim_odd == 2 * dim:
+            raise ValueError(f"no solution space for ({dim}, {dim})")
+        return real(g)
 
-    monkeypatch.setattr(moduli, "_solve", failing)
-    with pytest.raises(ValueError, match=rf"^no solution space for \({dim},\)$") as info:
+    monkeypatch.setattr(moduli, "odd_bracket_space", failing)
+    with pytest.raises(ValueError, match=rf"^no solution space for \({dim}, {dim}\)$") as info:
         sweep_irrep_sums(F5, 8)
     assert info.value.__cause__ is None
     assert_no_child_process()
@@ -1023,35 +1021,45 @@ def assembled_dimension(field, comp):
     return odd_bracket_space(assemble(sl2_algebra(field), rep)).dimension
 
 
+@pytest.mark.parametrize("bound", range(1, 9))
 @pytest.mark.parametrize("field", [F5, F7], ids=str)
-def test_sweep_systems_are_those_of_the_assembled_direct_sums(field, monkeypatch):
-    # the sweep solves the compositions of one or two summands, in row
-    # order; each system built from its summands' shifted facts has the
-    # columns and blocks of the assembled direct sum, its faithful blocks
-    # are those whose three restrictions are independent there, and every
+def test_sweep_systems_are_those_of_the_assembled_direct_sums(field, bound, monkeypatch):
+    # the sweep solves, in row order, the compositions of two summands and
+    # the irreducible of dimension bound where bound <= p; each algebra it
+    # hands odd_bracket_space is the assembled direct sum, whose faithful
+    # blocks are those whose three restrictions are independent, and every
     # row's dimension is odd_bracket_space's on the assembled algebra
-    systems = count_solves(monkeypatch)
-    rows = sweep_irrep_sums(field, 8)
-    assert len(rows) == {5: 59, 7: 65}[field.p]
-    solved = [row for row in rows if len(row.composition) <= 2]
-    assert len(systems) == len(solved) == {5: 18, 7: 23}[field.p]
+    algebras = record_solves(monkeypatch)
+    rows = sweep_irrep_sums(field, bound)
+    assert [r.composition for r in rows] == [c for total in range(1, bound + 1) for c in moduli._partitions_desc(total, field.p)]
+    solved = [row.composition for row in rows if len(row.composition) == 2 or row.composition == (bound,)]
+    assert len(algebras) == len(solved)
     even = sl2_algebra(field)
-    for row, (f, mode, ecols, act, block, faithful) in zip(solved, systems):
-        rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in row.composition])
-        g = assemble(even, rep)
-        assert (f, mode) == (field, g.mode)
-        assert (ecols, act) == _even_system(g)
-        assert block == moduli._blocks(act, rep.dim)
-        mats = rep.matrices()
+    for comp, g in zip(solved, algebras):
+        rep = RepMatrices.direct_sum([build_irrep(IrrepSpec.standard_params(field, d - 1), field) for d in comp])
+        assert g == assemble(even, rep)
+        _, act = _even_system(g)
+        block = moduli._blocks(act, rep.dim)
         oracle = [
             k
             for k in sorted(set(block))
-            if Matrix(field, [[m.data[t][w] for w in range(rep.dim) for t in range(rep.dim) if block[w] == block[t] == k] for m in mats]).rank() == 3
+            if Matrix(field, [[m.data[t][w] for w in range(rep.dim) for t in range(rep.dim) if block[w] == block[t] == k] for m in rep.matrices()]).rank() == 3
         ]
-        assert faithful == oracle
-        assert moduli._faithful_blocks(field, act, block) == (oracle[:3] if len(set(block)) > 1 else [])
+        assert moduli._faithful_blocks(field, act, block) == (oracle if len(set(block)) > 1 else [])
     for row in rows:
         assert row.dimension == assembled_dimension(field, row.composition)
+
+
+def test_sweep_raises_on_a_solution_across_two_pairs_of_summands(monkeypatch):
+    # each basis vector must lie in one pair of summands; one with entries on
+    # V_1 x V_1 of both summands of (1, 1) is refused
+    def spanning(g):
+        n = g.dim_even * g.dim_odd * (g.dim_odd + 1) // 2
+        return OddBracketSpace(g.field, g.dim_even, g.dim_odd, vectors=[{0: 1, n - 1: 1}])
+
+    monkeypatch.setattr(moduli, "odd_bracket_space", spanning)
+    with pytest.raises(ValueError, match=r"^a solution for \(1, 1\) has entries on 2 pairs of summands$"):
+        sweep_irrep_sums(F5, 3)
 
 
 @pytest.mark.parametrize("field", [GF(11), GF(13)], ids=str)
@@ -1076,21 +1084,10 @@ def test_sweep_refuses_a_summand_neither_faithful_nor_zero(monkeypatch):
         sweep_irrep_sums(F5, 3)
 
 
-def test_sweep_checks_each_summand_once_before_any_fork(monkeypatch):
-    # the representation check runs once per irreducible, and a broken one
-    # is refused before any system is solved
-    checked = []
-    real = moduli.representation_failures
-
-    def counted(*args):
-        checked.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(moduli, "representation_failures", counted)
-    assert len(sweep_irrep_sums(F7, 8)) == 65
-    assert len(checked) == 7
+def test_sweep_refuses_a_broken_summand_as_odd_bracket_space_does(monkeypatch):
+    # a summand that is no representation is refused by the solve that
+    # holds it, with the pairs that odd_bracket_space names on it alone
     forbid_fork(monkeypatch)
-    systems = count_solves(monkeypatch)
     build = moduli.build_irrep
 
     def broken(spec, field):
@@ -1110,7 +1107,6 @@ def test_sweep_checks_each_summand_once_before_any_fork(monkeypatch):
         with pytest.raises(NotARepresentation) as alone:
             odd_bracket_space(module_algebra(field, sl2_algebra(field).bracket, broken(IrrepSpec.standard_params(field, 2), field).matrices()))
         assert info.value.pairs == alone.value.pairs != ()
-    assert systems == []
 
 
 def test_small_sweep_does_not_fork(monkeypatch):

@@ -324,6 +324,24 @@ def test_entry_bounds():
         SuperAlgebra.from_entries(QQ, 2, 2, odd_bracket=[(1, 0, 0, 1)])  # u <= v
 
 
+@pytest.mark.parametrize(
+    "sector, entry",
+    [
+        ("bracket", (0.0, 1, 0, 1)),
+        ("action", (0, 1, 0.0, 1)),
+        ("odd_bracket", (0, True, 1, 1)),
+        ("odd_bracket", (True, 1, 2, 1)),
+        ("squaring", (False, 0, 0, 1)),
+    ],
+)
+def test_entry_indices_must_be_ints(sector, entry):
+    # a float or a bool passes the range test but is no index: refused, not
+    # stored under a key that validate and serialize_algebra would refuse
+    mode, field = ("char2", GF(2)) if sector == "squaring" else ("standard", QQ)
+    with pytest.raises(ShapeError, match="out of range"):
+        SuperAlgebra.from_entries(field, 3, 3, mode=mode, **{sector: [entry]})
+
+
 def test_supercentre_osp12():
     even, odd = supercentre(build_osp12(QQ))
     assert even == [] and odd == []
